@@ -2,11 +2,12 @@
 //!
 //! The delegation table ([`gvfs_core::delegation::DelegationTable`]) and
 //! the invalidation buffers
-//! ([`gvfs_core::invalidation::InvalidationTracker`]) are the two pieces
-//! of the protocol whose correctness is a *global* property — no unit
-//! test of a single call sequence can show that write delegations are
-//! exclusive in every interleaving. This module drives the real
-//! implementations through exhaustive breadth-first exploration of
+//! ([`gvfs_core::invalidation::ConcurrentInvalidationTracker`], the
+//! striped tracker the proxy server runs) are the two pieces of the
+//! protocol whose correctness is a *global* property — no unit test of a
+//! single call sequence can show that write delegations are exclusive in
+//! every interleaving. This module drives the shipped implementations
+//! through exhaustive breadth-first exploration of
 //! small configurations (2–3 clients, 1–2 files) and checks safety
 //! invariants in every reachable state:
 //!
@@ -37,7 +38,7 @@
 //! them, so they replay as a unit test.
 
 use gvfs_core::delegation::{DelegationKind, DelegationTable, RecallAction};
-use gvfs_core::invalidation::InvalidationTracker;
+use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::protocol::DelegationGrant;
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::SimTime;
@@ -441,7 +442,7 @@ impl std::fmt::Display for InvalAction {
 }
 
 /// The spec's view of one client: what the protocol *owes* it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ClientSpec {
     /// Timestamp the client would send on its next poll.
     ts: Option<u64>,
@@ -456,7 +457,7 @@ struct ClientSpec {
 
 #[derive(Clone)]
 struct InvalState {
-    tracker: InvalidationTracker,
+    tracker: ConcurrentInvalidationTracker,
     capacity: usize,
     spec: BTreeMap<u32, ClientSpec>,
 }
@@ -530,8 +531,7 @@ impl InvalState {
                 *cs = ClientSpec {
                     ts: Some(res.timestamp),
                     registered: true,
-                    owed: BTreeSet::new(),
-                    wrapped: false,
+                    ..ClientSpec::default()
                 };
                 None
             }
@@ -541,7 +541,9 @@ impl InvalState {
                 None
             }
             InvalAction::ServerRestart => {
-                self.tracker = InvalidationTracker::new(self.capacity);
+                // The crash path the proxy server takes: every buffer
+                // is dropped and the clock restarts.
+                self.tracker.reset(self.capacity);
                 for cs in self.spec.values_mut() {
                     cs.registered = false;
                     cs.wrapped = false;
@@ -574,21 +576,9 @@ pub fn check_invalidation() -> ModelReport {
         let files: Vec<Fh3> = (1..=2u64).map(Fh3::from_fileid).collect();
         let label = format!("invalidation[clients={n_clients},capacity={capacity}]");
         let initial = InvalState {
-            tracker: InvalidationTracker::new(capacity),
+            tracker: ConcurrentInvalidationTracker::new(capacity),
             capacity,
-            spec: (1..=n_clients)
-                .map(|c| {
-                    (
-                        c,
-                        ClientSpec {
-                            ts: None,
-                            registered: false,
-                            owed: BTreeSet::new(),
-                            wrapped: false,
-                        },
-                    )
-                })
-                .collect(),
+            spec: (1..=n_clients).map(|c| (c, ClientSpec::default())).collect(),
         };
         let mut visited: HashSet<String> = HashSet::new();
         visited.insert(initial.fingerprint());

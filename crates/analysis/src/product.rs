@@ -7,7 +7,8 @@
 //! recall, a degraded client serving reads the invalidation stream
 //! already disowned, a repromotion that skips the GETINV drain. This
 //! module explores the product machine — the real
-//! [`DelegationTable`] and [`InvalidationTracker`] composed with
+//! [`DelegationTable`] and the shipped [`ConcurrentInvalidationTracker`]
+//! (invalidation buffers *and* peer-advert holdings) composed with
 //! explicit spec machines for the WAN breaker, the client degradation
 //! ladder (healthy → degraded → repromoting) and per-delegation lease
 //! bookkeeping — under an explicit virtual clock, and checks
@@ -36,7 +37,8 @@
 //!   exclusive per file across partitions, heals and revocations.
 //! * **I7 no-condemned-peer-serve** — a peer never serves a block the
 //!   origin has condemned: every write eagerly de-advertises all peer
-//!   holders of the file, so an advertised holder always carries the
+//!   holders of the file (the tracker's own `record_modification` pass),
+//!   so a holder the tracker still advertises always carries the
 //!   origin's current version when it answers a `PEERREAD`.
 //! * **I8 no-corrupt-serve** — no block whose checksum fails
 //!   verification is ever returned to a reader, local or peer: a
@@ -44,13 +46,14 @@
 //!   by refetch), never served.
 //!
 //! Each invariant has a fault knob ([`Knobs`]) that re-introduces the
-//! corresponding bug in the spec side; the unit tests flip the knobs
+//! corresponding bug — in the spec side, or for I7 in the shipped
+//! tracker itself through its chaos knob; the unit tests flip the knobs
 //! one at a time and assert the checker convicts — a checker that
 //! cannot see a planted bug proves nothing.
 
 use crate::model::ModelReport;
 use gvfs_core::delegation::DelegationTable;
-use gvfs_core::invalidation::InvalidationTracker;
+use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::Fh3;
@@ -98,8 +101,9 @@ pub struct Knobs {
     /// their delegations survive the round (breaks I4).
     pub recall_keeps_partitioned_holder: bool,
     /// Writes skip the eager de-advertisement, so stale holders stay
-    /// advertised and serve condemned blocks (breaks I7) — the model
-    /// twin of the chaos harness's `--break-peerread` knob.
+    /// advertised and serve condemned blocks (breaks I7): the shipped
+    /// tracker's `set_deadvertise_suppressed`, the same knob the chaos
+    /// harness's `--break-peerread` self-test throws.
     pub peer_ignores_condemnation: bool,
     /// Verify-on-read is disabled: a read hitting a rotten stored copy
     /// serves the bytes instead of quarantining them (breaks I8) — the
@@ -220,16 +224,13 @@ impl ClientSpec {
 struct ProductState {
     now_s: u64,
     table: DelegationTable,
-    tracker: InvalidationTracker,
+    tracker: ConcurrentInvalidationTracker,
     clients: BTreeMap<u32, ClientSpec>,
     /// (client, fh) → virtual second of the last access the *server*
     /// saw; the spec mirror of the table's lease bookkeeping.
     last_access: BTreeMap<(u32, u64), u64>,
     /// fileid → origin content version, bumped by every write.
     version: BTreeMap<u64, u64>,
-    /// fileid → holders the origin currently advertises for peer
-    /// sourcing; a write eagerly empties the file's entry.
-    advertised: BTreeMap<u64, BTreeSet<u32>>,
     knobs: Knobs,
 }
 
@@ -241,14 +242,15 @@ impl ProductState {
     fn new(n_clients: u32, knobs: Knobs) -> Self {
         let mut table = DelegationTable::new(product_config());
         table.set_revocation_log(true);
+        let tracker = ConcurrentInvalidationTracker::new(INVAL_CAPACITY);
+        tracker.set_deadvertise_suppressed(knobs.peer_ignores_condemnation);
         ProductState {
             now_s: 0,
             table,
-            tracker: InvalidationTracker::new(INVAL_CAPACITY),
+            tracker,
             clients: (1..=n_clients).map(|c| (c, ClientSpec::new())).collect(),
             last_access: BTreeMap::new(),
             version: BTreeMap::new(),
-            advertised: BTreeMap::new(),
             knobs,
         }
     }
@@ -257,7 +259,12 @@ impl ProductState {
         SimTime::ZERO + Duration::from_secs(self.now_s)
     }
 
-    fn fingerprint(&self) -> String {
+    /// Every client the tracker advertises as holding `fh`.
+    fn holders(&self, fh: Fh3) -> Vec<u32> {
+        self.tracker.collect_holders(fh, u32::MAX, usize::MAX)
+    }
+
+    fn fingerprint(&self, files: &[Fh3]) -> String {
         let mut s = String::new();
         // Raw timestamps on purpose: the lease and staleness invariants
         // are time-dependent, so time-shifted states are NOT equivalent
@@ -283,7 +290,10 @@ impl ProductState {
             );
         }
         let _ = write!(s, "la={:?};", self.last_access);
-        let _ = write!(s, "v={:?};adv={:?}", self.version, self.advertised);
+        let _ = write!(s, "v={:?};", self.version);
+        for &fh in files {
+            let _ = write!(s, "adv{}={:?};", fh.fileid(), self.holders(fh));
+        }
         s
     }
 
@@ -401,21 +411,18 @@ impl ProductState {
                     }
                 }
                 if write {
+                    // The write condemns every cached copy: the tracker
+                    // enqueues the invalidation and, under the same
+                    // stripe lock, de-advertises all peer holders; the
+                    // origin bumps the content version. The writer's own
+                    // copy turns dirty, which a peer answers as a miss.
                     self.tracker.record_modification(fh, client);
                     for (&c, cs) in &mut self.clients {
                         if c != client && cs.registered {
                             cs.owed.insert(fh);
                         }
                     }
-                    // The write condemns every cached copy: the origin
-                    // bumps the content version and — under the same
-                    // stripe lock in the implementation — eagerly
-                    // de-advertises all peer holders. The writer's own
-                    // copy turns dirty, which a peer answers as a miss.
                     *self.version.entry(fh.fileid()).or_insert(0) += 1;
-                    if !self.knobs.peer_ignores_condemnation {
-                        self.advertised.remove(&fh.fileid());
-                    }
                     let cs = self.clients.get_mut(&client).expect("model client");
                     cs.clean.remove(&fh.fileid());
                     cs.rotten.remove(&fh.fileid());
@@ -428,7 +435,7 @@ impl ProductState {
                     let cs = self.clients.get_mut(&client).expect("model client");
                     cs.clean.insert(fh.fileid(), v);
                     cs.rotten.remove(&fh.fileid());
-                    self.advertised.entry(fh.fileid()).or_default().insert(client);
+                    self.tracker.advertise(client, fh);
                 }
             }
             ProductAction::Partition { client } => {
@@ -577,7 +584,7 @@ impl ProductState {
                     cs.clean.remove(&fh.fileid());
                     if !cs.partitioned {
                         cs.clean.insert(fh.fileid(), current);
-                        self.advertised.entry(fh.fileid()).or_default().insert(client);
+                        self.tracker.advertise(client, fh);
                     }
                 }
             }
@@ -629,10 +636,10 @@ impl ProductState {
         }
         // Any advertised holder can be asked for any advertised file —
         // the requester trusts the origin's advert, so the serve must be
-        // safe whenever the advert exists.
-        for (&fileid, holders) in &self.advertised {
-            for &client in holders {
-                acts.push(ProductAction::PeerServe { client, fh: Fh3::from_fileid(fileid) });
+        // safe whenever the tracker still hands the advert out.
+        for &fh in files {
+            for client in self.holders(fh) {
+                acts.push(ProductAction::PeerServe { client, fh });
             }
         }
         acts
@@ -649,7 +656,7 @@ pub fn check_product_with(knobs: Knobs) -> ModelReport {
 
         let initial = ProductState::new(n_clients, knobs);
         let mut visited: HashSet<String> = HashSet::new();
-        visited.insert(initial.fingerprint());
+        visited.insert(initial.fingerprint(&files));
         let mut queue: VecDeque<(ProductState, Vec<String>, usize)> = VecDeque::new();
         queue.push_back((initial, Vec::new(), 0));
         let mut states = 1usize;
@@ -669,7 +676,7 @@ pub fn check_product_with(knobs: Knobs) -> ModelReport {
                         .push(format!("{label}: {v}\n  trace: {}", next_trace.join(" ; ")));
                     continue;
                 }
-                let fp = next.fingerprint();
+                let fp = next.fingerprint(&files);
                 if visited.insert(fp) {
                     states += 1;
                     queue.push_back((next, next_trace, depth + 1));

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gvfs_core::cache::{DiskCache, FileCache};
 use gvfs_core::delegation::DelegationTable;
-use gvfs_core::invalidation::InvalidationTracker;
+use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::{Fattr3, Fh3, Ftype3, LookupArgs, NfsTime3, ReadRes};
@@ -176,7 +176,7 @@ fn bench_disk_cache(c: &mut Criterion) {
 fn bench_invalidation(c: &mut Criterion) {
     let mut group = c.benchmark_group("invalidation_tracker");
     group.bench_function("record_modification_6_clients", |b| {
-        let mut tracker = InvalidationTracker::new(4096);
+        let tracker = ConcurrentInvalidationTracker::new(4096);
         for client in 1..=6 {
             tracker.getinv(client, None);
         }
@@ -189,14 +189,14 @@ fn bench_invalidation(c: &mut Criterion) {
     group.bench_function("getinv_drain_100", |b| {
         b.iter_batched(
             || {
-                let mut tracker = InvalidationTracker::new(4096);
+                let tracker = ConcurrentInvalidationTracker::new(4096);
                 let boot = tracker.getinv(1, None);
                 for i in 0..100 {
                     tracker.record_modification(Fh3::from_fileid(i), 2);
                 }
                 (tracker, boot.timestamp)
             },
-            |(mut tracker, ts)| tracker.getinv(1, Some(ts)),
+            |(tracker, ts)| tracker.getinv(1, Some(ts)),
             BatchSize::SmallInput,
         );
     });

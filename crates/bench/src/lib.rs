@@ -137,35 +137,30 @@ pub fn read_path_json(stats: &gvfs_core::proxy::client::ProxyClientStats) -> ser
     })
 }
 
-/// Sums the read-path counters across a session's proxy clients and
-/// returns the aggregate as a JSON block.
+/// Sums the read-path counters across a session's proxy clients, key by
+/// key over their [`read_path_json`] blocks, and returns the aggregate
+/// block.
 pub fn session_read_path(
     session: &gvfs_core::session::Session,
     clients: usize,
 ) -> serde_json::Value {
-    let mut agg = gvfs_core::proxy::client::ProxyClientStats::default();
+    use serde_json::{Number, Value};
+    let mut agg = read_path_json(&gvfs_core::proxy::client::ProxyClientStats::default());
     for i in 0..clients {
-        let s = session.proxy_client(i).stats();
-        agg.read_hits += s.read_hits;
-        agg.read_misses += s.read_misses;
-        agg.prefetch_issued += s.prefetch_issued;
-        agg.prefetch_hits += s.prefetch_hits;
-        agg.prefetch_wasted += s.prefetch_wasted;
-        agg.cache_bytes += s.cache_bytes;
-        agg.cache_evictions += s.cache_evictions;
-        agg.dedup_hits += s.dedup_hits;
-        agg.restart_warm_blocks += s.restart_warm_blocks;
-        agg.peer_hits += s.peer_hits;
-        agg.peer_misses += s.peer_misses;
-        agg.peer_fallbacks += s.peer_fallbacks;
-        agg.peer_bytes_served += s.peer_bytes_served;
-        agg.integrity_failures += s.integrity_failures;
-        agg.quarantined_blocks += s.quarantined_blocks;
-        agg.refetch_repairs += s.refetch_repairs;
-        agg.scrub_repairs += s.scrub_repairs;
-        agg.integrity_dirty_loss += s.integrity_dirty_loss;
+        // Every block comes from `read_path_json`, so the keys line up.
+        let (Value::Object(totals), Value::Object(block)) =
+            (&mut agg, read_path_json(&session.proxy_client(i).stats()))
+        else {
+            unreachable!("read-path blocks are objects");
+        };
+        for ((_, total), (key, value)) in totals.iter_mut().zip(block) {
+            match (total, value) {
+                (Value::Number(Number::PosInt(t)), Value::Number(Number::PosInt(v))) => *t += v,
+                _ => unreachable!("read-path counter {key} is not a count"),
+            }
+        }
     }
-    read_path_json(&agg)
+    agg
 }
 
 /// Human-readable name for a (program, procedure) pair, for JSON keys.

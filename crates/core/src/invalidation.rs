@@ -8,44 +8,66 @@
 //! restart and wrap-around and answers with a `force-invalidate` flag in
 //! those cases.
 //!
-//! Two tracker shapes share the per-buffer logic ([`ClientBuffer`],
-//! private to this module):
-//!
-//! * [`InvalidationTracker`] — the single-owner (`&mut self`) form used
-//!   by unit tests and the protocol model checker, where explicit state
-//!   enumeration needs plain values;
-//! * [`ConcurrentInvalidationTracker`] — the proxy server's form: the
-//!   logical clock is atomic and client buffers are striped across a
-//!   fixed set of locks, so request handlers for different clients
-//!   append and drain invalidations without serializing on one global
-//!   mutex, and a modification pass costs one lock acquisition per
-//!   stripe rather than one per client. It additionally supports
-//!   piggybacked drains ([`ConcurrentInvalidationTracker::try_drain`]),
-//!   batched drains under one stripe pass
-//!   ([`ConcurrentInvalidationTracker::getinv_batch`]) and epoch-based
-//!   idle-client eviction
-//!   ([`ConcurrentInvalidationTracker::advance_epoch`]).
+//! There is one tracker, [`ConcurrentInvalidationTracker`], and it is
+//! the one the proxy server runs: the logical clock is atomic and client
+//! buffers are striped across a fixed set of locks, so request handlers
+//! for different clients append and drain invalidations without
+//! serializing on one global mutex, and a modification pass costs one
+//! lock acquisition per stripe rather than one per client. It also
+//! supports piggybacked drains
+//! ([`ConcurrentInvalidationTracker::try_drain`]), batched drains under
+//! one stripe pass ([`ConcurrentInvalidationTracker::getinv_batch`]),
+//! epoch-based idle-client eviction
+//! ([`ConcurrentInvalidationTracker::advance_epoch`]) and the peer-advert
+//! holdings that live under the same stripe locks. The `gvfs-analysis`
+//! model checker and the property tests drive this same type (it is
+//! `Clone` for explicit-state exploration), so what they prove is a
+//! property of the shipped code.
 
 use crate::protocol::{GetinvRes, MAX_INVALIDATIONS_PER_REPLY};
 use gvfs_nfs3::Fh3;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
+/// One client's buffer as reported by
+/// [`ConcurrentInvalidationTracker::snapshot`]: `(client, floor, queued
+/// (timestamp, handle) entries)`.
+pub type BufferSnapshot = (u32, u64, Vec<(u64, Fh3)>);
+
+/// Number of lock stripes in the concurrent tracker. Clients map to a
+/// stripe by id, so an append pass touches each stripe lock exactly
+/// once per modification and handlers for clients on different stripes
+/// never contend.
+const INVAL_STRIPES: usize = 16;
+
+/// One client's invalidation buffer plus the bookkeeping the striped
+/// tracker keeps around it.
 #[derive(Debug, Clone)]
-struct ClientBuffer {
+struct StripeSlot {
     entries: VecDeque<(u64, Fh3)>,
     members: HashSet<Fh3>,
     /// Timestamps at or below this value may have been discarded
     /// (buffer creation point or wrap-around).
     floor: u64,
+    /// The timestamp of the last reply produced for this client over
+    /// any path (a real `GETINV` or a piggybacked drain). The client's
+    /// own timestamp can only lag this value, so `synced < floor`
+    /// detects a wrap-around the client has not yet been told about.
+    synced: u64,
+    /// Eviction epoch at the client's last contact.
+    epoch: u64,
+    /// Files this client is advertised as holding a clean copy of
+    /// (peer sourcing). Living inside the slot puts the holdings under
+    /// the *same stripe lock* as the invalidation buffer: the
+    /// modification pass that enqueues an invalidation for a handle
+    /// removes the handle from every holding in the same critical
+    /// section, so no reader can be handed an advert for a condemned
+    /// copy. Eviction drops the slot and the holdings with it.
+    holdings: HashSet<Fh3>,
 }
 
-impl ClientBuffer {
-    fn new(floor: u64, capacity: usize) -> Self {
-        ClientBuffer { entries: VecDeque::with_capacity(capacity), members: HashSet::new(), floor }
-    }
-
+impl StripeSlot {
     /// Appends one invalidation entry (coalesced per file; wraps past
     /// `capacity` by discarding the oldest entry and raising the floor).
     fn record(&mut self, ts: u64, fh: Fh3, capacity: usize) {
@@ -64,14 +86,18 @@ impl ClientBuffer {
         }
     }
 
-    /// Answers one `GETINV` call against this buffer (§4.2.1, server
-    /// side). `first_contact` is decided by the owner (buffer existence);
-    /// `clock` is the tracker's current logical timestamp.
-    fn getinv(
+    /// Answers one `GETINV` call — or produces a piggybacked drain —
+    /// against this buffer (§4.2.1, server side). `first_contact` is
+    /// decided by the owner (slot existence); `clock` is the tracker's
+    /// current logical timestamp. `synced` moves to the reply, and
+    /// `replies`/`handles` count it.
+    fn reply(
         &mut self,
         last_timestamp: Option<u64>,
         clock: u64,
         first_contact: bool,
+        replies: &AtomicU64,
+        handles: &AtomicU64,
     ) -> GetinvRes {
         // Rule 1 (§4.2.1): the first GETINV from a client — including
         // the first after a server restart lost all buffers — always
@@ -84,18 +110,20 @@ impl ClientBuffer {
                 Some(ts) if ts < self.floor => true,
                 Some(_) => false,
             };
-        if force {
+        let res = if force {
             self.entries.clear();
             self.members.clear();
             self.floor = clock;
-            return GetinvRes {
+            // The client is discarding its whole cache; none of its
+            // copies are known-clean any more.
+            self.holdings.clear();
+            GetinvRes {
                 timestamp: clock,
                 force_invalidate: true,
                 poll_again: false,
                 handles: Vec::new(),
-            };
-        }
-        if self.entries.len() > MAX_INVALIDATIONS_PER_REPLY {
+            }
+        } else if self.entries.len() > MAX_INVALIDATIONS_PER_REPLY {
             // Partial drain: return the oldest slice and have the client
             // poll again immediately.
             let mut handles = Vec::with_capacity(MAX_INVALIDATIONS_PER_REPLY);
@@ -113,129 +141,12 @@ impl ClientBuffer {
             self.members.clear();
             self.floor = clock;
             GetinvRes { timestamp: clock, force_invalidate: false, poll_again: false, handles }
-        }
+        };
+        self.synced = res.timestamp;
+        replies.fetch_add(1, Ordering::Relaxed);
+        handles.fetch_add(res.handles.len() as u64, Ordering::Relaxed);
+        res
     }
-
-    fn dump(&self) -> (u64, Vec<(u64, Fh3)>) {
-        (self.floor, self.entries.iter().copied().collect())
-    }
-}
-
-/// One client's buffer as reported by [`InvalidationTracker::snapshot`]:
-/// `(client, floor, queued (timestamp, handle) entries)`.
-pub type BufferSnapshot = (u32, u64, Vec<(u64, Fh3)>);
-
-/// Manages per-client invalidation buffers and the server's logical
-/// clock.
-///
-/// # Examples
-///
-/// ```
-/// use gvfs_core::invalidation::InvalidationTracker;
-/// use gvfs_nfs3::Fh3;
-///
-/// let mut tracker = InvalidationTracker::new(128);
-/// let boot = tracker.getinv(1, None); // bootstrap
-/// assert!(boot.force_invalidate);
-/// tracker.record_modification(Fh3::from_fileid(9), 2); // client 2 wrote
-/// let res = tracker.getinv(1, Some(boot.timestamp));
-/// assert_eq!(res.handles, vec![Fh3::from_fileid(9)]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct InvalidationTracker {
-    buffers: HashMap<u32, ClientBuffer>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl InvalidationTracker {
-    /// Creates a tracker whose per-client buffers hold at most
-    /// `capacity` entries before wrapping.
-    pub fn new(capacity: usize) -> Self {
-        InvalidationTracker { buffers: HashMap::new(), capacity: capacity.max(1), clock: 0 }
-    }
-
-    /// The current logical timestamp.
-    pub fn now(&self) -> u64 {
-        self.clock
-    }
-
-    /// Records a file modification observed from `writer`: every other
-    /// registered client gets an invalidation entry (coalesced per
-    /// file).
-    pub fn record_modification(&mut self, fh: Fh3, writer: u32) {
-        self.clock += 1;
-        let ts = self.clock;
-        for (&client, buf) in &mut self.buffers {
-            if client == writer {
-                continue;
-            }
-            buf.record(ts, fh, self.capacity);
-        }
-    }
-
-    /// Processes one `GETINV` call (§4.2.1, server side).
-    pub fn getinv(&mut self, client: u32, last_timestamp: Option<u64>) -> GetinvRes {
-        let clock = self.clock;
-        let capacity = self.capacity;
-        let first_contact = !self.buffers.contains_key(&client);
-        let buf = self.buffers.entry(client).or_insert_with(|| ClientBuffer::new(clock, capacity));
-        buf.getinv(last_timestamp, clock, first_contact)
-    }
-
-    /// Number of registered client buffers.
-    pub fn client_count(&self) -> usize {
-        self.buffers.len()
-    }
-
-    /// Entries pending for one client (diagnostics).
-    pub fn pending(&self, client: u32) -> usize {
-        self.buffers.get(&client).map_or(0, |b| b.entries.len())
-    }
-
-    /// A canonical dump of every client buffer, sorted by client id:
-    /// `(client, floor, queued (timestamp, handle) entries)`. Used by
-    /// diagnostics and the protocol model checker.
-    pub fn snapshot(&self) -> Vec<BufferSnapshot> {
-        let mut out: Vec<BufferSnapshot> = self
-            .buffers
-            .iter()
-            .map(|(&c, b)| {
-                let (floor, entries) = b.dump();
-                (c, floor, entries)
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(c, _, _)| c);
-        out
-    }
-}
-
-/// Number of lock stripes in the concurrent tracker. Clients map to a
-/// stripe by id, so an append pass touches each stripe lock exactly
-/// once per modification and handlers for clients on different stripes
-/// never contend.
-const INVAL_STRIPES: usize = 16;
-
-/// One client's buffer plus the bookkeeping the striped tracker needs
-/// around it.
-#[derive(Debug)]
-struct StripeSlot {
-    buf: ClientBuffer,
-    /// The timestamp of the last reply produced for this client over
-    /// any path (a real `GETINV` or a piggybacked drain). The client's
-    /// own timestamp can only lag this value, so `synced < floor`
-    /// detects a wrap-around the client has not yet been told about.
-    synced: u64,
-    /// Eviction epoch at the client's last contact.
-    epoch: u64,
-    /// Files this client is advertised as holding a clean copy of
-    /// (peer sourcing). Living inside the slot puts the holdings under
-    /// the *same stripe lock* as the invalidation buffer: the
-    /// modification pass that enqueues an invalidation for a handle
-    /// removes the handle from every holding in the same critical
-    /// section, so no reader can be handed an advert for a condemned
-    /// copy. Eviction drops the slot and the holdings with it.
-    holdings: HashSet<Fh3>,
 }
 
 /// One lock stripe: the buffers of every client whose id maps here.
@@ -259,6 +170,22 @@ impl Stripe {
         self.contended.fetch_add(1, Ordering::Relaxed);
         self.buffers.lock()
     }
+}
+
+impl Clone for Stripe {
+    /// Copies the stripe's map under its lock (not counted as an
+    /// acquisition) along with its lock counters.
+    fn clone(&self) -> Self {
+        Stripe {
+            buffers: Mutex::new(self.buffers.lock().clone()),
+            acquisitions: copy_u64(&self.acquisitions),
+            contended: copy_u64(&self.contended),
+        }
+    }
+}
+
+fn copy_u64(a: &AtomicU64) -> AtomicU64 {
+    AtomicU64::new(a.load(Ordering::SeqCst))
 }
 
 /// Scale counters exported by [`ConcurrentInvalidationTracker`] for the
@@ -287,12 +214,11 @@ pub struct InvalScaleCounters {
     pub peer_condemned: u64,
 }
 
-/// The proxy server's concurrently-shared form of
-/// [`InvalidationTracker`]: same protocol behaviour (the per-buffer
-/// logic is literally shared), but the logical clock is an atomic and
-/// client buffers are striped across [`INVAL_STRIPES`] locks. A `WRITE`
-/// appending invalidations takes each stripe lock once per pass, and a
-/// `GETINV` draining a client on another stripe proceeds in parallel.
+/// The proxy server's per-client invalidation buffers and logical
+/// clock. The clock is an atomic and client buffers are striped across
+/// [`INVAL_STRIPES`] locks: a `WRITE` appending invalidations takes each
+/// stripe lock once per pass, and a `GETINV` draining a client on
+/// another stripe proceeds in parallel.
 ///
 /// Lock order: a stripe's `buffers` lock is terminal — no other lock is
 /// acquired and no RPC is ever sent while it is held.
@@ -312,7 +238,29 @@ pub struct ConcurrentInvalidationTracker {
     peer_condemned: AtomicU64,
     /// Chaos self-test knob: suppress peer de-advertising so the
     /// oracle can prove it would catch a stale peer serve.
-    deadvertise_suppressed: std::sync::atomic::AtomicBool,
+    deadvertise_suppressed: AtomicBool,
+}
+
+impl Clone for ConcurrentInvalidationTracker {
+    /// A deep copy: each stripe map is cloned under its own lock and
+    /// every atomic is copied — exact for the single-threaded histories
+    /// the model checker branches at every state.
+    fn clone(&self) -> Self {
+        ConcurrentInvalidationTracker {
+            stripes: self.stripes.clone(),
+            capacity: AtomicUsize::new(self.capacity()),
+            clock: copy_u64(&self.clock),
+            epoch: copy_u64(&self.epoch),
+            getinv_replies: copy_u64(&self.getinv_replies),
+            getinv_handles: copy_u64(&self.getinv_handles),
+            piggyback_replies: copy_u64(&self.piggyback_replies),
+            piggyback_handles: copy_u64(&self.piggyback_handles),
+            evicted_buffers: copy_u64(&self.evicted_buffers),
+            peer_advertised: copy_u64(&self.peer_advertised),
+            peer_condemned: copy_u64(&self.peer_condemned),
+            deadvertise_suppressed: AtomicBool::new(self.deadvertise_suppressed()),
+        }
+    }
 }
 
 impl ConcurrentInvalidationTracker {
@@ -331,7 +279,7 @@ impl ConcurrentInvalidationTracker {
             evicted_buffers: AtomicU64::new(0),
             peer_advertised: AtomicU64::new(0),
             peer_condemned: AtomicU64::new(0),
-            deadvertise_suppressed: std::sync::atomic::AtomicBool::new(false),
+            deadvertise_suppressed: AtomicBool::new(false),
         }
     }
 
@@ -349,9 +297,54 @@ impl ConcurrentInvalidationTracker {
         self.clock.store(0, Ordering::SeqCst);
     }
 
+    /// The per-client buffer capacity in effect.
+    pub fn capacity(&self) -> usize {
+        self.capacity.load(Ordering::SeqCst)
+    }
+
     /// The current logical timestamp.
     pub fn now(&self) -> u64 {
         self.clock.load(Ordering::SeqCst)
+    }
+
+    /// The slot of `client` in its stripe's map (the caller holds the
+    /// stripe lock), created empty at `clock` on first contact and
+    /// stamped with the current eviction epoch. Also returns whether
+    /// this call created it.
+    fn open<'a>(
+        &self,
+        buffers: &'a mut HashMap<u32, StripeSlot>,
+        client: u32,
+        clock: u64,
+    ) -> (&'a mut StripeSlot, bool) {
+        let epoch = self.epoch.load(Ordering::SeqCst);
+        let mut created = false;
+        let slot = buffers.entry(client).or_insert_with(|| {
+            created = true;
+            StripeSlot {
+                entries: VecDeque::with_capacity(self.capacity()),
+                members: HashSet::new(),
+                floor: clock,
+                synced: clock,
+                epoch,
+                holdings: HashSet::new(),
+            }
+        });
+        slot.epoch = epoch;
+        (slot, created)
+    }
+
+    /// Answers one `GETINV` from `client` against its stripe's map (the
+    /// caller holds the stripe lock).
+    fn answer(
+        &self,
+        buffers: &mut HashMap<u32, StripeSlot>,
+        client: u32,
+        last_timestamp: Option<u64>,
+    ) -> GetinvRes {
+        let clock = self.now();
+        let (slot, first_contact) = self.open(buffers, client, clock);
+        slot.reply(last_timestamp, clock, first_contact, &self.getinv_replies, &self.getinv_handles)
     }
 
     /// Records a file modification observed from `writer`: every other
@@ -360,8 +353,8 @@ impl ConcurrentInvalidationTracker {
     /// many clients live there.
     pub fn record_modification(&self, fh: Fh3, writer: u32) {
         let ts = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
-        let capacity = self.capacity.load(Ordering::SeqCst);
-        let suppress = self.deadvertise_suppressed.load(Ordering::SeqCst);
+        let capacity = self.capacity();
+        let suppress = self.deadvertise_suppressed();
         for stripe in &self.stripes {
             let mut buffers = stripe.guard();
             for (&client, slot) in buffers.iter_mut() {
@@ -377,7 +370,7 @@ impl ConcurrentInvalidationTracker {
                 if client == writer {
                     continue;
                 }
-                slot.buf.record(ts, fh, capacity);
+                slot.record(ts, fh, capacity);
             }
         }
     }
@@ -388,17 +381,8 @@ impl ConcurrentInvalidationTracker {
     /// invalidations from this point on, and the first real `GETINV`
     /// behaves exactly as a poll against an empty buffer.
     pub fn advertise(&self, client: u32, fh: Fh3) {
-        let capacity = self.capacity.load(Ordering::SeqCst);
-        let epoch = self.epoch.load(Ordering::SeqCst);
         let mut buffers = self.stripe(client).guard();
-        let clock = self.clock.load(Ordering::SeqCst);
-        let slot = buffers.entry(client).or_insert_with(|| StripeSlot {
-            buf: ClientBuffer::new(clock, capacity),
-            synced: clock,
-            epoch,
-            holdings: HashSet::new(),
-        });
-        slot.epoch = epoch;
+        let (slot, _) = self.open(&mut buffers, client, self.now());
         if slot.holdings.insert(fh) {
             self.peer_advertised.fetch_add(1, Ordering::Relaxed);
         }
@@ -409,7 +393,7 @@ impl ConcurrentInvalidationTracker {
     /// names the handle. One stripe-lock pass, same rank as
     /// [`Self::record_modification`].
     pub fn condemn(&self, fh: Fh3) {
-        if self.deadvertise_suppressed.load(Ordering::SeqCst) {
+        if self.deadvertise_suppressed() {
             return;
         }
         for stripe in &self.stripes {
@@ -457,6 +441,10 @@ impl ConcurrentInvalidationTracker {
         self.deadvertise_suppressed.store(suppressed, Ordering::SeqCst);
     }
 
+    fn deadvertise_suppressed(&self) -> bool {
+        self.deadvertise_suppressed.load(Ordering::SeqCst)
+    }
+
     /// An empty drain anchored at `client`'s current sync point. Used
     /// to satisfy the `peers ⟹ inv` wire-framing invariant when a
     /// reply carries a peer advert but no pending invalidations: the
@@ -472,28 +460,7 @@ impl ConcurrentInvalidationTracker {
 
     /// Processes one `GETINV` call (§4.2.1, server side).
     pub fn getinv(&self, client: u32, last_timestamp: Option<u64>) -> GetinvRes {
-        let capacity = self.capacity.load(Ordering::SeqCst);
-        let epoch = self.epoch.load(Ordering::SeqCst);
-        let mut buffers = self.stripe(client).guard();
-        let clock = self.clock.load(Ordering::SeqCst);
-        let first_contact = !buffers.contains_key(&client);
-        let slot = buffers.entry(client).or_insert_with(|| StripeSlot {
-            buf: ClientBuffer::new(clock, capacity),
-            synced: clock,
-            epoch,
-            holdings: HashSet::new(),
-        });
-        slot.epoch = epoch;
-        let res = slot.buf.getinv(last_timestamp, clock, first_contact);
-        if res.force_invalidate {
-            // The client is discarding its whole attribute cache; none
-            // of its copies are known-clean any more.
-            slot.holdings.clear();
-        }
-        slot.synced = res.timestamp;
-        self.getinv_replies.fetch_add(1, Ordering::Relaxed);
-        self.getinv_handles.fetch_add(res.handles.len() as u64, Ordering::Relaxed);
-        res
+        self.answer(&mut self.stripe(client).guard(), client, last_timestamp)
     }
 
     /// Answers a batch of `GETINV` requests `(client, last_timestamp)`,
@@ -502,35 +469,16 @@ impl ConcurrentInvalidationTracker {
     /// calling [`Self::getinv`] once per request in order; replies come
     /// back in request order.
     pub fn getinv_batch(&self, requests: &[(u32, Option<u64>)]) -> Vec<GetinvRes> {
-        let capacity = self.capacity.load(Ordering::SeqCst);
-        let epoch = self.epoch.load(Ordering::SeqCst);
         let mut out: Vec<Option<GetinvRes>> = vec![None; requests.len()];
         for (stripe_idx, stripe) in self.stripes.iter().enumerate() {
             if !requests.iter().any(|&(c, _)| c as usize % INVAL_STRIPES == stripe_idx) {
                 continue;
             }
             let mut buffers = stripe.guard();
-            let clock = self.clock.load(Ordering::SeqCst);
             for (i, &(client, last_timestamp)) in requests.iter().enumerate() {
-                if client as usize % INVAL_STRIPES != stripe_idx {
-                    continue;
+                if client as usize % INVAL_STRIPES == stripe_idx {
+                    out[i] = Some(self.answer(&mut buffers, client, last_timestamp));
                 }
-                let first_contact = !buffers.contains_key(&client);
-                let slot = buffers.entry(client).or_insert_with(|| StripeSlot {
-                    buf: ClientBuffer::new(clock, capacity),
-                    synced: clock,
-                    epoch,
-                    holdings: HashSet::new(),
-                });
-                slot.epoch = epoch;
-                let res = slot.buf.getinv(last_timestamp, clock, first_contact);
-                if res.force_invalidate {
-                    slot.holdings.clear();
-                }
-                slot.synced = res.timestamp;
-                self.getinv_replies.fetch_add(1, Ordering::Relaxed);
-                self.getinv_handles.fetch_add(res.handles.len() as u64, Ordering::Relaxed);
-                out[i] = Some(res);
             }
         }
         out.into_iter().map(|r| r.expect("every request answered")).collect()
@@ -552,18 +500,11 @@ impl ConcurrentInvalidationTracker {
         let mut buffers = self.stripe(client).guard();
         let slot = buffers.get_mut(&client)?;
         slot.epoch = self.epoch.load(Ordering::Relaxed);
-        if slot.buf.entries.is_empty() && slot.synced >= slot.buf.floor {
+        if slot.entries.is_empty() && slot.synced >= slot.floor {
             return None;
         }
-        let clock = self.clock.load(Ordering::SeqCst);
-        let res = slot.buf.getinv(Some(slot.synced), clock, false);
-        if res.force_invalidate {
-            slot.holdings.clear();
-        }
-        slot.synced = res.timestamp;
-        self.piggyback_replies.fetch_add(1, Ordering::Relaxed);
-        self.piggyback_handles.fetch_add(res.handles.len() as u64, Ordering::Relaxed);
-        Some(res)
+        let (synced, clock) = (Some(slot.synced), self.now());
+        Some(slot.reply(synced, clock, false, &self.piggyback_replies, &self.piggyback_handles))
     }
 
     /// Advances the eviction epoch and drops buffers of clients idle
@@ -603,7 +544,7 @@ impl ConcurrentInvalidationTracker {
 
     /// Entries pending for one client (diagnostics).
     pub fn pending(&self, client: u32) -> usize {
-        self.stripe(client).guard().get(&client).map_or(0, |s| s.buf.entries.len())
+        self.stripe(client).guard().get(&client).map_or(0, |s| s.entries.len())
     }
 
     /// Rough heap footprint of all client buffers, for the scale
@@ -623,7 +564,7 @@ impl ConcurrentInvalidationTracker {
                     .values()
                     .map(|slot| {
                         PER_SLOT
-                            + slot.buf.entries.len() * PER_ENTRY
+                            + slot.entries.len() * PER_ENTRY
                             + slot.holdings.len() * PER_HOLDING
                     })
                     .sum::<usize>()
@@ -651,16 +592,16 @@ impl ConcurrentInvalidationTracker {
         }
     }
 
-    /// A canonical dump of every client buffer, sorted by client id —
-    /// same shape as [`InvalidationTracker::snapshot`].
+    /// A canonical dump of every client buffer, sorted by client id.
+    /// Used by diagnostics, the property tests and the protocol model
+    /// checker.
     pub fn snapshot(&self) -> Vec<BufferSnapshot> {
         let mut out: Vec<BufferSnapshot> = Vec::new();
         for stripe in &self.stripes {
             let buffers = stripe.guard();
-            out.extend(buffers.iter().map(|(&c, s)| {
-                let (floor, entries) = s.buf.dump();
-                (c, floor, entries)
-            }));
+            out.extend(
+                buffers.iter().map(|(&c, s)| (c, s.floor, s.entries.iter().copied().collect())),
+            );
         }
         out.sort_unstable_by_key(|&(c, _, _)| c);
         out
@@ -677,7 +618,7 @@ mod tests {
 
     #[test]
     fn bootstrap_forces_invalidation() {
-        let mut t = InvalidationTracker::new(8);
+        let t = ConcurrentInvalidationTracker::new(8);
         let res = t.getinv(1, None);
         assert!(res.force_invalidate);
         assert!(res.handles.is_empty());
@@ -689,7 +630,7 @@ mod tests {
 
     #[test]
     fn modifications_flow_to_other_clients_only() {
-        let mut t = InvalidationTracker::new(8);
+        let t = ConcurrentInvalidationTracker::new(8);
         let a = t.getinv(1, None);
         let b = t.getinv(2, None);
         t.record_modification(fh(7), 1);
@@ -701,7 +642,7 @@ mod tests {
 
     #[test]
     fn repeated_modifications_coalesce() {
-        let mut t = InvalidationTracker::new(8);
+        let t = ConcurrentInvalidationTracker::new(8);
         let boot = t.getinv(1, None);
         for _ in 0..5 {
             t.record_modification(fh(7), 2);
@@ -713,7 +654,7 @@ mod tests {
 
     #[test]
     fn buffer_is_cleared_after_drain() {
-        let mut t = InvalidationTracker::new(8);
+        let t = ConcurrentInvalidationTracker::new(8);
         let boot = t.getinv(1, None);
         t.record_modification(fh(1), 2);
         let first = t.getinv(1, Some(boot.timestamp));
@@ -724,7 +665,7 @@ mod tests {
 
     #[test]
     fn wrap_around_forces_full_invalidation() {
-        let mut t = InvalidationTracker::new(4);
+        let t = ConcurrentInvalidationTracker::new(4);
         let boot = t.getinv(1, None);
         for i in 0..10 {
             t.record_modification(fh(100 + i), 2); // distinct files
@@ -742,7 +683,7 @@ mod tests {
 
     #[test]
     fn overflow_with_fresh_timestamp_still_delivers_remainder() {
-        let mut t = InvalidationTracker::new(4);
+        let t = ConcurrentInvalidationTracker::new(4);
         let boot = t.getinv(1, None);
         t.record_modification(fh(1), 2);
         let mid = t.getinv(1, Some(boot.timestamp));
@@ -758,7 +699,7 @@ mod tests {
 
     #[test]
     fn poll_again_paginates_large_backlogs() {
-        let mut t = InvalidationTracker::new(10_000);
+        let t = ConcurrentInvalidationTracker::new(10_000);
         let boot = t.getinv(1, None);
         let total = MAX_INVALIDATIONS_PER_REPLY + 50;
         for i in 0..total {
@@ -775,18 +716,18 @@ mod tests {
 
     #[test]
     fn server_restart_bootstrap() {
-        let mut t = InvalidationTracker::new(8);
+        let t = ConcurrentInvalidationTracker::new(8);
         let boot = t.getinv(1, None);
         t.record_modification(fh(1), 2);
         // Server "restarts": new tracker, no buffers.
-        let mut t2 = InvalidationTracker::new(8);
+        let t2 = ConcurrentInvalidationTracker::new(8);
         let res = t2.getinv(1, Some(boot.timestamp));
         assert!(res.force_invalidate, "unknown client after restart is re-bootstrapped");
     }
 
     #[test]
     fn client_crash_null_timestamp_rebootstraps() {
-        let mut t = InvalidationTracker::new(8);
+        let t = ConcurrentInvalidationTracker::new(8);
         let boot = t.getinv(1, None);
         t.record_modification(fh(1), 2);
         assert_eq!(t.pending(1), 1);
@@ -799,7 +740,7 @@ mod tests {
 
     #[test]
     fn timestamps_increase_monotonically() {
-        let mut t = InvalidationTracker::new(8);
+        let t = ConcurrentInvalidationTracker::new(8);
         t.getinv(1, None);
         let mut last = 0;
         for i in 0..20 {
@@ -807,70 +748,6 @@ mod tests {
             assert!(t.now() > last);
             last = t.now();
         }
-    }
-
-    /// One scripted operation against both tracker shapes.
-    enum Op {
-        Record(u64, u32),
-        Getinv(u32, UseTs),
-    }
-
-    enum UseTs {
-        Null,
-        Last,
-        Stale,
-    }
-
-    /// The concurrent tracker must be operationally indistinguishable
-    /// from the reference tracker: same script, same replies — across
-    /// bootstrap, coalescing, wrap-around, pagination and restart.
-    #[test]
-    fn concurrent_tracker_matches_reference() {
-        use Op::{Getinv, Record};
-        let mut script = vec![
-            Getinv(1, UseTs::Null),
-            Getinv(2, UseTs::Null),
-            Record(7, 1),
-            Record(7, 1), // coalesces
-            Record(8, 2),
-            Getinv(1, UseTs::Last),
-            Getinv(2, UseTs::Last),
-            Getinv(3, UseTs::Null), // late first contact
-        ];
-        // Wrap-around (capacity 4) for client 3, then a stale poll.
-        for i in 0..10 {
-            script.push(Record(100 + i, 1));
-        }
-        script.push(Getinv(3, UseTs::Stale));
-        script.push(Getinv(3, UseTs::Last));
-        script.push(Getinv(2, UseTs::Last));
-        script.push(Getinv(1, UseTs::Null)); // client 1 restarts
-
-        let mut reference = InvalidationTracker::new(4);
-        let concurrent = ConcurrentInvalidationTracker::new(4);
-        let mut last_ts: HashMap<u32, u64> = HashMap::new();
-        for op in &script {
-            match op {
-                Record(id, writer) => {
-                    reference.record_modification(fh(*id), *writer);
-                    concurrent.record_modification(fh(*id), *writer);
-                    assert_eq!(reference.now(), concurrent.now());
-                }
-                Getinv(client, ts) => {
-                    let last = match ts {
-                        UseTs::Null => None,
-                        UseTs::Last => last_ts.get(client).copied(),
-                        UseTs::Stale => Some(0),
-                    };
-                    let a = reference.getinv(*client, last);
-                    let b = concurrent.getinv(*client, last);
-                    assert_eq!(a, b, "replies diverged for client {client}");
-                    last_ts.insert(*client, a.timestamp);
-                }
-            }
-        }
-        assert_eq!(reference.snapshot(), concurrent.snapshot());
-        assert_eq!(reference.client_count(), concurrent.client_count());
     }
 
     #[test]
@@ -1085,5 +962,20 @@ mod tests {
         assert_eq!(t.client_count(), 0);
         let res = t.getinv(1, Some(boot.timestamp));
         assert!(res.force_invalidate, "buffers lost in reset force a bootstrap");
+    }
+
+    #[test]
+    fn clone_is_an_independent_deep_copy() {
+        let t = ConcurrentInvalidationTracker::new(8);
+        t.getinv(1, None);
+        t.advertise(1, fh(7));
+        t.set_deadvertise_suppressed(true);
+        let c = t.clone();
+        t.record_modification(fh(9), 2);
+        assert_eq!(c.now(), 0, "the copy does not see the original's later writes");
+        assert_eq!(c.snapshot(), vec![(1, 0, Vec::new())]);
+        c.record_modification(fh(7), 2);
+        assert_eq!(c.collect_holders(fh(7), 99, 8), vec![1], "the copy keeps the knob");
+        assert_eq!(c.scale_counters().getinv_replies, 1, "counters are copied");
     }
 }

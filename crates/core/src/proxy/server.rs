@@ -465,11 +465,12 @@ impl ProxyServer {
 
     /// Simulates a crash: volatile state (invalidation buffers,
     /// timestamps, delegation table) is lost; the persisted client list
-    /// survives.
+    /// survives. The configured invalidation-buffer capacity is
+    /// configuration, not volatile state, and survives too.
     pub fn crash(&self) {
         #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::ServerCrash);
-        self.inval.reset(4096);
+        self.inval.reset(self.inval.capacity());
         for shard in &self.shards {
             let mut table = shard.deleg.lock();
             let config = *table.config();

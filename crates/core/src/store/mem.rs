@@ -46,8 +46,11 @@ impl MemStore {
     }
 
     /// Evicts clean content of least-recently-used files until within
-    /// capacity. Dirty data is never evicted.
+    /// capacity. Dirty data is never evicted, so the loop also stops
+    /// once a full LRU pass has dropped nothing.
     fn evict(&mut self) {
+        // Consecutive dirty-only files re-touched without dropping a byte.
+        let mut idle = 0;
         while self.used > self.capacity {
             let Some((&seq, &fh)) = self.lru.iter().next() else { break };
             self.lru.remove(&seq);
@@ -66,7 +69,8 @@ impl MemStore {
                 // Still holds dirty data: keep it hot so the loop makes
                 // progress on other files.
                 self.touch(fh);
-                if self.lru.len() <= 1 {
+                idle = if dropped > 0 { 0 } else { idle + 1 };
+                if self.lru.len() <= 1 || idle >= self.lru.len() {
                     break; // only dirty files remain
                 }
             }
@@ -190,5 +194,13 @@ impl BlockStore for MemStore {
         let evictions = self.evictions;
         *self = MemStore::new(capacity);
         self.evictions = evictions;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn eviction_stops_when_dirty_data_alone_exceeds_capacity() {
+        crate::store::assert_evict_stops_on_dirty_only(super::MemStore::new);
     }
 }

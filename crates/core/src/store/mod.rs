@@ -186,3 +186,23 @@ pub trait BlockStore: std::fmt::Debug + Send {
     /// convict. No-op for stores without checksums.
     fn set_verify(&mut self, _on: bool) {}
 }
+
+/// Writes 80 dirty bytes to each of two files of a store built by `open`
+/// with room for 100 and checks that eviction gives up instead of
+/// spinning: both files stay dirty and nothing is dropped. The writes run
+/// on a thread behind a watchdog, so a spinning loop fails the caller
+/// instead of hanging it.
+#[cfg(test)]
+fn assert_evict_stops_on_dirty_only<S: BlockStore + 'static>(open: fn(usize) -> S) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut s = open(100);
+        s.write_dirty(Fh3::from_fileid(1), 0, vec![1; 80]);
+        s.write_dirty(Fh3::from_fileid(2), 0, vec![2; 80]);
+        let _ = tx.send((s.dirty_files(), s.used_bytes()));
+    });
+    let (dirty, used) =
+        rx.recv_timeout(Duration::from_secs(10)).expect("evict spun on dirty-only data");
+    assert_eq!(dirty, vec![Fh3::from_fileid(1), Fh3::from_fileid(2)]);
+    assert_eq!(used, 160, "dirty data is never evicted");
+}

@@ -980,7 +980,12 @@ impl PersistentStore {
         });
     }
 
+    /// Drops clean extents of least-recently-used files until within
+    /// capacity. Dirty data is never evicted, so the loop also stops
+    /// once a full LRU pass has dropped nothing.
     fn evict_over_capacity(&self, idx: &mut Idx) {
+        // Consecutive dirty-only files re-touched without dropping a byte.
+        let mut idle = 0;
         while idx.used > self.cfg.capacity {
             let Some((&seq, &fh)) = idx.lru.iter().next() else { break };
             idx.lru.remove(&seq);
@@ -998,7 +1003,8 @@ impl PersistentStore {
             if idx.files.get(&fh).is_some_and(|e| !e.extents.is_empty()) {
                 // Still dirty: keep hot so the loop can make progress.
                 idx.touch(fh);
-                if idx.lru.len() <= 1 {
+                idle = if dropped > 0 { 0 } else { idle + 1 };
+                if idx.lru.len() <= 1 || idle >= idx.lru.len() {
                     break;
                 }
             }
@@ -1632,6 +1638,14 @@ mod tests {
         assert_eq!(s.dirty_files(), vec![dirty]);
         assert!(s.read(dirty, 0, 80).is_some(), "dirty survives eviction");
         assert!(s.stats().evictions >= 1);
+    }
+
+    #[test]
+    fn eviction_stops_when_dirty_data_alone_exceeds_capacity() {
+        crate::store::assert_evict_stops_on_dirty_only(|capacity| {
+            let cfg = PersistConfig { capacity, ..PersistConfig::default() };
+            PersistentStore::open(VirtualDisk::new(DiskConfig::instant()), cfg)
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Model-based property test for the server's invalidation buffers.
 //!
-//! [`InvalidationTracker`](gvfs_core::invalidation::InvalidationTracker)
+//! [`ConcurrentInvalidationTracker`], the tracker the proxy server runs,
 //! keeps one bounded circular buffer per client with per-file
 //! coalescing, a completeness floor that rises on wrap-around, and the
 //! `GETINV` force-invalidate bootstrap (§4.2.1). This test drives it
@@ -20,7 +20,7 @@
 //! server restarts) lives in the `gvfs-analysis` model checker; this
 //! test covers much longer histories at random.
 
-use gvfs_core::invalidation::InvalidationTracker;
+use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_nfs3::Fh3;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -59,11 +59,17 @@ struct Owed {
     wrapped: bool,
 }
 
-fn buffer_of(tracker: &InvalidationTracker, client: u32) -> Option<(u64, Vec<(u64, Fh3)>)> {
+fn buffer_of(
+    tracker: &ConcurrentInvalidationTracker,
+    client: u32,
+) -> Option<(u64, Vec<(u64, Fh3)>)> {
     tracker.snapshot().into_iter().find(|&(c, _, _)| c == client).map(|(_, f, e)| (f, e))
 }
 
-fn check_buffer_shape(tracker: &InvalidationTracker, capacity: usize) -> Result<(), TestCaseError> {
+fn check_buffer_shape(
+    tracker: &ConcurrentInvalidationTracker,
+    capacity: usize,
+) -> Result<(), TestCaseError> {
     for (client, floor, entries) in tracker.snapshot() {
         prop_assert!(
             entries.len() <= capacity,
@@ -91,7 +97,7 @@ proptest! {
         capacity in 1usize..=5,
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
-        let mut tracker = InvalidationTracker::new(capacity);
+        let tracker = ConcurrentInvalidationTracker::new(capacity);
         let mut model: HashMap<u32, Owed> = HashMap::new();
         let mut floors: HashMap<u32, u64> = HashMap::new();
 

@@ -3,9 +3,10 @@
 //!
 //! The checker proves the invariants below over *every* interleaving of
 //! small configurations (depth ≤ 6); this bridge drives the same
-//! implementations — [`DelegationTable`] and the invalidation trackers —
-//! through random histories hundreds of steps long and re-asserts the
-//! same safety properties after every step:
+//! implementations — [`DelegationTable`] and the shipped
+//! [`ConcurrentInvalidationTracker`] — through random histories hundreds
+//! of steps long and re-asserts the same safety properties after every
+//! step:
 //!
 //! * **write-exclusion** — a write delegation never coexists with any
 //!   other delegation on the same file, in any reachable state;
@@ -15,16 +16,18 @@
 //!   outstanding recalls and draining pending write-backs makes every
 //!   file write-delegable again (no stuck `PendingWriteback`);
 //! * **refinement** — [`ConcurrentInvalidationTracker`] observed under
-//!   a serial schedule is indistinguishable from the sequential
-//!   [`InvalidationTracker`] (§4.2.1's spec machine).
+//!   a serial schedule refines §4.2.1's spec machine (the model
+//!   checker's `ClientSpec`): exact force flags, exact coalesced handle
+//!   sets and the logical clock as the reply timestamp.
 
 use gvfs_core::delegation::{DelegationKind, DelegationTable, RecallAction};
-use gvfs_core::invalidation::{ConcurrentInvalidationTracker, InvalidationTracker};
+use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::protocol::DelegationGrant;
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::Fh3;
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 const T0: SimTime = SimTime::ZERO;
 /// Second dirty block a partial write-back answer reports (matches the
@@ -227,10 +230,14 @@ proptest! {
         }
     }
 
-    /// The sharded concurrent invalidation tracker refines the
-    /// sequential one: same history, same observable behaviour.
+    /// The shipped invalidation tracker refines the §4.2.1 spec: per
+    /// registered client, the set of files owed since its last drain
+    /// and whether that set outgrew the buffer (wrap). A reply forces
+    /// exactly on a null timestamp, first contact or wrap; otherwise it
+    /// delivers exactly the owed set, each handle once, stamped with the
+    /// current logical clock.
     #[test]
-    fn concurrent_invalidation_refines_sequential(
+    fn invalidation_tracker_refines_spec(
         capacity in 1usize..=5,
         ops in proptest::collection::vec(
             prop_oneof![
@@ -241,36 +248,55 @@ proptest! {
             1..150,
         ),
     ) {
-        let mut seq = InvalidationTracker::new(capacity);
-        let conc = ConcurrentInvalidationTracker::new(capacity);
-        let mut last_ts: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+        /// What the protocol owes one registered client.
+        #[derive(Default)]
+        struct Owed {
+            ts: Option<u64>,
+            owed: BTreeSet<Fh3>,
+            wrapped: bool,
+        }
+        let tracker = ConcurrentInvalidationTracker::new(capacity);
+        let mut spec: HashMap<u32, Owed> = HashMap::new();
+        let mut clock = 0u64;
 
         for (kind, client, file) in ops {
             match kind {
                 0 => {
                     let fh = Fh3::from_fileid(file);
-                    seq.record_modification(fh, client);
-                    conc.record_modification(fh, client);
+                    tracker.record_modification(fh, client);
+                    clock += 1;
+                    for (&c, o) in &mut spec {
+                        if c != client && o.owed.insert(fh) && o.owed.len() > capacity {
+                            o.wrapped = true;
+                        }
+                    }
                 }
                 kind => {
                     // kind 1 polls with the remembered timestamp, kind 2
                     // with null (a restarted client).
-                    let ts = if kind == 1 { last_ts.get(&client).copied() } else { None };
-                    let a = seq.getinv(client, ts);
-                    let b = conc.getinv(client, ts);
-                    prop_assert_eq!(a.force_invalidate, b.force_invalidate);
-                    prop_assert_eq!(a.timestamp, b.timestamp);
-                    prop_assert_eq!(a.poll_again, b.poll_again);
-                    let mut ha = a.handles.clone();
-                    let mut hb = b.handles.clone();
-                    ha.sort_unstable();
-                    hb.sort_unstable();
-                    prop_assert_eq!(ha, hb, "owed sets diverge for client {}", client);
-                    last_ts.insert(client, a.timestamp);
+                    let first_contact = !spec.contains_key(&client);
+                    let o = spec.entry(client).or_default();
+                    let ts = if kind == 1 { o.ts } else { None };
+                    let res = tracker.getinv(client, ts);
+                    let expect_force = first_contact || ts.is_none() || o.wrapped;
+                    prop_assert_eq!(
+                        res.force_invalidate, expect_force,
+                        "client {}: first_contact={}, ts={:?}, wrapped={}",
+                        client, first_contact, ts, o.wrapped
+                    );
+                    prop_assert!(!res.poll_again, "poll_again below the pagination threshold");
+                    prop_assert_eq!(res.timestamp, clock, "reply not stamped with the clock");
+                    // A forced reply carries no handles; any other carries
+                    // each owed handle exactly once.
+                    let want: Vec<Fh3> =
+                        if expect_force { Vec::new() } else { o.owed.iter().copied().collect() };
+                    let mut got = res.handles.clone();
+                    got.sort_unstable();
+                    prop_assert_eq!(got, want, "client {} handles diverge from the spec", client);
+                    *o = Owed { ts: Some(res.timestamp), ..Owed::default() };
                 }
             }
-            prop_assert_eq!(seq.now(), conc.now(), "logical clocks diverge");
-            prop_assert_eq!(seq.snapshot(), conc.snapshot(), "buffer states diverge");
+            prop_assert_eq!(tracker.now(), clock, "logical clock diverges from the spec");
         }
     }
 }

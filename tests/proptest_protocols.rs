@@ -7,7 +7,7 @@
 //! * GVFS protocol messages round-trip through XDR.
 
 use gvfs_core::delegation::{DelegationKind, DelegationTable};
-use gvfs_core::invalidation::{ConcurrentInvalidationTracker, InvalidationTracker};
+use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::protocol::{CallbackArgs, CallbackKind, DelegationGrant, GetinvRes, WrappedReply};
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::SimTime;
@@ -42,7 +42,7 @@ proptest! {
         ops in proptest::collection::vec(inv_op(), 1..200),
         capacity in 1usize..16,
     ) {
-        let mut tracker = InvalidationTracker::new(capacity);
+        let tracker = ConcurrentInvalidationTracker::new(capacity);
         // Per-client simulated caches: fh -> version cached.
         let mut caches: HashMap<u32, HashMap<u64, u64>> = HashMap::new();
         let mut timestamps: HashMap<u32, Option<u64>> = HashMap::new();
@@ -60,32 +60,21 @@ proptest! {
                     caches.entry(writer).or_default().insert(fh, version_counter);
                 }
                 InvOp::Poll { client } => {
-                    let last = timestamps.get(&client).copied().flatten();
-                    let res: GetinvRes = tracker.getinv(client, last);
-                    timestamps.insert(client, Some(res.timestamp));
-                    let cache = caches.entry(client).or_default();
-                    if res.force_invalidate {
-                        cache.clear();
-                    }
-                    for fh in &res.handles {
-                        cache.remove(&fh.fileid());
-                    }
-                    if res.poll_again {
-                        // Immediately poll again (the protocol's rule).
-                        loop {
-                            let last = timestamps[&client];
-                            let more: GetinvRes = tracker.getinv(client, last);
-                            timestamps.insert(client, Some(more.timestamp));
-                            let cache = caches.entry(client).or_default();
-                            if more.force_invalidate {
-                                cache.clear();
-                            }
-                            for fh in &more.handles {
-                                cache.remove(&fh.fileid());
-                            }
-                            if !more.poll_again {
-                                break;
-                            }
+                    loop {
+                        let last = timestamps.get(&client).copied().flatten();
+                        let res: GetinvRes = tracker.getinv(client, last);
+                        timestamps.insert(client, Some(res.timestamp));
+                        let cache = caches.entry(client).or_default();
+                        if res.force_invalidate {
+                            cache.clear();
+                        }
+                        for fh in &res.handles {
+                            cache.remove(&fh.fileid());
+                        }
+                        // A paged reply: poll again at once (the
+                        // protocol's rule).
+                        if !res.poll_again {
+                            break;
                         }
                     }
                     // INVARIANT: after a completed poll, nothing cached
@@ -112,7 +101,7 @@ proptest! {
     fn next_poll_delivers_everything_modified_since(
         mods in proptest::collection::vec((0u64..50, 2u32..4), 1..100),
     ) {
-        let mut tracker = InvalidationTracker::new(8);
+        let tracker = ConcurrentInvalidationTracker::new(8);
         let boot = tracker.getinv(1, None);
         let modified: HashSet<u64> = mods.iter().map(|(fh, _)| *fh).collect();
         for (fh, writer) in &mods {

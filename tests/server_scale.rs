@@ -60,6 +60,23 @@ fn getinv(t: &SimRpcClient, id: u32, last: Option<u64>) -> GetinvRes {
     gvfs_xdr::from_bytes(&bytes).expect("decode")
 }
 
+/// A proxy server in front of a fresh NFS server exporting `vfs`, and
+/// the server node that dispatches to it.
+fn proxy_stack(vfs: &Arc<Vfs>, model: ConsistencyModel) -> (Arc<ProxyServer>, Arc<ServerNode>) {
+    let clock: gvfs_server::Clock =
+        Arc::new(|| Timestamp::from_nanos(gvfs_netsim::now().as_nanos()));
+    let nfs = gvfs_server::Nfs3Server::new(Arc::clone(vfs), clock);
+    let mut dispatcher = Dispatcher::new();
+    dispatcher.register(nfs);
+    let nfs_node = ServerNode::new("nfs-server", dispatcher, Duration::from_micros(100));
+    let loopback = Link::new(LinkConfig::loopback());
+    let server =
+        ProxyServer::new(model, SimRpcClient::new(loopback.forward(), nfs_node, RpcStats::new()));
+    let mut ps_dispatcher = Dispatcher::new();
+    ps_dispatcher.register_arc(Arc::clone(&server) as Arc<dyn RpcService>);
+    (server, ServerNode::new("proxy-server", ps_dispatcher, Duration::from_micros(100)))
+}
+
 /// A churn of `CLIENTS` delegation holders and pollers leaves the
 /// server tracking every one of them; after the active set shrinks to
 /// `ACTIVE`, epoch sweeps must evict the idle majority's invalidation
@@ -72,20 +89,8 @@ fn idle_client_state_is_bounded_after_churn() {
     let sim = Sim::new();
     sim.spawn("test", || {
         let vfs = Arc::new(Vfs::new());
-        let clock: gvfs_server::Clock =
-            Arc::new(|| Timestamp::from_nanos(gvfs_netsim::now().as_nanos()));
-        let nfs = gvfs_server::Nfs3Server::new(Arc::clone(&vfs), clock);
-        let mut dispatcher = Dispatcher::new();
-        dispatcher.register(nfs);
-        let nfs_node = ServerNode::new("nfs-server", dispatcher, Duration::from_micros(100));
-        let loopback = Link::new(LinkConfig::loopback());
-        let server = ProxyServer::new(
-            ConsistencyModel::DelegationCallback(DelegationConfig::default()),
-            SimRpcClient::new(loopback.forward(), nfs_node, RpcStats::new()),
-        );
-        let mut ps_dispatcher = Dispatcher::new();
-        ps_dispatcher.register_arc(Arc::clone(&server) as Arc<dyn RpcService>);
-        let node = ServerNode::new("proxy-server", ps_dispatcher, Duration::from_micros(100));
+        let (server, node) =
+            proxy_stack(&vfs, ConsistencyModel::DelegationCallback(DelegationConfig::default()));
         let link = Link::new(LinkConfig::loopback());
         let wan_stats = RpcStats::new();
 
@@ -222,4 +227,38 @@ fn poll_again_drains_multi_page_backlog() {
         None,
         "a fully drained buffer must not piggyback spurious replies"
     );
+}
+
+/// A proxy-server crash loses the invalidation buffers, not their
+/// configured capacity: after the restart a two-entry buffer must still
+/// wrap on the third distinct modification and force-invalidate.
+#[test]
+fn crash_keeps_configured_invalidation_capacity() {
+    let sim = Sim::new();
+    sim.spawn("test", || {
+        let vfs = Arc::new(Vfs::new());
+        let (server, node) = proxy_stack(&vfs, ConsistencyModel::polling_30s());
+        let link = Link::new(LinkConfig::loopback());
+        let t = SimRpcClient::new(link.forward(), node, RpcStats::new());
+        server.set_invalidation_capacity(2);
+        server.crash();
+
+        let boot = getinv(&t, 1, None);
+        for name in ["a", "b", "c"] {
+            let fid = vfs.create(vfs.root(), name, 0o644, Timestamp::from_nanos(0)).unwrap();
+            let write_args = gvfs_xdr::to_bytes(&gvfs_nfs3::WriteArgs {
+                file: Fh3::from_fileid(fid.as_u64()),
+                offset: 0,
+                count: 1,
+                stable: gvfs_nfs3::StableHow::FileSync,
+                data: vec![1],
+            })
+            .unwrap();
+            t.call_with_cred(GVFS_PROXY_PROGRAM, GVFS_VERSION, proc3::WRITE, write_args, cred(2))
+                .expect("write");
+        }
+        let res = getinv(&t, 1, Some(boot.timestamp));
+        assert!(res.force_invalidate, "three writes must wrap the configured 2-entry buffer");
+    });
+    sim.run();
 }
