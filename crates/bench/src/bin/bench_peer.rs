@@ -53,7 +53,6 @@ fn run_config(
             period: Duration::from_secs(300),
             backoff_max: None,
         },
-        pipeline_read: true,
         readahead_window: 8,
         peer_read,
         ..SessionConfig::default()

@@ -1,6 +1,6 @@
 //! Read-path baseline: cold sequential, warm re-read, and random-order
 //! reads of a 1 MiB file over the long-fat link, under each read-path
-//! configuration (serial, gap-only, gap+readahead). Emits
+//! configuration (gap-only, gap+readahead). Emits
 //! `results/BENCH_read.json` with per-config wall times, WAN RPC counts
 //! and the proxy's read-path counters, so regressions in the pipelined
 //! read engine show up as numbers, not vibes.
@@ -33,19 +33,13 @@ struct Phase {
 /// re-read, then a cold random-order pass over a second file. Returns
 /// the JSON block plus (cold-sequential wall time, warm-pass WAN READs)
 /// for the sanity gates.
-fn run_config(
-    label: &str,
-    pipeline: bool,
-    window: usize,
-    blocks: u64,
-) -> (serde_json::Value, f64, u64) {
+fn run_config(label: &str, window: usize, blocks: u64) -> (serde_json::Value, f64, u64) {
     let sim = Sim::new();
     let session = Session::builder(SessionConfig {
         model: ConsistencyModel::InvalidationPolling {
             period: Duration::from_secs(300),
             backoff_max: None,
         },
-        pipeline_read: pipeline,
         readahead_window: window,
         ..SessionConfig::default()
     })
@@ -144,7 +138,6 @@ fn run_config(
     );
     let doc = serde_json::json!({
         "config": label,
-        "pipeline_read": pipeline,
         "readahead_window": window,
         "phases": phase_json,
         "read_path": read_path.lock().clone(),
@@ -157,21 +150,18 @@ fn main() {
     let mut configs = Vec::new();
     let mut colds = Vec::new();
     let mut warm_reads = Vec::new();
-    for (label, pipeline, window) in
-        [("serial", false, 0usize), ("gap-only", true, 0), ("gap+readahead", true, 8)]
-    {
-        let (doc, cold, warm) = run_config(label, pipeline, window, blocks);
+    for (label, window) in [("gap-only", 0usize), ("gap+readahead", 8)] {
+        let (doc, cold, warm) = run_config(label, window, blocks);
         configs.push(doc);
         colds.push(cold);
         warm_reads.push(warm);
     }
-    // Sanity gates: the warm pass must be WAN-free and the pipelined
-    // cold pass must beat serial.
-    let (serial_cold, ra_cold) = (colds[0], colds[2]);
-    assert_eq!(warm_reads[2], 0, "warm re-read must be served from the disk cache");
+    // Sanity gate: the warm pass must be WAN-free.
+    let (gap_cold, ra_cold) = (colds[0], colds[1]);
+    assert_eq!(warm_reads[1], 0, "warm re-read must be served from the disk cache");
     println!(
-        "\ncold sequential: serial {serial_cold:.3}s, gap+readahead {ra_cold:.3}s ({:.1}x)",
-        serial_cold / ra_cold
+        "\ncold sequential: gap-only {gap_cold:.3}s, gap+readahead {ra_cold:.3}s ({:.1}x)",
+        gap_cold / ra_cold
     );
     save_json(
         "BENCH_read.json",

@@ -33,9 +33,9 @@ use crate::trace::{ProtocolEvent, TraceBuffer, TraceKind};
 use gvfs_netsim::transport::SimRpcClient;
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::{
-    proc3, CreateArgs, DirOpArgs, Fh3, GetattrArgs, GetattrRes, LinkArgs, LookupArgs, LookupRes,
-    MkdirArgs, NfsTime3, Nfsstat3, ReadArgs, ReadRes, ReaddirRes, RenameArgs, SetattrRes,
-    StableHow, SymlinkArgs, WccData, WriteArgs, WriteRes,
+    proc3, CreateArgs, DirOpArgs, Fattr3, Fh3, GetattrArgs, GetattrRes, LinkArgs, LookupArgs,
+    LookupRes, MkdirArgs, NfsTime3, Nfsstat3, ReadArgs, ReadRes, ReaddirRes, RenameArgs,
+    SetattrRes, StableHow, SymlinkArgs, WccData, WriteArgs, WriteRes,
 };
 use gvfs_rpc::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use gvfs_rpc::channel::PendingCall;
@@ -47,7 +47,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Deterministic per-client retry jitter: a hash of `(client_id,
@@ -158,31 +158,73 @@ pub struct ProxyClientStats {
     pub integrity_dirty_loss: u64,
 }
 
-/// One fetch (demand gap or speculative read-ahead) in flight over the
-/// WAN. Lives in [`ReadAheadState::files`] from the moment the range is
-/// reserved until its reply is applied, discarded, or cancelled.
-struct PendingFetch {
+/// One block-bounded chunk of a file reserved for fetching (a demand
+/// gap or a speculative read-ahead block): its reservation token and
+/// range.
+#[derive(Clone, Copy)]
+struct Chunk {
     /// Unique reservation id: the issuer applies the reply only while
     /// the token is still present, so a cancellation (which removes the
     /// entry) makes every in-flight reply land on the floor instead of
     /// overwriting a newer invalidation.
     token: u64,
     offset: u64,
-    len: usize,
+    count: u32,
     /// Speculative read-ahead (true) vs a demand gap fetch (false) —
-    /// only speculative entries move the prefetch counters.
+    /// only speculative chunks move the prefetch counters.
     speculative: bool,
+}
+
+impl Chunk {
+    fn end(&self) -> u64 {
+        self.offset + u64::from(self.count)
+    }
+}
+
+/// One chunk fetch on the wire: an origin READ over the WAN or, with
+/// `peer` set, a `PEERREAD` to a peer over the LAN.
+struct InFlight {
+    chunk: Chunk,
+    call: PendingCall,
+    /// Set when the call is a `PEERREAD`: the claimant must verify the
+    /// reply against these origin-attested values (and knows which
+    /// breaker to feed).
+    peer: Option<PeerMeta>,
+}
+
+/// What became of one chunk fetch once its reply was claimed.
+enum Landed {
+    /// Applied to the cache.
+    Applied,
+    /// Failed in flight, answered with an error, or cancelled by an
+    /// invalidation or recall that raced it: the caller re-plans.
+    Lost,
+    /// A peer could not serve the chunk (miss, transport failure, or
+    /// verification failure): it re-fetches from the origin.
+    Fallback(Chunk),
+}
+
+/// One reserved chunk in [`FileReadState::pending`], from the moment
+/// the range is reserved until its reply is applied, discarded, or
+/// cancelled.
+struct PendingFetch {
+    chunk: Chunk,
     /// The in-flight call, present while unclaimed. A demand read takes
     /// it and waits on it; `None` means some actor is already completing
     /// this fetch, so overlapping readers park as waiters instead of
     /// re-sending.
     call: Option<PendingCall>,
-    /// Set when the in-flight call is a `PEERREAD` instead of an origin
-    /// READ: the claimant must verify the reply against these
-    /// origin-attested values (and knows which breaker to feed).
+    /// Provenance of `call` when it is a `PEERREAD` (see
+    /// [`InFlight::peer`]).
     peer: Option<PeerMeta>,
     /// Actors parked until this fetch resolves.
     waiters: Vec<gvfs_netsim::ActorHandle>,
+}
+
+impl PendingFetch {
+    fn reserve(chunk: Chunk) -> Self {
+        PendingFetch { chunk, call: None, peer: None, waiters: Vec::new() }
+    }
 }
 
 /// Per-file sequential-access detector plus in-flight fetch table.
@@ -207,8 +249,8 @@ struct PeerTransport {
 
 /// Provenance of one in-flight `PEERREAD`: which peer it went to and the
 /// origin-attested values its reply must verify against. Travels with
-/// the [`PendingFetch`] so a demand read claiming a peer-sent prefetch
-/// knows how to complete (and verify) it.
+/// the chunk so a demand read claiming a peer-sent prefetch knows how to
+/// complete (and verify) it.
 struct PeerMeta {
     peer: Arc<PeerTransport>,
     peer_id: u32,
@@ -219,30 +261,6 @@ struct PeerMeta {
     total_len: u64,
 }
 
-/// One `PEERREAD` in flight to a peer (phase 1 of the fan-out), carrying
-/// everything phase 2 needs to verify the reply against the
-/// origin-attested advertisement.
-struct PeerSent {
-    token: u64,
-    speculative: bool,
-    offset: u64,
-    count: u32,
-    call: PendingCall,
-    meta: PeerMeta,
-}
-
-/// What became of one peer-sourced fetch after its reply was claimed.
-enum PeerOutcome {
-    /// Verified and applied to the cache.
-    Applied,
-    /// The reservation token vanished (invalidation/recall raced the
-    /// transfer): the caller falls back to the serial path.
-    Cancelled,
-    /// Miss, transport failure, or verification failure: the chunk
-    /// `(token, offset, count, speculative)` re-fetches from the origin.
-    Fallback(u64, u64, u32, bool),
-}
-
 /// The read engine's shared state (lock rank: after `disk`).
 struct ReadAheadState {
     /// Read-ahead window in blocks; 0 disables speculation.
@@ -250,6 +268,15 @@ struct ReadAheadState {
     /// Sequential run length that arms the prefetcher.
     trigger: usize,
     files: HashMap<Fh3, FileReadState>,
+}
+
+impl ReadAheadState {
+    /// Removes the reservation `token` of `fh`, if it is still present.
+    fn take(&mut self, fh: Fh3, token: u64) -> Option<PendingFetch> {
+        let fs = self.files.get_mut(&fh)?;
+        let i = fs.pending.iter().position(|e| e.chunk.token == token)?;
+        Some(fs.pending.remove(i))
+    }
 }
 
 /// The proxy client service (see module docs).
@@ -268,10 +295,6 @@ pub struct ProxyClient {
     /// Pipeline write-back batches over the WAN (ablation knob; the
     /// serial fallback pays one round trip per block).
     pipeline: AtomicBool,
-    /// Pipeline the read path: fan gap READs out concurrently and run
-    /// the read-ahead window (ablation knob; off restores the serial
-    /// all-or-nothing read path).
-    pipeline_read: AtomicBool,
     readahead: Mutex<ReadAheadState>,
     fetch_token: AtomicU64,
     stats: Mutex<ProxyClientStats>,
@@ -384,7 +407,6 @@ impl ProxyClient {
             poller: Mutex::new(None),
             stopped: AtomicBool::new(false),
             pipeline: AtomicBool::new(true),
-            pipeline_read: AtomicBool::new(true),
             readahead: Mutex::new(ReadAheadState { window: 8, trigger: 2, files: HashMap::new() }),
             fetch_token: AtomicU64::new(0),
             stats: Mutex::new(ProxyClientStats::default()),
@@ -425,14 +447,6 @@ impl ProxyClient {
     /// the ablation baseline.
     pub fn set_pipelining(&self, on: bool) {
         self.pipeline.store(on, Ordering::SeqCst);
-    }
-
-    /// Enables or disables the pipelined read path (on by default).
-    /// Off restores the serial all-or-nothing miss path: one forwarded
-    /// READ per kernel request, one WAN round trip each — the ablation
-    /// baseline.
-    pub fn set_read_pipelining(&self, on: bool) {
-        self.pipeline_read.store(on, Ordering::SeqCst);
     }
 
     /// Configures the sequential read-ahead window (blocks speculatively
@@ -1184,11 +1198,10 @@ impl ProxyClient {
     /// Serves a READ from the disk cache, fetching uncached gaps over
     /// the WAN as a concurrent pipelined burst (one round trip per miss
     /// burst instead of one per gap). Returns `Ok(None)` to fall back to
-    /// the serial full-forward path: no cached attributes, read
-    /// pipelining disabled, or a fetch failed (the fallback retries like
-    /// a hard mount and surfaces server errors verbatim).
+    /// the full-forward path: no cached attributes, or a fetch failed
+    /// (the fallback retries like a hard mount and surfaces server
+    /// errors verbatim).
     fn read_from_cache(&self, a: &ReadArgs) -> Result<Option<Vec<u8>>, RpcError> {
-        let pipelined = self.pipeline_read.load(Ordering::SeqCst);
         for attempt in 0..32 {
             let (attr, end, len, hit) = {
                 let mut disk = self.disk.lock();
@@ -1223,9 +1236,6 @@ impl ProxyClient {
                 return encode(&ReadRes::Fail { status: Nfsstat3::Io, file_attributes: None })
                     .map(Some);
             }
-            if !pipelined {
-                return Ok(None);
-            }
             if attempt == 0 {
                 self.stats.lock().read_misses += 1;
             }
@@ -1240,19 +1250,11 @@ impl ProxyClient {
     /// overlapping in-flight fetches (prefetches pay off here — their
     /// reply is already on the wire, often already arrived), parks on
     /// gaps some other reader is completing, and fans out concurrent
-    /// READs for the rest. Returns whether the caller should re-check
-    /// the cache; `false` falls back to the serial path.
+    /// fetches for the rest. Returns whether the caller should re-check
+    /// the cache; `false` falls back to the full-forward path.
     fn fetch_missing(&self, fh: Fh3, offset: u64, len: usize) -> bool {
-        struct Claimed {
-            token: u64,
-            speculative: bool,
-            offset: u64,
-            count: u32,
-            call: PendingCall,
-            peer: Option<PeerMeta>,
-        }
-        let mut claimed: Vec<Claimed> = Vec::new();
-        let mut own: Vec<(u64, u64, u32)> = Vec::new();
+        let mut claimed: Vec<InFlight> = Vec::new();
+        let mut own: Vec<Chunk> = Vec::new();
         let mut parked = false;
         {
             let disk = self.disk.lock();
@@ -1272,147 +1274,76 @@ impl ProxyClient {
                     if let Some(e) = fs
                         .pending
                         .iter_mut()
-                        .find(|e| e.offset <= pos && e.offset + e.len as u64 >= chunk_end)
+                        .find(|e| e.chunk.offset <= pos && e.chunk.end() >= chunk_end)
                     {
-                        if claimed.iter().any(|c| c.token == e.token) {
+                        if claimed.iter().any(|c| c.chunk.token == e.chunk.token) {
                             // Already claimed for an earlier chunk.
                         } else if let Some(call) = e.call.take() {
-                            claimed.push(Claimed {
-                                token: e.token,
-                                speculative: e.speculative,
-                                offset: e.offset,
-                                count: e.len as u32,
-                                call,
-                                peer: e.peer.take(),
-                            });
+                            claimed.push(InFlight { chunk: e.chunk, call, peer: e.peer.take() });
                         } else {
                             e.waiters.push(gvfs_netsim::current_actor());
                             parked = true;
                         }
                     } else {
-                        let token = self.fetch_token.fetch_add(1, Ordering::SeqCst);
-                        let clen = (chunk_end - pos) as usize;
-                        fs.pending.push(PendingFetch {
-                            token,
+                        let chunk = Chunk {
+                            token: self.fetch_token.fetch_add(1, Ordering::SeqCst),
                             offset: pos,
-                            len: clen,
+                            count: (chunk_end - pos) as u32,
                             speculative: false,
-                            call: None,
-                            peer: None,
-                            waiters: Vec::new(),
-                        });
-                        own.push((token, pos, clen as u32));
+                        };
+                        fs.pending.push(PendingFetch::reserve(chunk));
+                        own.push(chunk);
                     }
                     pos = chunk_end;
                 }
             }
         }
         // Phase 1: every gap fetch on the wire before the first reply is
-        // claimed. With peer sourcing on and an advertised live holder,
-        // the chunk goes to the lowest-latency peer over the LAN; the
-        // rest go to the origin as before.
-        let hint = if self.peer_read.load(Ordering::SeqCst) {
-            self.peer_hints.lock().get(&fh).cloned()
-        } else {
-            None
-        };
-        let mut sent: Vec<(u64, bool, PendingCall)> = Vec::new();
-        let mut peer_sent: Vec<PeerSent> = Vec::new();
+        // claimed.
+        let hint = self.peer_hint(fh);
+        let mut peer_sent: Vec<InFlight> = Vec::new();
+        let mut sent: Vec<InFlight> = Vec::new();
         let mut ok = true;
-        for (token, off, count) in own {
-            if let Some(h) = &hint {
-                if let Some((call, meta)) = self.peer_transmit(fh, off, count, h) {
-                    peer_sent.push(PeerSent {
-                        token,
-                        speculative: false,
-                        offset: off,
-                        count,
-                        call,
-                        meta,
-                    });
-                    continue;
-                }
-            }
-            let sendres = gvfs_xdr::to_bytes(&ReadArgs { file: fh, offset: off, count })
-                .map_err(RpcError::from)
-                .and_then(|args| {
-                    self.wan.send(GVFS_PROXY_PROGRAM, GVFS_VERSION, proc3::READ, args)
-                });
-            match sendres {
-                Ok(call) => sent.push((token, false, call)),
-                Err(_) => {
-                    self.discard_fetch(fh, token);
-                    ok = false;
-                }
+        for chunk in own {
+            match self.send_chunk(fh, chunk, hint.as_ref()) {
+                Some(f) if f.peer.is_some() => peer_sent.push(f),
+                Some(f) => sent.push(f),
+                None => ok = false,
             }
         }
         // Phase 2: claim replies, earliest sends (claimed prefetches)
         // first. A claimed prefetch that went to a peer verifies exactly
-        // like a demand peer fetch.
-        let mut fallback: Vec<(u64, u64, u32, bool)> = Vec::new();
-        for c in claimed {
-            match c.peer {
-                Some(meta) => peer_sent.push(PeerSent {
-                    token: c.token,
-                    speculative: c.speculative,
-                    offset: c.offset,
-                    count: c.count,
-                    call: c.call,
-                    meta,
-                }),
-                None => match self.wan.wait_pending(c.call) {
-                    Ok(bytes) => {
-                        if !self.apply_fetch(fh, c.token, c.speculative, &bytes) {
-                            ok = false;
-                        }
-                    }
-                    Err(_) => {
-                        self.discard_fetch(fh, c.token);
-                        ok = false;
-                    }
-                },
+        // like a demand peer fetch, after the demand ones.
+        for f in claimed {
+            if f.peer.is_some() {
+                peer_sent.push(f);
+            } else if !matches!(self.land_chunk(fh, f), Landed::Applied) {
+                ok = false;
             }
         }
         // Peer replies verify against the origin-attested advert; every
         // chunk a peer could not serve falls back to the origin as one
         // more pipelined burst.
-        for ps in peer_sent {
-            match self.finish_peer_fetch(fh, ps) {
-                PeerOutcome::Applied => {}
-                PeerOutcome::Cancelled => ok = false,
-                PeerOutcome::Fallback(token, off, count, spec) => {
-                    fallback.push((token, off, count, spec));
-                }
+        let mut fallback: Vec<Chunk> = Vec::new();
+        for f in peer_sent {
+            match self.land_chunk(fh, f) {
+                Landed::Applied => {}
+                Landed::Lost => ok = false,
+                Landed::Fallback(chunk) => fallback.push(chunk),
             }
         }
-        for (token, off, count, spec) in fallback {
+        for chunk in fallback {
             self.stats.lock().peer_fallbacks += 1;
             #[cfg(feature = "trace")]
             self.emit_trace(ProtocolEvent::PeerFallback { client: self.id, fh: fh.fileid() });
-            let sendres = gvfs_xdr::to_bytes(&ReadArgs { file: fh, offset: off, count })
-                .map_err(RpcError::from)
-                .and_then(|args| {
-                    self.wan.send(GVFS_PROXY_PROGRAM, GVFS_VERSION, proc3::READ, args)
-                });
-            match sendres {
-                Ok(call) => sent.push((token, spec, call)),
-                Err(_) => {
-                    self.discard_fetch(fh, token);
-                    ok = false;
-                }
+            match self.send_chunk(fh, chunk, None) {
+                Some(f) => sent.push(f),
+                None => ok = false,
             }
         }
-        for (token, spec, call) in sent {
-            match self.wan.wait_pending(call) {
-                Ok(bytes) => {
-                    if !self.apply_fetch(fh, token, spec, &bytes) {
-                        ok = false;
-                    }
-                }
-                Err(_) => {
-                    self.discard_fetch(fh, token);
-                    ok = false;
-                }
+        for f in sent {
+            if !matches!(self.land_chunk(fh, f), Landed::Applied) {
+                ok = false;
             }
         }
         if !ok {
@@ -1427,67 +1358,158 @@ impl ProxyClient {
         true
     }
 
-    /// Applies one fetched READ reply to the disk cache — unless the
-    /// reservation token is gone, which means an invalidation or recall
-    /// cancelled the fetch while it was in flight: the bytes (and the
-    /// piggybacked attributes) predate the invalidation and are
-    /// discarded. Attributes go through the monotonic
-    /// `put_attr_prefetch` guard so a reply racing a delayed write can
-    /// never regress the file's own-write mtime.
-    fn apply_fetch(&self, fh: Fh3, token: u64, speculative: bool, bytes: &[u8]) -> bool {
-        let inner = match self.absorb_reply(Some(fh), bytes) {
-            Ok(inner) => inner,
+    /// The origin-attested peer advertisement for `fh`, when peer
+    /// sourcing is on.
+    fn peer_hint(&self, fh: Fh3) -> Option<PeerAdvert> {
+        if self.peer_read.load(Ordering::SeqCst) {
+            self.peer_hints.lock().get(&fh).cloned()
+        } else {
+            None
+        }
+    }
+
+    /// Puts one reserved chunk on the wire — the only place a chunk
+    /// fetch is sent. With an advertised live holder in `hint`, the
+    /// chunk goes to the lowest-latency peer over the LAN; otherwise
+    /// (or when no peer could take it) it goes to the origin as a READ.
+    /// A failed origin send drops the reservation, waking its waiters,
+    /// and returns `None`.
+    fn send_chunk(&self, fh: Fh3, chunk: Chunk, hint: Option<&PeerAdvert>) -> Option<InFlight> {
+        if let Some((call, meta)) = hint.and_then(|h| self.peer_transmit(fh, chunk, h)) {
+            return Some(InFlight { chunk, call, peer: Some(meta) });
+        }
+        let sent =
+            gvfs_xdr::to_bytes(&ReadArgs { file: fh, offset: chunk.offset, count: chunk.count })
+                .map_err(RpcError::from)
+                .and_then(|args| {
+                    self.wan.send(GVFS_PROXY_PROGRAM, GVFS_VERSION, proc3::READ, args)
+                });
+        match sent {
+            Ok(call) => Some(InFlight { chunk, call, peer: None }),
             Err(_) => {
-                self.discard_fetch(fh, token);
-                return false;
-            }
-        };
-        match gvfs_xdr::from_bytes::<ReadRes>(&inner) {
-            Ok(ReadRes::Ok { file_attributes, data, .. }) => {
-                let mut disk = self.disk.lock();
-                let mut ra = self.readahead.lock();
-                let Some(entry) = ra.files.get_mut(&fh).and_then(|fs| {
-                    fs.pending.iter().position(|e| e.token == token).map(|i| fs.pending.remove(i))
-                }) else {
-                    drop(ra);
-                    drop(disk);
-                    if speculative {
-                        self.stats.lock().prefetch_wasted += 1;
-                    }
-                    return false;
-                };
-                if let Some(attr) = file_attributes {
-                    disk.put_attr_prefetch(fh, attr);
-                }
-                disk.insert_clean(fh, entry.offset, data);
-                drop(ra);
-                drop(disk);
-                if speculative {
-                    self.stats.lock().prefetch_hits += 1;
-                }
-                for w in entry.waiters {
-                    w.unpark();
-                }
-                true
-            }
-            _ => {
-                self.discard_fetch(fh, token);
-                false
+                self.discard_fetch(fh, chunk.token);
+                None
             }
         }
+    }
+
+    /// Waits for one chunk fetch and applies its reply; an undecodable
+    /// or error origin reply drops the reservation. A peer reply is
+    /// verified end to end against the origin-attested advert first: the
+    /// echoed change attribute must match, the data must be exactly the
+    /// requested length and stay within the attested file size, and the
+    /// FNV content hash must check out.
+    fn land_chunk(&self, fh: Fh3, f: InFlight) -> Landed {
+        let chunk = f.chunk;
+        let Some(m) = f.peer else {
+            let reply = self
+                .wan
+                .wait_pending(f.call)
+                .and_then(|bytes| self.absorb_reply(Some(fh), &bytes))
+                .and_then(|inner| decode::<ReadRes>(&inner));
+            let applied = match reply {
+                Ok(ReadRes::Ok { file_attributes, data, .. }) => {
+                    self.apply_chunk(fh, chunk, file_attributes, data)
+                }
+                _ => {
+                    self.discard_fetch(fh, chunk.token);
+                    false
+                }
+            };
+            return if applied { Landed::Applied } else { Landed::Lost };
+        };
+        let reply = m.peer.rpc.wait_pending(f.call).and_then(|bytes| decode::<PeerReadRes>(&bytes));
+        let now = Self::now_dur();
+        let verified: Option<Vec<u8>> = match reply {
+            Ok(PeerReadRes::Ok { change, len: _, hash, data })
+                if change == m.change
+                    && data.len() == chunk.count as usize
+                    && chunk.offset + data.len() as u64 <= m.total_len
+                    && fnv(&data) == hash =>
+            {
+                m.peer.breaker.on_success(now, now.saturating_sub(m.started));
+                Some(data)
+            }
+            Ok(PeerReadRes::Miss) => {
+                // An honest miss is a healthy RPC (no breaker failure)
+                // but not a transfer: recording it as a success would
+                // hand a consistently-missing peer an attractive EWMA,
+                // so the breaker only samples verified transfers.
+                None
+            }
+            Ok(PeerReadRes::Ok { .. }) | Err(_) => {
+                // Transport failure, or a garbled or
+                // attestation-mismatched reply: the peer is unreachable,
+                // stale or misbehaving; its breaker absorbs it.
+                m.peer.breaker.on_failure(now);
+                None
+            }
+        };
+        #[cfg(feature = "trace")]
+        self.emit_trace(ProtocolEvent::PeerFetch {
+            client: self.id,
+            peer: m.peer_id,
+            fh: fh.fileid(),
+            ok: verified.is_some(),
+        });
+        #[cfg(not(feature = "trace"))]
+        let _ = m.peer_id;
+        match verified {
+            // Peers never carry attributes — the reader's own
+            // origin-attested attributes stay authoritative.
+            Some(data) => {
+                if !self.apply_chunk(fh, chunk, None, data) {
+                    return Landed::Lost;
+                }
+                self.stats.lock().peer_hits += 1;
+                Landed::Applied
+            }
+            None => {
+                self.stats.lock().peer_misses += 1;
+                Landed::Fallback(chunk)
+            }
+        }
+    }
+
+    /// Applies one fetched chunk to the disk cache — unless the
+    /// reservation token is gone, which means an invalidation or recall
+    /// cancelled the fetch while it was in flight: the bytes (and any
+    /// attributes) predate the invalidation and are discarded.
+    /// Attributes go through the monotonic `put_attr_prefetch` guard so
+    /// a reply racing a delayed write can never regress the file's
+    /// own-write mtime.
+    fn apply_chunk(&self, fh: Fh3, chunk: Chunk, attr: Option<Fattr3>, data: Vec<u8>) -> bool {
+        let mut disk = self.disk.lock();
+        let mut ra = self.readahead.lock();
+        let Some(entry) = ra.take(fh, chunk.token) else {
+            drop(ra);
+            drop(disk);
+            if chunk.speculative {
+                self.stats.lock().prefetch_wasted += 1;
+            }
+            return false;
+        };
+        if let Some(attr) = attr {
+            disk.put_attr_prefetch(fh, attr);
+        }
+        disk.insert_clean(fh, entry.chunk.offset, data);
+        drop(ra);
+        drop(disk);
+        if chunk.speculative {
+            self.stats.lock().prefetch_hits += 1;
+        }
+        for w in entry.waiters {
+            w.unpark();
+        }
+        true
     }
 
     /// Drops one reserved fetch (send failure, error reply) and wakes
     /// its waiters so they re-plan.
     fn discard_fetch(&self, fh: Fh3, token: u64) {
-        let entry = {
-            let mut ra = self.readahead.lock();
-            ra.files.get_mut(&fh).and_then(|fs| {
-                fs.pending.iter().position(|e| e.token == token).map(|i| fs.pending.remove(i))
-            })
-        };
+        let entry = self.readahead.lock().take(fh, token);
         if let Some(entry) = entry {
-            if entry.speculative {
+            if entry.chunk.speculative {
                 self.stats.lock().prefetch_wasted += 1;
             }
             for w in entry.waiters {
@@ -1499,15 +1521,14 @@ impl ProxyClient {
     // --- peer sourcing (PEERREAD) -------------------------------------
 
     /// Picks the lowest-EWMA live peer advertised for `fh` and puts one
-    /// `PEERREAD` for `[off, off+count)` on its LAN link. Breaker-open
-    /// peers are skipped for the next-best; a send failure feeds that
-    /// peer's breaker and tries the next. `None` means no live peer
-    /// could take the send — the caller uses the origin.
+    /// `PEERREAD` for `chunk` on its LAN link. Breaker-open peers are
+    /// skipped for the next-best; a send failure feeds that peer's
+    /// breaker and tries the next. `None` means no live peer could take
+    /// the send — the caller uses the origin.
     fn peer_transmit(
         &self,
         fh: Fh3,
-        off: u64,
-        count: u32,
+        chunk: Chunk,
         hint: &PeerAdvert,
     ) -> Option<(PendingCall, PeerMeta)> {
         let now = Self::now_dur();
@@ -1530,9 +1551,13 @@ impl ProxyClient {
         // are probes of last resort. The peer id breaks ties so the
         // selection is deterministic.
         candidates.sort_by_key(|(ewma, id, _)| (ewma.is_zero(), *ewma, *id));
-        let args =
-            gvfs_xdr::to_bytes(&PeerReadArgs { fh, offset: off, count, change: hint.change })
-                .ok()?;
+        let args = gvfs_xdr::to_bytes(&PeerReadArgs {
+            fh,
+            offset: chunk.offset,
+            count: chunk.count,
+            change: hint.change,
+        })
+        .ok()?;
         for (_, id, peer) in candidates {
             let started = Self::now_dur();
             match peer.rpc.send(
@@ -1565,104 +1590,6 @@ impl ProxyClient {
             self.emit_trace(ProtocolEvent::PeerFallback { client: self.id, fh: fh.fileid() });
         }
         None
-    }
-
-    /// Claims one peer reply and verifies it end to end against the
-    /// origin-attested advert: the echoed change attribute must match,
-    /// the data must be exactly the requested length and stay within the
-    /// attested file size, and the FNV content hash must check out. A
-    /// verified block applies under the same reservation-token
-    /// discipline as an origin fetch, so an invalidation that raced the
-    /// transfer drops it on the floor.
-    fn finish_peer_fetch(&self, fh: Fh3, ps: PeerSent) -> PeerOutcome {
-        let m = &ps.meta;
-        let res = m.peer.rpc.wait_pending(ps.call);
-        let now = Self::now_dur();
-        let verified: Option<Vec<u8>> = match res {
-            Ok(bytes) => match gvfs_xdr::from_bytes::<PeerReadRes>(&bytes) {
-                Ok(PeerReadRes::Ok { change, len: _, hash, data })
-                    if change == m.change
-                        && data.len() == ps.count as usize
-                        && ps.offset + data.len() as u64 <= m.total_len
-                        && fnv(&data) == hash =>
-                {
-                    m.peer.breaker.on_success(now, now.saturating_sub(m.started));
-                    Some(data)
-                }
-                Ok(PeerReadRes::Miss) => {
-                    // An honest miss is a healthy RPC (no breaker
-                    // failure) but not a transfer: recording it as a
-                    // success would hand a consistently-missing peer an
-                    // attractive EWMA, so the breaker only samples
-                    // verified transfers.
-                    None
-                }
-                Ok(PeerReadRes::Ok { .. }) | Err(_) => {
-                    // Garbled or attestation-mismatched reply: the peer
-                    // is stale or misbehaving; its breaker absorbs it.
-                    m.peer.breaker.on_failure(now);
-                    None
-                }
-            },
-            Err(_) => {
-                m.peer.breaker.on_failure(now);
-                None
-            }
-        };
-        #[cfg(feature = "trace")]
-        self.emit_trace(ProtocolEvent::PeerFetch {
-            client: self.id,
-            peer: m.peer_id,
-            fh: fh.fileid(),
-            ok: verified.is_some(),
-        });
-        #[cfg(not(feature = "trace"))]
-        let _ = m.peer_id;
-        match verified {
-            Some(data) => {
-                if self.apply_peer_fetch(fh, ps.token, ps.speculative, data) {
-                    self.stats.lock().peer_hits += 1;
-                    PeerOutcome::Applied
-                } else {
-                    PeerOutcome::Cancelled
-                }
-            }
-            None => {
-                self.stats.lock().peer_misses += 1;
-                PeerOutcome::Fallback(ps.token, ps.offset, ps.count, ps.speculative)
-            }
-        }
-    }
-
-    /// Applies one verified peer-served block under the reservation
-    /// token: if an invalidation or recall removed the token while the
-    /// transfer was in flight, the bytes predate the invalidation and
-    /// are discarded (same discipline as [`ProxyClient::apply_fetch`]).
-    /// Peers never carry attributes — the reader's own origin-attested
-    /// attributes stay authoritative.
-    fn apply_peer_fetch(&self, fh: Fh3, token: u64, speculative: bool, data: Vec<u8>) -> bool {
-        let mut disk = self.disk.lock();
-        let mut ra = self.readahead.lock();
-        let Some(entry) = ra.files.get_mut(&fh).and_then(|fs| {
-            fs.pending.iter().position(|e| e.token == token).map(|i| fs.pending.remove(i))
-        }) else {
-            drop(ra);
-            drop(disk);
-            if speculative {
-                self.stats.lock().prefetch_wasted += 1;
-            }
-            return false;
-        };
-        disk.insert_clean(fh, entry.offset, data);
-        drop(ra);
-        drop(disk);
-        if speculative {
-            self.stats.lock().prefetch_hits += 1;
-        }
-        for w in entry.waiters {
-            w.unpark();
-        }
-        true
     }
 
     /// Serves one `PEERREAD` from this client's clean cache. The block
@@ -1727,12 +1654,12 @@ impl ProxyClient {
 
     /// Feeds the sequential-access detector with one served read and,
     /// when a run of `trigger` sequential reads is up, speculatively
-    /// pipelines the next `window` uncached block-aligned READs onto the
-    /// wire. Nobody waits on them: a later demand read claims the
+    /// pipelines the next `window` uncached block-aligned chunks onto
+    /// the wire. Nobody waits on them: a later demand read claims the
     /// pending reply (usually already arrived — the WAN round trip
     /// overlapped the application's compute) or parks on it.
     fn maybe_prefetch(&self, fh: Fh3, offset: u64, count: u32) {
-        let mut plan: Vec<(u64, u64, u32)> = Vec::new();
+        let mut plan: Vec<Chunk> = Vec::new();
         {
             let disk = self.disk.lock();
             let Some(attr) = disk.attr(fh) else { return };
@@ -1746,7 +1673,7 @@ impl ProxyClient {
                 fs.run = 1;
             }
             fs.next_expected = end;
-            if window == 0 || fs.run < trigger || !self.pipeline_read.load(Ordering::SeqCst) {
+            if window == 0 || fs.run < trigger {
                 return;
             }
             let first = block_of(end);
@@ -1759,67 +1686,41 @@ impl ProxyClient {
                 let blocked = fs
                     .pending
                     .iter()
-                    .any(|e| e.offset < b + blen as u64 && e.offset + e.len as u64 > b);
+                    .any(|e| e.chunk.offset < b + blen as u64 && e.chunk.end() > b);
                 if blocked || disk.missing_ranges(fh, b, blen).is_empty() {
                     continue;
                 }
-                let token = self.fetch_token.fetch_add(1, Ordering::SeqCst);
-                fs.pending.push(PendingFetch {
-                    token,
+                let chunk = Chunk {
+                    token: self.fetch_token.fetch_add(1, Ordering::SeqCst),
                     offset: b,
-                    len: blen,
+                    count: blen as u32,
                     speculative: true,
-                    call: None,
-                    peer: None,
-                    waiters: Vec::new(),
-                });
-                plan.push((token, b, blen as u32));
+                };
+                fs.pending.push(PendingFetch::reserve(chunk));
+                plan.push(chunk);
             }
         }
         // Read-ahead pipelines over peers too: with an advertised live
         // holder, speculative blocks go out as LAN `PEERREAD`s; the
         // claimant verifies them like any peer fetch.
-        let hint = if self.peer_read.load(Ordering::SeqCst) {
-            self.peer_hints.lock().get(&fh).cloned()
-        } else {
-            None
-        };
+        let hint = self.peer_hint(fh);
         let mut issued = 0u64;
-        for (token, b, blen) in plan {
-            let peer_tx = hint.as_ref().and_then(|h| self.peer_transmit(fh, b, blen, h));
-            let sendres = match peer_tx {
-                Some((call, meta)) => Ok((call, Some(meta))),
-                None => gvfs_xdr::to_bytes(&ReadArgs { file: fh, offset: b, count: blen })
-                    .map_err(RpcError::from)
-                    .and_then(|args| {
-                        self.wan.send(GVFS_PROXY_PROGRAM, GVFS_VERSION, proc3::READ, args)
-                    })
-                    .map(|call| (call, None)),
-            };
-            match sendres {
-                Ok((call, meta)) => {
-                    let mut stored = false;
-                    {
-                        let mut ra = self.readahead.lock();
-                        if let Some(e) = ra
-                            .files
-                            .get_mut(&fh)
-                            .and_then(|fs| fs.pending.iter_mut().find(|e| e.token == token))
-                        {
-                            e.call = Some(call);
-                            e.peer = meta;
-                            stored = true;
-                        }
-                    }
-                    if stored {
-                        issued += 1;
-                    } else {
-                        // Cancelled between reservation and send;
-                        // dropping the call abandons the reply.
-                        self.stats.lock().prefetch_wasted += 1;
-                    }
-                }
-                Err(_) => self.discard_fetch(fh, token),
+        for chunk in plan {
+            let Some(f) = self.send_chunk(fh, chunk, hint.as_ref()) else { continue };
+            let mut ra = self.readahead.lock();
+            let entry = ra
+                .files
+                .get_mut(&fh)
+                .and_then(|fs| fs.pending.iter_mut().find(|e| e.chunk.token == chunk.token));
+            if let Some(e) = entry {
+                e.call = Some(f.call);
+                e.peer = f.peer;
+                issued += 1;
+            } else {
+                // Cancelled between reservation and send; dropping the
+                // call abandons the reply.
+                drop(ra);
+                self.stats.lock().prefetch_wasted += 1;
             }
         }
         if issued > 0 {
@@ -1865,7 +1766,7 @@ impl ProxyClient {
             // Dropping an unclaimed call abandons its reply at the
             // transport. Claimed calls are discarded by their claimant,
             // which finds the token gone and counts the waste itself.
-            if e.speculative && e.call.is_some() {
+            if e.chunk.speculative && e.call.is_some() {
                 wasted += 1;
             }
             waiters.extend(e.waiters);
@@ -2116,16 +2017,6 @@ impl ProxyClient {
             // ladder's bounded-staleness rung measures age against.
             let started_ms = u64::try_from(started.as_millis()).unwrap_or(u64::MAX);
             self.last_validated_ms.fetch_max(started_ms, Ordering::SeqCst);
-            if std::env::var_os("GVFS_DEBUG_POLL").is_some() {
-                eprintln!(
-                    "[{}] poller id={} getinv last={last:?} -> ts={} force={} n={}",
-                    gvfs_netsim::now(),
-                    self.id,
-                    res.timestamp,
-                    res.force_invalidate,
-                    res.handles.len()
-                );
-            }
             *self.poll_ts.lock() = Some(res.timestamp);
             // Cancellations happen under the same disk-lock hold as the
             // invalidations: a prefetch still in flight for an
@@ -2440,9 +2331,6 @@ impl ProxyClient {
 
     fn handle_callback(&self, args: &[u8]) -> Result<Vec<u8>, RpcError> {
         let a: CallbackArgs = decode(args)?;
-        if std::env::var_os("GVFS_DEBUG_RECALL").is_some() {
-            eprintln!("[{}] client {} callback {:?}", gvfs_netsim::now(), self.id, a);
-        }
         self.stats.lock().callbacks += 1;
         #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::RecallRecv {
@@ -2675,8 +2563,15 @@ impl RpcService for ProxyClient {
 
 /// The callback service facade: the same proxy client, addressable as
 /// the callback RPC program.
+///
+/// It holds the client weakly. The proxy server and the client's peers
+/// reach this service through transports they own, while the client
+/// itself holds transports back to them; a strong reference here would
+/// close those loops into reference cycles and no finished session
+/// could ever be freed. A call that arrives after the client is gone
+/// finds the program unavailable, like a dead machine.
 #[derive(Debug, Clone)]
-pub struct CallbackService(pub Arc<ProxyClient>);
+pub struct CallbackService(pub Weak<ProxyClient>);
 
 impl RpcService for CallbackService {
     fn program(&self) -> u32 {
@@ -2686,16 +2581,17 @@ impl RpcService for CallbackService {
         GVFS_VERSION
     }
     fn call(&self, procedure: u32, args: &[u8]) -> Result<Vec<u8>, RpcError> {
-        let result = match procedure {
-            proc_ext::CALLBACK => self.0.handle_callback(args),
-            proc_ext::RECOVER => self.0.handle_recover(),
-            proc_ext::PEERREAD => self.0.handle_peerread(args),
-            p => Err(RpcError::ProcedureUnavailable {
-                program: crate::protocol::GVFS_CALLBACK_PROGRAM,
-                procedure: p,
-            }),
+        let program = crate::protocol::GVFS_CALLBACK_PROGRAM;
+        let Some(client) = self.0.upgrade() else {
+            return Err(RpcError::ProgramUnavailable { program });
         };
-        self.0.settle_disk();
+        let result = match procedure {
+            proc_ext::CALLBACK => client.handle_callback(args),
+            proc_ext::RECOVER => client.handle_recover(),
+            proc_ext::PEERREAD => client.handle_peerread(args),
+            p => Err(RpcError::ProcedureUnavailable { program, procedure: p }),
+        };
+        client.settle_disk();
         result
     }
 }

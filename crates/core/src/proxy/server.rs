@@ -710,9 +710,6 @@ impl ProxyServer {
     /// is taken so suppressed targets and breaker-open peers never
     /// consume window capacity.
     fn recall_short_circuits(&self, action: &RecallAction) -> bool {
-        if std::env::var_os("GVFS_DEBUG_RECALL").is_some() {
-            eprintln!("[{}] recall {:?}", gvfs_netsim::now(), action);
-        }
         if self.recall_suppressed.load(Ordering::SeqCst) {
             // The holder is revoked without being told: exactly the bug
             // class the chaos oracles exist to catch.

@@ -79,15 +79,11 @@ pub struct SessionConfig {
     /// sends sharing one round trip). Disabled, each flushed block pays
     /// a full round trip; the `pipelining` ablation measures the gap.
     pub pipeline_writeback: bool,
-    /// Pipeline the read path: fetch only the uncached gaps of a READ
-    /// as one concurrent burst, and run the sequential read-ahead
-    /// window. Disabled, a miss forwards the whole READ and pays one
-    /// round trip per request; the `readahead` ablation measures the
-    /// gap.
-    pub pipeline_read: bool,
     /// Sequential read-ahead window, in `BLOCK_SIZE` blocks
     /// speculatively fetched past a detected sequential run. Zero
-    /// disables speculation while keeping gap-only fetching.
+    /// disables speculation while keeping gap-only fetching (a READ
+    /// miss still fetches just its uncached gaps as one concurrent
+    /// burst); the `readahead` ablation measures the difference.
     pub readahead_window: usize,
     /// Number of consecutive sequential reads that arms the
     /// read-ahead window.
@@ -149,7 +145,6 @@ impl Default for SessionConfig {
             nfs_proc_time: Duration::from_micros(200),
             sweep_interval: Some(Duration::from_secs(60)),
             pipeline_writeback: true,
-            pipeline_read: true,
             readahead_window: 8,
             readahead_trigger: 2,
             retry_budget: 600,
@@ -318,14 +313,13 @@ impl SessionBuilder {
                 (proxy, None)
             };
             proxy.set_pipelining(config.pipeline_writeback);
-            proxy.set_read_pipelining(config.pipeline_read);
             proxy.set_readahead(config.readahead_window, config.readahead_trigger);
             proxy.set_resilience(config.retry_budget, config.degrade_after, config.max_staleness);
 
             // Callback service node, reached from the proxy server over
-            // the reverse WAN direction.
+            // the reverse WAN direction (and from peers over the LAN).
             let mut cb_dispatcher = Dispatcher::new();
-            cb_dispatcher.register(CallbackService(Arc::clone(&proxy)));
+            cb_dispatcher.register(CallbackService(Arc::downgrade(&proxy)));
             let cb_node = ServerNode::new(
                 &format!("proxy-client-{id}-callback"),
                 cb_dispatcher,

@@ -66,45 +66,52 @@ fn sequential_read_triggers_prefetch_and_hits() {
 }
 
 #[test]
-fn pipelined_read_beats_serial_on_long_fat_link() {
-    // The same cold sequential read, once with the pipeline and once
-    // with the pre-pipeline serial path; virtual time must favor the
-    // pipeline by at least 2x. This is the in-tree twin of the
-    // `readahead` bench ablation gate.
-    fn run(pipeline: bool) -> Duration {
-        let config = SessionConfig {
-            pipeline_read: pipeline,
-            readahead_window: if pipeline { 8 } else { 0 },
-            ..polling(300)
-        };
+fn readahead_beats_gap_only_on_long_fat_link() {
+    // The same cold sequential read, once with the read-ahead window and
+    // once gap-only (window 0); virtual time must favor read-ahead by at
+    // least 2x. This is the in-tree twin of the `readahead` bench
+    // ablation gate. Returns the elapsed time, the WAN READs, and the
+    // prefetches issued.
+    fn run(window: usize) -> (Duration, u64, u64) {
+        let config = SessionConfig { readahead_window: window, ..polling(300) };
         let sim = Sim::new();
         let session = Session::builder(config).clients(1).wan(long_fat_link()).establish(&sim);
         let transport = session.client_transport(0);
         let root = session.root_fh();
+        let wan = session.wan_stats().clone();
         let handle = session.handle();
         seed(session.vfs(), "seq", &vec![7u8; 16 * BLOCK as usize]);
-        let elapsed = Arc::new(Mutex::new(Duration::ZERO));
-        let out = Arc::clone(&elapsed);
+        let session = Arc::new(session);
+        let s2 = Arc::clone(&session);
+        let out = Arc::new(Mutex::new((Duration::ZERO, 0, 0)));
+        let o = Arc::clone(&out);
         sim.spawn("app", move || {
             let client = NfsClient::new(transport, root, MountOptions::noac());
             let fh = client.open("/seq").unwrap();
+            let before = wan.snapshot();
             let t0 = gvfs_netsim::now();
             for b in 0..16u64 {
                 let data = client.read(fh, b * BLOCK, BLOCK as u32).unwrap();
                 assert_eq!(data, vec![7u8; BLOCK as usize], "block {b}");
             }
-            *out.lock() = gvfs_netsim::now().saturating_since(t0);
+            let elapsed = gvfs_netsim::now().saturating_since(t0);
+            let delta = wan.snapshot().since(&before);
+            let reads = delta.calls(gvfs_nfs3::NFS_PROGRAM, gvfs_nfs3::proc3::READ)
+                + delta.calls(gvfs_core::protocol::GVFS_PROXY_PROGRAM, gvfs_nfs3::proc3::READ);
+            *o.lock() = (elapsed, reads, s2.proxy_client(0).stats().prefetch_issued);
             handle.shutdown();
         });
         sim.run();
-        let t = *elapsed.lock();
-        t
+        let r = *out.lock();
+        r
     }
-    let serial = run(false);
-    let pipelined = run(true);
+    let (gap_only, gap_reads, gap_prefetches) = run(0);
+    assert_eq!(gap_reads, 16, "gap-only fetches each cold block once");
+    assert_eq!(gap_prefetches, 0, "window 0 never speculates");
+    let (readahead, _, _) = run(8);
     assert!(
-        serial >= pipelined * 2,
-        "read-ahead must at least halve the cold sequential read: serial {serial:?}, pipelined {pipelined:?}"
+        gap_only >= readahead * 2,
+        "read-ahead must at least halve the cold sequential read: gap-only {gap_only:?}, read-ahead {readahead:?}"
     );
 }
 
@@ -285,6 +292,42 @@ fn gap_only_fetch_skips_dirty_edges() {
         let reads = delta.calls(gvfs_nfs3::NFS_PROGRAM, gvfs_nfs3::proc3::READ)
             + delta.calls(gvfs_core::protocol::GVFS_PROXY_PROGRAM, gvfs_nfs3::proc3::READ);
         assert_eq!(reads, 1, "only the middle gap crosses the WAN: {delta}");
+        handle.shutdown();
+    });
+    sim.run();
+}
+
+#[test]
+fn failed_gap_fetch_falls_back_to_hard_retry_read() {
+    // The one remaining full-forward fallback of a caching READ miss:
+    // with the WAN partitioned, the gap fetch fails at send, and the
+    // READ must then ride the hard-retry forward loop until the heal
+    // and still return the server's bytes.
+    let sim = Sim::new();
+    let session = Session::builder(polling(300)).clients(1).establish(&sim);
+    let transport = session.client_transport(0);
+    let root = session.root_fh();
+    let handle = session.handle();
+    let content: Vec<u8> = (0..BLOCK).map(|i| (i % 251) as u8).collect();
+    seed(session.vfs(), "cold", &content);
+    let session = Arc::new(session);
+    let s2 = Arc::clone(&session);
+    sim.spawn("reader", move || {
+        let client = NfsClient::new(transport, root, MountOptions::noac());
+        // Resolving caches the attributes, so the READ below reaches the
+        // gap fetch rather than the missing-attributes fallback.
+        let fh = client.open("/cold").unwrap();
+        s2.wan_link(0).set_partitioned(true);
+        let healer = Arc::clone(&s2);
+        gvfs_netsim::spawn_from_actor("healer", move || {
+            gvfs_netsim::sleep(Duration::from_secs(20));
+            healer.wan_link(0).set_partitioned(false);
+        });
+        let data = client.read(fh, 0, BLOCK as u32).unwrap();
+        assert_eq!(data, content, "the fallback returns the server's bytes");
+        let stats = s2.proxy_client(0).stats();
+        assert_eq!(stats.read_misses, 1, "one cold miss reached the gap fetch: {stats:?}");
+        assert!(stats.transport_retries >= 1, "the fallback hard-retried: {stats:?}");
         handle.shutdown();
     });
     sim.run();

@@ -116,6 +116,43 @@ fn breaker_open_peer_is_skipped_for_next_best() {
     sim.run();
 }
 
+/// A finished session must be freed once it and its `Sim` are dropped.
+/// The proxies and the nodes serving them form reference cycles (the
+/// proxy server reaches each client through its callback node, each
+/// client reaches the server through its WAN node, and peers reach each
+/// other through their callback nodes); dropping the session breaks them.
+#[test]
+fn dropped_session_frees_its_proxies() {
+    let sim = Sim::new();
+    let session = Session::builder(peer_config()).clients(2).establish(&sim);
+    seed_files(&session, &["freed"]);
+    let clients: Vec<_> = (0..2).map(|i| Arc::downgrade(session.proxy_client(i))).collect();
+    let server = Arc::downgrade(session.proxy_server());
+    let session = Arc::new(session);
+
+    let s = Arc::clone(&session);
+    let handle = session.handle();
+    sim.spawn("peer-read", move || {
+        let holder = NfsClient::new(s.client_transport(1), s.root_fh(), MountOptions::noac());
+        let reader = NfsClient::new(s.client_transport(0), s.root_fh(), MountOptions::noac());
+        let fh = holder.resolve("/freed").expect("resolve");
+        for b in 0..BLOCKS {
+            holder.read(fh, b * BLOCK, BLOCK as u32).expect("warm");
+        }
+        for b in 0..BLOCKS {
+            reader.read(fh, b * BLOCK, BLOCK as u32).expect("read");
+        }
+        assert!(s.proxy_client(0).stats().peer_hits >= 1, "the mesh must have carried a block");
+        handle.shutdown();
+    });
+    sim.run();
+    drop(session);
+    for (i, client) in clients.iter().enumerate() {
+        assert!(client.upgrade().is_none(), "proxy client {i} outlived its session");
+    }
+    assert!(server.upgrade().is_none(), "the proxy server outlived its session");
+}
+
 #[test]
 fn all_peers_dead_falls_back_to_origin() {
     let sim = Sim::new();
