@@ -27,8 +27,9 @@ use crate::protocol::{
     GVFS_CALLBACK_PROGRAM, GVFS_PROXY_PROGRAM, GVFS_VERSION,
 };
 use crate::proxy::{block_of, BLOCK_SIZE};
+use crate::session::SessionConfig;
 use crate::store::persist::fnv;
-#[cfg(feature = "trace")]
+use crate::store::BlockStore;
 use crate::trace::{ProtocolEvent, TraceBuffer, TraceKind};
 use gvfs_netsim::transport::SimRpcClient;
 use gvfs_netsim::SimTime;
@@ -46,7 +47,7 @@ use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -262,11 +263,8 @@ struct PeerMeta {
 }
 
 /// The read engine's shared state (lock rank: after `disk`).
+#[derive(Default)]
 struct ReadAheadState {
-    /// Read-ahead window in blocks; 0 disables speculation.
-    window: usize,
-    /// Sequential run length that arms the prefetcher.
-    trigger: usize,
     files: HashMap<Fh3, FileReadState>,
 }
 
@@ -282,8 +280,10 @@ impl ReadAheadState {
 /// The proxy client service (see module docs).
 pub struct ProxyClient {
     id: u32,
-    model: ConsistencyModel,
-    write_back: bool,
+    /// The session's configuration, fixed when the middleware creates
+    /// the proxy (§2): consistency model, write-back, read-ahead,
+    /// resilience and peer-sourcing settings.
+    config: SessionConfig,
     wan: SimRpcClient,
     disk: Mutex<DiskCache>,
     state: Mutex<ClientState>,
@@ -292,22 +292,12 @@ pub struct ProxyClient {
     flusher: Mutex<Option<gvfs_netsim::ActorHandle>>,
     poller: Mutex<Option<gvfs_netsim::ActorHandle>>,
     stopped: AtomicBool,
-    /// Pipeline write-back batches over the WAN (ablation knob; the
-    /// serial fallback pays one round trip per block).
-    pipeline: AtomicBool,
     readahead: Mutex<ReadAheadState>,
     fetch_token: AtomicU64,
     stats: Mutex<ProxyClientStats>,
     /// Per-peer WAN health: fed by every forwarded call's outcome,
     /// consulted by the degradation ladder and the supervisor.
     breaker: CircuitBreaker,
-    /// Maximum transparent retransmissions per forwarded call.
-    retry_budget: AtomicU32,
-    /// Ladder engagement delay, milliseconds (see `SessionConfig`).
-    degrade_after_ms: AtomicU64,
-    /// Bounded-staleness limit for degraded serving, milliseconds;
-    /// 0 disables the ladder (hard-retry through outages).
-    max_staleness_ms: AtomicU64,
     /// Set when the breaker degrades a delegation session: the held
     /// delegations may have been revoked server-side, so the supervisor
     /// must resync before trusting them again.
@@ -316,9 +306,6 @@ pub struct ProxyClient {
     /// exchange), in virtual milliseconds since the epoch; 0 = never.
     last_validated_ms: AtomicU64,
     supervisor: Mutex<Option<gvfs_netsim::ActorHandle>>,
-    /// Peer-sourced reads enabled (`SessionConfig.peer_read`): gap
-    /// fetches try an advertised live peer over the LAN before the WAN.
-    peer_read: AtomicBool,
     /// LAN transports to registered peers, keyed by peer client id
     /// (lock rank: terminal — nothing else is taken under it).
     peers: Mutex<HashMap<u32, Arc<PeerTransport>>>,
@@ -335,13 +322,15 @@ pub struct ProxyClient {
     /// Protocol-event sink for spec-conformance replay, installed once
     /// by the session (shared with the proxy server so `seq` is a
     /// session-global order).
-    #[cfg(feature = "trace")]
     trace: std::sync::OnceLock<Arc<TraceBuffer>>,
 }
 
 impl std::fmt::Debug for ProxyClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProxyClient").field("id", &self.id).field("model", &self.model).finish()
+        f.debug_struct("ProxyClient")
+            .field("id", &self.id)
+            .field("model", &self.config.model)
+            .finish()
     }
 }
 
@@ -363,41 +352,23 @@ enum Forwarded {
 }
 
 impl ProxyClient {
-    /// Creates a proxy client.
+    /// Creates a proxy client configured for `config`'s session, caching
+    /// into `store` (the in-memory store, or a
+    /// [`crate::store::persist::PersistentStore`] whose disk survives
+    /// restarts).
     ///
     /// `wan` must carry a GVFS credential identifying `id` (the session
     /// middleware arranges this).
     pub fn new(
         id: u32,
-        model: ConsistencyModel,
-        write_back: bool,
+        config: &SessionConfig,
         wan: SimRpcClient,
-        cache_bytes: usize,
-    ) -> Arc<Self> {
-        Self::with_store(
-            id,
-            model,
-            write_back,
-            wan,
-            Box::new(crate::store::mem::MemStore::new(cache_bytes)),
-        )
-    }
-
-    /// Creates a proxy client over an explicit block store (e.g. a
-    /// [`crate::store::persist::PersistentStore`] whose disk survives
-    /// restarts).
-    pub fn with_store(
-        id: u32,
-        model: ConsistencyModel,
-        write_back: bool,
-        wan: SimRpcClient,
-        store: Box<dyn crate::store::BlockStore>,
+        store: Box<dyn BlockStore>,
     ) -> Arc<Self> {
         let breaker = CircuitBreaker::new(BreakerConfig::default()).with_stats(wan.stats().clone());
         Arc::new(ProxyClient {
             id,
-            model,
-            write_back,
+            config: *config,
             wan,
             disk: Mutex::new(DiskCache::with_store(store)),
             state: Mutex::new(ClientState::default()),
@@ -406,90 +377,35 @@ impl ProxyClient {
             flusher: Mutex::new(None),
             poller: Mutex::new(None),
             stopped: AtomicBool::new(false),
-            pipeline: AtomicBool::new(true),
-            readahead: Mutex::new(ReadAheadState { window: 8, trigger: 2, files: HashMap::new() }),
+            readahead: Mutex::new(ReadAheadState::default()),
             fetch_token: AtomicU64::new(0),
             stats: Mutex::new(ProxyClientStats::default()),
             breaker,
-            retry_budget: AtomicU32::new(600),
-            degrade_after_ms: AtomicU64::new(2_000),
-            // The ladder stays off until the session middleware opts in
-            // via `set_resilience`: a bare client hard-retries.
-            max_staleness_ms: AtomicU64::new(0),
             needs_resync: AtomicBool::new(false),
             last_validated_ms: AtomicU64::new(0),
             supervisor: Mutex::new(None),
-            peer_read: AtomicBool::new(false),
             peers: Mutex::new(HashMap::new()),
             peer_hints: Mutex::new(HashMap::new()),
             break_peerread: AtomicBool::new(false),
             scrubber: Mutex::new(None),
-            #[cfg(feature = "trace")]
             trace: std::sync::OnceLock::new(),
         })
     }
 
     /// Installs the shared protocol-trace buffer (first call wins).
-    #[cfg(feature = "trace")]
     pub fn install_trace(&self, buf: Arc<TraceBuffer>) {
         let _ = self.trace.set(buf);
     }
 
-    #[cfg(feature = "trace")]
     fn emit_trace(&self, ev: ProtocolEvent) {
         if let Some(buf) = self.trace.get() {
             buf.record(ev);
         }
     }
 
-    /// Enables or disables pipelined write-back (on by default). With
-    /// pipelining off, every flushed block pays its own WAN round trip —
-    /// the ablation baseline.
-    pub fn set_pipelining(&self, on: bool) {
-        self.pipeline.store(on, Ordering::SeqCst);
-    }
-
-    /// Configures the sequential read-ahead window (blocks speculatively
-    /// fetched past a detected sequential run) and the run length that
-    /// arms it. A zero window disables speculation but keeps gap-only
-    /// fetching.
-    pub fn set_readahead(&self, window: usize, trigger: usize) {
-        let mut ra = self.readahead.lock();
-        ra.window = window;
-        ra.trigger = trigger.max(1);
-    }
-
-    /// Configures the resilience knobs: the retry budget for forwarded
-    /// calls, how long the breaker must be open before the degradation
-    /// ladder engages, and the bounded-staleness limit for degraded
-    /// serving (`None` disables the ladder — hard-retry semantics).
-    pub fn set_resilience(
-        &self,
-        retry_budget: u32,
-        degrade_after: Duration,
-        max_staleness: Option<Duration>,
-    ) {
-        self.retry_budget.store(retry_budget, Ordering::SeqCst);
-        let degrade_ms = u64::try_from(degrade_after.as_millis()).unwrap_or(u64::MAX);
-        self.degrade_after_ms.store(degrade_ms, Ordering::SeqCst);
-        let staleness_ms = max_staleness
-            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX).max(1))
-            .unwrap_or(0);
-        self.max_staleness_ms.store(staleness_ms, Ordering::SeqCst);
-    }
-
     /// This client's WAN health breaker (diagnostics).
     pub fn breaker(&self) -> &CircuitBreaker {
         &self.breaker
-    }
-
-    /// Enables or disables peer-sourced reads (off by default; the
-    /// session middleware turns it on for `SessionConfig.peer_read`).
-    pub fn set_peer_read(&self, on: bool) {
-        self.peer_read.store(on, Ordering::SeqCst);
-        if !on {
-            self.peer_hints.lock().clear();
-        }
     }
 
     /// Registers a LAN transport to peer `id` (the session middleware
@@ -530,8 +446,22 @@ impl ProxyClient {
         self.peer_hints.lock().remove(&fh);
     }
 
-    /// Drops every peer hint (force invalidation, crash, recovery).
-    fn drop_all_peer_hints(&self) {
+    /// Invalidates one handle: its cached attributes, its in-flight
+    /// fetches and its peer hint. The caller holds `disk` across the
+    /// call, so a stale fetch reply can never apply after the
+    /// invalidation.
+    fn invalidate_handle(&self, disk: &mut DiskCache, fh: Fh3) {
+        disk.invalidate_attr(fh);
+        self.cancel_prefetch(fh);
+        self.drop_peer_hint(fh);
+    }
+
+    /// Invalidates every handle (force invalidation, `RECOVER`, crash
+    /// reconciliation), under the caller's `disk` hold like
+    /// [`ProxyClient::invalidate_handle`].
+    fn invalidate_everything(&self, disk: &mut DiskCache) {
+        disk.invalidate_all_attrs();
+        self.cancel_all_prefetch();
         self.peer_hints.lock().clear();
     }
 
@@ -593,7 +523,6 @@ impl ProxyClient {
     fn drain_integrity_events(&self, scrub: bool) -> Vec<crate::store::IntegrityEvent> {
         let events = self.disk.lock().take_integrity_events();
         for ev in &events {
-            #[cfg(feature = "trace")]
             self.emit_trace(ProtocolEvent::IntegrityFault {
                 client: self.id,
                 fh: ev.fh.fileid(),
@@ -649,7 +578,6 @@ impl ProxyClient {
                 }
                 if self.repair_clean_range(ev.fh, ev.offset, ev.len) {
                     self.stats.lock().scrub_repairs += 1;
-                    #[cfg(feature = "trace")]
                     self.emit_trace(ProtocolEvent::ScrubRepair {
                         client: self.id,
                         fh: ev.fh.fileid(),
@@ -661,7 +589,7 @@ impl ProxyClient {
     }
 
     fn deleg_config(&self) -> DelegationConfig {
-        match self.model {
+        match self.config.model {
             ConsistencyModel::DelegationCallback(c) => c,
             _ => DelegationConfig::default(),
         }
@@ -674,7 +602,7 @@ impl ProxyClient {
         if st.noncacheable.contains(&fh) {
             return false;
         }
-        match self.model {
+        match self.config.model {
             ConsistencyModel::Passthrough => false,
             ConsistencyModel::InvalidationPolling { .. } => true,
             ConsistencyModel::DelegationCallback(config) => {
@@ -726,7 +654,7 @@ impl ProxyClient {
         degrade: bool,
     ) -> Result<Forwarded, RpcError> {
         const RETRY_CAP: Duration = Duration::from_secs(60);
-        let budget = self.retry_budget.load(Ordering::SeqCst);
+        let budget = self.config.retry_budget;
         let mut attempts = 0u32;
         let mut delay = Duration::from_secs(1);
         let bytes = loop {
@@ -769,25 +697,22 @@ impl ProxyClient {
         let now = Self::now_dur();
         self.breaker.on_failure(now);
         if self.breaker.state(now).is_degraded()
-            && matches!(self.model, ConsistencyModel::DelegationCallback(_))
+            && matches!(self.config.model, ConsistencyModel::DelegationCallback(_))
         {
             // Held delegations may be revoked server-side (lease expiry,
             // short-circuited recalls) while we cannot hear the recalls.
-            let first = !self.needs_resync.swap(true, Ordering::SeqCst);
-            let _ = first;
-            #[cfg(feature = "trace")]
-            if first {
+            if !self.needs_resync.swap(true, Ordering::SeqCst) {
                 self.emit_trace(ProtocolEvent::Degrade { client: self.id });
             }
         }
     }
 
-    /// Whether the degradation ladder is engaged right now: enabled,
-    /// delegation model, and the breaker open (or probing) for at least
-    /// `degrade_after`.
+    /// Whether the degradation ladder is engaged right now: enabled
+    /// (a `max_staleness` is configured), delegation model, and the
+    /// breaker open (or probing) for at least `degrade_after`.
     fn degraded_now(&self) -> bool {
-        if self.max_staleness_ms.load(Ordering::SeqCst) == 0
-            || !matches!(self.model, ConsistencyModel::DelegationCallback(_))
+        if self.config.max_staleness.is_none()
+            || !matches!(self.config.model, ConsistencyModel::DelegationCallback(_))
         {
             return false;
         }
@@ -795,8 +720,7 @@ impl ProxyClient {
         if !self.breaker.state(now).is_degraded() {
             return false;
         }
-        let degrade_after = Duration::from_millis(self.degrade_after_ms.load(Ordering::SeqCst));
-        self.breaker.open_for(now).is_some_and(|open| open >= degrade_after)
+        self.breaker.open_for(now).is_some_and(|open| open >= self.config.degrade_after)
     }
 
     /// Unwraps one proxy-program reply: counts it, applies the
@@ -829,7 +753,7 @@ impl ProxyClient {
             // drain that just invalidated this handle dropped the old
             // hint, and the advert (served with the reply that carries
             // the drain) postdates it.
-            if self.peer_read.load(Ordering::SeqCst) {
+            if self.config.peer_read {
                 self.peer_hints.lock().insert(advert.fh, advert);
             }
         }
@@ -844,7 +768,7 @@ impl ProxyClient {
     /// pre-bootstrap or stale drain is dropped, which is always safe —
     /// the server detects the resulting timestamp lag on the next real
     /// `GETINV` and force-invalidates.
-    fn apply_piggyback_inv(&self, res: &crate::protocol::GetinvRes) {
+    fn apply_piggyback_inv(&self, res: &GetinvRes) {
         {
             let mut ts = self.poll_ts.lock();
             match *ts {
@@ -852,34 +776,8 @@ impl ProxyClient {
                 _ => return,
             }
         }
-        // Same discipline as `poll_once`: prefetch cancellation happens
-        // under the disk-lock hold that applies the invalidations.
-        let mut disk = self.disk.lock();
-        if res.force_invalidate {
-            disk.invalidate_all_attrs();
-            self.cancel_all_prefetch();
-            self.drop_all_peer_hints();
-        }
-        for fh in &res.handles {
-            disk.invalidate_attr(*fh);
-            self.cancel_prefetch(*fh);
-            self.drop_peer_hint(*fh);
-        }
-        drop(disk);
-        let mut stats = self.stats.lock();
-        stats.piggyback_drains += 1;
-        stats.invalidations_applied += res.handles.len() as u64;
-        if res.force_invalidate {
-            stats.force_invalidations += 1;
-        }
-        drop(stats);
-        #[cfg(feature = "trace")]
-        self.emit_trace(ProtocolEvent::Validate {
-            client: self.id,
-            force: res.force_invalidate,
-            n: res.handles.len() as u32,
-            ts: res.timestamp,
-        });
+        self.stats.lock().piggyback_drains += 1;
+        self.apply_drain(res);
         if res.poll_again {
             // More pages are waiting server-side: kick the poller so a
             // real GETINV drains them now instead of at the next window.
@@ -887,6 +785,34 @@ impl ProxyClient {
                 poller.unpark();
             }
         }
+    }
+
+    /// Applies one invalidation drain, polled or piggybacked, and
+    /// records the validation. Prefetch cancellation happens under the
+    /// same disk-lock hold as the invalidations: a fetch still in flight
+    /// for an invalidated file must be discarded before any of its
+    /// stale bytes can reach the cache.
+    fn apply_drain(&self, res: &GetinvRes) {
+        let mut disk = self.disk.lock();
+        if res.force_invalidate {
+            self.invalidate_everything(&mut disk);
+        }
+        for fh in &res.handles {
+            self.invalidate_handle(&mut disk, *fh);
+        }
+        drop(disk);
+        let mut stats = self.stats.lock();
+        stats.invalidations_applied += res.handles.len() as u64;
+        if res.force_invalidate {
+            stats.force_invalidations += 1;
+        }
+        drop(stats);
+        self.emit_trace(ProtocolEvent::Validate {
+            client: self.id,
+            force: res.force_invalidate,
+            n: res.handles.len() as u32,
+            ts: res.timestamp,
+        });
     }
 
     fn served(&self) {
@@ -991,7 +917,7 @@ impl ProxyClient {
 
     fn op_lookup(&self, args: &[u8]) -> Result<Vec<u8>, RpcError> {
         let a: LookupArgs = decode(args)?;
-        if self.model.caches() {
+        if self.config.model.caches() {
             self.ensure_dir_bindings(a.dir);
         }
         if self.can_serve(a.dir) {
@@ -1052,7 +978,7 @@ impl ProxyClient {
         if self.state.lock().corrupted.contains(&a.file) {
             return encode(&ReadRes::Fail { status: Nfsstat3::Io, file_attributes: None });
         }
-        if self.model.caches() && self.can_serve(a.file) {
+        if self.config.model.caches() && self.can_serve(a.file) {
             if let Some(reply) = self.read_from_cache(&a)? {
                 return Ok(reply);
             }
@@ -1081,7 +1007,7 @@ impl ProxyClient {
         if let Ok(ReadRes::Ok { file_attributes, data, eof, .. }) =
             gvfs_xdr::from_bytes::<ReadRes>(&reply)
         {
-            if self.model.caches() {
+            if self.config.model.caches() {
                 {
                     let mut disk = self.disk.lock();
                     if let Some(attr) = file_attributes {
@@ -1139,7 +1065,6 @@ impl ProxyClient {
             stats.degraded_reads += 1;
             stats.served_local += 1;
         }
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::DegradedServe { client: self.id, fh: a.file.fileid() });
         let res = ReadRes::Ok {
             file_attributes: Some(attr),
@@ -1157,7 +1082,7 @@ impl ProxyClient {
     /// invalidation the server saw, so it vouches for the whole cache)
     /// and the file's own last forwarded access.
     fn degraded_fresh_enough(&self, fh: Fh3) -> bool {
-        let staleness = Duration::from_millis(self.max_staleness_ms.load(Ordering::SeqCst));
+        let Some(staleness) = self.config.max_staleness else { return false };
         let now = gvfs_netsim::now();
         let validated_ms = self.last_validated_ms.load(Ordering::SeqCst);
         let mut age = Self::now_dur().saturating_sub(Duration::from_millis(validated_ms));
@@ -1188,7 +1113,6 @@ impl ProxyClient {
             stats.degraded_reads += 1;
             stats.served_local += 1;
         }
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::DegradedServe { client: self.id, fh: fh.fileid() });
         encode(&GetattrRes::Ok(attr)).map(Some)
     }
@@ -1334,7 +1258,6 @@ impl ProxyClient {
         }
         for chunk in fallback {
             self.stats.lock().peer_fallbacks += 1;
-            #[cfg(feature = "trace")]
             self.emit_trace(ProtocolEvent::PeerFallback { client: self.id, fh: fh.fileid() });
             match self.send_chunk(fh, chunk, None) {
                 Some(f) => sent.push(f),
@@ -1361,7 +1284,7 @@ impl ProxyClient {
     /// The origin-attested peer advertisement for `fh`, when peer
     /// sourcing is on.
     fn peer_hint(&self, fh: Fh3) -> Option<PeerAdvert> {
-        if self.peer_read.load(Ordering::SeqCst) {
+        if self.config.peer_read {
             self.peer_hints.lock().get(&fh).cloned()
         } else {
             None
@@ -1445,15 +1368,12 @@ impl ProxyClient {
                 None
             }
         };
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::PeerFetch {
             client: self.id,
             peer: m.peer_id,
             fh: fh.fileid(),
             ok: verified.is_some(),
         });
-        #[cfg(not(feature = "trace"))]
-        let _ = m.peer_id;
         match verified {
             // Peers never carry attributes — the reader's own
             // origin-attested attributes stay authoritative.
@@ -1586,7 +1506,6 @@ impl ProxyClient {
         // as a post-flight timeout.
         if hint.holders.iter().any(|&h| h != self.id) {
             self.stats.lock().peer_fallbacks += 1;
-            #[cfg(feature = "trace")]
             self.emit_trace(ProtocolEvent::PeerFallback { client: self.id, fh: fh.fileid() });
         }
         None
@@ -1642,7 +1561,6 @@ impl ProxyClient {
         };
         if let PeerReadRes::Ok { data, .. } = &res {
             self.stats.lock().peer_bytes_served += data.len() as u64;
-            #[cfg(feature = "trace")]
             self.emit_trace(ProtocolEvent::PeerServe {
                 client: self.id,
                 fh: a.fh.fileid(),
@@ -1664,8 +1582,9 @@ impl ProxyClient {
             let disk = self.disk.lock();
             let Some(attr) = disk.attr(fh) else { return };
             let end = (offset + u64::from(count)).min(attr.size);
+            let (window, trigger) =
+                (self.config.readahead_window, self.config.readahead_trigger.max(1));
             let mut ra = self.readahead.lock();
-            let (window, trigger) = (ra.window, ra.trigger);
             let fs = ra.files.entry(fh).or_default();
             if offset == fs.next_expected || (offset < fs.next_expected && end > fs.next_expected) {
                 fs.run = fs.run.saturating_add(1);
@@ -1784,8 +1703,8 @@ impl ProxyClient {
         if self.state.lock().corrupted.contains(&a.file) {
             return encode(&WriteRes::Fail { status: Nfsstat3::Io, file_wcc: WccData::default() });
         }
-        let wb_allowed = self.write_back
-            && match self.model {
+        let wb_allowed = self.config.write_back
+            && match self.config.model {
                 ConsistencyModel::Passthrough => false,
                 ConsistencyModel::InvalidationPolling { .. } => true,
                 ConsistencyModel::DelegationCallback(_) => {
@@ -1827,7 +1746,7 @@ impl ProxyClient {
         }
         let reply = self.forward(proc3::WRITE, args.to_vec(), Some(a.file))?;
         if let Ok(WriteRes::Ok { file_wcc, .. }) = gvfs_xdr::from_bytes::<WriteRes>(&reply) {
-            if self.model.caches() {
+            if self.config.model.caches() {
                 let mut disk = self.disk.lock();
                 if let Some(attr) = file_wcc.after {
                     disk.put_attr_own_write(a.file, attr);
@@ -1859,7 +1778,7 @@ impl ProxyClient {
         if let Ok(gvfs_nfs3::NewObjRes::Ok { obj, obj_attributes, dir_wcc }) =
             gvfs_xdr::from_bytes::<gvfs_nfs3::NewObjRes>(&reply)
         {
-            if self.model.caches() {
+            if self.config.model.caches() {
                 let mut disk = self.disk.lock();
                 if let (Some(fh), Some(attr)) = (obj, obj_attributes) {
                     disk.put_attr(fh, attr);
@@ -1877,7 +1796,7 @@ impl ProxyClient {
         let a: DirOpArgs = decode(args)?;
         let reply = self.forward(procedure, args.to_vec(), Some(a.dir))?;
         if let Ok(res) = gvfs_xdr::from_bytes::<gvfs_nfs3::DirOpRes>(&reply) {
-            if self.model.caches() && res.status.is_ok() {
+            if self.config.model.caches() && res.status.is_ok() {
                 let mut disk = self.disk.lock();
                 if let Some(Some(gone)) = disk.lookup(a.dir, &a.name) {
                     disk.forget_file(gone);
@@ -1903,7 +1822,7 @@ impl ProxyClient {
         let a: RenameArgs = decode(args)?;
         let reply = self.forward(proc3::RENAME, args.to_vec(), Some(a.from_dir))?;
         if let Ok(res) = gvfs_xdr::from_bytes::<gvfs_nfs3::RenameRes>(&reply) {
-            if self.model.caches() && res.status.is_ok() {
+            if self.config.model.caches() && res.status.is_ok() {
                 let mut disk = self.disk.lock();
                 let moved = disk.lookup(a.from_dir, &a.from_name).flatten();
                 disk.put_negative_lookup(a.from_dir, &a.from_name);
@@ -1925,7 +1844,7 @@ impl ProxyClient {
         let a: LinkArgs = decode(args)?;
         let reply = self.forward(proc3::LINK, args.to_vec(), Some(a.dir))?;
         if let Ok(res) = gvfs_xdr::from_bytes::<gvfs_nfs3::LinkRes>(&reply) {
-            if self.model.caches() && res.status.is_ok() {
+            if self.config.model.caches() && res.status.is_ok() {
                 let mut disk = self.disk.lock();
                 disk.put_lookup(a.dir, &a.name, a.file);
                 if let Some(attr) = res.file_attributes {
@@ -1943,7 +1862,7 @@ impl ProxyClient {
         let a: gvfs_nfs3::SetattrArgs = decode(args)?;
         let reply = self.forward(proc3::SETATTR, args.to_vec(), Some(a.object))?;
         if let Ok(res) = gvfs_xdr::from_bytes::<SetattrRes>(&reply) {
-            if self.model.caches() && res.status.is_ok() {
+            if self.config.model.caches() && res.status.is_ok() {
                 if let Some(attr) = res.obj_wcc.after {
                     self.disk.lock().put_attr_own_write(a.object, attr);
                 }
@@ -1959,7 +1878,7 @@ impl ProxyClient {
             decode::<gvfs_nfs3::ReaddirplusArgs>(args)?.dir
         };
         let reply = self.forward(procedure, args.to_vec(), Some(dir))?;
-        if self.model.caches() {
+        if self.config.model.caches() {
             if procedure == proc3::READDIR {
                 if let Ok(ReaddirRes::Ok { dir_attributes: Some(attr), .. }) =
                     gvfs_xdr::from_bytes::<ReaddirRes>(&reply)
@@ -2018,36 +1937,8 @@ impl ProxyClient {
             let started_ms = u64::try_from(started.as_millis()).unwrap_or(u64::MAX);
             self.last_validated_ms.fetch_max(started_ms, Ordering::SeqCst);
             *self.poll_ts.lock() = Some(res.timestamp);
-            // Cancellations happen under the same disk-lock hold as the
-            // invalidations: a prefetch still in flight for an
-            // invalidated file must be discarded before any of its
-            // stale bytes can reach the cache.
-            let mut disk = self.disk.lock();
-            if res.force_invalidate {
-                disk.invalidate_all_attrs();
-                self.cancel_all_prefetch();
-                self.drop_all_peer_hints();
-            }
-            for fh in &res.handles {
-                disk.invalidate_attr(*fh);
-                self.cancel_prefetch(*fh);
-                self.drop_peer_hint(*fh);
-                applied += 1;
-            }
-            drop(disk);
-            let mut stats = self.stats.lock();
-            stats.invalidations_applied += res.handles.len() as u64;
-            if res.force_invalidate {
-                stats.force_invalidations += 1;
-            }
-            drop(stats);
-            #[cfg(feature = "trace")]
-            self.emit_trace(ProtocolEvent::Validate {
-                client: self.id,
-                force: res.force_invalidate,
-                n: res.handles.len() as u32,
-                ts: res.timestamp,
-            });
+            self.apply_drain(&res);
+            applied += res.handles.len();
             if !res.poll_again {
                 self.settle_disk();
                 return Some(applied);
@@ -2121,7 +2012,7 @@ impl ProxyClient {
         if blocks.is_empty() {
             return;
         }
-        if !self.pipeline.load(Ordering::SeqCst) {
+        if !self.config.pipeline_writeback {
             for &block in blocks {
                 self.flush_block(fh, block);
             }
@@ -2301,9 +2192,7 @@ impl ProxyClient {
             st.noncacheable.clear();
         }
         let discarded = self.reconcile_dirty(false);
-        let _ = &discarded;
         self.stats.lock().repromotions += 1;
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::Repromote {
             client: self.id,
             discarded: discarded.len() as u32,
@@ -2332,7 +2221,6 @@ impl ProxyClient {
     fn handle_callback(&self, args: &[u8]) -> Result<Vec<u8>, RpcError> {
         let a: CallbackArgs = decode(args)?;
         self.stats.lock().callbacks += 1;
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::RecallRecv {
             client: self.id,
             fh: a.fh.fileid(),
@@ -2341,72 +2229,53 @@ impl ProxyClient {
                 CallbackKind::RecallWrite => TraceKind::Write,
             },
         });
-        match a.kind {
-            CallbackKind::RecallRead => {
-                self.state.lock().delegations.remove(&a.fh);
-                {
-                    let mut disk = self.disk.lock();
-                    disk.invalidate_attr(a.fh);
-                    self.cancel_prefetch(a.fh);
-                    self.drop_peer_hint(a.fh);
-                }
-                encode(&CallbackRes::default())
-            }
-            CallbackKind::RecallWrite => {
-                self.state.lock().delegations.remove(&a.fh);
-                {
-                    let mut disk = self.disk.lock();
-                    disk.invalidate_attr(a.fh);
-                    self.cancel_prefetch(a.fh);
-                    self.drop_peer_hint(a.fh);
-                }
-                let blocks = self.disk.lock().dirty_blocks(a.fh, BLOCK_SIZE);
-                if blocks.is_empty() {
-                    return encode(&CallbackRes::default());
-                }
-                let threshold = self.deleg_config().partial_writeback_threshold;
-                if blocks.len() <= threshold {
-                    // Small enough: flush inline (pipelined) before
-                    // replying.
-                    self.flush_blocks(a.fh, &blocks);
-                    encode(&CallbackRes::default())
-                } else {
-                    // Partial write-back: submit the contended block
-                    // immediately, report the rest, trickle them in the
-                    // background (§4.3.2). A metadata-only recall (no
-                    // requested block) flushes the highest block so the
-                    // server's file size becomes correct at once.
-                    let mut remaining = blocks;
-                    let wanted =
-                        a.requested_offset.map(block_of).or_else(|| remaining.last().copied());
-                    if let Some(wanted) = wanted {
-                        if let Some(pos) = remaining.iter().position(|b| *b == wanted) {
-                            remaining.remove(pos);
-                            self.flush_block(a.fh, wanted);
-                        }
-                    }
-                    {
-                        let mut q = self.flush_queue.lock();
-                        for block in &remaining {
-                            q.push_back((a.fh, *block));
-                        }
-                    }
-                    if let Some(h) = self.flusher.lock().clone() {
-                        h.unpark();
-                    }
-                    encode(&CallbackRes { pending_blocks: remaining })
-                }
+        self.state.lock().delegations.remove(&a.fh);
+        {
+            let mut disk = self.disk.lock();
+            self.invalidate_handle(&mut disk, a.fh);
+        }
+        if matches!(a.kind, CallbackKind::RecallRead) {
+            return encode(&CallbackRes::default());
+        }
+        let blocks = self.disk.lock().dirty_blocks(a.fh, BLOCK_SIZE);
+        if blocks.is_empty() {
+            return encode(&CallbackRes::default());
+        }
+        let threshold = self.deleg_config().partial_writeback_threshold;
+        if blocks.len() <= threshold {
+            // Small enough: flush inline (pipelined) before replying.
+            self.flush_blocks(a.fh, &blocks);
+            return encode(&CallbackRes::default());
+        }
+        // Partial write-back: submit the contended block immediately,
+        // report the rest, trickle them in the background (§4.3.2). A
+        // metadata-only recall (no requested block) flushes the highest
+        // block so the server's file size becomes correct at once.
+        let mut remaining = blocks;
+        let wanted = a.requested_offset.map(block_of).or_else(|| remaining.last().copied());
+        if let Some(wanted) = wanted {
+            if let Some(pos) = remaining.iter().position(|b| *b == wanted) {
+                remaining.remove(pos);
+                self.flush_block(a.fh, wanted);
             }
         }
+        {
+            let mut q = self.flush_queue.lock();
+            for block in &remaining {
+                q.push_back((a.fh, *block));
+            }
+        }
+        if let Some(h) = self.flusher.lock().clone() {
+            h.unpark();
+        }
+        encode(&CallbackRes { pending_blocks: remaining })
     }
 
     fn handle_recover(&self) -> Result<Vec<u8>, RpcError> {
         // Cache-wide callback: invalidate all attributes and report the
         // files we hold dirty so the server can rebuild its table.
         let mut disk = self.disk.lock();
-        disk.invalidate_all_attrs();
-        self.cancel_all_prefetch();
-        self.drop_all_peer_hints();
+        self.invalidate_everything(&mut disk);
         let dirty_files = disk.dirty_files();
         drop(disk);
         self.state.lock().delegations.clear();
@@ -2424,7 +2293,6 @@ impl ProxyClient {
     ///
     /// Returns the handles found corrupted.
     pub fn crash_recover(&self) -> Vec<Fh3> {
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::ClientCrash { client: self.id });
         self.crash_recover_inner()
     }
@@ -2436,7 +2304,6 @@ impl ProxyClient {
     /// usual crash recovery of [`ProxyClient::crash_recover`] runs over
     /// whatever dirty data provably survived.
     pub fn crash_restart(&self) -> Vec<Fh3> {
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::ClientCrash { client: self.id });
         self.disk.lock().crash_reopen_store();
         // Replaying the on-disk index is real I/O: charge it to the
@@ -2456,9 +2323,7 @@ impl ProxyClient {
         self.last_validated_ms.store(0, Ordering::SeqCst);
         {
             let mut disk = self.disk.lock();
-            disk.invalidate_all_attrs();
-            self.cancel_all_prefetch();
-            self.drop_all_peer_hints();
+            self.invalidate_everything(&mut disk);
         }
         self.reconcile_dirty(true)
     }

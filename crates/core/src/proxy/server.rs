@@ -44,7 +44,6 @@ use crate::protocol::{
     GVFS_VERSION, MAX_PEER_HOLDERS,
 };
 use crate::proxy::{block_of, classify, OpClass};
-#[cfg(feature = "trace")]
 use crate::trace::{ProtocolEvent, TraceBuffer, TraceKind};
 use gvfs_netsim::transport::SimRpcClient;
 use gvfs_netsim::{ActorHandle, SimTime};
@@ -296,7 +295,6 @@ pub struct ProxyServer {
     /// by the session. Grant/recall/revocation events are recorded
     /// under the owning shard's lock so the per-file subsequence is
     /// linearized exactly as the table decided it.
-    #[cfg(feature = "trace")]
     trace: std::sync::OnceLock<Arc<TraceBuffer>>,
 }
 
@@ -337,14 +335,12 @@ impl ProxyServer {
             health_evicted: AtomicU64::new(0),
             piggyback_inval: AtomicBool::new(false),
             peer_read: AtomicBool::new(false),
-            #[cfg(feature = "trace")]
             trace: std::sync::OnceLock::new(),
         })
     }
 
     /// Installs the shared protocol-trace buffer (first call wins) and
     /// turns on per-event lease-revocation recording in every shard.
-    #[cfg(feature = "trace")]
     pub fn install_trace(&self, buf: Arc<TraceBuffer>) {
         let _ = self.trace.set(buf);
         for shard in &self.shards {
@@ -352,7 +348,6 @@ impl ProxyServer {
         }
     }
 
-    #[cfg(feature = "trace")]
     fn emit_trace(&self, ev: ProtocolEvent) {
         if let Some(buf) = self.trace.get() {
             buf.record(ev);
@@ -391,7 +386,9 @@ impl ProxyServer {
                 self.finish_recall(&action, None);
                 continue;
             }
-            self.acquire_fanout_slot(&mut in_flight);
+            self.acquire_fanout_slot(&mut in_flight, |f| {
+                self.finish_recall(&f.action, Some(f.call));
+            });
             match self.send_recall(&action) {
                 Some(call) => in_flight.push_back(RecallInFlight { action, call }),
                 None => {
@@ -408,18 +405,18 @@ impl ProxyServer {
         }
     }
 
-    /// Takes one fan-out window slot. While the window is full this
-    /// round retires its *own* oldest in-flight recall first (a round
-    /// larger than the window can therefore never deadlock on slots it
-    /// holds itself), and parks only when another handler owns the
-    /// missing slot.
-    fn acquire_fanout_slot(&self, in_flight: &mut VecDeque<RecallInFlight>) {
+    /// Takes one fan-out window slot for a recall or `RECOVER` round.
+    /// While the window is full the round claims its *own* oldest
+    /// in-flight callback first with `retire` (a round larger than the
+    /// window can therefore never deadlock on slots it holds itself),
+    /// and parks only when another handler owns the missing slot.
+    fn acquire_fanout_slot<T>(&self, in_flight: &mut VecDeque<T>, mut retire: impl FnMut(T)) {
         loop {
             if self.fanout.try_acquire() {
                 return;
             }
             if let Some(f) = in_flight.pop_front() {
-                self.finish_recall(&f.action, Some(f.call));
+                retire(f);
                 self.fanout.release();
                 // The freed slot may have gone to a parked waiter;
                 // retry rather than assume it is ours.
@@ -468,14 +465,12 @@ impl ProxyServer {
     /// survives. The configured invalidation-buffer capacity is
     /// configuration, not volatile state, and survives too.
     pub fn crash(&self) {
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::ServerCrash);
         self.inval.reset(self.inval.capacity());
         for shard in &self.shards {
             let mut table = shard.deleg.lock();
             let config = *table.config();
             *table = DelegationTable::new(config);
-            #[cfg(feature = "trace")]
             if self.trace.get().is_some() {
                 table.set_revocation_log(true);
             }
@@ -505,18 +500,9 @@ impl ProxyServer {
         let mut answered = 0;
         for client in clients {
             let Some(transport) = self.callbacks.read().get(&client).cloned() else { continue };
-            loop {
-                if self.fanout.try_acquire() {
-                    break;
-                }
-                if let Some((c, t, call)) = in_flight.pop_front() {
-                    answered += usize::from(self.finish_recover(c, &t, call));
-                    self.fanout.release();
-                    continue;
-                }
-                self.fanout.acquire();
-                break;
-            }
+            self.acquire_fanout_slot(&mut in_flight, |(c, t, call)| {
+                answered += usize::from(self.finish_recover(c, &t, call));
+            });
             match transport.send(GVFS_CALLBACK_PROGRAM, GVFS_VERSION, proc_ext::RECOVER, Vec::new())
             {
                 Ok(call) => in_flight.push_back((client, transport, call)),
@@ -527,7 +513,6 @@ impl ProxyServer {
             answered += usize::from(self.finish_recover(c, &t, call));
             self.fanout.release();
         }
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::ServerRecover { answered: answered as u32 });
         answered
     }
@@ -547,7 +532,6 @@ impl ProxyServer {
             if !files.is_empty() {
                 let mut table = self.shards[i].deleg.lock();
                 table.recover_client(client, files, now);
-                #[cfg(feature = "trace")]
                 for &fh in files.iter() {
                     self.emit_trace(ProtocolEvent::Regrant { client, fh: fh.fileid() });
                 }
@@ -721,7 +705,6 @@ impl ProxyServer {
         // A half-open breaker lets the recall through as the probe.
         if self.client_breaker(action.client).state(now_dur()) == BreakerState::Open {
             self.recalls_short_circuited.fetch_add(1, Ordering::SeqCst);
-            #[cfg(feature = "trace")]
             self.emit_trace(ProtocolEvent::RecallShort {
                 client: action.client,
                 fh: action.fh.fileid(),
@@ -737,7 +720,6 @@ impl ProxyServer {
     fn send_recall(&self, action: &RecallAction) -> Option<(SimRpcClient, PendingCall)> {
         let transport = self.callbacks.read().get(&action.client).cloned();
         let Some(transport) = transport else {
-            #[cfg(feature = "trace")]
             self.emit_trace(ProtocolEvent::RecallFail {
                 client: action.client,
                 fh: action.fh.fileid(),
@@ -763,7 +745,6 @@ impl ProxyServer {
                 if e.trips_breaker() {
                     self.client_breaker(action.client).on_failure(now_dur());
                 }
-                #[cfg(feature = "trace")]
                 self.emit_trace(ProtocolEvent::RecallFail {
                     client: action.client,
                     fh: action.fh.fileid(),
@@ -773,7 +754,6 @@ impl ProxyServer {
         };
         if sent.is_some() {
             self.recalls_sent.fetch_add(1, Ordering::SeqCst);
-            #[cfg(feature = "trace")]
             self.emit_trace(ProtocolEvent::RecallSent {
                 client: action.client,
                 fh: action.fh.fileid(),
@@ -814,12 +794,9 @@ impl ProxyServer {
             }
             None => (Vec::new(), false),
         };
-        let _ = answered;
-        #[cfg(feature = "trace")]
         let pending = pending_blocks.len() as u32;
         let mut table = self.deleg_shard(action.fh).deleg.lock();
         table.recall_done(action.fh, action.client, pending_blocks);
-        #[cfg(feature = "trace")]
         self.emit_trace(ProtocolEvent::RecallDone {
             client: action.client,
             fh: action.fh.fileid(),
@@ -897,7 +874,6 @@ impl ProxyServer {
                     let (g, recalls) = table.access(*fh, client, *write, *offset, now);
                     // Emission happens under the shard lock so the
                     // trace's per-file order is the table's own.
-                    #[cfg(feature = "trace")]
                     {
                         for (revoked, rfh) in table.take_revocations() {
                             self.emit_trace(ProtocolEvent::LeaseRevoke {
@@ -958,7 +934,6 @@ impl ProxyServer {
                     if i == 0 {
                         grant = DelegationGrant::NonCacheable;
                     }
-                    #[cfg(feature = "trace")]
                     self.emit_trace(ProtocolEvent::Grant {
                         client,
                         fh: fh.fileid(),

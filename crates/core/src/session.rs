@@ -7,7 +7,8 @@
 //! middleware does — dynamic creation and configuration of the proxies
 //! with the session's consistency model and cache policy — and spawns
 //! the background actors (invalidation pollers, write-back flushers,
-//! the delegation sweeper).
+//! the delegation sweeper). Each proxy client is built from the
+//! [`SessionConfig`] in one constructor and never reconfigured.
 //!
 //! [`NativeMount`] builds the baseline the paper compares against:
 //! kernel NFS clients talking straight to the kernel NFS server across
@@ -16,6 +17,9 @@
 use crate::model::ConsistencyModel;
 use crate::proxy::client::{CallbackService, ProxyClient};
 use crate::proxy::server::ProxyServer;
+use crate::store::mem::MemStore;
+use crate::store::persist::{PersistConfig, PersistentStore};
+use crate::store::BlockStore;
 use gvfs_netsim::link::{Link, LinkConfig};
 use gvfs_netsim::transport::{ServerNode, SimRpcClient};
 use gvfs_netsim::Sim;
@@ -279,42 +283,26 @@ impl SessionBuilder {
                 wan_stats.clone(),
             )
             .with_credential(OpaqueAuth::gvfs(&cred).expect("encode credential"));
-            let (proxy, disk) = if config.persistent_store {
+            let (store, disk): (Box<dyn BlockStore>, _) = if config.persistent_store {
                 let disk = self
                     .client_disks
                     .as_ref()
                     .and_then(|disks| disks.get(i).cloned())
                     .unwrap_or_else(|| gvfs_netsim::disk::VirtualDisk::new(config.disk));
-                let store = crate::store::persist::PersistentStore::open(
+                let store = PersistentStore::open(
                     Arc::clone(&disk),
-                    crate::store::persist::PersistConfig {
+                    PersistConfig {
                         capacity: config.disk_cache_bytes,
                         block_size: u64::from(gvfs_server::TRANSFER_SIZE),
                         file_threshold: config.store_file_threshold,
-                        ..crate::store::persist::PersistConfig::default()
+                        ..PersistConfig::default()
                     },
                 );
-                let proxy = ProxyClient::with_store(
-                    id,
-                    config.model,
-                    config.write_back,
-                    wan,
-                    Box::new(store),
-                );
-                (proxy, Some(disk))
+                (Box::new(store), Some(disk))
             } else {
-                let proxy = ProxyClient::new(
-                    id,
-                    config.model,
-                    config.write_back,
-                    wan,
-                    config.disk_cache_bytes,
-                );
-                (proxy, None)
+                (Box::new(MemStore::new(config.disk_cache_bytes)), None)
             };
-            proxy.set_pipelining(config.pipeline_writeback);
-            proxy.set_readahead(config.readahead_window, config.readahead_trigger);
-            proxy.set_resilience(config.retry_budget, config.degrade_after, config.max_staleness);
+            let proxy = ProxyClient::new(id, &config, wan, store);
 
             // Callback service node, reached from the proxy server over
             // the reverse WAN direction (and from peers over the LAN).
@@ -390,9 +378,6 @@ impl SessionBuilder {
         let mut peer_links = std::collections::HashMap::new();
         if config.peer_read {
             proxy_server.set_peer_read(true);
-            for end in &clients {
-                end.proxy.set_peer_read(true);
-            }
             for i in 0..clients.len() {
                 for j in i + 1..clients.len() {
                     let (id_i, id_j) = (i as u32 + 1, j as u32 + 1);
@@ -559,7 +544,6 @@ impl Session {
     /// every proxy client, emits the `meta` record the replay checker
     /// needs, and returns the shared buffer. Call once, before virtual
     /// time starts.
-    #[cfg(feature = "trace")]
     pub fn install_trace(&self) -> Arc<crate::trace::TraceBuffer> {
         let buf = crate::trace::TraceBuffer::new();
         let lease_ms = match self.config.model {

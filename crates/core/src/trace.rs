@@ -9,10 +9,9 @@
 //! and chaos run into a spec-conformance run (TLA+-style trace
 //! validation).
 //!
-//! Emission is gated behind the `trace` cargo feature: without it the
-//! proxies carry no sink and no call site is compiled, so the hot path
-//! pays nothing. The event types themselves are always compiled so the
-//! schema (and its serialization tests) do not depend on the feature.
+//! Every build compiles the emission sites. A proxy records only once
+//! the session installs a buffer (`Session::install_trace`); until then
+//! each site costs one empty `OnceLock` check.
 //!
 //! # Trace schema (JSONL)
 //!

@@ -263,7 +263,8 @@ fn gap_only_fetch_skips_dirty_edges() {
     // A read spanning [dirty][gap][dirty] must fetch only the gap —
     // exactly one WAN READ — and must never refetch (and thus clobber)
     // the locally delayed dirty bytes.
-    let config = SessionConfig { write_back: true, ..polling(300) };
+    // Readahead off: this test isolates the gap planner.
+    let config = SessionConfig { write_back: true, readahead_window: 0, ..polling(300) };
     let sim = Sim::new();
     let session = Session::builder(config).clients(1).establish(&sim);
     let transport = session.client_transport(0);
@@ -271,12 +272,8 @@ fn gap_only_fetch_skips_dirty_edges() {
     let wan = session.wan_stats().clone();
     let handle = session.handle();
     seed(session.vfs(), "gappy", &vec![4u8; BLOCK as usize]);
-    let session = Arc::new(session);
-    let s2 = Arc::clone(&session);
     sim.spawn("app", move || {
         let client = NfsClient::new(transport, root, MountOptions::noac());
-        // Readahead off: this test isolates the gap planner.
-        s2.proxy_client(0).set_readahead(0, 2);
         let fh = client.open("/gappy").unwrap();
         // Delay dirty writes at the two edges of the block.
         client.write(fh, 0, &[9u8; 100]).unwrap();

@@ -9,6 +9,9 @@ use gvfs_core::protocol::{proc_ext, GVFS_PROXY_PROGRAM};
 use gvfs_core::session::{Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
 use gvfs_netsim::Sim;
+use gvfs_nfs3::{proc3, GetattrArgs};
+use gvfs_rpc::dispatch::RpcService;
+use gvfs_rpc::RpcError;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -178,4 +181,46 @@ fn blocked_forward_backs_off_and_completes_after_heal() {
         "195 s of partition burned {tries} unreachable attempts; \
          the 1 s-doubling-to-60 s back-off allows at most ~ten"
     );
+}
+
+/// `SessionConfig::retry_budget` bounds the hard-retry loop: with the
+/// WAN partitioned for good and a budget of three, a forwarded call
+/// gives up after exactly three retransmissions and surfaces the
+/// transport error instead of holding the request forever.
+#[test]
+fn retry_budget_bounds_the_hard_retry_loop() {
+    let sim = Sim::new();
+    let session = Arc::new(
+        Session::builder(SessionConfig {
+            model: ConsistencyModel::Passthrough,
+            retry_budget: 3,
+            ..SessionConfig::default()
+        })
+        .clients(1)
+        .establish(&sim),
+    );
+    let outcome = Arc::new(Mutex::new(None));
+    {
+        let session = Arc::clone(&session);
+        let outcome = Arc::clone(&outcome);
+        let handle = session.handle();
+        sim.spawn("rb-caller", move || {
+            session.wan_link(0).set_partitioned(true);
+            let args = gvfs_xdr::to_bytes(&GetattrArgs { object: session.root_fh() })
+                .expect("encode GETATTR");
+            let proxy = session.proxy_client(0);
+            let t0 = gvfs_netsim::now();
+            let res = proxy.call(proc3::GETATTR, &args);
+            let elapsed = gvfs_netsim::now().saturating_since(t0);
+            *outcome.lock() = Some((res, elapsed, proxy.stats().transport_retries));
+            handle.shutdown();
+        });
+    }
+    sim.run();
+
+    let (res, elapsed, retries) = outcome.lock().take().expect("caller ran");
+    assert_eq!(res, Err(RpcError::Unreachable), "the call must fail, not hang");
+    assert_eq!(retries, 3, "exactly the budgeted retransmissions");
+    // Back-off of 1 + 2 + 4 s, plus under half of each in jitter.
+    assert!(elapsed < Duration::from_millis(10_500), "gave up after {elapsed:?}");
 }
