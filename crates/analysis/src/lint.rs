@@ -53,14 +53,14 @@ use std::path::{Path, PathBuf};
 ///
 /// Rank 0 is the session layer (callback routes, persisted client
 /// list), then the client disk cache, then the proxy-client volatile
-/// state, the server's per-shard delegation tables (`deleg`, one
-/// mutex per file-handle shard; a thread holds at most one shard at a
-/// time, so the shards share a rank) and the client readahead window,
+/// state, the server's delegation table (`deleg`, one mutex over the
+/// whole open-file table) and the client readahead window,
 /// then the persistent block store's extent index (`index`, reached
 /// under the disk-cache guard — and, on the fill path, the readahead
 /// guard too — so it must rank below both; it shares a rank with the
-/// server's sharded invalidation tracker `buffers` because the client
-/// store and the server tracker never interleave), then the store's
+/// server's invalidation tracker `buffers`, one mutex over every
+/// client's buffer, because the client store and the server tracker
+/// never interleave), then the store's
 /// WAL appender (`wal`, taken under `index` to keep log order matching
 /// index order), then the write-back/invalidation plumbing, then
 /// actor handles (flusher/poller/supervisor/scrubber), the server's per-client
@@ -97,7 +97,7 @@ pub const LOCK_ORDER: &[(&str, u32)] = &[
     ("fanout", 8),
     ("peers", 8),
     ("peer_hints", 8),
-    // The protocol-trace buffer is written under the deleg shard lock
+    // The protocol-trace buffer is written under the `deleg` lock
     // (so per-file event order matches the table's linearization) and
     // must therefore rank below everything that may be held at an
     // emission point.

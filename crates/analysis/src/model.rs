@@ -2,11 +2,11 @@
 //!
 //! The delegation table ([`gvfs_core::delegation::DelegationTable`]) and
 //! the invalidation buffers
-//! ([`gvfs_core::invalidation::ConcurrentInvalidationTracker`], the
-//! striped tracker the proxy server runs) are the two pieces of the
-//! protocol whose correctness is a *global* property — no unit test of a
-//! single call sequence can show that write delegations are exclusive in
-//! every interleaving. This module drives the shipped implementations
+//! ([`gvfs_core::invalidation::ConcurrentInvalidationTracker`]) — the
+//! one table and the one tracker the proxy server runs — are the two
+//! pieces of the protocol whose correctness is a *global* property — no
+//! unit test of a single call sequence can show that write delegations
+//! are exclusive in every interleaving. This module drives the shipped implementations
 //! through exhaustive breadth-first exploration of
 //! small configurations (2–3 clients, 1–2 files) and checks safety
 //! invariants in every reachable state:
@@ -543,7 +543,7 @@ impl InvalState {
             InvalAction::ServerRestart => {
                 // The crash path the proxy server takes: every buffer
                 // is dropped and the clock restarts.
-                self.tracker.reset(self.capacity);
+                self.tracker.reset();
                 for cs in self.spec.values_mut() {
                     cs.registered = false;
                     cs.wrapped = false;

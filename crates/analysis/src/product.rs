@@ -413,7 +413,7 @@ impl ProductState {
                 if write {
                     // The write condemns every cached copy: the tracker
                     // enqueues the invalidation and, under the same
-                    // stripe lock, de-advertises all peer holders; the
+                    // `buffers` lock, de-advertises all peer holders; the
                     // origin bumps the content version. The writer's own
                     // copy turns dirty, which a peer answers as a miss.
                     self.tracker.record_modification(fh, client);

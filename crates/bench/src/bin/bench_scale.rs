@@ -9,9 +9,7 @@
 //!    in-flight high-water mark.
 //! 2. **GETINV at scale** — N polling clients bootstrap, a writer
 //!    churns files, every client drains. Measured: poll throughput,
-//!    p50/p99 GETINV latency, stripe-lock contention, and the
-//!    batched-drain coalescing (stripe passes instead of per-client
-//!    lock acquisitions).
+//!    p50/p99 GETINV latency and invalidation-lock contention.
 //! 3. **piggybacked drains** — the same drain riding back on ordinary
 //!    NFS replies: steady-state polls cost zero extra WAN messages.
 //! 4. **paged drains** — a churn burst larger than one reply pages
@@ -33,7 +31,7 @@
 use gvfs_bench::scale::{
     cred, drive, fanout_round, getinv_call, percentile, write_call, World, DRIVERS,
 };
-use gvfs_core::protocol::{proc_ext, GetinvRes, WrappedReply, GVFS_PROXY_PROGRAM, GVFS_VERSION};
+use gvfs_core::protocol::{proc_ext, WrappedReply, GVFS_PROXY_PROGRAM, GVFS_VERSION};
 use gvfs_core::ConsistencyModel;
 use gvfs_netsim::transport::SimRpcClient;
 use gvfs_netsim::Sim;
@@ -251,43 +249,6 @@ fn polling_phases(clients: usize) -> (f64, f64, serde_json::Value) {
     v.expect("polling phases produced no result")
 }
 
-/// Tracker-level coalescing: many clients drained under one stripe
-/// pass (`getinv_batch`) against one lock acquisition per client. Pure
-/// data-structure comparison — deterministic counters, no sim.
-fn batch_coalescing(clients: usize) -> serde_json::Value {
-    use gvfs_core::invalidation::ConcurrentInvalidationTracker;
-    let run = |batched: bool| -> (u64, Vec<GetinvRes>) {
-        let tracker = ConcurrentInvalidationTracker::new(1024);
-        for i in 0..clients {
-            tracker.getinv(i as u32 + 1, None);
-        }
-        for fh in 0..16u64 {
-            tracker.record_modification(Fh3::from_fileid(fh), 0);
-        }
-        let before = tracker.scale_counters().lock_acquisitions;
-        let requests: Vec<(u32, Option<u64>)> =
-            (0..clients).map(|i| (i as u32 + 1, Some(0))).collect();
-        let replies = if batched {
-            tracker.getinv_batch(&requests)
-        } else {
-            requests.iter().map(|&(c, last)| tracker.getinv(c, last)).collect()
-        };
-        (tracker.scale_counters().lock_acquisitions - before, replies)
-    };
-    let (unbatched_locks, unbatched_replies) = run(false);
-    let (batched_locks, batched_replies) = run(true);
-    assert_eq!(unbatched_replies, batched_replies, "coalescing must not change replies");
-    assert!(
-        batched_locks < unbatched_locks,
-        "one stripe pass must beat per-client locking ({batched_locks} vs {unbatched_locks})"
-    );
-    serde_json::json!({
-        "drains": clients,
-        "unbatched_lock_acquisitions": unbatched_locks,
-        "batched_lock_acquisitions": batched_locks,
-    })
-}
-
 fn main() {
     let small = gvfs_bench::small_mode();
     let arms: &[usize] = if small { &[48, 96] } else { &[1000, 2500] };
@@ -305,7 +266,6 @@ fn main() {
         }
         let speedup = round[0] / round[1];
         let (polls_per_sec, p99, polling) = polling_phases(clients);
-        let batch = batch_coalescing(clients);
         rows.push(vec![
             clients.to_string(),
             format!("{:.3}", round[0]),
@@ -319,7 +279,6 @@ fn main() {
             "fanout": fanout,
             "fanout_speedup": speedup,
             "polling": polling,
-            "batch_coalescing": batch,
         }));
         assert!(
             speedup >= 2.0,

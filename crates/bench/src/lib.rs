@@ -213,7 +213,7 @@ pub fn rpc_meta(snap: &StatsSnapshot) -> serde_json::Value {
 }
 
 /// The proxy server's scale counters (fan-out window, delegation and
-/// invalidation footprint, stripe-lock contention, batch volumes) as a
+/// invalidation footprint, invalidation-lock contention, drain volumes) as a
 /// figure/bench `server` JSON block.
 pub fn server_meta(server: &gvfs_core::proxy::server::ProxyServer) -> serde_json::Value {
     let s = server.scale_stats();

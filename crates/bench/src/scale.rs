@@ -88,9 +88,9 @@ impl World {
         let loopback = Link::new(LinkConfig::loopback());
         let server = ProxyServer::new(
             model,
+            1024,
             SimRpcClient::new(loopback.forward(), Arc::clone(&nfs_node), RpcStats::new()),
         );
-        server.set_invalidation_capacity(1024);
         let mut ps_dispatcher = Dispatcher::new();
         ps_dispatcher.register_arc(Arc::clone(&server) as Arc<dyn RpcService>);
         let node = ServerNode::new("proxy-server", ps_dispatcher, Duration::from_micros(1000));

@@ -9,42 +9,35 @@
 //! those cases.
 //!
 //! There is one tracker, [`ConcurrentInvalidationTracker`], and it is
-//! the one the proxy server runs: the logical clock is atomic and client
-//! buffers are striped across a fixed set of locks, so request handlers
-//! for different clients append and drain invalidations without
-//! serializing on one global mutex, and a modification pass costs one
-//! lock acquisition per stripe rather than one per client. It also
-//! supports piggybacked drains
-//! ([`ConcurrentInvalidationTracker::try_drain`]), batched drains under
-//! one stripe pass ([`ConcurrentInvalidationTracker::getinv_batch`]),
-//! epoch-based idle-client eviction
+//! the one the proxy server runs: the logical clock is atomic and every
+//! client buffer lives in one map behind one lock, so a modification
+//! pass costs one lock acquisition however many clients are
+//! registered. The lock counts its acquisitions and contended
+//! acquisitions, so a real-transport run can show whether contention
+//! ever appears. It also supports piggybacked drains
+//! ([`ConcurrentInvalidationTracker::try_drain`]), epoch-based
+//! idle-client eviction
 //! ([`ConcurrentInvalidationTracker::advance_epoch`]) and the peer-advert
-//! holdings that live under the same stripe locks. The `gvfs-analysis`
-//! model checker and the property tests drive this same type (it is
-//! `Clone` for explicit-state exploration), so what they prove is a
-//! property of the shipped code.
+//! holdings that live under the same lock. The `gvfs-analysis` model
+//! checker and the property tests drive this same type (it is `Clone`
+//! for explicit-state exploration), so what they prove is a property of
+//! the shipped code.
 
 use crate::protocol::{GetinvRes, MAX_INVALIDATIONS_PER_REPLY};
 use gvfs_nfs3::Fh3;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One client's buffer as reported by
 /// [`ConcurrentInvalidationTracker::snapshot`]: `(client, floor, queued
 /// (timestamp, handle) entries)`.
 pub type BufferSnapshot = (u32, u64, Vec<(u64, Fh3)>);
 
-/// Number of lock stripes in the concurrent tracker. Clients map to a
-/// stripe by id, so an append pass touches each stripe lock exactly
-/// once per modification and handlers for clients on different stripes
-/// never contend.
-const INVAL_STRIPES: usize = 16;
-
-/// One client's invalidation buffer plus the bookkeeping the striped
-/// tracker keeps around it.
+/// One client's invalidation buffer plus the bookkeeping the tracker
+/// keeps around it.
 #[derive(Debug, Clone)]
-struct StripeSlot {
+struct ClientSlot {
     entries: VecDeque<(u64, Fh3)>,
     members: HashSet<Fh3>,
     /// Timestamps at or below this value may have been discarded
@@ -59,7 +52,7 @@ struct StripeSlot {
     epoch: u64,
     /// Files this client is advertised as holding a clean copy of
     /// (peer sourcing). Living inside the slot puts the holdings under
-    /// the *same stripe lock* as the invalidation buffer: the
+    /// the *same lock* as the invalidation buffer: the
     /// modification pass that enqueues an invalidation for a handle
     /// removes the handle from every holding in the same critical
     /// section, so no reader can be handed an advert for a condemned
@@ -67,7 +60,7 @@ struct StripeSlot {
     holdings: HashSet<Fh3>,
 }
 
-impl StripeSlot {
+impl ClientSlot {
     /// Appends one invalidation entry (coalesced per file; wraps past
     /// `capacity` by discarding the oldest entry and raising the floor).
     fn record(&mut self, ts: u64, fh: Fh3, capacity: usize) {
@@ -149,41 +142,6 @@ impl StripeSlot {
     }
 }
 
-/// One lock stripe: the buffers of every client whose id maps here.
-#[derive(Debug, Default)]
-struct Stripe {
-    buffers: Mutex<HashMap<u32, StripeSlot>>,
-    /// Lock acquisitions on this stripe.
-    acquisitions: AtomicU64,
-    /// Acquisitions that found the lock already held.
-    contended: AtomicU64,
-}
-
-impl Stripe {
-    /// Acquires the stripe lock, counting the acquisition and whether
-    /// it contended.
-    fn guard(&self) -> parking_lot::MutexGuard<'_, HashMap<u32, StripeSlot>> {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if let Some(guard) = self.buffers.try_lock() {
-            return guard;
-        }
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        self.buffers.lock()
-    }
-}
-
-impl Clone for Stripe {
-    /// Copies the stripe's map under its lock (not counted as an
-    /// acquisition) along with its lock counters.
-    fn clone(&self) -> Self {
-        Stripe {
-            buffers: Mutex::new(self.buffers.lock().clone()),
-            acquisitions: copy_u64(&self.acquisitions),
-            contended: copy_u64(&self.contended),
-        }
-    }
-}
-
 fn copy_u64(a: &AtomicU64) -> AtomicU64 {
     AtomicU64::new(a.load(Ordering::SeqCst))
 }
@@ -192,9 +150,9 @@ fn copy_u64(a: &AtomicU64) -> AtomicU64 {
 /// bench harness's `server` JSON block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InvalScaleCounters {
-    /// Stripe-lock acquisitions across all stripes.
+    /// Acquisitions of the `buffers` lock.
     pub lock_acquisitions: u64,
-    /// Acquisitions that found the stripe lock held.
+    /// Acquisitions that found the `buffers` lock held.
     pub lock_contended: u64,
     /// `GETINV` replies produced.
     pub getinv_replies: u64,
@@ -215,17 +173,19 @@ pub struct InvalScaleCounters {
 }
 
 /// The proxy server's per-client invalidation buffers and logical
-/// clock. The clock is an atomic and client buffers are striped across
-/// [`INVAL_STRIPES`] locks: a `WRITE` appending invalidations takes each
-/// stripe lock once per pass, and a `GETINV` draining a client on
-/// another stripe proceeds in parallel.
+/// clock. The clock is an atomic; the buffers share one map behind one
+/// lock, taken once per append pass, drain or lookup.
 ///
-/// Lock order: a stripe's `buffers` lock is terminal — no other lock is
+/// Lock order: the `buffers` lock is terminal — no other lock is
 /// acquired and no RPC is ever sent while it is held.
 #[derive(Debug)]
 pub struct ConcurrentInvalidationTracker {
-    stripes: Vec<Stripe>,
-    capacity: AtomicUsize,
+    buffers: Mutex<HashMap<u32, ClientSlot>>,
+    /// Acquisitions of the `buffers` lock.
+    lock_acquisitions: AtomicU64,
+    /// Acquisitions that found the `buffers` lock already held.
+    lock_contended: AtomicU64,
+    capacity: usize,
     clock: AtomicU64,
     /// Idle-eviction epoch, advanced by [`Self::advance_epoch`].
     epoch: AtomicU64,
@@ -242,13 +202,16 @@ pub struct ConcurrentInvalidationTracker {
 }
 
 impl Clone for ConcurrentInvalidationTracker {
-    /// A deep copy: each stripe map is cloned under its own lock and
-    /// every atomic is copied — exact for the single-threaded histories
-    /// the model checker branches at every state.
+    /// A deep copy: the map is cloned under its lock (not counted as an
+    /// acquisition) and every atomic is copied — exact for the
+    /// single-threaded histories the model checker branches at every
+    /// state.
     fn clone(&self) -> Self {
         ConcurrentInvalidationTracker {
-            stripes: self.stripes.clone(),
-            capacity: AtomicUsize::new(self.capacity()),
+            buffers: Mutex::new(self.buffers.lock().clone()),
+            lock_acquisitions: copy_u64(&self.lock_acquisitions),
+            lock_contended: copy_u64(&self.lock_contended),
+            capacity: self.capacity,
             clock: copy_u64(&self.clock),
             epoch: copy_u64(&self.epoch),
             getinv_replies: copy_u64(&self.getinv_replies),
@@ -268,8 +231,10 @@ impl ConcurrentInvalidationTracker {
     /// `capacity` entries before wrapping.
     pub fn new(capacity: usize) -> Self {
         ConcurrentInvalidationTracker {
-            stripes: (0..INVAL_STRIPES).map(|_| Stripe::default()).collect(),
-            capacity: AtomicUsize::new(capacity.max(1)),
+            buffers: Mutex::new(HashMap::new()),
+            lock_acquisitions: AtomicU64::new(0),
+            lock_contended: AtomicU64::new(0),
+            capacity: capacity.max(1),
             clock: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             getinv_replies: AtomicU64::new(0),
@@ -283,23 +248,22 @@ impl ConcurrentInvalidationTracker {
         }
     }
 
-    fn stripe(&self, client: u32) -> &Stripe {
-        &self.stripes[client as usize % INVAL_STRIPES]
-    }
-
-    /// Discards all buffers and restarts the clock with a new capacity
-    /// (server crash, or the middleware re-configuring the session).
-    pub fn reset(&self, capacity: usize) {
-        for stripe in &self.stripes {
-            stripe.guard().clear();
+    /// Acquires the `buffers` lock, counting the acquisition and
+    /// whether it contended.
+    fn guard(&self) -> parking_lot::MutexGuard<'_, HashMap<u32, ClientSlot>> {
+        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        if let Some(guard) = self.buffers.try_lock() {
+            return guard;
         }
-        self.capacity.store(capacity.max(1), Ordering::SeqCst);
-        self.clock.store(0, Ordering::SeqCst);
+        self.lock_contended.fetch_add(1, Ordering::Relaxed);
+        self.buffers.lock()
     }
 
-    /// The per-client buffer capacity in effect.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::SeqCst)
+    /// Discards all buffers and restarts the clock (server crash). The
+    /// buffer capacity is configuration and survives.
+    pub fn reset(&self) {
+        self.guard().clear();
+        self.clock.store(0, Ordering::SeqCst);
     }
 
     /// The current logical timestamp.
@@ -307,22 +271,22 @@ impl ConcurrentInvalidationTracker {
         self.clock.load(Ordering::SeqCst)
     }
 
-    /// The slot of `client` in its stripe's map (the caller holds the
-    /// stripe lock), created empty at `clock` on first contact and
-    /// stamped with the current eviction epoch. Also returns whether
-    /// this call created it.
+    /// The slot of `client` in the map (the caller holds the `buffers`
+    /// lock), created empty at `clock` on first contact and stamped
+    /// with the current eviction epoch. Also returns whether this call
+    /// created it.
     fn open<'a>(
         &self,
-        buffers: &'a mut HashMap<u32, StripeSlot>,
+        buffers: &'a mut HashMap<u32, ClientSlot>,
         client: u32,
         clock: u64,
-    ) -> (&'a mut StripeSlot, bool) {
+    ) -> (&'a mut ClientSlot, bool) {
         let epoch = self.epoch.load(Ordering::SeqCst);
         let mut created = false;
         let slot = buffers.entry(client).or_insert_with(|| {
             created = true;
-            StripeSlot {
-                entries: VecDeque::with_capacity(self.capacity()),
+            ClientSlot {
+                entries: VecDeque::with_capacity(self.capacity),
                 members: HashSet::new(),
                 floor: clock,
                 synced: clock,
@@ -334,44 +298,26 @@ impl ConcurrentInvalidationTracker {
         (slot, created)
     }
 
-    /// Answers one `GETINV` from `client` against its stripe's map (the
-    /// caller holds the stripe lock).
-    fn answer(
-        &self,
-        buffers: &mut HashMap<u32, StripeSlot>,
-        client: u32,
-        last_timestamp: Option<u64>,
-    ) -> GetinvRes {
-        let clock = self.now();
-        let (slot, first_contact) = self.open(buffers, client, clock);
-        slot.reply(last_timestamp, clock, first_contact, &self.getinv_replies, &self.getinv_handles)
-    }
-
     /// Records a file modification observed from `writer`: every other
     /// registered client gets an invalidation entry (coalesced per
-    /// file). One stripe-lock acquisition per stripe, regardless of how
-    /// many clients live there.
+    /// file). One lock acquisition, regardless of how many clients are
+    /// registered.
     pub fn record_modification(&self, fh: Fh3, writer: u32) {
         let ts = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
-        let capacity = self.capacity();
         let suppress = self.deadvertise_suppressed();
-        for stripe in &self.stripes {
-            let mut buffers = stripe.guard();
-            for (&client, slot) in buffers.iter_mut() {
-                // Condemn every advertised copy of the modified file —
-                // including the writer's, whose copy now carries a
-                // change attribute the origin has moved past. Done
-                // under the same stripe lock as the invalidation
-                // enqueue: an advert can never be collected for a
-                // handle this pass has condemned.
-                if !suppress && slot.holdings.remove(&fh) {
-                    self.peer_condemned.fetch_add(1, Ordering::Relaxed);
-                }
-                if client == writer {
-                    continue;
-                }
-                slot.record(ts, fh, capacity);
+        for (&client, slot) in self.guard().iter_mut() {
+            // Condemn every advertised copy of the modified file —
+            // including the writer's, whose copy now carries a change
+            // attribute the origin has moved past. Done under the same
+            // lock as the invalidation enqueue: an advert can never be
+            // collected for a handle this pass has condemned.
+            if !suppress && slot.holdings.remove(&fh) {
+                self.peer_condemned.fetch_add(1, Ordering::Relaxed);
             }
+            if client == writer {
+                continue;
+            }
+            slot.record(ts, fh, self.capacity);
         }
     }
 
@@ -381,7 +327,7 @@ impl ConcurrentInvalidationTracker {
     /// invalidations from this point on, and the first real `GETINV`
     /// behaves exactly as a poll against an empty buffer.
     pub fn advertise(&self, client: u32, fh: Fh3) {
-        let mut buffers = self.stripe(client).guard();
+        let mut buffers = self.guard();
         let (slot, _) = self.open(&mut buffers, client, self.now());
         if slot.holdings.insert(fh) {
             self.peer_advertised.fetch_add(1, Ordering::Relaxed);
@@ -390,18 +336,15 @@ impl ConcurrentInvalidationTracker {
 
     /// Removes every client's advert for `fh` (delegation recall,
     /// explicit invalidation): after this returns, no collected advert
-    /// names the handle. One stripe-lock pass, same rank as
+    /// names the handle. One lock pass, same rank as
     /// [`Self::record_modification`].
     pub fn condemn(&self, fh: Fh3) {
         if self.deadvertise_suppressed() {
             return;
         }
-        for stripe in &self.stripes {
-            let mut buffers = stripe.guard();
-            for slot in buffers.values_mut() {
-                if slot.holdings.remove(&fh) {
-                    self.peer_condemned.fetch_add(1, Ordering::Relaxed);
-                }
+        for slot in self.guard().values_mut() {
+            if slot.holdings.remove(&fh) {
+                self.peer_condemned.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -409,8 +352,7 @@ impl ConcurrentInvalidationTracker {
     /// Removes every advert held by one client (the client crashed or
     /// told us it dropped its cache).
     pub fn deadvertise_client(&self, client: u32) {
-        let mut buffers = self.stripe(client).guard();
-        if let Some(slot) = buffers.get_mut(&client) {
+        if let Some(slot) = self.guard().get_mut(&client) {
             self.peer_condemned.fetch_add(slot.holdings.len() as u64, Ordering::Relaxed);
             slot.holdings.clear();
         }
@@ -420,15 +362,12 @@ impl ConcurrentInvalidationTracker {
     /// excluding `exclude` (the requester), sorted by id for
     /// determinism and capped at `cap`.
     pub fn collect_holders(&self, fh: Fh3, exclude: u32, cap: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        for stripe in &self.stripes {
-            let buffers = stripe.guard();
-            for (&client, slot) in buffers.iter() {
-                if client != exclude && slot.holdings.contains(&fh) {
-                    out.push(client);
-                }
-            }
-        }
+        let mut out: Vec<u32> = self
+            .guard()
+            .iter()
+            .filter(|&(&client, slot)| client != exclude && slot.holdings.contains(&fh))
+            .map(|(&client, _)| client)
+            .collect();
         out.sort_unstable();
         out.truncate(cap);
         out
@@ -451,8 +390,8 @@ impl ConcurrentInvalidationTracker {
     /// timestamp never moves past entries still queued for the client,
     /// so applying it is a no-op for invalidation state.
     pub fn empty_drain(&self, client: u32) -> GetinvRes {
-        let buffers = self.stripe(client).guard();
-        let timestamp = buffers
+        let timestamp = self
+            .guard()
             .get(&client)
             .map_or_else(|| self.clock.load(Ordering::SeqCst), |slot| slot.synced);
         GetinvRes { timestamp, force_invalidate: false, poll_again: false, handles: Vec::new() }
@@ -460,35 +399,17 @@ impl ConcurrentInvalidationTracker {
 
     /// Processes one `GETINV` call (§4.2.1, server side).
     pub fn getinv(&self, client: u32, last_timestamp: Option<u64>) -> GetinvRes {
-        self.answer(&mut self.stripe(client).guard(), client, last_timestamp)
-    }
-
-    /// Answers a batch of `GETINV` requests `(client, last_timestamp)`,
-    /// coalescing all requests whose clients share a stripe under one
-    /// lock acquisition (one shard pass). Observationally equivalent to
-    /// calling [`Self::getinv`] once per request in order; replies come
-    /// back in request order.
-    pub fn getinv_batch(&self, requests: &[(u32, Option<u64>)]) -> Vec<GetinvRes> {
-        let mut out: Vec<Option<GetinvRes>> = vec![None; requests.len()];
-        for (stripe_idx, stripe) in self.stripes.iter().enumerate() {
-            if !requests.iter().any(|&(c, _)| c as usize % INVAL_STRIPES == stripe_idx) {
-                continue;
-            }
-            let mut buffers = stripe.guard();
-            for (i, &(client, last_timestamp)) in requests.iter().enumerate() {
-                if client as usize % INVAL_STRIPES == stripe_idx {
-                    out[i] = Some(self.answer(&mut buffers, client, last_timestamp));
-                }
-            }
-        }
-        out.into_iter().map(|r| r.expect("every request answered")).collect()
+        let mut buffers = self.guard();
+        let clock = self.now();
+        let (slot, first_contact) = self.open(&mut buffers, client, clock);
+        slot.reply(last_timestamp, clock, first_contact, &self.getinv_replies, &self.getinv_handles)
     }
 
     /// Attempts a piggybacked drain for `client`: if the client has a
     /// buffer with pending entries (or an unreported wrap-around), the
     /// drain the client's next `GETINV` would have produced is returned
     /// for free-riding on an outgoing reply. Returns `None` — at zero
-    /// cost beyond one stripe lookup — when there is nothing to say.
+    /// cost beyond one map lookup — when there is nothing to say.
     ///
     /// Safety: the drain is computed against `synced`, the timestamp of
     /// the last reply this client was handed. If the client never
@@ -497,7 +418,7 @@ impl ConcurrentInvalidationTracker {
     /// lost piggyback degrades to one extra full invalidation, never to
     /// a stale cache.
     pub fn try_drain(&self, client: u32) -> Option<GetinvRes> {
-        let mut buffers = self.stripe(client).guard();
+        let mut buffers = self.guard();
         let slot = buffers.get_mut(&client)?;
         slot.epoch = self.epoch.load(Ordering::Relaxed);
         if slot.entries.is_empty() && slot.synced >= slot.floor {
@@ -508,8 +429,8 @@ impl ConcurrentInvalidationTracker {
     }
 
     /// Advances the eviction epoch and drops buffers of clients idle
-    /// for more than `max_idle` whole epochs, one batched pass per
-    /// stripe. Returns the number of buffers evicted.
+    /// for more than `max_idle` whole epochs, in one pass under the
+    /// lock. Returns the number of buffers evicted.
     ///
     /// An evicted client re-enters through the first-contact path on
     /// its next poll and is force-invalidated — eviction is invisible
@@ -518,10 +439,9 @@ impl ConcurrentInvalidationTracker {
     /// still hold the copy) and are accounted as condemned.
     pub fn advance_epoch(&self, max_idle: u64) -> usize {
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut evicted = 0;
         let mut condemned = 0u64;
-        for stripe in &self.stripes {
-            let mut buffers = stripe.guard();
+        let evicted = {
+            let mut buffers = self.guard();
             let before = buffers.len();
             buffers.retain(|_, slot| {
                 let keep = epoch.saturating_sub(slot.epoch) <= max_idle;
@@ -530,8 +450,8 @@ impl ConcurrentInvalidationTracker {
                 }
                 keep
             });
-            evicted += before - buffers.len();
-        }
+            before - buffers.len()
+        };
         self.evicted_buffers.fetch_add(evicted as u64, Ordering::Relaxed);
         self.peer_condemned.fetch_add(condemned, Ordering::Relaxed);
         evicted
@@ -539,12 +459,12 @@ impl ConcurrentInvalidationTracker {
 
     /// Number of registered client buffers.
     pub fn client_count(&self) -> usize {
-        self.stripes.iter().map(|s| s.guard().len()).sum()
+        self.guard().len()
     }
 
     /// Entries pending for one client (diagnostics).
     pub fn pending(&self, client: u32) -> usize {
-        self.stripe(client).guard().get(&client).map_or(0, |s| s.entries.len())
+        self.guard().get(&client).map_or(0, |s| s.entries.len())
     }
 
     /// Rough heap footprint of all client buffers, for the scale
@@ -556,32 +476,20 @@ impl ConcurrentInvalidationTracker {
         const PER_SLOT: usize = 96;
         // Per peer-advert holding: one HashSet member.
         const PER_HOLDING: usize = 40;
-        self.stripes
-            .iter()
-            .map(|s| {
-                let buffers = s.guard();
-                buffers
-                    .values()
-                    .map(|slot| {
-                        PER_SLOT
-                            + slot.entries.len() * PER_ENTRY
-                            + slot.holdings.len() * PER_HOLDING
-                    })
-                    .sum::<usize>()
+        self.guard()
+            .values()
+            .map(|slot| {
+                PER_SLOT + slot.entries.len() * PER_ENTRY + slot.holdings.len() * PER_HOLDING
             })
-            .sum::<usize>()
+            .sum()
     }
 
-    /// The tracker's scale counters (stripe-lock contention, reply batch
-    /// sizes, piggyback volume, eviction).
+    /// The tracker's scale counters (lock contention, reply batch sizes,
+    /// piggyback volume, eviction).
     pub fn scale_counters(&self) -> InvalScaleCounters {
         InvalScaleCounters {
-            lock_acquisitions: self
-                .stripes
-                .iter()
-                .map(|s| s.acquisitions.load(Ordering::Relaxed))
-                .sum(),
-            lock_contended: self.stripes.iter().map(|s| s.contended.load(Ordering::Relaxed)).sum(),
+            lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
+            lock_contended: self.lock_contended.load(Ordering::Relaxed),
             getinv_replies: self.getinv_replies.load(Ordering::Relaxed),
             getinv_handles: self.getinv_handles.load(Ordering::Relaxed),
             piggyback_replies: self.piggyback_replies.load(Ordering::Relaxed),
@@ -596,13 +504,11 @@ impl ConcurrentInvalidationTracker {
     /// Used by diagnostics, the property tests and the protocol model
     /// checker.
     pub fn snapshot(&self) -> Vec<BufferSnapshot> {
-        let mut out: Vec<BufferSnapshot> = Vec::new();
-        for stripe in &self.stripes {
-            let buffers = stripe.guard();
-            out.extend(
-                buffers.iter().map(|(&c, s)| (c, s.floor, s.entries.iter().copied().collect())),
-            );
-        }
+        let mut out: Vec<BufferSnapshot> = self
+            .guard()
+            .iter()
+            .map(|(&c, s)| (c, s.floor, s.entries.iter().copied().collect()))
+            .collect();
         out.sort_unstable_by_key(|&(c, _, _)| c);
         out
     }
@@ -804,26 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_getinv_matches_per_client_path() {
-        let reference = ConcurrentInvalidationTracker::new(8);
-        let batched = ConcurrentInvalidationTracker::new(8);
-        for t in [&reference, &batched] {
-            for c in 1..=6u32 {
-                t.getinv(c, None);
-            }
-            for i in 0..5 {
-                t.record_modification(fh(50 + i), 1);
-            }
-        }
-        let requests: Vec<(u32, Option<u64>)> =
-            (1..=6u32).map(|c| (c, Some(reference.now()))).collect();
-        let a: Vec<GetinvRes> = requests.iter().map(|&(c, ts)| reference.getinv(c, ts)).collect();
-        let b = batched.getinv_batch(&requests);
-        assert_eq!(a, b);
-        assert_eq!(reference.snapshot(), batched.snapshot());
-    }
-
-    #[test]
     fn epoch_eviction_drops_only_idle_clients() {
         let t = ConcurrentInvalidationTracker::new(8);
         for c in 1..=10u32 {
@@ -958,7 +844,7 @@ mod tests {
         let boot = t.getinv(1, None);
         t.record_modification(fh(1), 2);
         assert_eq!(t.pending(1), 1);
-        t.reset(8);
+        t.reset();
         assert_eq!(t.client_count(), 0);
         let res = t.getinv(1, Some(boot.timestamp));
         assert!(res.force_invalidate, "buffers lost in reset force a bootstrap");

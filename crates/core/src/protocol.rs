@@ -157,7 +157,7 @@ impl Xdr for WrappedReply {
 /// A peer advertisement: live clients known by the origin to hold a
 /// clean copy of `fh`, plus the origin-attested attributes the reader
 /// must verify any peer-served bytes against. The origin de-advertises
-/// eagerly — under the same invalidation stripe lock that condemns the
+/// eagerly — under the same invalidation `buffers` lock that condemns the
 /// handle — so an advert never outlives the data's validity *at the
 /// origin*; the `change` check catches the remaining races end-to-end.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -15,15 +15,13 @@
 //! # Concurrency
 //!
 //! The proxy is multithreaded (§4.3.2): while one handler waits out a
-//! WAN callback, others keep serving. Consistency state is therefore
-//! decomposed rather than held under one global mutex:
+//! WAN callback, others keep serving. Each consistency table has one
+//! lock, held only for table operations and never across the wire:
 //!
-//! * delegation state is **sharded by file handle** — each shard owns a
-//!   [`DelegationTable`] behind its own lock, so handlers touching
-//!   different files never contend;
-//! * invalidation buffers are **per client**
-//!   ([`ConcurrentInvalidationTracker`]): appends and `GETINV` drains
-//!   for different clients proceed in parallel.
+//! * one [`DelegationTable`] (the paper's open-file table, with one
+//!   global LRU bound, §4.3.3) behind the `deleg` lock;
+//! * one [`ConcurrentInvalidationTracker`] holding every client's
+//!   invalidation buffer behind its `buffers` lock (§4.2).
 //!
 //! Recall fan-out and the `RECOVER` multicast use the RPC channel's
 //! send/wait split ([`SimRpcClient::send`]) behind a **bounded fan-out
@@ -63,26 +61,6 @@ use std::time::Duration;
 /// breaker's clock representation).
 fn now_dur() -> Duration {
     gvfs_netsim::now().saturating_since(SimTime::ZERO)
-}
-
-/// Number of delegation shards. Shard choice hashes the file handle, so
-/// all state for one file lives in exactly one shard; the per-shard
-/// lock is held only for table operations, never across the wire.
-const DELEG_SHARDS: usize = 8;
-
-/// One delegation shard: the files whose handles hash here.
-#[derive(Debug)]
-struct DelegShard {
-    deleg: Mutex<DelegationTable>,
-}
-
-/// Deterministic shard index for a file handle (fixed-key hasher, so
-/// simulations reproduce across runs and processes).
-fn shard_of(fh: Fh3) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    fh.hash(&mut hasher);
-    (hasher.finish() as usize) % DELEG_SHARDS
 }
 
 /// A recall callback that has been put on the wire but not yet
@@ -209,8 +187,8 @@ struct HealthEntry {
 
 /// The server-side scale counters exported by
 /// [`ProxyServer::scale_stats`]: fan-out window pressure, per-client
-/// state cardinality and memory, and the invalidation tracker's
-/// stripe-lock/batching counters.
+/// state cardinality and memory, and the invalidation tracker's lock
+/// and drain counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerScaleStats {
     /// Recall callbacks put on the wire.
@@ -225,9 +203,9 @@ pub struct ServerScaleStats {
     pub health_entries: usize,
     /// Health breakers dropped by idle eviction.
     pub health_evicted: u64,
-    /// Files tracked across all delegation shards.
+    /// Files tracked in the delegation table.
     pub deleg_files: usize,
-    /// Sharer entries across all delegation shards.
+    /// Sharer entries in the delegation table.
     pub deleg_sharers: usize,
     /// Rough delegation-table heap footprint in bytes.
     pub deleg_approx_bytes: usize,
@@ -235,7 +213,7 @@ pub struct ServerScaleStats {
     pub inval_clients: usize,
     /// Rough invalidation-buffer heap footprint in bytes.
     pub inval_approx_bytes: usize,
-    /// The invalidation tracker's stripe-lock and batching counters.
+    /// The invalidation tracker's lock and drain counters.
     pub inval: InvalScaleCounters,
 }
 
@@ -245,8 +223,8 @@ pub struct ServerScaleStats {
 pub struct ProxyServer {
     model: ConsistencyModel,
     nfs: SimRpcClient,
-    /// Delegation state, sharded by file handle.
-    shards: Vec<DelegShard>,
+    /// The open-file delegation table (§4.3.3).
+    deleg: Mutex<DelegationTable>,
     /// Per-client invalidation buffers (internally locked).
     inval: ConcurrentInvalidationTracker,
     /// Callback transports per client id, registered by the session.
@@ -293,8 +271,8 @@ pub struct ProxyServer {
     peer_read: AtomicBool,
     /// Protocol-event sink for spec-conformance replay, installed once
     /// by the session. Grant/recall/revocation events are recorded
-    /// under the owning shard's lock so the per-file subsequence is
-    /// linearized exactly as the table decided it.
+    /// under the `deleg` lock so the per-file subsequence is linearized
+    /// exactly as the table decided it.
     trace: std::sync::OnceLock<Arc<TraceBuffer>>,
 }
 
@@ -306,22 +284,22 @@ impl std::fmt::Debug for ProxyServer {
 
 impl ProxyServer {
     /// Creates a proxy server forwarding to the kernel NFS server via
-    /// `nfs` (a loopback transport), applying `model`.
-    pub fn new(model: ConsistencyModel, nfs: SimRpcClient) -> Arc<Self> {
-        let mut deleg_config = match model {
+    /// `nfs` (a loopback transport), applying `model`, with per-client
+    /// invalidation buffers of `invalidation_capacity` entries.
+    pub fn new(
+        model: ConsistencyModel,
+        invalidation_capacity: usize,
+        nfs: SimRpcClient,
+    ) -> Arc<Self> {
+        let deleg_config = match model {
             ConsistencyModel::DelegationCallback(c) => c,
             _ => crate::model::DelegationConfig::default(),
         };
-        // The open-file budget is global; each shard polices its slice.
-        deleg_config.max_tracked_files = (deleg_config.max_tracked_files / DELEG_SHARDS).max(1);
-        let shards = (0..DELEG_SHARDS)
-            .map(|_| DelegShard { deleg: Mutex::new(DelegationTable::new(deleg_config)) })
-            .collect();
         Arc::new(ProxyServer {
             model,
             nfs,
-            shards,
-            inval: ConcurrentInvalidationTracker::new(4096),
+            deleg: Mutex::new(DelegationTable::new(deleg_config)),
+            inval: ConcurrentInvalidationTracker::new(invalidation_capacity),
             callbacks: RwLock::new(HashMap::new()),
             persisted_clients: Mutex::new(HashSet::new()),
             recall_suppressed: AtomicBool::new(false),
@@ -340,12 +318,10 @@ impl ProxyServer {
     }
 
     /// Installs the shared protocol-trace buffer (first call wins) and
-    /// turns on per-event lease-revocation recording in every shard.
+    /// turns on per-event lease-revocation recording in the table.
     pub fn install_trace(&self, buf: Arc<TraceBuffer>) {
         let _ = self.trace.set(buf);
-        for shard in &self.shards {
-            shard.deleg.lock().set_revocation_log(true);
-        }
+        self.deleg.lock().set_revocation_log(true);
     }
 
     fn emit_trace(&self, ev: ProtocolEvent) {
@@ -366,11 +342,6 @@ impl ProxyServer {
         });
         entry.epoch = epoch;
         Arc::clone(&entry.breaker)
-    }
-
-    /// The shard owning `fh`'s delegation state.
-    fn deleg_shard(&self, fh: Fh3) -> &DelegShard {
-        &self.shards[shard_of(fh)]
     }
 
     /// Performs a batch of recalls concurrently through the bounded
@@ -443,11 +414,6 @@ impl ProxyServer {
         self.fanout.hwm()
     }
 
-    /// Overrides the invalidation-buffer capacity (ablation knob).
-    pub fn set_invalidation_capacity(&self, capacity: usize) {
-        self.inval.reset(capacity);
-    }
-
     /// Registers the callback transport for a proxy client (done by the
     /// middleware when the session is established; in the real system
     /// the port arrives in each request's credential).
@@ -466,14 +432,11 @@ impl ProxyServer {
     /// configuration, not volatile state, and survives too.
     pub fn crash(&self) {
         self.emit_trace(ProtocolEvent::ServerCrash);
-        self.inval.reset(self.inval.capacity());
-        for shard in &self.shards {
-            let mut table = shard.deleg.lock();
-            let config = *table.config();
-            *table = DelegationTable::new(config);
-            if self.trace.get().is_some() {
-                table.set_revocation_log(true);
-            }
+        self.inval.reset();
+        let mut table = self.deleg.lock();
+        *table = DelegationTable::new(*table.config());
+        if self.trace.get().is_some() {
+            table.set_revocation_log(true);
         }
     }
 
@@ -518,24 +481,15 @@ impl ProxyServer {
     }
 
     /// Claims one `RECOVER` reply and re-enters the client's dirty
-    /// files in their owning shards. Returns whether the client
+    /// files in the delegation table. Returns whether the client
     /// answered.
     fn finish_recover(&self, client: u32, transport: &SimRpcClient, call: PendingCall) -> bool {
         let Ok(bytes) = transport.wait_pending(call) else { return false };
         let Ok(res) = gvfs_xdr::from_bytes::<RecoverRes>(&bytes) else { return false };
-        let now = gvfs_netsim::now();
-        let mut by_shard: Vec<Vec<Fh3>> = vec![Vec::new(); DELEG_SHARDS];
+        let mut table = self.deleg.lock();
+        table.recover_client(client, &res.dirty_files, gvfs_netsim::now());
         for &fh in &res.dirty_files {
-            by_shard[shard_of(fh)].push(fh);
-        }
-        for (i, files) in by_shard.iter().enumerate() {
-            if !files.is_empty() {
-                let mut table = self.shards[i].deleg.lock();
-                table.recover_client(client, files, now);
-                for &fh in files.iter() {
-                    self.emit_trace(ProtocolEvent::Regrant { client, fh: fh.fileid() });
-                }
-            }
+            self.emit_trace(ProtocolEvent::Regrant { client, fh: fh.fileid() });
         }
         true
     }
@@ -544,16 +498,13 @@ impl ProxyServer {
     /// session's sweeper actor calls this periodically. Each sweep also
     /// advances the idle-eviction epoch ([`ProxyServer::maintain`]).
     pub fn sweep(&self) {
-        let now = gvfs_netsim::now();
-        for shard in &self.shards {
-            let actions = shard.deleg.lock().sweep(now);
-            for action in actions {
-                shard.deleg.lock().begin_recall(action.fh);
-                self.perform_recall(&action);
-                let mut table = shard.deleg.lock();
-                table.end_recall(action.fh);
-                table.sweep_done(action.fh, action.client);
-            }
+        let actions = self.deleg.lock().sweep(gvfs_netsim::now());
+        for action in actions {
+            self.deleg.lock().begin_recall(action.fh);
+            self.perform_recall(&action);
+            let mut table = self.deleg.lock();
+            table.end_recall(action.fh);
+            table.sweep_done(action.fh, action.client);
         }
         self.maintain();
     }
@@ -561,7 +512,7 @@ impl ProxyServer {
     /// Advances the idle-eviction epoch by one and drops per-client
     /// state — invalidation buffers and health breakers — belonging to
     /// clients idle for more than the configured number of whole
-    /// epochs. Delegation shard entries are bounded separately by the
+    /// epochs. Delegation table entries are bounded separately by the
     /// table's own expiry + LRU sweep. Returns `(buffers, breakers)`
     /// evicted.
     ///
@@ -614,15 +565,15 @@ impl ProxyServer {
         self.inval.collect_holders(fh, u32::MAX, usize::MAX)
     }
 
-    /// Number of files currently tracked across all delegation shards.
+    /// Number of files currently tracked in the delegation table.
     pub fn tracked_files(&self) -> usize {
-        self.shards.iter().map(|s| s.deleg.lock().tracked_files()).sum()
+        self.deleg.lock().tracked_files()
     }
 
-    /// Aggregated [`DelegationTable::snapshot`] across all shards, for
+    /// The delegation table's [`DelegationTable::snapshot`], for
     /// diagnostics and the chaos harness's write-exclusion oracle.
     pub fn delegation_snapshot(&self) -> Vec<crate::delegation::FileSnapshot> {
-        self.shards.iter().flat_map(|s| s.deleg.lock().snapshot()).collect()
+        self.deleg.lock().snapshot()
     }
 
     /// Enables or disables the recall-suppression breakage knob (see
@@ -641,9 +592,9 @@ impl ProxyServer {
         self.recalls_short_circuited.load(Ordering::SeqCst)
     }
 
-    /// Delegations revoked server-side by lease expiry, across shards.
+    /// Delegations revoked server-side by lease expiry.
     pub fn lease_revocations(&self) -> u64 {
-        self.shards.iter().map(|s| s.deleg.lock().lease_revocations()).sum()
+        self.deleg.lock().lease_revocations()
     }
 
     /// `RECOVER` multicast rounds performed since construction.
@@ -654,11 +605,7 @@ impl ProxyServer {
     /// One coherent dump of the server's scale counters, for the bench
     /// harness's `server` JSON block.
     pub fn scale_stats(&self) -> ServerScaleStats {
-        let (deleg_files, deleg_sharers, deleg_bytes) =
-            self.shards.iter().fold((0, 0, 0), |(files, sharers, bytes), shard| {
-                let (f, s, b) = shard.deleg.lock().scale_footprint();
-                (files + f, sharers + s, bytes + b)
-            });
+        let (deleg_files, deleg_sharers, deleg_bytes) = self.deleg.lock().scale_footprint();
         ServerScaleStats {
             recalls_sent: self.recalls_sent.load(Ordering::SeqCst),
             recalls_short_circuited: self.recalls_short_circuited.load(Ordering::SeqCst),
@@ -767,7 +714,7 @@ impl ProxyServer {
     }
 
     /// Phase two of a recall: claim the reply and report the outcome to
-    /// the owning shard. An unreachable client is treated as revoked
+    /// the delegation table. An unreachable client is treated as revoked
     /// with nothing recovered (its writes are lost unless it reconciles
     /// after recovery, §4.3.4).
     fn finish_recall(&self, action: &RecallAction, call: Option<(SimRpcClient, PendingCall)>) {
@@ -795,7 +742,7 @@ impl ProxyServer {
             None => (Vec::new(), false),
         };
         let pending = pending_blocks.len() as u32;
-        let mut table = self.deleg_shard(action.fh).deleg.lock();
+        let mut table = self.deleg.lock();
         table.recall_done(action.fh, action.client, pending_blocks);
         self.emit_trace(ProtocolEvent::RecallDone {
             client: action.client,
@@ -845,8 +792,7 @@ impl ProxyServer {
             OpClass::Write { fh, offset } => {
                 // A write that is part of a tracked partial write-back
                 // bypasses conflict processing.
-                if self.deleg_shard(*fh).deleg.lock().note_writeback(*fh, client, block_of(*offset))
-                {
+                if self.deleg.lock().note_writeback(*fh, client, block_of(*offset)) {
                     return DelegationGrant::None;
                 }
                 vec![(*fh, true, Some(block_of(*offset)))]
@@ -870,9 +816,9 @@ impl ProxyServer {
             loop {
                 let (g, recalls) = {
                     let now = gvfs_netsim::now();
-                    let mut table = self.deleg_shard(*fh).deleg.lock();
+                    let mut table = self.deleg.lock();
                     let (g, recalls) = table.access(*fh, client, *write, *offset, now);
-                    // Emission happens under the shard lock so the
+                    // Emission happens under the `deleg` lock so the
                     // trace's per-file order is the table's own.
                     {
                         for (revoked, rfh) in table.take_revocations() {
@@ -909,7 +855,7 @@ impl ProxyServer {
                 // round is in flight: no delegation may be granted in the
                 // window, or the round's completion would silently revoke
                 // it server-side.
-                self.deleg_shard(*fh).deleg.lock().begin_recall(*fh);
+                self.deleg.lock().begin_recall(*fh);
                 // Condemn peer copies before the recalls go out: once
                 // the conflicting writer proceeds, no reader may be
                 // handed an advert for the pre-recall version.
@@ -917,14 +863,14 @@ impl ProxyServer {
                     self.inval.condemn(*fh);
                 }
                 self.perform_recalls(recalls);
-                self.deleg_shard(*fh).deleg.lock().end_recall(*fh);
+                self.deleg.lock().end_recall(*fh);
                 // Re-admit after the recalls completed: the pending
                 // write-back (if any) may still cover the block, in
                 // which case another targeted recall is issued; the
                 // inline flush of the requested block guarantees
                 // progress.
                 let covered = {
-                    let table = self.deleg_shard(*fh).deleg.lock();
+                    let table = self.deleg.lock();
                     match (offset, table.pending_writeback(*fh)) {
                         (Some(off), Some(p)) => p.blocks.contains(off),
                         _ => false,

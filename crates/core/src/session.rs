@@ -245,9 +245,9 @@ impl SessionBuilder {
         let lan_stats = RpcStats::new();
         let proxy_server = ProxyServer::new(
             config.model,
+            config.invalidation_buffer,
             SimRpcClient::new(server_loop.forward(), Arc::clone(&nfs_node), lan_stats.clone()),
         );
-        proxy_server.set_invalidation_capacity(config.invalidation_buffer);
         let mut ps_dispatcher = Dispatcher::new();
         ps_dispatcher
             .register_arc(Arc::clone(&proxy_server) as Arc<dyn gvfs_rpc::dispatch::RpcService>);

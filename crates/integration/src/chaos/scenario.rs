@@ -719,7 +719,7 @@ fn decode_peer_block(buf: &[u8]) -> Observation {
 /// - **12 heal**, then **20–24 condemnation**: client 2 overwrites the
 ///   file. The recall invalidates both caches and — unless suppressed
 ///   by the break knob — de-advertises every peer copy under the same
-///   stripe lock. In the honest run the serving peer re-reads the new
+///   `buffers` lock. In the honest run the serving peer re-reads the new
 ///   version and is re-advertised.
 /// - **26+ verify**: the reader cold-reads both blocks again. Block 1
 ///   arrives over the mesh; it must carry the writer's version. The

@@ -204,48 +204,6 @@ proptest! {
         prop_assert_eq!(gvfs_xdr::from_bytes::<CallbackArgs>(&bytes).unwrap(), cb);
     }
 
-    /// Batched/coalesced GETINV (one stripe pass for many clients) is
-    /// observationally equivalent to the unbatched per-client path:
-    /// same replies, same resulting buffer state, for arbitrary
-    /// interleavings of modifications and drains.
-    #[test]
-    fn batched_getinv_equivalent_to_unbatched(
-        ops in proptest::collection::vec(inv_op(), 1..120),
-        capacity in 1usize..32,
-        batch in proptest::collection::vec(1u32..4, 1..8),
-    ) {
-        let unbatched = ConcurrentInvalidationTracker::new(capacity);
-        let batched = ConcurrentInvalidationTracker::new(capacity);
-        let mut timestamps: HashMap<u32, Option<u64>> = HashMap::new();
-        for op in ops {
-            match op {
-                InvOp::Modify { fh, writer } => {
-                    unbatched.record_modification(Fh3::from_fileid(fh), writer);
-                    batched.record_modification(Fh3::from_fileid(fh), writer);
-                }
-                InvOp::Poll { client } => {
-                    let last = timestamps.get(&client).copied().flatten();
-                    let a = unbatched.getinv(client, last);
-                    let b = batched.getinv_batch(&[(client, last)]);
-                    prop_assert_eq!(&a, &b[0]);
-                    timestamps.insert(client, Some(a.timestamp));
-                }
-            }
-        }
-        // One coalesced multi-client batch against per-client calls.
-        let requests: Vec<(u32, Option<u64>)> = batch
-            .iter()
-            .map(|&c| (c, timestamps.get(&c).copied().flatten()))
-            .collect();
-        let mut per_client = Vec::new();
-        for &(c, ts) in &requests {
-            per_client.push(unbatched.getinv(c, ts));
-        }
-        let coalesced = batched.getinv_batch(&requests);
-        prop_assert_eq!(per_client, coalesced);
-        prop_assert_eq!(unbatched.snapshot(), batched.snapshot());
-    }
-
     /// A piggybacked drain plus the follow-up poll delivers exactly
     /// what a plain poll would have: piggybacking never loses an
     /// invalidation (wrap-around included) and never delivers one the

@@ -1,18 +1,21 @@
 //! Server-scale regressions: per-client state on the proxy server must
-//! stay bounded after a churn of mostly-idle clients, and a large
+//! stay bounded after a churn of mostly-idle clients, a large
 //! invalidation backlog must drain through `poll_again` paging without
-//! degrading to a force-invalidation.
+//! degrading to a force-invalidation, and the open-file table's LRU
+//! bound is one global budget.
 //!
 //! These are the cargo-test twins of the `bench_scale` harness asserts:
 //! the bench exercises them at 1k–10k clients, these pin the behavior
 //! at CI-sized populations.
 
+use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::protocol::{
     proc_ext, CallbackRes, GetinvArgs, GetinvRes, RecoverRes, GVFS_CALLBACK_PROGRAM,
     GVFS_PROXY_PROGRAM, GVFS_VERSION, MAX_INVALIDATIONS_PER_REPLY,
 };
 use gvfs_core::proxy::server::ProxyServer;
+use gvfs_core::session::{Session, SessionConfig};
 use gvfs_core::{ConsistencyModel, DelegationConfig};
 use gvfs_netsim::link::{Link, LinkConfig};
 use gvfs_netsim::transport::{ServerNode, SimRpcClient};
@@ -60,9 +63,14 @@ fn getinv(t: &SimRpcClient, id: u32, last: Option<u64>) -> GetinvRes {
     gvfs_xdr::from_bytes(&bytes).expect("decode")
 }
 
-/// A proxy server in front of a fresh NFS server exporting `vfs`, and
-/// the server node that dispatches to it.
-fn proxy_stack(vfs: &Arc<Vfs>, model: ConsistencyModel) -> (Arc<ProxyServer>, Arc<ServerNode>) {
+/// A proxy server with `inval_capacity`-entry invalidation buffers in
+/// front of a fresh NFS server exporting `vfs`, and the server node
+/// that dispatches to it.
+fn proxy_stack(
+    vfs: &Arc<Vfs>,
+    model: ConsistencyModel,
+    inval_capacity: usize,
+) -> (Arc<ProxyServer>, Arc<ServerNode>) {
     let clock: gvfs_server::Clock =
         Arc::new(|| Timestamp::from_nanos(gvfs_netsim::now().as_nanos()));
     let nfs = gvfs_server::Nfs3Server::new(Arc::clone(vfs), clock);
@@ -70,8 +78,11 @@ fn proxy_stack(vfs: &Arc<Vfs>, model: ConsistencyModel) -> (Arc<ProxyServer>, Ar
     dispatcher.register(nfs);
     let nfs_node = ServerNode::new("nfs-server", dispatcher, Duration::from_micros(100));
     let loopback = Link::new(LinkConfig::loopback());
-    let server =
-        ProxyServer::new(model, SimRpcClient::new(loopback.forward(), nfs_node, RpcStats::new()));
+    let server = ProxyServer::new(
+        model,
+        inval_capacity,
+        SimRpcClient::new(loopback.forward(), nfs_node, RpcStats::new()),
+    );
     let mut ps_dispatcher = Dispatcher::new();
     ps_dispatcher.register_arc(Arc::clone(&server) as Arc<dyn RpcService>);
     (server, ServerNode::new("proxy-server", ps_dispatcher, Duration::from_micros(100)))
@@ -89,8 +100,11 @@ fn idle_client_state_is_bounded_after_churn() {
     let sim = Sim::new();
     sim.spawn("test", || {
         let vfs = Arc::new(Vfs::new());
-        let (server, node) =
-            proxy_stack(&vfs, ConsistencyModel::DelegationCallback(DelegationConfig::default()));
+        let (server, node) = proxy_stack(
+            &vfs,
+            ConsistencyModel::DelegationCallback(DelegationConfig::default()),
+            4096,
+        );
         let link = Link::new(LinkConfig::loopback());
         let wan_stats = RpcStats::new();
 
@@ -237,10 +251,9 @@ fn crash_keeps_configured_invalidation_capacity() {
     let sim = Sim::new();
     sim.spawn("test", || {
         let vfs = Arc::new(Vfs::new());
-        let (server, node) = proxy_stack(&vfs, ConsistencyModel::polling_30s());
+        let (server, node) = proxy_stack(&vfs, ConsistencyModel::polling_30s(), 2);
         let link = Link::new(LinkConfig::loopback());
         let t = SimRpcClient::new(link.forward(), node, RpcStats::new());
-        server.set_invalidation_capacity(2);
         server.crash();
 
         let boot = getinv(&t, 1, None);
@@ -261,4 +274,55 @@ fn crash_keeps_configured_invalidation_capacity() {
         assert!(res.force_invalidate, "three writes must wrap the configured 2-entry buffer");
     });
     sim.run();
+}
+
+/// One client reads `files` seeded files in a delegation session whose
+/// open-file table holds at most 8 entries, then one sweep runs.
+/// Returns the recalls that sweep sent and the files still tracked.
+fn lru_sweep(files: usize) -> (u64, usize) {
+    let sim = Sim::new();
+    let vfs = Arc::new(Vfs::new());
+    for n in 0..files {
+        let fid =
+            vfs.create(vfs.root(), &format!("f{n}"), 0o644, Timestamp::from_nanos(0)).unwrap();
+        vfs.write(fid, 0, &[n as u8; 64], Timestamp::from_nanos(0)).unwrap();
+    }
+    let session = Session::builder(SessionConfig {
+        model: ConsistencyModel::DelegationCallback(DelegationConfig {
+            max_tracked_files: 8,
+            ..DelegationConfig::default()
+        }),
+        sweep_interval: None,
+        ..SessionConfig::default()
+    })
+    .clients(1)
+    .vfs(vfs)
+    .establish(&sim);
+    let out = Arc::new(parking_lot::Mutex::new(None));
+    let result = Arc::clone(&out);
+    sim.spawn("lru", move || {
+        let c =
+            NfsClient::new(session.client_transport(0), session.root_fh(), MountOptions::default());
+        for n in 0..files {
+            assert_eq!(c.read_file(&format!("/f{n}")).unwrap(), vec![n as u8; 64]);
+        }
+        let server = session.proxy_server();
+        let before = server.recalls_sent();
+        server.sweep();
+        *result.lock() = Some((server.recalls_sent() - before, server.tracked_files()));
+        session.handle().shutdown();
+    });
+    sim.run();
+    let result = out.lock().take();
+    result.expect("the client actor ran")
+}
+
+/// The open-file table's LRU bound (§4.3.3) is one global budget: with
+/// the root directory, 7 read files fill the 8-entry table and a sweep
+/// recalls nothing; an 8th file overflows it by one, and the sweep
+/// recalls exactly the least recently used file.
+#[test]
+fn lru_bound_is_one_global_budget() {
+    assert_eq!(lru_sweep(7), (0, 8), "a full table must not be swept");
+    assert_eq!(lru_sweep(8), (1, 8), "one file over the bound costs one recall");
 }
