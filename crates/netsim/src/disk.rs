@@ -4,10 +4,11 @@
 //! Real disks would wreck the determinism the scheduler guarantees, so a
 //! [`VirtualDisk`] keeps every file as two byte vectors: the *current*
 //! content (what reads observe) and the *durable* content (what survives
-//! a crash). [`VirtualDisk::sync`] promotes current to durable;
-//! [`VirtualDisk::crash`] reverts to durable, except that the first
-//! unsynced appended region of each file keeps a deterministic half-way
-//! *torn prefix* — exactly the failure a write-ahead log must tolerate.
+//! a crash). [`VirtualDisk::sync`] promotes current to durable for the
+//! files written since the previous sync; [`VirtualDisk::crash`] reverts
+//! to durable, except that the first unsynced appended region of each
+//! file keeps a deterministic half-way *torn prefix* — exactly the
+//! failure a write-ahead log must tolerate.
 //!
 //! I/O never blocks: each operation accrues virtual nanoseconds
 //! (per-operation seek plus bytes ÷ throughput) into a pending-cost
@@ -89,6 +90,8 @@ pub struct DiskStats {
     pub bytes_written: u64,
     /// Completed [`VirtualDisk::sync`] barriers.
     pub syncs: u64,
+    /// Bytes [`VirtualDisk::sync`] copied to durable content.
+    pub bytes_synced: u64,
     /// Simulated crashes.
     pub crashes: u64,
     /// Bits flipped in durable bytes by the fault plan.
@@ -233,6 +236,9 @@ struct VFile {
     /// content must survive a crash (an unlink is only durable after a
     /// sync, like a POSIX unlink without a directory fsync).
     deleted: bool,
+    /// Possibly changed since the last sync; a clear flag means `data ==
+    /// durable` and `!deleted`, so [`VirtualDisk::sync`] skips the file.
+    unsynced: bool,
 }
 
 #[derive(Debug, Default)]
@@ -376,6 +382,7 @@ impl VirtualDisk {
             file.deleted = false;
             file.data.clear();
         }
+        file.unsynced = true;
         let off = usize::try_from(offset).expect("offset fits usize");
         let end = off + bytes.len();
         if file.data.len() < end {
@@ -403,6 +410,7 @@ impl VirtualDisk {
             file.deleted = false;
             file.data.clear();
         }
+        file.unsynced = true;
         let off = file.data.len() as u64;
         file.data.extend_from_slice(bytes);
         off
@@ -450,6 +458,8 @@ impl VirtualDisk {
                 file.data[idx] ^= 1 << bit;
                 if idx < file.durable.len() {
                     file.durable[idx] ^= 1 << bit;
+                } else {
+                    file.unsynced = true;
                 }
                 flipped = true;
             }
@@ -512,6 +522,8 @@ impl VirtualDisk {
         file.data[off] ^= xor;
         if off < file.durable.len() {
             file.durable[off] ^= xor;
+        } else {
+            file.unsynced = true;
         }
         inner.stats.flips_injected += 1;
         true
@@ -551,6 +563,7 @@ impl VirtualDisk {
             file.deleted = false;
             file.data.clear();
         }
+        file.unsynced = true;
         file.data.truncate(usize::try_from(len).expect("len fits usize"));
     }
 
@@ -566,15 +579,18 @@ impl VirtualDisk {
                 inner.files.remove(path);
             } else {
                 f.deleted = true;
+                f.unsynced = true;
                 f.data.clear();
             }
         }
     }
 
-    /// Atomically renames `old` to `new` (replacing `new`). The rename
-    /// itself is durable only after the next [`VirtualDisk::sync`], like
-    /// a POSIX `rename` without a directory fsync — but a crash keeps
-    /// whichever of the two contents was durable, never a mix.
+    /// Atomically renames `old` to `new` (replacing `new`). The old name
+    /// is gone at once, even across a crash. The moved file keeps its
+    /// durable copy, or takes over the replaced target's if it has none,
+    /// so a crash before the next [`VirtualDisk::sync`] reverts `new` to
+    /// one of the two durable contents under the usual
+    /// [`VirtualDisk::crash`] rules.
     pub fn rename(&self, old: &str, new: &str) {
         self.charge(0, self.cfg.write_bps);
         let mut inner = self.inner.lock();
@@ -587,19 +603,31 @@ impl VirtualDisk {
                     f.durable = prev.durable.clone();
                 }
             }
+            f.unsynced = true;
             inner.files.insert(new.to_owned(), f);
         }
     }
 
     /// Durability barrier: everything written so far survives a crash.
+    /// Copies only the files changed since the last sync, so its cost is
+    /// the size of those files, not of everything stored.
     pub fn sync(&self) {
         self.charge(0, self.cfg.write_bps);
         let mut inner = self.inner.lock();
-        inner.stats.syncs += 1;
-        inner.files.retain(|_, f| !f.deleted);
-        for f in inner.files.values_mut() {
-            f.durable = f.data.clone();
-        }
+        let DiskInner { files, stats, .. } = &mut *inner;
+        stats.syncs += 1;
+        files.retain(|_, f| {
+            if !f.unsynced {
+                return true;
+            }
+            f.unsynced = false;
+            if f.deleted {
+                return false;
+            }
+            f.durable.clone_from(&f.data);
+            stats.bytes_synced += f.data.len() as u64;
+            true
+        });
     }
 
     /// Simulates a machine crash: every file reverts to its durable
@@ -614,14 +642,15 @@ impl VirtualDisk {
             if f.deleted {
                 // Unsynced removal: the unlink is lost with the crash.
                 f.deleted = false;
-                f.data = f.durable.clone();
+                f.data.clone_from(&f.durable);
             } else if f.data.len() > f.durable.len() {
                 let torn = (f.data.len() - f.durable.len()) / 2;
                 f.data.truncate(f.durable.len() + torn);
                 f.data[..f.durable.len()].copy_from_slice(&f.durable);
             } else {
-                f.data = f.durable.clone();
+                f.data.clone_from(&f.durable);
             }
+            f.unsynced = f.data != f.durable;
             !f.data.is_empty() || !f.durable.is_empty()
         });
         // A crash forgets queued I/O cost along with the dirty pages.
@@ -812,6 +841,22 @@ mod tests {
         assert_eq!(d.read("f", 0, 5).unwrap(), b"hdllo", "corruption survives the crash");
         assert!(!d.corrupt_byte("f", 99, 0x01), "out of range");
         assert!(!d.corrupt_byte("missing", 0, 0x01));
+    }
+
+    #[test]
+    fn sync_copies_only_files_written_since_last_sync() {
+        let d = VirtualDisk::new(DiskConfig::instant());
+        for i in 0..100 {
+            d.write(&format!("data/{i}"), 0, &[1u8; 64 << 10]);
+        }
+        d.sync();
+        assert_eq!(d.stats().bytes_synced, 100 * (64 << 10));
+        d.write("data/7", 100, &[2u8]);
+        d.sync();
+        assert_eq!(d.stats().bytes_synced - 100 * (64 << 10), 64 << 10, "one file copied");
+        d.sync();
+        assert_eq!(d.stats().bytes_synced, 101 * (64 << 10), "nothing left to copy");
+        assert_eq!(d.stats().syncs, 3);
     }
 
     #[test]
