@@ -5,10 +5,18 @@
 //! (ties broken by actor id, i.e. spawn order). This makes every
 //! simulation fully deterministic while letting protocol code be written
 //! in ordinary blocking style.
+//!
+//! Each actor thread waits on a condition variable of its own, and
+//! [`Sim::run`] on another, all on the one state mutex. A handoff signals
+//! exactly the thread that runs next (nobody, when the yielding actor is
+//! itself next), `Sim::run` only once no actor is live, and every thread
+//! only when the simulation fails. With one shared condition variable
+//! every waiting thread would wake on every handoff just to find it was
+//! not its turn.
 
 use crate::time::SimTime;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -32,15 +40,17 @@ struct Block {
     unparked: bool,
 }
 
-#[derive(Debug)]
 struct ActorRec {
     name: String,
     block: Option<Block>,
     /// A banked unpark delivered while the actor was running or sleeping.
     permit: bool,
+    /// Signalled when this actor is scheduled or the simulation fails;
+    /// only the actor's own thread waits on it.
+    wake: Arc<Condvar>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct State {
     time: SimTime,
     running: Option<ActorId>,
@@ -57,16 +67,64 @@ struct State {
     /// the scheduling hot path once simulations carry thousands of
     /// actors.
     ready: BinaryHeap<Reverse<(SimTime, ActorId)>>,
+    /// Waits that returned with nothing for the waiter to do: its actor
+    /// not scheduled, or `Sim::run` with actors live, and no failure.
+    #[cfg(test)]
+    idle_wakeups: u64,
 }
 
 pub(crate) struct Scheduler {
     state: Mutex<State>,
-    cv: Condvar,
+    /// Signalled only when no actor is live or the simulation fails;
+    /// [`Sim::run`] waits on it.
+    done: Condvar,
 }
 
 impl Scheduler {
     fn new() -> Arc<Self> {
-        Arc::new(Scheduler { state: Mutex::new(State::default()), cv: Condvar::new() })
+        Arc::new(Scheduler { state: Mutex::new(State::default()), done: Condvar::new() })
+    }
+
+    /// Waits on `cv` until `ready` holds, or returns the failure message
+    /// once the simulation has failed.
+    fn wait_until(
+        st: &mut MutexGuard<'_, State>,
+        cv: &Condvar,
+        ready: impl Fn(&State) -> bool,
+    ) -> Option<String> {
+        loop {
+            if let Some(msg) = &st.failed {
+                return Some(msg.clone());
+            }
+            if ready(st) {
+                return None;
+            }
+            cv.wait(st);
+            #[cfg(test)]
+            if !ready(st) && st.failed.is_none() {
+                st.idle_wakeups += 1;
+            }
+        }
+    }
+
+    /// Wakes the threads that have something to do after a handoff:
+    /// every actor and [`Sim::run`] once the simulation has failed, so
+    /// that all of them exit; otherwise the scheduled actor, unless it is
+    /// `yielding` (the caller, which keeps the token without waiting),
+    /// or `Sim::run` once no actor is live.
+    fn wake_next(&self, st: &State, yielding: Option<ActorId>) {
+        if st.failed.is_some() {
+            for rec in st.actors.values() {
+                rec.wake.notify_one();
+            }
+            self.done.notify_one();
+        } else if let Some(id) = st.running {
+            if Some(id) != yielding {
+                st.actors[&id].wake.notify_one();
+            }
+        } else if st.live == 0 {
+            self.done.notify_one();
+        }
     }
 
     /// Picks the next actor to run. Must be called with `running == None`.
@@ -100,8 +158,9 @@ impl Scheduler {
 
     /// Blocks the calling actor and waits to be rescheduled.
     /// Returns whether it was unparked (vs. woken by time).
-    fn block_and_wait(&self, id: ActorId, kind: BlockKind, wake_at: Option<SimTime>) -> bool {
-        let mut st = self.state.lock();
+    fn block_and_wait(ctx: &Ctx, kind: BlockKind, wake_at: Option<SimTime>) -> bool {
+        let (sched, id) = (&ctx.sched, ctx.id);
+        let mut st = sched.state.lock();
         debug_assert_eq!(st.running, Some(id), "only the running actor may block");
         {
             let rec = st.actors.get_mut(&id).expect("actor record");
@@ -112,16 +171,10 @@ impl Scheduler {
         }
         st.running = None;
         Self::schedule_next(&mut st);
-        self.cv.notify_all();
-        loop {
-            if let Some(msg) = st.failed.clone() {
-                drop(st);
-                panic!("{msg}");
-            }
-            if st.running == Some(id) {
-                break;
-            }
-            self.cv.wait(&mut st);
+        sched.wake_next(&st, Some(id));
+        if let Some(msg) = Self::wait_until(&mut st, &ctx.wake, |st| st.running == Some(id)) {
+            drop(st);
+            panic!("{msg}");
         }
         let rec = st.actors.get_mut(&id).expect("actor record");
         rec.block.take().map(|b| b.unparked).unwrap_or(false)
@@ -133,6 +186,7 @@ impl Scheduler {
         f: Box<dyn FnOnce() + Send + 'static>,
     ) -> ActorHandle {
         let id;
+        let wake = Arc::new(Condvar::new());
         {
             let mut st = self.state.lock();
             if st.failed.is_some() {
@@ -151,6 +205,7 @@ impl Scheduler {
                         unparked: false,
                     }),
                     permit: false,
+                    wake: Arc::clone(&wake),
                 },
             );
             st.ready.push(Reverse((birth, id)));
@@ -161,24 +216,22 @@ impl Scheduler {
         std::thread::Builder::new()
             .name(tname.clone())
             .spawn(move || {
-                CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { sched: Arc::clone(&sched), id }));
+                CURRENT.with(|c| {
+                    *c.borrow_mut() =
+                        Some(Ctx { sched: Arc::clone(&sched), id, wake: Arc::clone(&wake) })
+                });
                 // Wait to be scheduled for the first time.
                 {
                     let mut st = sched.state.lock();
-                    loop {
-                        if let Some(msg) = st.failed.clone() {
-                            drop(st);
-                            // Simulation already failed; just deregister.
-                            sched.finish_actor(id, Some(msg));
-                            return;
-                        }
-                        if st.running == Some(id) {
-                            let rec = st.actors.get_mut(&id).expect("actor record");
-                            rec.block = None;
-                            break;
-                        }
-                        sched.cv.wait(&mut st);
+                    if let Some(msg) =
+                        Scheduler::wait_until(&mut st, &wake, |st| st.running == Some(id))
+                    {
+                        drop(st);
+                        // Simulation already failed; just deregister.
+                        sched.finish_actor(id, Some(msg));
+                        return;
                     }
+                    st.actors.get_mut(&id).expect("actor record").block = None;
                 }
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
                 let failure = result.err().map(|e| {
@@ -211,13 +264,14 @@ impl Scheduler {
                 Self::schedule_next(&mut st);
             }
         }
-        self.cv.notify_all();
+        self.wake_next(&st, None);
     }
 }
 
 struct Ctx {
     sched: Arc<Scheduler>,
     id: ActorId,
+    wake: Arc<Condvar>,
 }
 
 thread_local! {
@@ -262,7 +316,7 @@ pub fn sleep(d: Duration) {
             let st = ctx.sched.state.lock();
             st.time + d
         };
-        ctx.sched.block_and_wait(ctx.id, BlockKind::Sleeping, Some(wake));
+        Scheduler::block_and_wait(ctx, BlockKind::Sleeping, Some(wake));
     });
 }
 
@@ -280,7 +334,7 @@ pub fn advance_to(t: SimTime) {
             }
             t
         };
-        ctx.sched.block_and_wait(ctx.id, BlockKind::Sleeping, Some(wake));
+        Scheduler::block_and_wait(ctx, BlockKind::Sleeping, Some(wake));
     });
 }
 
@@ -303,7 +357,7 @@ pub fn park() {
                 return;
             }
         }
-        ctx.sched.block_and_wait(ctx.id, BlockKind::Parked, None);
+        Scheduler::block_and_wait(ctx, BlockKind::Parked, None);
     });
 }
 
@@ -324,7 +378,7 @@ pub fn park_timeout(d: Duration) -> bool {
             }
             st.time + d
         };
-        ctx.sched.block_and_wait(ctx.id, BlockKind::Parked, Some(wake))
+        Scheduler::block_and_wait(ctx, BlockKind::Parked, Some(wake))
     })
 }
 
@@ -408,7 +462,7 @@ impl Drop for Sim {
         let mut st = self.sched.state.lock();
         if !st.started && st.live > 0 && st.failed.is_none() {
             st.failed = Some("simulation dropped without running".to_string());
-            self.sched.cv.notify_all();
+            self.sched.wake_next(&st, None);
         }
     }
 }
@@ -443,19 +497,12 @@ impl Sim {
         if st.running.is_none() {
             Scheduler::schedule_next(&mut st);
         }
-        self.sched.cv.notify_all();
-        loop {
-            if let Some(msg) = st.failed.clone() {
-                // Let stuck actor threads observe the failure and exit.
-                self.sched.cv.notify_all();
-                drop(st);
-                panic!("{msg}");
-            }
-            if st.live == 0 {
-                return st.time;
-            }
-            self.sched.cv.wait(&mut st);
+        self.sched.wake_next(&st, None);
+        if let Some(msg) = Scheduler::wait_until(&mut st, &self.sched.done, |st| st.live == 0) {
+            drop(st);
+            panic!("{msg}");
         }
+        st.time
     }
 }
 
@@ -646,17 +693,91 @@ mod tests {
     #[test]
     fn dropping_an_unrun_sim_releases_its_actors() {
         let spawned = Arc::new(PMutex::new(false));
+        let token = Arc::new(());
         {
             let sim = Sim::new();
             let s = spawned.clone();
             sim.spawn("never-scheduled", move || {
                 *s.lock() = true; // must never execute
             });
+            spawn_bystanders(&sim, &token);
             // sim dropped here without run()
         }
-        // Give the actor thread a moment to observe the failure and exit;
-        // the test process would hang at exit otherwise.
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        wait_for_release(&token);
         assert!(!*spawned.lock(), "the actor body never ran");
+    }
+
+    /// Spawns 16 actors that each own a clone of `token`: half park at
+    /// once, half sleep an hour ahead and then park.
+    fn spawn_bystanders(sim: &Sim, token: &Arc<()>) {
+        for i in 0..16 {
+            let token = Arc::clone(token);
+            sim.spawn(&format!("bystander-{i}"), move || {
+                let _token = token;
+                if i % 2 == 1 {
+                    sleep(Duration::from_secs(3600));
+                }
+                park();
+            });
+        }
+    }
+
+    /// Waits, on the wall clock, until every actor thread holding a clone
+    /// of `token` has exited.
+    fn wait_for_release(token: &Arc<()>) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while Arc::strong_count(token) > 1 {
+            let left = Arc::strong_count(token) - 1;
+            assert!(std::time::Instant::now() < deadline, "{left} actor threads never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Runs `sim`, which must fail, and returns its panic message.
+    fn run_failure(sim: Sim) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("the simulation must fail");
+        err.downcast_ref::<String>().cloned().expect("string panic payload")
+    }
+
+    #[test]
+    fn actor_panic_releases_every_bystander() {
+        let token = Arc::new(());
+        let sim = Sim::new();
+        spawn_bystanders(&sim, &token);
+        sim.spawn("bad", || {
+            sleep(Duration::from_secs(1));
+            panic!("boom");
+        });
+        assert_eq!(run_failure(sim), "actor 'bad' panicked: boom");
+        wait_for_release(&token);
+    }
+
+    #[test]
+    fn deadlock_releases_every_bystander() {
+        let token = Arc::new(());
+        let sim = Sim::new();
+        spawn_bystanders(&sim, &token);
+        let msg = run_failure(sim);
+        assert!(msg.starts_with("virtual-time deadlock at 3600.000"), "{msg}");
+        wait_for_release(&token);
+    }
+
+    #[test]
+    fn a_handoff_wakes_only_the_actor_that_runs_next() {
+        let sim = Sim::new();
+        for i in 0..32 {
+            sim.spawn(&format!("bystander-{i}"), || {
+                assert!(!park_timeout(Duration::from_secs(3600)));
+            });
+        }
+        sim.spawn("worker", || {
+            for _ in 0..10_000 {
+                sleep(Duration::from_micros(1));
+            }
+        });
+        let sched = Arc::clone(&sim.sched);
+        assert_eq!(sim.run(), SimTime::from_secs(3600));
+        assert_eq!(sched.state.lock().idle_wakeups, 0, "waits that returned out of turn");
     }
 }
