@@ -7,7 +7,8 @@ use gvfs_analysis::lint::{
     lint_lock_order_drift, lint_source, lint_source_with_graph, lint_workspace, CallGraph,
     Diagnostic, LOCK_ORDER,
 };
-use gvfs_analysis::model;
+use gvfs_analysis::model::{self, ModelReport};
+use gvfs_analysis::product;
 use std::path::Path;
 
 const PROTOCOL_ENUMS: &[&str] = &["DelegationGrant", "SessionOp"];
@@ -358,16 +359,40 @@ fn shipped_workspace_is_lint_clean() {
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
+/// Asserts a machine explores exactly the pinned state space and holds:
+/// a changed count means the exploration itself changed, which must be
+/// deliberate.
+fn assert_explores(report: ModelReport, states: usize, transitions: usize) {
+    assert!(report.violations.is_empty(), "{}: {:#?}", report.machine, report.violations);
+    assert_eq!(
+        (report.states, report.transitions),
+        (states, transitions),
+        "{}: (states, transitions) drifted",
+        report.machine
+    );
+}
+
 #[test]
 fn delegation_model_explores_and_holds() {
-    let report = model::check_delegation();
-    assert!(report.violations.is_empty(), "{:#?}", report.violations);
-    assert!(report.states >= 1_000, "only {} states", report.states);
+    assert_explores(model::check_delegation(), 4_773, 29_061);
 }
 
 #[test]
 fn invalidation_model_explores_and_holds() {
-    let report = model::check_invalidation();
-    assert!(report.violations.is_empty(), "{:#?}", report.violations);
-    assert!(report.states >= 1_000, "only {} states", report.states);
+    assert_explores(model::check_invalidation(), 9_671, 26_063);
+}
+
+#[test]
+fn breaker_model_explores_and_holds() {
+    assert_explores(model::check_breaker(), 8, 295_245);
+}
+
+#[test]
+fn fanout_model_explores_and_holds() {
+    assert_explores(model::check_fanout(), 3_850, 11_644);
+}
+
+#[test]
+fn product_model_explores_and_holds() {
+    assert_explores(product::check_product(), 72_014, 132_797);
 }
