@@ -31,21 +31,23 @@
 //!   and clock reads, including the lazy Open → HalfOpen promotion and
 //!   the capped cooldown doubling.
 //!
-//! The *spec* side of each machine is an explicit transition table kept
-//! in the model state ([`DelegAction`], [`InvalAction`] and the
-//! [`ClientSpec`] bookkeeping); the checker asserts the implementation
-//! refines it. Violations carry the full action trace that reaches
-//! them, so they replay as a unit test.
+//! The delegation and invalidation machines check the rules stated once
+//! in [`crate::spec`]; the breaker machine carries its own spec
+//! ([`BreakerSpec`]). [`explore`] is the one breadth-first explorer the
+//! delegation, invalidation and product machines share. Violations
+//! carry the full action trace that reaches them, so they replay as a
+//! unit test.
 
-use gvfs_core::delegation::{DelegationKind, DelegationTable, RecallAction};
+use crate::spec::{self, GetinvSpec, RecallRound};
+use gvfs_core::delegation::{DelegationKind, DelegationTable};
 use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::protocol::DelegationGrant;
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::Fh3;
 use gvfs_rpc::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use std::fmt::Write as _;
+use std::collections::{HashSet, VecDeque};
+use std::fmt::{Debug, Write as _};
 use std::time::Duration;
 
 const T0: SimTime = SimTime::ZERO;
@@ -59,7 +61,8 @@ const DEPTH_CAP: usize = 6;
 /// Outcome of checking one state machine.
 #[derive(Debug, Default)]
 pub struct ModelReport {
-    /// Machine name (`delegation` or `invalidation`).
+    /// Machine name (`delegation`, `invalidation`, `breaker`, `fanout`
+    /// or `product`).
     pub machine: &'static str,
     /// Distinct states visited across all configurations.
     pub states: usize,
@@ -73,11 +76,68 @@ fn fmt_trace(trace: &[String]) -> String {
     trace.join(" ; ")
 }
 
+/// A state machine [`explore`] can drive: the actions enabled in a
+/// state, their effect (or the invariant they break), and a
+/// fingerprint that identifies equivalent states.
+pub(crate) trait Machine: Clone {
+    type Action: Debug;
+
+    fn enabled(&self) -> Vec<Self::Action>;
+
+    /// Applies `action`, returning the first invariant it violates.
+    fn apply(&mut self, action: &Self::Action) -> Result<(), String>;
+
+    fn fingerprint(&self) -> String;
+
+    /// Checks run once on every newly discovered state.
+    fn check_new_state(&self) -> Vec<String> {
+        Vec::new()
+    }
+}
+
+/// Breadth-first exploration of one configuration from `initial`, up
+/// to `state_cap` distinct states and [`DEPTH_CAP`] actions deep,
+/// adding its states, transitions and violations to `report`.
+pub(crate) fn explore<M: Machine>(
+    report: &mut ModelReport,
+    label: &str,
+    initial: M,
+    state_cap: usize,
+) {
+    let mut visited: HashSet<String> = HashSet::new();
+    visited.insert(initial.fingerprint());
+    let mut queue: VecDeque<(M, Vec<String>, usize)> = VecDeque::from([(initial, Vec::new(), 0)]);
+    let mut states = 1usize;
+    while let Some((state, trace, depth)) = queue.pop_front() {
+        if depth >= DEPTH_CAP || states >= state_cap {
+            continue;
+        }
+        for action in state.enabled() {
+            let mut next = state.clone();
+            let mut next_trace = trace.clone();
+            next_trace.push(format!("{action:?}"));
+            report.transitions += 1;
+            let violation =
+                |v: String| format!("{label}: {v}\n  trace: {}", fmt_trace(&next_trace));
+            if let Err(v) = next.apply(&action) {
+                report.violations.push(violation(v));
+                continue;
+            }
+            if visited.insert(next.fingerprint()) {
+                states += 1;
+                report.violations.extend(next.check_new_state().into_iter().map(violation));
+                queue.push_back((next, next_trace, depth + 1));
+            }
+        }
+    }
+    report.states += states;
+}
+
 // ---------------------------------------------------------------------
 // Delegation machine
 // ---------------------------------------------------------------------
 
-/// One actionable step of the delegation spec.
+/// One actionable step of the delegation machine.
 #[derive(Debug, Clone)]
 enum DelegAction {
     /// A client's read/write access reaches the proxy server.
@@ -89,36 +149,73 @@ enum DelegAction {
     Writeback { fh: Fh3 },
 }
 
-impl std::fmt::Display for DelegAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DelegAction::Access { client, fh, write } => {
-                write!(f, "access(client={client}, fh={fh:?}, write={write})")
-            }
-            DelegAction::Answer { round, idx, partial } => {
-                write!(f, "answer(round={round}, recall={idx}, partial={partial})")
-            }
-            DelegAction::Writeback { fh } => write!(f, "writeback(fh={fh:?})"),
-        }
-    }
-}
-
-/// An in-flight recall round: `begin_recall` has run, the callbacks are
-/// on the wire, `end_recall` runs when the last one is answered. Other
-/// accesses interleave freely — exactly the window `recalling` guards.
-#[derive(Debug, Clone)]
-struct Round {
-    fh: Fh3,
-    pending: Vec<RecallAction>,
-}
-
+/// The shipped table plus the recall rounds in flight: `begin_recall`
+/// has run, the callbacks are on the wire, `end_recall` runs when the
+/// last one is answered. Other accesses interleave freely — exactly
+/// the window `recalling` guards.
 #[derive(Clone)]
 struct DelegState {
     table: DelegationTable,
-    rounds: Vec<Round>,
+    rounds: Vec<RecallRound>,
+    clients: Vec<u32>,
+    files: Vec<Fh3>,
 }
 
 impl DelegState {
+    /// The table with every outstanding recall answered and every
+    /// pending write-back drained.
+    fn settled(&self) -> Result<DelegationTable, String> {
+        let mut table = self.table.clone();
+        spec::settle(&mut table, self.rounds.clone())?;
+        Ok(table)
+    }
+
+    /// Invariant: once every outstanding recall is answered and every
+    /// pending write-back drained, a conflicting write arriving one
+    /// lease period after the last activity needs *no recall round
+    /// trip* — lapsed delegations are revoked server-side on the spot
+    /// (`DelegationTable::access` lease revocation), so an unresponsive
+    /// holder blocks a writer for at most one lease period. Open
+    /// speculation may still withhold the write *delegation* (that is
+    /// `expiration`'s business), but no stale delegation may survive
+    /// the probe.
+    fn check_lease_expiry(&self) -> Result<(), String> {
+        // A client id outside the model's set: a brand-new writer.
+        const PROBE: u32 = 99;
+        let mut table = self.settled()?;
+        // All model activity happens at T0, so one lease later every
+        // delegation's renewal lease has lapsed (but open speculation,
+        // with its longer `expiration`, has not).
+        let late = T0 + DelegationConfig::default().lease + Duration::from_secs(1);
+        for &fh in &self.files {
+            let (grant, recalls) = table.access(fh, PROBE, true, Some(0), late);
+            if !recalls.is_empty() {
+                return Err(format!(
+                    "write at lease expiry on {fh:?} still issues a recall round trip: {:?}",
+                    recalls.iter().map(|r| (r.client, r.kind)).collect::<Vec<_>>()
+                ));
+            }
+            if grant != DelegationGrant::Write {
+                // Blocking past the lease may only come from open
+                // speculation, never from a delegation that should have
+                // been lease-revoked.
+                if let Some(f) = table.snapshot().iter().find(|f| f.fh == fh) {
+                    if f.sharers.iter().any(|&(c, d)| c != PROBE && d.is_some()) {
+                        return Err(format!(
+                            "stale delegation survived lease expiry on {fh:?}: {:?}",
+                            f.sharers
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Machine for DelegState {
+    type Action = DelegAction;
+
     fn fingerprint(&self) -> String {
         let mut rounds: Vec<String> = self
             .rounds
@@ -142,24 +239,23 @@ impl DelegState {
         s
     }
 
-    /// Applies `action`, returning an invariant violation if one fires.
-    fn apply(&mut self, action: &DelegAction) -> Option<String> {
+    fn apply(&mut self, action: &DelegAction) -> Result<(), String> {
         match *action {
             DelegAction::Access { client, fh, write } => {
                 let (grant, recalls) = self.table.access(fh, client, write, Some(0), T0);
                 if grant == DelegationGrant::Write
                     && self.table.held(fh, client) != Some(DelegationKind::Write)
                 {
-                    return Some("Write grant returned but table does not record it".into());
+                    return Err("Write grant returned but table does not record it".into());
                 }
                 if !recalls.is_empty() {
                     if grant != DelegationGrant::NonCacheable {
-                        return Some(format!(
+                        return Err(format!(
                             "recalls issued but grant is {grant:?}, not NonCacheable"
                         ));
                     }
                     self.table.begin_recall(fh);
-                    self.rounds.push(Round { fh, pending: recalls });
+                    self.rounds.push(RecallRound { fh, pending: recalls });
                 }
             }
             DelegAction::Answer { round, idx, partial } => {
@@ -186,155 +282,23 @@ impl DelegState {
                 }
             }
         }
-        self.check_write_exclusion()
+        spec::write_exclusion(&self.table.snapshot())
     }
 
-    /// Invariant: write delegations are exclusive per file, and a
-    /// pending write-back never has an empty block list (it would be
-    /// undrainable).
-    fn check_write_exclusion(&self) -> Option<String> {
-        for f in self.table.snapshot() {
-            let writers =
-                f.sharers.iter().filter(|&&(_, d)| d == Some(DelegationKind::Write)).count();
-            let delegated = f.sharers.iter().filter(|&&(_, d)| d.is_some()).count();
-            if writers > 0 && delegated > 1 {
-                return Some(format!(
-                    "write delegation coexists with another delegation on {:?}: {:?}",
-                    f.fh, f.sharers
-                ));
-            }
-            if let Some((client, blocks)) = &f.pending {
-                if blocks.is_empty() {
-                    return Some(format!(
-                        "pending write-back for client {client} on {:?} has no blocks",
-                        f.fh
-                    ));
-                }
-            }
-        }
-        None
-    }
-
-    /// Invariant: after answering every outstanding recall and draining
-    /// every pending write-back, a write delegation is grantable on
-    /// every file (probed once speculated opens have expired).
-    fn check_regrantable(&self, files: &[Fh3], probe_client: u32) -> Option<String> {
-        let mut s = self.clone();
-        for round in std::mem::take(&mut s.rounds) {
-            for r in &round.pending {
-                s.table.recall_done(r.fh, r.client, Vec::new());
-            }
-            s.table.end_recall(round.fh);
-        }
-        for &fh in files {
-            let mut spins = 0;
-            while let Some((client, block)) =
-                s.table.pending_writeback(fh).map(|p| (p.client, p.blocks.iter().next().copied()))
-            {
-                let Some(block) = block else {
-                    return Some(format!("stuck pending write-back without blocks on {fh:?}"));
-                };
-                s.table.note_writeback(fh, client, block);
-                spins += 1;
-                if spins > 64 {
-                    return Some(format!("pending write-back on {fh:?} does not drain"));
-                }
-            }
-        }
+    /// Re-grantability (probed once speculated opens have expired) and
+    /// lease-bounded blocking.
+    fn check_new_state(&self) -> Vec<String> {
         let probe_now = T0 + Duration::from_secs(1_000); // past speculation expiry
-        for &fh in files {
-            let mut tries = 0;
-            loop {
-                let (grant, recalls) = s.table.access(fh, probe_client, true, Some(0), probe_now);
-                if grant == DelegationGrant::Write {
-                    break;
-                }
-                if recalls.is_empty() {
-                    return Some(format!(
-                        "file {fh:?} stuck: write access yields {grant:?} with nothing to recall"
-                    ));
-                }
-                s.table.begin_recall(fh);
-                for r in &recalls {
-                    s.table.recall_done(r.fh, r.client, Vec::new());
-                }
-                s.table.end_recall(fh);
-                tries += 1;
-                if tries > 8 {
-                    return Some(format!("file {fh:?} not re-grantable after 8 recall rounds"));
-                }
-            }
-        }
-        None
+        let regrant = self
+            .settled()
+            .and_then(|mut t| spec::regrantable(&mut t, &self.files, self.clients[0], probe_now));
+        [regrant, self.check_lease_expiry()].into_iter().filter_map(Result::err).collect()
     }
 
-    /// Invariant: once every outstanding recall is answered and every
-    /// pending write-back drained, a conflicting write arriving one
-    /// lease period after the last activity needs *no recall round
-    /// trip* — lapsed delegations are revoked server-side on the spot
-    /// (`DelegationTable::access` lease revocation), so an unresponsive
-    /// holder blocks a writer for at most one lease period. Open
-    /// speculation may still withhold the write *delegation* (that is
-    /// `expiration`'s business), but no stale delegation may survive
-    /// the probe.
-    fn check_lease_expiry(&self, files: &[Fh3]) -> Option<String> {
-        // A client id outside the model's set: a brand-new writer.
-        const PROBE: u32 = 99;
-        let mut s = self.clone();
-        for round in std::mem::take(&mut s.rounds) {
-            for r in &round.pending {
-                s.table.recall_done(r.fh, r.client, Vec::new());
-            }
-            s.table.end_recall(round.fh);
-        }
-        for &fh in files {
-            let mut spins = 0;
-            while let Some((client, block)) =
-                s.table.pending_writeback(fh).map(|p| (p.client, p.blocks.iter().next().copied()))
-            {
-                let Some(block) = block else {
-                    return Some(format!("stuck pending write-back without blocks on {fh:?}"));
-                };
-                s.table.note_writeback(fh, client, block);
-                spins += 1;
-                if spins > 64 {
-                    return Some(format!("pending write-back on {fh:?} does not drain"));
-                }
-            }
-        }
-        // All model activity happens at T0, so one lease later every
-        // delegation's renewal lease has lapsed (but open speculation,
-        // with its longer `expiration`, has not).
-        let late = T0 + DelegationConfig::default().lease + Duration::from_secs(1);
-        for &fh in files {
-            let (grant, recalls) = s.table.access(fh, PROBE, true, Some(0), late);
-            if !recalls.is_empty() {
-                return Some(format!(
-                    "write at lease expiry on {fh:?} still issues a recall round trip: {:?}",
-                    recalls.iter().map(|r| (r.client, r.kind)).collect::<Vec<_>>()
-                ));
-            }
-            if grant != DelegationGrant::Write {
-                // Blocking past the lease may only come from open
-                // speculation, never from a delegation that should have
-                // been lease-revoked.
-                if let Some(f) = s.table.snapshot().iter().find(|f| f.fh == fh) {
-                    if f.sharers.iter().any(|&(c, d)| c != PROBE && d.is_some()) {
-                        return Some(format!(
-                            "stale delegation survived lease expiry on {fh:?}: {:?}",
-                            f.sharers
-                        ));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn enabled(&self, clients: &[u32], files: &[Fh3]) -> Vec<DelegAction> {
+    fn enabled(&self) -> Vec<DelegAction> {
         let mut acts = Vec::new();
-        for &client in clients {
-            for &fh in files {
+        for &client in &self.clients {
+            for &fh in &self.files {
                 for write in [false, true] {
                     acts.push(DelegAction::Access { client, fh, write });
                 }
@@ -348,7 +312,7 @@ impl DelegState {
                 }
             }
         }
-        for &fh in files {
+        for &fh in &self.files {
             if self.table.pending_writeback(fh).is_some() {
                 acts.push(DelegAction::Writeback { fh });
             }
@@ -361,53 +325,14 @@ impl DelegState {
 pub fn check_delegation() -> ModelReport {
     let mut report = ModelReport { machine: "delegation", ..ModelReport::default() };
     for &(n_clients, n_files) in &[(2u32, 1u64), (2, 2), (3, 1), (3, 2)] {
-        let clients: Vec<u32> = (1..=n_clients).collect();
-        let files: Vec<Fh3> = (1..=n_files).map(Fh3::from_fileid).collect();
-        let label = format!("delegation[clients={n_clients},files={n_files}]");
-
         let initial = DelegState {
             table: DelegationTable::new(DelegationConfig::default()),
             rounds: Vec::new(),
+            clients: (1..=n_clients).collect(),
+            files: (1..=n_files).map(Fh3::from_fileid).collect(),
         };
-        let mut visited: HashSet<String> = HashSet::new();
-        visited.insert(initial.fingerprint());
-        let mut queue: VecDeque<(DelegState, Vec<String>, usize)> = VecDeque::new();
-        queue.push_back((initial, Vec::new(), 0));
-        let mut states = 1usize;
-
-        while let Some((state, trace, depth)) = queue.pop_front() {
-            if depth >= DEPTH_CAP || states >= STATE_CAP {
-                continue;
-            }
-            for action in state.enabled(&clients, &files) {
-                let mut next = state.clone();
-                let mut next_trace = trace.clone();
-                next_trace.push(action.to_string());
-                report.transitions += 1;
-                if let Some(v) = next.apply(&action) {
-                    report
-                        .violations
-                        .push(format!("{label}: {v}\n  trace: {}", fmt_trace(&next_trace)));
-                    continue;
-                }
-                let fp = next.fingerprint();
-                if visited.insert(fp) {
-                    states += 1;
-                    if let Some(v) = next.check_regrantable(&files, clients[0]) {
-                        report
-                            .violations
-                            .push(format!("{label}: {v}\n  trace: {}", fmt_trace(&next_trace)));
-                    }
-                    if let Some(v) = next.check_lease_expiry(&files) {
-                        report
-                            .violations
-                            .push(format!("{label}: {v}\n  trace: {}", fmt_trace(&next_trace)));
-                    }
-                    queue.push_back((next, next_trace, depth + 1));
-                }
-            }
-        }
-        report.states += states;
+        let label = format!("delegation[clients={n_clients},files={n_files}]");
+        explore(&mut report, &label, initial, STATE_CAP);
     }
     report
 }
@@ -416,7 +341,7 @@ pub fn check_delegation() -> ModelReport {
 // Invalidation machine
 // ---------------------------------------------------------------------
 
-/// One actionable step of the invalidation spec.
+/// One actionable step of the invalidation machine.
 #[derive(Debug, Clone)]
 enum InvalAction {
     /// `writer` modifies `fh` (the server records it for everyone else).
@@ -430,134 +355,47 @@ enum InvalAction {
     ServerRestart,
 }
 
-impl std::fmt::Display for InvalAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InvalAction::Modify { writer, fh } => write!(f, "modify(writer={writer}, fh={fh:?})"),
-            InvalAction::Getinv { client } => write!(f, "getinv(client={client})"),
-            InvalAction::ClientCrash { client } => write!(f, "crash(client={client})"),
-            InvalAction::ServerRestart => write!(f, "server_restart"),
-        }
-    }
-}
-
-/// The spec's view of one client: what the protocol *owes* it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct ClientSpec {
-    /// Timestamp the client would send on its next poll.
-    ts: Option<u64>,
-    /// Whether the server currently has a buffer for this client.
-    registered: bool,
-    /// Files modified by others since the client's last drain.
-    owed: BTreeSet<Fh3>,
-    /// An owed entry was discarded by wrap-around: the next reply must
-    /// force-invalidate.
-    wrapped: bool,
-}
-
+/// The shipped tracker beside the spec it must refine.
 #[derive(Clone)]
 struct InvalState {
     tracker: ConcurrentInvalidationTracker,
-    capacity: usize,
-    spec: BTreeMap<u32, ClientSpec>,
+    spec: GetinvSpec,
+    clients: Vec<u32>,
+    files: Vec<Fh3>,
 }
 
-impl InvalState {
+impl Machine for InvalState {
+    type Action = InvalAction;
+
     fn fingerprint(&self) -> String {
         format!("{:?}|{}|{:?}", self.tracker.snapshot(), self.tracker.now(), self.spec)
     }
 
-    fn apply(&mut self, action: &InvalAction) -> Option<String> {
+    fn apply(&mut self, action: &InvalAction) -> Result<(), String> {
         match *action {
             InvalAction::Modify { writer, fh } => {
                 self.tracker.record_modification(fh, writer);
-                for (&client, cs) in &mut self.spec {
-                    if client == writer || !cs.registered {
-                        continue;
-                    }
-                    if cs.owed.insert(fh) && cs.owed.len() > self.capacity {
-                        cs.wrapped = true;
-                    }
-                }
-                None
+                self.spec.modify(fh, writer);
             }
             InvalAction::Getinv { client } => {
-                let cs = self.spec.get_mut(&client).expect("model client");
-                let res = self.tracker.getinv(client, cs.ts);
-                // Timestamps are monotone per client within a server
-                // epoch; a forced reply re-bootstraps the client (it
-                // discards its cache and its old timestamp with it), so
-                // only non-forced replies must not regress.
-                if let (Some(prev), false) = (cs.ts, res.force_invalidate) {
-                    if res.timestamp < prev {
-                        return Some(format!(
-                            "GETINV timestamp regressed for client {client}: {} < {prev}",
-                            res.timestamp
-                        ));
-                    }
-                }
-                let expect_force = !cs.registered || cs.ts.is_none() || cs.wrapped;
-                if res.force_invalidate != expect_force {
-                    return Some(format!(
-                        "client {client}: force_invalidate={} but spec expects {expect_force} \
-                         (registered={}, ts={:?}, wrapped={})",
-                        res.force_invalidate, cs.registered, cs.ts, cs.wrapped
-                    ));
-                }
-                if !res.force_invalidate {
-                    if res.poll_again {
-                        return Some(format!(
-                            "client {client}: poll_again in a configuration far below the \
-                             pagination threshold"
-                        ));
-                    }
-                    let got: BTreeSet<Fh3> = res.handles.iter().copied().collect();
-                    if got.len() != res.handles.len() {
-                        return Some(format!(
-                            "client {client}: duplicate handles in a GETINV reply (coalescing \
-                             violated): {:?}",
-                            res.handles
-                        ));
-                    }
-                    if got != cs.owed {
-                        return Some(format!(
-                            "client {client}: GETINV delivered {got:?} but spec owes {:?}",
-                            cs.owed
-                        ));
-                    }
-                }
-                // Forced or not, after this reply the client is square:
-                // a force makes it invalidate everything it caches.
-                *cs = ClientSpec {
-                    ts: Some(res.timestamp),
-                    registered: true,
-                    ..ClientSpec::default()
-                };
-                None
+                let res = self.tracker.getinv(client, self.spec.ts(client));
+                self.spec.reply(client, &res)?;
             }
-            InvalAction::ClientCrash { client } => {
-                let cs = self.spec.get_mut(&client).expect("model client");
-                cs.ts = None;
-                None
-            }
+            InvalAction::ClientCrash { client } => self.spec.client_crash(client),
             InvalAction::ServerRestart => {
                 // The crash path the proxy server takes: every buffer
                 // is dropped and the clock restarts.
                 self.tracker.reset();
-                for cs in self.spec.values_mut() {
-                    cs.registered = false;
-                    cs.wrapped = false;
-                    cs.owed.clear();
-                }
-                None
+                self.spec.server_restart();
             }
         }
+        Ok(())
     }
 
-    fn enabled(&self, files: &[Fh3]) -> Vec<InvalAction> {
+    fn enabled(&self) -> Vec<InvalAction> {
         let mut acts = Vec::new();
-        for &client in self.spec.keys() {
-            for &fh in files {
+        for &client in &self.clients {
+            for &fh in &self.files {
                 acts.push(InvalAction::Modify { writer: client, fh });
             }
             acts.push(InvalAction::Getinv { client });
@@ -573,42 +411,15 @@ impl InvalState {
 pub fn check_invalidation() -> ModelReport {
     let mut report = ModelReport { machine: "invalidation", ..ModelReport::default() };
     for &(n_clients, capacity) in &[(2u32, 1usize), (2, 2), (3, 2)] {
-        let files: Vec<Fh3> = (1..=2u64).map(Fh3::from_fileid).collect();
-        let label = format!("invalidation[clients={n_clients},capacity={capacity}]");
+        let clients: Vec<u32> = (1..=n_clients).collect();
         let initial = InvalState {
             tracker: ConcurrentInvalidationTracker::new(capacity),
-            capacity,
-            spec: (1..=n_clients).map(|c| (c, ClientSpec::default())).collect(),
+            spec: GetinvSpec::new(capacity, clients.iter().copied()),
+            clients,
+            files: (1..=2u64).map(Fh3::from_fileid).collect(),
         };
-        let mut visited: HashSet<String> = HashSet::new();
-        visited.insert(initial.fingerprint());
-        let mut queue: VecDeque<(InvalState, Vec<String>, usize)> = VecDeque::new();
-        queue.push_back((initial, Vec::new(), 0));
-        let mut states = 1usize;
-
-        while let Some((state, trace, depth)) = queue.pop_front() {
-            if depth >= DEPTH_CAP || states >= STATE_CAP {
-                continue;
-            }
-            for action in state.enabled(&files) {
-                let mut next = state.clone();
-                let mut next_trace = trace.clone();
-                next_trace.push(action.to_string());
-                report.transitions += 1;
-                if let Some(v) = next.apply(&action) {
-                    report
-                        .violations
-                        .push(format!("{label}: {v}\n  trace: {}", fmt_trace(&next_trace)));
-                    continue;
-                }
-                let fp = next.fingerprint();
-                if visited.insert(fp) {
-                    states += 1;
-                    queue.push_back((next, next_trace, depth + 1));
-                }
-            }
-        }
-        report.states += states;
+        let label = format!("invalidation[clients={n_clients},capacity={capacity}]");
+        explore(&mut report, &label, initial, STATE_CAP);
     }
     report
 }
@@ -629,7 +440,7 @@ enum BreakerOp {
     Observe,
 }
 
-/// The explicit spec the implementation must refine (`DESIGN.md`,
+/// The explicit spec the breaker must refine (`DESIGN.md`,
 /// "Degradation ladder": Closed → Open at the failure threshold,
 /// lazy Open → HalfOpen after the cooldown, probe failure doubles the
 /// cooldown up to the cap, any success closes and resets).

@@ -32,9 +32,9 @@
 use gvfs_bench::save_json;
 use gvfs_integration::chaos::{
     format_reproducer, generate_events, run_crash_restart, run_disk_corruption, run_partition_heal,
-    run_peer_partition, run_scenario, shrink_failure, ModelKind, ScenarioConfig,
+    run_peer_partition, run_scenario, shrink_failure, Event, ModelKind, ScenarioConfig, Violation,
 };
-use serde_json::json;
+use serde_json::{json, Value};
 
 struct Args {
     seeds: u64,
@@ -99,18 +99,100 @@ fn write_trace(dir: &std::path::Path, name: &str, seed: u64, trace: &str) {
     }
 }
 
+/// What the soak counts across every scenario.
+#[derive(Default)]
+struct Tally {
+    runs: u64,
+    determinism_breaks: u64,
+    violations: Vec<Value>,
+}
+
+/// A scripted scenario's report, reduced to what the soak compares
+/// across the two runs of a seed, prints and files.
+struct Scripted {
+    trace_hash: u64,
+    history: Vec<Event>,
+    protocol_trace: String,
+    violations: Vec<Violation>,
+    /// The counters the `ok` line reports.
+    summary: String,
+    /// Counters filed with a violation, ahead of the violations.
+    quarantine_report: Option<Value>,
+}
+
+impl Scripted {
+    fn new(
+        trace_hash: u64,
+        history: Vec<Event>,
+        protocol_trace: String,
+        violations: Vec<Violation>,
+        summary: String,
+    ) -> Self {
+        Scripted {
+            trace_hash,
+            history,
+            protocol_trace,
+            violations,
+            summary,
+            quarantine_report: None,
+        }
+    }
+}
+
+/// Runs the scripted scenario `name` twice per seed: writes the first
+/// run's trace, requires both runs to agree on hash, history and trace,
+/// and files every violating seed.
+fn soak_scripted(args: &Args, tally: &mut Tally, name: &str, run: fn(u64) -> Scripted) {
+    for seed in args.start..args.start + args.seeds {
+        let a = run(seed);
+        let b = run(seed);
+        tally.runs += 2;
+        if let Some(dir) = &args.trace_dir {
+            write_trace(dir, name, seed, &a.protocol_trace);
+        }
+        if a.trace_hash != b.trace_hash
+            || a.history != b.history
+            || a.protocol_trace != b.protocol_trace
+        {
+            tally.determinism_breaks += 1;
+            println!(
+                "DETERMINISM BREAK: {name} seed={seed} hashes {:#x} vs {:#x}",
+                a.trace_hash, b.trace_hash
+            );
+            continue;
+        }
+        if a.violations.is_empty() {
+            println!("seed={seed} {name} ok ({}, trace {:#x})", a.summary, a.trace_hash);
+            continue;
+        }
+        println!("seed={seed} {name}: {} violation(s)", a.violations.len());
+        let mut entry = json!({
+            "seed": seed,
+            "model": name,
+            "suppress_recalls": false,
+            "violations": a.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
+            "shrunk_events": Option::<Vec<String>>::None,
+            "reproducer": Option::<String>::None,
+        });
+        // The report goes after `suppress_recalls`, where readers of the
+        // JSON have always found it.
+        if let (Some(report), Value::Object(fields)) = (a.quarantine_report, &mut entry) {
+            fields.insert(3, ("quarantine_report".to_string(), report));
+        }
+        tally.violations.push(entry);
+    }
+}
+
 fn main() {
     let args = parse_args();
-    let mut violations = Vec::new();
-    let mut determinism_breaks = 0u64;
-    let mut runs = 0u64;
+    let mut tally = Tally::default();
 
     for &model in &args.models {
         for seed in args.start..args.start + args.seeds {
             let cfg = ScenarioConfig::new(seed, model);
             let a = run_scenario(&cfg);
             let b = run_scenario(&cfg);
-            runs += 2;
+            tally.runs += 2;
             if let Some(dir) = &args.trace_dir {
                 write_trace(dir, model.name(), seed, &a.protocol_trace);
             }
@@ -118,7 +200,7 @@ fn main() {
                 || a.violations != b.violations
                 || a.protocol_trace != b.protocol_trace
             {
-                determinism_breaks += 1;
+                tally.determinism_breaks += 1;
                 println!(
                     "DETERMINISM BREAK: seed={seed} model={} hashes {:#x} vs {:#x}",
                     model.name(),
@@ -142,7 +224,7 @@ fn main() {
             if let Some(repro) = &reproducer {
                 println!("{repro}");
             }
-            violations.push(json!({
+            tally.violations.push(json!({
                 "seed": seed,
                 "model": model.name(),
                 "suppress_recalls": false,
@@ -155,185 +237,65 @@ fn main() {
         }
     }
 
-    // The scripted partition-heal scenario rides alongside the random
-    // matrix whenever delegation is in scope: a 35 s partition must trip
-    // the breaker, the ladder must serve bounded-staleness reads, and
-    // the heal must re-promote without losing an acknowledged write.
+    // The scripted scenarios ride alongside the random matrix whenever
+    // delegation is in scope:
+    // - partition-heal: a 35 s partition must trip the breaker, the
+    //   ladder must serve bounded-staleness reads, and the heal must
+    //   re-promote without losing an acknowledged write;
+    // - crash-restart: a mid-write-back machine crash on a persistent
+    //   block store must recover exactly the synced prefix — the torn
+    //   WAL tail discarded, the surviving dirty data reconciled, and no
+    //   reader ever served a torn or never-synced block from disk;
+    // - peer-partition: a serving peer is cut off mid-PEERREAD (the read
+    //   must complete via origin fallback, never torn or stale), and a
+    //   later write must condemn every advertised peer copy before the
+    //   verify-phase mesh reads;
+    // - disk-corruption: silent media rot on a client's persistent store
+    //   must be quarantined by verify-on-read and repaired by the
+    //   background scrubber — no reader may ever observe a
+    //   checksum-failed block.
     if args.models.contains(&ModelKind::Delegation) {
-        for seed in args.start..args.start + args.seeds {
-            let a = run_partition_heal(seed);
-            let b = run_partition_heal(seed);
-            runs += 2;
-            if let Some(dir) = &args.trace_dir {
-                write_trace(dir, "partition-heal", seed, &a.protocol_trace);
+        soak_scripted(&args, &mut tally, "partition-heal", |seed| {
+            let r = run_partition_heal(seed);
+            let summary = format!(
+                "trips {}, degraded reads {}",
+                r.breaker_trips, r.writer_stats.degraded_reads
+            );
+            Scripted::new(r.trace_hash, r.history, r.protocol_trace, r.violations, summary)
+        });
+        soak_scripted(&args, &mut tally, "crash-restart", |seed| {
+            let r = run_crash_restart(seed);
+            let summary = format!("warm blocks {}", r.writer_stats.restart_warm_blocks);
+            Scripted::new(r.trace_hash, r.history, r.protocol_trace, r.violations, summary)
+        });
+        soak_scripted(&args, &mut tally, "peer-partition", |seed| {
+            let r = run_peer_partition(seed, false);
+            let summary = format!(
+                "peer hits {}, fallbacks {}",
+                r.reader_stats.peer_hits, r.reader_stats.peer_fallbacks
+            );
+            Scripted::new(r.trace_hash, r.history, r.protocol_trace, r.violations, summary)
+        });
+        soak_scripted(&args, &mut tally, "disk-corruption", |seed| {
+            let r = run_disk_corruption(seed, false);
+            let stats = &r.reader_stats;
+            let summary = format!(
+                "rotted {}, quarantined {}, scrub repairs {}",
+                r.corrupted_paths, stats.quarantined_blocks, stats.scrub_repairs
+            );
+            let quarantine_report = json!({
+                "corrupted_paths": r.corrupted_paths,
+                "integrity_failures": stats.integrity_failures,
+                "quarantined_blocks": stats.quarantined_blocks,
+                "refetch_repairs": stats.refetch_repairs,
+                "scrub_repairs": stats.scrub_repairs,
+                "integrity_dirty_loss": stats.integrity_dirty_loss,
+            });
+            Scripted {
+                quarantine_report: Some(quarantine_report),
+                ..Scripted::new(r.trace_hash, r.history, r.protocol_trace, r.violations, summary)
             }
-            if a.trace_hash != b.trace_hash
-                || a.history != b.history
-                || a.protocol_trace != b.protocol_trace
-            {
-                determinism_breaks += 1;
-                println!(
-                    "DETERMINISM BREAK: partition-heal seed={seed} hashes {:#x} vs {:#x}",
-                    a.trace_hash, b.trace_hash
-                );
-                continue;
-            }
-            if a.violations.is_empty() {
-                println!(
-                    "seed={seed} partition-heal ok (trips {}, degraded reads {}, trace {:#x})",
-                    a.breaker_trips, a.writer_stats.degraded_reads, a.trace_hash
-                );
-                continue;
-            }
-            println!("seed={seed} partition-heal: {} violation(s)", a.violations.len());
-            violations.push(json!({
-                "seed": seed,
-                "model": "partition-heal",
-                "suppress_recalls": false,
-                "violations": a.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                "shrunk_events": Option::<Vec<String>>::None,
-                "reproducer": Option::<String>::None,
-            }));
-        }
-    }
-
-    // The scripted crash-restart scenario also rides along for the
-    // delegation model: a mid-write-back machine crash on a persistent
-    // block store must recover exactly the synced prefix — the torn WAL
-    // tail discarded, the surviving dirty data reconciled, and no reader
-    // ever served a torn or never-synced block from disk.
-    if args.models.contains(&ModelKind::Delegation) {
-        for seed in args.start..args.start + args.seeds {
-            let a = run_crash_restart(seed);
-            let b = run_crash_restart(seed);
-            runs += 2;
-            if let Some(dir) = &args.trace_dir {
-                write_trace(dir, "crash-restart", seed, &a.protocol_trace);
-            }
-            if a.trace_hash != b.trace_hash
-                || a.history != b.history
-                || a.protocol_trace != b.protocol_trace
-            {
-                determinism_breaks += 1;
-                println!(
-                    "DETERMINISM BREAK: crash-restart seed={seed} hashes {:#x} vs {:#x}",
-                    a.trace_hash, b.trace_hash
-                );
-                continue;
-            }
-            if a.violations.is_empty() {
-                println!(
-                    "seed={seed} crash-restart ok (warm blocks {}, trace {:#x})",
-                    a.writer_stats.restart_warm_blocks, a.trace_hash
-                );
-                continue;
-            }
-            println!("seed={seed} crash-restart: {} violation(s)", a.violations.len());
-            violations.push(json!({
-                "seed": seed,
-                "model": "crash-restart",
-                "suppress_recalls": false,
-                "violations": a.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                "shrunk_events": Option::<Vec<String>>::None,
-                "reproducer": Option::<String>::None,
-            }));
-        }
-    }
-
-    // The scripted peer-partition scenario: a serving peer is cut off
-    // mid-PEERREAD (the read must complete via origin fallback, never
-    // torn or stale), and a later write must condemn every advertised
-    // peer copy before the verify-phase mesh reads.
-    if args.models.contains(&ModelKind::Delegation) {
-        for seed in args.start..args.start + args.seeds {
-            let a = run_peer_partition(seed, false);
-            let b = run_peer_partition(seed, false);
-            runs += 2;
-            if let Some(dir) = &args.trace_dir {
-                write_trace(dir, "peer-partition", seed, &a.protocol_trace);
-            }
-            if a.trace_hash != b.trace_hash
-                || a.history != b.history
-                || a.protocol_trace != b.protocol_trace
-            {
-                determinism_breaks += 1;
-                println!(
-                    "DETERMINISM BREAK: peer-partition seed={seed} hashes {:#x} vs {:#x}",
-                    a.trace_hash, b.trace_hash
-                );
-                continue;
-            }
-            if a.violations.is_empty() {
-                println!(
-                    "seed={seed} peer-partition ok (peer hits {}, fallbacks {}, trace {:#x})",
-                    a.reader_stats.peer_hits, a.reader_stats.peer_fallbacks, a.trace_hash
-                );
-                continue;
-            }
-            println!("seed={seed} peer-partition: {} violation(s)", a.violations.len());
-            violations.push(json!({
-                "seed": seed,
-                "model": "peer-partition",
-                "suppress_recalls": false,
-                "violations": a.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                "shrunk_events": Option::<Vec<String>>::None,
-                "reproducer": Option::<String>::None,
-            }));
-        }
-    }
-
-    // The scripted disk-corruption scenario: silent media rot on a
-    // client's persistent store must be quarantined by verify-on-read
-    // and repaired by the background scrubber — no reader may ever
-    // observe a checksum-failed block.
-    if args.models.contains(&ModelKind::Delegation) {
-        for seed in args.start..args.start + args.seeds {
-            let a = run_disk_corruption(seed, false);
-            let b = run_disk_corruption(seed, false);
-            runs += 2;
-            if let Some(dir) = &args.trace_dir {
-                write_trace(dir, "disk-corruption", seed, &a.protocol_trace);
-            }
-            if a.trace_hash != b.trace_hash
-                || a.history != b.history
-                || a.protocol_trace != b.protocol_trace
-            {
-                determinism_breaks += 1;
-                println!(
-                    "DETERMINISM BREAK: disk-corruption seed={seed} hashes {:#x} vs {:#x}",
-                    a.trace_hash, b.trace_hash
-                );
-                continue;
-            }
-            if a.violations.is_empty() {
-                println!(
-                    "seed={seed} disk-corruption ok (rotted {}, quarantined {}, scrub repairs \
-                     {}, trace {:#x})",
-                    a.corrupted_paths,
-                    a.reader_stats.quarantined_blocks,
-                    a.reader_stats.scrub_repairs,
-                    a.trace_hash
-                );
-                continue;
-            }
-            println!("seed={seed} disk-corruption: {} violation(s)", a.violations.len());
-            violations.push(json!({
-                "seed": seed,
-                "model": "disk-corruption",
-                "suppress_recalls": false,
-                "quarantine_report": {
-                    "corrupted_paths": a.corrupted_paths,
-                    "integrity_failures": a.reader_stats.integrity_failures,
-                    "quarantined_blocks": a.reader_stats.quarantined_blocks,
-                    "refetch_repairs": a.reader_stats.refetch_repairs,
-                    "scrub_repairs": a.reader_stats.scrub_repairs,
-                    "integrity_dirty_loss": a.reader_stats.integrity_dirty_loss,
-                },
-                "violations": a.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                "shrunk_events": Option::<Vec<String>>::None,
-                "reproducer": Option::<String>::None,
-            }));
-        }
+        });
     }
 
     // Self-test: with recalls suppressed the oracles MUST fire on at
@@ -346,7 +308,7 @@ fn main() {
             let mut cfg = ScenarioConfig::new(seed, ModelKind::Delegation);
             cfg.suppress_recalls = true;
             let report = run_scenario(&cfg);
-            runs += 1;
+            tally.runs += 1;
             if report.violations.is_empty() {
                 continue;
             }
@@ -382,7 +344,7 @@ fn main() {
         let mut caught = 0u64;
         for seed in args.start..args.start + args.seeds {
             let report = run_peer_partition(seed, true);
-            runs += 1;
+            tally.runs += 1;
             if report.violations.is_empty() {
                 continue;
             }
@@ -414,7 +376,7 @@ fn main() {
     if args.break_scrub {
         for seed in args.start..args.start + args.seeds {
             let report = run_disk_corruption(seed, true);
-            runs += 1;
+            tally.runs += 1;
             if report.violations.is_empty() {
                 println!("self-test: seed={seed} served rot UNCONVICTED");
                 continue;
@@ -446,11 +408,11 @@ fn main() {
     save_json(
         "chaos_violations.json",
         &json!({
-            "runs": runs,
+            "runs": tally.runs,
             "seed_start": args.start,
             "seeds": args.seeds,
             "models": args.models.iter().map(|m| m.name()).collect::<Vec<_>>(),
-            "determinism_breaks": determinism_breaks,
+            "determinism_breaks": tally.determinism_breaks,
             "break_recall_selftest": if args.break_recall {
                 Some(!selftest_failed)
             } else {
@@ -466,15 +428,15 @@ fn main() {
             } else {
                 None
             },
-            "violations": violations.clone(),
+            "violations": tally.violations.clone(),
         }),
     );
 
     if selftest_failed {
         std::process::exit(2);
     }
-    if determinism_breaks > 0 || !violations.is_empty() {
+    if tally.determinism_breaks > 0 || !tally.violations.is_empty() {
         std::process::exit(1);
     }
-    println!("chaos soak clean: {runs} runs, no violations, no determinism breaks");
+    println!("chaos soak clean: {} runs, no violations, no determinism breaks", tally.runs);
 }

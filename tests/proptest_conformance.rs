@@ -17,17 +17,19 @@
 //!   file write-delegable again (no stuck `PendingWriteback`);
 //! * **refinement** — [`ConcurrentInvalidationTracker`] observed under
 //!   a serial schedule refines §4.2.1's spec machine (the model
-//!   checker's `ClientSpec`): exact force flags, exact coalesced handle
-//!   sets and the logical clock as the reply timestamp.
+//!   checker's [`GetinvSpec`]): exact force flags, exact coalesced
+//!   handle sets and the logical clock as the reply timestamp.
+//!
+//! Every rule is the one `gvfs_analysis::spec` states for the checker.
 
-use gvfs_core::delegation::{DelegationKind, DelegationTable, RecallAction};
+use gvfs_analysis::spec::{self, GetinvSpec, RecallRound};
+use gvfs_core::delegation::{DelegationKind, DelegationTable};
 use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::protocol::DelegationGrant;
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::Fh3;
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
 
 const T0: SimTime = SimTime::ZERO;
 /// Second dirty block a partial write-back answer reports (matches the
@@ -61,31 +63,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// An in-flight recall round: `begin_recall` has run, the matching
-/// `end_recall` runs when the last callback is answered.
-struct Round {
-    fh: Fh3,
-    pending: Vec<RecallAction>,
-}
-
-fn check_exclusion(table: &DelegationTable) -> Result<(), TestCaseError> {
-    for snap in table.snapshot() {
-        let held = snap.sharers.iter().filter(|(_, k)| k.is_some()).count();
-        let writers =
-            snap.sharers.iter().filter(|(_, k)| matches!(k, Some(DelegationKind::Write))).count();
-        prop_assert!(
-            writers == 0 || held == 1,
-            "write delegation shares {:?}: {:?}",
-            snap.fh,
-            snap.sharers
-        );
-    }
-    Ok(())
-}
-
 fn check_recall_bookkeeping(
     table: &DelegationTable,
-    rounds: &[Round],
+    rounds: &[RecallRound],
 ) -> Result<(), TestCaseError> {
     for snap in table.snapshot() {
         let in_flight = rounds.iter().filter(|r| r.fh == snap.fh).count() as u32;
@@ -101,23 +81,6 @@ fn check_recall_bookkeeping(
     Ok(())
 }
 
-/// Answers every outstanding recall in full and drains every pending
-/// write-back, as a correct set of clients eventually would.
-fn settle(table: &mut DelegationTable, rounds: &mut Vec<Round>) {
-    for round in rounds.drain(..) {
-        for recall in round.pending {
-            table.recall_done(recall.fh, recall.client, Vec::new());
-        }
-        table.end_recall(round.fh);
-    }
-    for snap in table.snapshot() {
-        while let Some(p) = table.pending_writeback(snap.fh) {
-            let (client, block) = (p.client, *p.blocks.iter().next().expect("non-empty pending"));
-            table.note_writeback(snap.fh, client, block);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -127,7 +90,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..200),
     ) {
         let mut table = DelegationTable::new(DelegationConfig::default());
-        let mut rounds: Vec<Round> = Vec::new();
+        let mut rounds: Vec<RecallRound> = Vec::new();
 
         for op in ops {
             match op {
@@ -149,7 +112,7 @@ proptest! {
                             "a conflicted access must be served non-cacheable"
                         );
                         table.begin_recall(fh);
-                        rounds.push(Round { fh, pending: recalls });
+                        rounds.push(RecallRound { fh, pending: recalls });
                     }
                 }
                 Op::Answer { pick, partial } => {
@@ -201,7 +164,7 @@ proptest! {
                 }
             }
 
-            check_exclusion(&table)?;
+            spec::write_exclusion(&table.snapshot()).map_err(TestCaseError::fail)?;
             check_recall_bookkeeping(&table, &rounds)?;
         }
 
@@ -209,25 +172,10 @@ proptest! {
         // write-backs drained, and enough time passed for speculated
         // opens to expire — every file must be write-delegable again
         // for a fresh client.
-        settle(&mut table, &mut rounds);
+        spec::settle(&mut table, rounds).map_err(TestCaseError::fail)?;
         let late = T0 + DelegationConfig::default().expiration + std::time::Duration::from_secs(1);
-        for file in 1..=FILES {
-            let fh = Fh3::from_fileid(file);
-            let mut granted = false;
-            for _ in 0..8 {
-                let (grant, recalls) = table.access(fh, 99, true, Some(0), late);
-                if grant == DelegationGrant::Write {
-                    granted = true;
-                    break;
-                }
-                if !recalls.is_empty() {
-                    table.begin_recall(fh);
-                    rounds.push(Round { fh, pending: recalls });
-                }
-                settle(&mut table, &mut rounds);
-            }
-            prop_assert!(granted, "{:?} never became write-delegable again", fh);
-        }
+        let files: Vec<Fh3> = (1..=FILES).map(Fh3::from_fileid).collect();
+        spec::regrantable(&mut table, &files, 99, late).map_err(TestCaseError::fail)?;
     }
 
     /// The shipped invalidation tracker refines the §4.2.1 spec: per
@@ -248,55 +196,27 @@ proptest! {
             1..150,
         ),
     ) {
-        /// What the protocol owes one registered client.
-        #[derive(Default)]
-        struct Owed {
-            ts: Option<u64>,
-            owed: BTreeSet<Fh3>,
-            wrapped: bool,
-        }
         let tracker = ConcurrentInvalidationTracker::new(capacity);
-        let mut spec: HashMap<u32, Owed> = HashMap::new();
-        let mut clock = 0u64;
+        let mut getinv = GetinvSpec::new(capacity, 1..=CLIENTS);
 
         for (kind, client, file) in ops {
             match kind {
                 0 => {
                     let fh = Fh3::from_fileid(file);
                     tracker.record_modification(fh, client);
-                    clock += 1;
-                    for (&c, o) in &mut spec {
-                        if c != client && o.owed.insert(fh) && o.owed.len() > capacity {
-                            o.wrapped = true;
-                        }
-                    }
+                    getinv.modify(fh, client);
                 }
                 kind => {
                     // kind 1 polls with the remembered timestamp, kind 2
                     // with null (a restarted client).
-                    let first_contact = !spec.contains_key(&client);
-                    let o = spec.entry(client).or_default();
-                    let ts = if kind == 1 { o.ts } else { None };
-                    let res = tracker.getinv(client, ts);
-                    let expect_force = first_contact || ts.is_none() || o.wrapped;
-                    prop_assert_eq!(
-                        res.force_invalidate, expect_force,
-                        "client {}: first_contact={}, ts={:?}, wrapped={}",
-                        client, first_contact, ts, o.wrapped
-                    );
-                    prop_assert!(!res.poll_again, "poll_again below the pagination threshold");
-                    prop_assert_eq!(res.timestamp, clock, "reply not stamped with the clock");
-                    // A forced reply carries no handles; any other carries
-                    // each owed handle exactly once.
-                    let want: Vec<Fh3> =
-                        if expect_force { Vec::new() } else { o.owed.iter().copied().collect() };
-                    let mut got = res.handles.clone();
-                    got.sort_unstable();
-                    prop_assert_eq!(got, want, "client {} handles diverge from the spec", client);
-                    *o = Owed { ts: Some(res.timestamp), ..Owed::default() };
+                    if kind == 2 {
+                        getinv.client_crash(client);
+                    }
+                    let res = tracker.getinv(client, getinv.ts(client));
+                    getinv.reply(client, &res).map_err(TestCaseError::fail)?;
                 }
             }
-            prop_assert_eq!(tracker.now(), clock, "logical clock diverges from the spec");
+            prop_assert_eq!(tracker.now(), getinv.clock(), "logical clock diverges from the spec");
         }
     }
 }
