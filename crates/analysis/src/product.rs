@@ -104,8 +104,8 @@ pub struct Knobs {
     pub recall_keeps_partitioned_holder: bool,
     /// Writes skip the eager de-advertisement, so stale holders stay
     /// advertised and serve condemned blocks (breaks I7): the shipped
-    /// tracker's `set_deadvertise_suppressed`, the same knob the chaos
-    /// harness's `--break-peerread` self-test throws.
+    /// tracker built `with_deadvertise_suppressed`, the same fault the
+    /// chaos harness's `--break-peerread` self-test builds in.
     pub peer_ignores_condemnation: bool,
     /// Verify-on-read is disabled: a read hitting a rotten stored copy
     /// serves the bytes instead of quarantining them (breaks I8) — the
@@ -204,8 +204,10 @@ impl ProductState {
     fn new(n_clients: u32, n_files: u64, knobs: Knobs) -> Self {
         let mut table = DelegationTable::new(product_config());
         table.set_revocation_log(true);
-        let tracker = ConcurrentInvalidationTracker::new(INVAL_CAPACITY);
-        tracker.set_deadvertise_suppressed(knobs.peer_ignores_condemnation);
+        let tracker = ConcurrentInvalidationTracker::with_deadvertise_suppressed(
+            INVAL_CAPACITY,
+            knobs.peer_ignores_condemnation,
+        );
         ProductState {
             now_s: 0,
             table,

@@ -167,8 +167,8 @@ fn bench_disk_cache(c: &mut Criterion) {
     });
     group.bench_function("data_read_hit_32k", |b| {
         let mut cache = DiskCache::new(1 << 30);
-        cache.insert_clean(Fh3::from_fileid(1), 0, vec![1u8; 1 << 20]);
-        b.iter(|| cache.read(Fh3::from_fileid(1), 256 * 1024, 32 * 1024).unwrap());
+        cache.store.insert_clean(Fh3::from_fileid(1), 0, vec![1u8; 1 << 20]);
+        b.iter(|| cache.store.read(Fh3::from_fileid(1), 256 * 1024, 32 * 1024).unwrap());
     });
     group.finish();
 }

@@ -239,7 +239,7 @@ fn expiration_sweep() -> Vec<serde_json::Value> {
                 }
                 gvfs_netsim::sleep(Duration::from_secs(20));
             }
-            *tr.lock() = s2.proxy_server().tracked_files();
+            *tr.lock() = s2.proxy_server().scale_stats().deleg_files;
         });
         sim.spawn("occasional", move || {
             let c = NfsClient::new(t1, root, MountOptions::noac());

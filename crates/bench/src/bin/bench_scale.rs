@@ -32,6 +32,7 @@ use gvfs_bench::scale::{
     cred, drive, fanout_round, getinv_call, percentile, write_call, World, DRIVERS,
 };
 use gvfs_core::protocol::{proc_ext, WrappedReply, GVFS_PROXY_PROGRAM, GVFS_VERSION};
+use gvfs_core::proxy::server::ServerConfig;
 use gvfs_core::ConsistencyModel;
 use gvfs_netsim::transport::SimRpcClient;
 use gvfs_netsim::Sim;
@@ -51,10 +52,18 @@ fn polling_phases(clients: usize) -> (f64, f64, serde_json::Value) {
     let result = Arc::new(Mutex::new(None));
     let out = Arc::clone(&result);
     sim.spawn("bench-main", move || {
+        // Piggybacking is on for the whole world; only the piggyback
+        // phase issues the ordinary NFS calls a drain can ride on
+        // (the writer, which never polls, has no buffer to drain).
         let world = World::establish(
-            ConsistencyModel::InvalidationPolling {
-                period: Duration::from_secs(30),
-                backoff_max: None,
+            ServerConfig {
+                model: ConsistencyModel::InvalidationPolling {
+                    period: Duration::from_secs(30),
+                    backoff_max: None,
+                },
+                invalidation_capacity: 1024,
+                piggyback_inval: true,
+                ..ServerConfig::default()
             },
             clients,
         );
@@ -110,7 +119,6 @@ fn polling_phases(clients: usize) -> (f64, f64, serde_json::Value) {
         // Piggyback: churn again, then every client does one ordinary
         // GETATTR; the drain rides back on the reply and the poll is
         // skipped. Steady-state consistency costs zero extra messages.
-        world.server.set_piggyback_inval(true);
         for &fh in &churn {
             write_call(&transports[0], writer, fh);
         }
@@ -160,7 +168,6 @@ fn polling_phases(clients: usize) -> (f64, f64, serde_json::Value) {
             "every drain must ride back piggybacked"
         );
         assert_eq!(getinv_extra, 0, "steady-state polls must cost zero extra GETINV messages");
-        world.server.set_piggyback_inval(false);
 
         // Paging: a churn burst larger than one reply; client 1 pages
         // through `poll_again`.
@@ -195,14 +202,13 @@ fn polling_phases(clients: usize) -> (f64, f64, serde_json::Value) {
 
         // Idle eviction: only ACTIVE clients keep polling while epochs
         // pass; everyone else's buffers must be evicted.
-        world.server.set_idle_epochs(2);
         for _ in 0..4 {
             for i in 0..ACTIVE.min(clients) {
                 let last = timestamps.lock()[i];
                 let res = getinv_call(&transports[0], i as u32 + 1, Some(last));
                 timestamps.lock()[i] = res.timestamp;
             }
-            world.server.maintain();
+            world.server.maintain(2);
         }
         let stats = world.server.scale_stats();
         assert!(

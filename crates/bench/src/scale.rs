@@ -12,7 +12,7 @@ use gvfs_core::protocol::{
     proc_ext, CallbackRes, GetinvArgs, GetinvRes, RecoverRes, GVFS_CALLBACK_PROGRAM,
     GVFS_PROXY_PROGRAM, GVFS_VERSION,
 };
-use gvfs_core::proxy::server::ProxyServer;
+use gvfs_core::proxy::server::{ProxyServer, ServerConfig};
 use gvfs_core::{ConsistencyModel, DelegationConfig};
 use gvfs_netsim::link::{Link, LinkConfig};
 use gvfs_netsim::transport::{ServerNode, SimRpcClient};
@@ -74,9 +74,10 @@ impl RpcService for NullCallback {
 }
 
 impl World {
-    /// Builds the NFS origin, the proxy server, `DRIVERS` WAN links and
-    /// a callback route for every simulated client.
-    pub fn establish(model: ConsistencyModel, clients: usize) -> World {
+    /// Builds the NFS origin, a proxy server built with `config`,
+    /// `DRIVERS` WAN links and a callback route for every simulated
+    /// client.
+    pub fn establish(config: ServerConfig, clients: usize) -> World {
         let vfs = Arc::new(Vfs::new());
         let clock: gvfs_server::Clock =
             Arc::new(|| Timestamp::from_nanos(gvfs_netsim::now().as_nanos()));
@@ -87,8 +88,7 @@ impl World {
 
         let loopback = Link::new(LinkConfig::loopback());
         let server = ProxyServer::new(
-            model,
-            1024,
+            config,
             SimRpcClient::new(loopback.forward(), Arc::clone(&nfs_node), RpcStats::new()),
         );
         let mut ps_dispatcher = Dispatcher::new();
@@ -207,10 +207,14 @@ pub fn fanout_round(clients: usize, window: usize) -> (f64, serde_json::Value) {
     let out = Arc::clone(&result);
     sim.spawn("bench-main", move || {
         let world = World::establish(
-            ConsistencyModel::DelegationCallback(DelegationConfig::default()),
+            ServerConfig {
+                model: ConsistencyModel::DelegationCallback(DelegationConfig::default()),
+                invalidation_capacity: 1024,
+                fanout_window: window,
+                ..ServerConfig::default()
+            },
             clients,
         );
-        world.server.set_fanout_window(window);
         let shared = world.seed_file("shared");
 
         // Every client reads the shared file once: N read delegations.

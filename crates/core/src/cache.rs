@@ -331,7 +331,10 @@ pub struct DiskCache {
     /// whose inode survives through another hard link (the lock-file
     /// pattern) would keep resolving.
     stale_dirs: std::collections::HashSet<Fh3>,
-    store: Box<dyn BlockStore>,
+    /// The file content. Callers read and write it directly; the cache
+    /// itself only retags it when attributes arrive and forgets a
+    /// removed file's content together with its attributes.
+    pub store: Box<dyn BlockStore>,
 }
 
 impl DiskCache {
@@ -465,112 +468,10 @@ impl DiskCache {
 
     // --- data ---
 
-    /// Reads `[offset, offset+len)` from cache if fully present.
-    pub fn read(&mut self, fh: Fh3, offset: u64, len: usize) -> Option<Vec<u8>> {
-        self.store.read(fh, offset, len)
-    }
-
-    /// The sub-ranges of `[offset, offset+len)` not covered by cached
-    /// extents of `fh`. An uncached file is one whole gap.
-    pub fn missing_ranges(&self, fh: Fh3, offset: u64, len: usize) -> Vec<(u64, usize)> {
-        self.store.missing_ranges(fh, offset, len)
-    }
-
-    /// Stores server-fetched bytes.
-    pub fn insert_clean(&mut self, fh: Fh3, offset: u64, data: Vec<u8>) {
-        self.store.insert_clean(fh, offset, data);
-    }
-
-    /// Stores locally written bytes as dirty (write-back mode).
-    pub fn write_dirty(&mut self, fh: Fh3, offset: u64, data: Vec<u8>) {
-        self.store.write_dirty(fh, offset, data);
-    }
-
-    /// Marks `[offset, offset+len)` clean after a successful write-back.
-    pub fn clean_range(&mut self, fh: Fh3, offset: u64, len: u64) {
-        self.store.clean_range(fh, offset, len);
-    }
-
-    /// Offsets and lengths of the file's dirty extents, in order.
-    pub fn dirty_ranges(&self, fh: Fh3) -> Vec<(u64, usize)> {
-        self.store.dirty_ranges(fh)
-    }
-
-    /// Aligned offsets of every `block_size` block holding dirty bytes.
-    pub fn dirty_blocks(&self, fh: Fh3, block_size: u64) -> Vec<u64> {
-        self.store.dirty_blocks(fh, block_size)
-    }
-
-    /// The dirty byte segments inside one aligned block.
-    pub fn dirty_in_block(
-        &self,
-        fh: Fh3,
-        block_offset: u64,
-        block_size: u64,
-    ) -> Vec<(u64, Vec<u8>)> {
-        self.store.dirty_in_block(fh, block_offset, block_size)
-    }
-
-    /// Whether the file holds any dirty extent.
-    pub fn has_dirty(&self, fh: Fh3) -> bool {
-        self.store.has_dirty(fh)
-    }
-
-    /// All files that hold dirty data.
-    pub fn dirty_files(&self) -> Vec<Fh3> {
-        self.store.dirty_files()
-    }
-
     /// Drops everything known about a file (it was removed).
     pub fn forget_file(&mut self, fh: Fh3) {
         self.store.forget(fh);
         self.attrs.remove(&fh);
-    }
-
-    /// Bytes of file content cached.
-    pub fn used_bytes(&self) -> usize {
-        self.store.used_bytes()
-    }
-
-    /// The backing store's counters.
-    pub fn store_stats(&self) -> crate::store::StoreStats {
-        self.store.stats()
-    }
-
-    /// Durability barrier on the backing store (no-op in memory).
-    pub fn sync_store(&mut self) {
-        self.store.sync();
-    }
-
-    /// Simulated machine crash + restart of the backing store: volatile
-    /// content is lost; a persistent store replays its index and keeps
-    /// whatever its WAL proves intact.
-    pub fn crash_reopen_store(&mut self) {
-        self.store.crash_reopen();
-    }
-
-    /// Drains simulated disk I/O cost accrued by the backing store; the
-    /// caller charges it to its actor clock while holding no locks.
-    pub fn take_disk_cost(&mut self) -> std::time::Duration {
-        self.store.take_cost()
-    }
-
-    /// Drains extents the backing store quarantined after failed
-    /// checksum verifications (empty for stores without checksums).
-    pub fn take_integrity_events(&mut self) -> Vec<crate::store::IntegrityEvent> {
-        self.store.take_integrity_events()
-    }
-
-    /// Verifies up to `max_bytes` of stored content ahead of demand
-    /// (the scrub sweep); returns bytes verified.
-    pub fn scrub_step(&mut self, max_bytes: usize) -> usize {
-        self.store.scrub_step(max_bytes)
-    }
-
-    /// Toggles verify-on-read in the backing store (the `--break-scrub`
-    /// selftest knob).
-    pub fn set_store_verify(&mut self, on: bool) {
-        self.store.set_verify(on);
     }
 }
 
@@ -746,10 +647,10 @@ mod tests {
     fn disk_cache_missing_ranges_unknown_file_is_one_gap() {
         let mut c = DiskCache::new(1 << 20);
         let fh = Fh3::from_fileid(1);
-        assert_eq!(c.missing_ranges(fh, 3, 7), vec![(3, 7)]);
-        assert_eq!(c.missing_ranges(fh, 3, 0), Vec::<(u64, usize)>::new());
-        c.insert_clean(fh, 0, vec![1; 5]);
-        assert_eq!(c.missing_ranges(fh, 3, 7), vec![(5, 5)]);
+        assert_eq!(c.store.missing_ranges(fh, 3, 7), vec![(3, 7)]);
+        assert_eq!(c.store.missing_ranges(fh, 3, 0), Vec::<(u64, usize)>::new());
+        c.store.insert_clean(fh, 0, vec![1; 5]);
+        assert_eq!(c.store.missing_ranges(fh, 3, 7), vec![(5, 5)]);
     }
 
     #[test]
@@ -758,15 +659,15 @@ mod tests {
         let fh = Fh3::from_fileid(1);
         // A delayed write advanced the cached attributes locally.
         c.put_attr_own_write(fh, attr(1, 5));
-        c.write_dirty(fh, 0, vec![7; 4]);
+        c.store.write_dirty(fh, 0, vec![7; 4]);
         // A prefetch reply from before the write carries the old mtime.
         assert!(!c.put_attr_prefetch(fh, attr(1, 3)), "stale attr must be rejected");
         assert_eq!(c.attr(fh).unwrap().mtime.seconds, 5, "own-write attr preserved");
-        assert!(c.read(fh, 0, 4).is_some(), "dirty data untouched");
+        assert!(c.store.read(fh, 0, 4).is_some(), "dirty data untouched");
         // The next real server attr (same mtime tag as ours) must not
         // drop the data either — the tag was never regressed.
         c.put_attr(fh, attr(1, 5));
-        assert!(c.read(fh, 0, 4).is_some());
+        assert!(c.store.read(fh, 0, 4).is_some());
     }
 
     #[test]
@@ -775,13 +676,13 @@ mod tests {
         let fh = Fh3::from_fileid(1);
         assert!(c.put_attr_prefetch(fh, attr(1, 2)), "no cached attr: applies");
         assert_eq!(c.attr(fh).unwrap().mtime.seconds, 2);
-        c.insert_clean(fh, 0, vec![1; 4]);
+        c.store.insert_clean(fh, 0, vec![1; 4]);
         // Equal attrs re-apply harmlessly.
         assert!(c.put_attr_prefetch(fh, attr(1, 2)));
-        assert!(c.read(fh, 0, 4).is_some());
+        assert!(c.store.read(fh, 0, 4).is_some());
         // Newer attrs apply with full put_attr semantics: clean drop.
         assert!(c.put_attr_prefetch(fh, attr(1, 9)));
-        assert!(c.read(fh, 0, 4).is_none(), "mtime moved: clean data dropped");
+        assert!(c.store.read(fh, 0, 4).is_none(), "mtime moved: clean data dropped");
     }
 
     #[test]
@@ -789,10 +690,10 @@ mod tests {
         let mut c = DiskCache::new(1 << 20);
         let fh = Fh3::from_fileid(1);
         c.put_attr(fh, attr(1, 1));
-        c.insert_clean(fh, 0, vec![1; 100]);
-        assert!(c.read(fh, 0, 100).is_some());
+        c.store.insert_clean(fh, 0, vec![1; 100]);
+        assert!(c.store.read(fh, 0, 100).is_some());
         c.put_attr(fh, attr(1, 2)); // changed on server
-        assert!(c.read(fh, 0, 100).is_none());
+        assert!(c.store.read(fh, 0, 100).is_none());
     }
 
     #[test]
@@ -800,9 +701,9 @@ mod tests {
         let mut c = DiskCache::new(1 << 20);
         let fh = Fh3::from_fileid(1);
         c.put_attr(fh, attr(1, 1));
-        c.insert_clean(fh, 0, vec![1; 100]);
+        c.store.insert_clean(fh, 0, vec![1; 100]);
         c.put_attr_own_write(fh, attr(1, 5));
-        assert!(c.read(fh, 0, 100).is_some());
+        assert!(c.store.read(fh, 0, 100).is_some());
     }
 
     #[test]
@@ -810,16 +711,16 @@ mod tests {
         let mut c = DiskCache::new(1 << 20);
         let fh = Fh3::from_fileid(1);
         c.put_attr(fh, attr(1, 1));
-        c.insert_clean(fh, 0, vec![1; 10]);
+        c.store.insert_clean(fh, 0, vec![1; 10]);
         c.invalidate_attr(fh);
         assert!(c.attr(fh).is_none());
         // Data is still there; revalidation with the same mtime keeps it.
         c.put_attr(fh, attr(1, 1));
-        assert!(c.read(fh, 0, 10).is_some());
+        assert!(c.store.read(fh, 0, 10).is_some());
         // Revalidation with a changed mtime drops it.
         c.invalidate_attr(fh);
         c.put_attr(fh, attr(1, 9));
-        assert!(c.read(fh, 0, 10).is_none());
+        assert!(c.store.read(fh, 0, 10).is_none());
     }
 
     #[test]
@@ -851,11 +752,11 @@ mod tests {
         let mut c = DiskCache::new(100);
         let clean = Fh3::from_fileid(1);
         let dirty = Fh3::from_fileid(2);
-        c.write_dirty(dirty, 0, vec![1; 80]);
-        c.insert_clean(clean, 0, vec![2; 80]); // over capacity
-        assert!(c.used_bytes() <= 160);
-        assert_eq!(c.dirty_files(), vec![dirty]);
-        assert!(c.read(dirty, 0, 80).is_some(), "dirty data must survive eviction");
+        c.store.write_dirty(dirty, 0, vec![1; 80]);
+        c.store.insert_clean(clean, 0, vec![2; 80]); // over capacity
+        assert!(c.store.used_bytes() <= 160);
+        assert_eq!(c.store.dirty_files(), vec![dirty]);
+        assert!(c.store.read(dirty, 0, 80).is_some(), "dirty data must survive eviction");
     }
 
     #[test]
@@ -863,11 +764,11 @@ mod tests {
         let mut c = DiskCache::new(1 << 20);
         let fh = Fh3::from_fileid(1);
         c.put_attr(fh, attr(1, 1));
-        c.insert_clean(fh, 0, vec![1; 10]);
+        c.store.insert_clean(fh, 0, vec![1; 10]);
         c.forget_file(fh);
         assert!(c.attr(fh).is_none());
-        assert!(c.read(fh, 0, 10).is_none());
-        assert_eq!(c.used_bytes(), 0);
+        assert!(c.store.read(fh, 0, 10).is_none());
+        assert_eq!(c.store.used_bytes(), 0);
     }
 
     #[test]
@@ -876,12 +777,12 @@ mod tests {
         let fh = Fh3::from_fileid(1);
         c.put_attr(fh, attr(1, 1));
         c.put_lookup(Fh3::from_fileid(9), "x", fh);
-        c.insert_clean(fh, 0, vec![3; 8]);
+        c.store.insert_clean(fh, 0, vec![3; 8]);
         c.invalidate_all_attrs();
         assert_eq!(c.attr_count(), 0);
         assert!(c.lookup(Fh3::from_fileid(9), "x").is_none());
         // Data remains pending revalidation.
         c.put_attr(fh, attr(1, 1));
-        assert!(c.read(fh, 0, 8).is_some());
+        assert!(c.store.read(fh, 0, 8).is_some());
     }
 }

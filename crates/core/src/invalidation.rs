@@ -27,7 +27,7 @@ use crate::protocol::{GetinvRes, MAX_INVALIDATIONS_PER_REPLY};
 use gvfs_nfs3::Fh3;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One client's buffer as reported by
 /// [`ConcurrentInvalidationTracker::snapshot`]: `(client, floor, queued
@@ -196,9 +196,9 @@ pub struct ConcurrentInvalidationTracker {
     evicted_buffers: AtomicU64,
     peer_advertised: AtomicU64,
     peer_condemned: AtomicU64,
-    /// Chaos self-test knob: suppress peer de-advertising so the
+    /// Chaos self-test fault: suppress peer de-advertising so the
     /// oracle can prove it would catch a stale peer serve.
-    deadvertise_suppressed: AtomicBool,
+    deadvertise_suppressed: bool,
 }
 
 impl Clone for ConcurrentInvalidationTracker {
@@ -221,7 +221,7 @@ impl Clone for ConcurrentInvalidationTracker {
             evicted_buffers: copy_u64(&self.evicted_buffers),
             peer_advertised: copy_u64(&self.peer_advertised),
             peer_condemned: copy_u64(&self.peer_condemned),
-            deadvertise_suppressed: AtomicBool::new(self.deadvertise_suppressed()),
+            deadvertise_suppressed: self.deadvertise_suppressed,
         }
     }
 }
@@ -230,6 +230,14 @@ impl ConcurrentInvalidationTracker {
     /// Creates a tracker whose per-client buffers hold at most
     /// `capacity` entries before wrapping.
     pub fn new(capacity: usize) -> Self {
+        Self::with_deadvertise_suppressed(capacity, false)
+    }
+
+    /// Like [`Self::new`], but with `suppressed` set modifications and
+    /// recalls stop de-advertising peer copies — the chaos self-test
+    /// fault behind `--break-peerread` and the product model's I7
+    /// knob, which the oracles must convict.
+    pub fn with_deadvertise_suppressed(capacity: usize, suppressed: bool) -> Self {
         ConcurrentInvalidationTracker {
             buffers: Mutex::new(HashMap::new()),
             lock_acquisitions: AtomicU64::new(0),
@@ -244,7 +252,7 @@ impl ConcurrentInvalidationTracker {
             evicted_buffers: AtomicU64::new(0),
             peer_advertised: AtomicU64::new(0),
             peer_condemned: AtomicU64::new(0),
-            deadvertise_suppressed: AtomicBool::new(false),
+            deadvertise_suppressed: suppressed,
         }
     }
 
@@ -304,7 +312,7 @@ impl ConcurrentInvalidationTracker {
     /// registered.
     pub fn record_modification(&self, fh: Fh3, writer: u32) {
         let ts = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
-        let suppress = self.deadvertise_suppressed();
+        let suppress = self.deadvertise_suppressed;
         for (&client, slot) in self.guard().iter_mut() {
             // Condemn every advertised copy of the modified file —
             // including the writer's, whose copy now carries a change
@@ -339,7 +347,7 @@ impl ConcurrentInvalidationTracker {
     /// names the handle. One lock pass, same rank as
     /// [`Self::record_modification`].
     pub fn condemn(&self, fh: Fh3) {
-        if self.deadvertise_suppressed() {
+        if self.deadvertise_suppressed {
             return;
         }
         for slot in self.guard().values_mut() {
@@ -371,17 +379,6 @@ impl ConcurrentInvalidationTracker {
         out.sort_unstable();
         out.truncate(cap);
         out
-    }
-
-    /// Test/chaos knob: when set, modifications and recalls stop
-    /// de-advertising peer copies — the `--break-peerread` self-test
-    /// the chaos oracle must convict.
-    pub fn set_deadvertise_suppressed(&self, suppressed: bool) {
-        self.deadvertise_suppressed.store(suppressed, Ordering::SeqCst);
-    }
-
-    fn deadvertise_suppressed(&self) -> bool {
-        self.deadvertise_suppressed.load(Ordering::SeqCst)
     }
 
     /// An empty drain anchored at `client`'s current sync point. Used
@@ -821,21 +818,20 @@ mod tests {
 
     #[test]
     fn suppression_knob_keeps_condemned_adverts() {
-        let t = ConcurrentInvalidationTracker::new(8);
-        t.getinv(1, None);
-        t.getinv(2, None);
-        t.advertise(1, fh(7));
-        t.set_deadvertise_suppressed(true);
-        t.record_modification(fh(7), 2);
-        t.condemn(fh(7));
-        assert_eq!(
-            t.collect_holders(fh(7), 2, 8),
-            vec![1],
-            "suppressed de-advertise leaves the stale advert for the oracle to convict"
-        );
-        t.set_deadvertise_suppressed(false);
-        t.record_modification(fh(7), 2);
-        assert!(t.collect_holders(fh(7), 2, 8).is_empty());
+        for suppressed in [true, false] {
+            let t = ConcurrentInvalidationTracker::with_deadvertise_suppressed(8, suppressed);
+            t.getinv(1, None);
+            t.getinv(2, None);
+            t.advertise(1, fh(7));
+            t.record_modification(fh(7), 2);
+            t.condemn(fh(7));
+            let expected = if suppressed { vec![1] } else { Vec::new() };
+            assert_eq!(
+                t.collect_holders(fh(7), 2, 8),
+                expected,
+                "only a suppressed de-advertise leaves the stale advert for the oracle to convict"
+            );
+        }
     }
 
     #[test]
@@ -852,10 +848,9 @@ mod tests {
 
     #[test]
     fn clone_is_an_independent_deep_copy() {
-        let t = ConcurrentInvalidationTracker::new(8);
+        let t = ConcurrentInvalidationTracker::with_deadvertise_suppressed(8, true);
         t.getinv(1, None);
         t.advertise(1, fh(7));
-        t.set_deadvertise_suppressed(true);
         let c = t.clone();
         t.record_modification(fh(9), 2);
         assert_eq!(c.now(), 0, "the copy does not see the original's later writes");

@@ -313,9 +313,10 @@ pub struct ProxyClient {
     /// from `WrappedReply.peers` and dropped whenever the handle is
     /// invalidated (lock rank: terminal).
     peer_hints: Mutex<HashMap<Fh3, PeerAdvert>>,
-    /// Chaos selftest knob: serve `PEERREAD`s from raw store content,
-    /// skipping the attestation checks — the oracle must convict this.
-    break_peerread: AtomicBool,
+    /// Chaos self-test fault (`--break-peerread`): serve `PEERREAD`s
+    /// from raw store content, skipping the attestation checks — the
+    /// oracle must convict this.
+    break_peerread: bool,
     /// The scrub actor's handle, for shutdown (lock rank: after
     /// `supervisor`; only taken to install/unpark the handle).
     scrubber: Mutex<Option<gvfs_netsim::ActorHandle>>,
@@ -358,12 +359,15 @@ impl ProxyClient {
     /// restarts).
     ///
     /// `wan` must carry a GVFS credential identifying `id` (the session
-    /// middleware arranges this).
+    /// middleware arranges this). `break_peerread` builds in the chaos
+    /// self-test fault that serves condemned bytes to peers; a correct
+    /// session passes `false`.
     pub fn new(
         id: u32,
         config: &SessionConfig,
         wan: SimRpcClient,
         store: Box<dyn BlockStore>,
+        break_peerread: bool,
     ) -> Arc<Self> {
         let breaker = CircuitBreaker::new(BreakerConfig::default()).with_stats(wan.stats().clone());
         Arc::new(ProxyClient {
@@ -386,7 +390,7 @@ impl ProxyClient {
             supervisor: Mutex::new(None),
             peers: Mutex::new(HashMap::new()),
             peer_hints: Mutex::new(HashMap::new()),
-            break_peerread: AtomicBool::new(false),
+            break_peerread,
             scrubber: Mutex::new(None),
             trace: std::sync::OnceLock::new(),
         })
@@ -421,23 +425,6 @@ impl ProxyClient {
         if let Some(p) = self.peers.lock().get(&id) {
             p.breaker.on_failure(Self::now_dur());
         }
-    }
-
-    /// Chaos selftest knob: when set, this client answers `PEERREAD`s
-    /// from raw store content with the requester's attestation echoed
-    /// back, skipping the change/cleanliness checks — deliberately
-    /// serving condemned bytes so the chaos oracle can prove it convicts.
-    pub fn set_break_peerread(&self, on: bool) {
-        self.break_peerread.store(on, Ordering::SeqCst);
-    }
-
-    /// Chaos selftest knob: disables the block store's verify-on-read
-    /// (and the scrub sweep), so rotten bytes are served as-is instead
-    /// of quarantined — deliberately breaking the integrity layer so
-    /// the analysis invariant and the chaos oracle can prove they
-    /// convict it.
-    pub fn set_break_scrub(&self, on: bool) {
-        self.disk.lock().set_store_verify(!on);
     }
 
     /// Drops the peer hint for one invalidated handle: the origin
@@ -478,7 +465,7 @@ impl ProxyClient {
 
     /// Effectiveness counters, merged with the block store's.
     pub fn stats(&self) -> ProxyClientStats {
-        let store = self.disk.lock().store_stats();
+        let store = self.disk.lock().store.stats();
         let mut s = *self.stats.lock();
         s.cache_bytes = store.bytes;
         s.cache_evictions = store.evictions;
@@ -492,7 +479,7 @@ impl ProxyClient {
     /// Forces a durability barrier on the block store (no-op for the
     /// in-memory store). Everything cached so far survives a crash.
     pub fn sync_store(&self) {
-        self.disk.lock().sync_store();
+        self.disk.lock().store.sync();
         self.settle_disk();
     }
 
@@ -504,7 +491,7 @@ impl ProxyClient {
     /// before the call returns.
     fn settle_disk(&self) {
         self.drain_integrity_events(false);
-        let cost = self.disk.lock().take_disk_cost();
+        let cost = self.disk.lock().store.take_cost();
         if !cost.is_zero() && gvfs_netsim::in_actor() {
             gvfs_netsim::sleep(cost);
         }
@@ -521,7 +508,7 @@ impl ProxyClient {
     /// the `--break-scrub` knob) are traced for the replay oracle to
     /// convict and deliberately not repaired.
     fn drain_integrity_events(&self, scrub: bool) -> Vec<crate::store::IntegrityEvent> {
-        let events = self.disk.lock().take_integrity_events();
+        let events = self.disk.lock().store.take_integrity_events();
         for ev in &events {
             self.emit_trace(ProtocolEvent::IntegrityFault {
                 client: self.id,
@@ -547,14 +534,14 @@ impl ProxyClient {
     fn repair_clean_range(&self, fh: Fh3, offset: u64, len: u64) -> bool {
         let Ok(len) = usize::try_from(len) else { return false };
         for _ in 0..4 {
-            if self.disk.lock().missing_ranges(fh, offset, len).is_empty() {
+            if self.disk.lock().store.missing_ranges(fh, offset, len).is_empty() {
                 return true;
             }
             if !self.fetch_missing(fh, offset, len) {
                 return false;
             }
         }
-        self.disk.lock().missing_ranges(fh, offset, len).is_empty()
+        self.disk.lock().store.missing_ranges(fh, offset, len).is_empty()
     }
 
     /// Runs the background scrub actor until shutdown: every `period`
@@ -571,7 +558,7 @@ impl ProxyClient {
             if self.stopped.load(Ordering::SeqCst) {
                 return;
             }
-            let _ = self.disk.lock().scrub_step(batch);
+            let _ = self.disk.lock().store.scrub_step(batch);
             for ev in self.drain_integrity_events(true) {
                 if ev.served || ev.dirty {
                     continue; // attributed by the drain
@@ -1013,7 +1000,7 @@ impl ProxyClient {
                     if let Some(attr) = file_attributes {
                         disk.put_attr(a.file, attr);
                     }
-                    disk.insert_clean(a.file, a.offset, data.clone());
+                    disk.store.insert_clean(a.file, a.offset, data.clone());
                 }
                 if self.can_serve(a.file) {
                     self.maybe_prefetch(a.file, a.offset, a.count);
@@ -1021,8 +1008,8 @@ impl ProxyClient {
                 // Local dirty bytes win over what the server returned:
                 // re-serve from the merged cache when possible.
                 let mut disk = self.disk.lock();
-                if disk.has_dirty(a.file) {
-                    if let Some(merged) = disk.read(a.file, a.offset, data.len()) {
+                if disk.store.has_dirty(a.file) {
+                    if let Some(merged) = disk.store.read(a.file, a.offset, data.len()) {
                         let attr = disk.attr(a.file);
                         let res = ReadRes::Ok {
                             file_attributes: attr,
@@ -1055,7 +1042,7 @@ impl ProxyClient {
             let Some(attr) = disk.attr(a.file) else { return Ok(None) };
             let end = (a.offset + u64::from(a.count)).min(attr.size);
             let len = end.saturating_sub(a.offset) as usize;
-            match disk.read(a.file, a.offset, len) {
+            match disk.store.read(a.file, a.offset, len) {
                 Some(data) => (attr, end, data),
                 None => return Ok(None),
             }
@@ -1132,7 +1119,7 @@ impl ProxyClient {
                 let Some(attr) = disk.attr(a.file) else { return Ok(None) };
                 let end = (a.offset + u64::from(a.count)).min(attr.size);
                 let len = end.saturating_sub(a.offset) as usize;
-                let hit = disk.read(a.file, a.offset, len);
+                let hit = disk.store.read(a.file, a.offset, len);
                 (attr, end, len, hit)
             };
             if let Some(data) = hit {
@@ -1182,7 +1169,7 @@ impl ProxyClient {
         let mut parked = false;
         {
             let disk = self.disk.lock();
-            let gaps = disk.missing_ranges(fh, offset, len);
+            let gaps = disk.store.missing_ranges(fh, offset, len);
             if gaps.is_empty() {
                 return true; // raced to a hit; caller re-serves
             }
@@ -1412,7 +1399,7 @@ impl ProxyClient {
         if let Some(attr) = attr {
             disk.put_attr_prefetch(fh, attr);
         }
-        disk.insert_clean(fh, entry.chunk.offset, data);
+        disk.store.insert_clean(fh, entry.chunk.offset, data);
         drop(ra);
         drop(disk);
         if chunk.speculative {
@@ -1520,13 +1507,13 @@ impl ProxyClient {
     /// requester falls back to the origin.
     fn handle_peerread(&self, args: &[u8]) -> Result<Vec<u8>, RpcError> {
         let a: PeerReadArgs = decode(args)?;
-        let res = if self.break_peerread.load(Ordering::SeqCst) {
-            // Chaos selftest knob: serve raw store content with the
+        let res = if self.break_peerread {
+            // Chaos self-test fault: serve raw store content with the
             // requester's attestation echoed back. After an invalidation
             // the attributes are gone but the condemned bytes linger in
             // the store until revalidation — exactly the stale serve the
             // oracle must convict.
-            let data = self.disk.lock().read(a.fh, a.offset, a.count as usize);
+            let data = self.disk.lock().store.read(a.fh, a.offset, a.count as usize);
             match data {
                 Some(data) => PeerReadRes::Ok {
                     change: a.change,
@@ -1540,7 +1527,7 @@ impl ProxyClient {
             let mut disk = self.disk.lock();
             let attested = disk.attr(a.fh).filter(|attr| change_of(attr.mtime) == a.change);
             let served = attested.and_then(|attr| {
-                if disk.has_dirty(a.fh) {
+                if disk.store.has_dirty(a.fh) {
                     return None;
                 }
                 let end = (a.offset + u64::from(a.count)).min(attr.size);
@@ -1550,7 +1537,7 @@ impl ProxyClient {
                     // size; a disagreement means a different version.
                     return None;
                 }
-                disk.read(a.fh, a.offset, len).map(|data| (attr.size, data))
+                disk.store.read(a.fh, a.offset, len).map(|data| (attr.size, data))
             });
             match served {
                 Some((size, data)) => {
@@ -1606,7 +1593,7 @@ impl ProxyClient {
                     .pending
                     .iter()
                     .any(|e| e.chunk.offset < b + blen as u64 && e.chunk.end() > b);
-                if blocked || disk.missing_ranges(fh, b, blen).is_empty() {
+                if blocked || disk.store.missing_ranges(fh, b, blen).is_empty() {
                     continue;
                 }
                 let chunk = Chunk {
@@ -1722,7 +1709,7 @@ impl ProxyClient {
                     let mut st = self.state.lock();
                     st.wb_base.entry(a.file).or_insert(attr.mtime);
                 }
-                disk.write_dirty(a.file, a.offset, a.data.clone());
+                disk.store.write_dirty(a.file, a.offset, a.data.clone());
                 let before =
                     gvfs_nfs3::WccAttr { size: attr.size, mtime: attr.mtime, ctime: attr.ctime };
                 attr.size = attr.size.max(a.offset + a.data.len() as u64);
@@ -1751,7 +1738,7 @@ impl ProxyClient {
                 if let Some(attr) = file_wcc.after {
                     disk.put_attr_own_write(a.file, attr);
                 }
-                disk.insert_clean(a.file, a.offset, a.data.clone());
+                disk.store.insert_clean(a.file, a.offset, a.data.clone());
             }
         }
         Ok(reply)
@@ -1974,7 +1961,7 @@ impl ProxyClient {
     /// marks them clean.
     fn flush_block(&self, fh: Fh3, block_offset: u64) {
         let segments: Vec<(u64, Vec<u8>)> =
-            self.disk.lock().dirty_in_block(fh, block_offset, BLOCK_SIZE);
+            self.disk.lock().store.dirty_in_block(fh, block_offset, BLOCK_SIZE);
         if segments.is_empty() {
             return;
         }
@@ -1996,8 +1983,8 @@ impl ProxyClient {
             }
         }
         let mut disk = self.disk.lock();
-        disk.clean_range(fh, block_offset, BLOCK_SIZE);
-        if !disk.has_dirty(fh) {
+        disk.store.clean_range(fh, block_offset, BLOCK_SIZE);
+        if !disk.store.has_dirty(fh) {
             self.state.lock().wb_base.remove(&fh);
         }
     }
@@ -2023,7 +2010,7 @@ impl ProxyClient {
         let mut failed: HashSet<u64> = HashSet::new();
         for &block in blocks {
             let segments: Vec<(u64, Vec<u8>)> =
-                self.disk.lock().dirty_in_block(fh, block, BLOCK_SIZE);
+                self.disk.lock().store.dirty_in_block(fh, block, BLOCK_SIZE);
             for (offset, data) in segments {
                 let count = data.len() as u32;
                 let Ok(args) = gvfs_xdr::to_bytes(&WriteArgs {
@@ -2063,10 +2050,10 @@ impl ProxyClient {
             let mut disk = self.disk.lock();
             for &block in blocks {
                 if !failed.contains(&block) {
-                    disk.clean_range(fh, block, BLOCK_SIZE);
+                    disk.store.clean_range(fh, block, BLOCK_SIZE);
                 }
             }
-            if !disk.has_dirty(fh) {
+            if !disk.store.has_dirty(fh) {
                 self.state.lock().wb_base.remove(&fh);
             }
         }
@@ -2082,9 +2069,9 @@ impl ProxyClient {
     /// Flushes every dirty block of every file (unmount/shutdown path),
     /// one pipelined batch per file.
     pub fn flush_all(&self) {
-        let files = self.disk.lock().dirty_files();
+        let files = self.disk.lock().store.dirty_files();
         for fh in files {
-            let blocks = self.disk.lock().dirty_blocks(fh, BLOCK_SIZE);
+            let blocks = self.disk.lock().store.dirty_blocks(fh, BLOCK_SIZE);
             self.flush_blocks(fh, &blocks);
         }
     }
@@ -2237,7 +2224,7 @@ impl ProxyClient {
         if matches!(a.kind, CallbackKind::RecallRead) {
             return encode(&CallbackRes::default());
         }
-        let blocks = self.disk.lock().dirty_blocks(a.fh, BLOCK_SIZE);
+        let blocks = self.disk.lock().store.dirty_blocks(a.fh, BLOCK_SIZE);
         if blocks.is_empty() {
             return encode(&CallbackRes::default());
         }
@@ -2276,7 +2263,7 @@ impl ProxyClient {
         // files we hold dirty so the server can rebuild its table.
         let mut disk = self.disk.lock();
         self.invalidate_everything(&mut disk);
-        let dirty_files = disk.dirty_files();
+        let dirty_files = disk.store.dirty_files();
         drop(disk);
         self.state.lock().delegations.clear();
         encode(&RecoverRes { dirty_files })
@@ -2305,7 +2292,7 @@ impl ProxyClient {
     /// whatever dirty data provably survived.
     pub fn crash_restart(&self) -> Vec<Fh3> {
         self.emit_trace(ProtocolEvent::ClientCrash { client: self.id });
-        self.disk.lock().crash_reopen_store();
+        self.disk.lock().store.crash_reopen();
         // Replaying the on-disk index is real I/O: charge it to the
         // restarting actor's clock.
         self.settle_disk();
@@ -2336,7 +2323,7 @@ impl ProxyClient {
     /// dropped for refetch (post-heal re-promotion). Returns the
     /// discarded handles.
     fn reconcile_dirty(&self, poison: bool) -> Vec<Fh3> {
-        let dirty = self.disk.lock().dirty_files();
+        let dirty = self.disk.lock().store.dirty_files();
         let mut discarded = Vec::new();
         for fh in dirty {
             let base = self.state.lock().wb_base.get(&fh).copied();
@@ -2350,12 +2337,12 @@ impl ProxyClient {
             );
             if unchanged {
                 // Write back one block to reacquire the delegation.
-                let first = self.disk.lock().dirty_blocks(fh, BLOCK_SIZE).first().copied();
+                let first = self.disk.lock().store.dirty_blocks(fh, BLOCK_SIZE).first().copied();
                 if let Some(block) = first {
                     self.flush_block(fh, block);
                 }
                 // Remaining blocks flush lazily (queue to flusher).
-                let rest = self.disk.lock().dirty_blocks(fh, BLOCK_SIZE);
+                let rest = self.disk.lock().store.dirty_blocks(fh, BLOCK_SIZE);
                 if !rest.is_empty() {
                     let mut q = self.flush_queue.lock();
                     for block in rest {

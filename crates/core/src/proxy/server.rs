@@ -53,7 +53,7 @@ use gvfs_rpc::message::OpaqueAuth;
 use gvfs_rpc::RpcError;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,12 +70,12 @@ struct RecallInFlight {
     call: (SimRpcClient, PendingCall),
 }
 
-/// Default bound on concurrently in-flight recall/`RECOVER` callbacks.
-const DEFAULT_FANOUT_WINDOW: usize = 64;
+/// Whole sweep epochs a client may stay idle before [`ProxyServer::sweep`]
+/// evicts its per-client state.
+const SWEEP_IDLE_EPOCHS: u64 = 8;
 
 /// The mutable half of [`FanoutSemaphore`], behind its lock.
 struct FanoutState {
-    capacity: usize,
     available: usize,
     /// Handlers parked waiting for a slot, FIFO.
     waiters: VecDeque<ActorHandle>,
@@ -88,6 +88,7 @@ struct FanoutState {
 /// is sent while it is held; waiters park strictly *after* dropping the
 /// guard (the unpark permit is banked if the release wins the race).
 struct FanoutSemaphore {
+    capacity: usize,
     fanout: Mutex<FanoutState>,
     /// High-water mark of slots in use, for the scale bench.
     in_flight_hwm: AtomicU64,
@@ -95,12 +96,10 @@ struct FanoutSemaphore {
 
 impl FanoutSemaphore {
     fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         FanoutSemaphore {
-            fanout: Mutex::new(FanoutState {
-                capacity: capacity.max(1),
-                available: capacity.max(1),
-                waiters: VecDeque::new(),
-            }),
+            capacity,
+            fanout: Mutex::new(FanoutState { available: capacity, waiters: VecDeque::new() }),
             in_flight_hwm: AtomicU64::new(0),
         }
     }
@@ -113,7 +112,7 @@ impl FanoutSemaphore {
                 return false;
             }
             st.available -= 1;
-            (st.capacity - st.available) as u64
+            (self.capacity - st.available) as u64
         };
         self.in_flight_hwm.fetch_max(in_flight, Ordering::Relaxed);
         true
@@ -126,7 +125,7 @@ impl FanoutSemaphore {
                 let mut st = self.fanout.lock();
                 if st.available > 0 {
                     st.available -= 1;
-                    let in_flight = (st.capacity - st.available) as u64;
+                    let in_flight = (self.capacity - st.available) as u64;
                     drop(st);
                     self.in_flight_hwm.fetch_max(in_flight, Ordering::Relaxed);
                     return;
@@ -141,36 +140,12 @@ impl FanoutSemaphore {
     fn release(&self) {
         let waiter = {
             let mut st = self.fanout.lock();
-            st.available = (st.available + 1).min(st.capacity);
+            st.available = (st.available + 1).min(self.capacity);
             st.waiters.pop_front()
         };
         if let Some(w) = waiter {
             w.unpark();
         }
-    }
-
-    /// Resizes the window (bench/ablation knob; call while no round is
-    /// in flight).
-    fn set_capacity(&self, capacity: usize) {
-        let waiter = {
-            let mut st = self.fanout.lock();
-            let capacity = capacity.max(1);
-            let in_use = st.capacity - st.available;
-            st.capacity = capacity;
-            st.available = capacity.saturating_sub(in_use);
-            if st.available > 0 {
-                st.waiters.pop_front()
-            } else {
-                None
-            }
-        };
-        if let Some(w) = waiter {
-            w.unpark();
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.fanout.lock().capacity
     }
 
     fn hwm(&self) -> u64 {
@@ -217,11 +192,57 @@ pub struct ServerScaleStats {
     pub inval: InvalScaleCounters,
 }
 
+/// Everything a [`ProxyServer`] is built with. The middleware fills it
+/// from the session's configuration (§2); it never changes afterwards.
+#[derive(Debug, Clone, Copy)]
+pub struct ServerConfig {
+    /// The session's consistency model.
+    pub model: ConsistencyModel,
+    /// Per-client invalidation buffer capacity (entries).
+    pub invalidation_capacity: usize,
+    /// Bound on concurrently in-flight recall and `RECOVER` callbacks;
+    /// a window of 1 reproduces fully serialized fan-out.
+    pub fanout_window: usize,
+    /// Replies to NFS calls piggyback the client's pending invalidation
+    /// drain (see [`WrappedReply::inv`]). Off by default: the scale
+    /// bench turns it on; the figure harnesses keep the paper's
+    /// pure-polling message pattern.
+    pub piggyback_inval: bool,
+    /// Successful READ replies advertise which live clients hold clean
+    /// copies of the file ([`WrappedReply::peers`]) and the tracker's
+    /// peer map is maintained. Off by default: the wire stays
+    /// byte-identical to the star topology.
+    pub peer_read: bool,
+    /// Chaos self-test fault (`--break-recall`): recall callbacks are
+    /// silently discarded instead of sent, so holders are revoked
+    /// without ever learning about it. The chaos oracles must catch the
+    /// resulting stale reads.
+    pub suppress_recalls: bool,
+    /// Chaos self-test fault (`--break-peerread`): modifications and
+    /// recalls stop de-advertising peer copies, so a stale advert
+    /// survives for the oracle to convict.
+    pub suppress_deadvertise: bool,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            model: ConsistencyModel::Passthrough,
+            invalidation_capacity: 4096,
+            fanout_window: 64,
+            piggyback_inval: false,
+            peer_read: false,
+            suppress_recalls: false,
+            suppress_deadvertise: false,
+        }
+    }
+}
+
 /// The proxy server service. Register it (wrapped in an `Arc`) with a
 /// [`gvfs_netsim::transport::ServerNode`]; proxy clients call it on
 /// [`GVFS_PROXY_PROGRAM`].
 pub struct ProxyServer {
-    model: ConsistencyModel,
+    config: ServerConfig,
     nfs: SimRpcClient,
     /// The open-file delegation table (§4.3.3).
     deleg: Mutex<DelegationTable>,
@@ -232,17 +253,10 @@ pub struct ProxyServer {
     /// The client list is "always stored directly on disk" (§4.3.4):
     /// it survives crashes.
     persisted_clients: Mutex<HashSet<u32>>,
-    /// Breakage knob for the chaos harness: when set, recall callbacks
-    /// are silently discarded instead of sent, so holders are revoked
-    /// without ever learning about it. A correct run never sets this;
-    /// the chaos oracles must catch the resulting stale reads.
-    recall_suppressed: AtomicBool,
     /// Recall callbacks actually put on the wire.
     recalls_sent: AtomicU64,
     /// Recalls short-circuited because the target's breaker was open.
     recalls_short_circuited: AtomicU64,
-    /// `RECOVER` multicast rounds performed after a restart.
-    recover_rounds: AtomicU64,
     /// Per-client WAN health, fed by recall outcomes: a recall to a
     /// breaker-open client is short-circuited (the holder is revoked as
     /// unreachable immediately) instead of burning a callback timeout
@@ -254,21 +268,8 @@ pub struct ProxyServer {
     fanout: FanoutSemaphore,
     /// Idle-eviction epoch, advanced once per [`ProxyServer::maintain`].
     sweep_epoch: AtomicU64,
-    /// Whole epochs a client may stay idle before its breaker and
-    /// invalidation buffer are evicted.
-    idle_epochs: AtomicU64,
     /// Idle health entries dropped by epoch eviction.
     health_evicted: AtomicU64,
-    /// When set, replies to NFS calls piggyback the client's pending
-    /// invalidation drain (see [`WrappedReply::inv`]). Off by default:
-    /// the scale bench enables it; the figure harnesses keep the
-    /// paper's pure-polling message pattern.
-    piggyback_inval: AtomicBool,
-    /// When set, successful READ replies advertise which live clients
-    /// hold clean copies of the file ([`WrappedReply::peers`]) and the
-    /// tracker's peer map is maintained. Off by default — the wire
-    /// stays byte-identical to the star topology.
-    peer_read: AtomicBool,
     /// Protocol-event sink for spec-conformance replay, installed once
     /// by the session. Grant/recall/revocation events are recorded
     /// under the `deleg` lock so the per-file subsequence is linearized
@@ -278,41 +279,34 @@ pub struct ProxyServer {
 
 impl std::fmt::Debug for ProxyServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProxyServer").field("model", &self.model).finish()
+        f.debug_struct("ProxyServer").field("model", &self.config.model).finish()
     }
 }
 
 impl ProxyServer {
-    /// Creates a proxy server forwarding to the kernel NFS server via
-    /// `nfs` (a loopback transport), applying `model`, with per-client
-    /// invalidation buffers of `invalidation_capacity` entries.
-    pub fn new(
-        model: ConsistencyModel,
-        invalidation_capacity: usize,
-        nfs: SimRpcClient,
-    ) -> Arc<Self> {
-        let deleg_config = match model {
+    /// Creates a proxy server built with `config`, forwarding to the
+    /// kernel NFS server via `nfs` (a loopback transport).
+    pub fn new(config: ServerConfig, nfs: SimRpcClient) -> Arc<Self> {
+        let deleg_config = match config.model {
             ConsistencyModel::DelegationCallback(c) => c,
             _ => crate::model::DelegationConfig::default(),
         };
         Arc::new(ProxyServer {
-            model,
+            config,
             nfs,
             deleg: Mutex::new(DelegationTable::new(deleg_config)),
-            inval: ConcurrentInvalidationTracker::new(invalidation_capacity),
+            inval: ConcurrentInvalidationTracker::with_deadvertise_suppressed(
+                config.invalidation_capacity,
+                config.suppress_deadvertise,
+            ),
             callbacks: RwLock::new(HashMap::new()),
             persisted_clients: Mutex::new(HashSet::new()),
-            recall_suppressed: AtomicBool::new(false),
             recalls_sent: AtomicU64::new(0),
             recalls_short_circuited: AtomicU64::new(0),
-            recover_rounds: AtomicU64::new(0),
             health: Mutex::new(HashMap::new()),
-            fanout: FanoutSemaphore::new(DEFAULT_FANOUT_WINDOW),
+            fanout: FanoutSemaphore::new(config.fanout_window),
             sweep_epoch: AtomicU64::new(0),
-            idle_epochs: AtomicU64::new(8),
             health_evicted: AtomicU64::new(0),
-            piggyback_inval: AtomicBool::new(false),
-            peer_read: AtomicBool::new(false),
             trace: std::sync::OnceLock::new(),
         })
     }
@@ -398,22 +392,6 @@ impl ProxyServer {
         }
     }
 
-    /// Resizes the recall/`RECOVER` fan-out window (bench and ablation
-    /// knob; a window of 1 reproduces fully serialized fan-out).
-    pub fn set_fanout_window(&self, window: usize) {
-        self.fanout.set_capacity(window);
-    }
-
-    /// The fan-out window currently configured.
-    pub fn fanout_window(&self) -> usize {
-        self.fanout.capacity()
-    }
-
-    /// High-water mark of concurrently in-flight fan-out callbacks.
-    pub fn fanout_hwm(&self) -> u64 {
-        self.fanout.hwm()
-    }
-
     /// Registers the callback transport for a proxy client (done by the
     /// middleware when the session is established; in the real system
     /// the port arrives in each request's credential).
@@ -423,7 +401,7 @@ impl ProxyServer {
 
     /// The consistency model in effect.
     pub fn model(&self) -> ConsistencyModel {
-        self.model
+        self.config.model
     }
 
     /// Simulates a crash: volatile state (invalidation buffers,
@@ -448,10 +426,9 @@ impl ProxyServer {
     ///
     /// Returns the number of clients that answered.
     pub fn recover(&self) -> usize {
-        if !matches!(self.model, ConsistencyModel::DelegationCallback(_)) {
+        if !matches!(self.config.model, ConsistencyModel::DelegationCallback(_)) {
             return 0;
         }
-        self.recover_rounds.fetch_add(1, Ordering::SeqCst);
         let mut clients: Vec<u32> = self.persisted_clients.lock().iter().copied().collect();
         clients.sort_unstable();
         // "A single multicasted callback to the clients" (§4.3.4),
@@ -496,7 +473,8 @@ impl ProxyServer {
 
     /// Runs one delegation sweep (speculated closes, LRU eviction); the
     /// session's sweeper actor calls this periodically. Each sweep also
-    /// advances the idle-eviction epoch ([`ProxyServer::maintain`]).
+    /// advances the idle-eviction epoch ([`ProxyServer::maintain`]) with
+    /// an idle budget of [`SWEEP_IDLE_EPOCHS`].
     pub fn sweep(&self) {
         let actions = self.deleg.lock().sweep(gvfs_netsim::now());
         for action in actions {
@@ -506,57 +484,31 @@ impl ProxyServer {
             table.end_recall(action.fh);
             table.sweep_done(action.fh, action.client);
         }
-        self.maintain();
+        self.maintain(SWEEP_IDLE_EPOCHS);
     }
 
     /// Advances the idle-eviction epoch by one and drops per-client
     /// state — invalidation buffers and health breakers — belonging to
-    /// clients idle for more than the configured number of whole
-    /// epochs. Delegation table entries are bounded separately by the
-    /// table's own expiry + LRU sweep. Returns `(buffers, breakers)`
+    /// clients idle for more than `idle_epochs` whole epochs.
+    /// Delegation table entries are bounded separately by the table's
+    /// own expiry + LRU sweep. Returns `(buffers, breakers)`
     /// evicted.
     ///
     /// Eviction is protocol-invisible beyond one extra full
     /// invalidation: an evicted poller re-bootstraps through the
     /// first-contact path, and an evicted breaker is recreated closed
     /// on the next recall to that client.
-    pub fn maintain(&self) -> (usize, usize) {
-        let idle = self.idle_epochs.load(Ordering::Relaxed);
+    pub fn maintain(&self, idle_epochs: u64) -> (usize, usize) {
         let epoch = self.sweep_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let buffers = self.inval.advance_epoch(idle);
+        let buffers = self.inval.advance_epoch(idle_epochs);
         let breakers = {
             let mut health = self.health.lock();
             let before = health.len();
-            health.retain(|_, e| epoch.saturating_sub(e.epoch) <= idle);
+            health.retain(|_, e| epoch.saturating_sub(e.epoch) <= idle_epochs);
             before - health.len()
         };
         self.health_evicted.fetch_add(breakers as u64, Ordering::Relaxed);
         (buffers, breakers)
-    }
-
-    /// Sets how many whole sweep epochs a client may stay idle before
-    /// its per-client state is evicted.
-    pub fn set_idle_epochs(&self, epochs: u64) {
-        self.idle_epochs.store(epochs, Ordering::Relaxed);
-    }
-
-    /// Enables or disables piggybacking pending invalidation drains on
-    /// NFS replies (see [`WrappedReply::inv`]).
-    pub fn set_piggyback_inval(&self, enabled: bool) {
-        self.piggyback_inval.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Enables or disables peer sourcing: READ replies advertise live
-    /// holders and the peer map tracks/condemns clean copies.
-    pub fn set_peer_read(&self, enabled: bool) {
-        self.peer_read.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Chaos self-test knob (`--break-peerread`): suppresses peer-map
-    /// de-advertising on modification and recall, so a stale advert
-    /// survives for the oracle to convict. Never set on a correct run.
-    pub fn set_peer_deadvertise_suppressed(&self, suppressed: bool) {
-        self.inval.set_deadvertise_suppressed(suppressed);
     }
 
     /// Clients currently advertised as holding a clean copy of `fh`
@@ -565,41 +517,15 @@ impl ProxyServer {
         self.inval.collect_holders(fh, u32::MAX, usize::MAX)
     }
 
-    /// Number of files currently tracked in the delegation table.
-    pub fn tracked_files(&self) -> usize {
-        self.deleg.lock().tracked_files()
-    }
-
     /// The delegation table's [`DelegationTable::snapshot`], for
     /// diagnostics and the chaos harness's write-exclusion oracle.
     pub fn delegation_snapshot(&self) -> Vec<crate::delegation::FileSnapshot> {
         self.deleg.lock().snapshot()
     }
 
-    /// Enables or disables the recall-suppression breakage knob (see
-    /// the field docs; chaos-harness self-test only).
-    pub fn set_recall_suppressed(&self, suppressed: bool) {
-        self.recall_suppressed.store(suppressed, Ordering::SeqCst);
-    }
-
-    /// Recall callbacks put on the wire since construction.
-    pub fn recalls_sent(&self) -> u64 {
-        self.recalls_sent.load(Ordering::SeqCst)
-    }
-
-    /// Recalls short-circuited because the target's breaker was open.
-    pub fn recalls_short_circuited(&self) -> u64 {
-        self.recalls_short_circuited.load(Ordering::SeqCst)
-    }
-
     /// Delegations revoked server-side by lease expiry.
     pub fn lease_revocations(&self) -> u64 {
         self.deleg.lock().lease_revocations()
-    }
-
-    /// `RECOVER` multicast rounds performed since construction.
-    pub fn recover_rounds(&self) -> u64 {
-        self.recover_rounds.load(Ordering::SeqCst)
     }
 
     /// One coherent dump of the server's scale counters, for the bench
@@ -609,7 +535,7 @@ impl ProxyServer {
         ServerScaleStats {
             recalls_sent: self.recalls_sent.load(Ordering::SeqCst),
             recalls_short_circuited: self.recalls_short_circuited.load(Ordering::SeqCst),
-            fanout_window: self.fanout.capacity(),
+            fanout_window: self.fanout.capacity,
             fanout_in_flight_hwm: self.fanout.hwm(),
             health_entries: self.health.lock().len(),
             health_evicted: self.health_evicted.load(Ordering::Relaxed),
@@ -641,7 +567,7 @@ impl ProxyServer {
     /// is taken so suppressed targets and breaker-open peers never
     /// consume window capacity.
     fn recall_short_circuits(&self, action: &RecallAction) -> bool {
-        if self.recall_suppressed.load(Ordering::SeqCst) {
+        if self.config.suppress_recalls {
             // The holder is revoked without being told: exactly the bug
             // class the chaos oracles exist to catch.
             return true;
@@ -859,7 +785,7 @@ impl ProxyServer {
                 // Condemn peer copies before the recalls go out: once
                 // the conflicting writer proceeds, no reader may be
                 // handed an advert for the pre-recall version.
-                if self.peer_read.load(Ordering::SeqCst) {
+                if self.config.peer_read {
                     self.inval.condemn(*fh);
                 }
                 self.perform_recalls(recalls);
@@ -913,7 +839,7 @@ impl ProxyServer {
             }
         }
 
-        let grant = match self.model {
+        let grant = match self.config.model {
             ConsistencyModel::DelegationCallback(_) => {
                 // Recall delegations on files a REMOVE/RENAME destroys.
                 for fh in &removed_targets {
@@ -933,7 +859,7 @@ impl ProxyServer {
         // the modifications it missed. Buffers only exist for clients
         // that have actually polled, so under healthy delegation
         // sessions this records into zero buffers.
-        if self.model.caches() && class.is_modification() {
+        if self.config.model.caches() && class.is_modification() {
             self.record_invalidations(&class, client, &removed_targets);
         }
 
@@ -941,7 +867,7 @@ impl ProxyServer {
         // drain the client's next GETINV would return rides back on
         // this reply. `try_drain` never creates buffers, so clients
         // that never polled (pure delegation sessions) pay nothing.
-        let inv = if self.piggyback_inval.load(Ordering::SeqCst) && self.model.caches() {
+        let inv = if self.config.piggyback_inval && self.config.model.caches() {
             self.inval.try_drain(client)
         } else {
             None
@@ -951,11 +877,8 @@ impl ProxyServer {
         // holds a clean copy — record it, and advertise the other live
         // holders so the client's next cold block can be sourced over
         // the LAN instead of this WAN link.
-        let peers = if self.peer_read.load(Ordering::SeqCst) {
-            self.peer_advert(&class, client, &nfs_bytes)
-        } else {
-            None
-        };
+        let peers =
+            if self.config.peer_read { self.peer_advert(&class, client, &nfs_bytes) } else { None };
         // The advert rides as the second trailing optional, so it
         // needs a drain in front of it; synthesize an empty one
         // anchored at the client's sync point when nothing is pending.

@@ -7,8 +7,9 @@
 //! middleware does — dynamic creation and configuration of the proxies
 //! with the session's consistency model and cache policy — and spawns
 //! the background actors (invalidation pollers, write-back flushers,
-//! the delegation sweeper). Each proxy client is built from the
-//! [`SessionConfig`] in one constructor and never reconfigured.
+//! the delegation sweeper). The proxy server and each proxy client are
+//! built from the [`SessionConfig`] in one constructor and never
+//! reconfigured; so are the chaos self-test [`Faults`].
 //!
 //! [`NativeMount`] builds the baseline the paper compares against:
 //! kernel NFS clients talking straight to the kernel NFS server across
@@ -16,7 +17,7 @@
 
 use crate::model::ConsistencyModel;
 use crate::proxy::client::{CallbackService, ProxyClient};
-use crate::proxy::server::ProxyServer;
+use crate::proxy::server::{ProxyServer, ServerConfig};
 use crate::store::mem::MemStore;
 use crate::store::persist::{PersistConfig, PersistentStore};
 use crate::store::BlockStore;
@@ -165,10 +166,29 @@ impl Default for SessionConfig {
     }
 }
 
+/// Deliberate protocol breakages the chaos harness builds into a
+/// session to prove that its oracles convict them. The default is the
+/// correct system; nothing else sets a fault. Clients are named by
+/// index, as in [`Session::proxy_client`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Faults {
+    /// `--break-recall`: the proxy server discards recall callbacks
+    /// instead of sending them, so holders are revoked without knowing.
+    pub suppress_recalls: bool,
+    /// `--break-peerread`: the proxy server stops de-advertising
+    /// condemned peer copies, and this client serves `PEERREAD`s from
+    /// raw store bytes under the requester's echoed attestation.
+    pub stale_peer: Option<usize>,
+    /// `--break-scrub`: this client's persistent store skips
+    /// verify-on-read and the scrub sweep, so it serves rotten bytes.
+    pub unverified_store: Option<usize>,
+}
+
 /// Builder for a [`Session`].
 #[derive(Debug)]
 pub struct SessionBuilder {
     config: SessionConfig,
+    faults: Faults,
     clients: usize,
     wan: LinkConfig,
     client_links: Option<Vec<LinkConfig>>,
@@ -220,6 +240,12 @@ impl SessionBuilder {
         self
     }
 
+    /// Builds the chaos self-test `faults` into the session's proxies.
+    pub fn faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
+        self
+    }
+
     /// The session key carried in every request credential.
     pub fn session_key(mut self, key: u64) -> Self {
         self.session_key = key;
@@ -244,8 +270,14 @@ impl SessionBuilder {
         let server_loop = Link::new(self.loopback);
         let lan_stats = RpcStats::new();
         let proxy_server = ProxyServer::new(
-            config.model,
-            config.invalidation_buffer,
+            ServerConfig {
+                model: config.model,
+                invalidation_capacity: config.invalidation_buffer,
+                peer_read: config.peer_read,
+                suppress_recalls: self.faults.suppress_recalls,
+                suppress_deadvertise: self.faults.stale_peer.is_some(),
+                ..ServerConfig::default()
+            },
             SimRpcClient::new(server_loop.forward(), Arc::clone(&nfs_node), lan_stats.clone()),
         );
         let mut ps_dispatcher = Dispatcher::new();
@@ -295,6 +327,7 @@ impl SessionBuilder {
                         capacity: config.disk_cache_bytes,
                         block_size: u64::from(gvfs_server::TRANSFER_SIZE),
                         file_threshold: config.store_file_threshold,
+                        verify: self.faults.unverified_store != Some(i),
                         ..PersistConfig::default()
                     },
                 );
@@ -302,7 +335,8 @@ impl SessionBuilder {
             } else {
                 (Box::new(MemStore::new(config.disk_cache_bytes)), None)
             };
-            let proxy = ProxyClient::new(id, &config, wan, store);
+            let break_peerread = self.faults.stale_peer == Some(i);
+            let proxy = ProxyClient::new(id, &config, wan, store, break_peerread);
 
             // Callback service node, reached from the proxy server over
             // the reverse WAN direction (and from peers over the LAN).
@@ -372,12 +406,10 @@ impl SessionBuilder {
         // Peer mesh: one LAN link per client pair, used forward in one
         // direction and reverse in the other, each end registered as a
         // peer transport targeting the other end's callback node (where
-        // the PEERREAD service lives). The origin starts advertising
-        // holders only once its own knob is on.
+        // the PEERREAD service lives).
         let peer_stats = RpcStats::new();
         let mut peer_links = std::collections::HashMap::new();
         if config.peer_read {
-            proxy_server.set_peer_read(true);
             for i in 0..clients.len() {
                 for j in i + 1..clients.len() {
                     let (id_i, id_j) = (i as u32 + 1, j as u32 + 1);
@@ -473,6 +505,7 @@ impl Session {
     pub fn builder(config: SessionConfig) -> SessionBuilder {
         SessionBuilder {
             config,
+            faults: Faults::default(),
             clients: 1,
             wan: LinkConfig::wan(),
             client_links: None,

@@ -70,8 +70,8 @@ pub struct IntegrityEvent {
     /// Whether the extent held dirty (locally written) bytes.
     pub dirty: bool,
     /// Whether the corrupt bytes were served anyway (only possible with
-    /// verification disabled via [`BlockStore::set_verify`] — the
-    /// `--break-scrub` selftest knob).
+    /// [`persist::PersistConfig::verify`] off — the `--break-scrub`
+    /// self-test fault).
     pub served: bool,
 }
 
@@ -179,12 +179,6 @@ pub trait BlockStore: std::fmt::Debug + Send {
     fn scrub_step(&mut self, _max_bytes: usize) -> usize {
         0
     }
-
-    /// Disables (or re-enables) verify-on-read — the `--break-scrub`
-    /// selftest knob: with verification off, corrupt bytes are served
-    /// as-is, which the chaos oracles and the analysis invariant must
-    /// convict. No-op for stores without checksums.
-    fn set_verify(&mut self, _on: bool) {}
 }
 
 /// Writes 80 dirty bytes to each of two files of a store built by `open`

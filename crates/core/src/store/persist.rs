@@ -105,6 +105,11 @@ pub struct PersistConfig {
     pub checkpoint_every: usize,
     /// WAL records between implicit durability barriers.
     pub sync_every: usize,
+    /// Verify every stored byte on read and let the scrub sweep run.
+    /// Only the chaos self-test (`--break-scrub`) turns it off: corrupt
+    /// bytes are then served as-is, which the chaos oracles and the
+    /// analysis invariant must convict.
+    pub verify: bool,
 }
 
 impl Default for PersistConfig {
@@ -115,6 +120,7 @@ impl Default for PersistConfig {
             file_threshold: 64 * 1024,
             checkpoint_every: 8192,
             sync_every: 64,
+            verify: true,
         }
     }
 }
@@ -342,7 +348,6 @@ struct Idx {
     wal_quarantined: u64,
     events: Vec<IntegrityEvent>,
     scrub_cursor: (u64, u64),
-    verify_off: bool,
     replaying: bool,
 }
 
@@ -630,8 +635,7 @@ struct WalState {
     since_checkpoint: usize,
 }
 
-/// Lifetime counters (and the verification knob) that survive a
-/// crash/reopen replay.
+/// Lifetime counters that survive a crash/reopen replay.
 #[derive(Debug, Default, Clone, Copy)]
 struct Carry {
     evictions: u64,
@@ -639,7 +643,6 @@ struct Carry {
     integrity_failures: u64,
     quarantined_blocks: u64,
     wal_quarantined: u64,
-    verify_off: bool,
 }
 
 /// The persistent store; see the module docs.
@@ -734,7 +737,6 @@ impl PersistentStore {
             integrity_failures: carry.integrity_failures,
             quarantined_blocks: carry.quarantined_blocks,
             wal_quarantined: carry.wal_quarantined,
-            verify_off: carry.verify_off,
             ..Idx::default()
         };
         if let Some(snap) = self.disk.read(SNAP_PATH, 0, usize::MAX) {
@@ -1203,7 +1205,7 @@ impl BlockStore for PersistentStore {
             // sees it and the corrupt bytes are never served.
             let piece = self.read_ext(fh, start, &ext, from, to - from);
             if !self.verify_ext(&idx, fh, start, &ext) {
-                if idx.verify_off {
+                if !self.cfg.verify {
                     self.note_served_corrupt(&mut idx, fh, start, &ext);
                 } else {
                     self.quarantine(&mut idx, fh, start, ext_end);
@@ -1375,7 +1377,7 @@ impl BlockStore for PersistentStore {
             let verified = self.verify_ext(&idx, fh, estart, &ext);
             match bytes {
                 Some(b) if verified => out.push((from, b)),
-                Some(b) if idx.verify_off => {
+                Some(b) if !self.cfg.verify => {
                     self.note_served_corrupt(&mut idx, fh, estart, &ext);
                     out.push((from, b));
                 }
@@ -1465,7 +1467,6 @@ impl BlockStore for PersistentStore {
                 integrity_failures: idx.integrity_failures,
                 quarantined_blocks: idx.quarantined_blocks,
                 wal_quarantined: idx.wal_quarantined,
-                verify_off: idx.verify_off,
             }
         };
         self.disk.crash();
@@ -1481,10 +1482,10 @@ impl BlockStore for PersistentStore {
     }
 
     fn scrub_step(&mut self, max_bytes: usize) -> usize {
-        let mut idx = self.index.lock();
-        if idx.verify_off {
+        if !self.cfg.verify {
             return 0;
         }
+        let mut idx = self.index.lock();
         // A stable sweep order over every stored extent; the persistent
         // cursor picks up where the previous step stopped so repeated
         // small steps cover the whole store.
@@ -1527,10 +1528,6 @@ impl BlockStore for PersistentStore {
         }
         idx.scrub_cursor = next;
         scrubbed
-    }
-
-    fn set_verify(&mut self, on: bool) {
-        self.index.lock().verify_off = !on;
     }
 }
 
@@ -1813,16 +1810,18 @@ mod tests {
         assert_eq!(s.read(good, 0, 4096).unwrap(), vec![1; 4096]);
     }
 
-    /// The `--break-scrub` knob: verification off serves the corrupt
+    /// The `--break-scrub` fault: verification off serves the corrupt
     /// bytes (counted, `served` flagged) so the oracles can convict.
     #[test]
     fn verify_off_serves_corrupt_and_flags_it() {
-        let mut s = store();
+        let cfg = PersistConfig { capacity: 1 << 20, ..PersistConfig::default() };
+        let disk = VirtualDisk::new(DiskConfig::instant());
+        let mut s =
+            PersistentStore::open(Arc::clone(&disk), PersistConfig { verify: false, ..cfg });
         let fh = Fh3::from_fileid(1);
         s.insert_clean(fh, 0, vec![3; 4096]);
         let chunk = &s.disk.list("chunks/")[0];
         assert!(s.disk.corrupt_byte(chunk, 0, 0xff));
-        s.set_verify(false);
         assert_eq!(s.scrub_step(usize::MAX), 0, "scrub disabled with the knob");
         let got = s.read(fh, 0, 4096).expect("served anyway");
         assert_ne!(got, vec![3; 4096], "and the bytes are wrong");
@@ -1830,8 +1829,8 @@ mod tests {
         assert_eq!(ev.len(), 1);
         assert!(ev[0].served);
         assert_eq!(s.stats().quarantined_blocks, 0, "nothing quarantined");
-        s.set_verify(true);
-        assert!(s.read(fh, 0, 4096).is_none(), "re-enabled: quarantined");
+        let mut verified = PersistentStore::open(disk, cfg);
+        assert!(verified.read(fh, 0, 4096).is_none(), "verifying store: quarantined");
     }
 
     /// Integrity counters and the scrub cursor survive a crash/reopen;

@@ -233,6 +233,7 @@ fn big_store(disk: std::sync::Arc<VirtualDisk>) -> PersistentStore {
             // the op sequence performs (plus clean_range's barrier).
             checkpoint_every: usize::MAX,
             sync_every: usize::MAX,
+            verify: true,
         },
     )
 }
@@ -345,6 +346,7 @@ proptest! {
                 file_threshold: 128,
                 checkpoint_every: usize::MAX,
                 sync_every: usize::MAX,
+                verify: true,
             },
         );
         let mut mirror = MemStore::new(CAP);

@@ -17,7 +17,7 @@ use crate::chaos::oracle::{self, Violation};
 use crate::chaos::plan::{compile_fault_plans, generate_events, FaultEvent};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::delegation::DelegationKind;
-use gvfs_core::session::{Session, SessionConfig};
+use gvfs_core::session::{Faults, Session, SessionConfig};
 use gvfs_core::{ConsistencyModel, DelegationConfig};
 use gvfs_netsim::{Sim, SimTime};
 use rand::rngs::StdRng;
@@ -213,7 +213,11 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ChaosReport {
 /// re-enters here with subsets of the generated list).
 pub fn run_with_events(cfg: &ScenarioConfig, events: &[FaultEvent]) -> ChaosReport {
     let sim = Sim::new();
-    let session = Session::builder(cfg.model.session_config()).clients(cfg.clients).establish(&sim);
+    let faults = Faults { suppress_recalls: cfg.suppress_recalls, ..Faults::default() };
+    let session = Session::builder(cfg.model.session_config())
+        .clients(cfg.clients)
+        .faults(faults)
+        .establish(&sim);
     let protocol_trace = session.install_trace();
 
     // Pre-populate the chaos files out of band, before virtual time
@@ -226,9 +230,6 @@ pub fn run_with_events(cfg: &ScenarioConfig, events: &[FaultEvent]) -> ChaosRepo
         vfs.write(id, 0, &vec![0u8; FILE_LEN], t0).expect("initialize chaos file");
     }
 
-    if cfg.suppress_recalls {
-        session.proxy_server().set_recall_suppressed(true);
-    }
     for (client, to_server, plan) in compile_fault_plans(cfg.seed, events) {
         session.wan_link(client).set_fault_plan(to_server, Some(plan));
     }

@@ -38,7 +38,7 @@ use crate::chaos::history::{
 use crate::chaos::oracle::{self, Violation};
 use crate::chaos::plan::{compile_fault_plans, FaultEvent};
 use gvfs_client::{MountOptions, NfsClient};
-use gvfs_core::session::Session;
+use gvfs_core::session::{Faults, Session};
 use gvfs_netsim::{Sim, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -733,7 +733,11 @@ pub fn run_peer_partition(seed: u64, broken_peer: bool) -> PeerPartitionReport {
     // partition window provably interrupts an in-flight peer fetch
     // (read-ahead would warm it over the mesh before the cut).
     config.readahead_window = 0;
-    let session = Session::builder(config).clients(3).establish(&sim);
+    // The self-test fault: the origin stops de-advertising condemned
+    // copies and the serving peer serves raw store bytes under the
+    // requester's echoed attestation.
+    let faults = Faults { stale_peer: broken_peer.then_some(1), ..Faults::default() };
+    let session = Session::builder(config).clients(3).faults(faults).establish(&sim);
     let protocol_trace = session.install_trace();
 
     // Pre-populate out of band: two blocks of the seeded version.
@@ -742,14 +746,6 @@ pub fn run_peer_partition(seed: u64, broken_peer: bool) -> PeerPartitionReport {
     let id = vfs.create(vfs.root(), "peer-0", 0o644, t0).expect("create scenario file");
     vfs.write(id, 0, &vec![PEER_V1; (PEER_BLOCKS * PEER_BLOCK) as usize], t0)
         .expect("initialize scenario file");
-
-    if broken_peer {
-        // The self-test knob: the origin stops de-advertising condemned
-        // copies and the serving peer serves raw store bytes under the
-        // requester's echoed attestation.
-        session.proxy_server().set_peer_deadvertise_suppressed(true);
-        session.proxy_client(1).set_break_peerread(true);
-    }
 
     let history = Arc::new(History::new());
     let done = Arc::new(AtomicUsize::new(0));
@@ -1059,7 +1055,10 @@ pub fn run_disk_corruption(seed: u64, break_scrub: bool) -> DiskCorruptionReport
     let mut config = ModelKind::Delegation.session_config();
     config.persistent_store = true;
     config.scrub_period = Some(Duration::from_secs(1));
-    let session = Session::builder(config).clients(2).establish(&sim);
+    // The self-test fault: verify-on-read (and with it the scrub sweep)
+    // is disabled, so the store serves whatever the platter holds.
+    let faults = Faults { unverified_store: break_scrub.then_some(0), ..Faults::default() };
+    let session = Session::builder(config).clients(2).faults(faults).establish(&sim);
     let protocol_trace = session.install_trace();
 
     // Pre-populate out of band: two tag files and the chunked file.
@@ -1073,13 +1072,6 @@ pub fn run_disk_corruption(seed: u64, break_scrub: bool) -> DiskCorruptionReport
     let id = vfs.create(vfs.root(), "rot-big", 0o644, t0).expect("create chunked file");
     vfs.write(id, 0, &vec![ROT_FILL; (ROT_BLOCKS * ROT_BLOCK) as usize], t0)
         .expect("initialize chunked file");
-
-    if break_scrub {
-        // The self-test knob: verify-on-read (and with it the scrub
-        // sweep) is disabled, so the store serves whatever the platter
-        // holds.
-        session.proxy_client(0).set_break_scrub(true);
-    }
 
     // WAN noise on the corrupted machine's link, composed with the
     // disk faults below.

@@ -312,7 +312,7 @@ fn partitioned_holder_unblocks_conflicting_writer_within_lease() {
     }
     let server = session.proxy_server();
     assert!(
-        server.recalls_short_circuited() >= 1,
+        server.scale_stats().recalls_short_circuited >= 1,
         "the open breaker must short-circuit at least one recall"
     );
     assert!(

@@ -212,8 +212,7 @@ fn idle_swept_holder_is_deadvertised() {
 
         // One idle epoch with a zero-idle budget drops the holder's
         // per-client state — holdings go with the slot.
-        server.set_idle_epochs(0);
-        server.maintain();
+        server.maintain(0);
         assert!(server.peer_holders(fh).is_empty(), "an idle-swept holder must be de-advertised");
         assert!(
             server.scale_stats().inval.peer_condemned > condemned_before,

@@ -1,5 +1,6 @@
 //! Server-scale regressions: per-client state on the proxy server must
-//! stay bounded after a churn of mostly-idle clients, a large
+//! stay bounded after a churn of mostly-idle clients, recall and
+//! `RECOVER` rounds must stay within the fan-out window, a large
 //! invalidation backlog must drain through `poll_again` paging without
 //! degrading to a force-invalidation, and the open-file table's LRU
 //! bound is one global budget.
@@ -14,7 +15,7 @@ use gvfs_core::protocol::{
     proc_ext, CallbackRes, GetinvArgs, GetinvRes, RecoverRes, GVFS_CALLBACK_PROGRAM,
     GVFS_PROXY_PROGRAM, GVFS_VERSION, MAX_INVALIDATIONS_PER_REPLY,
 };
-use gvfs_core::proxy::server::ProxyServer;
+use gvfs_core::proxy::server::{ProxyServer, ServerConfig};
 use gvfs_core::session::{Session, SessionConfig};
 use gvfs_core::{ConsistencyModel, DelegationConfig};
 use gvfs_netsim::link::{Link, LinkConfig};
@@ -63,14 +64,14 @@ fn getinv(t: &SimRpcClient, id: u32, last: Option<u64>) -> GetinvRes {
     gvfs_xdr::from_bytes(&bytes).expect("decode")
 }
 
-/// A proxy server with `inval_capacity`-entry invalidation buffers in
-/// front of a fresh NFS server exporting `vfs`, and the server node
-/// that dispatches to it.
+/// A proxy server built with `config` in front of a fresh NFS server
+/// exporting `vfs`, with instant-answer callback routes for clients
+/// `1..=callbacks`, and a wire transport to it.
 fn proxy_stack(
     vfs: &Arc<Vfs>,
-    model: ConsistencyModel,
-    inval_capacity: usize,
-) -> (Arc<ProxyServer>, Arc<ServerNode>) {
+    config: ServerConfig,
+    callbacks: usize,
+) -> (Arc<ProxyServer>, SimRpcClient) {
     let clock: gvfs_server::Clock =
         Arc::new(|| Timestamp::from_nanos(gvfs_netsim::now().as_nanos()));
     let nfs = gvfs_server::Nfs3Server::new(Arc::clone(vfs), clock);
@@ -78,14 +79,52 @@ fn proxy_stack(
     dispatcher.register(nfs);
     let nfs_node = ServerNode::new("nfs-server", dispatcher, Duration::from_micros(100));
     let loopback = Link::new(LinkConfig::loopback());
-    let server = ProxyServer::new(
-        model,
-        inval_capacity,
-        SimRpcClient::new(loopback.forward(), nfs_node, RpcStats::new()),
-    );
+    let server =
+        ProxyServer::new(config, SimRpcClient::new(loopback.forward(), nfs_node, RpcStats::new()));
     let mut ps_dispatcher = Dispatcher::new();
     ps_dispatcher.register_arc(Arc::clone(&server) as Arc<dyn RpcService>);
-    (server, ServerNode::new("proxy-server", ps_dispatcher, Duration::from_micros(100)))
+    let node = ServerNode::new("proxy-server", ps_dispatcher, Duration::from_micros(100));
+
+    let link = Link::new(LinkConfig::loopback());
+    let wan_stats = RpcStats::new();
+    let mut cb_dispatcher = Dispatcher::new();
+    cb_dispatcher.register(NullCallback);
+    let cb_node = ServerNode::new("callback", cb_dispatcher, Duration::from_micros(100));
+    for id in 1..=callbacks as u32 {
+        server.register_callback(
+            id,
+            SimRpcClient::new(link.reverse(), Arc::clone(&cb_node), wan_stats.clone()),
+        );
+    }
+    (server, SimRpcClient::new(link.forward(), node, wan_stats))
+}
+
+/// Seeds one 512-byte file in `vfs` and returns its handle.
+fn seed_shared(vfs: &Vfs) -> Fh3 {
+    let fid = vfs.create(vfs.root(), "shared", 0o644, Timestamp::from_nanos(0)).unwrap();
+    vfs.write(fid, 0, &[7u8; 512], Timestamp::from_nanos(0)).unwrap();
+    Fh3::from_fileid(fid.as_u64())
+}
+
+/// One wrapped NFS call on the wire as client `id`.
+fn nfs_call<A: gvfs_xdr::Xdr>(t: &SimRpcClient, id: u32, procedure: u32, args: &A) {
+    let args = gvfs_xdr::to_bytes(args).expect("encode");
+    t.call_with_cred(GVFS_PROXY_PROGRAM, GVFS_VERSION, procedure, args, cred(id))
+        .expect("nfs call");
+}
+
+fn read_args(fh: Fh3) -> gvfs_nfs3::ReadArgs {
+    gvfs_nfs3::ReadArgs { file: fh, offset: 0, count: 512 }
+}
+
+fn write_args(fh: Fh3) -> gvfs_nfs3::WriteArgs {
+    gvfs_nfs3::WriteArgs {
+        file: fh,
+        offset: 0,
+        count: 8,
+        stable: gvfs_nfs3::StableHow::FileSync,
+        data: vec![9u8; 8],
+    }
 }
 
 /// A churn of `CLIENTS` delegation holders and pollers leaves the
@@ -100,77 +139,37 @@ fn idle_client_state_is_bounded_after_churn() {
     let sim = Sim::new();
     sim.spawn("test", || {
         let vfs = Arc::new(Vfs::new());
-        let (server, node) = proxy_stack(
-            &vfs,
-            ConsistencyModel::DelegationCallback(DelegationConfig::default()),
-            4096,
-        );
-        let link = Link::new(LinkConfig::loopback());
-        let wan_stats = RpcStats::new();
-
-        let mut cb_dispatcher = Dispatcher::new();
-        cb_dispatcher.register(NullCallback);
-        let cb_node = ServerNode::new("callback", cb_dispatcher, Duration::from_micros(100));
-        for i in 0..CLIENTS {
-            server.register_callback(
-                i as u32 + 1,
-                SimRpcClient::new(link.reverse(), Arc::clone(&cb_node), wan_stats.clone()),
-            );
-        }
-        let t = SimRpcClient::new(link.forward(), node, wan_stats);
+        let config = ServerConfig {
+            model: ConsistencyModel::DelegationCallback(DelegationConfig::default()),
+            ..ServerConfig::default()
+        };
+        let (server, t) = proxy_stack(&vfs, config, CLIENTS);
 
         // Seed one shared file; every client reads it (a delegation
         // each) and bootstraps a poll buffer.
-        let fid = vfs.create(vfs.root(), "shared", 0o644, Timestamp::from_nanos(0)).unwrap();
-        vfs.write(fid, 0, &[7u8; 512], Timestamp::from_nanos(0)).unwrap();
-        let fh = Fh3::from_fileid(fid.as_u64());
-        let read_args =
-            gvfs_xdr::to_bytes(&gvfs_nfs3::ReadArgs { file: fh, offset: 0, count: 512 }).unwrap();
+        let fh = seed_shared(&vfs);
         let mut ts: Vec<u64> = (0..CLIENTS)
             .map(|i| {
                 let id = i as u32 + 1;
-                t.call_with_cred(
-                    GVFS_PROXY_PROGRAM,
-                    GVFS_VERSION,
-                    proc3::READ,
-                    read_args.clone(),
-                    cred(id),
-                )
-                .expect("read");
+                nfs_call(&t, id, proc3::READ, &read_args(fh));
                 getinv(&t, id, None).timestamp
             })
             .collect();
 
         // A writer invalidates it: the server recalls all CLIENTS
         // holders, creating a health breaker per client.
-        let write_args = gvfs_xdr::to_bytes(&gvfs_nfs3::WriteArgs {
-            file: fh,
-            offset: 0,
-            count: 8,
-            stable: gvfs_nfs3::StableHow::FileSync,
-            data: vec![9u8; 8],
-        })
-        .unwrap();
-        t.call_with_cred(
-            GVFS_PROXY_PROGRAM,
-            GVFS_VERSION,
-            proc3::WRITE,
-            write_args,
-            cred(CLIENTS as u32 + 1),
-        )
-        .expect("write");
+        nfs_call(&t, CLIENTS as u32 + 1, proc3::WRITE, &write_args(fh));
         let before = server.scale_stats();
         assert!(before.recalls_sent >= CLIENTS as u64, "every holder must be recalled");
         assert_eq!(before.inval_clients, CLIENTS, "every poller is tracked before eviction");
         assert!(before.health_entries >= CLIENTS, "every recall target has a breaker");
 
         // Only ACTIVE clients keep polling while epochs pass.
-        server.set_idle_epochs(2);
         for _ in 0..4 {
             for (i, slot) in ts.iter_mut().enumerate().take(ACTIVE) {
                 *slot = getinv(&t, i as u32 + 1, Some(*slot)).timestamp;
             }
-            server.maintain();
+            server.maintain(2);
         }
         let after = server.scale_stats();
         assert!(
@@ -202,6 +201,49 @@ fn idle_client_state_is_bounded_after_churn() {
         assert!(back.force_invalidate, "an evicted poller re-enters via first contact");
     });
     sim.run();
+}
+
+/// A conflicting WRITE recalls all 16 read-delegation holders through
+/// the fan-out window, and a crash followed by the `RECOVER` multicast
+/// to the same 16 clients stays within it too: the in-flight high-water
+/// mark reaches the window and never exceeds it.
+#[test]
+fn recall_and_recover_rounds_stay_within_the_fanout_window() {
+    const HOLDERS: usize = 16;
+    for window in [1, 4] {
+        let sim = Sim::new();
+        sim.spawn("test", move || {
+            let vfs = Arc::new(Vfs::new());
+            let config = ServerConfig {
+                model: ConsistencyModel::DelegationCallback(DelegationConfig::default()),
+                fanout_window: window,
+                ..ServerConfig::default()
+            };
+            let (server, t) = proxy_stack(&vfs, config, HOLDERS);
+            let fh = seed_shared(&vfs);
+            for id in 1..=HOLDERS as u32 {
+                nfs_call(&t, id, proc3::READ, &read_args(fh));
+            }
+
+            nfs_call(&t, HOLDERS as u32 + 1, proc3::WRITE, &write_args(fh));
+            let stats = server.scale_stats();
+            assert_eq!(stats.recalls_sent, HOLDERS as u64, "every holder is recalled");
+            assert_eq!(stats.fanout_window, window);
+            assert_eq!(
+                stats.fanout_in_flight_hwm, window as u64,
+                "the recall round fills the window of {window} and never exceeds it"
+            );
+
+            server.crash();
+            assert_eq!(server.recover(), HOLDERS, "every holder answers RECOVER");
+            assert_eq!(
+                server.scale_stats().fanout_in_flight_hwm,
+                window as u64,
+                "the RECOVER multicast stays within the window of {window}"
+            );
+        });
+        sim.run();
+    }
 }
 
 /// A backlog several times the per-reply cap must drain through
@@ -251,24 +293,18 @@ fn crash_keeps_configured_invalidation_capacity() {
     let sim = Sim::new();
     sim.spawn("test", || {
         let vfs = Arc::new(Vfs::new());
-        let (server, node) = proxy_stack(&vfs, ConsistencyModel::polling_30s(), 2);
-        let link = Link::new(LinkConfig::loopback());
-        let t = SimRpcClient::new(link.forward(), node, RpcStats::new());
+        let config = ServerConfig {
+            model: ConsistencyModel::polling_30s(),
+            invalidation_capacity: 2,
+            ..ServerConfig::default()
+        };
+        let (server, t) = proxy_stack(&vfs, config, 0);
         server.crash();
 
         let boot = getinv(&t, 1, None);
         for name in ["a", "b", "c"] {
             let fid = vfs.create(vfs.root(), name, 0o644, Timestamp::from_nanos(0)).unwrap();
-            let write_args = gvfs_xdr::to_bytes(&gvfs_nfs3::WriteArgs {
-                file: Fh3::from_fileid(fid.as_u64()),
-                offset: 0,
-                count: 1,
-                stable: gvfs_nfs3::StableHow::FileSync,
-                data: vec![1],
-            })
-            .unwrap();
-            t.call_with_cred(GVFS_PROXY_PROGRAM, GVFS_VERSION, proc3::WRITE, write_args, cred(2))
-                .expect("write");
+            nfs_call(&t, 2, proc3::WRITE, &write_args(Fh3::from_fileid(fid.as_u64())));
         }
         let res = getinv(&t, 1, Some(boot.timestamp));
         assert!(res.force_invalidate, "three writes must wrap the configured 2-entry buffer");
@@ -307,9 +343,10 @@ fn lru_sweep(files: usize) -> (u64, usize) {
             assert_eq!(c.read_file(&format!("/f{n}")).unwrap(), vec![n as u8; 64]);
         }
         let server = session.proxy_server();
-        let before = server.recalls_sent();
+        let before = server.scale_stats().recalls_sent;
         server.sweep();
-        *result.lock() = Some((server.recalls_sent() - before, server.tracked_files()));
+        let after = server.scale_stats();
+        *result.lock() = Some((after.recalls_sent - before, after.deleg_files));
         session.handle().shutdown();
     });
     sim.run();
