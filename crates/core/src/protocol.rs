@@ -233,8 +233,8 @@ pub enum PeerReadRes {
         change: u64,
         /// The peer's cached file length.
         len: u64,
-        /// FNV-1a content hash of `data` (the store's content-address
-        /// form), verified end-to-end by the reader.
+        /// The store's content hash of `data` (`content_hash`, the
+        /// content-address form), verified end-to-end by the reader.
         hash: u64,
         /// The block bytes.
         data: Vec<u8>,

@@ -28,7 +28,7 @@ use crate::protocol::{
 };
 use crate::proxy::{block_of, BLOCK_SIZE};
 use crate::session::SessionConfig;
-use crate::store::persist::fnv;
+use crate::store::persist::content_hash;
 use crate::store::BlockStore;
 use crate::trace::{ProtocolEvent, TraceBuffer, TraceKind};
 use gvfs_netsim::transport::SimRpcClient;
@@ -1308,7 +1308,7 @@ impl ProxyClient {
     /// verified end to end against the origin-attested advert first: the
     /// echoed change attribute must match, the data must be exactly the
     /// requested length and stay within the attested file size, and the
-    /// FNV content hash must check out.
+    /// store's content hash must check out.
     fn land_chunk(&self, fh: Fh3, f: InFlight) -> Landed {
         let chunk = f.chunk;
         let Some(m) = f.peer else {
@@ -1335,7 +1335,7 @@ impl ProxyClient {
                 if change == m.change
                     && data.len() == chunk.count as usize
                     && chunk.offset + data.len() as u64 <= m.total_len
-                    && fnv(&data) == hash =>
+                    && content_hash(&data) == hash =>
             {
                 m.peer.breaker.on_success(now, now.saturating_sub(m.started));
                 Some(data)
@@ -1518,7 +1518,7 @@ impl ProxyClient {
                 Some(data) => PeerReadRes::Ok {
                     change: a.change,
                     len: a.offset + data.len() as u64,
-                    hash: fnv(&data),
+                    hash: content_hash(&data),
                     data,
                 },
                 None => PeerReadRes::Miss,
@@ -1541,7 +1541,7 @@ impl ProxyClient {
             });
             match served {
                 Some((size, data)) => {
-                    PeerReadRes::Ok { change: a.change, len: size, hash: fnv(&data), data }
+                    PeerReadRes::Ok { change: a.change, len: size, hash: content_hash(&data), data }
                 }
                 None => PeerReadRes::Miss,
             }

@@ -7,14 +7,14 @@
 //! index.snap                   checkpoint snapshot of the extent index
 //! data/<2hex>/<16hex>          per-handle sparse file (dirty bytes and
 //!                              bytes cleaned in place after write-back),
-//!                              keyed by the FNV hash of the Fh3
+//!                              keyed by the content hash of the Fh3
 //! chunks/<2hex>/<16hex>-<8hex> refcounted clean chunks, keyed by
 //!                              (content hash, length) — duplicate
 //!                              blocks across files are stored once
 //! ```
 //!
 //! **Write-ahead log.** Every mutation appends one framed record
-//! (`[u32 len][XDR payload][u64 FNV]`). `WriteDirty` records carry the
+//! (`[u32 len][XDR payload][u64 hash]`). `WriteDirty` records carry the
 //! written bytes inline — the WAL is a *redo* log, so replay never
 //! depends on the data file having survived for dirty bytes. Clean
 //! inserts reference chunk files by content hash instead of inlining
@@ -38,7 +38,7 @@
 //! on every read. Content chunks are self-addressed: the chunk is
 //! hashed whole and compared against its id. Bytes in per-handle data
 //! files (dirty extents, raw collision fallbacks, and ranges cleaned in
-//! place) carry per-block FNV records over `block_size`-aligned spans
+//! place) carry per-block hash records over `block_size`-aligned spans
 //! of the data file, zero-padded to full blocks, maintained by every
 //! data-file write: partially covered blocks are pre-verified first (a
 //! previously corrupted byte is never laundered into a fresh sum) and
@@ -90,6 +90,9 @@ const WAL_PATH: &str = "wal.log";
 const SNAP_PATH: &str = "index.snap";
 const SNAP_NEW_PATH: &str = "index.snap.new";
 const SNAP_MAGIC: u32 = 0x6776_7353; // "gvsS"
+/// Version 2 added per-block data-file checksums; version 3 moved every
+/// checksum from FNV-1a to [`content_hash`].
+const SNAP_VERSION: u32 = 3;
 
 /// Tuning for a [`PersistentStore`].
 #[derive(Debug, Clone, Copy)]
@@ -125,25 +128,81 @@ impl Default for PersistConfig {
     }
 }
 
-/// Content address of a clean chunk: (FNV-1a hash, length).
+/// Content address of a clean chunk: ([`content_hash`], length).
 type ChunkId = (u64, u32);
 
-/// 64-bit FNV-1a; the content hash, record checksum and handle shard
-/// function (stable across processes, unlike `DefaultHasher`). Also the
-/// end-to-end integrity hash on `PEERREAD` transfers, so a peer-served
-/// block is checked with the same machinery that checks the on-disk
-/// chunks it came from.
-pub fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
+const PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const PRIME64_3: u64 = 0x1656_67b1_9e37_79f9;
+const PRIME64_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const PRIME64_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME64_2)).rotate_left(31).wrapping_mul(PRIME64_1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane)).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4)
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+/// XXH64 with seed 0: the content hash, record checksum and handle shard
+/// function (stable across processes, unlike `DefaultHasher`). It reads
+/// eight bytes at a time, in four independent lanes over each 32-byte
+/// stripe. Also the end-to-end integrity hash on `PEERREAD` transfers,
+/// so a peer-served block is checked with the same machinery that
+/// checks the on-disk chunks it came from.
+#[must_use]
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [PRIME64_1.wrapping_add(PRIME64_2), PRIME64_2, 0, PRIME64_1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le64(word));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+    } else {
+        PRIME64_5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        h = (h ^ xxh_round(0, le64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+        tail = &tail[8..];
     }
-    h
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        h = (h ^ u64::from(word).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(PRIME64_5)).rotate_left(11).wrapping_mul(PRIME64_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
 }
 
 fn data_path(fh: Fh3) -> String {
-    let h = fnv(&fh.fileid().to_be_bytes());
+    let h = content_hash(&fh.fileid().to_be_bytes());
     format!("data/{:02x}/{:016x}", h & 0xff, h)
 }
 
@@ -197,8 +256,8 @@ struct Entry {
     tag: Option<NfsTime3>,
     size_hint: Option<u64>,
     extents: BTreeMap<u64, Ext>,
-    /// FNV over each `block_size`-aligned span of the handle's data
-    /// file (zero-padded to a full block), for every block any data
+    /// [`content_hash`] of each `block_size`-aligned span of the handle's
+    /// data file (zero-padded to a full block), for every block any data
     /// extent touches. Maintained by `write_data`, verified on read.
     data_sums: BTreeMap<u64, u64>,
 }
@@ -689,7 +748,7 @@ impl PersistentStore {
             &u32::try_from(payload.len()).expect("record fits u32").to_be_bytes(),
         );
         frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv(&payload).to_be_bytes());
+        frame.extend_from_slice(&content_hash(&payload).to_be_bytes());
         let mut wal = self.wal.lock();
         self.disk.append(WAL_PATH, &frame);
         wal.since_sync += 1;
@@ -756,7 +815,7 @@ impl PersistentStore {
             let stored = u64::from_be_bytes(
                 wal_bytes[pos + 4 + len..frame_end].try_into().expect("8 bytes"),
             );
-            let rec = if fnv(payload) == stored {
+            let rec = if content_hash(payload) == stored {
                 gvfs_xdr::from_bytes::<WalRecord>(payload).ok().filter(|r| self.verify_record(r))
             } else {
                 None
@@ -814,14 +873,15 @@ impl PersistentStore {
             SegRec::Chunk { id } => self
                 .disk
                 .read(&chunk_path(*id), 0, id.1 as usize)
-                .is_some_and(|b| b.len() == id.1 as usize && fnv(&b) == id.0),
+                .is_some_and(|b| b.len() == id.1 as usize && content_hash(&b) == id.0),
             SegRec::Raw { .. } => true,
         })
     }
 
     /// Stores one clean segment, dedup-ing against existing chunks.
     fn store_segment(&self, idx: &mut Idx, fh: Fh3, abs_off: u64, bytes: &[u8]) -> SegRec {
-        let id: ChunkId = (fnv(bytes), u32::try_from(bytes.len()).expect("segment fits u32"));
+        let id: ChunkId =
+            (content_hash(bytes), u32::try_from(bytes.len()).expect("segment fits u32"));
         let path = chunk_path(id);
         if let Some(existing) = self.disk.read(&path, 0, bytes.len() + 1) {
             if existing == bytes {
@@ -840,7 +900,7 @@ impl PersistentStore {
     }
 
     /// Writes `bytes` into the handle's data file, maintaining the
-    /// per-block FNV records. Partially covered blocks are pre-verified
+    /// per-block hash records. Partially covered blocks are pre-verified
     /// (quarantining on mismatch) so a corrupt byte is never laundered
     /// into a fresh sum, and the new sums hash the *intended* content,
     /// so a torn write fails its next verification. Pre-verification is
@@ -877,7 +937,7 @@ impl PersistentStore {
             span.resize(usize::try_from(bs).expect("bs fits"), 0);
             if !full && !replaying {
                 if let Some(&sum) = idx.files.get(&fh).and_then(|e| e.data_sums.get(&b)) {
-                    if fnv(&span) != sum {
+                    if content_hash(&span) != sum {
                         self.quarantine(idx, fh, b, b + bs);
                     }
                 }
@@ -890,7 +950,7 @@ impl PersistentStore {
                     &bytes[usize::try_from(lo - offset).expect("in write")
                         ..usize::try_from(hi - offset).expect("in write")],
                 );
-            idx.files.entry(fh).or_default().data_sums.insert(b, fnv(&span));
+            idx.files.entry(fh).or_default().data_sums.insert(b, content_hash(&span));
             b += bs;
         }
         self.disk.write(&path, offset, bytes);
@@ -905,7 +965,7 @@ impl PersistentStore {
         match ext.src {
             Src::Chunk { id, .. } => {
                 match self.disk.read_quiet(&chunk_path(id), 0, id.1 as usize) {
-                    Ok(Some(b)) => b.len() == id.1 as usize && fnv(&b) == id.0,
+                    Ok(Some(b)) => b.len() == id.1 as usize && content_hash(&b) == id.0,
                     _ => false,
                 }
             }
@@ -925,7 +985,7 @@ impl PersistentStore {
                         _ => return false,
                     };
                     span.resize(usize::try_from(bs).expect("bs fits"), 0);
-                    if fnv(&span) != sum {
+                    if content_hash(&span) != sum {
                         return false;
                     }
                     b += bs;
@@ -1054,7 +1114,7 @@ fn count_clean_blocks(idx: &Idx, block_size: u64) -> u64 {
 fn encode_snapshot(idx: &Idx) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u32(SNAP_MAGIC);
-    enc.put_u32(2); // version 2: adds per-block data-file checksums
+    enc.put_u32(SNAP_VERSION);
     let mut fhs: Vec<Fh3> = idx.files.keys().copied().collect();
     fhs.sort_unstable();
     enc.put_u32(u32::try_from(fhs.len()).expect("file count fits u32"));
@@ -1094,7 +1154,7 @@ fn encode_snapshot(idx: &Idx) -> Vec<u8> {
     }
     enc.put_u64(idx.next_seq);
     let mut bytes = enc.into_bytes();
-    let sum = fnv(&bytes);
+    let sum = content_hash(&bytes);
     bytes.extend_from_slice(&sum.to_be_bytes());
     bytes
 }
@@ -1107,12 +1167,12 @@ fn decode_snapshot(bytes: &[u8], idx: &mut Idx) {
     }
     let (payload, trailer) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_be_bytes(trailer.try_into().expect("8 bytes"));
-    if fnv(payload) != stored {
+    if content_hash(payload) != stored {
         return;
     }
     let mut dec = Decoder::new(payload);
     let ok = (|| -> Result<(), XdrError> {
-        if dec.get_u32()? != SNAP_MAGIC || dec.get_u32()? != 2 {
+        if dec.get_u32()? != SNAP_MAGIC || dec.get_u32()? != SNAP_VERSION {
             return Err(XdrError::InvalidDiscriminant { type_name: "snapshot", value: 0 });
         }
         let nfiles = dec.get_u32()?;
@@ -1704,7 +1764,7 @@ mod tests {
             }
             s.sync();
         }
-        // Frame layout: [u32 len][payload][u64 fnv]. Walk to frame 2's
+        // Frame layout: [u32 len][payload][u64 hash]. Walk to frame 2's
         // payload and flip one bit.
         let wal = disk.read(WAL_PATH, 0, usize::MAX).unwrap();
         let len1 = u32::from_be_bytes(wal[0..4].try_into().unwrap()) as usize;
@@ -1793,7 +1853,7 @@ mod tests {
         // Corrupt only the second file's chunk.
         for chunk in s.disk.list("chunks/") {
             let id = parse_chunk_path(&chunk).unwrap();
-            if id.0 == fnv(&[2u8; 4096][..]) {
+            if id.0 == content_hash(&[2u8; 4096][..]) {
                 assert!(s.disk.corrupt_byte(&chunk, 9, 0x80));
             }
         }
@@ -1834,7 +1894,7 @@ mod tests {
     }
 
     /// Integrity counters and the scrub cursor survive a crash/reopen;
-    /// per-block sums ride the snapshot (v2) across checkpoints.
+    /// per-block sums ride the snapshot across checkpoints.
     #[test]
     fn sums_survive_checkpoint_and_counters_survive_crash() {
         let disk = VirtualDisk::new(DiskConfig::instant());
@@ -1861,5 +1921,108 @@ mod tests {
         // the replayed data file and verification still catches it.
         assert!(s.disk.corrupt_byte(&data_path(fh), 350, 0x04));
         assert!(s.read(fh, 300, 100).is_none(), "snapshot-era sums still verify");
+    }
+
+    /// The published XXH64 (seed 0) test vectors.
+    #[test]
+    fn content_hash_matches_xxh64_reference_vectors() {
+        assert_eq!(content_hash(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(content_hash(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(content_hash(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(content_hash(b"Nobody inspects the spammish repetition"), 0xfbce_a83c_8a37_8bf1);
+    }
+
+    /// Every length from 0 to 100 bytes, so the 32-byte stripes and the
+    /// 8-, 4- and 1-byte tails all run. The pinned fold (the hash of the
+    /// 101 hashes, little-endian) comes from an independent
+    /// implementation of the XXH64 spec.
+    #[test]
+    fn content_hash_covers_every_tail_length() {
+        let buf: Vec<u8> = (0..100u32).map(|i| (i * 31 + 7) as u8).collect();
+        let hashes: Vec<u64> = (0..=buf.len()).map(|n| content_hash(&buf[..n])).collect();
+        let distinct: HashSet<u64> = hashes.iter().copied().collect();
+        assert_eq!(distinct.len(), hashes.len(), "every prefix hashes differently");
+        let folded: Vec<u8> = hashes.iter().flat_map(|h| h.to_le_bytes()).collect();
+        assert_eq!(content_hash(&folded), 0x2325_63d5_f16e_82d9);
+    }
+
+    /// Any single flipped bit in a 4 KiB block changes its hash.
+    #[test]
+    fn every_single_bit_flip_changes_the_hash() {
+        let mut block: Vec<u8> = (0..4096u32).map(|i| (i * 131 + 17) as u8).collect();
+        let clean = content_hash(&block);
+        for byte in 0..block.len() {
+            for bit in 0..8 {
+                block[byte] ^= 1 << bit;
+                assert_ne!(content_hash(&block), clean, "byte {byte} bit {bit}");
+                block[byte] ^= 1 << bit;
+            }
+        }
+    }
+
+    /// A snapshot of an older format version is ignored, even with a
+    /// valid trailer; the WAL written after it still replays.
+    #[test]
+    fn version_2_snapshot_is_ignored_and_wal_still_replays() {
+        let cfg = PersistConfig {
+            checkpoint_every: 2,
+            sync_every: usize::MAX,
+            ..PersistConfig::default()
+        };
+        let snapped = Fh3::from_fileid(1);
+        let logged = Fh3::from_fileid(2);
+        let build = || {
+            let disk = VirtualDisk::new(DiskConfig::instant());
+            let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+            s.write_dirty(snapped, 0, vec![1; 100]);
+            s.write_dirty(snapped, 100, vec![2; 100]); // checkpoint
+            assert!(disk.exists(SNAP_PATH));
+            s.write_dirty(logged, 0, vec![3; 100]);
+            s.sync();
+            disk
+        };
+        let mut current = PersistentStore::open(build(), cfg);
+        assert!(current.read(snapped, 0, 200).is_some(), "a version-3 snapshot loads");
+
+        let disk = build();
+        let snap = disk.read(SNAP_PATH, 0, usize::MAX).unwrap();
+        let mut old = snap[..snap.len() - 8].to_vec();
+        old[4..8].copy_from_slice(&2u32.to_be_bytes());
+        let sum = content_hash(&old);
+        old.extend_from_slice(&sum.to_be_bytes());
+        disk.write(SNAP_PATH, 0, &old);
+        disk.sync();
+        let mut s = PersistentStore::open(disk, cfg);
+        assert!(s.read(snapped, 0, 200).is_none(), "the version-2 snapshot is ignored");
+        assert_eq!(s.read(logged, 0, 100).unwrap(), vec![3; 100], "the WAL replays");
+        assert_eq!(s.dirty_ranges(logged), vec![(0, 100)]);
+    }
+
+    /// The write-back flush pattern: one `clean_range` (and so one disk
+    /// sync) per flushed block must copy only what changed since the
+    /// previous sync, not every changed file (WAL included) whole again.
+    #[test]
+    fn per_block_clean_range_syncs_only_the_bytes_written() {
+        let disk = VirtualDisk::new(DiskConfig::instant());
+        let mut s = PersistentStore::open(Arc::clone(&disk), PersistConfig::default());
+        let block = 32 * 1024u64;
+        for f in 1..=8u64 {
+            for b in 0..8u64 {
+                s.write_dirty(Fh3::from_fileid(f), b * block, vec![(f * 8 + b) as u8; 32 * 1024]);
+            }
+        }
+        for f in 1..=8u64 {
+            for b in 0..8u64 {
+                s.clean_range(Fh3::from_fileid(f), b * block, block);
+            }
+        }
+        let st = disk.stats();
+        assert_eq!(st.syncs, 65, "one implicit sync plus one per cleaned block");
+        assert!(
+            st.bytes_synced <= st.bytes_written,
+            "synced {} bytes for {} written",
+            st.bytes_synced,
+            st.bytes_written
+        );
     }
 }

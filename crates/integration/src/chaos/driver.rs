@@ -11,7 +11,7 @@
 //! seed.
 
 use crate::chaos::history::{
-    encode_tag, make_tag, trace_hash, Event, History, Observation, FILE_LEN,
+    encode_tag, make_tag, run_fingerprint, Event, History, Observation, FILE_LEN,
 };
 use crate::chaos::oracle::{self, Violation};
 use crate::chaos::plan::{compile_fault_plans, generate_events, FaultEvent};
@@ -417,13 +417,7 @@ pub fn run_with_events(cfg: &ScenarioConfig, events: &[FaultEvent]) -> ChaosRepo
 
     let history = history.events();
     let violations = oracle::check(cfg.model, events, &history, &final_tags);
-    let mut hash = trace_hash(&history);
-    for obs in &final_tags {
-        for byte in format!("{obs:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    let hash = run_fingerprint(&history, &final_tags);
     ChaosReport {
         seed: cfg.seed,
         model: cfg.model,

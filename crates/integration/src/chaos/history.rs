@@ -179,12 +179,19 @@ pub fn trace_hash(events: &[Event]) -> u64 {
     for event in events {
         let _ = writeln!(text, "{event:?}");
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a(0xcbf2_9ce4_8422_2325, text.as_bytes())
+}
+
+/// The run's fingerprint, the `trace 0x…` the chaos binaries print:
+/// [`trace_hash`] of the history, extended over the debug rendering of
+/// each final observation.
+pub fn run_fingerprint<T: std::fmt::Debug>(events: &[Event], finals: &[T]) -> u64 {
+    finals.iter().fold(trace_hash(events), |hash, obs| fnv1a(hash, format!("{obs:?}").as_bytes()))
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 #[cfg(test)]

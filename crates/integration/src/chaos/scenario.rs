@@ -33,7 +33,7 @@
 
 use crate::chaos::driver::ModelKind;
 use crate::chaos::history::{
-    encode_tag, make_tag, trace_hash, Event, History, Observation, FILE_LEN,
+    encode_tag, make_tag, run_fingerprint, trace_hash, Event, History, Observation, FILE_LEN,
 };
 use crate::chaos::oracle::{self, Violation};
 use crate::chaos::plan::{compile_fault_plans, FaultEvent};
@@ -345,13 +345,7 @@ pub fn run_partition_heal(seed: u64) -> PartitionHealReport {
         }
     }
 
-    let mut hash = trace_hash(&history);
-    for obs in &final_tags {
-        for byte in format!("{obs:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    let hash = run_fingerprint(&history, &final_tags);
     PartitionHealReport {
         seed,
         writer_stats,
@@ -635,11 +629,7 @@ pub fn run_crash_restart(seed: u64) -> CrashRestartReport {
         });
     }
 
-    let mut hash = trace_hash(&history);
-    for byte in format!("{final_tag:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = run_fingerprint(&history, std::slice::from_ref(&final_tag));
     CrashRestartReport {
         seed,
         writer_stats,

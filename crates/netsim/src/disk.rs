@@ -4,8 +4,9 @@
 //! Real disks would wreck the determinism the scheduler guarantees, so a
 //! [`VirtualDisk`] keeps every file as two byte vectors: the *current*
 //! content (what reads observe) and the *durable* content (what survives
-//! a crash). [`VirtualDisk::sync`] promotes current to durable for the
-//! files written since the previous sync; [`VirtualDisk::crash`] reverts
+//! a crash). [`VirtualDisk::sync`] promotes current to durable from the
+//! lowest offset each file changed at since the previous sync, so a
+//! sync costs the bytes changed; [`VirtualDisk::crash`] reverts
 //! to durable, except that the first unsynced appended region of each
 //! file keeps a deterministic half-way *torn prefix* — exactly the
 //! failure a write-ahead log must tolerate.
@@ -90,7 +91,8 @@ pub struct DiskStats {
     pub bytes_written: u64,
     /// Completed [`VirtualDisk::sync`] barriers.
     pub syncs: u64,
-    /// Bytes [`VirtualDisk::sync`] copied to durable content.
+    /// Bytes [`VirtualDisk::sync`] copied to durable content: each
+    /// changed file from its lowest offset changed since the last sync.
     pub bytes_synced: u64,
     /// Simulated crashes.
     pub crashes: u64,
@@ -236,9 +238,28 @@ struct VFile {
     /// content must survive a crash (an unlink is only durable after a
     /// sync, like a POSIX unlink without a directory fsync).
     deleted: bool,
-    /// Possibly changed since the last sync; a clear flag means `data ==
-    /// durable` and `!deleted`, so [`VirtualDisk::sync`] skips the file.
-    unsynced: bool,
+    /// Lowest offset possibly changed since the last sync: `data` and
+    /// `durable` agree below it, so [`VirtualDisk::sync`] copies only
+    /// `data[from..]`. `None` means `data == durable` and `!deleted`, and
+    /// the sync skips the file.
+    dirty_from: Option<usize>,
+}
+
+impl VFile {
+    /// Records a change at or after `offset`.
+    fn touch(&mut self, offset: usize) {
+        self.dirty_from = Some(self.dirty_from.map_or(offset, |from| from.min(offset)));
+    }
+
+    /// Re-creates a removed path: fresh content, but the durable copy of
+    /// the old file still governs what a crash restores.
+    fn revive(&mut self) {
+        if self.deleted {
+            self.deleted = false;
+            self.data.clear();
+            self.touch(0);
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -376,14 +397,10 @@ impl VirtualDisk {
         inner.stats.writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
         let file = inner.files.entry(path.to_owned()).or_default();
-        if file.deleted {
-            // Re-creating a removed path: fresh content, but the durable
-            // copy of the old file still governs what a crash restores.
-            file.deleted = false;
-            file.data.clear();
-        }
-        file.unsynced = true;
+        file.revive();
         let off = usize::try_from(offset).expect("offset fits usize");
+        // A write past the end also zero-fills the hole before it.
+        file.touch(off.min(file.data.len()));
         let end = off + bytes.len();
         if file.data.len() < end {
             file.data.resize(end, 0);
@@ -406,11 +423,8 @@ impl VirtualDisk {
         inner.stats.writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
         let file = inner.files.entry(path.to_owned()).or_default();
-        if file.deleted {
-            file.deleted = false;
-            file.data.clear();
-        }
-        file.unsynced = true;
+        file.revive();
+        file.touch(file.data.len());
         let off = file.data.len() as u64;
         file.data.extend_from_slice(bytes);
         off
@@ -459,7 +473,7 @@ impl VirtualDisk {
                 if idx < file.durable.len() {
                     file.durable[idx] ^= 1 << bit;
                 } else {
-                    file.unsynced = true;
+                    file.touch(idx);
                 }
                 flipped = true;
             }
@@ -523,7 +537,7 @@ impl VirtualDisk {
         if off < file.durable.len() {
             file.durable[off] ^= xor;
         } else {
-            file.unsynced = true;
+            file.touch(off);
         }
         inner.stats.flips_injected += 1;
         true
@@ -559,12 +573,9 @@ impl VirtualDisk {
         let mut inner = self.inner.lock();
         inner.stats.writes += 1;
         let file = inner.files.entry(path.to_owned()).or_default();
-        if file.deleted {
-            file.deleted = false;
-            file.data.clear();
-        }
-        file.unsynced = true;
+        file.revive();
         file.data.truncate(usize::try_from(len).expect("len fits usize"));
+        file.touch(file.data.len());
     }
 
     /// Removes `path` if present. Durable only after the next
@@ -579,7 +590,7 @@ impl VirtualDisk {
                 inner.files.remove(path);
             } else {
                 f.deleted = true;
-                f.unsynced = true;
+                f.touch(0);
                 f.data.clear();
             }
         }
@@ -603,29 +614,28 @@ impl VirtualDisk {
                     f.durable = prev.durable.clone();
                 }
             }
-            f.unsynced = true;
+            f.touch(0);
             inner.files.insert(new.to_owned(), f);
         }
     }
 
     /// Durability barrier: everything written so far survives a crash.
-    /// Copies only the files changed since the last sync, so its cost is
-    /// the size of those files, not of everything stored.
+    /// Copies each changed file only from its lowest offset changed since
+    /// the last sync, so its cost is the bytes changed, not the size of
+    /// the files (or of everything stored).
     pub fn sync(&self) {
         self.charge(0, self.cfg.write_bps);
         let mut inner = self.inner.lock();
         let DiskInner { files, stats, .. } = &mut *inner;
         stats.syncs += 1;
         files.retain(|_, f| {
-            if !f.unsynced {
-                return true;
-            }
-            f.unsynced = false;
+            let Some(from) = f.dirty_from.take() else { return true };
             if f.deleted {
                 return false;
             }
-            f.durable.clone_from(&f.data);
-            stats.bytes_synced += f.data.len() as u64;
+            f.durable.truncate(from);
+            f.durable.extend_from_slice(&f.data[from..]);
+            stats.bytes_synced += (f.data.len() - from) as u64;
             true
         });
     }
@@ -650,7 +660,8 @@ impl VirtualDisk {
             } else {
                 f.data.clone_from(&f.durable);
             }
-            f.unsynced = f.data != f.durable;
+            f.dirty_from = (f.data != f.durable)
+                .then(|| f.data.iter().zip(&f.durable).take_while(|(a, b)| a == b).count());
             !f.data.is_empty() || !f.durable.is_empty()
         });
         // A crash forgets queued I/O cost along with the dirty pages.
@@ -851,12 +862,40 @@ mod tests {
         }
         d.sync();
         assert_eq!(d.stats().bytes_synced, 100 * (64 << 10));
-        d.write("data/7", 100, &[2u8]);
-        d.sync();
-        assert_eq!(d.stats().bytes_synced - 100 * (64 << 10), 64 << 10, "one file copied");
-        d.sync();
-        assert_eq!(d.stats().bytes_synced, 101 * (64 << 10), "nothing left to copy");
-        assert_eq!(d.stats().syncs, 3);
+        let synced = |op: &dyn Fn()| {
+            let before = d.stats().bytes_synced;
+            op();
+            d.sync();
+            d.stats().bytes_synced - before
+        };
+        assert_eq!(
+            synced(&|| d.write("data/7", 100, &[2u8])),
+            (64 << 10) - 100,
+            "copied from the write on"
+        );
+        assert_eq!(synced(&|| {}), 0, "nothing left to copy");
+        let append = || {
+            d.append("data/7", &[3u8; 10]);
+        };
+        assert_eq!(synced(&append), 10, "an append copies itself");
+        assert_eq!(
+            synced(&|| {
+                d.truncate("data/7", 1000);
+                d.append("data/7", &[4u8; 24]);
+            }),
+            24,
+            "truncate-then-append copies from the truncation point"
+        );
+        assert_eq!(synced(&|| d.rename("data/8", "data/r")), 64 << 10, "a rename copies whole");
+        d.write("data/9", 0, &[5u8; 10]);
+        d.remove("data/9");
+        assert_eq!(
+            synced(&|| d.write("data/9", 0, &[6u8; 4])),
+            4,
+            "a re-created file copies whole"
+        );
+        assert_eq!(d.read("data/9", 0, 16).unwrap(), [6u8; 4]);
+        assert_eq!(d.stats().syncs, 7);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Differential property test: the disk's incremental `sync` must be
 //! observably identical to a sync that copies every file.
 //!
-//! [`VirtualDisk::sync`] copies only the files flagged as changed since
-//! the last sync. A mutation path that forgot to set the flag would lose
-//! data silently, and only at the next crash. The reference model below
+//! [`VirtualDisk::sync`] copies each file only from the lowest offset
+//! changed since the last sync. A mutation path that forgot to lower that
+//! offset would lose data silently, and only at the next crash. The
+//! reference model below
 //! keeps the disk's crash, torn-write, deferred-unlink, rename and
 //! bit-rot rules, but its `sync` promotes every file's current content
 //! to durable. Random sequences of write, append, truncate, remove,
 //! rename, sync, crash and `corrupt_byte` drive both in lockstep, with
 //! and without a seeded [`DiskFaultPlan`] (bit flips and torn writes)
 //! on both sides. After every step `read`, `len`, `exists` and `list`
-//! must agree on every path.
+//! must agree on every path. Every sync must also copy no more than the
+//! live files hold, and a second sync straight after it must copy
+//! nothing.
 
 use gvfs_netsim::disk::{DiskConfig, DiskFaultPlan, VirtualDisk};
 use gvfs_netsim::fault::Window;
@@ -195,6 +198,11 @@ impl RefDisk {
         }
     }
 
+    /// Total length of the live files.
+    fn live_bytes(&self) -> u64 {
+        self.files.values().filter(|f| !f.deleted).map(|f| f.data.len() as u64).sum()
+    }
+
     /// Clone-everything sync: every live file's content becomes durable.
     fn sync(&mut self) {
         self.files.retain(|_, f| !f.deleted);
@@ -286,8 +294,24 @@ fn run(ops: &[Op], faults: Option<(u64, f64, f64)>) -> Result<(), TestCaseError>
                 );
             }
             Op::Sync => {
+                let before = disk.stats().bytes_synced;
                 disk.sync();
                 model.sync();
+                let copied = disk.stats().bytes_synced - before;
+                prop_assert!(
+                    copied <= model.live_bytes(),
+                    "step {}: sync copied {} bytes, more than the {} live",
+                    step,
+                    copied,
+                    model.live_bytes()
+                );
+                disk.sync();
+                prop_assert_eq!(
+                    disk.stats().bytes_synced - before,
+                    copied,
+                    "step {}: a second sync copied bytes",
+                    step
+                );
             }
             Op::Crash => {
                 disk.crash();

@@ -224,8 +224,10 @@ pub mod testkit {
     /// Length of the virtual file the conformance peer serves.
     pub const PEER_FILE_LEN: u64 = 8 * READ_BLOCK_SIZE as u64;
 
-    /// FNV-1a, the content-address form peer replies are verified with
-    /// (same parameters as the proxy's block store).
+    /// FNV-1a, the testkit's own content hash: its `PEERREAD` replies
+    /// carry it and [`check_concurrent_peerread_burst`] verifies it. The
+    /// proxy's block store hashes with its own function; only the wire
+    /// layout (one `u64`) is shared.
     pub fn fnv(bytes: &[u8]) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in bytes {
@@ -472,8 +474,8 @@ pub mod testkit {
     /// The peer-sourcing wire pattern: an 8-deep burst of concurrent
     /// `PEERREAD`s all on the wire before the first reply is claimed,
     /// mixing attested hits with stale-change misses. Every hit must
-    /// verify end to end — change echoed, attested length, FNV content
-    /// hash over byte-exact block content — and every stale attestation
+    /// verify end to end — change echoed, attested length, the testkit's
+    /// [`fnv`] over byte-exact block content — and every stale attestation
     /// must decode as a `Miss`, claimed both in send order and reverse
     /// (the proxy's demand read claiming a late peer prefetch first).
     ///
