@@ -33,7 +33,7 @@
 //!
 //! The delegation and invalidation machines check the rules stated once
 //! in [`crate::spec`]; the breaker machine carries its own spec
-//! ([`BreakerSpec`]). [`explore`] is the one breadth-first explorer the
+//! (`BreakerSpec`). `explore` is the one breadth-first explorer the
 //! delegation, invalidation and product machines share. Violations
 //! carry the full action trace that reaches them, so they replay as a
 //! unit test.
@@ -513,7 +513,7 @@ impl BreakerSpec {
     }
 }
 
-/// Exhaustively checks the circuit breaker against [`BreakerSpec`] over
+/// Exhaustively checks the circuit breaker against `BreakerSpec` over
 /// every trace of clock advances and events up to a fixed depth. The
 /// clock deltas straddle the interesting boundaries: within the base
 /// cooldown (1 s), past it (6 s) and past the cooldown cap (61 s).

@@ -28,6 +28,7 @@
 use gvfs_bench::scale::fanout_round;
 use gvfs_bench::{getinv_calls, nfs_calls, print_table, rpc_meta, save_json, small_mode};
 use gvfs_client::{MountOptions, NfsClient};
+use gvfs_core::proxy::BLOCK_SIZE;
 use gvfs_core::session::{Session, SessionConfig};
 use gvfs_core::{ConsistencyModel, DelegationConfig};
 use gvfs_netsim::link::LinkConfig;
@@ -409,7 +410,6 @@ fn pipelining_sweep() -> Vec<serde_json::Value> {
 /// the sequential read-ahead window.
 fn readahead_sweep() -> Vec<serde_json::Value> {
     const BLOCKS: u64 = 32;
-    const BLOCK: u64 = 32 * 1024;
     let mut rows = Vec::new();
     let mut json = Vec::new();
     let mut times = Vec::new();
@@ -434,7 +434,7 @@ fn readahead_sweep() -> Vec<serde_json::Value> {
         let seed_t = gvfs_vfs::Timestamp::from_nanos(0);
         let vfs = session.vfs();
         let f = vfs.create(vfs.root(), "seq", 0o644, seed_t).unwrap();
-        vfs.write(f, 0, &vec![6u8; (BLOCKS * BLOCK) as usize], seed_t).unwrap();
+        vfs.write(f, 0, &vec![6u8; (BLOCKS * BLOCK_SIZE) as usize], seed_t).unwrap();
         let session = Arc::new(session);
         let s2 = Arc::clone(&session);
         let elapsed = Arc::new(Mutex::new(0.0f64));
@@ -446,8 +446,8 @@ fn readahead_sweep() -> Vec<serde_json::Value> {
             let fh = c.open("/seq").unwrap();
             let t0 = gvfs_netsim::now();
             for b in 0..BLOCKS {
-                let data = c.read(fh, b * BLOCK, BLOCK as u32).unwrap();
-                assert_eq!(data, vec![6u8; BLOCK as usize], "block {b} content");
+                let data = c.read(fh, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap();
+                assert_eq!(data, vec![6u8; BLOCK_SIZE as usize], "block {b} content");
             }
             *el.lock() = gvfs_netsim::now().saturating_since(t0).as_secs_f64();
             *rp.lock() = gvfs_bench::read_path_json(&s2.proxy_client(0).stats());
@@ -628,7 +628,6 @@ fn fanout_sweep() -> Vec<serde_json::Value> {
 /// READ and the remaining blocks arrive from advertised peers over the
 /// LAN, so the mean per-client cold read collapses.
 fn peerread_sweep() -> Vec<serde_json::Value> {
-    const BLOCK: u64 = 32 * 1024;
     // Blocks stay at 16 even in small mode: with fewer the per-client
     // fixed WAN costs (open + the attestation-bearing first READ)
     // dominate both arms and flatten the ratio.
@@ -643,7 +642,6 @@ fn peerread_sweep() -> Vec<serde_json::Value> {
                 period: Duration::from_secs(300),
                 backoff_max: None,
             },
-            readahead_window: 8,
             peer_read,
             ..SessionConfig::default()
         })
@@ -653,7 +651,7 @@ fn peerread_sweep() -> Vec<serde_json::Value> {
         let seed_t = gvfs_vfs::Timestamp::from_nanos(0);
         let vfs = session.vfs();
         let f = vfs.create(vfs.root(), "shared", 0o644, seed_t).unwrap();
-        vfs.write(f, 0, &vec![3u8; (blocks * BLOCK) as usize], seed_t).unwrap();
+        vfs.write(f, 0, &vec![3u8; (blocks * BLOCK_SIZE) as usize], seed_t).unwrap();
         let stats = session.wan_stats().clone();
         let peer_stats = session.peer_stats().clone();
         let walls = Arc::new(Mutex::new(Vec::new()));
@@ -674,8 +672,8 @@ fn peerread_sweep() -> Vec<serde_json::Value> {
                 let t0 = gvfs_netsim::now();
                 let fh = c.open("/shared").unwrap();
                 for b in 0..blocks {
-                    let data = c.read(fh, b * BLOCK, BLOCK as u32).unwrap();
-                    assert_eq!(data, vec![3u8; BLOCK as usize], "client {n} block {b}");
+                    let data = c.read(fh, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap();
+                    assert_eq!(data, vec![3u8; BLOCK_SIZE as usize], "client {n} block {b}");
                 }
                 if n > 0 {
                     walls.lock().push(gvfs_netsim::now().saturating_since(t0).as_secs_f64());
@@ -733,7 +731,6 @@ fn peerread_sweep() -> Vec<serde_json::Value> {
 /// the time the reader arrives (`scrub_repairs`), and the re-read runs
 /// at LAN speed off the repaired cache.
 fn scrub_sweep() -> Vec<serde_json::Value> {
-    const BLOCK: u64 = 32 * 1024;
     const BLOCKS: u64 = 16;
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -757,9 +754,9 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
         let seed_t = gvfs_vfs::Timestamp::from_nanos(0);
         let vfs = session.vfs();
         let f = vfs.create(vfs.root(), "rotme", 0o644, seed_t).unwrap();
-        let mut content = Vec::with_capacity((BLOCKS * BLOCK) as usize);
+        let mut content = Vec::with_capacity((BLOCKS * BLOCK_SIZE) as usize);
         for b in 0..BLOCKS {
-            content.extend(std::iter::repeat_n(0x40 + b as u8, BLOCK as usize));
+            content.extend(std::iter::repeat_n(0x40 + b as u8, BLOCK_SIZE as usize));
         }
         vfs.write(f, 0, &content, seed_t).unwrap();
         let disk = session.client_disk(0).expect("persistent store has a disk");
@@ -777,8 +774,8 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
             let c = NfsClient::new(cold_t, root, MountOptions::noac());
             let fh = c.open("/rotme").unwrap();
             for b in 0..BLOCKS {
-                let data = c.read(fh, b * BLOCK, BLOCK as u32).unwrap();
-                assert_eq!(data, vec![0x40 + b as u8; BLOCK as usize], "cold block {b}");
+                let data = c.read(fh, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap();
+                assert_eq!(data, vec![0x40 + b as u8; BLOCK_SIZE as usize], "cold block {b}");
             }
             // Rot every stored chunk, one flipped byte each.
             let mut n = 0usize;
@@ -798,10 +795,10 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
             let fh = c.open("/rotme").unwrap();
             let t0 = gvfs_netsim::now();
             for b in 0..BLOCKS {
-                let data = c.read(fh, b * BLOCK, BLOCK as u32).unwrap();
+                let data = c.read(fh, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap();
                 assert_eq!(
                     data,
-                    vec![0x40 + b as u8; BLOCK as usize],
+                    vec![0x40 + b as u8; BLOCK_SIZE as usize],
                     "re-read block {b} must never see rot"
                 );
             }

@@ -13,6 +13,7 @@ use gvfs_bench::{
     nfs_calls, peerread_calls, print_table, save_json, session_read_path, small_mode,
 };
 use gvfs_client::{MountOptions, NfsClient};
+use gvfs_core::proxy::BLOCK_SIZE;
 use gvfs_core::session::{Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
 use gvfs_netsim::link::LinkConfig;
@@ -23,7 +24,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const BLOCK: u64 = 32 * 1024;
 /// The seeder finishes its pass well inside this window; the fan-in
 /// wave starts together after it.
 const FAN_IN_AT: Duration = Duration::from_secs(60);
@@ -53,7 +53,6 @@ fn run_config(
             period: Duration::from_secs(300),
             backoff_max: None,
         },
-        readahead_window: 8,
         peer_read,
         ..SessionConfig::default()
     })
@@ -65,7 +64,7 @@ fn run_config(
     let vfs = session.vfs();
     for f in 0..files {
         let fh = vfs.create(vfs.root(), &format!("tree{f}"), 0o644, seed_t).unwrap();
-        vfs.write(fh, 0, &vec![fill(f); (blocks * BLOCK) as usize], seed_t).unwrap();
+        vfs.write(fh, 0, &vec![fill(f); (blocks * BLOCK_SIZE) as usize], seed_t).unwrap();
     }
     let session = Arc::new(session);
     let stats = session.wan_stats().clone();
@@ -90,8 +89,8 @@ fn run_config(
                 let fh = c.open(&format!("/tree{f}")).unwrap();
                 for b in 0..blocks {
                     assert_eq!(
-                        c.read(fh, b * BLOCK, BLOCK as u32).unwrap(),
-                        vec![fill(f); BLOCK as usize],
+                        c.read(fh, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap(),
+                        vec![fill(f); BLOCK_SIZE as usize],
                         "client {i} file {f} block {b}"
                     );
                 }
@@ -174,7 +173,7 @@ fn main() {
             "clients": clients,
             "files": files,
             "blocks": blocks,
-            "block_bytes": BLOCK,
+            "block_bytes": BLOCK_SIZE,
             "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
             "origin_read_reduction": reduction,
             "configs": [star.doc, peer.doc],

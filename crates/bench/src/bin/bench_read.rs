@@ -9,6 +9,7 @@
 
 use gvfs_bench::{nfs_calls, print_table, read_path_json, save_json, small_mode};
 use gvfs_client::{MountOptions, NfsClient};
+use gvfs_core::proxy::BLOCK_SIZE;
 use gvfs_core::session::{Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
 use gvfs_netsim::link::LinkConfig;
@@ -19,8 +20,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
-
-const BLOCK: u64 = 32 * 1024;
 
 struct Phase {
     name: &'static str,
@@ -55,7 +54,7 @@ fn run_config(label: &str, window: usize, blocks: u64) -> (serde_json::Value, f6
     let vfs = session.vfs();
     for name in ["seq", "rand"] {
         let f = vfs.create(vfs.root(), name, 0o644, seed_t).unwrap();
-        vfs.write(f, 0, &vec![6u8; (blocks * BLOCK) as usize], seed_t).unwrap();
+        vfs.write(f, 0, &vec![6u8; (blocks * BLOCK_SIZE) as usize], seed_t).unwrap();
     }
     let session = Arc::new(session);
     let s2 = Arc::clone(&session);
@@ -83,16 +82,16 @@ fn run_config(label: &str, window: usize, blocks: u64) -> (serde_json::Value, f6
         record("sequential_cold", &mut |c| {
             for b in 0..blocks {
                 assert_eq!(
-                    c.read(seq, b * BLOCK, BLOCK as u32).unwrap(),
-                    vec![6u8; BLOCK as usize]
+                    c.read(seq, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap(),
+                    vec![6u8; BLOCK_SIZE as usize]
                 );
             }
         });
         record("sequential_warm", &mut |c| {
             for b in 0..blocks {
                 assert_eq!(
-                    c.read(seq, b * BLOCK, BLOCK as u32).unwrap(),
-                    vec![6u8; BLOCK as usize]
+                    c.read(seq, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap(),
+                    vec![6u8; BLOCK_SIZE as usize]
                 );
             }
         });
@@ -105,8 +104,8 @@ fn run_config(label: &str, window: usize, blocks: u64) -> (serde_json::Value, f6
         record("random_cold", &mut |c| {
             for &b in &order {
                 assert_eq!(
-                    c.read(rnd, b * BLOCK, BLOCK as u32).unwrap(),
-                    vec![6u8; BLOCK as usize]
+                    c.read(rnd, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap(),
+                    vec![6u8; BLOCK_SIZE as usize]
                 );
             }
         });
@@ -168,7 +167,7 @@ fn main() {
         &serde_json::json!({
             "experiment": "BENCH_read",
             "blocks": blocks,
-            "block_bytes": BLOCK,
+            "block_bytes": BLOCK_SIZE,
             "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
             "configs": configs,
         }),

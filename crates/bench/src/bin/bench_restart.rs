@@ -13,6 +13,7 @@
 
 use gvfs_bench::{nfs_calls, print_table, read_path_json, save_json, small_mode};
 use gvfs_client::{MountOptions, NfsClient};
+use gvfs_core::proxy::BLOCK_SIZE;
 use gvfs_core::session::{Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
 use gvfs_netsim::disk::VirtualDisk;
@@ -23,8 +24,6 @@ use gvfs_vfs::Vfs;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
-
-const BLOCK: u64 = 32 * 1024;
 
 fn config() -> SessionConfig {
     SessionConfig {
@@ -80,7 +79,10 @@ fn run_session(
         let before = stats.snapshot();
         let t0 = gvfs_netsim::now();
         for b in 0..blocks {
-            assert_eq!(c.read(seq, b * BLOCK, BLOCK as u32).unwrap(), vec![6u8; BLOCK as usize]);
+            assert_eq!(
+                c.read(seq, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap(),
+                vec![6u8; BLOCK_SIZE as usize]
+            );
         }
         let wall_s = gvfs_netsim::now().saturating_since(t0).as_secs_f64();
         let delta = stats.snapshot().since(&before);
@@ -111,7 +113,7 @@ fn main() {
     let vfs = Arc::new(Vfs::new());
     let t0 = gvfs_vfs::Timestamp::from_nanos(0);
     let f = vfs.create(vfs.root(), "seq", 0o644, t0).unwrap();
-    vfs.write(f, 0, &vec![6u8; (blocks * BLOCK) as usize], t0).unwrap();
+    vfs.write(f, 0, &vec![6u8; (blocks * BLOCK_SIZE) as usize], t0).unwrap();
 
     let (cold, disk) = run_session("cold-reader", &vfs, None, blocks);
     let (warm, _disk) = run_session("restart-reader", &vfs, Some(disk), blocks);
@@ -170,7 +172,7 @@ fn main() {
         &serde_json::json!({
             "experiment": "BENCH_restart",
             "blocks": blocks,
-            "block_bytes": BLOCK,
+            "block_bytes": BLOCK_SIZE,
             "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
             "cold": phase_json(&cold),
             "warm_restart": phase_json(&warm),

@@ -7,7 +7,7 @@ use gvfs_nfs3::{
     proc3, CommitArgs, CommitRes, CreateArgs, CreateHow, DirOpArgs, DirOpRes, Entry3, Fattr3, Fh3,
     Ftype3, GetattrArgs, GetattrRes, LinkArgs, LinkRes, LookupArgs, LookupRes, MkdirArgs, Nfsstat3,
     ReadArgs, ReadRes, ReaddirArgs, ReaddirRes, RenameArgs, RenameRes, Sattr3, SetattrArgs,
-    SetattrRes, StableHow, WriteArgs, WriteRes, NFS_PROGRAM, NFS_V3,
+    SetattrRes, StableHow, WriteArgs, WriteRes, NFS_PROGRAM, NFS_V3, TRANSFER_SIZE,
 };
 use gvfs_rpc::RpcError;
 use gvfs_xdr::Xdr;
@@ -15,6 +15,12 @@ use parking_lot::Mutex;
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
+
+/// Lookup (dnlc) cache capacity in entries.
+const LOOKUP_CACHE_ENTRIES: usize = 4096;
+
+/// Maximum RPC retries before giving up (hard mounts retry long).
+const MAX_RETRIES: u32 = 120;
 
 /// An error from a client file operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,8 +121,8 @@ impl NfsClient {
     pub fn new(transport: SimRpcClient, root: Fh3, opts: MountOptions) -> Self {
         let caches = Caches {
             attrs: AttrCache::new(),
-            lookups: LookupCache::new(opts.lookup_cache_entries),
-            pages: PageCache::new(opts.page_cache_bytes, opts.transfer_size as usize),
+            lookups: LookupCache::new(LOOKUP_CACHE_ENTRIES),
+            pages: PageCache::new(opts.page_cache_bytes, TRANSFER_SIZE as usize),
         };
         NfsClient { transport, root, opts, caches: Mutex::new(caches) }
     }
@@ -171,9 +177,7 @@ impl NfsClient {
                 Ok(bytes) => {
                     return Ok(gvfs_xdr::from_bytes(&bytes).map_err(RpcError::from)?);
                 }
-                Err(RpcError::Timeout | RpcError::Unreachable)
-                    if attempts < self.opts.max_retries =>
-                {
+                Err(RpcError::Timeout | RpcError::Unreachable) if attempts < MAX_RETRIES => {
                     attempts += 1;
                     gvfs_netsim::sleep(self.opts.retry_backoff);
                 }
@@ -387,7 +391,7 @@ impl NfsClient {
             }
             c.pages.set_mtime_tag(fh, attr.mtime);
         }
-        let page_size = self.opts.transfer_size as u64;
+        let page_size = u64::from(TRANSFER_SIZE);
         let end = (offset + count as u64).min(attr.size);
         if offset >= end {
             return Ok(Vec::new());
@@ -414,7 +418,7 @@ impl NfsClient {
         if let Some(data) = self.caches.lock().pages.get(fh, page) {
             return Ok(data.to_vec());
         }
-        let page_size = self.opts.transfer_size;
+        let page_size = TRANSFER_SIZE;
         let res: ReadRes = self.rpc(
             proc3::READ,
             &ReadArgs { file: fh, offset: page * page_size as u64, count: page_size },
@@ -454,7 +458,7 @@ impl NfsClient {
     ///
     /// NFS or transport errors.
     pub fn write(&self, fh: Fh3, offset: u64, data: &[u8]) -> Result<(), ClientError> {
-        let chunk = self.opts.transfer_size as usize;
+        let chunk = TRANSFER_SIZE as usize;
         let mut written = 0;
         while written < data.len() {
             let end = (written + chunk).min(data.len());
@@ -488,7 +492,7 @@ impl NfsClient {
     }
 
     fn cache_written_range(&self, fh: Fh3, offset: u64, data: &[u8]) {
-        let page_size = self.opts.transfer_size as u64;
+        let page_size = u64::from(TRANSFER_SIZE);
         let mut c = self.caches.lock();
         // Only page-aligned full pages are kept; partial edges are
         // dropped so reads refetch them (simple and safe).

@@ -1,4 +1,8 @@
 //! Mount options mirroring the Linux NFS client knobs the paper varies.
+//!
+//! Knobs no experiment varies are constants instead: the transfer (and
+//! page) size is [`gvfs_nfs3::TRANSFER_SIZE`], and the lookup-cache
+//! capacity and the hard-mount retry count live in the client.
 
 use std::time::Duration;
 
@@ -23,15 +27,9 @@ pub struct MountOptions {
     /// Enforce close-to-open consistency: revalidate attributes on every
     /// [`crate::NfsClient::open`].
     pub close_to_open: bool,
-    /// Read/write transfer size in bytes (also the page size).
-    pub transfer_size: u32,
     /// Page cache capacity in bytes (the VM buffer cache; the paper's
     /// clients were 256 MB VMs, leaving roughly this much for pages).
     pub page_cache_bytes: usize,
-    /// Lookup (dnlc) cache capacity in entries.
-    pub lookup_cache_entries: usize,
-    /// Maximum RPC retries before giving up (hard mounts retry long).
-    pub max_retries: u32,
     /// Backoff between retries.
     pub retry_backoff: Duration,
 }
@@ -45,10 +43,7 @@ impl Default for MountOptions {
             acdirmax: Duration::from_secs(60),
             noac: false,
             close_to_open: true,
-            transfer_size: 32 * 1024,
             page_cache_bytes: 64 * 1024 * 1024,
-            lookup_cache_entries: 4096,
-            max_retries: 120,
             retry_backoff: Duration::from_secs(1),
         }
     }

@@ -176,27 +176,6 @@ impl FileCache {
         self.extents.iter().filter(|(_, e)| e.dirty).map(|(o, e)| (*o, e.data.len())).collect()
     }
 
-    /// The dirty bytes starting at exactly `offset`, if that extent
-    /// exists and is dirty.
-    pub fn dirty_at(&self, offset: u64) -> Option<&[u8]> {
-        self.extents.get(&offset).filter(|e| e.dirty).map(|e| e.data.as_slice())
-    }
-
-    /// Returns the dirty extent covering byte `pos`, as `(offset, data)`.
-    pub fn dirty_covering(&self, pos: u64) -> Option<(u64, &[u8])> {
-        let (start, ext) = self.extents.range(..=pos).next_back()?;
-        (ext.dirty && pos < start + ext.data.len() as u64).then_some((*start, ext.data.as_slice()))
-    }
-
-    /// Marks the extent at `offset` clean (after a successful
-    /// write-back).
-    pub fn mark_clean(&mut self, offset: u64) {
-        if let Some(e) = self.extents.get_mut(&offset) {
-            e.dirty = false;
-        }
-        self.coalesce();
-    }
-
     /// Drops clean extents, keeping dirty data (attribute invalidation
     /// must never lose delayed writes).
     pub fn drop_clean(&mut self) {
@@ -287,8 +266,8 @@ impl FileCache {
         self.extents.values().map(|e| e.data.len()).sum()
     }
 
-    /// Number of extents (diagnostics).
-    pub fn extent_count(&self) -> usize {
+    #[cfg(test)]
+    fn extent_count(&self) -> usize {
         self.extents.len()
     }
 }
@@ -438,8 +417,8 @@ impl DiskCache {
         self.stale_dirs.clear();
     }
 
-    /// Number of valid attribute entries.
-    pub fn attr_count(&self) -> usize {
+    #[cfg(test)]
+    fn attr_count(&self) -> usize {
         self.attrs.len()
     }
 
@@ -459,11 +438,6 @@ impl DiskCache {
     /// Caches a negative name binding (known absent).
     pub fn put_negative_lookup(&mut self, dir: Fh3, name: &str) {
         self.lookups.insert((dir, name.to_string()), None);
-    }
-
-    /// Drops one name binding.
-    pub fn remove_lookup(&mut self, dir: Fh3, name: &str) {
-        self.lookups.remove(&(dir, name.to_string()));
     }
 
     // --- data ---
@@ -555,16 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn mark_clean_clears_dirty() {
-        let mut fc = FileCache::default();
-        fc.write_dirty(0, vec![1; 4]);
-        assert!(fc.has_dirty());
-        fc.mark_clean(0);
-        assert!(!fc.has_dirty());
-        assert_eq!(fc.read(0, 4).unwrap(), vec![1; 4]);
-    }
-
-    #[test]
     fn drop_clean_preserves_dirty() {
         let mut fc = FileCache::default();
         fc.insert_clean(0, vec![1; 4]);
@@ -572,17 +536,6 @@ mod tests {
         fc.drop_clean();
         assert!(fc.read(0, 4).is_none());
         assert_eq!(fc.read(8, 4).unwrap(), vec![2; 4]);
-    }
-
-    #[test]
-    fn dirty_covering_finds_extent() {
-        let mut fc = FileCache::default();
-        fc.write_dirty(100, vec![5; 50]);
-        let (off, data) = fc.dirty_covering(120).unwrap();
-        assert_eq!(off, 100);
-        assert_eq!(data.len(), 50);
-        assert!(fc.dirty_covering(10).is_none());
-        assert!(fc.dirty_covering(150).is_none());
     }
 
     #[test]

@@ -470,8 +470,8 @@ impl DelegationTable {
         }
     }
 
-    /// Number of tracked files (diagnostics).
-    pub fn tracked_files(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_files(&self) -> usize {
         self.files.len()
     }
 

@@ -357,15 +357,6 @@ impl ConcurrentInvalidationTracker {
         }
     }
 
-    /// Removes every advert held by one client (the client crashed or
-    /// told us it dropped its cache).
-    pub fn deadvertise_client(&self, client: u32) {
-        if let Some(slot) = self.guard().get_mut(&client) {
-            self.peer_condemned.fetch_add(slot.holdings.len() as u64, Ordering::Relaxed);
-            slot.holdings.clear();
-        }
-    }
-
     /// Clients currently advertised as holding a clean copy of `fh`,
     /// excluding `exclude` (the requester), sorted by id for
     /// determinism and capped at `cap`.
@@ -786,7 +777,9 @@ mod tests {
         t.advertise(2, fh(8));
         t.condemn(fh(7));
         assert!(t.collect_holders(fh(7), 99, 8).is_empty());
-        t.deadvertise_client(2);
+        // A restarted client polls with a null timestamp, which drops
+        // every advert it held.
+        t.getinv(2, None);
         assert!(t.collect_holders(fh(8), 99, 8).is_empty());
     }
 

@@ -51,6 +51,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
+/// How long a client's WAN breaker must have been open before the
+/// degradation ladder engages and cached reads are served without
+/// revalidation (delegation model with a `max_staleness` only).
+pub(crate) const DEGRADE_AFTER: Duration = Duration::from_secs(2);
+
+/// Number of consecutive sequential reads that arms the read-ahead
+/// window.
+const READAHEAD_TRIGGER: usize = 2;
+
+/// Bytes of stored content each scrub tick verifies.
+const SCRUB_BATCH: usize = 4 << 20;
+
 /// Deterministic per-client retry jitter: a hash of `(client_id,
 /// attempt)` spreads N clients' k-th retransmissions across
 /// `[0, delay/2)`, so a heal after a shared partition is not greeted by
@@ -101,7 +113,7 @@ pub struct ProxyClientStats {
     /// recall, or failed in flight.
     pub prefetch_wasted: u64,
     /// Transient WAN failures (timeout/unreachable) retried with
-    /// back-off by [`ProxyClient::forward`].
+    /// back-off by the blocking forward path.
     pub transport_retries: u64,
     /// `GETINV` replies that demanded a full attribute purge (buffer
     /// wrap or server restart, §4.2).
@@ -545,20 +557,20 @@ impl ProxyClient {
     }
 
     /// Runs the background scrub actor until shutdown: every `period`
-    /// it verifies up to `batch` bytes of stored content against their
-    /// checksums (advancing a persistent sweep cursor), re-fetches any
-    /// clean extent the sweep quarantined, and surfaces dirty ones as
+    /// it verifies up to 4 MiB (`SCRUB_BATCH`) of stored content against
+    /// their checksums (advancing a persistent sweep cursor), re-fetches
+    /// any clean extent the sweep quarantined, and surfaces dirty ones as
     /// data loss — rot is found and healed ahead of demand instead of
     /// at first read. Spawn this on its own actor (the session
     /// middleware does when `scrub_period` is configured).
-    pub fn run_scrubber(self: &Arc<Self>, period: Duration, batch: usize) {
+    pub fn run_scrubber(self: &Arc<Self>, period: Duration) {
         *self.scrubber.lock() = Some(gvfs_netsim::current_actor());
         loop {
             gvfs_netsim::park_timeout(period);
             if self.stopped.load(Ordering::SeqCst) {
                 return;
             }
-            let _ = self.disk.lock().store.scrub_step(batch);
+            let _ = self.disk.lock().store.scrub_step(SCRUB_BATCH);
             for ev in self.drain_integrity_events(true) {
                 if ev.served || ev.dirty {
                     continue; // attributed by the drain
@@ -696,7 +708,7 @@ impl ProxyClient {
 
     /// Whether the degradation ladder is engaged right now: enabled
     /// (a `max_staleness` is configured), delegation model, and the
-    /// breaker open (or probing) for at least `degrade_after`.
+    /// breaker open (or probing) for at least [`DEGRADE_AFTER`].
     fn degraded_now(&self) -> bool {
         if self.config.max_staleness.is_none()
             || !matches!(self.config.model, ConsistencyModel::DelegationCallback(_))
@@ -707,7 +719,7 @@ impl ProxyClient {
         if !self.breaker.state(now).is_degraded() {
             return false;
         }
-        self.breaker.open_for(now).is_some_and(|open| open >= self.config.degrade_after)
+        self.breaker.open_for(now).is_some_and(|open| open >= DEGRADE_AFTER)
     }
 
     /// Unwraps one proxy-program reply: counts it, applies the
@@ -1558,9 +1570,9 @@ impl ProxyClient {
     }
 
     /// Feeds the sequential-access detector with one served read and,
-    /// when a run of `trigger` sequential reads is up, speculatively
-    /// pipelines the next `window` uncached block-aligned chunks onto
-    /// the wire. Nobody waits on them: a later demand read claims the
+    /// when a run of [`READAHEAD_TRIGGER`] sequential reads is up,
+    /// speculatively pipelines the next `window` uncached block-aligned
+    /// chunks onto the wire. Nobody waits on them: a later demand read claims the
     /// pending reply (usually already arrived — the WAN round trip
     /// overlapped the application's compute) or parks on it.
     fn maybe_prefetch(&self, fh: Fh3, offset: u64, count: u32) {
@@ -1569,8 +1581,7 @@ impl ProxyClient {
             let disk = self.disk.lock();
             let Some(attr) = disk.attr(fh) else { return };
             let end = (offset + u64::from(count)).min(attr.size);
-            let (window, trigger) =
-                (self.config.readahead_window, self.config.readahead_trigger.max(1));
+            let window = self.config.readahead_window;
             let mut ra = self.readahead.lock();
             let fs = ra.files.entry(fh).or_default();
             if offset == fs.next_expected || (offset < fs.next_expected && end > fs.next_expected) {
@@ -1579,7 +1590,7 @@ impl ProxyClient {
                 fs.run = 1;
             }
             fs.next_expected = end;
-            if window == 0 || fs.run < trigger {
+            if window == 0 || fs.run < READAHEAD_TRIGGER {
                 return;
             }
             let first = block_of(end);

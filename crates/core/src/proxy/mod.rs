@@ -17,7 +17,7 @@ use gvfs_xdr::Xdr;
 
 /// The block size used for data caching and write-back accounting,
 /// matching the NFS transfer size.
-pub const BLOCK_SIZE: u64 = gvfs_server::TRANSFER_SIZE as u64;
+pub const BLOCK_SIZE: u64 = gvfs_nfs3::TRANSFER_SIZE as u64;
 
 /// Aligns a byte offset down to its block.
 pub fn block_of(offset: u64) -> u64 {
@@ -86,21 +86,6 @@ impl OpClass {
     /// Whether this operation modifies server state.
     pub fn is_modification(&self) -> bool {
         matches!(self, OpClass::Write { .. } | OpClass::SetAttr { .. } | OpClass::DirModify { .. })
-    }
-
-    /// The handle delegation decisions attach to (the file for data
-    /// ops, the directory for namespace ops).
-    pub fn delegation_target(&self) -> Option<Fh3> {
-        match self {
-            OpClass::AttrRead { fh }
-            | OpClass::Read { fh, .. }
-            | OpClass::Write { fh, .. }
-            | OpClass::SetAttr { fh } => Some(*fh),
-            OpClass::Lookup { dir, .. }
-            | OpClass::DirModify { dir, .. }
-            | OpClass::ReadDir { dir } => Some(*dir),
-            OpClass::Other => None,
-        }
     }
 }
 
@@ -201,7 +186,6 @@ mod tests {
         let c = classify(proc3::READ, &args).unwrap();
         assert_eq!(c, OpClass::Read { fh, offset: 64, count: 32 });
         assert!(!c.is_modification());
-        assert_eq!(c.delegation_target(), Some(fh));
 
         let args = gvfs_xdr::to_bytes(&gvfs_nfs3::CreateArgs {
             dir: fh,
@@ -211,7 +195,10 @@ mod tests {
         .unwrap();
         let c = classify(proc3::CREATE, &args).unwrap();
         assert!(c.is_modification());
-        assert_eq!(c.delegation_target(), Some(fh));
+        assert_eq!(
+            c,
+            OpClass::DirModify { dir: fh, names: vec!["x".into()], extra: None, file: None }
+        );
     }
 
     #[test]

@@ -474,7 +474,7 @@ impl ProxyServer {
     /// Runs one delegation sweep (speculated closes, LRU eviction); the
     /// session's sweeper actor calls this periodically. Each sweep also
     /// advances the idle-eviction epoch ([`ProxyServer::maintain`]) with
-    /// an idle budget of [`SWEEP_IDLE_EPOCHS`].
+    /// an idle budget of `SWEEP_IDLE_EPOCHS` (8).
     pub fn sweep(&self) {
         let actions = self.deleg.lock().sweep(gvfs_netsim::now());
         for action in actions {

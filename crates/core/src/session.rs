@@ -11,16 +11,24 @@
 //! built from the [`SessionConfig`] in one constructor and never
 //! reconfigured; so are the chaos self-test [`Faults`].
 //!
+//! [`SessionConfig`] holds only what a session tailors: the consistency
+//! model and the cache policy. What no caller varies is a constant at
+//! its point of use: the modelled per-RPC process costs, the session
+//! key, the proxy disk and peer LAN profiles here, and the read-ahead
+//! trigger, the degradation delay and the scrub batch in the proxy
+//! client.
+//!
 //! [`NativeMount`] builds the baseline the paper compares against:
 //! kernel NFS clients talking straight to the kernel NFS server across
 //! the WAN, no proxies.
 
 use crate::model::ConsistencyModel;
-use crate::proxy::client::{CallbackService, ProxyClient};
+use crate::proxy::client::{CallbackService, ProxyClient, DEGRADE_AFTER};
 use crate::proxy::server::{ProxyServer, ServerConfig};
 use crate::store::mem::MemStore;
 use crate::store::persist::{PersistConfig, PersistentStore};
 use crate::store::BlockStore;
+use gvfs_netsim::disk::{DiskConfig, VirtualDisk};
 use gvfs_netsim::link::{Link, LinkConfig};
 use gvfs_netsim::transport::{ServerNode, SimRpcClient};
 use gvfs_netsim::Sim;
@@ -59,6 +67,17 @@ impl gvfs_rpc::dispatch::RpcService for ForwardService {
 /// MOUNT protocol.
 pub const EXPORT_PATH: &str = "/export/grid";
 
+/// Per-RPC processing time modelled for each proxy process: the
+/// user-level interception overhead the paper measures at 4–8 % on a
+/// LAN (forwarded calls pay two extra process traversals).
+const PROXY_PROC_TIME: Duration = Duration::from_millis(1);
+
+/// Per-RPC processing time of the kernel NFS server.
+const NFS_PROC_TIME: Duration = Duration::from_micros(200);
+
+/// The session key carried in every request credential.
+const SESSION_KEY: u64 = 0x6776_6673;
+
 /// Session-wide configuration chosen by the middleware.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
@@ -72,12 +91,6 @@ pub struct SessionConfig {
     pub disk_cache_bytes: usize,
     /// Per-client invalidation buffer capacity (entries).
     pub invalidation_buffer: usize,
-    /// Per-RPC processing time modelled for each proxy process (the
-    /// user-level interception overhead the paper measures at 4–8 % on
-    /// a LAN: forwarded calls pay two extra process traversals).
-    pub proxy_proc_time: Duration,
-    /// Per-RPC processing time of the kernel NFS server.
-    pub nfs_proc_time: Duration,
     /// Delegation sweeper period (speculated closes); `None` disables.
     pub sweep_interval: Option<Duration>,
     /// Pipeline write-back WRITE batches over the WAN (xid-multiplexed
@@ -90,21 +103,15 @@ pub struct SessionConfig {
     /// miss still fetches just its uncached gaps as one concurrent
     /// burst); the `readahead` ablation measures the difference.
     pub readahead_window: usize,
-    /// Number of consecutive sequential reads that arms the
-    /// read-ahead window.
-    pub readahead_trigger: usize,
     /// Maximum transparent retransmissions of one forwarded call before
     /// the proxy gives up and surfaces the transport error (hard-mount
     /// semantics bounded by a budget instead of the clock). Back-off
     /// between attempts is exponential with per-client jitter.
     pub retry_budget: u32,
-    /// How long a client's WAN breaker must have been open before the
-    /// degradation ladder engages and cached reads are served without
-    /// revalidation (delegation model only; see `max_staleness`).
-    pub degrade_after: Duration,
-    /// Bounded-staleness limit for degraded serving: while the breaker
-    /// is open, a cached read is answered locally only if the cache was
-    /// validated against the server within this window. `None` disables
+    /// Bounded-staleness limit for degraded serving: once the breaker
+    /// has been open for 2 s (`DEGRADE_AFTER`), a cached read is
+    /// answered locally only if the cache was validated against the
+    /// server within this window. `None` disables
     /// the degradation ladder entirely — forwarded calls hard-retry
     /// through the outage (the availability ablation's baseline arm).
     pub max_staleness: Option<Duration>,
@@ -113,30 +120,17 @@ pub struct SessionConfig {
     /// cache survives a proxy-machine crash (torn writes discarded) and
     /// a restarted session over the same disks serves clean blocks warm.
     pub persistent_store: bool,
-    /// Files at or below this size are stored as one whole-file chunk
-    /// by the persistent store (full-file mode); larger files are
-    /// chunked per transfer block. Ignored by the in-memory store.
-    pub store_file_threshold: u64,
-    /// Simulated performance envelope of each proxy machine's local
-    /// disk (seek time and throughput, charged to virtual time).
-    /// Ignored by the in-memory store.
-    pub disk: gvfs_netsim::disk::DiskConfig,
     /// Enable peer-to-peer block sourcing (`PEERREAD`): the origin
     /// advertises live holders of clean blocks, and gap fetches try the
     /// lowest-latency advertised peer over a LAN link before paying the
     /// WAN round trip to the origin. Off, the wire traffic is
     /// byte-identical to a star-only session.
     pub peer_read: bool,
-    /// Link configuration of every client↔client peer link (only built
-    /// when [`SessionConfig::peer_read`] is on).
-    pub peer_lan: LinkConfig,
-    /// Background scrub period per client: each tick verifies a batch
-    /// of stored checksums ahead of demand and re-fetches whatever the
-    /// sweep quarantines. `None` (the default) disables the scrub
-    /// actor; only meaningful with [`SessionConfig::persistent_store`].
+    /// Background scrub period per client: each tick verifies 4 MiB of
+    /// stored checksums ahead of demand and re-fetches whatever the
+    /// sweep quarantines. `None` (the default) disables the scrub actor;
+    /// only meaningful with [`SessionConfig::persistent_store`].
     pub scrub_period: Option<Duration>,
-    /// Bytes of stored content each scrub tick verifies.
-    pub scrub_batch: usize,
 }
 
 impl Default for SessionConfig {
@@ -146,22 +140,14 @@ impl Default for SessionConfig {
             write_back: false,
             disk_cache_bytes: 4 << 30,
             invalidation_buffer: 4096,
-            proxy_proc_time: Duration::from_micros(1000),
-            nfs_proc_time: Duration::from_micros(200),
             sweep_interval: Some(Duration::from_secs(60)),
             pipeline_writeback: true,
             readahead_window: 8,
-            readahead_trigger: 2,
             retry_budget: 600,
-            degrade_after: Duration::from_secs(2),
             max_staleness: Some(Duration::from_secs(120)),
             persistent_store: false,
-            store_file_threshold: 64 * 1024,
-            disk: gvfs_netsim::disk::DiskConfig::ssd(),
             peer_read: false,
-            peer_lan: LinkConfig::lan(),
             scrub_period: None,
-            scrub_batch: 4 << 20,
         }
     }
 }
@@ -192,10 +178,8 @@ pub struct SessionBuilder {
     clients: usize,
     wan: LinkConfig,
     client_links: Option<Vec<LinkConfig>>,
-    loopback: LinkConfig,
     vfs: Option<Arc<Vfs>>,
-    client_disks: Option<Vec<Arc<gvfs_netsim::disk::VirtualDisk>>>,
-    session_key: u64,
+    client_disks: Option<Vec<Arc<VirtualDisk>>>,
 }
 
 impl SessionBuilder {
@@ -234,7 +218,7 @@ impl SessionBuilder {
     /// on-disk indexes and serve surviving clean blocks warm. Implies
     /// [`SessionConfig::persistent_store`]. Entries beyond the list get
     /// fresh disks.
-    pub fn client_disks(mut self, disks: Vec<Arc<gvfs_netsim::disk::VirtualDisk>>) -> Self {
+    pub fn client_disks(mut self, disks: Vec<Arc<VirtualDisk>>) -> Self {
         self.config.persistent_store = true;
         self.client_disks = Some(disks);
         self
@@ -243,12 +227,6 @@ impl SessionBuilder {
     /// Builds the chaos self-test `faults` into the session's proxies.
     pub fn faults(mut self, faults: Faults) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// The session key carried in every request credential.
-    pub fn session_key(mut self, key: u64) -> Self {
-        self.session_key = key;
         self
     }
 
@@ -264,10 +242,10 @@ impl SessionBuilder {
         let mut dispatcher = Dispatcher::new();
         dispatcher.register(nfs);
         dispatcher.register(gvfs_server::MountServer::new(Arc::clone(&vfs), EXPORT_PATH));
-        let nfs_node = ServerNode::new("nfs-server", dispatcher, config.nfs_proc_time);
+        let nfs_node = ServerNode::new("nfs-server", dispatcher, NFS_PROC_TIME);
 
         // Proxy server beside the NFS server (loopback link).
-        let server_loop = Link::new(self.loopback);
+        let server_loop = Link::new(LinkConfig::loopback());
         let lan_stats = RpcStats::new();
         let proxy_server = ProxyServer::new(
             ServerConfig {
@@ -293,8 +271,7 @@ impl SessionBuilder {
                 lan_stats.clone(),
             ),
         });
-        let proxy_server_node =
-            ServerNode::new("proxy-server", ps_dispatcher, config.proxy_proc_time);
+        let proxy_server_node = ServerNode::new("proxy-server", ps_dispatcher, PROXY_PROC_TIME);
 
         let wan_stats = RpcStats::new();
         let stop = Arc::new(AtomicBool::new(false));
@@ -308,7 +285,7 @@ impl SessionBuilder {
                 .unwrap_or(self.wan);
             let wan_link = Link::new(link_config);
             let cred =
-                GvfsCred { session_key: self.session_key, client_id: id, callback_port: 7000 + id };
+                GvfsCred { session_key: SESSION_KEY, client_id: id, callback_port: 7000 + id };
             let wan = SimRpcClient::new(
                 wan_link.forward(),
                 Arc::clone(&proxy_server_node),
@@ -320,13 +297,11 @@ impl SessionBuilder {
                     .client_disks
                     .as_ref()
                     .and_then(|disks| disks.get(i).cloned())
-                    .unwrap_or_else(|| gvfs_netsim::disk::VirtualDisk::new(config.disk));
+                    .unwrap_or_else(|| VirtualDisk::new(DiskConfig::ssd()));
                 let store = PersistentStore::open(
                     Arc::clone(&disk),
                     PersistConfig {
                         capacity: config.disk_cache_bytes,
-                        block_size: u64::from(gvfs_server::TRANSFER_SIZE),
-                        file_threshold: config.store_file_threshold,
                         verify: self.faults.unverified_store != Some(i),
                         ..PersistConfig::default()
                     },
@@ -345,7 +320,7 @@ impl SessionBuilder {
             let cb_node = ServerNode::new(
                 &format!("proxy-client-{id}-callback"),
                 cb_dispatcher,
-                config.proxy_proc_time,
+                PROXY_PROC_TIME,
             );
             proxy_server.register_callback(
                 id,
@@ -366,12 +341,9 @@ impl SessionBuilder {
                     wan_stats.clone(),
                 ),
             });
-            let pc_node = ServerNode::new(
-                &format!("proxy-client-{id}"),
-                pc_dispatcher,
-                config.proxy_proc_time,
-            );
-            let loopback = Link::new(self.loopback);
+            let pc_node =
+                ServerNode::new(&format!("proxy-client-{id}"), pc_dispatcher, PROXY_PROC_TIME);
+            let loopback = Link::new(LinkConfig::loopback());
 
             // Background actors.
             if let ConsistencyModel::InvalidationPolling { period, backoff_max } = config.model {
@@ -396,8 +368,7 @@ impl SessionBuilder {
             // checksums; over the in-memory store every step is a no-op.
             if let (true, Some(period)) = (config.persistent_store, config.scrub_period) {
                 let p = Arc::clone(&proxy);
-                let batch = config.scrub_batch;
-                sim.spawn(&format!("scrubber-{id}"), move || p.run_scrubber(period, batch));
+                sim.spawn(&format!("scrubber-{id}"), move || p.run_scrubber(period));
             }
 
             clients.push(ClientEnd { proxy, node: pc_node, loopback, wan_link, cb_node, disk });
@@ -413,7 +384,7 @@ impl SessionBuilder {
             for i in 0..clients.len() {
                 for j in i + 1..clients.len() {
                     let (id_i, id_j) = (i as u32 + 1, j as u32 + 1);
-                    let link = Link::new(config.peer_lan);
+                    let link = Link::new(LinkConfig::lan());
                     clients[i].proxy.add_peer(
                         id_j,
                         SimRpcClient::new(
@@ -472,7 +443,7 @@ struct ClientEnd {
     loopback: Arc<Link>,
     wan_link: Arc<Link>,
     cb_node: Arc<ServerNode>,
-    disk: Option<Arc<gvfs_netsim::disk::VirtualDisk>>,
+    disk: Option<Arc<VirtualDisk>>,
 }
 
 /// An established GVFS session.
@@ -509,10 +480,8 @@ impl Session {
             clients: 1,
             wan: LinkConfig::wan(),
             client_links: None,
-            loopback: LinkConfig::loopback(),
             vfs: None,
             client_disks: None,
-            session_key: 0x6776_6673,
         }
     }
 
@@ -587,7 +556,7 @@ impl Session {
             0,
             crate::trace::ProtocolEvent::Meta {
                 lease_ms,
-                degrade_after_ms: self.config.degrade_after.as_millis() as u64,
+                degrade_after_ms: DEGRADE_AFTER.as_millis() as u64,
                 max_staleness_ms: self
                     .config
                     .max_staleness
@@ -689,7 +658,7 @@ impl Session {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn client_disk(&self, i: usize) -> Option<Arc<gvfs_netsim::disk::VirtualDisk>> {
+    pub fn client_disk(&self, i: usize) -> Option<Arc<VirtualDisk>> {
         self.clients[i].disk.clone()
     }
 
@@ -698,16 +667,6 @@ impl Session {
         SessionHandle {
             proxies: self.clients.iter().map(|c| Arc::clone(&c.proxy)).collect(),
             stop: Arc::clone(&self.stop),
-        }
-    }
-
-    /// Shuts the session down from outside the simulation (only valid
-    /// when no flushing is needed; prefer [`SessionHandle::shutdown`]
-    /// from an actor).
-    pub fn shutdown_external(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for end in &self.clients {
-            end.proxy.shutdown();
         }
     }
 }
@@ -775,7 +734,7 @@ impl NativeMount {
         let mut dispatcher = Dispatcher::new();
         dispatcher.register(nfs);
         dispatcher.register(gvfs_server::MountServer::new(Arc::clone(&vfs), EXPORT_PATH));
-        let nfs_node = ServerNode::new("nfs-server", dispatcher, Duration::from_micros(200));
+        let nfs_node = ServerNode::new("nfs-server", dispatcher, NFS_PROC_TIME);
         let links = links.into_iter().map(Link::new).collect();
         NativeMount { vfs, nfs_node, links, stats: RpcStats::new(), root }
     }

@@ -119,7 +119,7 @@ impl Default for PersistConfig {
     fn default() -> Self {
         PersistConfig {
             capacity: 4 << 30,
-            block_size: 32 * 1024,
+            block_size: crate::proxy::BLOCK_SIZE,
             file_threshold: 64 * 1024,
             checkpoint_every: 8192,
             sync_every: 64,
@@ -917,22 +917,9 @@ impl PersistentStore {
             let mut span = if full {
                 Vec::new()
             } else {
-                match self.disk.read_quiet(&path, b, usize::try_from(bs).expect("bs fits")) {
-                    Ok(Some(v)) => v,
-                    Ok(None) => Vec::new(),
-                    Err(_) => {
-                        // The block's old content is unreadable: its
-                        // unwritten parts are unknown, so quarantine it
-                        // and drop the now-meaningless sum — reads will
-                        // keep failing on the bad media regardless.
-                        if !replaying {
-                            self.quarantine(idx, fh, b, b + bs);
-                        }
-                        idx.files.entry(fh).or_default().data_sums.remove(&b);
-                        b += bs;
-                        continue;
-                    }
-                }
+                self.disk
+                    .read_quiet(&path, b, usize::try_from(bs).expect("bs fits"))
+                    .unwrap_or_default()
             };
             span.resize(usize::try_from(bs).expect("bs fits"), 0);
             if !full && !replaying {
@@ -960,13 +947,13 @@ impl PersistentStore {
     /// whole content chunk against its id, or every data-file block the
     /// extent touches against its recorded sum. Verification reads are
     /// quiet (no cost, no dice) but still see durable bit rot — flips
-    /// persist in the content — and permanent media errors.
+    /// persist in the content.
     fn verify_ext(&self, idx: &Idx, fh: Fh3, start: u64, ext: &Ext) -> bool {
         match ext.src {
             Src::Chunk { id, .. } => {
                 match self.disk.read_quiet(&chunk_path(id), 0, id.1 as usize) {
-                    Ok(Some(b)) => b.len() == id.1 as usize && content_hash(&b) == id.0,
-                    _ => false,
+                    Some(b) => b.len() == id.1 as usize && content_hash(&b) == id.0,
+                    None => false,
                 }
             }
             Src::Data { .. } => {
@@ -976,13 +963,12 @@ impl PersistentStore {
                 let mut b = start / bs * bs;
                 while b < end {
                     let Some(&sum) = entry.data_sums.get(&b) else { return false };
-                    let mut span = match self.disk.read_quiet(
+                    let Some(mut span) = self.disk.read_quiet(
                         &data_path(fh),
                         b,
                         usize::try_from(bs).expect("bs fits"),
-                    ) {
-                        Ok(Some(v)) => v,
-                        _ => return false,
+                    ) else {
+                        return false;
                     };
                     span.resize(usize::try_from(bs).expect("bs fits"), 0);
                     if content_hash(&span) != sum {

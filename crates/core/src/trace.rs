@@ -51,7 +51,7 @@ impl TraceKind {
         }
     }
 
-    /// Parses [`TraceKind::name`] back.
+    /// Parses a kind's `name` (the trace's `kind` field) back.
     pub fn parse(s: &str) -> Option<TraceKind> {
         match s {
             "read" => Some(TraceKind::Read),

@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-const BLOCK: u64 = 32 * 1024; // gvfs_server::TRANSFER_SIZE
+const BLOCK: u64 = gvfs_core::proxy::BLOCK_SIZE;
 
 /// Seeds a file straight into the server-side VFS so the proxy cache
 /// stays cold — a read of it is a true WAN miss.
@@ -54,6 +54,14 @@ fn sequential_read_triggers_prefetch_and_hits() {
         for b in 0..16u64 {
             let data = client.read(fh, b * BLOCK, BLOCK as u32).unwrap();
             assert_eq!(data, vec![5u8; BLOCK as usize], "block {b}");
+            // Two sequential reads arm the window: the first speculates
+            // nothing, the second opens it.
+            let issued = s2.proxy_client(0).stats().prefetch_issued;
+            match b {
+                0 => assert_eq!(issued, 0, "one read must not open the window"),
+                1 => assert!(issued > 0, "the second sequential read must open the window"),
+                _ => {}
+            }
         }
         let stats = s2.proxy_client(0).stats();
         assert!(stats.read_misses > 0, "cold read must miss: {stats:?}");

@@ -40,8 +40,6 @@ pub const DELEG_LEASE: Duration = Duration::from_secs(30);
 /// chaos client's WAN breaker is open. The oracle's degraded-mode rule
 /// is calibrated against this value.
 pub const MAX_STALENESS: Duration = Duration::from_secs(30);
-/// How long a breaker must stay open before chaos clients degrade.
-pub const DEGRADE_AFTER: Duration = Duration::from_secs(2);
 
 /// Which consistency model a scenario exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,17 +78,12 @@ impl ModelKind {
     /// unbounded by design rather than by fault.
     pub fn session_config(self) -> SessionConfig {
         match self {
-            ModelKind::Passthrough => SessionConfig {
-                model: ConsistencyModel::Passthrough,
-                write_back: false,
-                ..SessionConfig::default()
-            },
+            ModelKind::Passthrough => SessionConfig::default(),
             ModelKind::Polling => SessionConfig {
                 model: ConsistencyModel::InvalidationPolling {
                     period: POLL_PERIOD,
                     backoff_max: Some(POLL_BACKOFF_MAX),
                 },
-                write_back: false,
                 ..SessionConfig::default()
             },
             ModelKind::Delegation => SessionConfig {
@@ -101,7 +94,6 @@ impl ModelKind {
                     ..DelegationConfig::default()
                 }),
                 write_back: true,
-                degrade_after: DEGRADE_AFTER,
                 max_staleness: Some(MAX_STALENESS),
                 ..SessionConfig::default()
             },

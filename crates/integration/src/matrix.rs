@@ -34,17 +34,12 @@ pub struct MatrixOutcome {
 
 fn matrix_config(model: ModelKind) -> SessionConfig {
     match model {
-        ModelKind::Passthrough => SessionConfig {
-            model: ConsistencyModel::Passthrough,
-            write_back: false,
-            ..SessionConfig::default()
-        },
+        ModelKind::Passthrough => SessionConfig::default(),
         ModelKind::Polling => SessionConfig {
             model: ConsistencyModel::InvalidationPolling {
                 period: MATRIX_POLL_PERIOD,
                 backoff_max: None,
             },
-            write_back: false,
             ..SessionConfig::default()
         },
         ModelKind::Delegation => SessionConfig {

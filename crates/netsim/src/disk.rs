@@ -20,7 +20,7 @@
 //!
 //! Beyond crashes, a seeded [`DiskFaultPlan`] injects *media* faults —
 //! durable bit flips surfacing at read time, torn sector writes, and
-//! transient or permanent read errors per offset range — the storage
+//! transient read errors per offset range — the storage
 //! sibling of the WAN-side [`crate::fault::FaultPlan`], so disk chaos
 //! and network chaos compose in one deterministic run.
 
@@ -59,12 +59,6 @@ impl DiskConfig {
         }
     }
 
-    /// A 7200 rpm hard drive: 8 ms seek, 120 MB/s both ways.
-    #[must_use]
-    pub fn hdd() -> Self {
-        DiskConfig { seek: Duration::from_millis(8), read_bps: 120_000_000, write_bps: 120_000_000 }
-    }
-
     /// A free disk for tests that only care about contents.
     #[must_use]
     pub fn instant() -> Self {
@@ -100,7 +94,7 @@ pub struct DiskStats {
     pub flips_injected: u64,
     /// Writes torn at a sector boundary by the fault plan.
     pub torn_writes: u64,
-    /// Reads failed (transient or permanent) by the fault plan.
+    /// Reads failed by the fault plan.
     pub read_errors_injected: u64,
 }
 
@@ -109,29 +103,24 @@ pub struct DiskStats {
 pub enum DiskError {
     /// A one-off media error; a retry may succeed.
     Transient,
-    /// An unrecoverable bad region; every overlapping read fails.
-    Permanent,
 }
 
 /// A read-error region: file offsets `[start, end)` (any path the plan
-/// covers). `permanent` regions always fail; otherwise each overlapping
-/// read rolls `probability`.
+/// covers). Each overlapping read rolls `probability`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorRange {
     /// First failing byte offset.
     pub start: u64,
     /// First offset past the failing region.
     pub end: u64,
-    /// Per-read failure probability (ignored when `permanent`).
+    /// Per-read failure probability.
     pub probability: f64,
-    /// Whether the region is permanently unreadable.
-    pub permanent: bool,
 }
 
 /// Seeded disk-fault injection, the storage-side sibling of
 /// [`crate::fault::FaultPlan`]: bit flips in durable bytes, torn
-/// (partial-sector) writes, and transient or permanent read errors per
-/// offset range. All randomness comes from one seed expanded into a
+/// (partial-sector) writes, and transient read errors per offset range.
+/// All randomness comes from one seed expanded into a
 /// dedicated RNG, and dice are rolled under the disk mutex inside the
 /// serialized scheduler, so a plan replays the identical fate sequence
 /// on every run — WAN chaos ([`crate::fault::FaultPlan`]) and disk
@@ -184,14 +173,7 @@ impl DiskFaultPlan {
     /// Adds a transient read-error region over offsets `[start, end)`.
     #[must_use]
     pub fn with_transient_read_errors(mut self, start: u64, end: u64, probability: f64) -> Self {
-        self.read_errors.push(ErrorRange { start, end, probability, permanent: false });
-        self
-    }
-
-    /// Adds a permanently unreadable region over offsets `[start, end)`.
-    #[must_use]
-    pub fn with_permanent_read_error(mut self, start: u64, end: u64) -> Self {
-        self.read_errors.push(ErrorRange { start, end, probability: 1.0, permanent: true });
+        self.read_errors.push(ErrorRange { start, end, probability });
         self
     }
 
@@ -301,14 +283,9 @@ impl DiskInner {
             return Ok(None);
         }
         let end = offset.saturating_add(len as u64);
-        for r in &fs.plan.read_errors {
-            if r.permanent && r.start < end && offset < r.end {
-                return Err(DiskError::Permanent);
-            }
-        }
         for i in 0..fs.plan.read_errors.len() {
             let r = fs.plan.read_errors[i];
-            if !r.permanent && r.start < end && offset < r.end && fs.rng.gen_bool(r.probability) {
+            if r.start < end && offset < r.end && fs.rng.gen_bool(r.probability) {
                 return Err(DiskError::Transient);
             }
         }
@@ -492,32 +469,14 @@ impl VirtualDisk {
 
     /// Verification read: charges no cost, counts no stats and rolls no
     /// dice — checksum verification models as piggybacked on the data
-    /// transfer it guards — but permanently unreadable regions still
-    /// fail (media that cannot be read cannot be verified either).
-    pub fn read_quiet(
-        &self,
-        path: &str,
-        offset: u64,
-        len: usize,
-    ) -> Result<Option<Vec<u8>>, DiskError> {
+    /// transfer it guards. Durable bit rot is still visible: flips
+    /// persist in the content.
+    pub fn read_quiet(&self, path: &str, offset: u64, len: usize) -> Option<Vec<u8>> {
         let inner = self.inner.lock();
-        let Some(file) = inner.files.get(path).filter(|f| !f.deleted) else { return Ok(None) };
-        if let Some(fs) = &inner.faults {
-            if fs.plan.covers(path) {
-                let end = offset.saturating_add(len as u64);
-                if fs
-                    .plan
-                    .read_errors
-                    .iter()
-                    .any(|r| r.permanent && r.start < end && offset < r.end)
-                {
-                    return Err(DiskError::Permanent);
-                }
-            }
-        }
+        let file = inner.files.get(path).filter(|f| !f.deleted)?;
         let off = usize::try_from(offset).expect("offset fits usize");
         let end = off.saturating_add(len).min(file.data.len());
-        Ok(Some(if off >= file.data.len() { Vec::new() } else { file.data[off..end].to_vec() }))
+        Some(if off >= file.data.len() { Vec::new() } else { file.data[off..end].to_vec() })
     }
 
     /// Deterministically corrupts one byte (XOR mask) in both current
@@ -791,20 +750,14 @@ mod tests {
     fn read_error_ranges_fail_reads() {
         let d = VirtualDisk::new(DiskConfig::instant());
         d.write("data/f", 0, &[1u8; 100]);
-        d.set_fault_plan(Some(
-            DiskFaultPlan::new(5)
-                .with_permanent_read_error(40, 60)
-                .with_transient_read_errors(80, 90, 1.0),
-        ));
+        d.set_fault_plan(Some(DiskFaultPlan::new(5).with_transient_read_errors(40, 60, 1.0)));
         assert_eq!(d.try_read("data/f", 0, 10), Ok(Some(vec![1u8; 10])));
-        assert_eq!(d.try_read("data/f", 50, 4), Err(DiskError::Permanent));
-        assert_eq!(d.try_read("data/f", 30, 20), Err(DiskError::Permanent), "overlap fails");
-        assert_eq!(d.try_read("data/f", 82, 2), Err(DiskError::Transient));
-        assert_eq!(d.stats().read_errors_injected, 3);
+        assert_eq!(d.try_read("data/f", 50, 4), Err(DiskError::Transient));
+        assert_eq!(d.try_read("data/f", 30, 20), Err(DiskError::Transient), "overlap fails");
+        assert_eq!(d.stats().read_errors_injected, 2);
         assert_eq!(d.read("data/f", 50, 4), None, "legacy read maps errors to None");
-        // Quiet reads see permanent damage but never roll transient dice.
-        assert_eq!(d.read_quiet("data/f", 50, 4), Err(DiskError::Permanent));
-        assert_eq!(d.read_quiet("data/f", 82, 2), Ok(Some(vec![1u8; 2])));
+        // Quiet reads never roll the dice.
+        assert_eq!(d.read_quiet("data/f", 50, 4), Some(vec![1u8; 4]));
     }
 
     #[test]
@@ -813,9 +766,9 @@ mod tests {
         d.write("data/f", 0, &[1u8; 100]);
         d.write("wal.log", 0, &[1u8; 100]);
         d.set_fault_plan(Some(
-            DiskFaultPlan::new(9).with_path_prefix("data/").with_permanent_read_error(0, 100),
+            DiskFaultPlan::new(9).with_path_prefix("data/").with_transient_read_errors(0, 100, 1.0),
         ));
-        assert_eq!(d.try_read("data/f", 0, 10), Err(DiskError::Permanent));
+        assert_eq!(d.try_read("data/f", 0, 10), Err(DiskError::Transient));
         assert_eq!(d.try_read("wal.log", 0, 10), Ok(Some(vec![1u8; 10])));
     }
 

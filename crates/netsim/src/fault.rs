@@ -4,7 +4,7 @@
 //! chaos harness can inject: transient partition windows, probabilistic
 //! message drop and duplication, and extra random jitter (which reorders
 //! deliveries relative to program order). All randomness comes from one
-//! `u64` seed expanded into a dedicated [`StdRng`](rand::rngs::StdRng),
+//! `u64` seed expanded into a dedicated [`StdRng`],
 //! and dice are rolled under the scheduler's serialization, so a given
 //! plan replays the identical fate sequence on every run — any failure a
 //! chaos run finds is reproducible from the seed alone.
@@ -84,8 +84,9 @@ impl FaultPlan {
     }
 
     /// Adds a partition window.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_partition(mut self, window: Window) -> Self {
+    pub(crate) fn with_partition(mut self, window: Window) -> Self {
         self.partitions.push(window);
         self
     }

@@ -9,7 +9,7 @@
 //!
 //! Links can be [partitioned](Link::set_partitioned) to inject failures,
 //! and each direction can carry a seeded
-//! [`FaultPlan`](crate::fault::FaultPlan) injecting probabilistic drop,
+//! [`FaultPlan`] injecting probabilistic drop,
 //! duplication, jitter and timed partition windows; [`LinkHalf::transfer`]
 //! exposes the resulting [`Delivery`] fate to the transport.
 
@@ -104,7 +104,7 @@ struct DirState {
 /// ```
 #[derive(Debug)]
 pub struct Link {
-    config: Mutex<LinkConfig>,
+    config: LinkConfig,
     partitioned: AtomicBool,
     ab: Mutex<DirState>,
     ba: Mutex<DirState>,
@@ -128,7 +128,7 @@ impl Link {
     /// Creates a link with the given configuration.
     pub fn new(config: LinkConfig) -> Arc<Self> {
         Arc::new(Link {
-            config: Mutex::new(config),
+            config,
             partitioned: AtomicBool::new(false),
             ab: Mutex::new(DirState::default()),
             ba: Mutex::new(DirState::default()),
@@ -156,17 +156,6 @@ impl Link {
     /// Whether the link is currently partitioned.
     pub fn is_partitioned(&self) -> bool {
         self.partitioned.load(Ordering::SeqCst)
-    }
-
-    /// Replaces the link configuration (latency/bandwidth), affecting
-    /// subsequent transfers.
-    pub fn set_config(&self, config: LinkConfig) {
-        *self.config.lock() = config;
-    }
-
-    /// The current configuration.
-    pub fn config(&self) -> LinkConfig {
-        *self.config.lock()
     }
 
     /// Total messages and bytes sent in both directions.
@@ -211,7 +200,7 @@ impl Link {
                 None => (false, false, Duration::ZERO),
             }
         };
-        let config = *self.config.lock();
+        let config = self.config;
         let total = bytes + config.per_message_overhead;
         let serialization = match config.bandwidth_bps {
             Some(bps) => {
@@ -250,15 +239,6 @@ impl LinkHalf {
     /// Returns [`Partitioned`] if the link is cut.
     pub fn send(&self, now: SimTime, bytes: usize) -> Result<SimTime, Partitioned> {
         self.link.send_dir(self.forward, now, bytes)
-    }
-
-    /// Sends `bytes` in the opposite direction (for replies).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Partitioned`] if the link is cut.
-    pub fn send_reverse(&self, now: SimTime, bytes: usize) -> Result<SimTime, Partitioned> {
-        self.link.send_dir(!self.forward, now, bytes)
     }
 
     /// Sends `bytes` under the direction's fault plan, exposing the full
@@ -383,10 +363,9 @@ mod tests {
             bandwidth_bps: Some(1_000_000),
             per_message_overhead: 0,
         }));
-        let h = link.forward();
-        h.send(SimTime::ZERO, 1250).unwrap();
+        link.forward().send(SimTime::ZERO, 1250).unwrap();
         // Reply path must not be delayed by the forward transfer.
-        let back = h.send_reverse(SimTime::ZERO, 1250).unwrap();
+        let back = link.reverse().send(SimTime::ZERO, 1250).unwrap();
         assert_eq!(back, SimTime::from_millis(10));
     }
 

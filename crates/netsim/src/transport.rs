@@ -123,7 +123,8 @@ impl SimRpcClient {
     }
 
     /// Sets the simulated RPC timeout charged when the server is down.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+    #[cfg(test)]
+    fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self
     }

@@ -48,6 +48,11 @@ pub const NFS_PROGRAM: u32 = 100003;
 /// NFS protocol version implemented by this crate.
 pub const NFS_V3: u32 = 3;
 
+/// The read/write transfer size: what the server advertises in `FSINFO`
+/// and caps `READ` at, the kernel client's page size, and the proxy's
+/// cache block size.
+pub const TRANSFER_SIZE: u32 = 32 * 1024;
+
 /// NFSv3 procedure numbers (RFC 1813 §3).
 pub mod proc3 {
     /// Do nothing (ping).

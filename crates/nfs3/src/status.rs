@@ -139,7 +139,6 @@ impl From<VfsError> for Nfsstat3 {
             VfsError::Access => Nfsstat3::Acces,
             VfsError::InvalidArgument => Nfsstat3::Inval,
             VfsError::NotSupported => Nfsstat3::Notsupp,
-            VfsError::NoSpace => Nfsstat3::Nospc,
             _ => Nfsstat3::Serverfault,
         }
     }

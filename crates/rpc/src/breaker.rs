@@ -83,7 +83,7 @@ struct Inner {
     /// When the breaker last entered Open (paces the next probe).
     reopened_at: Duration,
     /// When the current outage began (first trip of this episode);
-    /// drives the client's `degrade_after` ladder rung.
+    /// drives the client's `DEGRADE_AFTER` ladder rung.
     outage_since: Option<Duration>,
     /// Current Open → HalfOpen delay (doubles per failed probe).
     cooldown: Duration,

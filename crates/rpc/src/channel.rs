@@ -554,19 +554,4 @@ pub mod testkit {
             }
         }
     }
-
-    /// Runs the complete conformance suite against one channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the channel misbehaves.
-    pub fn check_all(channel: &dyn RpcChannel) {
-        check_echo_roundtrip(channel);
-        check_garbage_args(channel);
-        check_unknown_procedure(channel);
-        check_oversized_record(channel);
-        check_concurrent_xids_out_of_order(channel);
-        check_concurrent_read_burst(channel);
-        check_concurrent_peerread_burst(channel);
-    }
 }

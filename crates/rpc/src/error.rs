@@ -60,14 +60,6 @@ impl RpcError {
         matches!(self, RpcError::Timeout | RpcError::Unreachable)
     }
 
-    /// Whether the error is a protocol-level rejection that will recur
-    /// on retry — the complement of [`is_transient`](Self::is_transient).
-    /// Retry loops must surface these to the caller immediately instead
-    /// of burning back-off windows on a deterministic failure.
-    pub fn is_fatal(&self) -> bool {
-        !self.is_transient()
-    }
-
     /// Whether the error is evidence of a *sick transport* and should
     /// feed the per-peer circuit breaker
     /// ([`CircuitBreaker`](crate::breaker::CircuitBreaker)).
@@ -182,7 +174,6 @@ mod tests {
         ];
         for (err, transient, breaker) in table {
             assert_eq!(err.is_transient(), transient, "is_transient({err})");
-            assert_eq!(err.is_fatal(), !transient, "is_fatal({err})");
             assert_eq!(err.trips_breaker(), breaker, "trips_breaker({err})");
         }
     }
@@ -192,7 +183,7 @@ mod tests {
     #[test]
     fn procedure_unavailable_never_trips_breaker() {
         let err = RpcError::ProcedureUnavailable { program: 200_501, procedure: 77 };
-        assert!(err.is_fatal());
+        assert!(!err.is_transient());
         assert!(!err.trips_breaker());
     }
 

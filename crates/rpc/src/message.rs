@@ -36,11 +36,6 @@ impl OpaqueAuth {
         OpaqueAuth { flavor: AUTH_NONE, body: Vec::new() }
     }
 
-    /// Builds an `AUTH_SYS` credential.
-    pub fn sys(cred: &AuthSys) -> Result<Self, XdrError> {
-        Ok(OpaqueAuth { flavor: AUTH_SYS, body: gvfs_xdr::to_bytes(cred)? })
-    }
-
     /// Builds a GVFS session credential.
     pub fn gvfs(cred: &GvfsCred) -> Result<Self, XdrError> {
         Ok(OpaqueAuth { flavor: AUTH_GVFS_SESSION, body: gvfs_xdr::to_bytes(cred)? })
@@ -556,7 +551,7 @@ mod tests {
             gid: 100,
             gids: vec![100, 101],
         };
-        let auth = OpaqueAuth::sys(&cred).unwrap();
+        let auth = OpaqueAuth { flavor: AUTH_SYS, body: gvfs_xdr::to_bytes(&cred).unwrap() };
         assert_eq!(auth.as_sys().unwrap(), cred);
     }
 

@@ -38,6 +38,7 @@ use gvfs_nfs3::{
     LinkRes, LookupArgs, LookupRes, MkdirArgs, Nfsstat3, PreOpAttr, ReadArgs, ReadRes, ReaddirArgs,
     ReaddirRes, ReadlinkArgs, ReadlinkRes, RenameArgs, RenameRes, Sattr3, SetattrArgs, SetattrRes,
     StableHow, SymlinkArgs, TimeHow, WccData, WriteArgs, WriteRes, NFS_PROGRAM, NFS_V3,
+    TRANSFER_SIZE,
 };
 use gvfs_rpc::dispatch::RpcService;
 use gvfs_rpc::RpcError;
@@ -47,9 +48,6 @@ use std::sync::Arc;
 
 /// Clock used to stamp mtimes/ctimes.
 pub type Clock = Arc<dyn Fn() -> Timestamp + Send + Sync>;
-
-/// Preferred and maximum transfer size advertised by `FSINFO`.
-pub const TRANSFER_SIZE: u32 = 32 * 1024;
 
 /// An NFSv3 server over an in-memory filesystem.
 ///
@@ -485,8 +483,8 @@ impl MountServer {
         }
     }
 
-    /// Machines currently holding a mount (diagnostics).
-    pub fn active_mounts(&self) -> usize {
+    #[cfg(test)]
+    fn active_mounts(&self) -> usize {
         self.mounts.lock().len()
     }
 

@@ -28,8 +28,6 @@ pub enum VfsError {
     InvalidArgument,
     /// Operation not supported on this object (`NFS3ERR_NOTSUPP`).
     NotSupported,
-    /// No space (`NFS3ERR_NOSPC`), from the configurable quota.
-    NoSpace,
 }
 
 impl fmt::Display for VfsError {
@@ -44,7 +42,6 @@ impl fmt::Display for VfsError {
             VfsError::Access => "permission denied",
             VfsError::InvalidArgument => "invalid argument",
             VfsError::NotSupported => "operation not supported",
-            VfsError::NoSpace => "no space left on device",
         };
         f.write_str(msg)
     }

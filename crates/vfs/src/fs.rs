@@ -157,7 +157,6 @@ struct Inner {
     parents: HashMap<u64, u64>, // directory id -> parent directory id
     next_id: u64,
     used_bytes: u64,
-    quota_bytes: Option<u64>,
 }
 
 /// The in-memory filesystem. Thread-safe; cheap operations under one lock.
@@ -196,23 +195,7 @@ impl Vfs {
         );
         let mut parents = HashMap::new();
         parents.insert(ROOT_ID, ROOT_ID);
-        Vfs {
-            inner: Mutex::new(Inner {
-                inodes,
-                parents,
-                next_id: ROOT_ID + 1,
-                used_bytes: 0,
-                quota_bytes: None,
-            }),
-        }
-    }
-
-    /// Creates a filesystem with a byte quota on file content; writes
-    /// that would exceed it fail with [`VfsError::NoSpace`].
-    pub fn with_quota(quota_bytes: u64) -> Self {
-        let vfs = Vfs::new();
-        vfs.inner.lock().quota_bytes = Some(quota_bytes);
-        vfs
+        Vfs { inner: Mutex::new(Inner { inodes, parents, next_id: ROOT_ID + 1, used_bytes: 0 }) }
     }
 
     /// The root directory id.
@@ -500,18 +483,6 @@ impl Vfs {
         now: Timestamp,
     ) -> Result<Attr, VfsError> {
         let mut inner = self.inner.lock();
-        // Quota check: how much would this write grow the file?
-        if let Some(quota) = inner.quota_bytes {
-            let current = match inner.inodes.get(&id.0).ok_or(VfsError::Stale)?.content {
-                Content::File(ref c) => c.len() as u64,
-                _ => 0,
-            };
-            let new_len = (offset + data.len() as u64).max(current);
-            let growth = new_len - current;
-            if inner.used_bytes + growth > quota {
-                return Err(VfsError::NoSpace);
-            }
-        }
         let inode = inner.inodes.get_mut(&id.0).ok_or(VfsError::Stale)?;
         let grown;
         match &mut inode.content {
@@ -1083,20 +1054,6 @@ mod tests {
         assert_eq!(stat.objects, 2); // root + file
         fs.remove(fs.root(), "f", T1).unwrap();
         assert_eq!(fs.fsstat().used_bytes, 0);
-    }
-
-    #[test]
-    fn quota_rejects_oversized_writes() {
-        let fs = Vfs::with_quota(1000);
-        let f = fs.create(fs.root(), "f", 0o644, T0).unwrap();
-        fs.write(f, 0, &[1u8; 900], T0).unwrap();
-        assert_eq!(fs.write(f, 900, &[1u8; 200], T0).unwrap_err(), VfsError::NoSpace);
-        // Overwriting in place needs no new space.
-        fs.write(f, 0, &[2u8; 900], T0).unwrap();
-        // Freeing space makes room again.
-        fs.remove(fs.root(), "f", T1).unwrap();
-        let g = fs.create(fs.root(), "g", 0o644, T1).unwrap();
-        fs.write(g, 0, &[3u8; 1000], T1).unwrap();
     }
 
     #[test]
