@@ -1,7 +1,9 @@
 //! Chaos soak: runs the seeded fault-injection scenarios over a seed
 //! matrix, replaying every seed twice to prove determinism, shrinking
 //! any violation to a minimal reproducer, and writing
-//! `results/chaos_violations.json` for CI artifact upload.
+//! `results/chaos_violations.json` for CI artifact upload. The JSON
+//! also keys every run's trace hash by `<scenario>-seed<N>`, so a
+//! committed copy pins the traces byte for byte.
 //!
 //! Run: `cargo run --release -p gvfs-bench --bin chaos_soak --
 //!       [--seeds N] [--start S] [--model all|passthrough|polling|delegation]
@@ -105,6 +107,14 @@ struct Tally {
     runs: u64,
     determinism_breaks: u64,
     violations: Vec<Value>,
+    /// `(<scenario>-seed<N>, trace hash)` in run order.
+    traces: Vec<(String, Value)>,
+}
+
+impl Tally {
+    fn record_trace(&mut self, scenario: &str, seed: u64, hash: u64) {
+        self.traces.push((format!("{scenario}-seed{seed}"), format!("{hash:#x}").into()));
+    }
 }
 
 /// A scripted scenario's report, reduced to what the soak compares
@@ -147,6 +157,7 @@ fn soak_scripted(args: &Args, tally: &mut Tally, name: &str, run: fn(u64) -> Scr
         let a = run(seed);
         let b = run(seed);
         tally.runs += 2;
+        tally.record_trace(name, seed, a.trace_hash);
         if let Some(dir) = &args.trace_dir {
             write_trace(dir, name, seed, &a.protocol_trace);
         }
@@ -193,6 +204,7 @@ fn main() {
             let a = run_scenario(&cfg);
             let b = run_scenario(&cfg);
             tally.runs += 2;
+            tally.record_trace(model.name(), seed, a.trace_hash);
             if let Some(dir) = &args.trace_dir {
                 write_trace(dir, model.name(), seed, &a.protocol_trace);
             }
@@ -429,6 +441,7 @@ fn main() {
                 None
             },
             "violations": tally.violations.clone(),
+            "traces": Value::Object(tally.traces),
         }),
     );
 
