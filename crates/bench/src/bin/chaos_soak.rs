@@ -111,12 +111,6 @@ struct Tally {
     traces: Vec<(String, Value)>,
 }
 
-impl Tally {
-    fn record_trace(&mut self, scenario: &str, seed: u64, hash: u64) {
-        self.traces.push((format!("{scenario}-seed{seed}"), format!("{hash:#x}").into()));
-    }
-}
-
 /// A scripted scenario's report, reduced to what the soak compares
 /// across the two runs of a seed, prints and files.
 struct Scripted {
@@ -157,7 +151,7 @@ fn soak_scripted(args: &Args, tally: &mut Tally, name: &str, run: fn(u64) -> Scr
         let a = run(seed);
         let b = run(seed);
         tally.runs += 2;
-        tally.record_trace(name, seed, a.trace_hash);
+        tally.traces.push((format!("{name}-seed{seed}"), format!("{:#x}", a.trace_hash).into()));
         if let Some(dir) = &args.trace_dir {
             write_trace(dir, name, seed, &a.protocol_trace);
         }
@@ -204,7 +198,8 @@ fn main() {
             let a = run_scenario(&cfg);
             let b = run_scenario(&cfg);
             tally.runs += 2;
-            tally.record_trace(model.name(), seed, a.trace_hash);
+            let key = format!("{}-seed{seed}", model.name());
+            tally.traces.push((key, format!("{:#x}", a.trace_hash).into()));
             if let Some(dir) = &args.trace_dir {
                 write_trace(dir, model.name(), seed, &a.protocol_trace);
             }

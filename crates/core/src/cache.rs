@@ -186,16 +186,7 @@ impl FileCache {
     /// bytes — the "list of blocks' offsets" a recalled write delegation
     /// reports (§4.3.2).
     pub fn dirty_blocks(&self, block_size: u64) -> Vec<u64> {
-        let mut blocks = std::collections::BTreeSet::new();
-        for (offset, len) in self.dirty_ranges() {
-            let mut b = offset / block_size * block_size;
-            let end = offset + len as u64;
-            while b < end {
-                blocks.insert(b);
-                b += block_size;
-            }
-        }
-        blocks.into_iter().collect()
+        crate::store::blocks_touched(self.dirty_ranges(), block_size)
     }
 
     /// The dirty byte segments inside one aligned block, as

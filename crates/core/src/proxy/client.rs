@@ -1007,12 +1007,13 @@ impl ProxyClient {
             gvfs_xdr::from_bytes::<ReadRes>(&reply)
         {
             if self.config.model.caches() {
+                let len = data.len();
                 {
                     let mut disk = self.disk.lock();
                     if let Some(attr) = file_attributes {
                         disk.put_attr(a.file, attr);
                     }
-                    disk.store.insert_clean(a.file, a.offset, data.clone());
+                    disk.store.insert_clean(a.file, a.offset, data);
                 }
                 if self.can_serve(a.file) {
                     self.maybe_prefetch(a.file, a.offset, a.count);
@@ -1021,7 +1022,7 @@ impl ProxyClient {
                 // re-serve from the merged cache when possible.
                 let mut disk = self.disk.lock();
                 if disk.store.has_dirty(a.file) {
-                    if let Some(merged) = disk.store.read(a.file, a.offset, data.len()) {
+                    if let Some(merged) = disk.store.read(a.file, a.offset, len) {
                         let attr = disk.attr(a.file);
                         let res = ReadRes::Ok {
                             file_attributes: attr,
@@ -1720,10 +1721,11 @@ impl ProxyClient {
                     let mut st = self.state.lock();
                     st.wb_base.entry(a.file).or_insert(attr.mtime);
                 }
-                disk.store.write_dirty(a.file, a.offset, a.data.clone());
+                let len = a.data.len();
+                disk.store.write_dirty(a.file, a.offset, a.data);
                 let before =
                     gvfs_nfs3::WccAttr { size: attr.size, mtime: attr.mtime, ctime: attr.ctime };
-                attr.size = attr.size.max(a.offset + a.data.len() as u64);
+                attr.size = attr.size.max(a.offset + len as u64);
                 attr.used = attr.size;
                 let now = gvfs_netsim::now();
                 attr.mtime = NfsTime3 {
@@ -1736,7 +1738,7 @@ impl ProxyClient {
                 self.served();
                 return encode(&WriteRes::Ok {
                     file_wcc: WccData { before: Some(before), after: Some(attr) },
-                    count: a.data.len() as u32,
+                    count: len as u32,
                     committed: StableHow::FileSync,
                     verf: 1,
                 });
@@ -1749,7 +1751,7 @@ impl ProxyClient {
                 if let Some(attr) = file_wcc.after {
                     disk.put_attr_own_write(a.file, attr);
                 }
-                disk.store.insert_clean(a.file, a.offset, a.data.clone());
+                disk.store.insert_clean(a.file, a.offset, a.data);
             }
         }
         Ok(reply)

@@ -144,10 +144,6 @@ impl BlockStore for MemStore {
         self.files.get(&fh).map(FileCache::dirty_ranges).unwrap_or_default()
     }
 
-    fn dirty_blocks(&self, fh: Fh3, block_size: u64) -> Vec<u64> {
-        self.files.get(&fh).map(|fc| fc.dirty_blocks(block_size)).unwrap_or_default()
-    }
-
     fn dirty_in_block(&self, fh: Fh3, block_offset: u64, block_size: u64) -> Vec<(u64, Vec<u8>)> {
         self.files
             .get(&fh)

@@ -115,7 +115,9 @@ pub trait BlockStore: std::fmt::Debug + Send {
     /// Aligned offsets of every `block_size` block holding dirty bytes
     /// — the "list of blocks' offsets" a recalled write delegation
     /// reports (§4.3.2).
-    fn dirty_blocks(&self, fh: Fh3, block_size: u64) -> Vec<u64>;
+    fn dirty_blocks(&self, fh: Fh3, block_size: u64) -> Vec<u64> {
+        blocks_touched(self.dirty_ranges(fh), block_size)
+    }
 
     /// The dirty byte segments inside one aligned block, as
     /// `(absolute_offset, bytes)` pairs.
@@ -199,4 +201,18 @@ fn assert_evict_stops_on_dirty_only<S: BlockStore + 'static>(open: fn(usize) -> 
         rx.recv_timeout(Duration::from_secs(10)).expect("evict spun on dirty-only data");
     assert_eq!(dirty, vec![Fh3::from_fileid(1), Fh3::from_fileid(2)]);
     assert_eq!(used, 160, "dirty data is never evicted");
+}
+
+/// The aligned offsets, sorted and distinct, of every `block_size`
+/// block that one of the `(offset, len)` ranges touches.
+pub(crate) fn blocks_touched(
+    ranges: impl IntoIterator<Item = (u64, usize)>,
+    block_size: u64,
+) -> Vec<u64> {
+    let step = usize::try_from(block_size).expect("block size fits usize");
+    let mut blocks = std::collections::BTreeSet::new();
+    for (offset, len) in ranges {
+        blocks.extend((offset / block_size * block_size..offset + len as u64).step_by(step));
+    }
+    blocks.into_iter().collect()
 }

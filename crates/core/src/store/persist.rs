@@ -77,7 +77,7 @@
 //! Lock order: `index` before `wal`, both ranked in the analysis
 //! crate's `LOCK_ORDER` table; neither may be held across a WAN send.
 
-use super::{BlockStore, IntegrityEvent, StoreStats};
+use super::{blocks_touched, BlockStore, IntegrityEvent, StoreStats};
 use gvfs_netsim::disk::VirtualDisk;
 use gvfs_nfs3::{Fh3, NfsTime3};
 use gvfs_xdr::{Decoder, Encoder, Xdr, XdrError};
@@ -742,13 +742,17 @@ impl PersistentStore {
         if idx.replaying {
             return;
         }
-        let payload = gvfs_xdr::to_bytes(rec).expect("WAL records always encode");
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(
-            &u32::try_from(payload.len()).expect("record fits u32").to_be_bytes(),
-        );
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&content_hash(&payload).to_be_bytes());
+        // One buffer holds the whole frame; sized for a WriteDirty's
+        // inline block plus header and trailer, it never regrows.
+        let inline = if let WalRecord::WriteDirty { bytes, .. } = rec { bytes.len() } else { 0 };
+        let mut enc = Encoder::with_capacity(inline + 64);
+        enc.put_u32(0); // the payload length, patched in below
+        rec.encode(&mut enc).expect("WAL records always encode");
+        let mut frame = enc.into_bytes();
+        let len = u32::try_from(frame.len() - 4).expect("record fits u32");
+        frame[..4].copy_from_slice(&len.to_be_bytes());
+        let sum = content_hash(&frame[4..]);
+        frame.extend_from_slice(&sum.to_be_bytes());
         let mut wal = self.wal.lock();
         self.disk.append(WAL_PATH, &frame);
         wal.since_sync += 1;
@@ -908,37 +912,35 @@ impl PersistentStore {
     /// durable content the WAL is about to redo.
     fn write_data(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: &[u8]) {
         let bs = self.cfg.block_size;
+        let block_len = usize::try_from(bs).expect("bs fits");
         let path = data_path(fh);
         let end = offset + bytes.len() as u64;
         let replaying = idx.replaying;
-        let mut b = offset / bs * bs;
-        while b < end {
-            let full = b >= offset && b + bs <= end;
-            let mut span = if full {
-                Vec::new()
-            } else {
-                self.disk
-                    .read_quiet(&path, b, usize::try_from(bs).expect("bs fits"))
-                    .unwrap_or_default()
-            };
-            span.resize(usize::try_from(bs).expect("bs fits"), 0);
-            if !full && !replaying {
-                if let Some(&sum) = idx.files.get(&fh).and_then(|e| e.data_sums.get(&b)) {
-                    if content_hash(&span) != sum {
-                        self.quarantine(idx, fh, b, b + bs);
-                    }
-                }
-            }
+        for b in (offset / bs * bs..end).step_by(block_len) {
             let lo = b.max(offset);
             let hi = (b + bs).min(end);
-            span[usize::try_from(lo - b).expect("in block")
-                ..usize::try_from(hi - b).expect("in block")]
-                .copy_from_slice(
-                    &bytes[usize::try_from(lo - offset).expect("in write")
-                        ..usize::try_from(hi - offset).expect("in write")],
-                );
-            idx.files.entry(fh).or_default().data_sums.insert(b, content_hash(&span));
-            b += bs;
+            let new = &bytes[usize::try_from(lo - offset).expect("in write")
+                ..usize::try_from(hi - offset).expect("in write")];
+            let sum = if lo == b && hi == b + bs {
+                // A fully covered block hashes straight from the write.
+                content_hash(new)
+            } else {
+                let mut span =
+                    self.disk.read_quiet(&path, b, block_len, <[u8]>::to_vec).unwrap_or_default();
+                span.resize(block_len, 0);
+                if !replaying {
+                    if let Some(&sum) = idx.files.get(&fh).and_then(|e| e.data_sums.get(&b)) {
+                        if content_hash(&span) != sum {
+                            self.quarantine(idx, fh, b, b + bs);
+                        }
+                    }
+                }
+                span[usize::try_from(lo - b).expect("in block")
+                    ..usize::try_from(hi - b).expect("in block")]
+                    .copy_from_slice(new);
+                content_hash(&span)
+            };
+            idx.files.entry(fh).or_default().data_sums.insert(b, sum);
         }
         self.disk.write(&path, offset, bytes);
     }
@@ -950,31 +952,32 @@ impl PersistentStore {
     /// persist in the content.
     fn verify_ext(&self, idx: &Idx, fh: Fh3, start: u64, ext: &Ext) -> bool {
         match ext.src {
-            Src::Chunk { id, .. } => {
-                match self.disk.read_quiet(&chunk_path(id), 0, id.1 as usize) {
-                    Some(b) => b.len() == id.1 as usize && content_hash(&b) == id.0,
-                    None => false,
-                }
-            }
+            Src::Chunk { id, .. } => self
+                .disk
+                .read_quiet(&chunk_path(id), 0, id.1 as usize, |b| {
+                    b.len() == id.1 as usize && content_hash(b) == id.0
+                })
+                .unwrap_or(false),
             Src::Data { .. } => {
                 let Some(entry) = idx.files.get(&fh) else { return false };
                 let bs = self.cfg.block_size;
-                let end = start + ext.len as u64;
-                let mut b = start / bs * bs;
-                while b < end {
+                let block_len = usize::try_from(bs).expect("bs fits");
+                let path = data_path(fh);
+                for b in (start / bs * bs..start + ext.len as u64).step_by(block_len) {
                     let Some(&sum) = entry.data_sums.get(&b) else { return false };
-                    let Some(mut span) = self.disk.read_quiet(
-                        &data_path(fh),
-                        b,
-                        usize::try_from(bs).expect("bs fits"),
-                    ) else {
-                        return false;
-                    };
-                    span.resize(usize::try_from(bs).expect("bs fits"), 0);
-                    if content_hash(&span) != sum {
+                    let hash = self.disk.read_quiet(&path, b, block_len, |span| {
+                        if span.len() == block_len {
+                            content_hash(span)
+                        } else {
+                            // Only a short last block is copied, to zero-pad it.
+                            let mut padded = span.to_vec();
+                            padded.resize(block_len, 0);
+                            content_hash(&padded)
+                        }
+                    });
+                    if hash != Some(sum) {
                         return false;
                     }
-                    b += bs;
                 }
                 true
             }
@@ -1078,23 +1081,11 @@ impl PersistentStore {
 }
 
 fn count_clean_blocks(idx: &Idx, block_size: u64) -> u64 {
-    let mut total = 0u64;
-    for entry in idx.files.values() {
-        let mut blocks: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for (off, ext) in &entry.extents {
-            if ext.dirty() {
-                continue;
-            }
-            let mut b = off / block_size * block_size;
-            let end = off + ext.len as u64;
-            while b < end {
-                blocks.insert(b);
-                b += block_size;
-            }
-        }
-        total += blocks.len() as u64;
-    }
-    total
+    let clean = |entry: &Entry| {
+        let ranges = entry.extents.iter().filter(|(_, e)| !e.dirty()).map(|(o, e)| (*o, e.len));
+        blocks_touched(ranges, block_size).len() as u64
+    };
+    idx.files.values().map(clean).sum()
 }
 
 fn encode_snapshot(idx: &Idx) -> Vec<u8> {
@@ -1232,7 +1223,7 @@ impl BlockStore for PersistentStore {
             return Some(Vec::new());
         }
         let end = offset + len as u64;
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::new();
         let mut pos = offset;
         while pos < end {
             let (start, ext) = {
@@ -1258,7 +1249,15 @@ impl BlockStore for PersistentStore {
                     return None; // now a miss; the read path refetches
                 }
             }
-            out.extend_from_slice(&piece?);
+            let piece = piece?;
+            if out.is_empty() {
+                // The first piece becomes the buffer: a request one
+                // extent covers is returned without another copy.
+                out = piece;
+                out.reserve_exact(len - out.len());
+            } else {
+                out.extend_from_slice(&piece);
+            }
             pos = start + to as u64;
         }
         idx.touch(fh);
@@ -1377,19 +1376,6 @@ impl BlockStore for PersistentStore {
         idx.files.get(&fh).map_or_else(Vec::new, |e| {
             e.extents.iter().filter(|(_, x)| x.dirty()).map(|(o, x)| (*o, x.len)).collect()
         })
-    }
-
-    fn dirty_blocks(&self, fh: Fh3, block_size: u64) -> Vec<u64> {
-        let mut blocks = std::collections::BTreeSet::new();
-        for (offset, len) in self.dirty_ranges(fh) {
-            let mut b = offset / block_size * block_size;
-            let end = offset + len as u64;
-            while b < end {
-                blocks.insert(b);
-                b += block_size;
-            }
-        }
-        blocks.into_iter().collect()
     }
 
     fn dirty_in_block(&self, fh: Fh3, block_offset: u64, block_size: u64) -> Vec<(u64, Vec<u8>)> {

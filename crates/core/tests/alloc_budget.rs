@@ -1,0 +1,84 @@
+//! Allocation budget of the persistent store's block path: a counting
+//! global allocator pins the bytes one steady-state 32 KiB `write_dirty`
+//! and one 32 KiB `read` allocate on an instant-disk store. Each budget
+//! is the measured count rounded up to the next 32 KiB, so one more copy
+//! of the block anywhere on the path fails the test.
+
+use gvfs_core::store::persist::{PersistConfig, PersistentStore};
+use gvfs_core::store::BlockStore;
+use gvfs_netsim::disk::{DiskConfig, VirtualDisk};
+use gvfs_nfs3::Fh3;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+const BLOCK: usize = 32 * 1024;
+/// Measured 33,003 B: the WAL frame.
+const WRITE_BUDGET: u64 = 2 * BLOCK as u64;
+/// Measured 32,840 B: the bytes read off the disk, which the caller gets.
+const READ_BUDGET: u64 = 2 * BLOCK as u64;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Only allocations of the measuring thread count.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct Counting;
+
+// SAFETY: `alloc` and `dealloc` forward to `System` unchanged, so its
+// guarantees carry over; the counting touches only an atomic and a
+// const-initialized thread-local, neither of which allocates. The
+// default `alloc_zeroed` and `realloc` allocate through `alloc`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.with(Cell::get) {
+            ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded unchanged from the caller.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged from the caller.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Bytes allocated on this thread while `f` runs.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (ALLOCATED.load(Ordering::Relaxed) - before, out)
+}
+
+#[test]
+fn a_block_write_and_read_allocate_within_budget() {
+    let disk = VirtualDisk::new(DiskConfig::instant());
+    let mut store = PersistentStore::open(disk, PersistConfig::default());
+    let fh = Fh3::from_fileid(1);
+    let block = |round: usize| vec![round as u8; BLOCK];
+    // Warm up the data file, the WAL and their durable copies. Then take
+    // the least over several writes: the WAL's amortized growth and its
+    // periodic syncs land on some writes and not others.
+    for round in 0..8 {
+        store.write_dirty(fh, 0, block(round));
+    }
+    let write = (8..24)
+        .map(|round| {
+            let data = block(round);
+            allocated_by(|| store.write_dirty(fh, 0, data)).0
+        })
+        .min()
+        .expect("measured writes");
+    let (read, data) = allocated_by(|| store.read(fh, 0, BLOCK));
+    assert_eq!(data, Some(block(23)), "the read returns the last write");
+    assert!(write <= WRITE_BUDGET, "write_dirty allocated {write} B, budget {WRITE_BUDGET} B");
+    assert!(read <= READ_BUDGET, "read allocated {read} B, budget {READ_BUDGET} B");
+}

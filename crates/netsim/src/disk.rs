@@ -467,16 +467,25 @@ impl VirtualDisk {
         Ok(Some(out))
     }
 
-    /// Verification read: charges no cost, counts no stats and rolls no
+    /// Verification read: lends up to `len` bytes at `offset` (short at
+    /// end of file) to `f` and returns its result, or `None` if the file
+    /// does not exist. Charges no cost, counts no stats and rolls no
     /// dice — checksum verification models as piggybacked on the data
     /// transfer it guards. Durable bit rot is still visible: flips
-    /// persist in the content.
-    pub fn read_quiet(&self, path: &str, offset: u64, len: usize) -> Option<Vec<u8>> {
+    /// persist in the content. `f` runs under the disk's lock, so it
+    /// must not call back into the disk.
+    pub fn read_quiet<R>(
+        &self,
+        path: &str,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
         let inner = self.inner.lock();
         let file = inner.files.get(path).filter(|f| !f.deleted)?;
         let off = usize::try_from(offset).expect("offset fits usize");
         let end = off.saturating_add(len).min(file.data.len());
-        Some(if off >= file.data.len() { Vec::new() } else { file.data[off..end].to_vec() })
+        Some(f(file.data.get(off..end).unwrap_or_default()))
     }
 
     /// Deterministically corrupts one byte (XOR mask) in both current
@@ -757,7 +766,7 @@ mod tests {
         assert_eq!(d.stats().read_errors_injected, 2);
         assert_eq!(d.read("data/f", 50, 4), None, "legacy read maps errors to None");
         // Quiet reads never roll the dice.
-        assert_eq!(d.read_quiet("data/f", 50, 4), Some(vec![1u8; 4]));
+        assert_eq!(d.read_quiet("data/f", 50, 4, <[u8]>::to_vec), Some(vec![1u8; 4]));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! # Model
 //!
-//! * A [`Sim`] hosts a set of **actors** — real OS threads whose progress
-//!   through virtual time is serialized by a conservative discrete-event
-//!   scheduler: only the actor with the globally minimum local clock runs
+//! * A [`Sim`] hosts a set of **actors** — logical threads, run on a pool
+//!   of reused OS threads, whose progress through virtual time is
+//!   serialized by a conservative discrete-event scheduler: only the actor with the globally minimum local clock runs
 //!   at any instant (ties broken by spawn order), so every run of a given
 //!   program produces the identical event order.
 //! * Actors advance their clock explicitly: [`sleep`], [`advance_to`], or

@@ -1,18 +1,26 @@
 //! The conservative virtual-time scheduler.
 //!
-//! Actors are OS threads; at most one executes at a time, and the one
-//! allowed to run is always the one with the minimum local virtual clock
-//! (ties broken by actor id, i.e. spawn order). This makes every
-//! simulation fully deterministic while letting protocol code be written
-//! in ordinary blocking style.
+//! Actors are logical threads of control; at most one executes at a
+//! time, and the one allowed to run is always the one with the minimum
+//! local virtual clock (ties broken by actor id, i.e. spawn order). This
+//! makes every simulation fully deterministic while letting protocol
+//! code be written in ordinary blocking style.
 //!
-//! Each actor thread waits on a condition variable of its own, and
+//! Actors run on pooled OS worker threads. A spawn hands the actor to an
+//! idle worker and starts a new thread only when none is idle; a worker
+//! rejoins the idle list when its actor finishes. A simulation that
+//! spawns one short actor per pipelined RPC therefore starts a handful
+//! of threads, not one per call. Dropping the [`Sim`], which
+//! [`Sim::run`] does as it returns, ends the workers and joins them.
+//!
+//! Each worker waits on a condition variable of its own, and
 //! [`Sim::run`] on another, all on the one state mutex. A handoff signals
-//! exactly the thread that runs next (nobody, when the yielding actor is
-//! itself next), `Sim::run` only once no actor is live, and every thread
-//! only when the simulation fails. With one shared condition variable
-//! every waiting thread would wake on every handoff just to find it was
-//! not its turn.
+//! exactly the worker whose actor runs next (nobody, when the yielding
+//! actor is itself next), `Sim::run` only once no actor is live, and
+//! every worker only when the simulation fails or ends. With one shared
+//! condition variable every waiting thread would wake on every handoff
+//! just to find it was not its turn. A spawn signals nobody: the worker
+//! takes up its new actor when the actor is first scheduled.
 
 use crate::time::SimTime;
 
@@ -45,9 +53,20 @@ struct ActorRec {
     block: Option<Block>,
     /// A banked unpark delivered while the actor was running or sleeping.
     permit: bool,
-    /// Signalled when this actor is scheduled or the simulation fails;
-    /// only the actor's own thread waits on it.
+    /// Index of the worker in [`State::workers`] that runs this actor.
+    worker: usize,
+}
+
+/// An actor's body, as handed to a worker.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// One pooled OS thread.
+struct Worker {
+    /// Signalled when the worker's actor is scheduled, and when the
+    /// simulation fails or ends; only the worker's own thread waits on it.
     wake: Arc<Condvar>,
+    /// The actor handed to this worker and not yet taken up.
+    job: Option<(ActorId, Job)>,
 }
 
 #[derive(Default)]
@@ -67,6 +86,14 @@ struct State {
     /// the scheduling hot path once simulations carry thousands of
     /// actors.
     ready: BinaryHeap<Reverse<(SimTime, ActorId)>>,
+    /// Every worker started, indexed by worker id.
+    workers: Vec<Worker>,
+    /// The workers' threads, joined when the [`Sim`] is dropped.
+    threads: Vec<std::thread::JoinHandle<()>>,
+    /// Ids of the workers without an actor.
+    idle: Vec<usize>,
+    /// Set once the [`Sim`] is dropped: idle workers exit.
+    closed: bool,
     /// Waits that returned with nothing for the waiter to do: its actor
     /// not scheduled, or `Sim::run` with actors live, and no failure.
     #[cfg(test)]
@@ -108,22 +135,26 @@ impl Scheduler {
     }
 
     /// Wakes the threads that have something to do after a handoff:
-    /// every actor and [`Sim::run`] once the simulation has failed, so
-    /// that all of them exit; otherwise the scheduled actor, unless it is
-    /// `yielding` (the caller, which keeps the token without waiting),
-    /// or `Sim::run` once no actor is live.
+    /// every worker and [`Sim::run`] once the simulation has failed, so
+    /// that all of them exit; otherwise the scheduled actor's worker,
+    /// unless the actor is `yielding` (the caller, which keeps the token
+    /// without waiting), or `Sim::run` once no actor is live.
     fn wake_next(&self, st: &State, yielding: Option<ActorId>) {
         if st.failed.is_some() {
-            for rec in st.actors.values() {
-                rec.wake.notify_one();
-            }
+            Self::wake_workers(st);
             self.done.notify_one();
         } else if let Some(id) = st.running {
             if Some(id) != yielding {
-                st.actors[&id].wake.notify_one();
+                st.workers[st.actors[&id].worker].wake.notify_one();
             }
         } else if st.live == 0 {
             self.done.notify_one();
+        }
+    }
+
+    fn wake_workers(st: &State) {
+        for worker in &st.workers {
+            worker.wake.notify_one();
         }
     }
 
@@ -180,82 +211,104 @@ impl Scheduler {
         rec.block.take().map(|b| b.unparked).unwrap_or(false)
     }
 
-    fn spawn_inner(
-        self: &Arc<Self>,
-        name: &str,
-        f: Box<dyn FnOnce() + Send + 'static>,
-    ) -> ActorHandle {
-        let id;
-        let wake = Arc::new(Condvar::new());
-        {
-            let mut st = self.state.lock();
-            if st.failed.is_some() {
-                panic!("cannot spawn into a failed simulation");
-            }
-            id = st.next_id;
-            st.next_id += 1;
-            let birth = st.time;
-            st.actors.insert(
-                id,
-                ActorRec {
-                    name: name.to_string(),
-                    block: Some(Block {
-                        kind: BlockKind::Sleeping,
-                        wake_at: Some(birth),
-                        unparked: false,
-                    }),
-                    permit: false,
-                    wake: Arc::clone(&wake),
-                },
-            );
-            st.ready.push(Reverse((birth, id)));
-            st.live += 1;
+    fn spawn_inner(self: &Arc<Self>, name: &str, f: Job) -> ActorHandle {
+        let mut st = self.state.lock();
+        if st.failed.is_some() {
+            panic!("cannot spawn into a failed simulation");
         }
-        let sched = Arc::clone(self);
-        let tname = name.to_string();
-        std::thread::Builder::new()
-            .name(tname.clone())
-            .spawn(move || {
-                CURRENT.with(|c| {
-                    *c.borrow_mut() =
-                        Some(Ctx { sched: Arc::clone(&sched), id, wake: Arc::clone(&wake) })
-                });
-                // Wait to be scheduled for the first time.
-                {
-                    let mut st = sched.state.lock();
-                    if let Some(msg) =
-                        Scheduler::wait_until(&mut st, &wake, |st| st.running == Some(id))
-                    {
-                        drop(st);
-                        // Simulation already failed; just deregister.
-                        sched.finish_actor(id, Some(msg));
-                        return;
-                    }
-                    st.actors.get_mut(&id).expect("actor record").block = None;
-                }
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                let failure = result.err().map(|e| {
-                    let detail = e
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    format!("actor '{tname}' panicked: {detail}")
-                });
-                sched.finish_actor(id, failure);
-            })
-            .expect("failed to spawn actor thread");
+        let id = st.next_id;
+        st.next_id += 1;
+        let birth = st.time;
+        let worker = st.idle.pop().unwrap_or_else(|| {
+            let worker = st.workers.len();
+            let wake = Arc::new(Condvar::new());
+            st.workers.push(Worker { wake: Arc::clone(&wake), job: None });
+            let sched = Arc::clone(self);
+            let thread = std::thread::Builder::new()
+                .name(format!("sim-worker-{worker}"))
+                .spawn(move || sched.work(worker, &wake))
+                .expect("failed to spawn a simulation worker thread");
+            st.threads.push(thread);
+            worker
+        });
+        st.workers[worker].job = Some((id, f));
+        st.actors.insert(
+            id,
+            ActorRec {
+                name: name.to_string(),
+                block: Some(Block {
+                    kind: BlockKind::Sleeping,
+                    wake_at: Some(birth),
+                    unparked: false,
+                }),
+                permit: false,
+                worker,
+            },
+        );
+        st.ready.push(Reverse((birth, id)));
+        st.live += 1;
         ActorHandle { sched: Arc::clone(self), id }
     }
 
-    fn finish_actor(&self, id: ActorId, failure: Option<String>) {
-        let mut st = self.state.lock();
-        if st.actors.remove(&id).is_some() {
-            st.live -= 1;
+    /// A worker thread's loop: runs each actor handed to it, waiting idle
+    /// in between, and exits once the simulation has failed or ended.
+    fn work(self: Arc<Self>, worker: usize, wake: &Arc<Condvar>) {
+        loop {
+            let (id, f) = {
+                let mut st = self.state.lock();
+                loop {
+                    if let Some(job) = st.workers[worker].job.take() {
+                        break job;
+                    }
+                    if st.closed || st.failed.is_some() {
+                        return;
+                    }
+                    wake.wait(&mut st);
+                }
+            };
+            self.run_actor(id, wake, f);
         }
-        if let Some(msg) = failure {
+    }
+
+    /// Runs one actor on the calling worker: binds the actor context,
+    /// waits for the first schedule, runs `f` and deregisters the actor.
+    fn run_actor(self: &Arc<Self>, id: ActorId, wake: &Arc<Condvar>, f: Job) {
+        CURRENT.with(|c| {
+            *c.borrow_mut() = Some(Ctx { sched: Arc::clone(self), id, wake: Arc::clone(wake) })
+        });
+        let scheduled = {
+            let mut st = self.state.lock();
+            let failed = Self::wait_until(&mut st, wake, |st| st.running == Some(id)).is_some();
+            if !failed {
+                st.actors.get_mut(&id).expect("actor record").block = None;
+            }
+            !failed
+        };
+        // A simulation that failed first just deregisters the actor.
+        let panic = if scheduled {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err().map(|e| {
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_else(|| "non-string panic payload".to_string())
+            })
+        } else {
+            None
+        };
+        CURRENT.with(|c| *c.borrow_mut() = None);
+        self.finish_actor(id, panic);
+    }
+
+    /// Deregisters a finished actor and returns its worker to the idle
+    /// list. `panic` is the detail of the actor's panic, if it panicked.
+    fn finish_actor(&self, id: ActorId, panic: Option<String>) {
+        let mut st = self.state.lock();
+        let rec = st.actors.remove(&id).expect("a live actor has a record");
+        st.live -= 1;
+        st.idle.push(rec.worker);
+        if let Some(detail) = panic {
             if st.failed.is_none() {
-                st.failed = Some(msg);
+                st.failed = Some(format!("actor '{}' panicked: {detail}", rec.name));
             }
         }
         if st.running == Some(id) {
@@ -455,14 +508,23 @@ impl std::fmt::Debug for Sim {
 }
 
 impl Drop for Sim {
-    /// Dropping a simulation that was never [run](Sim::run) releases any
-    /// spawned actor threads (they observe the failure and exit) instead
-    /// of leaving them blocked forever.
+    /// Ends the worker threads once the simulation is over and joins
+    /// them, so no thread outlives the `Sim`. Dropping a simulation that
+    /// was never [run](Sim::run) fails it: its spawned actors are
+    /// deregistered unrun instead of blocking forever.
     fn drop(&mut self) {
-        let mut st = self.sched.state.lock();
-        if !st.started && st.live > 0 && st.failed.is_none() {
-            st.failed = Some("simulation dropped without running".to_string());
-            self.sched.wake_next(&st, None);
+        let threads = {
+            let mut st = self.sched.state.lock();
+            if !st.started && st.live > 0 && st.failed.is_none() {
+                st.failed = Some("simulation dropped without running".to_string());
+            }
+            st.closed = true;
+            Scheduler::wake_workers(&st);
+            std::mem::take(&mut st.threads)
+        };
+        for thread in threads {
+            // A worker catches its actors' panics, so the join cannot fail.
+            let _ = thread.join();
         }
     }
 }
@@ -477,8 +539,8 @@ impl Sim {
     /// zero; actors spawned by other actors start at their parent's
     /// current time.
     ///
-    /// The closure runs on its own OS thread but only ever executes while
-    /// it holds the virtual-time token.
+    /// The closure runs on a pooled OS worker thread but only ever
+    /// executes while it holds the virtual-time token.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, name: &str, f: F) -> ActorHandle {
         self.sched.spawn_inner(name, Box::new(f))
     }
@@ -504,6 +566,12 @@ impl Sim {
         }
         st.time
     }
+}
+
+/// How many worker threads the calling actor's simulation has started.
+#[cfg(test)]
+pub(crate) fn workers_started() -> usize {
+    with_ctx(|ctx| ctx.sched.state.lock().workers.len())
 }
 
 /// Spawns an actor from within another actor, on the same scheduler.
@@ -694,8 +762,10 @@ mod tests {
     fn dropping_an_unrun_sim_releases_its_actors() {
         let spawned = Arc::new(PMutex::new(false));
         let token = Arc::new(());
+        let sched;
         {
             let sim = Sim::new();
+            sched = Arc::clone(&sim.sched);
             let s = spawned.clone();
             sim.spawn("never-scheduled", move || {
                 *s.lock() = true; // must never execute
@@ -704,7 +774,16 @@ mod tests {
             // sim dropped here without run()
         }
         wait_for_release(&token);
+        wait_for_release(&sched);
         assert!(!*spawned.lock(), "the actor body never ran");
+    }
+
+    /// Spawns 4 actors that finish after 1 ms, leaving their workers
+    /// idle for the rest of the run.
+    fn spawn_finished(sim: &Sim) {
+        for i in 0..4 {
+            sim.spawn(&format!("finished-{i}"), || sleep(Duration::from_millis(1)));
+        }
     }
 
     /// Spawns 16 actors that each own a clone of `token`: half park at
@@ -722,13 +801,14 @@ mod tests {
         }
     }
 
-    /// Waits, on the wall clock, until every actor thread holding a clone
-    /// of `token` has exited.
-    fn wait_for_release(token: &Arc<()>) {
+    /// Waits, on the wall clock, until every other holder of `token` has
+    /// dropped it: the actors that own a clone, or, for the scheduler,
+    /// its worker threads.
+    fn wait_for_release<T>(token: &Arc<T>) {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while Arc::strong_count(token) > 1 {
             let left = Arc::strong_count(token) - 1;
-            assert!(std::time::Instant::now() < deadline, "{left} actor threads never exited");
+            assert!(std::time::Instant::now() < deadline, "{left} holders never let go");
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -744,6 +824,8 @@ mod tests {
     fn actor_panic_releases_every_bystander() {
         let token = Arc::new(());
         let sim = Sim::new();
+        let sched = Arc::clone(&sim.sched);
+        spawn_finished(&sim);
         spawn_bystanders(&sim, &token);
         sim.spawn("bad", || {
             sleep(Duration::from_secs(1));
@@ -751,16 +833,36 @@ mod tests {
         });
         assert_eq!(run_failure(sim), "actor 'bad' panicked: boom");
         wait_for_release(&token);
+        wait_for_release(&sched);
     }
 
     #[test]
     fn deadlock_releases_every_bystander() {
         let token = Arc::new(());
         let sim = Sim::new();
+        let sched = Arc::clone(&sim.sched);
+        spawn_finished(&sim);
         spawn_bystanders(&sim, &token);
         let msg = run_failure(sim);
         assert!(msg.starts_with("virtual-time deadlock at 3600.000"), "{msg}");
         wait_for_release(&token);
+        wait_for_release(&sched);
+    }
+
+    #[test]
+    fn finished_actors_hand_their_workers_on() {
+        let sim = Sim::new();
+        let sched = Arc::clone(&sim.sched);
+        spawn_finished(&sim);
+        sim.spawn("late", || {
+            sleep(Duration::from_millis(2));
+            for i in 0..4 {
+                spawn_from_actor(&format!("child-{i}"), move || sleep(Duration::from_millis(i)));
+            }
+        });
+        assert_eq!(sim.run(), SimTime::from_millis(5));
+        assert_eq!(sched.state.lock().workers.len(), 5, "the children reuse idle workers");
+        wait_for_release(&sched);
     }
 
     #[test]

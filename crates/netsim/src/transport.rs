@@ -20,10 +20,11 @@ use crate::link::LinkHalf;
 use crate::{advance_to, current_actor, now, park, sleep, spawn_from_actor, SimTime};
 use gvfs_rpc::channel::{CallSlot, PendingCall, RpcChannel};
 use gvfs_rpc::dispatch::Dispatcher;
-use gvfs_rpc::message::{CallBody, MessageBody, OpaqueAuth, ReplyBody, RpcMessage};
+use gvfs_rpc::message::{AcceptStat, CallBody, MessageBody, OpaqueAuth, ReplyBody, RpcMessage};
 use gvfs_rpc::record::ensure_sendable;
 use gvfs_rpc::stats::RpcStats;
 use gvfs_rpc::RpcError;
+use gvfs_xdr::XdrError;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -258,10 +259,8 @@ impl SimRpcClient {
     ) -> Result<Transmitted, RpcError> {
         let xid = self.xid.fetch_add(1, Ordering::Relaxed);
         let call = CallBody::new(program, version, procedure, credential, args);
-        let msg = RpcMessage { xid, body: MessageBody::Call(call) };
-        let call_bytes = gvfs_xdr::to_bytes(&msg)?;
-        ensure_sendable(call_bytes.len())?;
-        let wire_out = call_bytes.len() + 4; // record mark
+        let wire_out = call_wire_size(xid, &call)?;
+        ensure_sendable(wire_out - RECORD_MARK)?;
 
         let started = now();
         let delivery = self.link.transfer(started, wire_out).map_err(|_| {
@@ -269,7 +268,6 @@ impl SimRpcClient {
             RpcError::Unreachable
         })?;
         self.stats.call_started();
-        let MessageBody::Call(call) = msg.body else { unreachable!() };
         Ok(Transmitted {
             xid,
             program,
@@ -318,9 +316,7 @@ impl SimRpcClient {
             sleep(self.server_proc_time());
             let _ = self.server.dispatch(tx.xid, &tx.call);
         }
-        let reply_msg = RpcMessage { xid: tx.xid, body: MessageBody::Reply(reply) };
-        let reply_bytes = gvfs_xdr::to_bytes(&reply_msg)?;
-        let wire_in = reply_bytes.len() + 4;
+        let (wire_in, result) = reply_outcome(tx.xid, reply)?;
 
         let back = match self.link.transfer_reverse(now(), wire_in) {
             Ok(delivery) if delivery.dropped => {
@@ -347,14 +343,52 @@ impl SimRpcClient {
             wire_in as u64,
             latency,
         );
-
-        let RpcMessage { body: MessageBody::Reply(reply), .. } = reply_msg else { unreachable!() };
-        reply.results().map(<[u8]>::to_vec)
+        result
     }
 
     fn server_proc_time(&self) -> Duration {
         self.server.proc_time
     }
+}
+
+/// Bytes of the record mark that frames each message on the wire.
+const RECORD_MARK: usize = 4;
+
+/// Wire bytes of a payload that trails a message header: the payload
+/// zero-padded to a 4-byte word, as the codec writes it. Payloads are
+/// XDR streams themselves, so the padding is zero in practice.
+fn payload_wire_size(len: usize) -> usize {
+    len.next_multiple_of(4)
+}
+
+/// The wire size of a call: the record mark, the encoded header and the
+/// args. Spares encoding the args only to measure them.
+fn call_wire_size(xid: u32, call: &CallBody) -> Result<usize, XdrError> {
+    let header = CallBody::new(
+        call.program(),
+        call.version(),
+        call.procedure(),
+        call.credential().clone(),
+        Vec::new(),
+    );
+    let header = gvfs_xdr::encoded_len(&RpcMessage { xid, body: MessageBody::Call(header) })?;
+    Ok(RECORD_MARK + header + payload_wire_size(call.args().len()))
+}
+
+/// A reply's wire size and outcome. A success's results move out of the
+/// reply and count like call args.
+fn reply_outcome(
+    xid: u32,
+    mut reply: ReplyBody,
+) -> Result<(usize, Result<Vec<u8>, RpcError>), XdrError> {
+    let result = match &mut reply {
+        ReplyBody::Accepted { stat: AcceptStat::Success(results), .. } => {
+            Ok(std::mem::take(results))
+        }
+        failed => Err(failed.results().expect_err("only a success carries results")),
+    };
+    let header = gvfs_xdr::encoded_len(&RpcMessage { xid, body: MessageBody::Reply(reply) })?;
+    Ok((RECORD_MARK + header + payload_wire_size(result.as_ref().map_or(0, Vec::len)), result))
 }
 
 /// A call that has been charged against the link but not yet completed.
@@ -589,6 +623,86 @@ mod tests {
         assert_eq!(t1, t2, "virtual completion time must be reproducible");
         assert_eq!(hwm1, 5, "all five calls must be in flight at once");
         assert_eq!(hwm1, hwm2);
+    }
+
+    #[test]
+    fn sequential_sends_reuse_a_few_worker_threads() {
+        let link = Link::new(LinkConfig::loopback());
+        let client = SimRpcClient::new(link.forward(), server(), RpcStats::new());
+        let workers = Arc::new(Mutex::new(0));
+        let w = workers.clone();
+        let sim = Sim::new();
+        sim.spawn("c", move || {
+            for i in 0..10_000u32 {
+                let pending = client.send(50, 1, 0, i.to_be_bytes().to_vec()).unwrap();
+                assert_eq!(client.wait_pending(pending).unwrap(), i.to_be_bytes());
+            }
+            *w.lock() = crate::sched::workers_started();
+        });
+        sim.run();
+        let started = *workers.lock();
+        assert!(started <= 4, "10,000 sends started {started} worker threads");
+    }
+
+    /// The encoded message's length plus its record mark.
+    fn encoded_wire_size(msg: &RpcMessage) -> usize {
+        gvfs_xdr::to_bytes(msg).unwrap().len() + RECORD_MARK
+    }
+
+    /// `len` payload bytes zero-padded to a word, as the codec writes an
+    /// unaligned payload (debug builds assert it never sees one).
+    fn padded(len: usize, byte: u8) -> Vec<u8> {
+        let mut payload = vec![byte; len];
+        payload.resize(len.next_multiple_of(4), 0);
+        payload
+    }
+
+    #[test]
+    fn computed_wire_sizes_match_the_encoding() {
+        use gvfs_rpc::message::{RejectedReply, AUTH_SYS};
+        // An AUTH_SYS credential with a `len`-byte body, padded or not.
+        let cred = |len: usize| {
+            let mut enc = gvfs_xdr::Encoder::new();
+            enc.put_u32(AUTH_SYS);
+            enc.put_opaque(&vec![1; len]).unwrap();
+            gvfs_xdr::from_bytes::<OpaqueAuth>(enc.as_bytes()).unwrap()
+        };
+        for credential in [OpaqueAuth::none(), cred(1), cred(5), cred(16), cred(400)] {
+            for len in 0..10 {
+                let call = |args| CallBody::new(100_003, 3, 7, credential.clone(), args);
+                let want = encoded_wire_size(&RpcMessage {
+                    xid: 42,
+                    body: MessageBody::Call(call(padded(len, 0xa5))),
+                });
+                let size = call_wire_size(42, &call(vec![0xa5; len])).unwrap();
+                assert_eq!(size, want, "args of {len} bytes");
+            }
+        }
+        let accepted =
+            |stat: AcceptStat| ReplyBody::Accepted { verifier: OpaqueAuth::none(), stat };
+        for len in 0..10 {
+            let want = encoded_wire_size(&RpcMessage {
+                xid: 42,
+                body: MessageBody::Reply(accepted(AcceptStat::Success(padded(len, 0x5a)))),
+            });
+            let results = vec![0x5a; len];
+            let reply = accepted(AcceptStat::Success(results.clone()));
+            assert_eq!(reply_outcome(42, reply).unwrap(), (want, Ok(results)), "{len} bytes");
+        }
+        for reply in [
+            accepted(AcceptStat::ProgramUnavailable),
+            accepted(AcceptStat::ProgramMismatch { low: 2, high: 3 }),
+            accepted(AcceptStat::ProcedureUnavailable),
+            accepted(AcceptStat::GarbageArgs),
+            accepted(AcceptStat::SystemError),
+            ReplyBody::Denied(RejectedReply::RpcMismatch { low: 2, high: 2 }),
+            ReplyBody::Denied(RejectedReply::AuthError(1)),
+        ] {
+            let want =
+                encoded_wire_size(&RpcMessage { xid: 42, body: MessageBody::Reply(reply.clone()) });
+            let outcome = reply.results().map(<[u8]>::to_vec);
+            assert_eq!(reply_outcome(42, reply.clone()).unwrap(), (want, outcome), "{reply:?}");
+        }
     }
 
     #[test]
