@@ -14,8 +14,10 @@
 //! * `gvfs_netsim::transport::SimRpcClient` — virtual-time actors; each
 //!   in-flight call progresses on a child actor, and replies complete in
 //!   link arrival order, preserving determinism.
-//! * [`TcpRpcClient`](crate::tcp::TcpRpcClient) — a reader thread demuxes
-//!   replies into an outstanding-call table keyed by xid.
+//! * [`TcpRpcClient`](crate::tcp::TcpRpcClient) — the waiting callers
+//!   read the socket themselves, one at a time, and demux every reply
+//!   into an outstanding-call table keyed by xid; a sender whose write
+//!   stalls drains queued replies the same way.
 //!
 //! The blocking `call` is a thin default wrapper over send + wait.
 //!

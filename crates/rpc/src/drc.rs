@@ -8,12 +8,14 @@
 //! of re-executing the call.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Key identifying one client request.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DrcKey {
-    /// Client identity (address or session id).
-    pub client: String,
+    /// Client identity (address or session id), shared by every key of
+    /// one client.
+    pub client: Arc<str>,
     /// RPC transaction id.
     pub xid: u32,
     /// Procedure number (paranoia against xid reuse across procedures).

@@ -398,6 +398,20 @@ impl ReplyBody {
             ReplyBody::Denied(_) => Err(RpcError::AuthError),
         }
     }
+
+    /// Moves the results out of a successful reply, without copying
+    /// them; like [`results`](ReplyBody::results) otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Maps every non-success reply to the matching [`RpcError`].
+    pub fn into_results(self) -> Result<Vec<u8>, RpcError> {
+        match self {
+            ReplyBody::Accepted { stat: AcceptStat::Success(results), .. } => Ok(results),
+            // Not a success, so this is always the mapped error.
+            failed => failed.results().map(<[u8]>::to_vec),
+        }
+    }
 }
 
 impl Xdr for ReplyBody {
@@ -584,6 +598,8 @@ mod tests {
         assert_eq!(reply.results().unwrap_err(), RpcError::GarbageArgs);
         let ok = ReplyBody::success(vec![]);
         assert_eq!(ok.results().unwrap(), &[] as &[u8]);
+        assert_eq!(reply.into_results().unwrap_err(), RpcError::GarbageArgs);
+        assert_eq!(ReplyBody::success(vec![0, 0, 0, 9]).into_results().unwrap(), vec![0, 0, 0, 9]);
     }
 
     #[test]

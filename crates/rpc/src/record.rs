@@ -10,6 +10,7 @@
 //! deliver it.
 
 use crate::RpcError;
+use gvfs_xdr::{Encoder, Xdr};
 
 /// Largest fragment this implementation emits. Readers accept any
 /// RFC-legal fragment size.
@@ -67,6 +68,32 @@ pub fn write_record(payload: &[u8], max_fragment: usize) -> Vec<u8> {
     out
 }
 
+/// Encodes `msg` straight into one record-marked frame: a 4-byte
+/// header placeholder, the XDR encoding behind it, then the header
+/// patched in place. `size_hint` is the expected encoded size (the
+/// payload plus a few header words) so the buffer is allocated once.
+/// A message longer than [`MAX_FRAGMENT`] falls back to
+/// [`write_record`]; either way the bytes equal
+/// `write_record(&to_bytes(msg)?, MAX_FRAGMENT)`.
+///
+/// # Errors
+///
+/// [`RpcError::SystemError`] for a message over [`MAX_RECORD`] (see
+/// [`ensure_sendable`]); encoding errors as [`RpcError::Xdr`].
+pub fn encode_record<T: Xdr>(msg: &T, size_hint: usize) -> Result<Vec<u8>, RpcError> {
+    let mut enc = Encoder::with_capacity(4 + size_hint);
+    enc.put_u32(0); // header placeholder
+    msg.encode(&mut enc)?;
+    let mut frame = enc.into_bytes();
+    let len = frame.len() - 4;
+    ensure_sendable(len)?;
+    if len > MAX_FRAGMENT {
+        return Ok(write_record(&frame[4..], MAX_FRAGMENT));
+    }
+    frame[..4].copy_from_slice(&(len as u32 | 0x8000_0000).to_be_bytes());
+    Ok(frame)
+}
+
 /// Incremental reassembler of record-marked streams.
 ///
 /// Feed it bytes in any chunking with [`RecordReader::push`]; complete
@@ -89,7 +116,13 @@ pub fn write_record(payload: &[u8], max_fragment: usize) -> Vec<u8> {
 /// ```
 #[derive(Debug, Default)]
 pub struct RecordReader {
-    buf: Vec<u8>,
+    /// The bytes of a fragment header split across pushes.
+    header: [u8; 4],
+    header_len: usize,
+    /// Body bytes still due for the current fragment.
+    body_left: usize,
+    /// Whether the current fragment ends its record.
+    last: bool,
     record: Vec<u8>,
     complete: std::collections::VecDeque<Vec<u8>>,
 }
@@ -101,34 +134,47 @@ impl RecordReader {
     }
 
     /// Appends raw stream bytes, reassembling any records they complete.
+    /// Fragment bodies are copied once, from `data` into their record.
     ///
     /// # Errors
     ///
     /// Returns [`RpcError::SystemError`] if a record would exceed
     /// [`MAX_RECORD`].
-    pub fn push(&mut self, data: &[u8]) -> Result<(), RpcError> {
-        self.buf.extend_from_slice(data);
-        loop {
-            if self.buf.len() < 4 {
-                return Ok(());
+    pub fn push(&mut self, mut data: &[u8]) -> Result<(), RpcError> {
+        while !data.is_empty() {
+            if self.body_left == 0 {
+                let take = (4 - self.header_len).min(data.len());
+                self.header[self.header_len..self.header_len + take].copy_from_slice(&data[..take]);
+                self.header_len += take;
+                data = &data[take..];
+                if self.header_len < 4 {
+                    return Ok(());
+                }
+                self.header_len = 0;
+                let header = u32::from_be_bytes(self.header);
+                let len = (header & 0x7fff_ffff) as usize;
+                if self.record.len() + len > MAX_RECORD {
+                    return Err(RpcError::SystemError {
+                        detail: format!("record exceeds {MAX_RECORD} bytes"),
+                    });
+                }
+                self.last = header & 0x8000_0000 != 0;
+                self.body_left = len;
+                // Size the record for this fragment up front, but never
+                // past what the stream has delivered: a header alone
+                // must not buy a large allocation.
+                self.record.reserve(len.min(data.len()));
             }
-            let header = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-            let last = header & 0x8000_0000 != 0;
-            let len = (header & 0x7fff_ffff) as usize;
-            if self.record.len() + len > MAX_RECORD {
-                return Err(RpcError::SystemError {
-                    detail: format!("record exceeds {MAX_RECORD} bytes"),
-                });
-            }
-            if self.buf.len() < 4 + len {
-                return Ok(());
-            }
-            self.record.extend_from_slice(&self.buf[4..4 + len]);
-            self.buf.drain(..4 + len);
-            if last {
+            let take = self.body_left.min(data.len());
+            self.record.extend_from_slice(&data[..take]);
+            self.body_left -= take;
+            data = &data[take..];
+            if self.body_left == 0 && self.last {
+                self.last = false;
                 self.complete.push_back(std::mem::take(&mut self.record));
             }
         }
+        Ok(())
     }
 
     /// Removes and returns the oldest complete record, if any.
@@ -205,6 +251,56 @@ mod tests {
         let header = 0x7fff_ffffu32.to_be_bytes();
         let err = r.push(&header).unwrap_err();
         assert!(matches!(err, RpcError::SystemError { .. }));
+    }
+
+    #[test]
+    fn split_at_every_offset_matches_one_push() {
+        let mut stream = write_record(b"first, in fragments of three", 3);
+        stream.extend(write_record(b"second", MAX_FRAGMENT));
+        let mut whole = RecordReader::new();
+        whole.push(&stream).unwrap();
+        let want: Vec<Vec<u8>> = std::iter::from_fn(|| whole.pop()).collect();
+        assert_eq!(want.len(), 2);
+        for at in 0..=stream.len() {
+            let mut r = RecordReader::new();
+            r.push(&stream[..at]).unwrap();
+            r.push(&stream[at..]).unwrap();
+            let got: Vec<Vec<u8>> = std::iter::from_fn(|| r.pop()).collect();
+            assert_eq!(got, want, "split at byte {at}");
+        }
+    }
+
+    #[test]
+    fn encoded_frame_equals_write_record_of_the_message() {
+        use crate::message::{CallBody, MessageBody, OpaqueAuth, ReplyBody, RpcMessage};
+        // Encoded sizes of a call (AUTH_NONE) and a success reply
+        // around their payloads.
+        const CALL_HEADER: usize = 40;
+        const REPLY_HEADER: usize = 24;
+        let check = |msg: RpcMessage| {
+            let want = write_record(&gvfs_xdr::to_bytes(&msg).unwrap(), MAX_FRAGMENT);
+            for hint in [0, want.len()] {
+                assert_eq!(encode_record(&msg, hint).unwrap(), want);
+            }
+        };
+        for (header, build) in [
+            (
+                CALL_HEADER,
+                (|p| MessageBody::Call(CallBody::new(7, 1, 2, OpaqueAuth::none(), p)))
+                    as fn(Vec<u8>) -> MessageBody,
+            ),
+            (REPLY_HEADER, |p| MessageBody::Reply(ReplyBody::success(p))),
+        ] {
+            let mut sizes = vec![0, 4, 32 * 1024];
+            // Messages just below, at and just above one fragment.
+            sizes.extend([MAX_FRAGMENT - 4, MAX_FRAGMENT, MAX_FRAGMENT + 4].map(|m| m - header));
+            for size in sizes {
+                let payload: Vec<u8> = (0..size).map(|i| i as u8).collect();
+                let msg = RpcMessage { xid: 9, body: build(payload) };
+                assert_eq!(gvfs_xdr::to_bytes(&msg).unwrap().len(), header + size);
+                check(msg);
+            }
+        }
     }
 
     #[test]

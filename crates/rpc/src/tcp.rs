@@ -3,16 +3,23 @@
 //! The simulation transport (`gvfs-netsim`) carries the same wire
 //! bytes over virtual links; this module carries them over actual
 //! sockets with RFC 5531 record marking, demonstrating that the whole
-//! protocol stack is transport-independent. One thread per connection;
-//! replies are cached in a [duplicate request cache](crate::drc) so
-//! retransmitted non-idempotent calls are replayed, not re-executed.
+//! protocol stack is transport-independent. The server runs one thread
+//! per accepted connection; replies are cached in a [duplicate request
+//! cache](crate::drc) so retransmitted non-idempotent calls are
+//! replayed, not re-executed.
 //!
-//! [`TcpRpcClient`] implements [`RpcChannel`]: a background reader
-//! thread demultiplexes replies by xid into an outstanding-call table,
-//! so many calls can be in flight on one connection at once. Each call
-//! carries a timeout; on expiry the identical record (same xid) is
-//! retransmitted a bounded number of times, relying on the server's
-//! duplicate request cache to replay rather than re-execute.
+//! [`TcpRpcClient`] implements [`RpcChannel`] and starts no thread of
+//! its own: its callers read the replies. A caller waiting for a reply
+//! that gets the socket's read half reads and demultiplexes replies by
+//! xid for every outstanding call, then wakes one other waiting caller
+//! to take over; the rest sleep until their reply is in or their
+//! deadline passes. So many calls can be in flight on one connection at
+//! once. A sender whose write stalls (the server is blocked writing
+//! replies nobody reads) drains the queued replies through the same
+//! path before writing on. Each call carries a timeout; on expiry the
+//! identical record (same xid) is retransmitted a bounded number of
+//! times, relying on the server's duplicate request cache to replay
+//! rather than re-execute.
 //!
 //! # Examples
 //!
@@ -49,14 +56,14 @@
 use crate::channel::{CallSlot, PendingCall, RpcChannel};
 use crate::dispatch::Dispatcher;
 use crate::drc::{DrcKey, DuplicateRequestCache};
-use crate::message::{CallBody, MessageBody, OpaqueAuth, ReplyBody, RpcMessage};
-use crate::record::{ensure_sendable, write_record, RecordReader, MAX_FRAGMENT};
+use crate::message::{CallBody, MessageBody, OpaqueAuth, RpcMessage};
+use crate::record::{encode_record, RecordReader};
 use crate::stats::RpcStats;
 use crate::RpcError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
@@ -150,8 +157,9 @@ impl Drop for TcpServerHandle {
 }
 
 fn serve_connection(mut stream: TcpStream, dispatcher: &Dispatcher) -> std::io::Result<()> {
-    let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-    let drc = Mutex::new(DuplicateRequestCache::new(256));
+    stream.set_nodelay(true)?;
+    let peer: Arc<str> = stream.peer_addr().map_or_else(|_| "?".into(), |a| a.to_string().into());
+    let mut drc = DuplicateRequestCache::new(256);
     let mut reader = RecordReader::new();
     let mut buf = [0u8; 64 * 1024];
     loop {
@@ -165,56 +173,128 @@ fn serve_connection(mut stream: TcpStream, dispatcher: &Dispatcher) -> std::io::
         while let Some(record) = reader.pop() {
             let Ok(msg) = gvfs_xdr::from_bytes::<RpcMessage>(&record) else { continue };
             let MessageBody::Call(call) = msg.body else { continue };
-            let key = DrcKey { client: peer.clone(), xid: msg.xid, procedure: call.procedure() };
-            // The DRC lock is released before dispatching: handlers may
-            // perform their own (slow) RPCs and must not run under it.
-            let cached = drc.lock().lookup(&key).map(<[u8]>::to_vec);
-            let reply_bytes = if let Some(bytes) = cached {
-                bytes
-            } else {
-                let reply = dispatcher.dispatch(msg.xid, &call);
-                let reply_msg = RpcMessage { xid: msg.xid, body: MessageBody::Reply(reply) };
-                let Ok(bytes) = gvfs_xdr::to_bytes(&reply_msg) else {
-                    // An unencodable reply is a local protocol bug; skip
-                    // the record rather than kill the connection thread.
-                    continue;
-                };
-                drc.lock().insert(key, bytes.clone());
-                bytes
+            let key =
+                DrcKey { client: Arc::clone(&peer), xid: msg.xid, procedure: call.procedure() };
+            if let Some(frame) = drc.lookup(&key) {
+                stream.write_all(frame)?;
+                continue;
+            }
+            let reply = dispatcher.dispatch(msg.xid, &call);
+            let hint = reply.results().map_or(0, <[u8]>::len) + HEADER_ROOM;
+            let reply_msg = RpcMessage { xid: msg.xid, body: MessageBody::Reply(reply) };
+            let Ok(frame) = encode_record(&reply_msg, hint) else {
+                // An unencodable reply is a local protocol bug; skip
+                // the record rather than kill the connection thread.
+                continue;
             };
-            stream.write_all(&write_record(&reply_bytes, MAX_FRAGMENT))?;
+            stream.write_all(&frame)?;
+            drc.insert(key, frame);
         }
     }
 }
+
+/// Room for the RPC header words and a credential in front of a
+/// payload, so a frame is allocated once.
+const HEADER_ROOM: usize = 128;
 
 /// Default per-call timeout before a retransmission is attempted.
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
 /// Default number of retransmissions after the first timeout.
 pub const DEFAULT_RETRIES: u32 = 2;
 
+/// How long a write may stall before its sender drains the replies
+/// queued on the socket, and how long a drain waits for them.
+const WRITE_STALL: Duration = Duration::from_millis(1);
+
 /// A TCP RPC client with xid-multiplexed concurrency.
 ///
-/// A background reader thread demultiplexes replies into an
-/// outstanding-call table, so any number of [`send`](RpcChannel::send)s
-/// may be in flight before their [`wait`](RpcChannel::wait)s. Calls that
+/// Any number of [`send`](RpcChannel::send)s may be in flight before
+/// their [`wait`](RpcChannel::wait)s. The callers read the replies
+/// themselves: one waiting caller at a time holds the socket's read half
+/// and resolves every outstanding call whose reply it reads. Calls that
 /// time out are retransmitted verbatim — same xid — up to the configured
 /// retry bound; the server's [duplicate request cache](crate::drc)
 /// replays the reply if the original execution already happened.
 #[derive(Debug)]
 pub struct TcpRpcClient {
     inner: Arc<ClientInner>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    timeout: Duration,
+    retries: u32,
 }
 
 #[derive(Debug)]
 struct ClientInner {
     writer: Mutex<TcpStream>,
-    pending: Mutex<HashMap<u32, Arc<TcpSlot>>>,
+    /// Whoever holds the read half reads replies for every caller.
+    reader: Mutex<ReadHalf>,
+    calls: StdMutex<Calls>,
     next_xid: AtomicU32,
-    timeout: Mutex<Duration>,
-    retries: AtomicU32,
     stats: RpcStats,
-    dead: AtomicBool,
+}
+
+#[derive(Debug)]
+struct ReadHalf {
+    stream: TcpStream,
+    records: RecordReader,
+    buf: Box<[u8]>,
+}
+
+/// The outstanding-call table. Std primitives: waiting callers sleep on
+/// their slots' condvars with a timeout under this lock, which the
+/// vendored parking_lot shim does not provide.
+#[derive(Debug, Default)]
+struct Calls {
+    /// Unresolved calls by xid. A call is resolved exactly once, by
+    /// whoever removes it from here.
+    pending: HashMap<u32, Arc<TcpSlot>>,
+    /// Callers asleep in `wait` while another caller reads.
+    sleepers: Vec<u32>,
+    /// The connection is gone: no call can be answered any more.
+    dead: bool,
+}
+
+impl Calls {
+    /// Resolves call `xid` if it is still pending: stores its outcome,
+    /// accounts it and wakes its caller. `wire_in` is the size of the
+    /// reply, if one came. Returns whether the call was pending.
+    fn resolve(
+        &mut self,
+        stats: &RpcStats,
+        xid: u32,
+        outcome: Result<Vec<u8>, RpcError>,
+        wire_in: Option<u64>,
+    ) -> bool {
+        // A miss is a stale reply from a call that already timed out.
+        let Some(slot) = self.pending.remove(&xid) else { return false };
+        if let Some(wire_in) = wire_in {
+            let latency = u64::try_from(slot.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            stats.record_latency(slot.program, slot.procedure, slot.wire_out, wire_in, latency);
+        }
+        stats.call_finished();
+        *slot.outcome.lock() = Some(outcome);
+        slot.cond.notify_one();
+        true
+    }
+
+    /// Marks the connection dead and fails every pending call.
+    fn fail_all(&mut self, stats: &RpcStats) {
+        self.dead = true;
+        let xids: Vec<u32> = self.pending.keys().copied().collect();
+        for xid in xids {
+            self.resolve(stats, xid, Err(RpcError::Unreachable), None);
+        }
+    }
+
+    /// Wakes one sleeping caller whose call is still pending, to take
+    /// over reading from the caller that just let go of the read half.
+    fn hand_off(&mut self) {
+        while let Some(xid) = self.sleepers.pop() {
+            if let Some(slot) = self.pending.get(&xid) {
+                slot.cond.notify_one();
+                return;
+            }
+        }
+    }
 }
 
 /// Completion slot for one outstanding TCP call.
@@ -229,154 +309,189 @@ struct TcpSlot {
     frame: Vec<u8>,
     wire_out: u64,
     started: Instant,
-    // std primitives: the reader thread parks waiters on a condvar with
-    // a timeout, which the vendored parking_lot shim does not provide.
-    state: StdMutex<SlotState>,
+    timeout: Duration,
+    retries: u32,
+    /// Set once, under the calls lock, by [`Calls::resolve`].
+    outcome: Mutex<Option<Result<Vec<u8>, RpcError>>>,
+    /// Used with the calls lock only.
     cond: Condvar,
 }
 
-#[derive(Debug)]
-enum SlotState {
-    Waiting,
-    Done(ReplyBody, u64),
-    Failed(RpcError),
+impl ClientInner {
+    fn lock_calls(&self) -> MutexGuard<'_, Calls> {
+        self.calls.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The one reply path, for waiting callers and stalled senders alike:
+    /// reads what the socket delivers within `wait` and resolves every
+    /// call whose reply that completes. Returns the bytes read, 0 when
+    /// nothing came in time. A closed or broken connection fails every
+    /// pending call and returns `None`.
+    fn read_replies(&self, rd: &mut ReadHalf, wait: Duration) -> Option<usize> {
+        let read = match rd.stream.set_read_timeout(Some(wait)) {
+            Ok(()) => rd.stream.read(&mut rd.buf),
+            Err(e) => Err(e),
+        };
+        let n = match read {
+            Ok(n) if n > 0 => n,
+            Err(e) if is_stall(&e) || e.kind() == ErrorKind::Interrupted => return Some(0),
+            // Closed or broken.
+            _ => return self.die(),
+        };
+        if rd.records.push(&rd.buf[..n]).is_err() {
+            return self.die(); // hostile record from the server side
+        }
+        while let Some(record) = rd.records.pop() {
+            let Ok(msg) = gvfs_xdr::from_bytes::<RpcMessage>(&record) else { continue };
+            let MessageBody::Reply(body) = msg.body else { continue };
+            let wire_in = record.len() as u64 + 4;
+            self.lock_calls().resolve(&self.stats, msg.xid, body.into_results(), Some(wire_in));
+        }
+        Some(n)
+    }
+
+    fn die(&self) -> Option<usize> {
+        self.lock_calls().fail_all(&self.stats);
+        None
+    }
+
+    /// Writes `frame` whole. While the socket takes no more bytes, the
+    /// server may be blocked writing replies that nobody reads, so the
+    /// sender drains them before it writes on.
+    fn write_frame(&self, frame: &[u8]) -> std::io::Result<()> {
+        let mut writer = self.writer.lock();
+        let mut rest = frame;
+        while !rest.is_empty() {
+            match writer.write(rest) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => rest = &rest[n..],
+                Err(e) if is_stall(&e) => self.drain(),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the replies queued on the socket until a read comes back
+    /// short. Does nothing while a waiting caller holds the read half:
+    /// it is reading them already.
+    fn drain(&self) {
+        let Some(mut rd) = self.reader.try_lock() else { return };
+        while let Some(n) = self.read_replies(&mut rd, WRITE_STALL) {
+            if n < rd.buf.len() {
+                break;
+            }
+        }
+        drop(rd);
+        self.lock_calls().hand_off();
+    }
 }
 
-impl TcpSlot {
-    fn lock_state(&self) -> MutexGuard<'_, SlotState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Resolves the slot exactly once; later resolutions are ignored.
-    /// Accounts the call's completion in the shared stats.
-    fn complete(&self, inner: &ClientInner, outcome: SlotState) {
-        let mut st = self.lock_state();
-        if !matches!(*st, SlotState::Waiting) {
-            return;
-        }
-        if let SlotState::Done(_, wire_in) = &outcome {
-            let latency = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            inner.stats.record_latency(
-                self.program,
-                self.procedure,
-                self.wire_out,
-                *wire_in,
-                latency,
-            );
-        }
-        inner.stats.call_finished();
-        *st = outcome;
-        self.cond.notify_all();
-    }
+/// Whether `e` is a socket timeout rather than a failure.
+fn is_stall(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 impl CallSlot for TcpSlot {
     fn wait(&self) -> Result<Vec<u8>, RpcError> {
+        if let Some(outcome) = self.outcome.lock().take() {
+            return outcome;
+        }
         let Some(inner) = self.client.upgrade() else {
             return Err(RpcError::Unreachable);
         };
-        let mut remaining = inner.retries.load(Ordering::SeqCst);
-        let timeout = *inner.timeout.lock();
-        let mut st = self.lock_state();
+        let mut retries = self.retries;
+        let mut deadline = Instant::now() + self.timeout;
+        let mut calls = inner.lock_calls();
         loop {
-            match &*st {
-                SlotState::Waiting => {}
-                SlotState::Done(body, _) => return body.results().map(<[u8]>::to_vec),
-                SlotState::Failed(e) => return Err(e.clone()),
+            if let Some(outcome) = self.outcome.lock().take() {
+                return outcome;
             }
-            let (guard, wait) =
-                self.cond.wait_timeout(st, timeout).unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            if !wait.timed_out() || !matches!(*st, SlotState::Waiting) {
-                continue; // woken, or resolved at the same instant
-            }
-            if remaining == 0 {
-                drop(st);
-                // Forget the xid so a late reply is dropped, then fail
-                // the slot (unless the reader resolved it just now).
-                inner.pending.lock().remove(&self.xid);
-                self.complete(&inner, SlotState::Failed(RpcError::Timeout));
-                st = self.lock_state();
+            let now = Instant::now();
+            if now >= deadline {
+                if retries == 0 {
+                    // Forget the xid so a late reply is dropped.
+                    if calls.resolve(&inner.stats, self.xid, Err(RpcError::Timeout), None) {
+                        inner.stats.record_timeout();
+                    }
+                    continue;
+                }
+                retries -= 1;
+                deadline = now + self.timeout;
+                drop(calls);
+                // Retransmit the identical record: the xid is reused so the
+                // server's duplicate request cache can suppress re-execution.
+                // A broken connection shows up on the read side.
+                let _ = inner.write_frame(&self.frame);
+                calls = inner.lock_calls();
                 continue;
             }
-            remaining -= 1;
-            drop(st);
-            // Retransmit the identical record: the xid is reused so the
-            // server's duplicate request cache can suppress re-execution.
-            let _ = inner.writer.lock().write_all(&self.frame);
-            st = self.lock_state();
-        }
-    }
-}
-
-/// Reader half: demultiplexes record-marked replies into the
-/// outstanding-call table until the connection dies, then fails every
-/// still-outstanding call.
-fn run_reader(mut stream: TcpStream, client: Weak<ClientInner>) {
-    let mut reader = RecordReader::new();
-    let mut buf = [0u8; 64 * 1024];
-    'io: loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break 'io,
-            Ok(n) => n,
-        };
-        if reader.push(&buf[..n]).is_err() {
-            break 'io; // hostile record from the server side
-        }
-        while let Some(record) = reader.pop() {
-            let Ok(msg) = gvfs_xdr::from_bytes::<RpcMessage>(&record) else { continue };
-            let MessageBody::Reply(body) = msg.body else { continue };
-            let Some(inner) = client.upgrade() else { return };
-            let slot = inner.pending.lock().remove(&msg.xid);
-            // A miss is a stale reply from a call that already timed out.
-            if let Some(slot) = slot {
-                slot.complete(&inner, SlotState::Done(body, record.len() as u64 + 4));
+            // Holding the calls lock, so a reader that lets go of the read
+            // half after this try finds this caller among the sleepers.
+            if let Some(mut rd) = inner.reader.try_lock() {
+                drop(calls);
+                while self.outcome.lock().is_none() {
+                    let now = Instant::now();
+                    if now >= deadline || inner.read_replies(&mut rd, deadline - now).is_none() {
+                        break;
+                    }
+                }
+                drop(rd);
+                calls = inner.lock_calls();
+                calls.hand_off();
+                continue;
             }
+            calls.sleepers.push(self.xid);
+            calls = self
+                .cond
+                .wait_timeout(calls, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            calls.sleepers.retain(|&x| x != self.xid);
         }
-    }
-    let Some(inner) = client.upgrade() else { return };
-    inner.dead.store(true, Ordering::SeqCst);
-    let slots: Vec<Arc<TcpSlot>> = inner.pending.lock().drain().map(|(_, s)| s).collect();
-    for slot in slots {
-        slot.complete(&inner, SlotState::Failed(RpcError::Unreachable));
     }
 }
 
 impl TcpRpcClient {
-    /// Connects to an RPC server and starts the reply-reader thread.
+    /// Connects to an RPC server. Starts no thread: callers read their
+    /// own replies.
     ///
     /// # Errors
     ///
     /// I/O errors from connecting.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        let read_half = stream.try_clone()?;
+        // Frames written in parts around a drain must not wait on Nagle.
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(WRITE_STALL))?;
+        let read_half = ReadHalf {
+            stream: stream.try_clone()?,
+            records: RecordReader::new(),
+            buf: vec![0u8; 64 * 1024].into_boxed_slice(),
+        };
         let inner = Arc::new(ClientInner {
             writer: Mutex::new(stream),
-            pending: Mutex::new(HashMap::new()),
+            reader: Mutex::new(read_half),
+            calls: StdMutex::new(Calls::default()),
             next_xid: AtomicU32::new(1),
-            timeout: Mutex::new(DEFAULT_CALL_TIMEOUT),
-            retries: AtomicU32::new(DEFAULT_RETRIES),
             stats: RpcStats::new(),
-            dead: AtomicBool::new(false),
         });
-        let weak = Arc::downgrade(&inner);
-        let reader = std::thread::spawn(move || run_reader(read_half, weak));
-        Ok(TcpRpcClient { inner, reader: Some(reader) })
+        Ok(TcpRpcClient { inner, timeout: DEFAULT_CALL_TIMEOUT, retries: DEFAULT_RETRIES })
     }
 
     /// Sets the per-call timeout after which the call is retransmitted.
     #[must_use]
-    pub fn with_timeout(self, timeout: Duration) -> Self {
-        *self.inner.timeout.lock() = timeout;
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = timeout;
         self
     }
 
     /// Sets how many times a timed-out call is retransmitted before it
     /// fails with [`RpcError::Timeout`].
     #[must_use]
-    pub fn with_retries(self, retries: u32) -> Self {
-        self.inner.retries.store(retries, Ordering::SeqCst);
+    pub fn with_retries(mut self, retries: u32) -> Self {
+        self.retries = retries;
         self
     }
 
@@ -414,43 +529,41 @@ impl RpcChannel for TcpRpcClient {
         args: Vec<u8>,
     ) -> Result<PendingCall, RpcError> {
         let inner = &self.inner;
-        if inner.dead.load(Ordering::SeqCst) {
-            return Err(RpcError::Unreachable);
-        }
         let xid = inner.next_xid.fetch_add(1, Ordering::SeqCst);
+        let hint = args.len() + HEADER_ROOM;
         let msg = RpcMessage {
             xid,
             body: MessageBody::Call(CallBody::new(program, version, procedure, credential, args)),
         };
-        let bytes = gvfs_xdr::to_bytes(&msg)?;
-        ensure_sendable(bytes.len())?;
+        let frame = encode_record(&msg, hint)?;
         let slot = Arc::new(TcpSlot {
             client: Arc::downgrade(inner),
             xid,
             program,
             procedure,
-            frame: write_record(&bytes, MAX_FRAGMENT),
-            wire_out: bytes.len() as u64 + 4,
+            wire_out: frame.len() as u64,
+            frame,
             started: Instant::now(),
-            state: StdMutex::new(SlotState::Waiting),
+            timeout: self.timeout,
+            retries: self.retries,
+            outcome: Mutex::new(None),
             cond: Condvar::new(),
         });
-        inner.pending.lock().insert(xid, Arc::clone(&slot));
-        if inner.writer.lock().write_all(&slot.frame).is_err() {
-            inner.pending.lock().remove(&xid);
-            return Err(RpcError::Unreachable);
+        {
+            let mut calls = inner.lock_calls();
+            if calls.dead {
+                drop(calls);
+                inner.stats.record_unreachable();
+                return Err(RpcError::Unreachable);
+            }
+            calls.pending.insert(xid, Arc::clone(&slot));
         }
         inner.stats.call_started();
-        Ok(PendingCall::new(xid, program, procedure, slot))
-    }
-}
-
-impl Drop for TcpRpcClient {
-    fn drop(&mut self) {
-        self.inner.dead.store(true, Ordering::SeqCst);
-        let _ = self.inner.writer.lock().shutdown(Shutdown::Both);
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
+        if inner.write_frame(&slot.frame).is_err() {
+            inner.lock_calls().resolve(&inner.stats, xid, Err(RpcError::Unreachable), None);
+            inner.stats.record_unreachable();
+            return Err(RpcError::Unreachable);
         }
+        Ok(PendingCall::new(xid, program, procedure, slot))
     }
 }

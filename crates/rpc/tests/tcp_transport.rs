@@ -2,6 +2,7 @@
 //! transfers crossing fragment boundaries, and duplicate-request
 //! replay for non-idempotent services.
 
+use gvfs_rpc::channel::RpcChannel;
 use gvfs_rpc::dispatch::{Dispatcher, RpcService};
 use gvfs_rpc::message::{CallBody, MessageBody, OpaqueAuth, RpcMessage};
 use gvfs_rpc::record::{write_record, RecordReader, MAX_FRAGMENT};
@@ -67,6 +68,71 @@ fn concurrent_clients_get_their_own_replies() {
     for t in threads {
         t.join().unwrap();
     }
+    handle.shutdown();
+}
+
+#[test]
+fn threads_sharing_one_client_take_turns_reading() {
+    // Callers on one connection read for each other: whoever holds the
+    // read half resolves everyone's replies and, on letting go, wakes a
+    // sleeping caller to take over. A caller left asleep with nobody
+    // reading would burn its timeout, and with no retries fail.
+    let (handle, _) = start();
+    let client = Arc::new(
+        TcpRpcClient::connect(handle.addr())
+            .expect("connect")
+            .with_timeout(std::time::Duration::from_secs(10))
+            .with_retries(0),
+    );
+    let threads: Vec<_> = (0..8u32)
+        .map(|t| {
+            let client = Arc::clone(&client);
+            std::thread::spawn(move || {
+                for i in 0..300u32 {
+                    let mut payload = vec![t as u8; 4 + (i % 5) as usize * 8 * 1024];
+                    payload[..4].copy_from_slice(&i.to_be_bytes());
+                    let reply = client.call(77, 1, 0, OpaqueAuth::none(), payload.clone()).unwrap();
+                    assert_eq!(reply, payload, "thread {t} call {i}");
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    assert_eq!(client.stats().snapshot().transport_timeouts(), 0);
+    handle.shutdown();
+}
+
+#[test]
+fn a_sleeping_caller_takes_over_reading() {
+    // Two slow calls, answered 300 ms apart. The main thread waits first
+    // and reads; the second caller comes in while it reads and sleeps.
+    // The reader leaves with the first reply, so it must wake the
+    // sleeper to read the second, or that caller burns its timeout.
+    // Nothing shows which caller holds the read half, hence the sleep:
+    // a second caller that came first would read both replies itself,
+    // which passes without a hand-off but cannot fail falsely.
+    let (handle, _) = start();
+    let client = Arc::new(
+        TcpRpcClient::connect(handle.addr())
+            .expect("connect")
+            .with_timeout(std::time::Duration::from_secs(5))
+            .with_retries(0),
+    );
+    let first = RpcChannel::send(&*client, 77, 1, 2, OpaqueAuth::none(), Vec::new()).unwrap();
+    let second = RpcChannel::send(&*client, 77, 1, 2, OpaqueAuth::none(), Vec::new()).unwrap();
+    let sleeper = {
+        let client = Arc::clone(&client);
+        std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            RpcChannel::wait(&*client, second)
+        })
+    };
+    let n: u32 = gvfs_xdr::from_bytes(&RpcChannel::wait(&*client, first).unwrap()).unwrap();
+    assert_eq!(n, 1);
+    let n: u32 = gvfs_xdr::from_bytes(&sleeper.join().unwrap().unwrap()).unwrap();
+    assert_eq!(n, 2);
     handle.shutdown();
 }
 
@@ -166,7 +232,46 @@ fn call_times_out_after_bounded_retries() {
     assert_eq!(err, RpcError::Timeout);
     // One initial timeout plus two retransmission windows.
     assert!(started.elapsed() >= std::time::Duration::from_millis(120));
+    assert_eq!(client.stats().snapshot().transport_timeouts(), 1);
     drop(hold.join());
+}
+
+#[test]
+fn send_after_server_closes_counts_unreachable() {
+    // A listener that accepts and at once closes the connection.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let closer = std::thread::spawn(move || drop(listener.accept()));
+    let client = TcpRpcClient::connect(addr).expect("connect");
+    closer.join().unwrap();
+    // The waiting caller reads the close and fails the call.
+    let err = client.call(77, 1, 0, OpaqueAuth::none(), Vec::new()).unwrap_err();
+    assert_eq!(err, RpcError::Unreachable);
+    assert_eq!(client.stats().snapshot().transport_unreachable(), 0);
+    let err = RpcChannel::send(&client, 77, 1, 0, OpaqueAuth::none(), Vec::new()).unwrap_err();
+    assert_eq!(err, RpcError::Unreachable);
+    assert_eq!(client.stats().snapshot().transport_unreachable(), 1);
+}
+
+#[test]
+fn many_sends_before_the_first_wait_all_complete() {
+    // Far more reply bytes than the socket buffers hold: the server
+    // blocks writing replies while the client is still sending, so the
+    // sender must drain them for either side to make progress.
+    let (handle, _) = start();
+    let client = TcpRpcClient::connect(handle.addr()).expect("connect");
+    let payload = |i: u32| {
+        let mut p = vec![(i % 251) as u8; 32 * 1024];
+        p[..4].copy_from_slice(&i.to_be_bytes());
+        p
+    };
+    let pending: Vec<_> = (0..2000u32)
+        .map(|i| RpcChannel::send(&client, 77, 1, 0, OpaqueAuth::none(), payload(i)).unwrap())
+        .collect();
+    for (i, call) in (0..2000u32).zip(pending) {
+        assert_eq!(RpcChannel::wait(&client, call).unwrap(), payload(i), "call {i}");
+    }
+    handle.shutdown();
 }
 
 #[test]
