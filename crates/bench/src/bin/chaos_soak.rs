@@ -33,8 +33,9 @@
 
 use gvfs_bench::save_json;
 use gvfs_integration::chaos::{
-    format_reproducer, generate_events, run_crash_restart, run_disk_corruption, run_partition_heal,
-    run_peer_partition, run_scenario, shrink_failure, Event, ModelKind, ScenarioConfig, Violation,
+    format_reproducer, run_crash_restart, run_disk_corruption, run_partition_heal,
+    run_peer_partition, run_scenario, shrink_failure, ChaosReport, ModelKind, ScenarioConfig,
+    Shrunk,
 };
 use serde_json::{json, Value};
 
@@ -111,45 +112,83 @@ struct Tally {
     traces: Vec<(String, Value)>,
 }
 
-/// A scripted scenario's report, reduced to what the soak compares
-/// across the two runs of a seed, prints and files.
-struct Scripted {
-    trace_hash: u64,
-    history: Vec<Event>,
-    protocol_trace: String,
-    violations: Vec<Violation>,
-    /// The counters the `ok` line reports.
-    summary: String,
-    /// Counters filed with a violation, ahead of the violations.
-    quarantine_report: Option<Value>,
+/// One row of the soak matrix: a randomized model or a scripted
+/// scenario.
+#[derive(Clone, Copy)]
+enum Scenario {
+    Model(ModelKind),
+    PartitionHeal,
+    CrashRestart,
+    PeerPartition,
+    DiskCorruption,
 }
 
-impl Scripted {
-    fn new(
-        trace_hash: u64,
-        history: Vec<Event>,
-        protocol_trace: String,
-        violations: Vec<Violation>,
-        summary: String,
-    ) -> Self {
-        Scripted {
-            trace_hash,
-            history,
-            protocol_trace,
-            violations,
-            summary,
-            quarantine_report: None,
+impl Scenario {
+    /// The `<scenario>` of trace keys, trace files and the JSON `model`.
+    fn name(self) -> &'static str {
+        match self {
+            Scenario::Model(model) => model.name(),
+            Scenario::PartitionHeal => "partition-heal",
+            Scenario::CrashRestart => "crash-restart",
+            Scenario::PeerPartition => "peer-partition",
+            Scenario::DiskCorruption => "disk-corruption",
         }
+    }
+
+    /// Runs `seed`; `broken` turns on the scenario's self-test knob
+    /// (partition-heal and crash-restart have none).
+    fn run(self, seed: u64, broken: bool) -> ChaosReport {
+        match self {
+            Scenario::Model(model) => {
+                let mut cfg = ScenarioConfig::new(seed, model);
+                cfg.suppress_recalls = broken;
+                run_scenario(&cfg)
+            }
+            Scenario::PartitionHeal => run_partition_heal(seed),
+            Scenario::CrashRestart => run_crash_restart(seed),
+            Scenario::PeerPartition => run_peer_partition(seed, broken),
+            Scenario::DiskCorruption => run_disk_corruption(seed, broken),
+        }
+    }
+
+    /// The counters the `ok` line reports.
+    fn summary(self, r: &ChaosReport) -> String {
+        let s = &r.stats;
+        match self {
+            Scenario::Model(_) => format!("fault events {}", r.events.len()),
+            Scenario::PartitionHeal => {
+                format!("trips {}, degraded reads {}", r.breaker_trips, s.degraded_reads)
+            }
+            Scenario::CrashRestart => format!("warm blocks {}", s.restart_warm_blocks),
+            Scenario::PeerPartition => {
+                format!("peer hits {}, fallbacks {}", s.peer_hits, s.peer_fallbacks)
+            }
+            Scenario::DiskCorruption => format!(
+                "rotted {}, quarantined {}, scrub repairs {}",
+                r.extras.corrupted_paths, s.quarantined_blocks, s.scrub_repairs
+            ),
+        }
+    }
+
+    /// Shrinks a violating randomized run (made with the self-test knob
+    /// `broken`) to a minimal reproducer; the scripted scenarios are
+    /// already minimal.
+    fn shrink(self, r: &ChaosReport, broken: bool) -> Option<Shrunk> {
+        let Scenario::Model(model) = self else { return None };
+        let mut cfg = ScenarioConfig::new(r.seed, model);
+        cfg.suppress_recalls = broken;
+        shrink_failure(&cfg, &r.events)
     }
 }
 
-/// Runs the scripted scenario `name` twice per seed: writes the first
-/// run's trace, requires both runs to agree on hash, history and trace,
-/// and files every violating seed.
-fn soak_scripted(args: &Args, tally: &mut Tally, name: &str, run: fn(u64) -> Scripted) {
+/// Runs `scenario` twice per seed: writes the first run's trace,
+/// requires both runs to agree on hash, history, verdict and trace, and
+/// files every violating seed (shrunk, where it can be).
+fn soak(args: &Args, tally: &mut Tally, scenario: Scenario) {
+    let name = scenario.name();
     for seed in args.start..args.start + args.seeds {
-        let a = run(seed);
-        let b = run(seed);
+        let a = scenario.run(seed, false);
+        let b = scenario.run(seed, false);
         tally.runs += 2;
         tally.traces.push((format!("{name}-seed{seed}"), format!("{:#x}", a.trace_hash).into()));
         if let Some(dir) = &args.trace_dir {
@@ -157,6 +196,7 @@ fn soak_scripted(args: &Args, tally: &mut Tally, name: &str, run: fn(u64) -> Scr
         }
         if a.trace_hash != b.trace_hash
             || a.history != b.history
+            || a.violations != b.violations
             || a.protocol_trace != b.protocol_trace
         {
             tally.determinism_breaks += 1;
@@ -167,82 +207,81 @@ fn soak_scripted(args: &Args, tally: &mut Tally, name: &str, run: fn(u64) -> Scr
             continue;
         }
         if a.violations.is_empty() {
-            println!("seed={seed} {name} ok ({}, trace {:#x})", a.summary, a.trace_hash);
+            println!("seed={seed} {name} ok ({}, trace {:#x})", scenario.summary(&a), a.trace_hash);
             continue;
         }
         println!("seed={seed} {name}: {} violation(s)", a.violations.len());
+        let shrunk = scenario.shrink(&a, false);
+        let reproducer = shrunk.as_ref().map(format_reproducer);
+        if let Some(repro) = &reproducer {
+            println!("{repro}");
+        }
         let mut entry = json!({
             "seed": seed,
             "model": name,
             "suppress_recalls": false,
             "violations": a.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-            "shrunk_events": Option::<Vec<String>>::None,
-            "reproducer": Option::<String>::None,
+            "shrunk_events": shrunk
+                .as_ref()
+                .map(|s| s.events.iter().map(|e| e.to_string()).collect::<Vec<_>>()),
+            "reproducer": reproducer,
         });
-        // The report goes after `suppress_recalls`, where readers of the
-        // JSON have always found it.
-        if let (Some(report), Value::Object(fields)) = (a.quarantine_report, &mut entry) {
+        // A disk-corruption entry carries its integrity counters after
+        // `suppress_recalls`, where readers of the JSON find them.
+        if let (Scenario::DiskCorruption, Value::Object(fields)) = (scenario, &mut entry) {
+            let s = &a.stats;
+            let report = json!({
+                "corrupted_paths": a.extras.corrupted_paths,
+                "integrity_failures": s.integrity_failures,
+                "quarantined_blocks": s.quarantined_blocks,
+                "refetch_repairs": s.refetch_repairs,
+                "scrub_repairs": s.scrub_repairs,
+                "integrity_dirty_loss": s.integrity_dirty_loss,
+            });
             fields.insert(3, ("quarantine_report".to_string(), report));
         }
         tally.violations.push(entry);
     }
 }
 
+/// Runs `scenario` with its self-test knob on over every seed and
+/// returns whether the harness convicted at least `need` seeds — and,
+/// for a randomized model, shrank the first conviction to a reproducer.
+fn self_test(args: &Args, tally: &mut Tally, flag: &str, scenario: Scenario, need: u64) -> bool {
+    let mut caught = 0u64;
+    let mut reproduced = !matches!(scenario, Scenario::Model(_));
+    for seed in args.start..args.start + args.seeds {
+        let report = scenario.run(seed, true);
+        tally.runs += 1;
+        if report.violations.is_empty() {
+            println!("self-test {flag}: seed={seed} UNCONVICTED");
+            continue;
+        }
+        caught += 1;
+        if caught == 1 {
+            println!("self-test {flag}: convicted at seed={seed}: {}", report.violations[0]);
+            if let Some(s) = scenario.shrink(&report, true) {
+                reproduced = true;
+                println!("{}", format_reproducer(&s));
+            }
+        }
+    }
+    let passed = caught >= need && reproduced;
+    if passed {
+        println!("self-test {flag} passed: convicted on {caught}/{} seeds", args.seeds);
+    } else {
+        println!(
+            "SELF-TEST FAILED: {flag} convicted on {caught}/{} seeds (need {need}), \
+             reproducer: {reproduced} — the harness has lost its teeth",
+            args.seeds
+        );
+    }
+    passed
+}
+
 fn main() {
     let args = parse_args();
     let mut tally = Tally::default();
-
-    for &model in &args.models {
-        for seed in args.start..args.start + args.seeds {
-            let cfg = ScenarioConfig::new(seed, model);
-            let a = run_scenario(&cfg);
-            let b = run_scenario(&cfg);
-            tally.runs += 2;
-            let key = format!("{}-seed{seed}", model.name());
-            tally.traces.push((key, format!("{:#x}", a.trace_hash).into()));
-            if let Some(dir) = &args.trace_dir {
-                write_trace(dir, model.name(), seed, &a.protocol_trace);
-            }
-            if a.trace_hash != b.trace_hash
-                || a.violations != b.violations
-                || a.protocol_trace != b.protocol_trace
-            {
-                tally.determinism_breaks += 1;
-                println!(
-                    "DETERMINISM BREAK: seed={seed} model={} hashes {:#x} vs {:#x}",
-                    model.name(),
-                    a.trace_hash,
-                    b.trace_hash
-                );
-                continue;
-            }
-            if a.violations.is_empty() {
-                println!("seed={seed} model={} ok (trace {:#x})", model.name(), a.trace_hash);
-                continue;
-            }
-            println!(
-                "seed={seed} model={}: {} violation(s), shrinking...",
-                model.name(),
-                a.violations.len()
-            );
-            let events = generate_events(seed, cfg.clients);
-            let shrunk = shrink_failure(&cfg, &events);
-            let reproducer = shrunk.as_ref().map(format_reproducer);
-            if let Some(repro) = &reproducer {
-                println!("{repro}");
-            }
-            tally.violations.push(json!({
-                "seed": seed,
-                "model": model.name(),
-                "suppress_recalls": false,
-                "violations": a.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                "shrunk_events": shrunk
-                    .as_ref()
-                    .map(|s| s.events.iter().map(|e| e.to_string()).collect::<Vec<_>>()),
-                "reproducer": reproducer,
-            }));
-        }
-    }
 
     // The scripted scenarios ride alongside the random matrix whenever
     // delegation is in scope:
@@ -261,156 +300,40 @@ fn main() {
     //   must be quarantined by verify-on-read and repaired by the
     //   background scrubber — no reader may ever observe a
     //   checksum-failed block.
+    let mut scenarios: Vec<Scenario> = args.models.iter().map(|&m| Scenario::Model(m)).collect();
     if args.models.contains(&ModelKind::Delegation) {
-        soak_scripted(&args, &mut tally, "partition-heal", |seed| {
-            let r = run_partition_heal(seed);
-            let summary = format!(
-                "trips {}, degraded reads {}",
-                r.breaker_trips, r.writer_stats.degraded_reads
-            );
-            Scripted::new(r.trace_hash, r.history, r.protocol_trace, r.violations, summary)
-        });
-        soak_scripted(&args, &mut tally, "crash-restart", |seed| {
-            let r = run_crash_restart(seed);
-            let summary = format!("warm blocks {}", r.writer_stats.restart_warm_blocks);
-            Scripted::new(r.trace_hash, r.history, r.protocol_trace, r.violations, summary)
-        });
-        soak_scripted(&args, &mut tally, "peer-partition", |seed| {
-            let r = run_peer_partition(seed, false);
-            let summary = format!(
-                "peer hits {}, fallbacks {}",
-                r.reader_stats.peer_hits, r.reader_stats.peer_fallbacks
-            );
-            Scripted::new(r.trace_hash, r.history, r.protocol_trace, r.violations, summary)
-        });
-        soak_scripted(&args, &mut tally, "disk-corruption", |seed| {
-            let r = run_disk_corruption(seed, false);
-            let stats = &r.reader_stats;
-            let summary = format!(
-                "rotted {}, quarantined {}, scrub repairs {}",
-                r.corrupted_paths, stats.quarantined_blocks, stats.scrub_repairs
-            );
-            let quarantine_report = json!({
-                "corrupted_paths": r.corrupted_paths,
-                "integrity_failures": stats.integrity_failures,
-                "quarantined_blocks": stats.quarantined_blocks,
-                "refetch_repairs": stats.refetch_repairs,
-                "scrub_repairs": stats.scrub_repairs,
-                "integrity_dirty_loss": stats.integrity_dirty_loss,
-            });
-            Scripted {
-                quarantine_report: Some(quarantine_report),
-                ..Scripted::new(r.trace_hash, r.history, r.protocol_trace, r.violations, summary)
-            }
-        });
+        scenarios.extend([
+            Scenario::PartitionHeal,
+            Scenario::CrashRestart,
+            Scenario::PeerPartition,
+            Scenario::DiskCorruption,
+        ]);
+    }
+    for scenario in scenarios {
+        soak(&args, &mut tally, scenario);
     }
 
-    // Self-test: with recalls suppressed the oracles MUST fire on at
-    // least one seed, and the shrinker must produce a reproducer.
-    let mut selftest_failed = false;
-    if args.break_recall {
-        let mut caught = 0u64;
-        let mut shrunk_ok = false;
-        for seed in args.start..args.start + args.seeds {
-            let mut cfg = ScenarioConfig::new(seed, ModelKind::Delegation);
-            cfg.suppress_recalls = true;
-            let report = run_scenario(&cfg);
-            tally.runs += 1;
-            if report.violations.is_empty() {
-                continue;
-            }
-            caught += 1;
-            if !shrunk_ok {
-                let events = generate_events(seed, cfg.clients);
-                if let Some(s) = shrink_failure(&cfg, &events) {
-                    shrunk_ok = true;
-                    println!(
-                        "self-test: suppression caught at seed={seed}, shrunk to {} event(s)",
-                        s.events.len()
-                    );
-                    println!("{}", format_reproducer(&s));
-                }
-            }
-        }
-        if caught == 0 || !shrunk_ok {
-            selftest_failed = true;
-            println!(
-                "SELF-TEST FAILED: recall suppression caught on {caught}/{} seeds, \
-                 shrinker ok: {shrunk_ok} — the harness has lost its teeth",
-                args.seeds
-            );
-        } else {
-            println!("self-test passed: suppression caught on {caught}/{} seeds", args.seeds);
-        }
-    }
-
-    // Self-test: with de-advertisement suppressed and the serving peer
-    // answering from condemned store bytes, the peer-partition oracle
-    // MUST convict the stale read on at least one seed.
-    if args.break_peerread {
-        let mut caught = 0u64;
-        for seed in args.start..args.start + args.seeds {
-            let report = run_peer_partition(seed, true);
-            tally.runs += 1;
-            if report.violations.is_empty() {
-                continue;
-            }
-            caught += 1;
-            if caught == 1 {
-                println!(
-                    "self-test: broken peer convicted at seed={seed}: {}",
-                    report.violations[0]
-                );
-            }
-        }
-        if caught == 0 {
-            selftest_failed = true;
-            println!(
-                "SELF-TEST FAILED: a peer serving condemned blocks went unconvicted on all \
-                 {} seeds — the peer oracle has lost its teeth",
-                args.seeds
-            );
-        } else {
-            println!("self-test passed: broken peer convicted on {caught}/{} seeds", args.seeds);
-        }
-    }
-
-    // Self-test: with verify-on-read disabled the store serves rotted
-    // bytes, and the disk-corruption oracle MUST convict nearly every
-    // seed — the rot is planted deterministically, so anything short of
-    // 7 in 8 means the integrity machinery has a blind spot.
-    let mut break_scrub_caught = 0u64;
-    if args.break_scrub {
-        for seed in args.start..args.start + args.seeds {
-            let report = run_disk_corruption(seed, true);
-            tally.runs += 1;
-            if report.violations.is_empty() {
-                println!("self-test: seed={seed} served rot UNCONVICTED");
-                continue;
-            }
-            break_scrub_caught += 1;
-            if break_scrub_caught == 1 {
-                println!(
-                    "self-test: served rot convicted at seed={seed}: {}",
-                    report.violations[0]
-                );
-            }
-        }
-        if break_scrub_caught * 8 < args.seeds * 7 {
-            selftest_failed = true;
-            println!(
-                "SELF-TEST FAILED: a store serving rotted bytes was convicted on only \
-                 {break_scrub_caught}/{} seeds (need 7 in 8) — the integrity oracle has lost \
-                 its teeth",
-                args.seeds
-            );
-        } else {
-            println!(
-                "self-test passed: served rot convicted on {break_scrub_caught}/{} seeds",
-                args.seeds
-            );
-        }
-    }
+    // Self-tests, each with its own verdict:
+    // - --break-recall: with recalls suppressed the oracles must fire on
+    //   at least one seed, and the shrinker must produce a reproducer;
+    // - --break-peerread: with de-advertisement suppressed and the
+    //   serving peer answering from condemned store bytes, the
+    //   peer-partition oracle must convict at least one seed;
+    // - --break-scrub: with verify-on-read disabled the store serves
+    //   rotted bytes, and the disk-corruption oracle must convict 7 in
+    //   8 seeds — the rot is planted deterministically, so anything
+    //   less means the integrity machinery has a blind spot.
+    let self_tests = [
+        ("--break-recall", args.break_recall, Scenario::Model(ModelKind::Delegation), 1),
+        ("--break-peerread", args.break_peerread, Scenario::PeerPartition, 1),
+        ("--break-scrub", args.break_scrub, Scenario::DiskCorruption, (args.seeds * 7).div_ceil(8)),
+    ];
+    let verdicts: Vec<Option<bool>> = self_tests
+        .into_iter()
+        .map(|(flag, on, scenario, need)| {
+            on.then(|| self_test(&args, &mut tally, flag, scenario, need))
+        })
+        .collect();
 
     save_json(
         "chaos_violations.json",
@@ -420,27 +343,15 @@ fn main() {
             "seeds": args.seeds,
             "models": args.models.iter().map(|m| m.name()).collect::<Vec<_>>(),
             "determinism_breaks": tally.determinism_breaks,
-            "break_recall_selftest": if args.break_recall {
-                Some(!selftest_failed)
-            } else {
-                None
-            },
-            "break_peerread_selftest": if args.break_peerread {
-                Some(!selftest_failed)
-            } else {
-                None
-            },
-            "break_scrub_selftest": if args.break_scrub {
-                Some(break_scrub_caught * 8 >= args.seeds * 7)
-            } else {
-                None
-            },
+            "break_recall_selftest": verdicts[0],
+            "break_peerread_selftest": verdicts[1],
+            "break_scrub_selftest": verdicts[2],
             "violations": tally.violations.clone(),
             "traces": Value::Object(tally.traces),
         }),
     );
 
-    if selftest_failed {
+    if verdicts.contains(&Some(false)) {
         std::process::exit(2);
     }
     if tally.determinism_breaks > 0 || !tally.violations.is_empty() {

@@ -13,7 +13,7 @@
 //! blocks' offsets" a recalled write delegation reports (§4.3.2).
 
 use crate::store::BlockStore;
-use gvfs_nfs3::{Fattr3, Fh3};
+use gvfs_nfs3::{EntryPlus3, Fattr3, Fh3};
 use std::collections::{BTreeMap, HashMap};
 
 /// One cached byte range of a file.
@@ -429,6 +429,21 @@ impl DiskCache {
     /// Caches a negative name binding (known absent).
     pub fn put_negative_lookup(&mut self, dir: Fh3, name: &str) {
         self.lookups.insert((dir, name.to_string()), None);
+    }
+
+    /// Installs one `READDIRPLUS` reply: the directory's attributes and,
+    /// for each entry, its name binding plus the attributes it carried.
+    pub fn put_readdirplus(&mut self, dir: Fh3, dir_attr: Option<Fattr3>, entries: &[EntryPlus3]) {
+        if let Some(attr) = dir_attr {
+            self.put_attr(dir, attr);
+        }
+        for e in entries {
+            let fh = e.name_handle.unwrap_or(Fh3::from_fileid(e.fileid));
+            self.put_lookup(dir, &e.name, fh);
+            if let Some(attr) = e.name_attributes {
+                self.put_attr(fh, attr);
+            }
+        }
     }
 
     // --- data ---

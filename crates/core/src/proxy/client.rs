@@ -892,18 +892,8 @@ impl ProxyClient {
                     entries,
                     eof,
                 }) => {
-                    let mut disk = self.disk.lock();
-                    if let Some(attr) = dir_attributes {
-                        disk.put_attr(dir, attr);
-                    }
-                    for e in &entries {
-                        let fh = e.name_handle.unwrap_or(Fh3::from_fileid(e.fileid));
-                        disk.put_lookup(dir, &e.name, fh);
-                        if let Some(attr) = e.name_attributes {
-                            disk.put_attr(fh, attr);
-                        }
-                        cookie = e.cookie;
-                    }
+                    self.disk.lock().put_readdirplus(dir, dir_attributes, &entries);
+                    cookie = entries.last().map_or(cookie, |e| e.cookie);
                     cookieverf = verf;
                     if eof {
                         return;
@@ -1060,12 +1050,7 @@ impl ProxyClient {
                 None => return Ok(None),
             }
         };
-        {
-            let mut stats = self.stats.lock();
-            stats.degraded_reads += 1;
-            stats.served_local += 1;
-        }
-        self.emit_trace(ProtocolEvent::DegradedServe { client: self.id, fh: a.file.fileid() });
+        self.note_degraded_serve(a.file);
         let res = ReadRes::Ok {
             file_attributes: Some(attr),
             count: data.len() as u32,
@@ -1108,13 +1093,18 @@ impl ProxyClient {
             return Ok(None);
         }
         let Some(attr) = self.disk.lock().attr(fh) else { return Ok(None) };
+        self.note_degraded_serve(fh);
+        encode(&GetattrRes::Ok(attr)).map(Some)
+    }
+
+    /// Counts one op served under the bounded-staleness rung and traces it.
+    fn note_degraded_serve(&self, fh: Fh3) {
         {
             let mut stats = self.stats.lock();
             stats.degraded_reads += 1;
             stats.served_local += 1;
         }
         self.emit_trace(ProtocolEvent::DegradedServe { client: self.id, fh: fh.fileid() });
-        encode(&GetattrRes::Ok(attr)).map(Some)
     }
 
     // --- pipelined read path & read-ahead -----------------------------
@@ -1888,17 +1878,7 @@ impl ProxyClient {
             } else if let Ok(gvfs_nfs3::ReaddirplusRes::Ok { dir_attributes, entries, .. }) =
                 gvfs_xdr::from_bytes::<gvfs_nfs3::ReaddirplusRes>(&reply)
             {
-                let mut disk = self.disk.lock();
-                if let Some(attr) = dir_attributes {
-                    disk.put_attr(dir, attr);
-                }
-                for e in &entries {
-                    let fh = e.name_handle.unwrap_or(Fh3::from_fileid(e.fileid));
-                    disk.put_lookup(dir, &e.name, fh);
-                    if let Some(attr) = e.name_attributes {
-                        disk.put_attr(fh, attr);
-                    }
-                }
+                self.disk.lock().put_readdirplus(dir, dir_attributes, &entries);
             }
         }
         Ok(reply)

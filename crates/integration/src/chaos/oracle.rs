@@ -173,6 +173,27 @@ fn untrusted_writers(model: ModelKind, events: &[FaultEvent]) -> HashSet<usize> 
     set
 }
 
+/// The checks every scripted scenario shares: no read may observe a
+/// torn block, and every scripted write must be acknowledged (the
+/// scripts issue none on a dead path).
+pub fn torn_or_failed(history: &[Event]) -> Vec<Violation> {
+    let torn = history.iter().filter_map(|ev| match ev {
+        Event::Read { client, file, observed: Observation::Torn, started, .. } => Some(Violation {
+            kind: ViolationKind::TornRead,
+            detail: format!("client {client} observed a torn block of file {file} at {started:?}"),
+        }),
+        _ => None,
+    });
+    let failed = history.iter().filter_map(|ev| match ev {
+        Event::WriteFailed { client, file, tag, started, .. } => Some(Violation {
+            kind: ViolationKind::FinalState,
+            detail: format!("client {client} write {tag:#x} to file {file} failed at {started:?}"),
+        }),
+        _ => None,
+    });
+    torn.chain(failed).collect()
+}
+
 /// Runs every oracle over one recorded run. `final_tags[f]` is the
 /// out-of-band content of file `f` after shutdown.
 pub fn check(

@@ -8,7 +8,8 @@
 //! reduces to exactly this), then greedy single-event deletions until a
 //! fixpoint. The result plus the seed is a complete reproducer.
 
-use crate::chaos::driver::{run_with_events, ChaosReport, ScenarioConfig};
+use crate::chaos::driver::{run_with_events, ScenarioConfig};
+use crate::chaos::harness::ChaosReport;
 use crate::chaos::plan::FaultEvent;
 use std::fmt::Write as _;
 

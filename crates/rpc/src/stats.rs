@@ -35,16 +35,12 @@ pub struct RpcStats {
     inner: Arc<Mutex<Inner>>,
 }
 
+/// The live counters plus the in-flight gauge, the one value a
+/// snapshot does not carry.
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<(u32, u32), ProcCounter>,
+    snap: StatsSnapshot,
     in_flight: u64,
-    max_in_flight: u64,
-    unreachable: u64,
-    timeouts: u64,
-    breaker_trips: u64,
-    breaker_probes: u64,
-    breakers_open: u64,
 }
 
 /// Counters for a single procedure.
@@ -101,7 +97,7 @@ impl RpcStats {
         latency_nanos: u64,
     ) {
         let mut inner = self.inner.lock();
-        let c = inner.counters.entry((program, procedure)).or_default();
+        let c = inner.snap.counters.entry((program, procedure)).or_default();
         c.calls += 1;
         c.bytes_out += bytes_out;
         c.bytes_in += bytes_in;
@@ -114,13 +110,13 @@ impl RpcStats {
     /// how hard a client hammered a dead link — the chaos back-off
     /// regression tests read this.
     pub fn record_unreachable(&self) {
-        self.inner.lock().unreachable += 1;
+        self.inner.lock().snap.unreachable += 1;
     }
 
     /// Records one call that was sent but never answered (lost request
     /// or reply, or a down server) and burned its RPC timeout.
     pub fn record_timeout(&self) {
-        self.inner.lock().timeouts += 1;
+        self.inner.lock().snap.timeouts += 1;
     }
 
     /// Records one circuit-breaker trip (Closed → Open) and bumps the
@@ -128,21 +124,21 @@ impl RpcStats {
     /// [`CircuitBreaker`](crate::breaker::CircuitBreaker) when a stats
     /// sink is attached.
     pub fn record_breaker_trip(&self) {
-        let mut inner = self.inner.lock();
-        inner.breaker_trips += 1;
-        inner.breakers_open += 1;
+        let snap = &mut self.inner.lock().snap;
+        snap.breaker_trips += 1;
+        snap.breakers_open += 1;
     }
 
     /// Records one breaker heal (a probe succeeded; Open/HalfOpen →
     /// Closed) and drops the open-breaker gauge.
     pub fn record_breaker_heal(&self) {
-        let mut inner = self.inner.lock();
-        inner.breakers_open = inner.breakers_open.saturating_sub(1);
+        let snap = &mut self.inner.lock().snap;
+        snap.breakers_open = snap.breakers_open.saturating_sub(1);
     }
 
     /// Records one half-open probe window (Open → HalfOpen promotion).
     pub fn record_breaker_probe(&self) {
-        self.inner.lock().breaker_probes += 1;
+        self.inner.lock().snap.breaker_probes += 1;
     }
 
     /// Notes that one call entered the wire; bumps the in-flight gauge
@@ -150,9 +146,7 @@ impl RpcStats {
     pub fn call_started(&self) {
         let mut inner = self.inner.lock();
         inner.in_flight += 1;
-        if inner.in_flight > inner.max_in_flight {
-            inner.max_in_flight = inner.in_flight;
-        }
+        inner.snap.max_in_flight = inner.snap.max_in_flight.max(inner.in_flight);
     }
 
     /// Notes that one call left the wire (reply claimed or failed).
@@ -168,28 +162,18 @@ impl RpcStats {
 
     /// Copies out the current counters.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let inner = self.inner.lock();
-        StatsSnapshot {
-            counters: inner.counters.clone(),
-            max_in_flight: inner.max_in_flight,
-            unreachable: inner.unreachable,
-            timeouts: inner.timeouts,
-            breaker_trips: inner.breaker_trips,
-            breaker_probes: inner.breaker_probes,
-            breakers_open: inner.breakers_open,
-        }
+        self.inner.lock().snap.clone()
     }
 
     /// Resets all counters (and the in-flight high-water mark) to zero.
     /// The open-breaker gauge is state, not a tally, and survives.
     pub fn reset(&self) {
         let mut inner = self.inner.lock();
-        inner.counters.clear();
-        inner.max_in_flight = inner.in_flight;
-        inner.unreachable = 0;
-        inner.timeouts = 0;
-        inner.breaker_trips = 0;
-        inner.breaker_probes = 0;
+        inner.snap = StatsSnapshot {
+            max_in_flight: inner.in_flight,
+            breakers_open: inner.snap.breakers_open,
+            ..StatsSnapshot::default()
+        };
     }
 }
 

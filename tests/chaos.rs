@@ -64,13 +64,13 @@ fn partition_heal_rides_the_ladder_and_loses_nothing() {
     // interesting counters explicitly so a regression reads clearly.
     assert!(report.breaker_trips >= 1, "the partition must trip the WAN breaker");
     assert!(
-        report.writer_stats.degraded_reads >= 3,
+        report.stats.degraded_reads >= 3,
         "the bounded-staleness rung must serve the mid-outage reads, stats: {:?}",
-        report.writer_stats
+        report.stats
     );
-    assert_eq!(report.writer_stats.repromotions, 1, "exactly one heal, one re-promotion");
+    assert_eq!(report.stats.repromotions, 1, "exactly one heal, one re-promotion");
     assert_eq!(
-        report.writer_stats.stale_discards + report.writer_stats.corrupted_discards,
+        report.stats.stale_discards + report.stats.corrupted_discards,
         0,
         "nothing conflicted server-side, so nothing may be discarded"
     );
@@ -89,16 +89,16 @@ fn crash_restart_recovers_synced_state_and_discards_the_torn_write() {
         "crash-restart must be clean, got: {:#?}\nhistory: {:#?}\nstats: {:?}",
         report.violations,
         report.history,
-        report.writer_stats
+        report.stats
     );
     // The report's own checks already demand these, but assert the
     // interesting counters explicitly so a regression reads clearly.
     assert!(
-        report.writer_stats.restart_warm_blocks >= 1,
+        report.stats.restart_warm_blocks >= 1,
         "the reopened store must serve at least /crash-1's clean block warm, stats: {:?}",
-        report.writer_stats
+        report.stats
     );
-    assert!(report.corrupted.is_empty(), "nothing conflicted server-side");
+    assert!(report.extras.corrupted.is_empty(), "nothing conflicted server-side");
 
     // Exact-replay determinism, scripted like the randomized scenarios.
     let again = gvfs_integration::chaos::run_crash_restart(7);
@@ -114,18 +114,18 @@ fn disk_corruption_self_heals_and_break_scrub_is_convicted() {
         "disk-corruption must be clean, got: {:#?}\nhistory: {:#?}\nstats: {:?}",
         report.violations,
         report.history,
-        report.reader_stats
+        report.stats
     );
     // The report's own checks already demand these, but assert the
     // interesting counters explicitly so a regression reads clearly.
-    assert!(report.corrupted_paths >= 2, "rot must land on data/ and chunks/");
+    assert!(report.extras.corrupted_paths >= 2, "rot must land on data/ and chunks/");
     assert!(
-        report.reader_stats.integrity_failures >= report.corrupted_paths as u64,
+        report.stats.integrity_failures >= report.extras.corrupted_paths as u64,
         "every rotted file must fail at least one verification, stats: {:?}",
-        report.reader_stats
+        report.stats
     );
-    assert!(report.reader_stats.scrub_repairs >= 1, "the scrubber must repair ahead of demand");
-    assert_eq!(report.reader_stats.integrity_dirty_loss, 0, "only clean data was rotted");
+    assert!(report.stats.scrub_repairs >= 1, "the scrubber must repair ahead of demand");
+    assert_eq!(report.stats.integrity_dirty_loss, 0, "only clean data was rotted");
 
     // Exact-replay determinism, scripted like the randomized scenarios.
     let again = gvfs_integration::chaos::run_disk_corruption(7, false);
@@ -138,8 +138,37 @@ fn disk_corruption_self_heals_and_break_scrub_is_convicted() {
     assert!(
         !broken.violations.is_empty(),
         "a store serving rotted bytes must be convicted, stats: {:?}",
-        broken.reader_stats
+        broken.stats
     );
+}
+
+#[test]
+fn peer_partition_falls_back_to_the_origin_and_serves_from_the_mesh() {
+    let report = gvfs_integration::chaos::run_peer_partition(7, false);
+    assert!(
+        report.violations.is_empty(),
+        "peer-partition must be clean, got: {:#?}\nhistory: {:#?}\nstats: {:?}",
+        report.violations,
+        report.history,
+        report.stats
+    );
+    // The report's own checks already demand these, but assert the
+    // interesting counters explicitly so a regression reads clearly.
+    assert!(
+        report.stats.peer_fallbacks >= 1,
+        "the partitioned PEERREAD must fall back to the origin, stats: {:?}",
+        report.stats
+    );
+    assert!(
+        report.stats.peer_hits >= 1,
+        "the verify-phase block must come over the mesh, stats: {:?}",
+        report.stats
+    );
+
+    // Exact-replay determinism, scripted like the randomized scenarios.
+    let again = gvfs_integration::chaos::run_peer_partition(7, false);
+    assert_eq!(report.history, again.history, "scenario must replay bit-identically");
+    assert_eq!(report.trace_hash, again.trace_hash);
 }
 
 #[test]
