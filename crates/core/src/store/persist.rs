@@ -874,10 +874,12 @@ impl PersistentStore {
     fn verify_record(&self, rec: &WalRecord) -> bool {
         let WalRecord::InsertClean { segs, .. } = rec else { return true };
         segs.iter().all(|seg| match seg {
-            SegRec::Chunk { id } => self
-                .disk
-                .read(&chunk_path(*id), 0, id.1 as usize)
-                .is_some_and(|b| b.len() == id.1 as usize && content_hash(&b) == id.0),
+            SegRec::Chunk { id } => matches!(
+                self.disk.read_with(&chunk_path(*id), 0, id.1 as usize, |b| {
+                    b.len() == id.1 as usize && content_hash(b) == id.0
+                }),
+                Ok(Some(true))
+            ),
             SegRec::Raw { .. } => true,
         })
     }
@@ -887,8 +889,8 @@ impl PersistentStore {
         let id: ChunkId =
             (content_hash(bytes), u32::try_from(bytes.len()).expect("segment fits u32"));
         let path = chunk_path(id);
-        if let Some(existing) = self.disk.read(&path, 0, bytes.len() + 1) {
-            if existing == bytes {
+        if let Ok(Some(same)) = self.disk.read_with(&path, 0, bytes.len() + 1, |b| b == bytes) {
+            if same {
                 idx.dedup_hits += 1;
                 return SegRec::Chunk { id };
             }

@@ -1,8 +1,9 @@
 //! Allocation budget of the persistent store's block path: a counting
-//! global allocator pins the bytes one steady-state 32 KiB `write_dirty`
-//! and one 32 KiB `read` allocate on an instant-disk store. Each budget
-//! is the measured count rounded up to the next 32 KiB, so one more copy
-//! of the block anywhere on the path fails the test.
+//! global allocator pins the bytes one steady-state 32 KiB `write_dirty`,
+//! one 32 KiB `read` and one whole `sync_every` cycle of writes allocate
+//! on an instant-disk store, and that a disk sync allocates nothing. Each
+//! budget is the measured count rounded up to the next 32 KiB, so one
+//! more copy of the block anywhere on the path fails the test.
 
 use gvfs_core::store::persist::{PersistConfig, PersistentStore};
 use gvfs_core::store::BlockStore;
@@ -11,12 +12,16 @@ use gvfs_nfs3::Fh3;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const BLOCK: usize = 32 * 1024;
 /// Measured 33,003 B: the WAL frame.
 const WRITE_BUDGET: u64 = 2 * BLOCK as u64;
 /// Measured 32,840 B: the bytes read off the disk, which the caller gets.
 const READ_BUDGET: u64 = 2 * BLOCK as u64;
+/// Measured 2,142,976 B: 64 WAL frames plus the undo record that saves
+/// the overwritten block's durable bytes once per sync.
+const CYCLE_BUDGET: u64 = 66 * BLOCK as u64;
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 
@@ -81,4 +86,48 @@ fn a_block_write_and_read_allocate_within_budget() {
     assert_eq!(data, Some(block(23)), "the read returns the last write");
     assert!(write <= WRITE_BUDGET, "write_dirty allocated {write} B, budget {WRITE_BUDGET} B");
     assert!(read <= READ_BUDGET, "read allocated {read} B, budget {READ_BUDGET} B");
+}
+
+#[test]
+fn a_sync_every_cycle_allocates_within_budget_and_sync_allocates_nothing() {
+    let disk = VirtualDisk::new(DiskConfig::instant());
+    let cfg = PersistConfig::default();
+    let cycle = cfg.sync_every;
+    let mut store = PersistentStore::open(Arc::clone(&disk), cfg);
+    let fh = Fh3::from_fileid(1);
+    let block = |round: usize| vec![round as u8; BLOCK];
+    // Warm up through two syncs, stopping on the write that synced.
+    let mut round = 0;
+    let warm = disk.stats().syncs + 2;
+    while disk.stats().syncs < warm {
+        store.write_dirty(fh, 0, block(round));
+        round += 1;
+    }
+    // The least over four cycles: the WAL's amortized growth lands on
+    // some cycles and not others.
+    let cycle_bytes = (0..4)
+        .map(|_| {
+            let blocks: Vec<Vec<u8>> = (round..round + cycle).map(block).collect();
+            round += cycle;
+            let before = disk.stats().syncs;
+            allocated_by(|| {
+                for (i, data) in blocks.into_iter().enumerate() {
+                    store.write_dirty(fh, 0, data);
+                    let synced = disk.stats().syncs - before;
+                    assert_eq!(synced, u64::from(i + 1 == cycle), "only the last write syncs");
+                }
+            })
+            .0
+        })
+        .min()
+        .expect("measured cycles");
+    assert!(
+        cycle_bytes <= CYCLE_BUDGET,
+        "a {cycle}-write cycle allocated {cycle_bytes} B, budget {CYCLE_BUDGET} B"
+    );
+    // A sync after overwrites, appends and a new file copies nothing.
+    store.write_dirty(fh, 0, block(round));
+    store.write_dirty(Fh3::from_fileid(2), 0, block(round));
+    let (sync, ()) = allocated_by(|| disk.sync());
+    assert_eq!(sync, 0, "VirtualDisk::sync allocated {sync} B");
 }

@@ -2,14 +2,17 @@
 //! crash semantics, for persistent caches living inside the simulation.
 //!
 //! Real disks would wreck the determinism the scheduler guarantees, so a
-//! [`VirtualDisk`] keeps every file as two byte vectors: the *current*
-//! content (what reads observe) and the *durable* content (what survives
-//! a crash). [`VirtualDisk::sync`] promotes current to durable from the
-//! lowest offset each file changed at since the previous sync, so a
-//! sync costs the bytes changed; [`VirtualDisk::crash`] reverts
-//! to durable, except that the first unsynced appended region of each
-//! file keeps a deterministic half-way *torn prefix* — exactly the
-//! failure a write-ahead log must tolerate.
+//! [`VirtualDisk`] keeps every file in memory as one byte vector: the
+//! *current* content, which reads observe. The *durable* content (what
+//! survives a crash) is not stored beside it. Each file records its
+//! length at the last [`VirtualDisk::sync`] and an undo list with the old
+//! durable bytes of every range below that length changed since, so
+//! overwrites, truncations, removals and a rename's replaced target save
+//! what they destroy, and appends save nothing. A sync drops the undo
+//! lists and copies no bytes; [`VirtualDisk::crash`] writes the undo
+//! records back, except that the unsynced appended region of each file
+//! keeps a deterministic half-way *torn prefix* — exactly the failure a
+//! write-ahead log must tolerate.
 //!
 //! I/O never blocks: each operation accrues virtual nanoseconds
 //! (per-operation seek plus bytes ÷ throughput) into a pending-cost
@@ -85,8 +88,8 @@ pub struct DiskStats {
     pub bytes_written: u64,
     /// Completed [`VirtualDisk::sync`] barriers.
     pub syncs: u64,
-    /// Bytes [`VirtualDisk::sync`] copied to durable content: each
-    /// changed file from its lowest offset changed since the last sync.
+    /// Bytes [`VirtualDisk::sync`] made durable: each changed file from
+    /// its lowest offset changed since the last sync.
     pub bytes_synced: u64,
     /// Simulated crashes.
     pub crashes: u64,
@@ -210,20 +213,24 @@ impl DiskFaultState {
     }
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct VFile {
     /// Current content, as in-flight writes left it.
     data: Vec<u8>,
-    /// Content as of the last global [`VirtualDisk::sync`].
-    durable: Vec<u8>,
+    /// Length at the last global [`VirtualDisk::sync`]. The durable
+    /// content is `data[..durable_len]` with `undo` written over it.
+    durable_len: usize,
+    /// The old durable bytes of each range below `durable_len` changed
+    /// since the last sync: disjoint `(offset, bytes)` records sorted by
+    /// offset. They cover every byte of `[data.len(), durable_len)`.
+    undo: Vec<(usize, Vec<u8>)>,
     /// Removed since the last sync: invisible to reads, but the durable
     /// content must survive a crash (an unlink is only durable after a
     /// sync, like a POSIX unlink without a directory fsync).
     deleted: bool,
-    /// Lowest offset possibly changed since the last sync: `data` and
-    /// `durable` agree below it, so [`VirtualDisk::sync`] copies only
-    /// `data[from..]`. `None` means `data == durable` and `!deleted`, and
-    /// the sync skips the file.
+    /// Lowest offset possibly changed since the last sync, from which
+    /// [`VirtualDisk::sync`] counts the bytes it makes durable. `None`
+    /// means `data` is the durable content and `!deleted`.
     dirty_from: Option<usize>,
 }
 
@@ -233,13 +240,73 @@ impl VFile {
         self.dirty_from = Some(self.dirty_from.map_or(offset, |from| from.min(offset)));
     }
 
-    /// Re-creates a removed path: fresh content, but the durable copy of
-    /// the old file still governs what a crash restores.
+    /// Re-creates a removed path: fresh content, but the undo records of
+    /// the old file still govern what a crash restores.
     fn revive(&mut self) {
         if self.deleted {
             self.deleted = false;
             self.data.clear();
             self.touch(0);
+        }
+    }
+
+    /// Saves the durable bytes of `[start, end)` that no undo record
+    /// holds yet; call it before changing them in `data`. Bytes from
+    /// `durable_len` on have no durable content, and bytes past
+    /// `data.len()` are saved already.
+    fn save(&mut self, start: usize, end: usize) {
+        let end = end.min(self.durable_len).min(self.data.len());
+        let mut pos = start;
+        let mut i = self.undo.partition_point(|(off, old)| off + old.len() <= pos);
+        while pos < end {
+            match self.undo.get(i) {
+                Some((off, old)) if *off <= pos => pos = off + old.len(),
+                next => {
+                    let gap_end = next.map_or(end, |(off, _)| end.min(*off));
+                    let old = self.data[pos..gap_end].to_vec();
+                    self.undo.insert(i, (pos, old));
+                    pos = gap_end;
+                }
+            }
+            i += 1;
+        }
+    }
+
+    /// Truncates `data` to `len`, saving the durable bytes it drops.
+    fn cut(&mut self, len: usize) {
+        if len == 0 && self.undo.is_empty() && self.durable_len > 0 {
+            // Nothing is saved yet, so `data` starts with the whole
+            // durable content: move it into the undo list, not a copy.
+            let mut old = std::mem::take(&mut self.data);
+            old.truncate(self.durable_len);
+            self.undo.push((0, old));
+        } else {
+            self.save(len, self.durable_len);
+            self.data.truncate(len);
+        }
+    }
+
+    /// XORs `mask` into byte `idx` (below `data.len()`) of the current
+    /// and the durable content alike: rot is media decay, not a write.
+    fn flip(&mut self, idx: usize, mask: u8) {
+        self.data[idx] ^= mask;
+        if idx >= self.durable_len {
+            self.touch(idx);
+            return;
+        }
+        // An unsaved durable byte is `data[idx]` itself, flipped above.
+        let i = self.undo.partition_point(|(off, old)| off + old.len() <= idx);
+        if let Some((off, old)) = self.undo.get_mut(i).filter(|(off, _)| *off <= idx) {
+            old[idx - *off] ^= mask;
+        }
+    }
+
+    /// Sets `data` to `len` bytes with the undo records written back:
+    /// the durable content, plus any torn tail past `durable_len`.
+    fn restore(&mut self, len: usize) {
+        self.data.resize(len, 0);
+        for (off, old) in self.undo.drain(..) {
+            self.data[off..off + old.len()].copy_from_slice(&old);
         }
     }
 }
@@ -252,6 +319,17 @@ struct DiskInner {
 }
 
 impl DiskInner {
+    /// The live file at `path`, created if absent (only then is the key
+    /// allocated) and re-created fresh if removed.
+    fn open(&mut self, path: &str) -> &mut VFile {
+        if !self.files.contains_key(path) {
+            self.files.insert(path.to_owned(), VFile::default());
+        }
+        let file = self.files.get_mut(path).expect("inserted above");
+        file.revive();
+        file
+    }
+
     /// Rolls the torn-write die for one write of `len` bytes at virtual
     /// time `t`; `Some(keep)` tears the write down to its first `keep`
     /// bytes (a sector-aligned prefix, possibly empty).
@@ -373,12 +451,12 @@ impl VirtualDisk {
         let bytes = &bytes[..keep.unwrap_or(bytes.len())];
         inner.stats.writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
-        let file = inner.files.entry(path.to_owned()).or_default();
-        file.revive();
+        let file = inner.open(path);
         let off = usize::try_from(offset).expect("offset fits usize");
         // A write past the end also zero-fills the hole before it.
         file.touch(off.min(file.data.len()));
         let end = off + bytes.len();
+        file.save(off, end);
         if file.data.len() < end {
             file.data.resize(end, 0);
         }
@@ -399,8 +477,8 @@ impl VirtualDisk {
         let bytes = &bytes[..keep.unwrap_or(bytes.len())];
         inner.stats.writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
-        let file = inner.files.entry(path.to_owned()).or_default();
-        file.revive();
+        let file = inner.open(path);
+        // Bytes appended below `durable_len` land on saved ones.
         file.touch(file.data.len());
         let off = file.data.len() as u64;
         file.data.extend_from_slice(bytes);
@@ -424,6 +502,19 @@ impl VirtualDisk {
         offset: u64,
         len: usize,
     ) -> Result<Option<Vec<u8>>, DiskError> {
+        self.read_with(path, offset, len, <[u8]>::to_vec)
+    }
+
+    /// [`VirtualDisk::try_read`] that lends the bytes to `f` instead of
+    /// copying them, with the same cost, dice and stats. `f` runs under
+    /// the disk's lock, so it must not call back into the disk.
+    pub fn read_with<R>(
+        &self,
+        path: &str,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, DiskError> {
         let t = sim_now();
         let mut inner = self.inner.lock();
         if inner.files.get(path).is_none_or(|f| f.deleted) {
@@ -439,32 +530,23 @@ impl VirtualDisk {
             }
             Ok(flip) => flip,
         };
-        let file = inner.files.get_mut(path).expect("checked present");
+        let DiskInner { files, stats, .. } = &mut *inner;
+        let file = files.get_mut(path).expect("checked present");
         let off = usize::try_from(offset).expect("offset fits usize");
-        let mut flipped = false;
-        if let Some((rel, bit)) = flip {
-            if off < file.data.len() {
-                let span = file.data.len().min(off + len) - off;
-                let idx = off + rel % span;
-                file.data[idx] ^= 1 << bit;
-                if idx < file.durable.len() {
-                    file.durable[idx] ^= 1 << bit;
-                } else {
-                    file.touch(idx);
-                }
-                flipped = true;
-            }
+        if let Some((rel, bit)) = flip.filter(|_| off < file.data.len()) {
+            let span = file.data.len().min(off.saturating_add(len)) - off;
+            file.flip(off + rel % span, 1 << bit);
+            stats.flips_injected += 1;
         }
         let end = off.saturating_add(len).min(file.data.len());
-        let out = if off >= file.data.len() { Vec::new() } else { file.data[off..end].to_vec() };
-        inner.stats.reads += 1;
-        inner.stats.bytes_read += out.len() as u64;
-        if flipped {
-            inner.stats.flips_injected += 1;
-        }
+        let out = file.data.get(off..end).unwrap_or_default();
+        let n = out.len();
+        let r = f(out);
+        stats.reads += 1;
+        stats.bytes_read += n as u64;
         drop(inner);
-        self.charge(out.len(), self.cfg.read_bps);
-        Ok(Some(out))
+        self.charge(n, self.cfg.read_bps);
+        Ok(Some(r))
     }
 
     /// Verification read: lends up to `len` bytes at `offset` (short at
@@ -501,12 +583,7 @@ impl VirtualDisk {
         if off >= file.data.len() {
             return false;
         }
-        file.data[off] ^= xor;
-        if off < file.durable.len() {
-            file.durable[off] ^= xor;
-        } else {
-            file.touch(off);
-        }
+        file.flip(off, xor);
         inner.stats.flips_injected += 1;
         true
     }
@@ -540,9 +617,8 @@ impl VirtualDisk {
         self.charge(0, self.cfg.write_bps);
         let mut inner = self.inner.lock();
         inner.stats.writes += 1;
-        let file = inner.files.entry(path.to_owned()).or_default();
-        file.revive();
-        file.data.truncate(usize::try_from(len).expect("len fits usize"));
+        let file = inner.open(path);
+        file.cut(usize::try_from(len).expect("len fits usize"));
         file.touch(file.data.len());
     }
 
@@ -554,32 +630,35 @@ impl VirtualDisk {
         let mut inner = self.inner.lock();
         inner.stats.writes += 1;
         if let Some(f) = inner.files.get_mut(path) {
-            if f.durable.is_empty() {
+            if f.durable_len == 0 {
                 inner.files.remove(path);
             } else {
                 f.deleted = true;
                 f.touch(0);
-                f.data.clear();
+                f.cut(0);
             }
         }
     }
 
     /// Atomically renames `old` to `new` (replacing `new`). The old name
     /// is gone at once, even across a crash. The moved file keeps its
-    /// durable copy, or takes over the replaced target's if it has none,
-    /// so a crash before the next [`VirtualDisk::sync`] reverts `new` to
-    /// one of the two durable contents under the usual
+    /// durable content, or takes over the replaced target's if it has
+    /// none, so a crash before the next [`VirtualDisk::sync`] reverts
+    /// `new` to one of the two durable contents under the usual
     /// [`VirtualDisk::crash`] rules.
     pub fn rename(&self, old: &str, new: &str) {
         self.charge(0, self.cfg.write_bps);
         let mut inner = self.inner.lock();
         inner.stats.writes += 1;
         if let Some(mut f) = inner.files.remove(old) {
-            // The moved file carries its durable copy; if the target had
-            // one it is replaced wholesale (no torn mix across a rename).
-            if let Some(prev) = inner.files.get(new) {
-                if !prev.durable.is_empty() && f.durable.is_empty() {
-                    f.durable = prev.durable.clone();
+            // The moved file carries its durable content; if the target
+            // had some it is replaced wholesale (no torn mix across a
+            // rename), so one undo record holds all of it.
+            if let Some(mut prev) = inner.files.remove(new) {
+                if prev.durable_len > 0 && f.durable_len == 0 {
+                    prev.restore(prev.durable_len);
+                    f.durable_len = prev.durable_len;
+                    f.undo = vec![(0, prev.data)];
                 }
             }
             f.touch(0);
@@ -588,9 +667,9 @@ impl VirtualDisk {
     }
 
     /// Durability barrier: everything written so far survives a crash.
-    /// Copies each changed file only from its lowest offset changed since
-    /// the last sync, so its cost is the bytes changed, not the size of
-    /// the files (or of everything stored).
+    /// It drops the undo records and copies no bytes; `bytes_synced`
+    /// counts each changed file from its lowest offset changed since the
+    /// last sync.
     pub fn sync(&self) {
         self.charge(0, self.cfg.write_bps);
         let mut inner = self.inner.lock();
@@ -601,8 +680,8 @@ impl VirtualDisk {
             if f.deleted {
                 return false;
             }
-            f.durable.truncate(from);
-            f.durable.extend_from_slice(&f.data[from..]);
+            f.durable_len = f.data.len();
+            f.undo.clear();
             stats.bytes_synced += (f.data.len() - from) as u64;
             true
         });
@@ -617,20 +696,16 @@ impl VirtualDisk {
         let mut inner = self.inner.lock();
         inner.stats.crashes += 1;
         inner.files.retain(|_, f| {
-            if f.deleted {
-                // Unsynced removal: the unlink is lost with the crash.
-                f.deleted = false;
-                f.data.clone_from(&f.durable);
-            } else if f.data.len() > f.durable.len() {
-                let torn = (f.data.len() - f.durable.len()) / 2;
-                f.data.truncate(f.durable.len() + torn);
-                f.data[..f.durable.len()].copy_from_slice(&f.durable);
+            // An unsynced removal is lost with the crash.
+            let len = if f.deleted || f.data.len() <= f.durable_len {
+                f.durable_len
             } else {
-                f.data.clone_from(&f.durable);
-            }
-            f.dirty_from = (f.data != f.durable)
-                .then(|| f.data.iter().zip(&f.durable).take_while(|(a, b)| a == b).count());
-            !f.data.is_empty() || !f.durable.is_empty()
+                f.durable_len + (f.data.len() - f.durable_len) / 2
+            };
+            f.deleted = false;
+            f.restore(len);
+            f.dirty_from = (len > f.durable_len).then_some(f.durable_len);
+            len > 0
         });
         // A crash forgets queued I/O cost along with the dirty pages.
         self.pending_ns.store(0, Ordering::Relaxed);
@@ -814,6 +889,59 @@ mod tests {
         assert_eq!(d.read("f", 0, 5).unwrap(), b"hdllo", "corruption survives the crash");
         assert!(!d.corrupt_byte("f", 99, 0x01), "out of range");
         assert!(!d.corrupt_byte("missing", 0, 0x01));
+    }
+
+    #[test]
+    fn crash_restores_rot_inside_an_overwritten_range() {
+        let d = VirtualDisk::new(DiskConfig::instant());
+        d.write("f", 0, &[1u8; 64]);
+        d.sync();
+        d.write("f", 8, &[2u8; 16]);
+        d.write("f", 4, &[3u8; 16]);
+        assert!(d.corrupt_byte("f", 10, 0x80));
+        d.crash();
+        let mut durable = [1u8; 64];
+        durable[10] ^= 0x80;
+        assert_eq!(d.read("f", 0, 64).unwrap(), durable, "the flip is durable, the writes are not");
+    }
+
+    #[test]
+    fn crash_after_truncate_and_append_keeps_durable_bytes_and_torn_half() {
+        let d = VirtualDisk::new(DiskConfig::instant());
+        d.write("f", 0, &[1u8; 100]);
+        d.sync();
+        d.truncate("f", 40);
+        d.append("f", &[2u8; 100]);
+        d.crash();
+        // 140 bytes, 100 durable: the 40 unsynced ones past it tear to 20.
+        let mut want = vec![1u8; 100];
+        want.extend([2u8; 20]);
+        assert_eq!(d.read("f", 0, 256).unwrap(), want);
+    }
+
+    #[test]
+    fn crash_after_renaming_an_unsynced_file_restores_the_target() {
+        let d = VirtualDisk::new(DiskConfig::instant());
+        d.write("snap", 0, b"durable");
+        d.sync();
+        d.write("snap", 2, b"XY");
+        d.write("tmp", 0, b"new");
+        d.rename("tmp", "snap");
+        assert_eq!(d.read("snap", 0, 16).unwrap(), b"new");
+        d.crash();
+        assert_eq!(d.read("snap", 0, 16).unwrap(), b"durable");
+        assert!(!d.exists("tmp"));
+    }
+
+    #[test]
+    fn crash_after_remove_and_recreate_restores_the_old_content() {
+        let d = VirtualDisk::new(DiskConfig::instant());
+        d.write("f", 0, b"old content");
+        d.sync();
+        d.remove("f");
+        d.write("f", 0, b"new");
+        d.crash();
+        assert_eq!(d.read("f", 0, 16).unwrap(), b"old content");
     }
 
     #[test]

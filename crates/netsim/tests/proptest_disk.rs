@@ -1,19 +1,21 @@
-//! Differential property test: the disk's incremental `sync` must be
-//! observably identical to a sync that copies every file.
+//! Differential property test: the disk's one-image representation must
+//! be observably identical to a disk that keeps two full images.
 //!
-//! [`VirtualDisk::sync`] copies each file only from the lowest offset
-//! changed since the last sync. A mutation path that forgot to lower that
-//! offset would lose data silently, and only at the next crash. The
-//! reference model below
-//! keeps the disk's crash, torn-write, deferred-unlink, rename and
-//! bit-rot rules, but its `sync` promotes every file's current content
-//! to durable. Random sequences of write, append, truncate, remove,
-//! rename, sync, crash and `corrupt_byte` drive both in lockstep, with
-//! and without a seeded [`DiskFaultPlan`] (bit flips and torn writes)
-//! on both sides. After every step `read`, `len`, `exists` and `list`
-//! must agree on every path. Every sync must also copy no more than the
-//! live files hold, and a second sync straight after it must copy
-//! nothing.
+//! [`VirtualDisk`] keeps each file's current content only, plus its
+//! length at the last sync and undo records of the durable bytes changed
+//! since. A mutation path that forgot to save what it overwrites, or a
+//! bit flip that missed an undo record, would lose data silently, and
+//! only at the next crash. The reference model below is the two-image
+//! disk: every file holds its current and its durable content in full,
+//! with the same crash, torn-write, deferred-unlink, rename and bit-rot
+//! rules, and its `sync` copies every file's current content to
+//! durable. Random sequences of write, append, truncate, remove, rename,
+//! sync, crash and `corrupt_byte` drive both in lockstep, with and
+//! without a seeded [`DiskFaultPlan`] (bit flips and torn writes) on
+//! both sides. After every step `read`, `len`, `exists` and `list` must
+//! agree on every path. Every sync must also count no more bytes made
+//! durable than the live files hold, and a second sync straight after
+//! it must count none.
 
 use gvfs_netsim::disk::{DiskConfig, DiskFaultPlan, VirtualDisk};
 use gvfs_netsim::fault::Window;
