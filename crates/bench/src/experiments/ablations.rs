@@ -19,14 +19,10 @@
 //! 10. self-healing scrub: after on-disk corruption of a warm
 //!     persistent cache, demand-time refetch repair vs the background
 //!     scrub sweep repairing ahead of the reader.
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin ablations [--only <name>]`
-//! where `<name>` is one of `buffer-capacity`, `polling-period`,
-//! `delegation-expiration`, `writeback-threshold`, `pipelining`,
-//! `readahead`, `degradation`, `fanout`, `peerread`, `scrub`.
 
-use gvfs_bench::scale::fanout_round;
-use gvfs_bench::{getinv_calls, nfs_calls, print_table, rpc_meta, save_json, small_mode};
+use super::{long_fat_link, quiet_polling};
+use crate::scale::fanout_round;
+use crate::{getinv_calls, nfs_calls, print_table, rpc_meta};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::proxy::BLOCK_SIZE;
 use gvfs_core::session::{Session, SessionConfig};
@@ -255,7 +251,7 @@ fn expiration_sweep() -> Vec<serde_json::Value> {
         });
         sim.run();
         let snap = stats.snapshot();
-        let callbacks = gvfs_bench::callback_calls(&snap);
+        let callbacks = crate::callback_calls(&snap);
         rows.push(vec![
             format!("{expiration_s}s"),
             callbacks.to_string(),
@@ -416,15 +412,12 @@ fn readahead_sweep() -> Vec<serde_json::Value> {
     for (label, window) in [("gap-only", 0usize), ("gap+readahead", 8)] {
         let sim = Sim::new();
         let session = Session::builder(SessionConfig {
-            model: ConsistencyModel::InvalidationPolling {
-                period: Duration::from_secs(300),
-                backoff_max: None,
-            },
+            model: quiet_polling(),
             readahead_window: window,
             ..SessionConfig::default()
         })
         .clients(1)
-        .wan(LinkConfig::wan().with_rtt(Duration::from_millis(200)).with_bandwidth_bps(100_000_000))
+        .wan(long_fat_link())
         .establish(&sim);
         let t = session.client_transport(0);
         let root = session.root_fh();
@@ -450,7 +443,7 @@ fn readahead_sweep() -> Vec<serde_json::Value> {
                 assert_eq!(data, vec![6u8; BLOCK_SIZE as usize], "block {b} content");
             }
             *el.lock() = gvfs_netsim::now().saturating_since(t0).as_secs_f64();
-            *rp.lock() = gvfs_bench::read_path_json(&s2.proxy_client(0).stats());
+            *rp.lock() = crate::read_path_json(&s2.proxy_client(0).stats());
             handle.shutdown();
         });
         sim.run();
@@ -588,8 +581,8 @@ fn degradation_sweep() -> Vec<serde_json::Value> {
 /// overlaps them, bounded only by the in-flight cap. The window must
 /// win by >=2x (in practice it wins by the window size, minus the
 /// short issue phase).
-fn fanout_sweep() -> Vec<serde_json::Value> {
-    let clients = if small_mode() { 96 } else { 1000 };
+fn fanout_sweep(small: bool) -> Vec<serde_json::Value> {
+    let clients = if small { 96 } else { 1000 };
     let mut rows = Vec::new();
     let mut json = Vec::new();
     let mut round = [0.0f64; 2];
@@ -627,26 +620,23 @@ fn fanout_sweep() -> Vec<serde_json::Value> {
 /// `PEERREAD` on, the origin serves each client one attestation-bearing
 /// READ and the remaining blocks arrive from advertised peers over the
 /// LAN, so the mean per-client cold read collapses.
-fn peerread_sweep() -> Vec<serde_json::Value> {
+fn peerread_sweep(small: bool) -> Vec<serde_json::Value> {
     // Blocks stay at 16 even in small mode: with fewer the per-client
     // fixed WAN costs (open + the attestation-bearing first READ)
     // dominate both arms and flatten the ratio.
-    let (clients, blocks) = if small_mode() { (6usize, 16u64) } else { (12, 16) };
+    let (clients, blocks) = if small { (6usize, 16u64) } else { (12, 16) };
     let mut rows = Vec::new();
     let mut json = Vec::new();
     let mut means = [0.0f64; 2];
     for (i, (label, peer_read)) in [("star", false), ("peer", true)].into_iter().enumerate() {
         let sim = Sim::new();
         let session = Session::builder(SessionConfig {
-            model: ConsistencyModel::InvalidationPolling {
-                period: Duration::from_secs(300),
-                backoff_max: None,
-            },
+            model: quiet_polling(),
             peer_read,
             ..SessionConfig::default()
         })
         .clients(clients)
-        .wan(LinkConfig::wan().with_rtt(Duration::from_millis(200)).with_bandwidth_bps(100_000_000))
+        .wan(long_fat_link())
         .establish(&sim);
         let seed_t = gvfs_vfs::Timestamp::from_nanos(0);
         let vfs = session.vfs();
@@ -690,7 +680,7 @@ fn peerread_sweep() -> Vec<serde_json::Value> {
         let mean = walls.iter().sum::<f64>() / walls.len() as f64;
         means[i] = mean;
         let snap = stats.snapshot();
-        let peerreads = gvfs_bench::peerread_calls(&peer_stats.snapshot());
+        let peerreads = crate::peerread_calls(&peer_stats.snapshot());
         rows.push(vec![
             label.to_string(),
             format!("{mean:.3}"),
@@ -748,7 +738,7 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
             ..SessionConfig::default()
         })
         .clients(1)
-        .wan(LinkConfig::wan().with_rtt(Duration::from_millis(200)).with_bandwidth_bps(100_000_000))
+        .wan(long_fat_link())
         .establish(&sim);
         // Seed server-side, each block distinct: 16 chunks, no dedup.
         let seed_t = gvfs_vfs::Timestamp::from_nanos(0);
@@ -835,7 +825,7 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
             "arm": label,
             "corrupted_blocks": rotted,
             "reread_s": wall_s,
-            "read_path": gvfs_bench::read_path_json(&stats),
+            "read_path": crate::read_path_json(&stats),
         }));
     }
     let speedup = walls[0] / walls[1];
@@ -853,44 +843,18 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
     json
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let only = args.iter().position(|a| a == "--only").and_then(|i| args.get(i + 1)).cloned();
-    let run = |name: &str| only.as_deref().is_none_or(|o| o == name);
-
-    let mut doc: Vec<(String, serde_json::Value)> = Vec::new();
-    doc.push(("experiment".into(), serde_json::json!("ablations")));
-    if run("buffer-capacity") {
-        doc.push(("buffer_capacity".into(), buffer_capacity_sweep().into()));
-    }
-    if run("polling-period") {
-        doc.push(("polling_period".into(), polling_period_sweep().into()));
-    }
-    if run("delegation-expiration") {
-        doc.push(("delegation_expiration".into(), expiration_sweep().into()));
-    }
-    if run("writeback-threshold") {
-        doc.push(("writeback_threshold".into(), writeback_threshold_sweep().into()));
-    }
-    if run("pipelining") {
-        doc.push(("pipelining".into(), pipelining_sweep().into()));
-    }
-    if run("readahead") {
-        doc.push(("readahead".into(), readahead_sweep().into()));
-    }
-    if run("degradation") {
-        doc.push(("degradation".into(), degradation_sweep().into()));
-    }
-    if run("fanout") {
-        doc.push(("fanout".into(), fanout_sweep().into()));
-    }
-    if run("peerread") {
-        doc.push(("peerread".into(), peerread_sweep().into()));
-    }
-    if run("scrub") {
-        doc.push(("scrub".into(), scrub_sweep().into()));
-    }
-    // A partial run must not clobber the full committed results.
-    let name = if only.is_some() { "ablations-partial.json" } else { "ablations.json" };
-    save_json(name, &serde_json::Value::Object(doc));
+pub fn run(small: bool) -> serde_json::Value {
+    serde_json::json!({
+        "experiment": "ablations",
+        "buffer_capacity": buffer_capacity_sweep(),
+        "polling_period": polling_period_sweep(),
+        "delegation_expiration": expiration_sweep(),
+        "writeback_threshold": writeback_threshold_sweep(),
+        "pipelining": pipelining_sweep(),
+        "readahead": readahead_sweep(),
+        "degradation": degradation_sweep(),
+        "fanout": fanout_sweep(small),
+        "peerread": peerread_sweep(small),
+        "scrub": scrub_sweep(),
+    })
 }

@@ -6,17 +6,12 @@
 //! per block. Emits `results/BENCH_peer.json` with both topologies'
 //! origin READ counts, PEERREAD volume, and the aggregated read-path
 //! counters.
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin bench_peer [--small]`
 
-use gvfs_bench::{
-    nfs_calls, peerread_calls, print_table, save_json, session_read_path, small_mode,
-};
+use super::{long_fat_link, quiet_polling};
+use crate::{nfs_calls, peerread_calls, print_table, session_read_path};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::proxy::BLOCK_SIZE;
 use gvfs_core::session::{Session, SessionConfig};
-use gvfs_core::ConsistencyModel;
-use gvfs_netsim::link::LinkConfig;
 use gvfs_netsim::Sim;
 use gvfs_nfs3::proc3;
 use parking_lot::Mutex;
@@ -49,15 +44,12 @@ fn run_config(
 ) -> RunOut {
     let sim = Sim::new();
     let session = Session::builder(SessionConfig {
-        model: ConsistencyModel::InvalidationPolling {
-            period: Duration::from_secs(300),
-            backoff_max: None,
-        },
+        model: quiet_polling(),
         peer_read,
         ..SessionConfig::default()
     })
     .clients(clients)
-    .wan(LinkConfig::wan().with_rtt(Duration::from_millis(200)).with_bandwidth_bps(100_000_000))
+    .wan(long_fat_link())
     .establish(&sim);
     // Seed the shared tree server-side so every proxy cache starts cold.
     let seed_t = gvfs_vfs::Timestamp::from_nanos(0);
@@ -132,8 +124,8 @@ fn fill(f: usize) -> u8 {
     (f as u8) ^ 0x5a
 }
 
-fn main() {
-    let (clients, files, blocks) = if small_mode() { (8, 2, 8u64) } else { (100, 4, 16u64) };
+pub fn run(small: bool) -> serde_json::Value {
+    let (clients, files, blocks) = if small { (8, 2, 8u64) } else { (100, 4, 16u64) };
     let star = run_config("star", false, clients, files, blocks);
     let peer = run_config("peer", true, clients, files, blocks);
     let rows = [&star, &peer]
@@ -159,24 +151,21 @@ fn main() {
     // fan-in must collapse (O(clients) -> O(1) per block; the full-size
     // run must clear the paper's 10x bar).
     assert!(peer.peer_hits > 0, "peer mesh served no blocks");
-    let bar = if small_mode() { 2.0 } else { 10.0 };
+    let bar = if small { 2.0 } else { 10.0 };
     assert!(
         reduction >= bar,
         "origin READ reduction {reduction:.1}x below {bar}x (star {}, peer {})",
         star.origin_reads,
         peer.origin_reads
     );
-    save_json(
-        "BENCH_peer.json",
-        &serde_json::json!({
-            "experiment": "BENCH_peer",
-            "clients": clients,
-            "files": files,
-            "blocks": blocks,
-            "block_bytes": BLOCK_SIZE,
-            "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
-            "origin_read_reduction": reduction,
-            "configs": [star.doc, peer.doc],
-        }),
-    );
+    serde_json::json!({
+        "experiment": "BENCH_peer",
+        "clients": clients,
+        "files": files,
+        "blocks": blocks,
+        "block_bytes": BLOCK_SIZE,
+        "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
+        "origin_read_reduction": reduction,
+        "configs": [star.doc, peer.doc],
+    })
 }

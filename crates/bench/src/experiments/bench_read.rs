@@ -4,22 +4,18 @@
 //! `results/BENCH_read.json` with per-config wall times, WAN RPC counts
 //! and the proxy's read-path counters, so regressions in the pipelined
 //! read engine show up as numbers, not vibes.
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin bench_read [--small]`
 
-use gvfs_bench::{nfs_calls, print_table, read_path_json, save_json, small_mode};
+use super::{long_fat_link, quiet_polling};
+use crate::{nfs_calls, print_table, read_path_json};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::proxy::BLOCK_SIZE;
 use gvfs_core::session::{Session, SessionConfig};
-use gvfs_core::ConsistencyModel;
-use gvfs_netsim::link::LinkConfig;
 use gvfs_netsim::Sim;
 use gvfs_nfs3::proc3;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Phase {
     name: &'static str,
@@ -35,15 +31,12 @@ struct Phase {
 fn run_config(label: &str, window: usize, blocks: u64) -> (serde_json::Value, f64, u64) {
     let sim = Sim::new();
     let session = Session::builder(SessionConfig {
-        model: ConsistencyModel::InvalidationPolling {
-            period: Duration::from_secs(300),
-            backoff_max: None,
-        },
+        model: quiet_polling(),
         readahead_window: window,
         ..SessionConfig::default()
     })
     .clients(1)
-    .wan(LinkConfig::wan().with_rtt(Duration::from_millis(200)).with_bandwidth_bps(100_000_000))
+    .wan(long_fat_link())
     .establish(&sim);
     let t = session.client_transport(0);
     let root = session.root_fh();
@@ -144,8 +137,8 @@ fn run_config(label: &str, window: usize, blocks: u64) -> (serde_json::Value, f6
     (doc, phases[0].wall_s, phases[1].wan_reads)
 }
 
-fn main() {
-    let blocks: u64 = if small_mode() { 8 } else { 32 };
+pub fn run(small: bool) -> serde_json::Value {
+    let blocks: u64 = if small { 8 } else { 32 };
     let mut configs = Vec::new();
     let mut colds = Vec::new();
     let mut warm_reads = Vec::new();
@@ -162,14 +155,11 @@ fn main() {
         "\ncold sequential: gap-only {gap_cold:.3}s, gap+readahead {ra_cold:.3}s ({:.1}x)",
         gap_cold / ra_cold
     );
-    save_json(
-        "BENCH_read.json",
-        &serde_json::json!({
-            "experiment": "BENCH_read",
-            "blocks": blocks,
-            "block_bytes": BLOCK_SIZE,
-            "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
-            "configs": configs,
-        }),
-    );
+    serde_json::json!({
+        "experiment": "BENCH_read",
+        "blocks": blocks,
+        "block_bytes": BLOCK_SIZE,
+        "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
+        "configs": configs,
+    })
 }

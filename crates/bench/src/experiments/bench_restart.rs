@@ -8,36 +8,21 @@
 //! the data just never crosses the WAN again). Emits
 //! `results/BENCH_restart.json` with both phases' wall times, WAN RPC
 //! splits, and the store's restart counters.
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin bench_restart [--small]`
 
-use gvfs_bench::{nfs_calls, print_table, read_path_json, save_json, small_mode};
+use super::{long_fat_link, quiet_polling};
+use crate::{nfs_calls, print_table, read_path_json};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::proxy::BLOCK_SIZE;
 use gvfs_core::session::{Session, SessionConfig};
-use gvfs_core::ConsistencyModel;
 use gvfs_netsim::disk::VirtualDisk;
-use gvfs_netsim::link::LinkConfig;
 use gvfs_netsim::Sim;
 use gvfs_nfs3::proc3;
 use gvfs_vfs::Vfs;
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn config() -> SessionConfig {
-    SessionConfig {
-        model: ConsistencyModel::InvalidationPolling {
-            period: Duration::from_secs(300),
-            backoff_max: None,
-        },
-        persistent_store: true,
-        ..SessionConfig::default()
-    }
-}
-
-fn link() -> LinkConfig {
-    LinkConfig::wan().with_rtt(Duration::from_millis(200)).with_bandwidth_bps(100_000_000)
+    SessionConfig { model: quiet_polling(), persistent_store: true, ..SessionConfig::default() }
 }
 
 struct PhaseResult {
@@ -60,7 +45,8 @@ fn run_session(
     blocks: u64,
 ) -> (PhaseResult, Arc<VirtualDisk>) {
     let sim = Sim::new();
-    let mut builder = Session::builder(config()).clients(1).wan(link()).vfs(Arc::clone(vfs));
+    let mut builder =
+        Session::builder(config()).clients(1).wan(long_fat_link()).vfs(Arc::clone(vfs));
     if let Some(disk) = disk {
         builder = builder.client_disks(vec![disk]);
     }
@@ -105,8 +91,8 @@ fn run_session(
     (result, disk)
 }
 
-fn main() {
-    let blocks: u64 = if small_mode() { 8 } else { 32 };
+pub fn run(small: bool) -> serde_json::Value {
+    let blocks: u64 = if small { 8 } else { 32 };
 
     // One filesystem outlives both sessions, exactly like the server
     // outlives a proxy machine reboot.
@@ -167,15 +153,12 @@ fn main() {
             "read_path": p.read_path,
         })
     };
-    save_json(
-        "BENCH_restart.json",
-        &serde_json::json!({
-            "experiment": "BENCH_restart",
-            "blocks": blocks,
-            "block_bytes": BLOCK_SIZE,
-            "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
-            "cold": phase_json(&cold),
-            "warm_restart": phase_json(&warm),
-        }),
-    );
+    serde_json::json!({
+        "experiment": "BENCH_restart",
+        "blocks": blocks,
+        "block_bytes": BLOCK_SIZE,
+        "link": { "rtt_ms": 200, "bandwidth_mbps": 100 },
+        "cold": phase_json(&cold),
+        "warm_restart": phase_json(&warm),
+    })
 }

@@ -1,5 +1,5 @@
-//! Proxy-server scale bench: 1k–10k lightweight protocol clients
-//! against one proxy server, measuring the hot paths the fan-out and
+//! Proxy-server scale bench: 1,000 and 2,500 lightweight protocol
+//! clients (48 and 96 at small size) against one proxy server, measuring the hot paths the fan-out and
 //! invalidation rework targets:
 //!
 //! 1. **recall fan-out** — N read-delegation holders on one shared
@@ -18,17 +18,14 @@
 //!    every idle client's buffers and breakers while keeping the
 //!    active set, bounding delegation/invalidation/breaker state.
 //!
-//! Unlike the `fig*` binaries this harness does not build full proxy
+//! Unlike the `fig*` experiments this harness does not build full proxy
 //! clients (disk cache, poller, flusher per client — far too heavy at
-//! 10k): it drives credentialed wire-level calls against the proxy
-//! server from a small pool of driver actors, one `GvfsCred` per
-//! simulated client, which is exactly what the server sees from 10k
-//! real proxies.
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin bench_scale [--small]`
-//! Writes `results/BENCH_scale.json`.
+//! thousands): it drives credentialed wire-level calls against the
+//! proxy server from a small pool of driver actors, one `GvfsCred` per
+//! simulated client, which is exactly what the server sees from that
+//! many real proxies.
 
-use gvfs_bench::scale::{
+use crate::scale::{
     cred, drive, fanout_round, getinv_call, percentile, write_call, World, DRIVERS,
 };
 use gvfs_core::protocol::{proc_ext, WrappedReply, GVFS_PROXY_PROGRAM, GVFS_VERSION};
@@ -245,8 +242,8 @@ fn polling_phases(clients: usize) -> (f64, f64, serde_json::Value) {
                 "evicted_buffers": stats.inval.evicted_buffers,
                 "active_kept": ACTIVE.min(clients),
             },
-            "server": gvfs_bench::server_meta(&world.server),
-            "rpc": gvfs_bench::rpc_meta(&snap),
+            "server": crate::server_meta(&world.server),
+            "rpc": crate::rpc_meta(&snap),
         });
         *out.lock() = Some((polls_per_sec, p99, json));
     });
@@ -255,8 +252,7 @@ fn polling_phases(clients: usize) -> (f64, f64, serde_json::Value) {
     v.expect("polling phases produced no result")
 }
 
-fn main() {
-    let small = gvfs_bench::small_mode();
+pub fn run(small: bool) -> serde_json::Value {
     let arms: &[usize] = if small { &[48, 96] } else { &[1000, 2500] };
     let windows: &[usize] = &[1, 64];
 
@@ -292,22 +288,15 @@ fn main() {
              got {speedup:.2}x"
         );
     }
-    print_summary(&rows);
-    gvfs_bench::save_json(
-        "BENCH_scale.json",
-        &serde_json::json!({
-            "experiment": "bench_scale",
-            "small": small,
-            "fanout_windows": windows,
-            "arms": arm_docs,
-        }),
-    );
-}
-
-fn print_summary(rows: &[Vec<String>]) {
-    gvfs_bench::print_table(
+    crate::print_table(
         "Proxy-server scale (recall fan-out round + GETINV drains)",
         &["clients", "round w=1 (s)", "round w=64 (s)", "speedup", "polls/s", "drain p99 (s)"],
-        rows,
+        &rows,
     );
+    serde_json::json!({
+        "experiment": "bench_scale",
+        "small": small,
+        "fanout_windows": windows,
+        "arms": arm_docs,
+    })
 }

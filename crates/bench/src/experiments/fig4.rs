@@ -4,10 +4,8 @@
 //! NFS, GVFS with read-only caching, and GVFS with write-back caching,
 //! on LAN and WAN. Also prints the §5.1.1 LAN interception-overhead
 //! numbers (E8).
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin fig4 [--small]`
 
-use gvfs_bench::{print_table, rpc_meta, save_json, small_mode, RpcBreakdown};
+use crate::{print_table, rpc_meta, RpcBreakdown};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::session::{NativeMount, Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
@@ -85,7 +83,7 @@ fn run_one(setup: Setup, link: LinkConfig, config: &MakeConfig) -> Outcome {
                 runtime: report.runtime,
                 rpcs: RpcBreakdown::from_snapshot(&snap),
                 rpc: rpc_meta(&snap),
-                read_path: gvfs_bench::read_path_json(&session.proxy_client(0).stats()),
+                read_path: crate::read_path_json(&session.proxy_client(0).stats()),
             };
         }
     };
@@ -107,8 +105,8 @@ fn run_one(setup: Setup, link: LinkConfig, config: &MakeConfig) -> Outcome {
     }
 }
 
-fn main() {
-    let config = if small_mode() { MakeConfig::small() } else { MakeConfig::default() };
+pub fn run(small: bool) -> serde_json::Value {
+    let config = if small { MakeConfig::small() } else { MakeConfig::default() };
     let setups = [Setup::Nfs, Setup::Gvfs, Setup::GvfsWb];
 
     // --- Figure 4(a): WAN RPC counts ---
@@ -167,24 +165,21 @@ fn main() {
         "LAN interception overhead: GVFS {overhead_ro:+.1}%  GVFS-WB {overhead_wb:+.1}%  (paper: 4% / 8%)"
     );
 
-    save_json(
-        "fig4.json",
-        &serde_json::json!({
-            "experiment": "fig4-make",
-            "config": { "sources": config.sources, "headers": config.headers, "objects": config.objects },
-            "wan": wan_outcomes.iter().map(|(s, o)| serde_json::json!({
-                "setup": s.name(),
-                "runtime_s": o.runtime.as_secs_f64(),
-                "rpcs": o.rpcs.to_json(),
-                "rpc": o.rpc,
-                "read_path": o.read_path,
-            })).collect::<Vec<_>>(),
-            "lan": lan_outcomes.iter().map(|(s, o)| serde_json::json!({
-                "setup": s.name(),
-                "runtime_s": o.runtime.as_secs_f64(),
-            })).collect::<Vec<_>>(),
-            "wan_speedup_gvfs_vs_nfs": nfs_wan / gvfs_wan,
-            "lan_overhead_pct": { "gvfs": overhead_ro, "gvfs_wb": overhead_wb },
-        }),
-    );
+    serde_json::json!({
+        "experiment": "fig4-make",
+        "config": { "sources": config.sources, "headers": config.headers, "objects": config.objects },
+        "wan": wan_outcomes.iter().map(|(s, o)| serde_json::json!({
+            "setup": s.name(),
+            "runtime_s": o.runtime.as_secs_f64(),
+            "rpcs": o.rpcs.to_json(),
+            "rpc": o.rpc,
+            "read_path": o.read_path,
+        })).collect::<Vec<_>>(),
+        "lan": lan_outcomes.iter().map(|(s, o)| serde_json::json!({
+            "setup": s.name(),
+            "runtime_s": o.runtime.as_secs_f64(),
+        })).collect::<Vec<_>>(),
+        "wan_speedup_gvfs_vs_nfs": nfs_wan / gvfs_wan,
+        "lan_overhead_pct": { "gvfs": overhead_ro, "gvfs_wb": overhead_wb },
+    })
 }

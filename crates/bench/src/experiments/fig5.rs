@@ -5,10 +5,8 @@
 //! attribute caching disabled (GVFS2, the base for strong consistency
 //! via delegation/callback) — across RTTs of 0.5, 5, 10, 20 and 40 ms
 //! at 4 Mbit/s.
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin fig5 [--small]`
 
-use gvfs_bench::{print_table, rpc_meta, save_json, small_mode};
+use crate::{print_table, rpc_meta};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::session::{NativeMount, Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
@@ -83,8 +81,8 @@ fn run_one(setup: Setup, rtt_ms: f64, config: &PostmarkConfig) -> (Duration, ser
     (out, rpc_meta(&stats.snapshot()))
 }
 
-fn main() {
-    let config = if small_mode() { PostmarkConfig::small() } else { PostmarkConfig::default() };
+pub fn run(small: bool) -> serde_json::Value {
+    let config = if small { PostmarkConfig::small() } else { PostmarkConfig::default() };
     let rtts = [0.5f64, 5.0, 10.0, 20.0, 40.0];
     let setups = [Setup::Nfs, Setup::Gvfs1, Setup::Gvfs2];
 
@@ -113,16 +111,13 @@ fn main() {
         &rows,
     );
 
-    save_json(
-        "fig5.json",
-        &serde_json::json!({
-            "experiment": "fig5-postmark",
-            "config": {
-                "files": config.files, "transactions": config.transactions,
-                "min_size": config.min_size, "max_size": config.max_size,
-                "subdirs": config.subdirs,
-            },
-            "series": series,
-        }),
-    );
+    serde_json::json!({
+        "experiment": "fig5-postmark",
+        "config": {
+            "files": config.files, "transactions": config.transactions,
+            "min_size": config.min_size, "max_size": config.max_size,
+            "subdirs": config.subdirs,
+        },
+        "series": series,
+    })
 }

@@ -6,11 +6,9 @@
 //! (NFS-noac), GVFS with delegation/callback (GVFS-cb), and the
 //! AFS-like whole-file/callback DFS as the traditional strong-
 //! consistency reference.
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin fig6 [--small]`
 
+use crate::{print_table, rpc_meta, RpcBreakdown};
 use gvfs_afs::{AfsClient, AfsServer};
-use gvfs_bench::{print_table, rpc_meta, save_json, small_mode, RpcBreakdown};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::session::{NativeMount, Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
@@ -118,7 +116,7 @@ fn run_nfs_like(setup: Setup, config: LockConfig) -> Outcome {
                 runtime: end.saturating_since(gvfs_netsim::SimTime::ZERO),
                 rpcs: RpcBreakdown::from_snapshot(&snap),
                 rpc: rpc_meta(&snap),
-                read_path: gvfs_bench::session_read_path(&session, CLIENTS),
+                read_path: crate::session_read_path(&session, CLIENTS),
                 fairness: lock::fairness(&log, CLIENTS),
             };
         }
@@ -217,8 +215,8 @@ fn run_afs(config: LockConfig) -> Outcome {
     }
 }
 
-fn main() {
-    let config = if small_mode() {
+pub fn run(small: bool) -> serde_json::Value {
+    let config = if small {
         LockConfig { acquisitions: 2, ..LockConfig::default() }
     } else {
         LockConfig::default()
@@ -293,25 +291,22 @@ fn main() {
         nfs_noac / gvfs_cb
     );
 
-    save_json(
-        "fig6.json",
-        &serde_json::json!({
-            "experiment": "fig6-lock",
-            "clients": CLIENTS,
-            "acquisitions_per_client": config.acquisitions,
-            "outcomes": outcomes.iter().map(|(s, o)| serde_json::json!({
-                "setup": s.name(),
-                "runtime_s": o.runtime.as_secs_f64(),
-                "rpcs": o.rpcs.to_json(),
-                "rpc": o.rpc,
-                "read_path": o.read_path,
-                "fairness": {
-                    "max_consecutive": o.fairness.max_consecutive,
-                    "per_client": o.fairness.per_client,
-                },
-            })).collect::<Vec<_>>(),
-            "relaxed_savings_pct": (1.0 - gvfs_inv / nfs_inv) * 100.0,
-            "strong_ratio": nfs_noac / gvfs_cb,
-        }),
-    );
+    serde_json::json!({
+        "experiment": "fig6-lock",
+        "clients": CLIENTS,
+        "acquisitions_per_client": config.acquisitions,
+        "outcomes": outcomes.iter().map(|(s, o)| serde_json::json!({
+            "setup": s.name(),
+            "runtime_s": o.runtime.as_secs_f64(),
+            "rpcs": o.rpcs.to_json(),
+            "rpc": o.rpc,
+            "read_path": o.read_path,
+            "fairness": {
+                "max_consecutive": o.fairness.max_consecutive,
+                "per_client": o.fairness.per_client,
+            },
+        })).collect::<Vec<_>>(),
+        "relaxed_savings_pct": (1.0 - gvfs_inv / nfs_inv) * 100.0,
+        "strong_ratio": nfs_noac / gvfs_cb,
+    })
 }

@@ -5,10 +5,8 @@
 //! MPITB toolbox. Native NFS re-checks consistency per file; GVFS with
 //! invalidation polling learns about the update in a handful of GETINV
 //! batches proportional to the update's size.
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin fig7 [--small]`
 
-use gvfs_bench::{getinv_calls, nfs_calls, print_table, rpc_meta, save_json, small_mode};
+use crate::{getinv_calls, nfs_calls, print_table, rpc_meta};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::session::{NativeMount, Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
@@ -170,14 +168,14 @@ fn run_one(gvfs: bool, scope: UpdateScope, config: &NanomosConfig) -> Outcome {
         getattr_per_client_run,
         rpc: rpc_meta(&final_snap),
         read_path: match &gvfs_session {
-            Some(s) => gvfs_bench::session_read_path(s, COMPUTE_CLIENTS),
+            Some(s) => crate::session_read_path(s, COMPUTE_CLIENTS),
             None => serde_json::Value::Null,
         },
     }
 }
 
-fn main() {
-    let config = if small_mode() { NanomosConfig::small() } else { NanomosConfig::default() };
+pub fn run(small: bool) -> serde_json::Value {
+    let config = if small { NanomosConfig::small() } else { NanomosConfig::default() };
 
     let mut table_rows = Vec::new();
     let mut json_scopes = Vec::new();
@@ -216,14 +214,11 @@ fn main() {
         &table_rows,
     );
 
-    save_json(
-        "fig7.json",
-        &serde_json::json!({
-            "experiment": "fig7-nanomos",
-            "clients": COMPUTE_CLIENTS,
-            "iterations": config.iterations,
-            "tree": { "matlab": config.matlab_files, "mpitb": config.mpitb_files },
-            "scopes": json_scopes,
-        }),
-    );
+    serde_json::json!({
+        "experiment": "fig7-nanomos",
+        "clients": COMPUTE_CLIENTS,
+        "iterations": config.iterations,
+        "tree": { "matlab": config.matlab_files, "mpitb": config.mpitb_files },
+        "scopes": json_scopes,
+    })
 }

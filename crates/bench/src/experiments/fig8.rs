@@ -5,10 +5,8 @@
 //! consumer's consistency checking grows linearly with the dataset;
 //! GVFS with delegation/callback keeps it nearly constant (~30
 //! callbacks per run).
-//!
-//! Run: `cargo run --release -p gvfs-bench --bin fig8 [--small]`
 
-use gvfs_bench::{callback_calls, print_table, rpc_meta, save_json, small_mode};
+use crate::{callback_calls, print_table, rpc_meta};
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::session::{NativeMount, Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
@@ -95,8 +93,8 @@ fn run_one(gvfs: bool, config: &Ch1dConfig) -> Outcome {
     outcome
 }
 
-fn main() {
-    let config = if small_mode() { Ch1dConfig::small() } else { Ch1dConfig::default() };
+pub fn run(small: bool) -> serde_json::Value {
+    let config = if small { Ch1dConfig::small() } else { Ch1dConfig::default() };
 
     let nfs = run_one(false, &config);
     let gvfs = run_one(true, &config);
@@ -126,18 +124,15 @@ fn main() {
         nfs.runtimes[last],
     );
 
-    save_json(
-        "fig8.json",
-        &serde_json::json!({
-            "experiment": "fig8-ch1d",
-            "runs": config.runs,
-            "files_per_run": config.files_per_run,
-            "nfs_runtimes_s": nfs.runtimes,
-            "gvfs_runtimes_s": gvfs.runtimes,
-            "gvfs_callbacks_per_run": gvfs.callbacks_per_run,
-            "nfs_rpc": nfs.rpc,
-            "gvfs_rpc": gvfs.rpc,
-            "final_speedup": nfs.runtimes[last] / gvfs.runtimes[last],
-        }),
-    );
+    serde_json::json!({
+        "experiment": "fig8-ch1d",
+        "runs": config.runs,
+        "files_per_run": config.files_per_run,
+        "nfs_runtimes_s": nfs.runtimes,
+        "gvfs_runtimes_s": gvfs.runtimes,
+        "gvfs_callbacks_per_run": gvfs.callbacks_per_run,
+        "nfs_rpc": nfs.rpc,
+        "gvfs_rpc": gvfs.rpc,
+        "final_speedup": nfs.runtimes[last] / gvfs.runtimes[last],
+    })
 }

@@ -1,21 +1,15 @@
-//! Shared harness utilities for the figure-regeneration binaries.
-//!
-//! Each `fig*` binary builds the paper's setups, runs the workload in a
-//! virtual-time simulation, prints the figure's rows to stdout, and
-//! writes a machine-readable JSON series to `results/`.
+//! The experiment harness: the [`experiments::EXPERIMENTS`] table that
+//! the `gvfs-bench` runner regenerates `results/` from, the scale
+//! bench's wire-level driver, and the helpers they share (RPC
+//! breakdowns, JSON blocks, table printing).
 
 use gvfs_core::protocol::{proc_ext, GVFS_CALLBACK_PROGRAM, GVFS_PROXY_PROGRAM};
 use gvfs_nfs3::{proc3, NFS_PROGRAM};
 use gvfs_rpc::stats::StatsSnapshot;
 use std::path::Path;
 
+pub mod experiments;
 pub mod scale;
-
-/// Whether the binary was invoked with `--small` (reduced workloads for
-/// smoke-testing the harness).
-pub fn small_mode() -> bool {
-    std::env::args().any(|a| a == "--small")
-}
 
 /// Sums one NFS procedure's calls across the native NFS program and the
 /// GVFS proxy program (the proxy wraps NFS procedures under its own

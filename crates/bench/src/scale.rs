@@ -2,11 +2,11 @@
 //! wire-level clients multiplexed over a small driver-actor pool,
 //! shared by `bench_scale` and the `fanout` ablation.
 //!
-//! Unlike the `fig*` binaries this harness does not build full proxy
+//! Unlike the `fig*` experiments this harness does not build full proxy
 //! clients (disk cache, poller, flusher per client — far too heavy at
-//! 10k): it drives credentialed calls against the proxy server with
-//! one `GvfsCred` per simulated client, which is exactly what the
-//! server sees from 10k real proxies.
+//! thousands): it drives credentialed calls against the proxy server
+//! with one `GvfsCred` per simulated client, which is exactly what the
+//! server sees from that many real proxies.
 
 use gvfs_core::protocol::{
     proc_ext, CallbackRes, GetinvArgs, GetinvRes, RecoverRes, GVFS_CALLBACK_PROGRAM,

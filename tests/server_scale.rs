@@ -6,7 +6,7 @@
 //! bound is one global budget.
 //!
 //! These are the cargo-test twins of the `bench_scale` harness asserts:
-//! the bench exercises them at 1k–10k clients, these pin the behavior
+//! the bench exercises them at 1,000 and 2,500 clients, these pin the behavior
 //! at CI-sized populations.
 
 use gvfs_client::{MountOptions, NfsClient};
