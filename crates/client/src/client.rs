@@ -375,7 +375,8 @@ impl NfsClient {
     }
 
     /// Reads up to `count` bytes at `offset`, serving whole pages from
-    /// the page cache.
+    /// the page cache. A read of one whole page from its start returns
+    /// that page itself; any other read gathers its pages' bytes.
     ///
     /// # Errors
     ///
@@ -396,17 +397,26 @@ impl NfsClient {
         if offset >= end {
             return Ok(Vec::new());
         }
-        let mut out = Vec::with_capacity((end - offset) as usize);
-        let mut page = offset / page_size;
+        let first = offset / page_size;
+        let mut out = Vec::new();
+        let mut page = first;
         while page * page_size < end {
             let page_data = self.read_page(fh, page)?;
             let page_start = page * page_size;
             let from = offset.saturating_sub(page_start) as usize;
             let to = ((end - page_start) as usize).min(page_data.len());
+            let short = page_data.len() < page_size as usize;
+            let last = short || page_start + page_size >= end;
+            if page == first && last && from == 0 && to == page_data.len() {
+                return Ok(page_data);
+            }
+            if out.is_empty() {
+                out.reserve_exact((end - offset) as usize);
+            }
             if from < to {
                 out.extend_from_slice(&page_data[from..to]);
             }
-            if page_data.len() < page_size as usize {
+            if short {
                 break; // short page = end of file
             }
             page += 1;

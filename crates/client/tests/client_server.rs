@@ -316,3 +316,40 @@ fn rename_and_truncate_update_view() {
     });
     sim.run();
 }
+
+#[test]
+fn a_whole_page_read_matches_every_other_read_shape() {
+    let r = rig();
+    let client = r.client(MountOptions::default());
+    let page = gvfs_nfs3::TRANSFER_SIZE as usize;
+    // Two and a half pages, so the file ends in a short page.
+    let content: Vec<u8> = (0..5 * page / 2).map(|i| (i * 7 + i / 251) as u8).collect();
+    let want = content.clone();
+    let sim = Sim::new();
+    sim.spawn("c1", move || {
+        client.write_file("/f", &content).unwrap();
+        let fh = client.open("/f").unwrap();
+        let len = content.len();
+        let shapes = [
+            (0, page),                  // one whole page from its start
+            (page, page),               // the second whole page
+            (2 * page, page),           // the short page at EOF, asked in full
+            (2 * page, len - 2 * page), // the short page at EOF, asked exactly
+            (0, page - 1),              // a page less its last byte
+            (1, page - 1),              // a page less its first byte
+            (100, 300),                 // inside one page
+            (page - 10, 20),            // across a page boundary
+            (0, 2 * page),              // two whole pages
+            (page / 2, 2 * page),       // unaligned, three pages
+            (0, len + 100),             // the whole file and past EOF
+            (len, 10),                  // at EOF
+        ];
+        for (offset, count) in shapes {
+            let got = client.read(fh, offset as u64, count as u32).unwrap();
+            let end = (offset + count).min(len);
+            assert_eq!(got, content[offset.min(end)..end], "read {count} B at {offset}");
+        }
+    });
+    sim.run();
+    assert_eq!(r.vfs.read(r.vfs.lookup_path("/f").unwrap(), 0, u32::MAX).unwrap().0, want);
+}

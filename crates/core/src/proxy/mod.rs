@@ -121,8 +121,19 @@ pub fn classify(procedure: u32, args: &[u8]) -> Result<OpClass, RpcError> {
             OpClass::Read { fh: a.file, offset: a.offset, count: a.count }
         }
         proc3::WRITE => {
-            let a: n::WriteArgs = decode(args)?;
-            OpClass::Write { fh: a.file, offset: a.offset }
+            // Only the handle and offset are kept. The rest of the args
+            // is checked where it lies, so the payload is not copied.
+            let mut dec = gvfs_xdr::Decoder::new(args);
+            let mut write = || -> Result<OpClass, gvfs_xdr::XdrError> {
+                let fh = Fh3::decode(&mut dec)?;
+                let offset = dec.get_u64()?;
+                dec.get_u32()?; // count
+                n::StableHow::decode(&mut dec)?;
+                dec.get_opaque_ref()?;
+                dec.finish()?;
+                Ok(OpClass::Write { fh, offset })
+            };
+            write().map_err(|_| RpcError::GarbageArgs)?
         }
         proc3::SETATTR => {
             let a: n::SetattrArgs = decode(args)?;
@@ -174,6 +185,39 @@ pub fn classify(procedure: u32, args: &[u8]) -> Result<OpClass, RpcError> {
 mod tests {
     use super::*;
     use gvfs_nfs3::{CreateHow, Sattr3};
+
+    #[test]
+    fn classify_checks_a_write_without_keeping_its_payload() {
+        let fh = Fh3::from_fileid(9);
+        let args = gvfs_xdr::to_bytes(&gvfs_nfs3::WriteArgs {
+            file: fh,
+            offset: 4096,
+            count: 5,
+            stable: gvfs_nfs3::StableHow::Unstable,
+            data: b"hello".to_vec(),
+        })
+        .unwrap();
+        assert_eq!(classify(proc3::WRITE, &args).unwrap(), OpClass::Write { fh, offset: 4096 });
+        // Truncated anywhere, in the payload or its padding, is garbage.
+        for cut in [0, 8, args.len() - 4, args.len() - 1] {
+            assert_eq!(
+                classify(proc3::WRITE, &args[..cut]),
+                Err(RpcError::GarbageArgs),
+                "cut at {cut}"
+            );
+        }
+        let mut padded = args.clone();
+        *padded.last_mut().unwrap() = 1;
+        assert_eq!(classify(proc3::WRITE, &padded), Err(RpcError::GarbageArgs), "padding");
+        let mut trailing = args.clone();
+        trailing.extend([0; 4]);
+        assert_eq!(classify(proc3::WRITE, &trailing), Err(RpcError::GarbageArgs), "trailing");
+        // The stable word sits before the 12 bytes of "hello" as opaque.
+        let mut stable = args;
+        let at = stable.len() - 16;
+        stable[at..at + 4].copy_from_slice(&7u32.to_be_bytes());
+        assert_eq!(classify(proc3::WRITE, &stable), Err(RpcError::GarbageArgs), "stable");
+    }
 
     #[test]
     fn classify_covers_key_procedures() {

@@ -78,7 +78,7 @@
 //! crate's `LOCK_ORDER` table; neither may be held across a WAN send.
 
 use super::{blocks_touched, BlockStore, IntegrityEvent, StoreStats};
-use gvfs_netsim::disk::VirtualDisk;
+use gvfs_netsim::disk::{Slices, VirtualDisk};
 use gvfs_nfs3::{Fh3, NfsTime3};
 use gvfs_xdr::{Decoder, Encoder, Xdr, XdrError};
 use parking_lot::Mutex;
@@ -149,33 +149,32 @@ fn le64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
 }
 
-/// XXH64 with seed 0: the content hash, record checksum and handle shard
-/// function (stable across processes, unlike `DefaultHasher`). It reads
-/// eight bytes at a time, in four independent lanes over each 32-byte
-/// stripe. Also the end-to-end integrity hash on `PEERREAD` transfers,
-/// so a peer-served block is checked with the same machinery that
-/// checks the on-disk chunks it came from.
-#[must_use]
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut stripes = bytes.chunks_exact(32);
-    let mut h = if bytes.len() >= 32 {
-        let mut v = [PRIME64_1.wrapping_add(PRIME64_2), PRIME64_2, 0, PRIME64_1.wrapping_neg()];
-        for stripe in &mut stripes {
-            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
-                *lane = xxh_round(*lane, le64(word));
-            }
-        }
-        let h = v[0]
+/// The lanes before the first stripe.
+const LANES0: [u64; 4] =
+    [PRIME64_1.wrapping_add(PRIME64_2), PRIME64_2, 0, PRIME64_1.wrapping_neg()];
+
+/// Folds one 32-byte stripe into the four lanes.
+#[inline]
+fn xxh_stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+        *lane = xxh_round(*lane, le64(word));
+    }
+}
+
+/// The hash of `total` bytes: `lanes` after their whole stripes (unused
+/// when `total < 32`), then the `tail` that follows them.
+fn xxh_finish(lanes: &[u64; 4], total: u64, mut tail: &[u8]) -> u64 {
+    let mut h = if total >= 32 {
+        let h = lanes[0]
             .rotate_left(1)
-            .wrapping_add(v[1].rotate_left(7))
-            .wrapping_add(v[2].rotate_left(12))
-            .wrapping_add(v[3].rotate_left(18));
-        v.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+            .wrapping_add(lanes[1].rotate_left(7))
+            .wrapping_add(lanes[2].rotate_left(12))
+            .wrapping_add(lanes[3].rotate_left(18));
+        lanes.iter().fold(h, |h, &lane| xxh_merge(h, lane))
     } else {
         PRIME64_5
     };
-    h = h.wrapping_add(bytes.len() as u64);
-    let mut tail = stripes.remainder();
+    h = h.wrapping_add(total);
     while tail.len() >= 8 {
         h = (h ^ xxh_round(0, le64(tail)))
             .rotate_left(27)
@@ -199,6 +198,104 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h ^= h >> 29;
     h = h.wrapping_mul(PRIME64_3);
     h ^ (h >> 32)
+}
+
+/// XXH64 with seed 0: the content hash, record checksum and handle shard
+/// function (stable across processes, unlike `DefaultHasher`). It reads
+/// eight bytes at a time, in four independent lanes over each 32-byte
+/// stripe. Also the end-to-end integrity hash on `PEERREAD` transfers,
+/// so a peer-served block is checked with the same machinery that
+/// checks the on-disk chunks it came from. [`ContentHasher`] is its
+/// streaming form.
+#[must_use]
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let mut lanes = LANES0;
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        xxh_stripe(&mut lanes, stripe);
+    }
+    xxh_finish(&lanes, bytes.len() as u64, stripes.remainder())
+}
+
+/// [`content_hash`] of bytes fed in pieces: the pieces of a disk read
+/// that crosses a page boundary, or a block and its zero padding,
+/// hashed without gathering them into one buffer.
+#[derive(Debug, Clone)]
+pub struct ContentHasher {
+    lanes: [u64; 4],
+    /// The bytes of the stripe in progress.
+    stripe: [u8; 32],
+    buffered: usize,
+    total: u64,
+}
+
+impl Default for ContentHasher {
+    fn default() -> Self {
+        ContentHasher { lanes: LANES0, stripe: [0; 32], buffered: 0, total: 0 }
+    }
+}
+
+impl ContentHasher {
+    /// A hasher that has seen no bytes.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feeds `bytes`.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.buffered > 0 {
+            let n = bytes.len().min(32 - self.buffered);
+            self.stripe[self.buffered..self.buffered + n].copy_from_slice(&bytes[..n]);
+            self.buffered += n;
+            bytes = &bytes[n..];
+            if self.buffered < 32 {
+                return;
+            }
+            xxh_stripe(&mut self.lanes, &self.stripe);
+            self.buffered = 0;
+        }
+        let mut stripes = bytes.chunks_exact(32);
+        for stripe in &mut stripes {
+            xxh_stripe(&mut self.lanes, stripe);
+        }
+        let rest = stripes.remainder();
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// Feeds every piece of `bytes`.
+    pub fn write_slices(&mut self, bytes: Slices<'_>) {
+        for piece in bytes.iter() {
+            self.write(piece);
+        }
+    }
+
+    /// Feeds `n` zero bytes.
+    pub fn write_zeros(&mut self, mut n: usize) {
+        const ZEROS: [u8; 256] = [0; 256];
+        while n > 0 {
+            let k = n.min(ZEROS.len());
+            self.write(&ZEROS[..k]);
+            n -= k;
+        }
+    }
+
+    /// The hash of everything fed so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        xxh_finish(&self.lanes, self.total, &self.stripe[..self.buffered])
+    }
+}
+
+/// [`content_hash`] of the pieces of `bytes`, zero-padded to `pad_to`
+/// bytes if they are shorter.
+fn slices_hash(bytes: Slices<'_>, pad_to: usize) -> u64 {
+    let mut h = ContentHasher::new();
+    h.write_slices(bytes);
+    h.write_zeros(pad_to.saturating_sub(bytes.len()));
+    h.finish()
 }
 
 fn data_path(fh: Fh3) -> String {
@@ -692,6 +789,8 @@ impl Idx {
 struct WalState {
     since_sync: usize,
     since_checkpoint: usize,
+    /// The buffer each frame is encoded into, kept between appends.
+    frame: Vec<u8>,
 }
 
 /// Lifetime counters that survive a crash/reopen replay.
@@ -742,10 +841,10 @@ impl PersistentStore {
         if idx.replaying {
             return;
         }
-        // One buffer holds the whole frame; sized for a WriteDirty's
-        // inline block plus header and trailer, it never regrows.
-        let inline = if let WalRecord::WriteDirty { bytes, .. } = rec { bytes.len() } else { 0 };
-        let mut enc = Encoder::with_capacity(inline + 64);
+        // One kept buffer holds the whole frame; it grows only to the
+        // largest frame so far.
+        let mut wal = self.wal.lock();
+        let mut enc = Encoder::reusing(std::mem::take(&mut wal.frame));
         enc.put_u32(0); // the payload length, patched in below
         rec.encode(&mut enc).expect("WAL records always encode");
         let mut frame = enc.into_bytes();
@@ -753,8 +852,8 @@ impl PersistentStore {
         frame[..4].copy_from_slice(&len.to_be_bytes());
         let sum = content_hash(&frame[4..]);
         frame.extend_from_slice(&sum.to_be_bytes());
-        let mut wal = self.wal.lock();
         self.disk.append(WAL_PATH, &frame);
+        wal.frame = frame;
         wal.since_sync += 1;
         wal.since_checkpoint += 1;
         if wal.since_checkpoint >= self.cfg.checkpoint_every {
@@ -876,7 +975,7 @@ impl PersistentStore {
         segs.iter().all(|seg| match seg {
             SegRec::Chunk { id } => matches!(
                 self.disk.read_with(&chunk_path(*id), 0, id.1 as usize, |b| {
-                    b.len() == id.1 as usize && content_hash(b) == id.0
+                    b.len() == id.1 as usize && slices_hash(b, 0) == id.0
                 }),
                 Ok(Some(true))
             ),
@@ -889,7 +988,7 @@ impl PersistentStore {
         let id: ChunkId =
             (content_hash(bytes), u32::try_from(bytes.len()).expect("segment fits u32"));
         let path = chunk_path(id);
-        if let Ok(Some(same)) = self.disk.read_with(&path, 0, bytes.len() + 1, |b| b == bytes) {
+        if let Ok(Some(same)) = self.disk.read_with(&path, 0, bytes.len() + 1, |b| b == *bytes) {
             if same {
                 idx.dedup_hits += 1;
                 return SegRec::Chunk { id };
@@ -927,20 +1026,34 @@ impl PersistentStore {
                 // A fully covered block hashes straight from the write.
                 content_hash(new)
             } else {
-                let mut span =
-                    self.disk.read_quiet(&path, b, block_len, <[u8]>::to_vec).unwrap_or_default();
-                span.resize(block_len, 0);
-                if !replaying {
-                    if let Some(&sum) = idx.files.get(&fh).and_then(|e| e.data_sums.get(&b)) {
-                        if content_hash(&span) != sum {
-                            self.quarantine(idx, fh, b, b + bs);
-                        }
-                    }
+                let recorded = idx.files.get(&fh).and_then(|e| e.data_sums.get(&b)).copied();
+                let (from, to) = (
+                    usize::try_from(lo - b).expect("in block"),
+                    usize::try_from(hi - b).expect("in block"),
+                );
+                // The old block and the new one (the old bytes around
+                // the write), zero-padded and hashed from the disk's
+                // pages; an absent file reads as zeros.
+                let hash = |span: Slices<'_>| {
+                    let old = recorded.filter(|_| !replaying).map(|_| slices_hash(span, block_len));
+                    let mut h = ContentHasher::new();
+                    let head = span.sub(0, from);
+                    h.write_slices(head);
+                    h.write_zeros(from - head.len());
+                    h.write(new);
+                    let tail = span.sub(to, block_len);
+                    h.write_slices(tail);
+                    h.write_zeros(block_len - to - tail.len());
+                    (old, h.finish())
+                };
+                let (old, sum) = self
+                    .disk
+                    .read_quiet(&path, b, block_len, hash)
+                    .unwrap_or_else(|| hash(Slices::default()));
+                if old.is_some() && old != recorded {
+                    self.quarantine(idx, fh, b, b + bs);
                 }
-                span[usize::try_from(lo - b).expect("in block")
-                    ..usize::try_from(hi - b).expect("in block")]
-                    .copy_from_slice(new);
-                content_hash(&span)
+                sum
             };
             idx.files.entry(fh).or_default().data_sums.insert(b, sum);
         }
@@ -957,7 +1070,7 @@ impl PersistentStore {
             Src::Chunk { id, .. } => self
                 .disk
                 .read_quiet(&chunk_path(id), 0, id.1 as usize, |b| {
-                    b.len() == id.1 as usize && content_hash(b) == id.0
+                    b.len() == id.1 as usize && slices_hash(b, 0) == id.0
                 })
                 .unwrap_or(false),
             Src::Data { .. } => {
@@ -967,16 +1080,9 @@ impl PersistentStore {
                 let path = data_path(fh);
                 for b in (start / bs * bs..start + ext.len as u64).step_by(block_len) {
                     let Some(&sum) = entry.data_sums.get(&b) else { return false };
-                    let hash = self.disk.read_quiet(&path, b, block_len, |span| {
-                        if span.len() == block_len {
-                            content_hash(span)
-                        } else {
-                            // Only a short last block is copied, to zero-pad it.
-                            let mut padded = span.to_vec();
-                            padded.resize(block_len, 0);
-                            content_hash(&padded)
-                        }
-                    });
+                    let hash = self
+                        .disk
+                        .read_quiet(&path, b, block_len, |span| slices_hash(span, block_len));
                     if hash != Some(sum) {
                         return false;
                     }
@@ -1918,6 +2024,53 @@ mod tests {
         assert_eq!(distinct.len(), hashes.len(), "every prefix hashes differently");
         let folded: Vec<u8> = hashes.iter().flat_map(|h| h.to_le_bytes()).collect();
         assert_eq!(content_hash(&folded), 0x2325_63d5_f16e_82d9);
+    }
+
+    /// The streaming hasher equals the one-shot hash for every split of
+    /// the input into two and three pieces.
+    #[test]
+    fn the_streaming_hash_equals_the_one_shot_hash_for_every_split() {
+        let buf: Vec<u8> = (0..100u32).map(|i| (i * 31 + 7) as u8).collect();
+        for len in 0..=buf.len() {
+            let want = content_hash(&buf[..len]);
+            for a in 0..=len {
+                for b in a..=len {
+                    let mut h = ContentHasher::new();
+                    h.write(&buf[..a]);
+                    h.write(&buf[a..b]);
+                    h.write(&buf[b..len]);
+                    assert_eq!(h.finish(), want, "len {len} split at {a}, {b}");
+                }
+            }
+        }
+        // The pieces of a read across a page boundary.
+        let big: Vec<u8> = (0..3 * gvfs_vfs::PAGE_SIZE as u32).map(|i| (i * 13) as u8).collect();
+        let mut pages = gvfs_vfs::Pages::new();
+        pages.append(&big);
+        let mut h = ContentHasher::new();
+        h.write_slices(pages.slice(7, big.len() - 5));
+        assert_eq!(h.finish(), content_hash(&big[7..big.len() - 5]));
+    }
+
+    /// Hashing a short block with its zero padding streamed equals
+    /// hashing a zero-padded copy, for lengths around the 32-byte stripe
+    /// and the 8-, 4- and 1-byte steps of the tail.
+    #[test]
+    fn a_streamed_padding_hashes_like_a_padded_copy() {
+        let buf: Vec<u8> = (0..200u32).map(|i| (i * 29 + 3) as u8).collect();
+        for pad_to in [0, 1, 4, 8, 31, 32, 33, 40, 44, 45, 64, 100, 200] {
+            for len in [0, 1, 3, 4, 5, 7, 8, 9, 12, 13, 31, 32, 33, 36, 39, 40, 63, 64, 65] {
+                let mut bytes = gvfs_vfs::Pages::new();
+                bytes.append(&buf[..len]);
+                let mut padded = buf[..len].to_vec();
+                padded.resize(len.max(pad_to), 0);
+                assert_eq!(
+                    slices_hash(bytes.slice(0, len), pad_to),
+                    content_hash(&padded),
+                    "{len} B padded to {pad_to}"
+                );
+            }
+        }
     }
 
     /// Any single flipped bit in a 4 KiB block changes its hash.

@@ -1,7 +1,9 @@
 //! Allocation budget of the persistent store's block path: a counting
 //! global allocator pins the bytes one steady-state 32 KiB `write_dirty`,
 //! one 32 KiB `read` and one whole `sync_every` cycle of writes allocate
-//! on an instant-disk store, and that a disk sync allocates nothing. Each
+//! on an instant-disk store (the least cycle, and the most over the
+//! cycles on which the WAL crosses 4 and 8 MiB), and that a disk sync
+//! allocates nothing. Each
 //! budget is the measured count rounded up to the next 32 KiB, so one
 //! more copy of the block anywhere on the path fails the test.
 
@@ -11,35 +13,36 @@ use gvfs_netsim::disk::{DiskConfig, VirtualDisk};
 use gvfs_nfs3::Fh3;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const BLOCK: usize = 32 * 1024;
-/// Measured 33,003 B: the WAL frame.
+/// Measured 32,908 B: the WAL page the frame fills (the frame buffer is
+/// kept between appends).
 const WRITE_BUDGET: u64 = 2 * BLOCK as u64;
 /// Measured 32,840 B: the bytes read off the disk, which the caller gets.
 const READ_BUDGET: u64 = 2 * BLOCK as u64;
-/// Measured 2,142,976 B: 64 WAL frames plus the undo record that saves
-/// the overwritten block's durable bytes once per sync.
+/// Measured 2,138,880 B: 64 WAL pages plus the undo record that saves
+/// the overwritten block's durable bytes once per sync; 2,151,168 B at
+/// most up to the WAL's 8 MiB crossing.
 const CYCLE_BUDGET: u64 = 66 * BLOCK as u64;
 
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Only allocations of the measuring thread count.
+    /// Only allocations of the measuring thread count, into its own
+    /// total, so tests measuring at the same time do not add up.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: `alloc` and `dealloc` forward to `System` unchanged, so its
-// guarantees carry over; the counting touches only an atomic and a
-// const-initialized thread-local, neither of which allocates. The
+// guarantees carry over; the counting touches only const-initialized
+// thread-locals, which do not allocate. The
 // default `alloc_zeroed` and `realloc` allocate through `alloc`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.with(Cell::get) {
-            ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            ALLOCATED.with(|a| a.set(a.get() + layout.size() as u64));
         }
         // SAFETY: forwarded unchanged from the caller.
         unsafe { System.alloc(layout) }
@@ -56,11 +59,11 @@ static GLOBAL: Counting = Counting;
 
 /// Bytes allocated on this thread while `f` runs.
 fn allocated_by<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = ALLOCATED.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (ALLOCATED.load(Ordering::Relaxed) - before, out)
+    (ALLOCATED.with(Cell::get) - before, out)
 }
 
 #[test]
@@ -130,4 +133,41 @@ fn a_sync_every_cycle_allocates_within_budget_and_sync_allocates_nothing() {
     store.write_dirty(Fh3::from_fileid(2), 0, block(round));
     let (sync, ()) = allocated_by(|| disk.sync());
     assert_eq!(sync, 0, "VirtualDisk::sync allocated {sync} B");
+}
+
+#[test]
+fn the_cycles_on_which_the_wal_crosses_4_and_8_mib_allocate_within_budget() {
+    let disk = VirtualDisk::new(DiskConfig::instant());
+    let cfg = PersistConfig::default();
+    let cycle = cfg.sync_every;
+    let mut store = PersistentStore::open(Arc::clone(&disk), cfg);
+    let fh = Fh3::from_fileid(1);
+    let block = |round: usize| vec![round as u8; BLOCK];
+    // Warm up through the first sync only, so the measured cycles start
+    // below 4 MiB of WAL.
+    let mut round = 0;
+    while disk.stats().syncs == 0 {
+        store.write_dirty(fh, 0, block(round));
+        round += 1;
+    }
+    let wal_len = || disk.len("wal.log").expect("the WAL exists");
+    let first = wal_len();
+    assert!(first < 4 << 20, "the measured cycles start at {first} B of WAL, past 4 MiB");
+    // The most over every cycle up to and including the one that
+    // crosses 8 MiB, so both crossings are measured.
+    let mut most = 0;
+    while wal_len() <= 8 << 20 {
+        let blocks: Vec<Vec<u8>> = (round..round + cycle).map(block).collect();
+        round += cycle;
+        let (bytes, ()) = allocated_by(|| {
+            for data in blocks {
+                store.write_dirty(fh, 0, data);
+            }
+        });
+        most = most.max(bytes);
+    }
+    assert!(
+        most <= CYCLE_BUDGET,
+        "a {cycle}-write cycle allocated up to {most} B, budget {CYCLE_BUDGET} B"
+    );
 }

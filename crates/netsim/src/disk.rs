@@ -2,17 +2,20 @@
 //! crash semantics, for persistent caches living inside the simulation.
 //!
 //! Real disks would wreck the determinism the scheduler guarantees, so a
-//! [`VirtualDisk`] keeps every file in memory as one byte vector: the
-//! *current* content, which reads observe. The *durable* content (what
-//! survives a crash) is not stored beside it. Each file records its
-//! length at the last [`VirtualDisk::sync`] and an undo list with the old
-//! durable bytes of every range below that length changed since, so
-//! overwrites, truncations, removals and a rename's replaced target save
-//! what they destroy, and appends save nothing. A sync drops the undo
-//! lists and copies no bytes; [`VirtualDisk::crash`] writes the undo
-//! records back, except that the unsynced appended region of each file
-//! keeps a deterministic half-way *torn prefix* — exactly the failure a
-//! write-ahead log must tolerate.
+//! [`VirtualDisk`] keeps every file in memory as [`Pages`]: the *current*
+//! content, which reads observe, in 32 KiB pages allocated to their
+//! exact length, so an appended log never reallocates what it holds.
+//! The *durable* content (what survives a crash) is not stored beside
+//! it. Each file records its length at the last [`VirtualDisk::sync`]
+//! and an undo list with the old durable bytes of every range below that
+//! length changed since, so overwrites, truncations, removals and a
+//! rename's replaced target save what they destroy (whole pages move
+//! into the list uncopied), and appends save nothing. A sync drops the
+//! undo lists and copies no bytes; [`VirtualDisk::crash`] writes the
+//! undo records back, except that the unsynced appended region of each
+//! file keeps a deterministic half-way *torn prefix* — exactly the
+//! failure a write-ahead log must tolerate. Reads lend a range as
+//! [`Slices`], one piece per page it touches, instead of gathering it.
 //!
 //! I/O never blocks: each operation accrues virtual nanoseconds
 //! (per-operation seek plus bytes ÷ throughput) into a pending-cost
@@ -36,6 +39,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+pub use gvfs_vfs::Slices;
+use gvfs_vfs::{Pages, PAGE_SIZE};
 
 /// Sector granularity for torn (partial) writes.
 const SECTOR: usize = 512;
@@ -216,7 +222,7 @@ impl DiskFaultState {
 #[derive(Debug, Default)]
 struct VFile {
     /// Current content, as in-flight writes left it.
-    data: Vec<u8>,
+    data: Pages,
     /// Length at the last global [`VirtualDisk::sync`]. The durable
     /// content is `data[..durable_len]` with `undo` written over it.
     durable_len: usize,
@@ -234,6 +240,30 @@ struct VFile {
     dirty_from: Option<usize>,
 }
 
+/// Adds an undo record for each gap of `[start, end)` (already clipped
+/// to the durable length) that no record in `undo` covers yet, taking
+/// the gap's old bytes from `take(gap_start, gap_end)`.
+fn save_gaps(
+    undo: &mut Vec<(usize, Vec<u8>)>,
+    start: usize,
+    end: usize,
+    mut take: impl FnMut(usize, usize) -> Vec<u8>,
+) {
+    let mut pos = start;
+    let mut i = undo.partition_point(|(off, old)| off + old.len() <= pos);
+    while pos < end {
+        match undo.get(i) {
+            Some((off, old)) if *off <= pos => pos = off + old.len(),
+            next => {
+                let gap_end = next.map_or(end, |(off, _)| end.min(*off));
+                undo.insert(i, (pos, take(pos, gap_end)));
+                pos = gap_end;
+            }
+        }
+        i += 1;
+    }
+}
+
 impl VFile {
     /// Records a change at or after `offset`.
     fn touch(&mut self, offset: usize) {
@@ -245,7 +275,7 @@ impl VFile {
     fn revive(&mut self) {
         if self.deleted {
             self.deleted = false;
-            self.data.clear();
+            self.data = Pages::new();
             self.touch(0);
         }
     }
@@ -256,40 +286,31 @@ impl VFile {
     /// `data.len()` are saved already.
     fn save(&mut self, start: usize, end: usize) {
         let end = end.min(self.durable_len).min(self.data.len());
-        let mut pos = start;
-        let mut i = self.undo.partition_point(|(off, old)| off + old.len() <= pos);
-        while pos < end {
-            match self.undo.get(i) {
-                Some((off, old)) if *off <= pos => pos = off + old.len(),
-                next => {
-                    let gap_end = next.map_or(end, |(off, _)| end.min(*off));
-                    let old = self.data[pos..gap_end].to_vec();
-                    self.undo.insert(i, (pos, old));
-                    pos = gap_end;
-                }
-            }
-            i += 1;
-        }
+        let data = &self.data;
+        save_gaps(&mut self.undo, start, end, |a, b| data.slice(a, b).to_vec());
     }
 
-    /// Truncates `data` to `len`, saving the durable bytes it drops.
+    /// Truncates `data` to `len`, saving the durable bytes it drops:
+    /// whole pages move into the undo list, and only the parts of pages
+    /// that are cut or already partly saved are copied.
     fn cut(&mut self, len: usize) {
-        if len == 0 && self.undo.is_empty() && self.durable_len > 0 {
-            // Nothing is saved yet, so `data` starts with the whole
-            // durable content: move it into the undo list, not a copy.
-            let mut old = std::mem::take(&mut self.data);
-            old.truncate(self.durable_len);
-            self.undo.push((0, old));
-        } else {
-            self.save(len, self.durable_len);
-            self.data.truncate(len);
+        let end = self.durable_len.min(self.data.len());
+        for (off, mut page) in self.data.split_off(len) {
+            let page_end = off + page.len();
+            save_gaps(&mut self.undo, off.max(len), page_end.min(end), |a, b| {
+                if (a, b) == (off, page_end) {
+                    std::mem::take(&mut page)
+                } else {
+                    page[a - off..b - off].to_vec()
+                }
+            });
         }
     }
 
     /// XORs `mask` into byte `idx` (below `data.len()`) of the current
     /// and the durable content alike: rot is media decay, not a write.
     fn flip(&mut self, idx: usize, mask: u8) {
-        self.data[idx] ^= mask;
+        self.data.xor(idx, mask);
         if idx >= self.durable_len {
             self.touch(idx);
             return;
@@ -303,10 +324,15 @@ impl VFile {
 
     /// Sets `data` to `len` bytes with the undo records written back:
     /// the durable content, plus any torn tail past `durable_len`.
+    /// Records that are whole pages move back in place uncopied.
     fn restore(&mut self, len: usize) {
-        self.data.resize(len, 0);
+        self.data.resize(len);
         for (off, old) in self.undo.drain(..) {
-            self.data[off..off + old.len()].copy_from_slice(&old);
+            if off % PAGE_SIZE == 0 && old.len() == PAGE_SIZE {
+                self.data.swap_page(off, old);
+            } else {
+                self.data.write(off, &old);
+            }
         }
     }
 }
@@ -455,12 +481,8 @@ impl VirtualDisk {
         let off = usize::try_from(offset).expect("offset fits usize");
         // A write past the end also zero-fills the hole before it.
         file.touch(off.min(file.data.len()));
-        let end = off + bytes.len();
-        file.save(off, end);
-        if file.data.len() < end {
-            file.data.resize(end, 0);
-        }
-        file.data[off..end].copy_from_slice(bytes);
+        file.save(off, off + bytes.len());
+        file.data.write(off, bytes);
     }
 
     /// Appends `bytes`, returning the offset they landed at. A torn
@@ -481,7 +503,7 @@ impl VirtualDisk {
         // Bytes appended below `durable_len` land on saved ones.
         file.touch(file.data.len());
         let off = file.data.len() as u64;
-        file.data.extend_from_slice(bytes);
+        file.data.append(bytes);
         off
     }
 
@@ -502,18 +524,19 @@ impl VirtualDisk {
         offset: u64,
         len: usize,
     ) -> Result<Option<Vec<u8>>, DiskError> {
-        self.read_with(path, offset, len, <[u8]>::to_vec)
+        self.read_with(path, offset, len, |s| s.to_vec())
     }
 
     /// [`VirtualDisk::try_read`] that lends the bytes to `f` instead of
-    /// copying them, with the same cost, dice and stats. `f` runs under
-    /// the disk's lock, so it must not call back into the disk.
+    /// copying them, one piece per page the range touches, with the same
+    /// cost, dice and stats. `f` runs under the disk's lock, so it must
+    /// not call back into the disk.
     pub fn read_with<R>(
         &self,
         path: &str,
         offset: u64,
         len: usize,
-        f: impl FnOnce(&[u8]) -> R,
+        f: impl FnOnce(Slices<'_>) -> R,
     ) -> Result<Option<R>, DiskError> {
         let t = sim_now();
         let mut inner = self.inner.lock();
@@ -538,8 +561,7 @@ impl VirtualDisk {
             file.flip(off + rel % span, 1 << bit);
             stats.flips_injected += 1;
         }
-        let end = off.saturating_add(len).min(file.data.len());
-        let out = file.data.get(off..end).unwrap_or_default();
+        let out = file.data.slice(off, off.saturating_add(len));
         let n = out.len();
         let r = f(out);
         stats.reads += 1;
@@ -550,7 +572,8 @@ impl VirtualDisk {
     }
 
     /// Verification read: lends up to `len` bytes at `offset` (short at
-    /// end of file) to `f` and returns its result, or `None` if the file
+    /// end of file, one piece per page the range touches) to `f` and
+    /// returns its result, or `None` if the file
     /// does not exist. Charges no cost, counts no stats and rolls no
     /// dice — checksum verification models as piggybacked on the data
     /// transfer it guards. Durable bit rot is still visible: flips
@@ -561,13 +584,12 @@ impl VirtualDisk {
         path: &str,
         offset: u64,
         len: usize,
-        f: impl FnOnce(&[u8]) -> R,
+        f: impl FnOnce(Slices<'_>) -> R,
     ) -> Option<R> {
         let inner = self.inner.lock();
         let file = inner.files.get(path).filter(|f| !f.deleted)?;
         let off = usize::try_from(offset).expect("offset fits usize");
-        let end = off.saturating_add(len).min(file.data.len());
-        Some(f(file.data.get(off..end).unwrap_or_default()))
+        Some(f(file.data.slice(off, off.saturating_add(len))))
     }
 
     /// Deterministically corrupts one byte (XOR mask) in both current
@@ -653,12 +675,12 @@ impl VirtualDisk {
         if let Some(mut f) = inner.files.remove(old) {
             // The moved file carries its durable content; if the target
             // had some it is replaced wholesale (no torn mix across a
-            // rename), so one undo record holds all of it.
+            // rename), so its pages move into the undo records.
             if let Some(mut prev) = inner.files.remove(new) {
                 if prev.durable_len > 0 && f.durable_len == 0 {
                     prev.restore(prev.durable_len);
                     f.durable_len = prev.durable_len;
-                    f.undo = vec![(0, prev.data)];
+                    f.undo = prev.data.split_off(0);
                 }
             }
             f.touch(0);
@@ -841,7 +863,7 @@ mod tests {
         assert_eq!(d.stats().read_errors_injected, 2);
         assert_eq!(d.read("data/f", 50, 4), None, "legacy read maps errors to None");
         // Quiet reads never roll the dice.
-        assert_eq!(d.read_quiet("data/f", 50, 4, <[u8]>::to_vec), Some(vec![1u8; 4]));
+        assert_eq!(d.read_quiet("data/f", 50, 4, |s| s.to_vec()), Some(vec![1u8; 4]));
     }
 
     #[test]

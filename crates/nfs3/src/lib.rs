@@ -49,8 +49,8 @@ pub const NFS_PROGRAM: u32 = 100003;
 pub const NFS_V3: u32 = 3;
 
 /// The read/write transfer size: what the server advertises in `FSINFO`
-/// and caps `READ` at, the kernel client's page size, and the proxy's
-/// cache block size.
+/// and caps `READ` at, the kernel client's page size, the proxy's cache
+/// block size, and the page size of file content ([`gvfs_vfs::PAGE_SIZE`]).
 pub const TRANSFER_SIZE: u32 = 32 * 1024;
 
 /// NFSv3 procedure numbers (RFC 1813 §3).
@@ -132,6 +132,12 @@ mod tests {
     fn procedure_names() {
         assert_eq!(proc3::name(proc3::GETATTR), "GETATTR");
         assert_eq!(proc3::name(999), "UNKNOWN");
+    }
+
+    /// A vfs or virtual-disk page holds exactly one READ or WRITE.
+    #[test]
+    fn a_file_page_is_one_transfer() {
+        assert_eq!(gvfs_vfs::PAGE_SIZE, TRANSFER_SIZE as usize);
     }
 
     #[test]

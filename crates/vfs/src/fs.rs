@@ -2,6 +2,7 @@
 
 use crate::attr::{Attr, FileKind, SetAttr, Timestamp};
 use crate::error::VfsError;
+use crate::pages::Pages;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -97,7 +98,7 @@ impl DirContent {
 
 #[derive(Debug)]
 enum Content {
-    File(Vec<u8>),
+    File(Pages),
     Dir(DirContent),
     Symlink(String),
 }
@@ -261,7 +262,7 @@ impl Vfs {
             match &mut inode.content {
                 Content::File(data) => {
                     freed_or_used = size as i64 - data.len() as i64;
-                    data.resize(size as usize, 0);
+                    data.resize(size as usize);
                     inode.mtime = now;
                 }
                 Content::Dir(_) => return Err(VfsError::IsDir),
@@ -331,7 +332,7 @@ impl Vfs {
         }
         let id = self.alloc(
             &mut inner,
-            Self::new_inode(FileKind::Regular, mode, now, Content::File(Vec::new())),
+            Self::new_inode(FileKind::Regular, mode, now, Content::File(Pages::new())),
         );
         let d = inner.inodes.get_mut(&dir.0).expect("checked").dir_mut().expect("checked");
         d.insert(name, id);
@@ -462,7 +463,7 @@ impl Vfs {
                     return Ok((Vec::new(), true));
                 }
                 let end = (offset + count as u64).min(len);
-                Ok((data[offset as usize..end as usize].to_vec(), end >= len))
+                Ok((data.slice(offset as usize, end as usize).to_vec(), end >= len))
             }
             Content::Dir(_) => Err(VfsError::IsDir),
             Content::Symlink(_) => Err(VfsError::InvalidArgument),
@@ -487,12 +488,8 @@ impl Vfs {
         let grown;
         match &mut inode.content {
             Content::File(content) => {
-                let end = offset as usize + data.len();
                 let before = content.len();
-                if end > content.len() {
-                    content.resize(end, 0);
-                }
-                content[offset as usize..end].copy_from_slice(data);
+                content.write(offset as usize, data);
                 grown = content.len() - before;
                 inode.mtime = now;
                 inode.ctime = now;

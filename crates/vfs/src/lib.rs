@@ -11,6 +11,13 @@
 //! Time is supplied by the caller (the NFS server passes the simulation
 //! clock), keeping this crate independent of the simulator.
 //!
+//! File content is held in [`Pages`]: 32 KiB pages ([`PAGE_SIZE`], the
+//! NFS transfer size), each allocated to its exact length, so a growing
+//! file never copies what it holds and keeps at most one page of unused
+//! capacity. The simulated proxies' virtual disks store their files in
+//! the same type, and ranges are lent out as [`Slices`], one piece per
+//! page, without a gathering copy.
+//!
 //! # Examples
 //!
 //! ```
@@ -31,7 +38,9 @@
 mod attr;
 mod error;
 mod fs;
+mod pages;
 
 pub use attr::{Attr, FileKind, SetAttr, Timestamp};
 pub use error::VfsError;
 pub use fs::{DirEntry, FileId, FsStat, ReadDirPage, Vfs};
+pub use pages::{Pages, Slices, PAGE_SIZE};

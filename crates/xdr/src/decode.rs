@@ -124,7 +124,11 @@ impl<'a> Decoder<'a> {
     /// Returns [`XdrError::UnexpectedEof`] on truncated input or
     /// [`XdrError::NonZeroPadding`] if pad bytes are non-zero.
     pub fn get_opaque_fixed(&mut self, len: usize) -> Result<Vec<u8>, XdrError> {
-        let data = self.take(len)?.to_vec();
+        self.get_opaque_fixed_ref(len).map(<[u8]>::to_vec)
+    }
+
+    fn get_opaque_fixed_ref(&mut self, len: usize) -> Result<&'a [u8], XdrError> {
+        let data = self.take(len)?;
         let pad = (4 - len % 4) % 4;
         let pad_bytes = self.take(pad)?;
         if pad_bytes.iter().any(|&b| b != 0) {
@@ -141,11 +145,21 @@ impl<'a> Decoder<'a> {
     /// the remaining input, or padding errors as in
     /// [`Decoder::get_opaque_fixed`].
     pub fn get_opaque(&mut self) -> Result<Vec<u8>, XdrError> {
+        self.get_opaque_ref().map(<[u8]>::to_vec)
+    }
+
+    /// [`Decoder::get_opaque`] that borrows the bytes from the input
+    /// instead of copying them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Decoder::get_opaque`].
+    pub fn get_opaque_ref(&mut self) -> Result<&'a [u8], XdrError> {
         let len = self.get_u32()? as usize;
         if len > self.remaining() {
             return Err(XdrError::UnexpectedEof { needed: len, available: self.remaining() });
         }
-        self.get_opaque_fixed(len)
+        self.get_opaque_fixed_ref(len)
     }
 
     /// Reads variable-length opaque data, enforcing a protocol bound.

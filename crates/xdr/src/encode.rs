@@ -36,6 +36,14 @@ impl Encoder {
         Encoder { buf: Vec::with_capacity(capacity) }
     }
 
+    /// Creates an encoder that writes into `buf`, emptied first: a
+    /// caller that encodes one message after another keeps one buffer's
+    /// allocation instead of making a new one each time.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Encoder { buf }
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
