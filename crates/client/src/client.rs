@@ -397,26 +397,20 @@ impl NfsClient {
         if offset >= end {
             return Ok(Vec::new());
         }
-        let first = offset / page_size;
-        let mut out = Vec::new();
-        let mut page = first;
+        let mut out = Vec::with_capacity((end - offset) as usize);
+        let mut page = offset / page_size;
         while page * page_size < end {
             let page_data = self.read_page(fh, page)?;
             let page_start = page * page_size;
             let from = offset.saturating_sub(page_start) as usize;
             let to = ((end - page_start) as usize).min(page_data.len());
-            let short = page_data.len() < page_size as usize;
-            let last = short || page_start + page_size >= end;
-            if page == first && last && from == 0 && to == page_data.len() {
-                return Ok(page_data);
-            }
-            if out.is_empty() {
-                out.reserve_exact((end - offset) as usize);
+            if from == 0 && to == page_data.len() && to as u64 == end - offset {
+                return Ok(page_data); // this page alone serves the read
             }
             if from < to {
                 out.extend_from_slice(&page_data[from..to]);
             }
-            if short {
+            if page_data.len() < page_size as usize {
                 break; // short page = end of file
             }
             page += 1;

@@ -82,6 +82,7 @@ use gvfs_netsim::disk::{Slices, VirtualDisk};
 use gvfs_nfs3::{Fh3, NfsTime3};
 use gvfs_xdr::{Decoder, Encoder, Xdr, XdrError};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -395,6 +396,19 @@ enum WalRecord {
     Forget { fh: Fh3 },
 }
 
+/// Encodes a [`WalRecord::WriteDirty`] from borrowed bytes.
+fn encode_write_dirty(
+    enc: &mut Encoder,
+    fh: Fh3,
+    offset: u64,
+    bytes: &[u8],
+) -> Result<(), XdrError> {
+    enc.put_u32(3);
+    enc.put_u64(fh.fileid());
+    enc.put_u64(offset);
+    enc.put_opaque(bytes)
+}
+
 impl Xdr for WalRecord {
     fn encode(&self, enc: &mut Encoder) -> Result<(), XdrError> {
         match self {
@@ -424,10 +438,7 @@ impl Xdr for WalRecord {
                 }
             }
             WalRecord::WriteDirty { fh, offset, bytes } => {
-                enc.put_u32(3);
-                enc.put_u64(fh.fileid());
-                enc.put_u64(*offset);
-                enc.put_opaque(bytes)?;
+                encode_write_dirty(enc, *fh, *offset, bytes)?;
             }
             WalRecord::CleanRange { fh, offset, len } => {
                 enc.put_u32(4);
@@ -841,19 +852,30 @@ impl PersistentStore {
         if idx.replaying {
             return;
         }
-        // One kept buffer holds the whole frame; it grows only to the
-        // largest frame so far.
+        self.encode_frame(|enc| rec.encode(enc));
+        self.append_frame(idx);
+    }
+
+    /// Encodes the frame of the record that `encode` writes into the
+    /// kept frame buffer, which grows only to the largest frame so far.
+    fn encode_frame(&self, encode: impl FnOnce(&mut Encoder) -> Result<(), XdrError>) {
         let mut wal = self.wal.lock();
         let mut enc = Encoder::reusing(std::mem::take(&mut wal.frame));
         enc.put_u32(0); // the payload length, patched in below
-        rec.encode(&mut enc).expect("WAL records always encode");
+        encode(&mut enc).expect("WAL records always encode");
         let mut frame = enc.into_bytes();
         let len = u32::try_from(frame.len() - 4).expect("record fits u32");
         frame[..4].copy_from_slice(&len.to_be_bytes());
         let sum = content_hash(&frame[4..]);
         frame.extend_from_slice(&sum.to_be_bytes());
-        self.disk.append(WAL_PATH, &frame);
         wal.frame = frame;
+    }
+
+    /// Appends the encoded frame to the WAL, then syncs or checkpoints
+    /// when one is due.
+    fn append_frame(&self, idx: &mut Idx) {
+        let mut wal = self.wal.lock();
+        self.disk.append(WAL_PATH, &wal.frame);
         wal.since_sync += 1;
         wal.since_checkpoint += 1;
         if wal.since_checkpoint >= self.cfg.checkpoint_every {
@@ -936,7 +958,7 @@ impl PersistentStore {
             match &rec {
                 WalRecord::WriteDirty { fh, offset, bytes } => {
                     // Redo: the WAL carries the dirty bytes.
-                    self.write_data(&mut idx, *fh, *offset, bytes);
+                    self.write_data(&mut idx, *fh, *offset, Cow::Borrowed(bytes));
                 }
                 WalRecord::InsertClean { fh, offset, segs } => {
                     // Raw segments (hash-collision fallback) live in the
@@ -944,7 +966,7 @@ impl PersistentStore {
                     let mut abs = *offset;
                     for seg in segs {
                         if let SegRec::Raw { bytes } = seg {
-                            self.write_data(&mut idx, *fh, abs, bytes);
+                            self.write_data(&mut idx, *fh, abs, Cow::Borrowed(bytes));
                         }
                         abs += seg.len() as u64;
                     }
@@ -997,7 +1019,7 @@ impl PersistentStore {
             // existing chunk whose bytes have rotted — falls back to
             // raw bytes in the handle's data file, carried inline by
             // the WAL record.
-            self.write_data(idx, fh, abs_off, bytes);
+            self.write_data(idx, fh, abs_off, Cow::Borrowed(bytes));
             return SegRec::Raw { bytes: bytes.to_vec() };
         }
         self.disk.write(&path, 0, bytes);
@@ -1011,7 +1033,9 @@ impl PersistentStore {
     /// so a torn write fails its next verification. Pre-verification is
     /// skipped during replay: snapshot-era sums legitimately lag the
     /// durable content the WAL is about to redo.
-    fn write_data(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: &[u8]) {
+    /// An owned `bytes` goes to [`VirtualDisk::write_owned`], which may
+    /// keep the buffer as a page.
+    fn write_data(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
         let bs = self.cfg.block_size;
         let block_len = usize::try_from(bs).expect("bs fits");
         let path = data_path(fh);
@@ -1057,7 +1081,10 @@ impl PersistentStore {
             };
             idx.files.entry(fh).or_default().data_sums.insert(b, sum);
         }
-        self.disk.write(&path, offset, bytes);
+        match bytes {
+            Cow::Borrowed(bytes) => self.disk.write(&path, offset, bytes),
+            Cow::Owned(bytes) => self.disk.write_owned(&path, offset, bytes),
+        }
     }
 
     /// Verifies one extent's backing bytes against its checksum: the
@@ -1438,10 +1465,13 @@ impl BlockStore for PersistentStore {
             return;
         }
         let mut idx = self.index.lock();
-        self.write_data(&mut idx, fh, offset, &data);
-        idx.apply_write_dirty(fh, offset, data.len());
+        // The frame is encoded first, so the data file can keep `data`.
+        self.encode_frame(|enc| encode_write_dirty(enc, fh, offset, &data));
+        let len = data.len();
+        self.write_data(&mut idx, fh, offset, Cow::Owned(data));
+        idx.apply_write_dirty(fh, offset, len);
         idx.touch(fh);
-        self.log(&mut idx, &WalRecord::WriteDirty { fh, offset, bytes: data });
+        self.append_frame(&mut idx);
         self.evict_over_capacity(&mut idx);
     }
 

@@ -10,7 +10,9 @@
 //! and an undo list with the old durable bytes of every range below that
 //! length changed since, so overwrites, truncations, removals and a
 //! rename's replaced target save what they destroy (whole pages move
-//! into the list uncopied), and appends save nothing. A sync drops the
+//! into the list uncopied), and appends save nothing. A buffer given to
+//! [`VirtualDisk::write_owned`] that fills a page becomes that page, and
+//! the page it replaces moves into the list. A sync drops the
 //! undo lists and copies no bytes; [`VirtualDisk::crash`] writes the
 //! undo records back, except that the unsynced appended region of each
 //! file keeps a deterministic half-way *torn prefix* — exactly the
@@ -35,13 +37,14 @@ use crate::time::SimTime;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use gvfs_vfs::Pages;
 pub use gvfs_vfs::Slices;
-use gvfs_vfs::{Pages, PAGE_SIZE};
 
 /// Sector granularity for torn (partial) writes.
 const SECTOR: usize = 512;
@@ -290,6 +293,28 @@ impl VFile {
         save_gaps(&mut self.undo, start, end, |a, b| data.slice(a, b).to_vec());
     }
 
+    /// Writes `bytes` at `off`. Where they replace one whole page, the
+    /// buffer becomes that page and the old page moves into the undo
+    /// list instead of being copied there.
+    fn write_owned(&mut self, off: usize, bytes: Vec<u8>) {
+        match self.data.replace_page(off, bytes) {
+            Ok(mut old) => {
+                let old_end = off + old.len();
+                save_gaps(&mut self.undo, off, old_end.min(self.durable_len), |a, b| {
+                    if (a, b) == (off, old_end) {
+                        std::mem::take(&mut old)
+                    } else {
+                        old[a - off..b - off].to_vec()
+                    }
+                });
+            }
+            Err(bytes) => {
+                self.save(off, off + bytes.len());
+                self.data.write(off, &bytes);
+            }
+        }
+    }
+
     /// Truncates `data` to `len`, saving the durable bytes it drops:
     /// whole pages move into the undo list, and only the parts of pages
     /// that are cut or already partly saved are copied.
@@ -324,15 +349,10 @@ impl VFile {
 
     /// Sets `data` to `len` bytes with the undo records written back:
     /// the durable content, plus any torn tail past `durable_len`.
-    /// Records that are whole pages move back in place uncopied.
     fn restore(&mut self, len: usize) {
         self.data.resize(len);
         for (off, old) in self.undo.drain(..) {
-            if off % PAGE_SIZE == 0 && old.len() == PAGE_SIZE {
-                self.data.swap_page(off, old);
-            } else {
-                self.data.write(off, &old);
-            }
+            self.data.write(off, &old);
         }
     }
 }
@@ -467,22 +487,42 @@ impl VirtualDisk {
     /// Writes `bytes` at `offset`, zero-extending any hole. A torn-write
     /// fault lands only a sector-aligned prefix.
     pub fn write(&self, path: &str, offset: u64, bytes: &[u8]) {
+        self.put(path, offset, Cow::Borrowed(bytes));
+    }
+
+    /// [`VirtualDisk::write`] of a buffer the disk may keep: a buffer
+    /// that lands as one whole page of the file becomes that page, and
+    /// the page it replaces moves into the undo list, so neither is
+    /// copied. Costs, stats and fault dice are those of `write`.
+    pub fn write_owned(&self, path: &str, offset: u64, bytes: Vec<u8>) {
+        self.put(path, offset, Cow::Owned(bytes));
+    }
+
+    fn put(&self, path: &str, offset: u64, mut bytes: Cow<'_, [u8]>) {
         let t = sim_now();
         self.charge(bytes.len(), self.cfg.write_bps);
         let mut inner = self.inner.lock();
         let keep = inner.roll_torn(path, bytes.len(), t);
-        if keep.is_some() {
+        if let Some(keep) = keep {
             inner.stats.torn_writes += 1;
+            match &mut bytes {
+                Cow::Borrowed(b) => *b = &b[..keep],
+                Cow::Owned(v) => v.truncate(keep),
+            }
         }
-        let bytes = &bytes[..keep.unwrap_or(bytes.len())];
         inner.stats.writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
         let file = inner.open(path);
         let off = usize::try_from(offset).expect("offset fits usize");
         // A write past the end also zero-fills the hole before it.
         file.touch(off.min(file.data.len()));
-        file.save(off, off + bytes.len());
-        file.data.write(off, bytes);
+        match bytes {
+            Cow::Borrowed(bytes) => {
+                file.save(off, off + bytes.len());
+                file.data.write(off, bytes);
+            }
+            Cow::Owned(bytes) => file.write_owned(off, bytes),
+        }
     }
 
     /// Appends `bytes`, returning the offset they landed at. A torn

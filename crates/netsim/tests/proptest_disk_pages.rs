@@ -4,7 +4,9 @@
 //!
 //! File content lives in 32 KiB pages ([`gvfs_vfs::PAGE_SIZE`]), and a
 //! truncation, removal or rename moves whole pages into the undo
-//! records that a crash writes back. Writes, appends and truncations
+//! records that a crash writes back; a `write_owned` buffer that fills
+//! a page becomes that page, and the page it replaces moves into the
+//! undo records too. Writes, appends and truncations
 //! here reach several pages, so they cross page boundaries, cut pages
 //! mid-way and move whole ones; sync, crash, remove, rename and bit rot
 //! then exercise every path that saves or restores them. The reference
@@ -23,12 +25,31 @@ const SPAN: u64 = 3 * PAGE_SIZE as u64;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Write { path: usize, offset: u64, len: usize },
-    Append { path: usize, len: usize },
-    Truncate { path: usize, len: u64 },
-    Remove { path: usize },
-    Rename { from: usize },
-    Corrupt { path: usize, offset: u64 },
+    /// `owned` writes go through `write_owned`.
+    Write {
+        path: usize,
+        offset: u64,
+        len: usize,
+        owned: bool,
+    },
+    Append {
+        path: usize,
+        len: usize,
+    },
+    Truncate {
+        path: usize,
+        len: u64,
+    },
+    Remove {
+        path: usize,
+    },
+    Rename {
+        from: usize,
+    },
+    Corrupt {
+        path: usize,
+        offset: u64,
+    },
     Sync,
     Crash,
 }
@@ -36,11 +57,16 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     let path = 0..PATHS.len();
     prop_oneof![
-        (path.clone(), 0..SPAN, 1..PAGE_SIZE + 512).prop_map(|(path, offset, len)| Op::Write {
-            path,
-            offset,
-            len
-        }),
+        (path.clone(), 0..SPAN, 1..PAGE_SIZE + 512, any::<bool>())
+            .prop_map(|(path, offset, len, owned)| Op::Write { path, offset, len, owned }),
+        // Owned whole and last pages, which the disk keeps uncopied.
+        (path.clone(), 0..SPAN / PAGE_SIZE as u64, prop_oneof![Just(PAGE_SIZE), 1..PAGE_SIZE])
+            .prop_map(|(path, page, len)| Op::Write {
+                path,
+                offset: page * PAGE_SIZE as u64,
+                len,
+                owned: true
+            }),
         (path.clone(), 0..2 * PAGE_SIZE).prop_map(|(path, len)| Op::Append { path, len }),
         (path.clone(), prop_oneof![Just(0u64), 0..SPAN])
             .prop_map(|(path, len)| Op::Truncate { path, len }),
@@ -162,7 +188,10 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
             _ => Vec::new(),
         };
         match *op {
-            Op::Write { path, offset, .. } => disk.write(PATHS[path], offset, &bytes),
+            Op::Write { path, offset, owned: false, .. } => disk.write(PATHS[path], offset, &bytes),
+            Op::Write { path, offset, owned: true, .. } => {
+                disk.write_owned(PATHS[path], offset, bytes.clone());
+            }
             Op::Append { path, .. } => {
                 disk.append(PATHS[path], &bytes);
             }

@@ -9,6 +9,11 @@ pub const PAGE_SIZE: usize = 32 * 1024;
 /// Zeros to fill holes and extensions from.
 static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
+/// Pages per chunk of a file's page table. The table grows a chunk at a
+/// time, so a long file never reallocates and copies its whole table: a
+/// 256 MiB log has 8192 pages, 192 KiB of table.
+const TABLE_CHUNK: usize = 64;
+
 /// A file's bytes in [`PAGE_SIZE`] pages.
 ///
 /// Every page but the last holds exactly `PAGE_SIZE` bytes in an
@@ -21,13 +26,15 @@ static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 /// page.
 #[derive(Default)]
 pub struct Pages {
-    pages: Vec<Vec<u8>>,
+    /// The pages, in chunks of [`TABLE_CHUNK`]; every chunk but the last
+    /// is full, and the file has `len.div_ceil(PAGE_SIZE)` pages.
+    table: Vec<Vec<Vec<u8>>>,
     len: usize,
 }
 
 impl fmt::Debug for Pages {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Pages").field("len", &self.len).field("pages", &self.pages.len()).finish()
+        f.debug_struct("Pages").field("len", &self.len).field("pages", &self.page_count()).finish()
     }
 }
 
@@ -35,7 +42,37 @@ impl Pages {
     /// An empty file.
     #[must_use]
     pub const fn new() -> Self {
-        Pages { pages: Vec::new(), len: 0 }
+        Pages { table: Vec::new(), len: 0 }
+    }
+
+    fn page_count(&self) -> usize {
+        self.len.div_ceil(PAGE_SIZE)
+    }
+
+    fn page_mut(&mut self, i: usize) -> &mut Vec<u8> {
+        &mut self.table[i / TABLE_CHUNK][i % TABLE_CHUNK]
+    }
+
+    /// Adds a page after the last one. A file's first chunk grows with
+    /// it from one entry; later chunks are allocated whole.
+    fn push(&mut self, page: Vec<u8>) {
+        match self.table.last_mut() {
+            Some(chunk) if chunk.len() < TABLE_CHUNK => chunk.push(page),
+            Some(_) => {
+                let mut chunk = Vec::with_capacity(TABLE_CHUNK);
+                chunk.push(page);
+                self.table.push(chunk);
+            }
+            None => self.table = vec![vec![page]],
+        }
+    }
+
+    /// Drops the pages from the `n`-th on.
+    fn truncate_pages(&mut self, n: usize) {
+        self.table.truncate(n.div_ceil(TABLE_CHUNK));
+        if let Some(chunk) = self.table.last_mut() {
+            chunk.truncate(n - (n - 1) / TABLE_CHUNK * TABLE_CHUNK);
+        }
     }
 
     /// Length in bytes.
@@ -53,13 +90,13 @@ impl Pages {
     /// Bytes allocated for the pages' content.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.pages.iter().map(Vec::capacity).sum()
+        self.table.iter().flatten().map(Vec::capacity).sum()
     }
 
     /// Borrows `[start, end)`, clamped to the length.
     #[must_use]
     pub fn slice(&self, start: usize, end: usize) -> Slices<'_> {
-        Slices { pages: &self.pages, skip: 0, len: self.len }.sub(start, end)
+        Slices { table: &self.table, start: 0, len: self.len }.sub(start, end)
     }
 
     /// Writes `bytes` at `offset`, zero-filling any hole before it.
@@ -73,9 +110,9 @@ impl Pages {
             // A piece that starts mid-page may cross into the next page.
             let (page, at) = (pos / PAGE_SIZE, pos % PAGE_SIZE);
             let head = piece.len().min(PAGE_SIZE - at);
-            self.pages[page][at..at + head].copy_from_slice(&piece[..head]);
+            self.page_mut(page)[at..at + head].copy_from_slice(&piece[..head]);
             if head < piece.len() {
-                self.pages[page + 1][..piece.len() - head].copy_from_slice(&piece[head..]);
+                self.page_mut(page + 1)[..piece.len() - head].copy_from_slice(&piece[head..]);
             }
             pos += piece.len();
         }
@@ -90,9 +127,10 @@ impl Pages {
             self.append(&ZEROS[..n]);
         }
         if len < self.len {
-            self.pages.truncate(len.div_ceil(PAGE_SIZE));
-            if let Some(last) = self.pages.last_mut() {
-                last.truncate(len - (len - 1) / PAGE_SIZE * PAGE_SIZE);
+            self.truncate_pages(len.div_ceil(PAGE_SIZE));
+            if len > 0 {
+                self.page_mut((len - 1) / PAGE_SIZE)
+                    .truncate(len - (len - 1) / PAGE_SIZE * PAGE_SIZE);
             }
             self.len = len;
         }
@@ -106,36 +144,48 @@ impl Pages {
             return Vec::new();
         }
         let first = at.div_ceil(PAGE_SIZE);
-        let mut out = Vec::with_capacity(self.pages.len() - first + 1);
+        let mut out = Vec::with_capacity(self.page_count() - first + 1);
         if !at.is_multiple_of(PAGE_SIZE) {
-            let page = &mut self.pages[at / PAGE_SIZE];
-            out.push((at, page.split_off(at % PAGE_SIZE)));
+            out.push((at, self.page_mut(at / PAGE_SIZE).split_off(at % PAGE_SIZE)));
         }
-        out.extend(
-            self.pages.drain(first..).enumerate().map(|(i, p)| ((first + i) * PAGE_SIZE, p)),
-        );
+        // The pages from `first` on in its chunk, then the later chunks.
+        let mut offset = first * PAGE_SIZE;
+        let mut take = |page: Vec<u8>| {
+            out.push((offset, page));
+            offset += PAGE_SIZE;
+        };
+        if !first.is_multiple_of(TABLE_CHUNK) {
+            self.table[first / TABLE_CHUNK].drain(first % TABLE_CHUNK..).for_each(&mut take);
+        }
+        self.table.drain(first.div_ceil(TABLE_CHUNK)..).flatten().for_each(take);
         self.len = at;
         out
-    }
-
-    /// Replaces the page starting at `offset` (a multiple of
-    /// [`PAGE_SIZE`] below the length) with `page`, which must be as
-    /// long as the one it replaces, and returns the old page.
-    ///
-    /// # Panics
-    ///
-    /// If `offset` is not the start of a page or the lengths differ.
-    pub fn swap_page(&mut self, offset: usize, page: Vec<u8>) -> Vec<u8> {
-        assert_eq!(offset % PAGE_SIZE, 0, "page offset");
-        let slot = &mut self.pages[offset / PAGE_SIZE];
-        assert_eq!(slot.len(), page.len(), "page length");
-        std::mem::replace(slot, page)
     }
 
     /// XORs `mask` into the byte at `idx` (below the length).
     pub fn xor(&mut self, idx: usize, mask: u8) {
         assert!(idx < self.len, "byte {idx} past the end ({})", self.len);
-        self.pages[idx / PAGE_SIZE][idx % PAGE_SIZE] ^= mask;
+        self.page_mut(idx / PAGE_SIZE)[idx % PAGE_SIZE] ^= mask;
+    }
+
+    /// Makes `page` the page that starts at `offset` and returns the page
+    /// it replaces, copying neither. `page` must fill that page's place:
+    /// be `PAGE_SIZE` long, or be the last page and reach at least the
+    /// end; and its allocation must be exactly its length.
+    ///
+    /// # Errors
+    ///
+    /// `page` itself, and nothing changes, when `offset` is not a page
+    /// start below the length or `page` does not fill the place.
+    pub fn replace_page(&mut self, offset: usize, page: Vec<u8>) -> Result<Vec<u8>, Vec<u8>> {
+        let end = offset + page.len();
+        let fills = page.len() == PAGE_SIZE || (page.len() < PAGE_SIZE && end >= self.len);
+        let exact = page.capacity() == page.len();
+        if !offset.is_multiple_of(PAGE_SIZE) || offset >= self.len || !fills || !exact {
+            return Err(page);
+        }
+        self.len = self.len.max(end);
+        Ok(std::mem::replace(self.page_mut(offset / PAGE_SIZE), page))
     }
 
     /// Appends `bytes` page by page. Every page but the last is
@@ -150,7 +200,9 @@ impl Pages {
         let at = self.len % PAGE_SIZE;
         let streaming = at > 0 && at + bytes.len() > PAGE_SIZE;
         self.len += bytes.len();
-        if let Some(last) = self.pages.last_mut().filter(|p| p.len() < PAGE_SIZE) {
+        if let Some(last) =
+            self.table.last_mut().and_then(|c| c.last_mut()).filter(|p| p.len() < PAGE_SIZE)
+        {
             let n = bytes.len().min(PAGE_SIZE - last.len());
             let need = last.len() + n;
             if need > last.capacity() {
@@ -163,7 +215,7 @@ impl Pages {
         for piece in bytes.chunks(PAGE_SIZE) {
             let mut page = Vec::with_capacity(if streaming { PAGE_SIZE } else { piece.len() });
             page.extend_from_slice(piece);
-            self.pages.push(page);
+            self.push(page);
         }
     }
 }
@@ -173,9 +225,10 @@ impl Pages {
 /// default is the empty range.
 #[derive(Clone, Copy, Default)]
 pub struct Slices<'a> {
-    pages: &'a [Vec<u8>],
-    /// Offset of the range inside `pages[0]`.
-    skip: usize,
+    /// The page table of the [`Pages`] the range is in.
+    table: &'a [Vec<Vec<u8>>],
+    /// Offset of the range in the file.
+    start: usize,
     len: usize,
 }
 
@@ -200,12 +253,12 @@ impl<'a> Slices<'a> {
 
     /// The pieces, in order; none is empty.
     pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
-        let (mut skip, mut left) = (self.skip, self.len);
-        self.pages.iter().map(move |page| {
-            let piece = &page[skip..page.len().min(skip + left)];
-            skip = 0;
-            left -= piece.len();
-            piece
+        let (table, start, end) = (self.table, self.start, self.start + self.len);
+        let pages = if self.len == 0 { 0..0 } else { start / PAGE_SIZE..end.div_ceil(PAGE_SIZE) };
+        pages.map(move |i| {
+            let base = i * PAGE_SIZE;
+            &table[i / TABLE_CHUNK][i % TABLE_CHUNK]
+                [start.max(base) - base..end.min(base + PAGE_SIZE) - base]
         })
     }
 
@@ -217,12 +270,7 @@ impl<'a> Slices<'a> {
         if start == end {
             return Slices::default();
         }
-        let (from, to) = (self.skip + start, self.skip + end);
-        Slices {
-            pages: &self.pages[from / PAGE_SIZE..=(to - 1) / PAGE_SIZE],
-            skip: from % PAGE_SIZE,
-            len: end - start,
-        }
+        Slices { table: self.table, start: self.start + start, len: end - start }
     }
 
     /// Copies the range into a new vector.
@@ -320,6 +368,61 @@ mod tests {
             assert_eq!(q.capacity(), len, "page-sized writes of {len} B");
             assert_eq!(q.slice(0, q.len()), pattern(len, 5)[..]);
         }
+    }
+
+    #[test]
+    fn cuts_and_ranges_across_table_chunks_match_the_bytes() {
+        let chunk = TABLE_CHUNK * PAGE_SIZE;
+        let bytes = pattern(2 * chunk + 3 * PAGE_SIZE + 5, 6);
+        let cuts = [0, 1, PAGE_SIZE, chunk - PAGE_SIZE, chunk - 1, chunk, chunk + 1, 2 * chunk + 7];
+        for at in cuts {
+            let mut p = pages(&bytes);
+            let around = at.saturating_sub(PAGE_SIZE + 3)..at + PAGE_SIZE + 3;
+            assert_eq!(p.slice(around.start, around.end), bytes[around], "range around {at}");
+            let mut tail = Vec::new();
+            for (off, piece) in p.split_off(at) {
+                assert_eq!(off, at + tail.len(), "piece offset after a cut at {at}");
+                tail.extend_from_slice(&piece);
+            }
+            assert_eq!(tail, bytes[at..], "bytes split off at {at}");
+            assert_eq!(p.slice(0, p.len()), bytes[..at], "bytes kept at {at}");
+            p.append(&bytes[at..]);
+            assert_eq!(p.slice(0, p.len()), bytes[..], "regrown after a cut at {at}");
+            p.resize(at);
+            p.resize(at + chunk);
+            let all = p.slice(0, p.len()).to_vec();
+            assert_eq!(all[..at], bytes[..at], "kept by a truncation to {at}");
+            assert!(all[at..].iter().all(|&b| b == 0), "regrown from {at} as zeros");
+        }
+    }
+
+    #[test]
+    fn a_replaced_page_is_the_buffer_itself() {
+        let bytes = pattern(2 * PAGE_SIZE + 10, 7);
+        let mut p = pages(&bytes);
+        let new = pattern(PAGE_SIZE, 8);
+        let at = new.as_ptr();
+        let old = p.replace_page(PAGE_SIZE, new).expect("a whole page");
+        assert_eq!(old, bytes[PAGE_SIZE..2 * PAGE_SIZE]);
+        let piece = p.slice(PAGE_SIZE, 2 * PAGE_SIZE).iter().next().expect("one piece");
+        assert_eq!(piece.as_ptr(), at, "the buffer is the page, uncopied");
+        // A last page may be replaced by one reaching at least as far.
+        assert_eq!(p.replace_page(2 * PAGE_SIZE, vec![9; 20]), Ok(bytes[2 * PAGE_SIZE..].to_vec()));
+        assert_eq!(p.len(), 2 * PAGE_SIZE + 20);
+        let mut roomy = Vec::with_capacity(PAGE_SIZE + 1);
+        roomy.resize(PAGE_SIZE, 1);
+        for (offset, page) in [
+            (1, vec![1; PAGE_SIZE]),      // not a page start
+            (3 * PAGE_SIZE, vec![1; 5]),  // past the end
+            (2 * PAGE_SIZE, vec![1; 19]), // a last page that ends short
+            (0, vec![1; PAGE_SIZE - 1]),  // short, and not the last page
+            (0, vec![1; PAGE_SIZE + 1]),  // longer than a page
+            (0, roomy),                   // more capacity than bytes
+        ] {
+            let len = page.len();
+            assert_eq!(p.replace_page(offset, page).map_err(|b| b.len()), Err(len), "at {offset}");
+        }
+        assert_eq!(p.len(), 2 * PAGE_SIZE + 20, "a refused page changes nothing");
     }
 
     #[test]

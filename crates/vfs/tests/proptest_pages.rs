@@ -1,6 +1,6 @@
 //! Differential property test: [`Pages`] must hold exactly the bytes a
 //! plain `Vec<u8>` holds after the same writes, appends, resizes,
-//! truncations, splits and bit flips, at offsets and lengths that cross
+//! truncations, splits, page replacements and bit flips, at offsets and lengths that cross
 //! page boundaries. After every step the content, the length and every
 //! borrowed range must agree, and the pages may hold no more capacity
 //! than the pages the length spans.
@@ -18,6 +18,7 @@ enum Op {
     Resize { len: usize },
     SplitOff { at: usize },
     Xor { idx: usize, mask: u8 },
+    Replace { page: usize, len: usize },
     Read { start: usize, len: usize },
 }
 
@@ -29,6 +30,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..SPAN).prop_map(|len| Op::Resize { len }),
         (0..SPAN).prop_map(|at| Op::SplitOff { at }),
         (0..SPAN, 1u8..=255).prop_map(|(idx, mask)| Op::Xor { idx, mask }),
+        (0..SPAN / PAGE_SIZE, PAGE_SIZE - 40..PAGE_SIZE + 2)
+            .prop_map(|(page, len)| Op::Replace { page, len }),
         (0..SPAN, 0..2 * PAGE_SIZE).prop_map(|(start, len)| Op::Read { start, len }),
     ]
 }
@@ -80,6 +83,24 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
                 if idx < model.len() {
                     pages.xor(idx, mask);
                     model[idx] ^= mask;
+                }
+            }
+            Op::Replace { page, len } => {
+                let offset = page * PAGE_SIZE;
+                let end = offset + len;
+                let fills = len == PAGE_SIZE || len < PAGE_SIZE && end >= model.len();
+                match pages.replace_page(offset, fill(step, len)) {
+                    Ok(old) => {
+                        prop_assert!(offset < model.len() && fills, "step {}: replaced", step);
+                        let old_end = model.len().min(offset + PAGE_SIZE);
+                        prop_assert_eq!(&old[..], &model[offset..old_end], "step {}: old", step);
+                        model.resize(model.len().max(end), 0);
+                        model[offset..end].copy_from_slice(&fill(step, len));
+                    }
+                    Err(bytes) => {
+                        prop_assert!(offset >= model.len() || !fills, "step {}: refused", step);
+                        prop_assert_eq!(bytes, fill(step, len), "step {}: returned", step);
+                    }
                 }
             }
             Op::Read { start, len } => {
