@@ -711,9 +711,9 @@ fn peerread_sweep(small: bool) -> Vec<serde_json::Value> {
 }
 
 /// Ablation 10: self-healing scrub. One delegation client cold-reads a
-/// 16-block file into its persistent cache (every block distinct, so
-/// each lands in its own content-addressed chunk), then every chunk on
-/// the platter is corrupted. Both arms must serve zero corrupt reads —
+/// 16-block file into its persistent cache (the file's data file holds
+/// the 16 blocks, each under its own checksum), then one byte of every
+/// block on the platter is corrupted. Both arms must serve zero corrupt reads —
 /// verify-on-read quarantines rot into misses either way. The arms
 /// differ in *when* the damage is repaired: without the scrubber every
 /// re-read pays a demand refetch over the WAN (`refetch_repairs`);
@@ -740,7 +740,7 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
         .clients(1)
         .wan(long_fat_link())
         .establish(&sim);
-        // Seed server-side, each block distinct: 16 chunks, no dedup.
+        // Seed server-side, each block distinct.
         let seed_t = gvfs_vfs::Timestamp::from_nanos(0);
         let vfs = session.vfs();
         let f = vfs.create(vfs.root(), "rotme", 0o644, seed_t).unwrap();
@@ -767,11 +767,13 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
                 let data = c.read(fh, b * BLOCK_SIZE, BLOCK_SIZE as u32).unwrap();
                 assert_eq!(data, vec![0x40 + b as u8; BLOCK_SIZE as usize], "cold block {b}");
             }
-            // Rot every stored chunk, one flipped byte each.
+            // Rot every stored block, one flipped byte each.
             let mut n = 0usize;
-            for path in disk.list("chunks/") {
-                if disk.corrupt_byte(&path, 17, 0x80) {
-                    n += 1;
+            for path in disk.list("data/") {
+                for b in 0..BLOCKS {
+                    if disk.corrupt_byte(&path, b * BLOCK_SIZE + 17, 0x80) {
+                        n += 1;
+                    }
                 }
             }
             *r2.lock() = n;
@@ -800,10 +802,10 @@ fn scrub_sweep() -> Vec<serde_json::Value> {
         let rotted = *rotted.lock();
         let wall_s = *wall.lock();
         walls[i] = wall_s;
-        assert_eq!(rotted, BLOCKS as usize, "every chunk must take a flipped byte");
+        assert_eq!(rotted, BLOCKS as usize, "every block must take a flipped byte");
         assert_eq!(
             stats.integrity_failures, BLOCKS,
-            "every rotted chunk must fail exactly one verification ({label})"
+            "every rotted block must fail exactly one verification ({label})"
         );
         assert_eq!(stats.integrity_dirty_loss, 0, "only clean data was rotted ({label})");
         let (repairs, kind) = match period {

@@ -117,7 +117,6 @@ pub fn read_path_json(stats: &gvfs_core::proxy::client::ProxyClientStats) -> ser
         "prefetch_wasted": stats.prefetch_wasted,
         "cache_bytes": stats.cache_bytes,
         "cache_evictions": stats.cache_evictions,
-        "dedup_hits": stats.dedup_hits,
         "restart_warm_blocks": stats.restart_warm_blocks,
         "peer_hits": stats.peer_hits,
         "peer_misses": stats.peer_misses,

@@ -335,7 +335,6 @@ impl DiskCache {
     /// file's clean content is dropped.
     pub fn put_attr(&mut self, fh: Fh3, attr: Fattr3) {
         self.store.revalidate(fh, attr.mtime);
-        self.store.note_size(fh, attr.size);
         self.attrs.insert(fh, attr);
     }
 
@@ -343,7 +342,6 @@ impl DiskCache {
     /// dropping content.
     pub fn put_attr_own_write(&mut self, fh: Fh3, attr: Fattr3) {
         self.store.retag(fh, attr.mtime);
-        self.store.note_size(fh, attr.size);
         self.attrs.insert(fh, attr);
     }
 

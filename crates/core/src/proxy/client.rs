@@ -136,8 +136,8 @@ pub struct ProxyClientStats {
     pub cache_bytes: u64,
     /// Files whose clean content the block store evicted for capacity.
     pub cache_evictions: u64,
-    /// Clean chunk insertions deduplicated against an identical stored
-    /// chunk (persistent store only).
+    /// Always 0: no store deduplicates. Kept for readers that still sum
+    /// it.
     pub dedup_hits: u64,
     /// Clean blocks served warm from the replayed on-disk index after
     /// the last restart (persistent store only).
@@ -481,7 +481,6 @@ impl ProxyClient {
         let mut s = *self.stats.lock();
         s.cache_bytes = store.bytes;
         s.cache_evictions = store.evictions;
-        s.dedup_hits = store.dedup_hits;
         s.restart_warm_blocks = store.restart_warm_blocks;
         s.integrity_failures = store.integrity_failures;
         s.quarantined_blocks = store.quarantined_blocks;

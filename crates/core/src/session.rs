@@ -115,8 +115,8 @@ pub struct SessionConfig {
     /// the degradation ladder entirely — forwarded calls hard-retry
     /// through the outage (the availability ablation's baseline arm).
     pub max_staleness: Option<Duration>,
-    /// Back each proxy client's cache with the persistent
-    /// content-addressed block store instead of the in-memory one: the
+    /// Back each proxy client's cache with the persistent block store
+    /// instead of the in-memory one: the
     /// cache survives a proxy-machine crash (torn writes discarded) and
     /// a restarted session over the same disks serves clean blocks warm.
     pub persistent_store: bool,

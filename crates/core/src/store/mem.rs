@@ -173,8 +173,6 @@ impl BlockStore for MemStore {
         self.tags.insert(fh, mtime);
     }
 
-    fn note_size(&mut self, _fh: Fh3, _size: u64) {}
-
     fn used_bytes(&self) -> usize {
         self.used
     }

@@ -10,12 +10,11 @@
 //!
 //! * [`mem::MemStore`] — the original in-memory extent maps. Volatile:
 //!   a restart is a cold WAN start.
-//! * [`persist::PersistentStore`] — an on-disk content-addressed layout
-//!   over a [`gvfs_netsim::disk::VirtualDisk`]: sharded per-handle data
-//!   files for dirty bytes, refcounted content-hash chunks for clean
-//!   bytes (duplicate blocks stored once), and a write-ahead-logged
-//!   index replayed on restart so clean blocks are served warm with
-//!   ~0 WAN data RPCs.
+//! * [`persist::PersistentStore`] — an on-disk layout over a
+//!   [`gvfs_netsim::disk::VirtualDisk`]: one sharded sparse data file
+//!   per handle for its clean and dirty bytes, checksummed per block,
+//!   and a write-ahead-logged index replayed on restart so clean blocks
+//!   are served warm with ~0 WAN data RPCs.
 //!
 //! All methods operate on one file handle's extent map; semantics are
 //! pinned by the differential proptest
@@ -36,9 +35,6 @@ pub struct StoreStats {
     pub bytes: u64,
     /// Files whose clean content was evicted to stay within capacity.
     pub evictions: u64,
-    /// Clean chunk insertions satisfied by an already-stored identical
-    /// chunk (content-hash dedup). Always 0 for the in-memory store.
-    pub dedup_hits: u64,
     /// Clean blocks served warm from the replayed index after the last
     /// crash/reopen. Always 0 for the in-memory store.
     pub restart_warm_blocks: u64,
@@ -137,10 +133,6 @@ pub trait BlockStore: std::fmt::Debug + Send {
     /// Records `mtime` as the file's tag without dropping content (the
     /// mtime moved because of our own write).
     fn retag(&mut self, fh: Fh3, mtime: NfsTime3);
-
-    /// Hints the file's size (from attributes); persistent stores use
-    /// it to pick full-file vs block chunking.
-    fn note_size(&mut self, fh: Fh3, size: u64);
 
     /// Bytes of file content cached.
     fn used_bytes(&self) -> usize;

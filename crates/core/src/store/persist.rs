@@ -1,73 +1,68 @@
-//! The persistent content-addressed block store.
+//! The persistent block store.
 //!
 //! On-disk layout over one [`VirtualDisk`] (one per proxy machine):
 //!
 //! ```text
-//! wal.log                      append-only redo log (framed XDR records)
-//! index.snap                   checkpoint snapshot of the extent index
-//! data/<2hex>/<16hex>          per-handle sparse file (dirty bytes and
-//!                              bytes cleaned in place after write-back),
-//!                              keyed by the content hash of the Fh3
-//! chunks/<2hex>/<16hex>-<8hex> refcounted clean chunks, keyed by
-//!                              (content hash, length) — duplicate
-//!                              blocks across files are stored once
+//! wal.log              append-only redo log (framed XDR records)
+//! index.snap           checkpoint snapshot of the extent index
+//! data/<2hex>/<16hex>  per-handle sparse file: every cached byte of the
+//!                      handle, clean or dirty, at its file offset; keyed
+//!                      by the content hash of the Fh3
 //! ```
 //!
 //! **Write-ahead log.** Every mutation appends one framed record
 //! (`[u32 len][XDR payload][u64 hash]`). `WriteDirty` records carry the
 //! written bytes inline — the WAL is a *redo* log, so replay never
-//! depends on the data file having survived for dirty bytes. Clean
-//! inserts reference chunk files by content hash instead of inlining
-//! (clean data is refetchable; dirty data is not).
+//! depends on the data file having survived for dirty bytes.
+//! `InsertClean` records carry only the range (clean data is
+//! refetchable; dirty data is not). Every sync the store makes is
+//! preceded by a `Synced` record, so replay knows which records' data
+//! writes reached the disk.
 //!
 //! **Recovery.** On open (and after [`BlockStore::crash_reopen`]) the
 //! store loads `index.snap` if its trailing checksum verifies, then
 //! replays `wal.log` record by record. A frame extending past the end
 //! of the log is a *torn tail* — replay stops and truncates there, so
 //! no torn dirty record is ever applied. An in-bounds frame that fails
-//! verification — a flipped bit in its payload or checksum, an
-//! undecodable record, or an `InsertClean` whose chunk is absent or
-//! fails its content hash — is *interior corruption*: the frame is
-//! skipped and counted (`wal_quarantined_frames`) and replay continues,
-//! so one rotted bit can never silently truncate away the durable
-//! frames behind it. (A flip inside a frame's *length prefix* is
+//! verification — a flipped bit in its payload or checksum, or an
+//! undecodable record — is *interior corruption*: the frame is skipped
+//! and counted (`wal_quarantined_frames`) and replay continues, so one
+//! rotted bit can never silently truncate away the durable frames
+//! behind it. (A flip inside a frame's *length prefix* is
 //! indistinguishable from a torn tail and still truncates — the length
-//! is what frame navigation stands on.)
+//! is what frame navigation stands on.) The records after the last
+//! `Synced` one may have lost their data-file writes with the crash:
+//! their dirty writes are redone from the log, and the log ends at the
+//! first clean insert among them, whose bytes it does not hold — what
+//! replay recovers is always a prefix of the logged operations. (A
+//! rotted `Synced` record is the one interior flip that costs more than
+//! its frame: replay then counts the records since the one before it
+//! as unsynced, and may end the log at a clean insert among them.) The
+//! sums of the blocks the replayed records wrote are then taken afresh
+//! from the disk, which also covers the torn bytes an unlogged write
+//! may leave beside them (so rot that lands on such a block before a
+//! restart goes undetected: crash plus rot is outside what the sums
+//! guard).
 //!
-//! **Integrity.** Every stored unit carries a checksum that is verified
-//! on every read. Content chunks are self-addressed: the chunk is
-//! hashed whole and compared against its id. Bytes in per-handle data
-//! files (dirty extents, raw collision fallbacks, and ranges cleaned in
-//! place) carry per-block hash records over `block_size`-aligned spans
-//! of the data file, zero-padded to full blocks, maintained by every
-//! data-file write: partially covered blocks are pre-verified first (a
-//! previously corrupted byte is never laundered into a fresh sum) and
-//! the new sum hashes the *intended* content (a torn write fails its
-//! next verification). A mismatch **quarantines** the extent — it is
-//! dropped from the index instead of served, counted, and reported via
-//! [`BlockStore::take_integrity_events`]: clean extents become cache
-//! misses the origin/peer read path repairs transparently; dirty
-//! extents are explicit data loss the client must surface. A scrub
-//! sweep ([`BlockStore::scrub_step`]) verifies content ahead of demand
-//! behind a persistent cursor. Verification reads are cost-free in the
-//! simulation (modeled as piggybacked on the data transfer they guard);
-//! only the served bytes are charged, as before.
-//!
-//! **Chunking.** A clean insert is split at absolute `block_size`
-//! boundaries — unless the file's last known size is at or below
-//! `file_threshold`, in which case the whole insert is one chunk
-//! (full-file mode: small files dedup and restore as a unit, the
-//! MosaicFS split). A chunk whose `(hash, len)` already exists is not
-//! rewritten: its refcount rises and `dedup_hits` is counted, after a
-//! byte-compare guards against hash collisions (a colliding insert
-//! falls back to a raw WAL record). Refcounts are not persisted; they
-//! are recomputed by replay. Dead chunk files are garbage-collected at
-//! checkpoint time, never between checkpoints — earlier WAL records may
-//! still reference them.
+//! **Integrity.** Every `block_size`-aligned span of a data file that
+//! holds cached bytes carries a [`content_hash`] of the span, zero-padded
+//! to a full block, maintained by every data-file write: partially
+//! covered blocks are pre-verified first (a previously corrupted byte is
+//! never laundered into a fresh sum) and the new sum hashes the
+//! *intended* content (a torn write fails its next verification). A read
+//! verifies the blocks it serves; a mismatch **quarantines** that block
+//! — its extents are dropped instead of served, counted, and reported
+//! via [`BlockStore::take_integrity_events`]: clean bytes become cache
+//! misses the origin/peer read path repairs transparently; dirty bytes
+//! are explicit data loss the client must surface. A scrub sweep
+//! ([`BlockStore::scrub_step`]) verifies blocks ahead of demand behind a
+//! persistent cursor. Verification reads are cost-free in the simulation
+//! (modeled as piggybacked on the data transfer they guard); only the
+//! served bytes are charged.
 //!
 //! **Checkpoint.** Every `checkpoint_every` records the index is
-//! snapshotted (`index.snap.new` → sync → rename → sync), the WAL is
-//! truncated, and unreferenced chunk files are removed.
+//! snapshotted (`index.snap.new` → sync → rename → sync) and the WAL is
+//! truncated.
 //!
 //! **Eviction.** Clean extents of least-recently-used files are dropped
 //! (with an `Evict` record) until within capacity; dirty bytes are
@@ -83,7 +78,7 @@ use gvfs_nfs3::{Fh3, NfsTime3};
 use gvfs_xdr::{Decoder, Encoder, Xdr, XdrError};
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,20 +87,19 @@ const SNAP_PATH: &str = "index.snap";
 const SNAP_NEW_PATH: &str = "index.snap.new";
 const SNAP_MAGIC: u32 = 0x6776_7353; // "gvsS"
 /// Version 2 added per-block data-file checksums; version 3 moved every
-/// checksum from FNV-1a to [`content_hash`].
-const SNAP_VERSION: u32 = 3;
+/// checksum from FNV-1a to [`content_hash`]; version 4 keeps clean
+/// bytes in the data files.
+const SNAP_VERSION: u32 = 4;
 
 /// Tuning for a [`PersistentStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct PersistConfig {
     /// Cached-content byte budget (clean data beyond it is evicted).
     pub capacity: usize,
-    /// Chunking granularity for clean data, normally the transfer size.
+    /// Checksum granularity of the data files, normally the transfer
+    /// size.
     pub block_size: u64,
-    /// Files whose known size is at or below this are stored as one
-    /// whole-file chunk per insert instead of per-block chunks.
-    pub file_threshold: u64,
-    /// WAL records between checkpoints (snapshot + WAL truncate + GC).
+    /// WAL records between checkpoints (snapshot + WAL truncate).
     pub checkpoint_every: usize,
     /// WAL records between implicit durability barriers.
     pub sync_every: usize,
@@ -121,16 +115,12 @@ impl Default for PersistConfig {
         PersistConfig {
             capacity: 4 << 30,
             block_size: crate::proxy::BLOCK_SIZE,
-            file_threshold: 64 * 1024,
             checkpoint_every: 8192,
             sync_every: 64,
             verify: true,
         }
     }
 }
-
-/// Content address of a clean chunk: ([`content_hash`], length).
-type ChunkId = (u64, u32);
 
 const PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
 const PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -206,7 +196,7 @@ fn xxh_finish(lanes: &[u64; 4], total: u64, mut tail: &[u8]) -> u64 {
 /// eight bytes at a time, in four independent lanes over each 32-byte
 /// stripe. Also the end-to-end integrity hash on `PEERREAD` transfers,
 /// so a peer-served block is checked with the same machinery that
-/// checks the on-disk chunks it came from. [`ContentHasher`] is its
+/// checks the on-disk blocks it came from. [`ContentHasher`] is its
 /// streaming form.
 #[must_use]
 pub fn content_hash(bytes: &[u8]) -> u64 {
@@ -304,97 +294,94 @@ fn data_path(fh: Fh3) -> String {
     format!("data/{:02x}/{:016x}", h & 0xff, h)
 }
 
-fn chunk_path(id: ChunkId) -> String {
-    format!("chunks/{:02x}/{:016x}-{:08x}", id.0 & 0xff, id.0, id.1)
-}
-
-fn parse_chunk_path(path: &str) -> Option<ChunkId> {
-    let name = path.rsplit('/').next()?;
-    let (h, l) = name.split_once('-')?;
-    Some((u64::from_str_radix(h, 16).ok()?, u32::from_str_radix(l, 16).ok()?))
-}
-
-/// Where an extent's bytes live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Src {
-    /// Clean bytes inside a content chunk, starting `off` bytes in.
-    Chunk { id: ChunkId, off: u32 },
-    /// Bytes in the handle's own data file at the extent's absolute
-    /// offset; dirty, or cleaned in place after write-back.
-    Data { dirty: bool },
-}
-
+/// `len` bytes of the handle's data file, at the extent's offset.
 #[derive(Debug, Clone, Copy)]
 struct Ext {
     len: usize,
-    src: Src,
+    /// Written locally and not yet written back.
+    dirty: bool,
 }
 
-impl Ext {
-    fn dirty(&self) -> bool {
-        matches!(self.src, Src::Data { dirty: true })
-    }
-
-    /// Splits at `at` bytes in, returning the tail.
-    fn split_off(&mut self, at: usize) -> Ext {
-        let tail_len = self.len - at;
-        self.len = at;
-        let tail_src = match self.src {
-            Src::Chunk { id, off } => {
-                Src::Chunk { id, off: off + u32::try_from(at).expect("extent fits u32") }
-            }
-            Src::Data { dirty } => Src::Data { dirty },
-        };
-        Ext { len: tail_len, src: tail_src }
-    }
-}
-
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Entry {
+    /// The handle's data file.
+    path: String,
     tag: Option<NfsTime3>,
-    size_hint: Option<u64>,
     extents: BTreeMap<u64, Ext>,
-    /// [`content_hash`] of each `block_size`-aligned span of the handle's
-    /// data file (zero-padded to a full block), for every block any data
-    /// extent touches. Maintained by `write_data`, verified on read.
+    /// [`content_hash`] of each `block_size`-aligned span of the data
+    /// file (zero-padded to a full block), for every block any extent
+    /// touches. Maintained by `write_data`, verified on read.
     data_sums: BTreeMap<u64, u64>,
 }
 
 impl Entry {
+    fn new(fh: Fh3) -> Self {
+        Entry {
+            path: data_path(fh),
+            tag: None,
+            extents: BTreeMap::new(),
+            data_sums: BTreeMap::new(),
+        }
+    }
+
     fn bytes(&self) -> usize {
         self.extents.values().map(|e| e.len).sum()
     }
 }
 
-/// One clean segment of an `InsertClean` record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SegRec {
-    /// A refcounted content chunk.
-    Chunk { id: ChunkId },
-    /// Raw bytes (hash-collision fallback), carried in the record and
-    /// stored in the handle's data file.
-    Raw { bytes: Vec<u8> },
+/// The first extent overlapping `[start, end)`.
+fn first_overlap(extents: &BTreeMap<u64, Ext>, start: u64, end: u64) -> Option<(u64, Ext)> {
+    if start >= end {
+        return None;
+    }
+    let head = extents.range(..=start).next_back().filter(|(s, e)| **s + e.len as u64 > start);
+    head.or_else(|| extents.range(start..end).next()).map(|(s, e)| (*s, *e))
 }
 
-impl SegRec {
-    fn len(&self) -> usize {
-        match self {
-            SegRec::Chunk { id } => id.1 as usize,
-            SegRec::Raw { bytes } => bytes.len(),
+/// The first piece of `[pos, end)` that no dirty extent covers.
+fn next_clean_piece(extents: &BTreeMap<u64, Ext>, mut pos: u64, end: u64) -> Option<(u64, u64)> {
+    let mut at = pos;
+    while let Some((key, ext)) = first_overlap(extents, at, end) {
+        at = key + ext.len as u64;
+        if !ext.dirty {
+            continue;
+        }
+        if key > pos {
+            return Some((pos, key));
+        }
+        pos = at;
+    }
+    (pos < end).then_some((pos, end))
+}
+
+/// Whether extents cover every byte of `[start, end)`.
+fn covers(extents: &BTreeMap<u64, Ext>, start: u64, end: u64) -> bool {
+    let mut pos = start;
+    while pos < end {
+        match extents.range(..=pos).next_back() {
+            Some((s, e)) if s + e.len as u64 > pos => pos = s + e.len as u64,
+            _ => return false,
         }
     }
+    true
 }
 
+/// One WAL record. `InsertClean` logs clean bytes written into the data
+/// file over `[offset, offset + len)`, around the dirty bytes there;
+/// `Synced`, that the disk was synced right after it was logged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WalRecord {
     Retag { fh: Fh3, mtime: NfsTime3, drop: bool },
-    InsertClean { fh: Fh3, offset: u64, segs: Vec<SegRec> },
+    InsertClean { fh: Fh3, offset: u64, len: u64 },
     WriteDirty { fh: Fh3, offset: u64, bytes: Vec<u8> },
     CleanRange { fh: Fh3, offset: u64, len: u64 },
     DropClean { fh: Fh3 },
     Evict { fh: Fh3 },
     Forget { fh: Fh3 },
+    Synced,
 }
+
+const SYNCED: u32 = 9;
 
 /// Encodes a [`WalRecord::WriteDirty`] from borrowed bytes.
 fn encode_write_dirty(
@@ -418,24 +405,11 @@ impl Xdr for WalRecord {
                 mtime.encode(enc)?;
                 enc.put_bool(*drop);
             }
-            WalRecord::InsertClean { fh, offset, segs } => {
-                enc.put_u32(2);
+            WalRecord::InsertClean { fh, offset, len } => {
+                enc.put_u32(8);
                 enc.put_u64(fh.fileid());
                 enc.put_u64(*offset);
-                enc.put_u32(u32::try_from(segs.len()).map_err(|_| XdrError::LengthOverflow)?);
-                for seg in segs {
-                    match seg {
-                        SegRec::Chunk { id } => {
-                            enc.put_u32(0);
-                            enc.put_u64(id.0);
-                            enc.put_u32(id.1);
-                        }
-                        SegRec::Raw { bytes } => {
-                            enc.put_u32(1);
-                            enc.put_opaque(bytes)?;
-                        }
-                    }
-                }
+                enc.put_u64(*len);
             }
             WalRecord::WriteDirty { fh, offset, bytes } => {
                 encode_write_dirty(enc, *fh, *offset, bytes)?;
@@ -458,33 +432,20 @@ impl Xdr for WalRecord {
                 enc.put_u32(7);
                 enc.put_u64(fh.fileid());
             }
+            WalRecord::Synced => enc.put_u32(SYNCED),
         }
         Ok(())
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
         let disc = dec.get_u32()?;
+        if disc == SYNCED {
+            return Ok(WalRecord::Synced);
+        }
         let fh = Fh3::from_fileid(dec.get_u64()?);
         Ok(match disc {
             1 => WalRecord::Retag { fh, mtime: NfsTime3::decode(dec)?, drop: dec.get_bool()? },
-            2 => {
-                let offset = dec.get_u64()?;
-                let n = dec.get_u32()?;
-                let mut segs = Vec::new();
-                for _ in 0..n {
-                    segs.push(match dec.get_u32()? {
-                        0 => SegRec::Chunk { id: (dec.get_u64()?, dec.get_u32()?) },
-                        1 => SegRec::Raw { bytes: dec.get_opaque()? },
-                        other => {
-                            return Err(XdrError::InvalidDiscriminant {
-                                type_name: "SegRec",
-                                value: other,
-                            })
-                        }
-                    });
-                }
-                WalRecord::InsertClean { fh, offset, segs }
-            }
+            8 => WalRecord::InsertClean { fh, offset: dec.get_u64()?, len: dec.get_u64()? },
             3 => WalRecord::WriteDirty { fh, offset: dec.get_u64()?, bytes: dec.get_opaque()? },
             4 => WalRecord::CleanRange { fh, offset: dec.get_u64()?, len: dec.get_u64()? },
             5 => WalRecord::DropClean { fh },
@@ -497,18 +458,29 @@ impl Xdr for WalRecord {
     }
 }
 
+/// The frames of a WAL image up to its torn tail: each frame's end, and
+/// its payload if the frame's checksum holds.
+fn frames(wal: &[u8]) -> impl Iterator<Item = (usize, Option<&[u8]>)> {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        let head = wal.get(pos..pos + 4)?;
+        let len = u32::from_be_bytes(head.try_into().expect("4 bytes")) as usize;
+        let end = pos.checked_add(4 + len + 8).filter(|&end| end <= wal.len())?;
+        let payload = &wal[pos + 4..pos + 4 + len];
+        let stored = u64::from_be_bytes(wal[end - 8..end].try_into().expect("8 bytes"));
+        pos = end;
+        Some((end, (content_hash(payload) == stored).then_some(payload)))
+    })
+}
+
 #[derive(Debug, Default)]
 struct Idx {
     files: HashMap<Fh3, Entry>,
-    chunk_refs: HashMap<ChunkId, u32>,
-    /// Chunks whose refcount hit zero; files removed at checkpoint.
-    dead_chunks: HashSet<ChunkId>,
     lru: BTreeMap<u64, Fh3>,
     lru_seq: HashMap<Fh3, u64>,
     next_seq: u64,
     used: usize,
     evictions: u64,
-    dedup_hits: u64,
     warm_blocks: u64,
     integrity_failures: u64,
     quarantined_blocks: u64,
@@ -529,248 +501,110 @@ impl Idx {
         self.lru_seq.insert(fh, seq);
     }
 
-    fn add_ref(&mut self, id: ChunkId) {
-        *self.chunk_refs.entry(id).or_insert(0) += 1;
-        self.dead_chunks.remove(&id);
+    fn entry(&mut self, fh: Fh3) -> &mut Entry {
+        self.files.entry(fh).or_insert_with(|| Entry::new(fh))
     }
 
-    fn drop_ref(&mut self, id: ChunkId) {
-        if let Some(rc) = self.chunk_refs.get_mut(&id) {
-            *rc -= 1;
-            if *rc == 0 {
-                self.chunk_refs.remove(&id);
-                self.dead_chunks.insert(id);
-            }
-        }
-    }
-
-    fn insert_ext(&mut self, fh: Fh3, offset: u64, ext: Ext) {
-        if ext.len == 0 {
-            return;
-        }
-        if let Src::Chunk { id, .. } = ext.src {
-            self.add_ref(id);
-        }
-        self.files.entry(fh).or_default().extents.insert(offset, ext);
-    }
-
-    /// Removes every extent overlapping `[start, end)`, reinserting the
-    /// parts outside the range and returning the *dirty* sub-ranges
-    /// inside it (whose data-file bytes are untouched).
-    fn remove_overlaps(&mut self, fh: Fh3, start: u64, end: u64) -> Vec<(u64, usize)> {
-        let Some(entry) = self.files.get_mut(&fh) else { return Vec::new() };
-        let overlapping: Vec<u64> = entry
-            .extents
-            .range(..end)
-            .filter(|(s, e)| *s + e.len as u64 > start)
-            .map(|(k, _)| *k)
-            .collect();
-        let mut dirty_kept = Vec::new();
-        let mut reinsert = Vec::new();
-        let mut derefs = Vec::new();
-        for key in overlapping {
-            let mut ext = entry.extents.remove(&key).expect("listed key");
-            if let Src::Chunk { id, .. } = ext.src {
-                derefs.push(id);
-            }
+    /// Removes every extent piece inside `[start, end)`, keeping the
+    /// parts of straddling extents outside it.
+    fn remove_overlaps(&mut self, fh: Fh3, start: u64, end: u64) {
+        let Some(entry) = self.files.get_mut(&fh) else { return };
+        while let Some((key, ext)) = first_overlap(&entry.extents, start, end) {
+            entry.extents.remove(&key);
             let ext_end = key + ext.len as u64;
-            let mut seg_start = key;
+            self.used -= (ext_end.min(end) - key.max(start)) as usize;
             if key < start {
-                let tail = ext.split_off((start - key) as usize);
-                reinsert.push((key, ext));
-                ext = tail;
-                seg_start = start;
+                entry.extents.insert(key, Ext { len: (start - key) as usize, ..ext });
             }
             if ext_end > end {
-                let tail = ext.split_off(ext.len - (ext_end - end) as usize);
-                reinsert.push((end, tail));
-            }
-            if ext.dirty() {
-                dirty_kept.push((seg_start, ext.len));
+                entry.extents.insert(end, Ext { len: (ext_end - end) as usize, ..ext });
             }
         }
-        for (k, e) in reinsert {
-            self.insert_ext(fh, k, e);
-        }
-        for id in derefs {
-            self.drop_ref(id);
-        }
-        dirty_kept.sort_unstable();
-        dirty_kept
     }
 
-    /// Merges adjacent extents with compatible sources, mirroring
-    /// `FileCache::coalesce` so dirty-range tilings agree exactly.
-    fn coalesce(&mut self, fh: Fh3) {
+    /// Makes `[start, end)` one extent of the given kind.
+    fn put_ext(&mut self, fh: Fh3, start: u64, end: u64, dirty: bool) {
+        self.remove_overlaps(fh, start, end);
+        self.entry(fh).extents.insert(start, Ext { len: (end - start) as usize, dirty });
+        self.used += (end - start) as usize;
+    }
+
+    /// Merges the extents from the one before `start` through the one
+    /// at `end` with adjacent extents of the same kind, mirroring
+    /// `FileCache::coalesce` so dirty-range tilings agree exactly. Every
+    /// change coalesces its own range, so no seam is left elsewhere.
+    fn coalesce(&mut self, fh: Fh3, start: u64, end: u64) {
         let Some(entry) = self.files.get_mut(&fh) else { return };
-        let keys: Vec<u64> = entry.extents.keys().copied().collect();
-        let mut derefs = Vec::new();
-        let mut prev: Option<u64> = None;
-        for key in keys {
-            if let Some(p) = prev {
-                let prev_ext = entry.extents[&p];
-                let cur = entry.extents[&key];
-                let adjacent = p + prev_ext.len as u64 == key;
-                let merge = adjacent
-                    && match (prev_ext.src, cur.src) {
-                        (Src::Data { dirty: a }, Src::Data { dirty: b }) => a == b,
-                        (Src::Chunk { id: a, off: ao }, Src::Chunk { id: b, off: bo }) => {
-                            a == b && ao as usize + prev_ext.len == bo as usize
-                        }
-                        _ => false,
-                    };
-                if merge {
-                    let ext = entry.extents.remove(&key).expect("key");
-                    if let Src::Chunk { id, .. } = ext.src {
-                        derefs.push(id);
-                    }
-                    entry.extents.get_mut(&p).expect("prev").len += ext.len;
-                    continue;
-                }
+        let exts = &mut entry.extents;
+        let first = exts.range(..start).next_back().or_else(|| exts.range(start..).next());
+        let Some(mut key) = first.map(|(k, _)| *k) else { return };
+        loop {
+            let cur = exts[&key];
+            let cur_end = key + cur.len as u64;
+            if let Some(next) = exts.get(&cur_end).copied().filter(|n| n.dirty == cur.dirty) {
+                exts.remove(&cur_end);
+                exts.get_mut(&key).expect("current extent").len += next.len;
+                continue;
             }
-            prev = Some(key);
-        }
-        for id in derefs {
-            self.drop_ref(id);
-        }
-    }
-
-    fn recount_used(&mut self, fh: Fh3, before: usize) {
-        let after = self.files.get(&fh).map_or(0, Entry::bytes);
-        self.used = self.used + after - before;
-    }
-
-    fn entry_bytes(&self, fh: Fh3) -> usize {
-        self.files.get(&fh).map_or(0, Entry::bytes)
-    }
-
-    fn apply_insert_clean(&mut self, fh: Fh3, offset: u64, segs: &[SegRec]) {
-        let total: u64 = segs.iter().map(|s| s.len() as u64).sum();
-        if total == 0 {
-            return;
-        }
-        let before = self.entry_bytes(fh);
-        let end = offset + total;
-        let dirty_kept = self.remove_overlaps(fh, offset, end);
-        // Insert the incoming clean segments, skipping dirty sub-ranges.
-        let mut seg_start = offset;
-        for seg in segs {
-            let seg_len = seg.len() as u64;
-            let seg_end = seg_start + seg_len;
-            // Uncovered pieces of [seg_start, seg_end) w.r.t. dirty_kept.
-            let mut pos = seg_start;
-            for &(d_off, d_len) in &dirty_kept {
-                let d_end = d_off + d_len as u64;
-                if d_end <= pos || d_off >= seg_end {
-                    continue;
-                }
-                if d_off > pos {
-                    self.insert_clean_piece(fh, seg, seg_start, pos, (d_off - pos) as usize);
-                }
-                pos = d_end.min(seg_end);
+            if cur_end >= end {
+                return;
             }
-            if pos < seg_end {
-                self.insert_clean_piece(fh, seg, seg_start, pos, (seg_end - pos) as usize);
+            match exts.range(cur_end..).next() {
+                Some((next, _)) if *next <= end => key = *next,
+                _ => return,
             }
-            seg_start = seg_end;
         }
-        for (d_off, d_len) in dirty_kept {
-            self.insert_ext(fh, d_off, Ext { len: d_len, src: Src::Data { dirty: true } });
-        }
-        self.coalesce(fh);
-        self.recount_used(fh, before);
     }
 
-    fn insert_clean_piece(&mut self, fh: Fh3, seg: &SegRec, seg_start: u64, at: u64, len: usize) {
-        let src = match seg {
-            SegRec::Chunk { id } => Src::Chunk {
-                id: *id,
-                off: u32::try_from(at - seg_start).expect("chunk offset fits u32"),
-            },
-            SegRec::Raw { .. } => Src::Data { dirty: false },
-        };
-        self.insert_ext(fh, at, Ext { len, src });
+    /// Marks clean every piece of `[offset, offset + len)` no dirty
+    /// extent covers.
+    fn apply_insert_clean(&mut self, fh: Fh3, offset: u64, len: u64) {
+        let end = offset + len;
+        let mut pos = offset;
+        while let Some((lo, hi)) = next_clean_piece(&self.entry(fh).extents, pos, end) {
+            self.put_ext(fh, lo, hi, false);
+            pos = hi;
+        }
+        self.coalesce(fh, offset, end);
     }
 
     fn apply_write_dirty(&mut self, fh: Fh3, offset: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let before = self.entry_bytes(fh);
         let end = offset + len as u64;
-        self.remove_overlaps(fh, offset, end);
-        self.insert_ext(fh, offset, Ext { len, src: Src::Data { dirty: true } });
-        self.coalesce(fh);
-        self.recount_used(fh, before);
+        self.put_ext(fh, offset, end, true);
+        self.coalesce(fh, offset, end);
     }
 
     fn apply_clean_range(&mut self, fh: Fh3, offset: u64, len: u64) {
-        let Some(entry) = self.files.get_mut(&fh) else { return };
         let end = offset + len;
-        let overlapping: Vec<u64> = entry
-            .extents
-            .range(..end)
-            .filter(|(s, e)| e.dirty() && *s + e.len as u64 > offset)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in overlapping {
-            let mut ext = entry.extents.remove(&key).expect("listed key");
-            let ext_end = key + ext.len as u64;
-            let mut seg_start = key;
-            if key < offset {
-                let tail = ext.split_off((offset - key) as usize);
-                entry.extents.insert(key, ext);
-                ext = tail;
-                seg_start = offset;
+        let mut pos = offset;
+        while let Some((key, ext)) =
+            self.files.get(&fh).and_then(|e| first_overlap(&e.extents, pos, end))
+        {
+            pos = (key + ext.len as u64).min(end);
+            if ext.dirty {
+                self.put_ext(fh, key.max(offset), pos, false);
             }
-            if ext_end > end {
-                let tail = ext.split_off(ext.len - (ext_end - end) as usize);
-                entry.extents.insert(end, tail);
-            }
-            ext.src = Src::Data { dirty: false };
-            entry.extents.insert(seg_start, ext);
         }
-        self.coalesce(fh);
+        self.coalesce(fh, offset, end);
     }
 
-    fn apply_drop_clean(&mut self, fh: Fh3) {
-        let Some(entry) = self.files.get_mut(&fh) else { return };
+    /// Drops the file's clean extents, returning the bytes dropped.
+    fn apply_drop_clean(&mut self, fh: Fh3) -> usize {
+        let Some(entry) = self.files.get_mut(&fh) else { return 0 };
         let before = entry.bytes();
-        let clean: Vec<u64> =
-            entry.extents.iter().filter(|(_, e)| !e.dirty()).map(|(k, _)| *k).collect();
-        let mut derefs = Vec::new();
-        for key in clean {
-            if let Some(ext) = entry.extents.remove(&key) {
-                if let Src::Chunk { id, .. } = ext.src {
-                    derefs.push(id);
-                }
-            }
-        }
-        for id in derefs {
-            self.drop_ref(id);
-        }
-        self.recount_used(fh, before);
+        entry.extents.retain(|_, e| e.dirty);
+        let dropped = before - entry.bytes();
+        self.used -= dropped;
+        dropped
     }
 
-    fn apply_forget(&mut self, fh: Fh3) {
-        let before = self.entry_bytes(fh);
-        if let Some(entry) = self.files.remove(&fh) {
-            let ids: Vec<ChunkId> = entry
-                .extents
-                .values()
-                .filter_map(|e| match e.src {
-                    Src::Chunk { id, .. } => Some(id),
-                    Src::Data { .. } => None,
-                })
-                .collect();
-            for id in ids {
-                self.drop_ref(id);
-            }
-        }
+    fn apply_forget(&mut self, fh: Fh3) -> Option<Entry> {
+        let entry = self.files.remove(&fh);
         if let Some(seq) = self.lru_seq.remove(&fh) {
             self.lru.remove(&seq);
         }
-        self.used -= before;
+        self.used -= entry.as_ref().map_or(0, Entry::bytes);
+        entry
     }
 
     fn apply_record(&mut self, rec: &WalRecord) {
@@ -779,10 +613,10 @@ impl Idx {
                 if *drop {
                     self.apply_drop_clean(*fh);
                 }
-                self.files.entry(*fh).or_default().tag = Some(*mtime);
+                self.entry(*fh).tag = Some(*mtime);
             }
-            WalRecord::InsertClean { fh, offset, segs } => {
-                self.apply_insert_clean(*fh, *offset, segs);
+            WalRecord::InsertClean { fh, offset, len } => {
+                self.apply_insert_clean(*fh, *offset, *len);
                 self.touch(*fh);
             }
             WalRecord::WriteDirty { fh, offset, bytes } => {
@@ -790,8 +624,13 @@ impl Idx {
                 self.touch(*fh);
             }
             WalRecord::CleanRange { fh, offset, len } => self.apply_clean_range(*fh, *offset, *len),
-            WalRecord::DropClean { fh } | WalRecord::Evict { fh } => self.apply_drop_clean(*fh),
-            WalRecord::Forget { fh } => self.apply_forget(*fh),
+            WalRecord::DropClean { fh } | WalRecord::Evict { fh } => {
+                self.apply_drop_clean(*fh);
+            }
+            WalRecord::Forget { fh } => {
+                self.apply_forget(*fh);
+            }
+            WalRecord::Synced => {}
         }
     }
 }
@@ -808,10 +647,23 @@ struct WalState {
 #[derive(Debug, Default, Clone, Copy)]
 struct Carry {
     evictions: u64,
-    dedup_hits: u64,
     integrity_failures: u64,
     quarantined_blocks: u64,
     wal_quarantined: u64,
+}
+
+/// Encodes the frame of the record that `encode` writes into the WAL's
+/// kept frame buffer, which grows only to the largest frame so far.
+fn encode_frame(wal: &mut WalState, encode: impl FnOnce(&mut Encoder) -> Result<(), XdrError>) {
+    let mut enc = Encoder::reusing(std::mem::take(&mut wal.frame));
+    enc.put_u32(0); // the payload length, patched in below
+    encode(&mut enc).expect("WAL records always encode");
+    let mut frame = enc.into_bytes();
+    let len = u32::try_from(frame.len() - 4).expect("record fits u32");
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    let sum = content_hash(&frame[4..]);
+    frame.extend_from_slice(&sum.to_be_bytes());
+    wal.frame = frame;
 }
 
 /// The persistent store; see the module docs.
@@ -846,29 +698,18 @@ impl PersistentStore {
         Arc::clone(&self.disk)
     }
 
+    fn block_len(&self) -> usize {
+        usize::try_from(self.cfg.block_size).expect("block size fits usize")
+    }
+
     // --- WAL ---
 
     fn log(&self, idx: &mut Idx, rec: &WalRecord) {
         if idx.replaying {
             return;
         }
-        self.encode_frame(|enc| rec.encode(enc));
+        encode_frame(&mut self.wal.lock(), |enc| rec.encode(enc));
         self.append_frame(idx);
-    }
-
-    /// Encodes the frame of the record that `encode` writes into the
-    /// kept frame buffer, which grows only to the largest frame so far.
-    fn encode_frame(&self, encode: impl FnOnce(&mut Encoder) -> Result<(), XdrError>) {
-        let mut wal = self.wal.lock();
-        let mut enc = Encoder::reusing(std::mem::take(&mut wal.frame));
-        enc.put_u32(0); // the payload length, patched in below
-        encode(&mut enc).expect("WAL records always encode");
-        let mut frame = enc.into_bytes();
-        let len = u32::try_from(frame.len() - 4).expect("record fits u32");
-        frame[..4].copy_from_slice(&len.to_be_bytes());
-        let sum = content_hash(&frame[4..]);
-        frame.extend_from_slice(&sum.to_be_bytes());
-        wal.frame = frame;
     }
 
     /// Appends the encoded frame to the WAL, then syncs or checkpoints
@@ -881,12 +722,22 @@ impl PersistentStore {
         if wal.since_checkpoint >= self.cfg.checkpoint_every {
             self.checkpoint(idx, &mut wal);
         } else if wal.since_sync >= self.cfg.sync_every {
-            self.disk.sync();
-            wal.since_sync = 0;
+            self.sync_wal(&mut wal);
         }
     }
 
-    /// Snapshot + sync + WAL truncate + dead-chunk GC.
+    /// Syncs the disk, first marking the end of the synced log with a
+    /// `Synced` record if anything was logged since the last one.
+    fn sync_wal(&self, wal: &mut WalState) {
+        if wal.since_sync > 0 {
+            encode_frame(wal, |enc| WalRecord::Synced.encode(enc));
+            self.disk.append(WAL_PATH, &wal.frame);
+        }
+        self.disk.sync();
+        wal.since_sync = 0;
+    }
+
+    /// Snapshot + sync + WAL truncate.
     fn checkpoint(&self, idx: &mut Idx, wal: &mut WalState) {
         let snap = encode_snapshot(idx);
         self.disk.remove(SNAP_NEW_PATH);
@@ -895,15 +746,6 @@ impl PersistentStore {
         self.disk.rename(SNAP_NEW_PATH, SNAP_PATH);
         self.disk.sync();
         self.disk.truncate(WAL_PATH, 0);
-        // Chunk files no WAL record references any more and no extent
-        // holds: safe to delete only now that the WAL is empty.
-        for path in self.disk.list("chunks/") {
-            match parse_chunk_path(&path) {
-                Some(id) if !idx.chunk_refs.contains_key(&id) => self.disk.remove(&path),
-                _ => {}
-            }
-        }
-        idx.dead_chunks.clear();
         self.disk.sync();
         wal.since_sync = 0;
         wal.since_checkpoint = 0;
@@ -912,12 +754,16 @@ impl PersistentStore {
     /// Loads the snapshot and replays the WAL: a torn tail stops replay
     /// and is truncated; an in-bounds frame that fails verification is
     /// interior corruption — skipped and counted, with every later
-    /// durable frame still applied. Carries over lifetime counters.
+    /// durable frame still applied. Records after the last `Synced` one
+    /// may have lost their data-file writes with the crash: dirty writes
+    /// are redone from the log, and the log ends at the first clean
+    /// insert, whose bytes it does not hold. Then the sums of every
+    /// block a replayed record wrote are taken afresh. Carries over
+    /// lifetime counters.
     fn replay(&self, carry: Carry) {
         let mut idx = Idx {
             replaying: true,
             evictions: carry.evictions,
-            dedup_hits: carry.dedup_hits,
             integrity_failures: carry.integrity_failures,
             quarantined_blocks: carry.quarantined_blocks,
             wal_quarantined: carry.wal_quarantined,
@@ -927,58 +773,54 @@ impl PersistentStore {
             decode_snapshot(&snap, &mut idx);
         }
         let wal_bytes = self.disk.read(WAL_PATH, 0, usize::MAX).unwrap_or_default();
-        let mut pos = 0usize;
+        let synced = SYNCED.to_be_bytes();
+        let synced_end = frames(&wal_bytes)
+            .filter(|(_, payload)| *payload == Some(&synced[..]))
+            .map(|(end, _)| end)
+            .last()
+            .unwrap_or(0);
+        let bs = self.cfg.block_size;
+        let mut written = BTreeSet::new();
+        let mut unsynced = 0;
         let mut valid = 0usize;
-        while pos + 12 <= wal_bytes.len() {
-            let len =
-                u32::from_be_bytes(wal_bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let Some(frame_end) = pos.checked_add(4 + len + 8) else { break };
-            if frame_end > wal_bytes.len() {
-                break; // torn tail
-            }
-            let payload = &wal_bytes[pos + 4..pos + 4 + len];
-            let stored = u64::from_be_bytes(
-                wal_bytes[pos + 4 + len..frame_end].try_into().expect("8 bytes"),
-            );
-            let rec = if content_hash(payload) == stored {
-                gvfs_xdr::from_bytes::<WalRecord>(payload).ok().filter(|r| self.verify_record(r))
-            } else {
-                None
-            };
-            let Some(rec) = rec else {
-                // Interior corruption (flipped payload bit, undecodable
-                // record, or a chunk lost with a crash): quarantine the
-                // frame but keep the durable frames behind it.
+        for (end, payload) in frames(&wal_bytes) {
+            let after_sync = valid >= synced_end;
+            let Some(rec) = payload.and_then(|p| gvfs_xdr::from_bytes::<WalRecord>(p).ok()) else {
+                // Interior corruption (flipped payload bit or an
+                // undecodable record): quarantine the frame but keep
+                // the durable frames behind it.
                 idx.wal_quarantined += 1;
                 idx.integrity_failures += 1;
-                pos = frame_end;
-                valid = frame_end;
+                valid = end;
                 continue;
             };
-            match &rec {
+            let range = match &rec {
+                WalRecord::InsertClean { .. } if after_sync => break,
+                WalRecord::InsertClean { fh, offset, len } => Some((*fh, *offset, *offset + len)),
                 WalRecord::WriteDirty { fh, offset, bytes } => {
-                    // Redo: the WAL carries the dirty bytes.
-                    self.write_data(&mut idx, *fh, *offset, Cow::Borrowed(bytes));
-                }
-                WalRecord::InsertClean { fh, offset, segs } => {
-                    // Raw segments (hash-collision fallback) live in the
-                    // data file; redo them from the inline copy.
-                    let mut abs = *offset;
-                    for seg in segs {
-                        if let SegRec::Raw { bytes } = seg {
-                            self.write_data(&mut idx, *fh, abs, Cow::Borrowed(bytes));
-                        }
-                        abs += seg.len() as u64;
+                    if after_sync {
+                        // Redo: the WAL carries the dirty bytes.
+                        self.disk.write(&idx.entry(*fh).path, *offset, bytes);
                     }
+                    Some((*fh, *offset, *offset + bytes.len() as u64))
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some((fh, start, end)) = range {
+                written.extend((start / bs * bs..end).step_by(self.block_len()).map(|b| (fh, b)));
             }
             idx.apply_record(&rec);
-            pos = frame_end;
-            valid = frame_end;
+            unsynced += usize::from(after_sync);
+            valid = end;
         }
         if valid < wal_bytes.len() {
             self.disk.truncate(WAL_PATH, valid as u64);
+        }
+        for (fh, block) in written {
+            if let Some(entry) = idx.files.get_mut(&fh) {
+                let sum = self.block_hash(entry, block);
+                entry.data_sums.insert(block, sum);
+            }
         }
         // Everything replayed clean is servable warm.
         idx.warm_blocks = count_clean_blocks(&idx, self.cfg.block_size);
@@ -986,61 +828,24 @@ impl PersistentStore {
         idx.replaying = false;
         *self.index.lock() = idx;
         let mut wal = self.wal.lock();
-        wal.since_sync = 0;
+        // The replayed records after the last `Synced` one are still
+        // unsynced: the next sync marks them.
+        wal.since_sync = unsynced;
         wal.since_checkpoint = 0;
     }
 
-    /// A record may only be applied if every chunk it references is
-    /// present with matching content hash.
-    fn verify_record(&self, rec: &WalRecord) -> bool {
-        let WalRecord::InsertClean { segs, .. } = rec else { return true };
-        segs.iter().all(|seg| match seg {
-            SegRec::Chunk { id } => matches!(
-                self.disk.read_with(&chunk_path(*id), 0, id.1 as usize, |b| {
-                    b.len() == id.1 as usize && slices_hash(b, 0) == id.0
-                }),
-                Ok(Some(true))
-            ),
-            SegRec::Raw { .. } => true,
-        })
-    }
-
-    /// Stores one clean segment, dedup-ing against existing chunks.
-    fn store_segment(&self, idx: &mut Idx, fh: Fh3, abs_off: u64, bytes: &[u8]) -> SegRec {
-        let id: ChunkId =
-            (content_hash(bytes), u32::try_from(bytes.len()).expect("segment fits u32"));
-        let path = chunk_path(id);
-        if let Ok(Some(same)) = self.disk.read_with(&path, 0, bytes.len() + 1, |b| b == *bytes) {
-            if same {
-                idx.dedup_hits += 1;
-                return SegRec::Chunk { id };
-            }
-            // The byte-compare guard: a content-hash collision — or an
-            // existing chunk whose bytes have rotted — falls back to
-            // raw bytes in the handle's data file, carried inline by
-            // the WAL record.
-            self.write_data(idx, fh, abs_off, Cow::Borrowed(bytes));
-            return SegRec::Raw { bytes: bytes.to_vec() };
-        }
-        self.disk.write(&path, 0, bytes);
-        SegRec::Chunk { id }
-    }
-
-    /// Writes `bytes` into the handle's data file, maintaining the
-    /// per-block hash records. Partially covered blocks are pre-verified
-    /// (quarantining on mismatch) so a corrupt byte is never laundered
-    /// into a fresh sum, and the new sums hash the *intended* content,
-    /// so a torn write fails its next verification. Pre-verification is
-    /// skipped during replay: snapshot-era sums legitimately lag the
-    /// durable content the WAL is about to redo.
-    /// An owned `bytes` goes to [`VirtualDisk::write_owned`], which may
-    /// keep the buffer as a page.
-    fn write_data(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
+    /// Updates the sums of the blocks a write of `bytes` at `offset`
+    /// touches. Partially covered blocks are pre-verified (quarantining
+    /// on mismatch) so a corrupt byte is never laundered into a fresh
+    /// sum, and the new sums hash the *intended* content, so a torn
+    /// write fails its next verification.
+    fn sum_blocks(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: &[u8]) {
         let bs = self.cfg.block_size;
-        let block_len = usize::try_from(bs).expect("bs fits");
-        let path = data_path(fh);
+        let block_len = self.block_len();
         let end = offset + bytes.len() as u64;
-        let replaying = idx.replaying;
+        let entry = idx.entry(fh);
+        // Only the first and the last block can be partial.
+        let mut rotted = [None; 2];
         for b in (offset / bs * bs..end).step_by(block_len) {
             let lo = b.max(offset);
             let hi = (b + bs).min(end);
@@ -1050,7 +855,7 @@ impl PersistentStore {
                 // A fully covered block hashes straight from the write.
                 content_hash(new)
             } else {
-                let recorded = idx.files.get(&fh).and_then(|e| e.data_sums.get(&b)).copied();
+                let recorded = entry.data_sums.get(&b).copied();
                 let (from, to) = (
                     usize::try_from(lo - b).expect("in block"),
                     usize::try_from(hi - b).expect("in block"),
@@ -1059,7 +864,7 @@ impl PersistentStore {
                 // the write), zero-padded and hashed from the disk's
                 // pages; an absent file reads as zeros.
                 let hash = |span: Slices<'_>| {
-                    let old = recorded.filter(|_| !replaying).map(|_| slices_hash(span, block_len));
+                    let old = recorded.map(|_| slices_hash(span, block_len));
                     let mut h = ContentHasher::new();
                     let head = span.sub(0, from);
                     h.write_slices(head);
@@ -1072,96 +877,101 @@ impl PersistentStore {
                 };
                 let (old, sum) = self
                     .disk
-                    .read_quiet(&path, b, block_len, hash)
+                    .read_quiet(&entry.path, b, block_len, hash)
                     .unwrap_or_else(|| hash(Slices::default()));
-                if old.is_some() && old != recorded {
-                    self.quarantine(idx, fh, b, b + bs);
+                if old != recorded {
+                    rotted[usize::from(b > offset)] = Some(b);
                 }
                 sum
             };
-            idx.files.entry(fh).or_default().data_sums.insert(b, sum);
+            entry.data_sums.insert(b, sum);
         }
-        match bytes {
-            Cow::Borrowed(bytes) => self.disk.write(&path, offset, bytes),
-            Cow::Owned(bytes) => self.disk.write_owned(&path, offset, bytes),
+        for b in rotted.into_iter().flatten() {
+            self.quarantine(idx, fh, b, b + bs);
         }
     }
 
-    /// Verifies one extent's backing bytes against its checksum: the
-    /// whole content chunk against its id, or every data-file block the
-    /// extent touches against its recorded sum. Verification reads are
-    /// quiet (no cost, no dice) but still see durable bit rot — flips
-    /// persist in the content.
-    fn verify_ext(&self, idx: &Idx, fh: Fh3, start: u64, ext: &Ext) -> bool {
-        match ext.src {
-            Src::Chunk { id, .. } => self
-                .disk
-                .read_quiet(&chunk_path(id), 0, id.1 as usize, |b| {
-                    b.len() == id.1 as usize && slices_hash(b, 0) == id.0
-                })
-                .unwrap_or(false),
-            Src::Data { .. } => {
-                let Some(entry) = idx.files.get(&fh) else { return false };
-                let bs = self.cfg.block_size;
-                let block_len = usize::try_from(bs).expect("bs fits");
-                let path = data_path(fh);
-                for b in (start / bs * bs..start + ext.len as u64).step_by(block_len) {
-                    let Some(&sum) = entry.data_sums.get(&b) else { return false };
-                    let hash = self
-                        .disk
-                        .read_quiet(&path, b, block_len, |span| slices_hash(span, block_len));
-                    if hash != Some(sum) {
-                        return false;
-                    }
-                }
-                true
-            }
+    /// Writes `bytes` into the handle's data file, maintaining the
+    /// per-block sums ([`PersistentStore::sum_blocks`]). An owned
+    /// `bytes` goes to [`VirtualDisk::write_owned`], which may keep the
+    /// buffer as a page.
+    fn write_data(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
+        self.sum_blocks(idx, fh, offset, &bytes);
+        let path = &idx.entry(fh).path;
+        match bytes {
+            Cow::Borrowed(bytes) => self.disk.write(path, offset, bytes),
+            Cow::Owned(bytes) => self.disk.write_owned(path, offset, bytes),
         }
+    }
+
+    /// The data file's block at `block`, zero-padded and hashed. The
+    /// read is quiet (no cost, no dice) but still sees durable bit rot —
+    /// flips persist in the content.
+    fn block_hash(&self, entry: &Entry, block: u64) -> u64 {
+        let block_len = self.block_len();
+        self.disk
+            .read_quiet(&entry.path, block, block_len, |span| slices_hash(span, block_len))
+            .unwrap_or_else(|| slices_hash(Slices::default(), block_len))
+    }
+
+    /// Whether the data file's block at `block` matches its sum.
+    fn block_sound(&self, entry: &Entry, block: u64) -> bool {
+        entry.data_sums.get(&block).is_some_and(|&sum| self.block_hash(entry, block) == sum)
+    }
+
+    /// The blocks of `[start, end)` that fail their sums.
+    fn unsound_blocks(&self, entry: &Entry, start: u64, end: u64) -> Vec<u64> {
+        let bs = self.cfg.block_size;
+        (start / bs * bs..end)
+            .step_by(self.block_len())
+            .filter(|&b| !self.block_sound(entry, b))
+            .collect()
     }
 
     /// Quarantines `[start, end)` of `fh` after a failed verification:
     /// every overlapping extent is dropped instead of served, and one
-    /// [`IntegrityEvent`] per dropped piece is queued for the client —
-    /// clean pieces as repairable misses, dirty pieces as data loss.
+    /// [`IntegrityEvent`] is queued for the client per dirty piece
+    /// (data loss) and one for the span of the clean pieces (a
+    /// repairable miss).
     fn quarantine(&self, idx: &mut Idx, fh: Fh3, start: u64, end: u64) {
         idx.integrity_failures += 1;
-        let before = idx.entry_bytes(fh);
-        let dirty = idx.remove_overlaps(fh, start, end);
-        let after = idx.entry_bytes(fh);
-        idx.recount_used(fh, before);
-        let dirty_total: usize = dirty.iter().map(|(_, l)| *l).sum();
-        if before - after > dirty_total {
-            idx.quarantined_blocks += 1;
-            idx.events.push(IntegrityEvent {
-                fh,
-                offset: start,
-                len: end - start,
-                dirty: false,
-                served: false,
-            });
+        let Some(entry) = idx.files.get(&fh) else { return };
+        let first = idx.events.len();
+        let mut clean: Option<(u64, u64)> = None;
+        let mut pos = start;
+        while let Some((key, ext)) = first_overlap(&entry.extents, pos, end) {
+            let lo = key.max(start);
+            pos = (key + ext.len as u64).min(end);
+            if ext.dirty {
+                let len = pos - lo;
+                idx.events.push(IntegrityEvent { fh, offset: lo, len, dirty: true, served: false });
+            } else {
+                clean = Some((clean.map_or(lo, |(from, _)| from), pos));
+            }
         }
-        for (off, len) in dirty {
-            idx.quarantined_blocks += 1;
-            idx.events.push(IntegrityEvent {
-                fh,
-                offset: off,
-                len: len as u64,
-                dirty: true,
-                served: false,
-            });
+        if let Some((lo, hi)) = clean {
+            let ev = IntegrityEvent { fh, offset: lo, len: hi - lo, dirty: false, served: false };
+            idx.events.insert(first, ev);
         }
+        idx.quarantined_blocks += (idx.events.len() - first) as u64;
+        idx.remove_overlaps(fh, start, end);
     }
 
     /// Counts a verification failure in served-anyway mode (the
-    /// `--break-scrub` knob): the corrupt extent stays in the index and
-    /// its bytes go to the reader, which the oracles must convict.
-    fn note_served_corrupt(&self, idx: &mut Idx, fh: Fh3, start: u64, ext: &Ext) {
+    /// `--break-scrub` knob): the corrupt block stays in the index and
+    /// its bytes in `[start, end)` go to the reader, which the oracles
+    /// must convict.
+    fn note_served_corrupt(&self, idx: &mut Idx, fh: Fh3, start: u64, end: u64) {
         idx.integrity_failures += 1;
+        let dirty = idx
+            .files
+            .get(&fh)
+            .is_some_and(|e| next_clean_piece(&e.extents, start, end) != Some((start, end)));
         idx.events.push(IntegrityEvent {
             fh,
             offset: start,
-            len: ext.len as u64,
-            dirty: ext.dirty(),
+            len: end - start,
+            dirty,
             served: true,
         });
     }
@@ -1179,9 +989,7 @@ impl PersistentStore {
             if !idx.files.contains_key(&fh) {
                 continue;
             }
-            let before = idx.entry_bytes(fh);
-            idx.apply_drop_clean(fh);
-            let dropped = before - idx.entry_bytes(fh);
+            let dropped = idx.apply_drop_clean(fh);
             if dropped > 0 {
                 idx.evictions += 1;
                 self.log(idx, &WalRecord::Evict { fh });
@@ -1196,28 +1004,11 @@ impl PersistentStore {
             }
         }
     }
-
-    fn read_ext(
-        &self,
-        fh: Fh3,
-        start: u64,
-        ext: &Ext,
-        from: usize,
-        take: usize,
-    ) -> Option<Vec<u8>> {
-        let bytes = match ext.src {
-            Src::Chunk { id, off } => {
-                self.disk.read(&chunk_path(id), u64::from(off) + from as u64, take)?
-            }
-            Src::Data { .. } => self.disk.read(&data_path(fh), start + from as u64, take)?,
-        };
-        (bytes.len() == take).then_some(bytes)
-    }
 }
 
 fn count_clean_blocks(idx: &Idx, block_size: u64) -> u64 {
     let clean = |entry: &Entry| {
-        let ranges = entry.extents.iter().filter(|(_, e)| !e.dirty()).map(|(o, e)| (*o, e.len));
+        let ranges = entry.extents.iter().filter(|(_, e)| !e.dirty).map(|(o, e)| (*o, e.len));
         blocks_touched(ranges, block_size).len() as u64
     };
     idx.files.values().map(clean).sum()
@@ -1245,18 +1036,7 @@ fn encode_snapshot(idx: &Idx) -> Vec<u8> {
         for (off, ext) in &entry.extents {
             enc.put_u64(*off);
             enc.put_u32(u32::try_from(ext.len).expect("extent len fits u32"));
-            match ext.src {
-                Src::Chunk { id, off: coff } => {
-                    enc.put_u32(0);
-                    enc.put_u64(id.0);
-                    enc.put_u32(id.1);
-                    enc.put_u32(coff);
-                }
-                Src::Data { dirty } => {
-                    enc.put_u32(1);
-                    enc.put_bool(dirty);
-                }
-            }
+            enc.put_bool(ext.dirty);
         }
         enc.put_u32(u32::try_from(entry.data_sums.len()).expect("sum count fits u32"));
         for (block, sum) in &entry.data_sums {
@@ -1290,32 +1070,19 @@ fn decode_snapshot(bytes: &[u8], idx: &mut Idx) {
         let nfiles = dec.get_u32()?;
         for _ in 0..nfiles {
             let fh = Fh3::from_fileid(dec.get_u64()?);
-            let tag = if dec.get_bool()? {
-                Some(NfsTime3 { seconds: dec.get_u32()?, nseconds: dec.get_u32()? })
-            } else {
-                None
-            };
-            let mut entry = Entry { tag, ..Entry::default() };
+            let mut entry = Entry::new(fh);
+            if dec.get_bool()? {
+                entry.tag = Some(NfsTime3 { seconds: dec.get_u32()?, nseconds: dec.get_u32()? });
+            }
             let nexts = dec.get_u32()?;
             for _ in 0..nexts {
                 let off = dec.get_u64()?;
-                let len = dec.get_u32()? as usize;
-                let src = match dec.get_u32()? {
-                    0 => {
-                        let hash = dec.get_u64()?;
-                        let clen = dec.get_u32()?;
-                        let coff = dec.get_u32()?;
-                        Src::Chunk { id: (hash, clen), off: coff }
-                    }
-                    _ => Src::Data { dirty: dec.get_bool()? },
-                };
-                entry.extents.insert(off, Ext { len, src });
+                let ext = Ext { len: dec.get_u32()? as usize, dirty: dec.get_bool()? };
+                entry.extents.insert(off, ext);
             }
             let nsums = dec.get_u32()?;
             for _ in 0..nsums {
-                let block = dec.get_u64()?;
-                let sum = dec.get_u64()?;
-                entry.data_sums.insert(block, sum);
+                entry.data_sums.insert(dec.get_u64()?, dec.get_u64()?);
             }
             idx.files.insert(fh, entry);
         }
@@ -1327,25 +1094,11 @@ fn decode_snapshot(bytes: &[u8], idx: &mut Idx) {
         idx.next_seq = 0;
         return;
     }
-    // Rebuild refcounts and the LRU (recency order is volatile; seed it
-    // with snapshot order).
-    let fhs: Vec<Fh3> = {
-        let mut v: Vec<Fh3> = idx.files.keys().copied().collect();
-        v.sort_unstable();
-        v
-    };
+    // Rebuild the LRU (recency order is volatile; seed it with snapshot
+    // order).
+    let mut fhs: Vec<Fh3> = idx.files.keys().copied().collect();
+    fhs.sort_unstable();
     for fh in fhs {
-        let ids: Vec<ChunkId> = idx.files[&fh]
-            .extents
-            .values()
-            .filter_map(|e| match e.src {
-                Src::Chunk { id, .. } => Some(id),
-                Src::Data { .. } => None,
-            })
-            .collect();
-        for id in ids {
-            idx.add_ref(id);
-        }
         idx.touch(fh);
     }
 }
@@ -1353,50 +1106,34 @@ fn decode_snapshot(bytes: &[u8], idx: &mut Idx) {
 impl BlockStore for PersistentStore {
     fn read(&mut self, fh: Fh3, offset: u64, len: usize) -> Option<Vec<u8>> {
         let mut idx = self.index.lock();
-        idx.files.get(&fh)?;
+        let entry = idx.files.get(&fh)?;
         if len == 0 {
             return Some(Vec::new());
         }
         let end = offset + len as u64;
-        let mut out = Vec::new();
-        let mut pos = offset;
-        while pos < end {
-            let (start, ext) = {
-                let entry = idx.files.get(&fh)?;
-                let (s, e) = entry.extents.range(..=pos).next_back()?;
-                (*s, *e)
-            };
-            let ext_end = start + ext.len as u64;
-            if pos >= ext_end {
-                return None; // gap
-            }
-            let from = (pos - start) as usize;
-            let to = ((end.min(ext_end)) - start) as usize;
-            // Read first, verify second: a bit that rots during the
-            // read persists in the content, so the verification pass
-            // sees it and the corrupt bytes are never served.
-            let piece = self.read_ext(fh, start, &ext, from, to - from);
-            if !self.verify_ext(&idx, fh, start, &ext) {
-                if !self.cfg.verify {
-                    self.note_served_corrupt(&mut idx, fh, start, &ext);
-                } else {
-                    self.quarantine(&mut idx, fh, start, ext_end);
-                    return None; // now a miss; the read path refetches
-                }
-            }
-            let piece = piece?;
-            if out.is_empty() {
-                // The first piece becomes the buffer: a request one
-                // extent covers is returned without another copy.
-                out = piece;
-                out.reserve_exact(len - out.len());
-            } else {
-                out.extend_from_slice(&piece);
-            }
-            pos = start + to as u64;
+        if !covers(&entry.extents, offset, end) {
+            return None;
         }
+        // Read first, verify second: a bit that rots during the read
+        // persists in the content, so the verification sees it and the
+        // corrupt bytes are never served. Only the blocks served are
+        // verified, and only the failing ones are quarantined.
+        let bytes = self.disk.read(&entry.path, offset, len).filter(|b| b.len() == len);
+        let unsound = self.unsound_blocks(entry, offset, end);
+        let bs = self.cfg.block_size;
+        for &b in &unsound {
+            if self.cfg.verify {
+                self.quarantine(&mut idx, fh, b, b + bs);
+            } else {
+                self.note_served_corrupt(&mut idx, fh, b.max(offset), (b + bs).min(end));
+            }
+        }
+        if self.cfg.verify && !unsound.is_empty() {
+            return None; // now a miss; the read path refetches
+        }
+        let bytes = bytes?;
         idx.touch(fh);
-        Some(out)
+        Some(bytes)
     }
 
     fn missing_ranges(&self, fh: Fh3, offset: u64, len: usize) -> Vec<(u64, usize)> {
@@ -1434,29 +1171,29 @@ impl BlockStore for PersistentStore {
             return;
         }
         let mut idx = self.index.lock();
-        // Full-file mode below the size threshold, else absolute
-        // block_size-aligned chunks (maximizes cross-file dedup).
-        let full_file = idx
-            .files
-            .get(&fh)
-            .and_then(|e| e.size_hint)
-            .is_some_and(|s| s <= self.cfg.file_threshold);
-        let mut segs = Vec::new();
-        let mut rel = 0usize;
-        while rel < data.len() {
-            let abs = offset + rel as u64;
-            let piece_len = if full_file {
-                data.len() - rel
-            } else {
-                let next_boundary = (abs / self.cfg.block_size + 1) * self.cfg.block_size;
-                ((next_boundary - abs) as usize).min(data.len() - rel)
-            };
-            segs.push(self.store_segment(&mut idx, fh, abs, &data[rel..rel + piece_len]));
-            rel += piece_len;
+        let end = offset + data.len() as u64;
+        // Cached dirty bytes beat the incoming clean ones: only the
+        // pieces no dirty extent covers now are written (a write that
+        // quarantines a dirty extent leaves its range a hole).
+        let extents = &idx.entry(fh).extents;
+        if next_clean_piece(extents, offset, end) == Some((offset, end)) {
+            self.write_data(&mut idx, fh, offset, Cow::Owned(data));
+            idx.put_ext(fh, offset, end, false);
+        } else {
+            let pieces: Vec<(u64, u64)> =
+                std::iter::successors(next_clean_piece(extents, offset, end), |&(_, hi)| {
+                    next_clean_piece(extents, hi, end)
+                })
+                .collect();
+            for (lo, hi) in pieces {
+                let piece = &data[(lo - offset) as usize..(hi - offset) as usize];
+                self.write_data(&mut idx, fh, lo, Cow::Borrowed(piece));
+                idx.put_ext(fh, lo, hi, false);
+            }
         }
-        idx.apply_insert_clean(fh, offset, &segs);
+        idx.coalesce(fh, offset, end);
         idx.touch(fh);
-        self.log(&mut idx, &WalRecord::InsertClean { fh, offset, segs });
+        self.log(&mut idx, &WalRecord::InsertClean { fh, offset, len: end - offset });
         self.evict_over_capacity(&mut idx);
     }
 
@@ -1466,7 +1203,7 @@ impl BlockStore for PersistentStore {
         }
         let mut idx = self.index.lock();
         // The frame is encoded first, so the data file can keep `data`.
-        self.encode_frame(|enc| encode_write_dirty(enc, fh, offset, &data));
+        encode_frame(&mut self.wal.lock(), |enc| encode_write_dirty(enc, fh, offset, &data));
         let len = data.len();
         self.write_data(&mut idx, fh, offset, Cow::Owned(data));
         idx.apply_write_dirty(fh, offset, len);
@@ -1481,13 +1218,11 @@ impl BlockStore for PersistentStore {
             idx.apply_clean_range(fh, offset, len);
             self.log(&mut idx, &WalRecord::CleanRange { fh, offset, len });
         }
-        drop(idx);
         // The server holds the data now; make the clean marking (and the
         // write-back it records) durable so a restart serves it warm
         // instead of re-flushing. Unconditional: clean_range is always a
         // durability barrier, whether or not the handle was cached.
-        self.disk.sync();
-        self.wal.lock().since_sync = 0;
+        self.sync_wal(&mut self.wal.lock());
     }
 
     fn drop_clean(&mut self, fh: Fh3) {
@@ -1504,62 +1239,64 @@ impl BlockStore for PersistentStore {
         if !idx.files.contains_key(&fh) && !idx.lru_seq.contains_key(&fh) {
             return;
         }
-        idx.apply_forget(fh);
-        self.disk.remove(&data_path(fh));
+        if let Some(entry) = idx.apply_forget(fh) {
+            self.disk.remove(&entry.path);
+        }
         self.log(&mut idx, &WalRecord::Forget { fh });
     }
 
     fn dirty_ranges(&self, fh: Fh3) -> Vec<(u64, usize)> {
         let idx = self.index.lock();
         idx.files.get(&fh).map_or_else(Vec::new, |e| {
-            e.extents.iter().filter(|(_, x)| x.dirty()).map(|(o, x)| (*o, x.len)).collect()
+            e.extents.iter().filter(|(_, x)| x.dirty).map(|(o, x)| (*o, x.len)).collect()
         })
     }
 
     fn dirty_in_block(&self, fh: Fh3, block_offset: u64, block_size: u64) -> Vec<(u64, Vec<u8>)> {
         let mut idx = self.index.lock();
-        let block_end = block_offset + block_size;
-        let segs: Vec<(u64, u64, u64, Ext)> = {
-            let Some(entry) = idx.files.get(&fh) else { return Vec::new() };
-            entry
-                .extents
-                .iter()
-                .filter(|(_, e)| e.dirty())
-                .filter_map(|(start, ext)| {
-                    let ext_end = start + ext.len as u64;
-                    if ext_end <= block_offset || *start >= block_end {
-                        return None;
-                    }
-                    Some((block_offset.max(*start), block_end.min(ext_end), *start, *ext))
-                })
-                .collect()
-        };
+        let end = block_offset + block_size;
         let mut out = Vec::new();
-        for (from, to, estart, ext) in segs {
+        let mut served = Vec::new();
+        let mut lost = Vec::new();
+        let Some(entry) = idx.files.get(&fh) else { return out };
+        let mut pos = block_offset;
+        while let Some((key, ext)) = first_overlap(&entry.extents, pos, end) {
+            let lo = key.max(block_offset);
+            pos = (key + ext.len as u64).min(end);
+            if !ext.dirty {
+                continue;
+            }
             // Verify before handing dirty bytes to the flusher: a
             // corrupt block must surface as data loss, never be written
             // back to the origin as if it were the application's data.
-            let want = (to - from) as usize;
-            let bytes = match self.disk.try_read(&data_path(fh), from, want) {
+            let want = (pos - lo) as usize;
+            let bytes = match self.disk.try_read(&entry.path, lo, want) {
                 Ok(Some(b)) if b.len() == want => Some(b),
                 _ => None,
             };
-            let verified = self.verify_ext(&idx, fh, estart, &ext);
+            let sound = self.unsound_blocks(entry, lo, pos).is_empty();
             match bytes {
-                Some(b) if verified => out.push((from, b)),
+                Some(b) if sound => out.push((lo, b)),
                 Some(b) if !self.cfg.verify => {
-                    self.note_served_corrupt(&mut idx, fh, estart, &ext);
-                    out.push((from, b));
+                    served.push((lo, pos));
+                    out.push((lo, b));
                 }
-                _ => self.quarantine(&mut idx, fh, estart, estart + ext.len as u64),
+                _ => lost.push((lo, pos)),
             }
+        }
+        for (lo, hi) in served {
+            self.note_served_corrupt(&mut idx, fh, lo, hi);
+        }
+        let bs = self.cfg.block_size;
+        for (lo, hi) in lost {
+            self.quarantine(&mut idx, fh, lo / bs * bs, hi.div_ceil(bs) * bs);
         }
         out
     }
 
     fn has_dirty(&self, fh: Fh3) -> bool {
         let idx = self.index.lock();
-        idx.files.get(&fh).is_some_and(|e| e.extents.values().any(Ext::dirty))
+        idx.files.get(&fh).is_some_and(|e| e.extents.values().any(|x| x.dirty))
     }
 
     fn dirty_files(&self) -> Vec<Fh3> {
@@ -1567,7 +1304,7 @@ impl BlockStore for PersistentStore {
         let mut v: Vec<Fh3> = idx
             .files
             .iter()
-            .filter(|(_, e)| e.extents.values().any(Ext::dirty))
+            .filter(|(_, e)| e.extents.values().any(|x| x.dirty))
             .map(|(fh, _)| *fh)
             .collect();
         v.sort_unstable();
@@ -1582,7 +1319,7 @@ impl BlockStore for PersistentStore {
         }
         let had_entry = idx.files.contains_key(&fh);
         let prev_tag = idx.files.get(&fh).and_then(|e| e.tag);
-        idx.files.entry(fh).or_default().tag = Some(mtime);
+        idx.entry(fh).tag = Some(mtime);
         // Only log when something durable changed: first sight of the
         // handle, a tag move, or a clean drop.
         if changed || !had_entry || prev_tag != Some(mtime) {
@@ -1593,14 +1330,10 @@ impl BlockStore for PersistentStore {
     fn retag(&mut self, fh: Fh3, mtime: NfsTime3) {
         let mut idx = self.index.lock();
         let prev = idx.files.get(&fh).and_then(|e| e.tag);
-        idx.files.entry(fh).or_default().tag = Some(mtime);
+        idx.entry(fh).tag = Some(mtime);
         if prev != Some(mtime) {
             self.log(&mut idx, &WalRecord::Retag { fh, mtime, drop: false });
         }
-    }
-
-    fn note_size(&mut self, fh: Fh3, size: u64) {
-        self.index.lock().files.entry(fh).or_default().size_hint = Some(size);
     }
 
     fn used_bytes(&self) -> usize {
@@ -1612,7 +1345,6 @@ impl BlockStore for PersistentStore {
         StoreStats {
             bytes: idx.used as u64,
             evictions: idx.evictions,
-            dedup_hits: idx.dedup_hits,
             restart_warm_blocks: idx.warm_blocks,
             integrity_failures: idx.integrity_failures,
             quarantined_blocks: idx.quarantined_blocks,
@@ -1621,11 +1353,10 @@ impl BlockStore for PersistentStore {
     }
 
     fn sync(&mut self) {
-        let idx = self.index.lock();
-        let mut wal = self.wal.lock();
-        drop(idx);
-        self.disk.sync();
-        wal.since_sync = 0;
+        // Every call that encodes a frame holds `index` until it has
+        // appended it, so the `Synced` frame cannot overwrite one.
+        let _idx = self.index.lock();
+        self.sync_wal(&mut self.wal.lock());
     }
 
     fn crash_reopen(&mut self) {
@@ -1633,7 +1364,6 @@ impl BlockStore for PersistentStore {
             let idx = self.index.lock();
             Carry {
                 evictions: idx.evictions,
-                dedup_hits: idx.dedup_hits,
                 integrity_failures: idx.integrity_failures,
                 quarantined_blocks: idx.quarantined_blocks,
                 wal_quarantined: idx.wal_quarantined,
@@ -1656,43 +1386,38 @@ impl BlockStore for PersistentStore {
             return 0;
         }
         let mut idx = self.index.lock();
-        // A stable sweep order over every stored extent; the persistent
+        let bs = self.cfg.block_size;
+        // A stable sweep order over every stored block; the persistent
         // cursor picks up where the previous step stopped so repeated
         // small steps cover the whole store.
-        let mut exts: Vec<(Fh3, u64, Ext)> = idx
+        let mut blocks: Vec<(u64, u64)> = idx
             .files
             .iter()
-            .flat_map(|(fh, e)| e.extents.iter().map(|(off, ext)| (*fh, *off, *ext)))
+            .flat_map(|(fh, e)| {
+                let ranges = e.extents.iter().map(|(o, x)| (*o, x.len));
+                blocks_touched(ranges, bs).into_iter().map(|b| (fh.fileid(), b))
+            })
             .collect();
-        if exts.is_empty() {
+        if blocks.is_empty() {
             return 0;
         }
-        exts.sort_unstable_by_key(|(fh, off, _)| (fh.fileid(), *off));
-        let cursor = idx.scrub_cursor;
-        let at = exts.iter().position(|(fh, off, _)| (fh.fileid(), *off) >= cursor).unwrap_or(0);
-        exts.rotate_left(at);
+        blocks.sort_unstable();
+        let at = blocks.partition_point(|&key| key < idx.scrub_cursor);
+        let n = blocks.len();
+        blocks.rotate_left(at % n);
         let mut scrubbed = 0usize;
         let mut next = (0, 0);
-        for (i, (fh, off, ext)) in exts.iter().enumerate() {
+        for (i, &(id, b)) in blocks.iter().enumerate() {
             if scrubbed >= max_bytes {
-                next = (fh.fileid(), *off);
+                next = (id, b);
                 break;
             }
-            // An extent may have been quarantined (or split) by an
-            // earlier failure in this same step; skip stale entries.
-            let live = idx
-                .files
-                .get(fh)
-                .and_then(|e| e.extents.get(off))
-                .is_some_and(|e| e.len == ext.len);
-            if !live {
-                continue;
+            let fh = Fh3::from_fileid(id);
+            if !self.block_sound(&idx.files[&fh], b) {
+                self.quarantine(&mut idx, fh, b, b + bs);
             }
-            if !self.verify_ext(&idx, *fh, *off, ext) {
-                self.quarantine(&mut idx, *fh, *off, *off + ext.len as u64);
-            }
-            scrubbed += ext.len;
-            if i + 1 == exts.len() {
+            scrubbed += self.block_len();
+            if i + 1 == blocks.len() {
                 next = (0, 0); // wrapped: restart the sweep
             }
         }
@@ -1774,21 +1499,108 @@ mod tests {
         assert_eq!(s.dirty_ranges(fh), vec![(0, 100)], "torn record discarded");
     }
 
+    const BS: u64 = 32 * 1024;
+
+    /// The fill of block `b` of the multi-block tests.
+    fn blocks(n: u64) -> Vec<u8> {
+        (0..n * BS).map(|i| (i / BS * 7 + i % 251) as u8).collect()
+    }
+
+    /// A clean insert over a range holding dirty bytes writes only the
+    /// pieces around them: the dirty bytes, the sum of the block they
+    /// fill and the dirty tiling are the same before and after the
+    /// insert and a crash, and the clean pieces read back.
     #[test]
-    fn dedup_stores_identical_chunks_once() {
+    fn a_clean_insert_never_touches_dirty_bytes() {
         let mut s = store();
-        let a = Fh3::from_fileid(1);
-        let b = Fh3::from_fileid(2);
-        let block = vec![42u8; 32 * 1024];
-        s.insert_clean(a, 0, block.clone());
-        assert_eq!(s.stats().dedup_hits, 0);
-        s.insert_clean(b, 0, block.clone());
-        assert_eq!(s.stats().dedup_hits, 1);
-        assert_eq!(s.read(b, 0, block.len()).unwrap(), block);
-        // One chunk file backs both.
-        assert_eq!(s.disk.list("chunks/").len(), 1);
-        s.forget(a);
-        assert_eq!(s.read(b, 0, block.len()).unwrap(), block, "refcount keeps the chunk");
+        let fh = Fh3::from_fileid(1);
+        let dirty = vec![0xd1; (BS + BS / 2) as usize];
+        s.write_dirty(fh, BS / 2, dirty.clone());
+        s.sync();
+        let path = data_path(fh);
+        let sum_1 = |s: &PersistentStore| s.index.lock().files[&fh].data_sums[&BS];
+        let before = sum_1(&s);
+        let clean = blocks(3);
+        s.insert_clean(fh, 0, clean.clone());
+        s.sync();
+        for crashed in [false, true] {
+            if crashed {
+                s.crash_reopen();
+            }
+            assert_eq!(s.disk.read(&path, BS / 2, dirty.len()).unwrap(), dirty, "{crashed}");
+            assert_eq!(sum_1(&s), before, "the dirty block's sum ({crashed})");
+            assert_eq!(s.dirty_ranges(fh), vec![(BS / 2, dirty.len())], "{crashed}");
+            let mut want = clean.clone();
+            want[(BS / 2) as usize..(2 * BS) as usize].copy_from_slice(&dirty);
+            assert_eq!(s.read(fh, 0, want.len()).unwrap(), want, "{crashed}");
+            assert_eq!(s.stats().integrity_failures, 0, "{crashed}");
+        }
+    }
+
+    /// A crash that keeps a clean insert's WAL record but tears its
+    /// data-file write leaves the range a miss; the torn bytes are never
+    /// served. The log ends at that record, so the dirty write logged
+    /// after it is gone too: what replay recovers is a prefix of the
+    /// operations.
+    #[test]
+    fn a_clean_write_torn_by_a_crash_is_a_miss() {
+        let disk = VirtualDisk::new(DiskConfig::instant());
+        let cfg = PersistConfig { capacity: 1 << 20, ..PersistConfig::default() };
+        let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+        let (fh, later) = (Fh3::from_fileid(1), Fh3::from_fileid(2));
+        s.write_dirty(later, 0, vec![7; 10]);
+        s.sync();
+        s.insert_clean(fh, 0, blocks(1));
+        s.write_dirty(later, 0, vec![8; 10]);
+        // A larger record after both, so the WAL's kept half of the
+        // unsynced tail holds their frames whole.
+        s.write_dirty(Fh3::from_fileid(3), 0, vec![3; 4 * BS as usize]);
+        drop(s);
+        disk.crash();
+        let wal = disk.read(WAL_PATH, 0, usize::MAX).unwrap();
+        let recs: Vec<WalRecord> = frames(&wal)
+            .map(|(_, p)| gvfs_xdr::from_bytes::<WalRecord>(p.unwrap()).unwrap())
+            .collect();
+        assert!(matches!(recs[2], WalRecord::InsertClean { .. }), "the record survived: {recs:?}");
+        assert!(matches!(recs[3], WalRecord::WriteDirty { .. }), "{recs:?}");
+        assert!(disk.len(&data_path(fh)).unwrap() < BS, "the data-file write was torn");
+        let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+        assert_eq!(s.read(fh, 0, BS as usize), None, "torn bytes are never served");
+        assert_eq!(s.missing_ranges(fh, 0, BS as usize), vec![(0, BS as usize)]);
+        assert_eq!(s.stats().restart_warm_blocks, 0);
+        assert_eq!(s.read(later, 0, 10).unwrap(), vec![7; 10], "the synced write, not the later");
+        let synced_end = frames(&wal).nth(1).unwrap().0 as u64;
+        assert_eq!(disk.len(WAL_PATH), Some(synced_end), "the log ends at the insert");
+        s.insert_clean(fh, 0, blocks(1));
+        assert_eq!(s.read(fh, 0, BS as usize).unwrap(), blocks(1), "and refetchable");
+    }
+
+    /// One flipped byte in a 16-block clean extent costs exactly that
+    /// block, whether a read or the scrub sweep finds it.
+    #[test]
+    fn one_rotted_byte_in_a_16_block_extent_costs_one_block() {
+        for scrub in [false, true] {
+            let mut s = store();
+            let fh = Fh3::from_fileid(1);
+            let data = blocks(16);
+            s.insert_clean(fh, 0, data.clone());
+            assert_eq!(s.index.lock().files[&fh].extents.len(), 1, "one coalesced extent");
+            assert!(s.disk.corrupt_byte(&data_path(fh), 5 * BS + 9, 0x10));
+            if scrub {
+                assert_eq!(s.scrub_step(usize::MAX), 16 * BS as usize);
+            } else {
+                assert!(s.read(fh, 0, data.len()).is_none(), "rot is never served");
+            }
+            let st = s.stats();
+            assert_eq!((st.integrity_failures, st.quarantined_blocks), (1, 1), "scrub {scrub}");
+            let ev = s.take_integrity_events();
+            let one = IntegrityEvent { fh, offset: 5 * BS, len: BS, dirty: false, served: false };
+            assert_eq!(ev, vec![one], "scrub {scrub}");
+            assert_eq!(s.missing_ranges(fh, 0, data.len()), vec![(5 * BS, BS as usize)]);
+            let (head, tail) = (5 * BS as usize, 6 * BS as usize);
+            assert_eq!(s.read(fh, 0, head).unwrap(), data[..head]);
+            assert_eq!(s.read(fh, 6 * BS, data.len() - tail).unwrap(), data[tail..]);
+        }
     }
 
     #[test]
@@ -1888,18 +1700,16 @@ mod tests {
         assert!(s2.read(Fh3::from_fileid(2), 0, 64).is_none(), "frame 2 lost");
     }
 
-    /// A flipped bit in a clean chunk is never served: the read misses,
-    /// the extent is quarantined, and re-inserting the fetched bytes
-    /// (what the client's refetch repair does) reconverges — via the
-    /// byte-compare dedup guard, since the rotten chunk still exists.
+    /// A flipped bit under a clean extent is never served: the read
+    /// misses, the block is quarantined, and re-inserting the fetched
+    /// bytes (what the client's refetch repair does) reconverges.
     #[test]
-    fn corrupt_clean_chunk_quarantined_then_repaired() {
+    fn corrupt_clean_block_quarantined_then_repaired() {
         let mut s = store();
         let fh = Fh3::from_fileid(1);
         let data: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
         s.insert_clean(fh, 0, data.clone());
-        let chunk = &s.disk.list("chunks/")[0];
-        assert!(s.disk.corrupt_byte(chunk, 100, 0xff));
+        assert!(s.disk.corrupt_byte(&data_path(fh), 100, 0xff));
         assert!(s.read(fh, 0, 4096).is_none(), "corrupt bytes are never served");
         let st = s.stats();
         assert_eq!(st.integrity_failures, 1);
@@ -1907,6 +1717,7 @@ mod tests {
         let ev = s.take_integrity_events();
         assert_eq!(ev.len(), 1);
         assert!(!ev[0].dirty && !ev[0].served);
+        assert_eq!((ev[0].offset, ev[0].len), (0, 4096), "the event spans the clean bytes");
         assert!(s.take_integrity_events().is_empty(), "events drain once");
         // Refetch repair: the store accepts the origin bytes again.
         s.insert_clean(fh, 0, data.clone());
@@ -1960,13 +1771,8 @@ mod tests {
         let bad = Fh3::from_fileid(2);
         s.insert_clean(good, 0, vec![1; 4096]);
         s.insert_clean(bad, 0, vec![2; 4096]);
-        // Corrupt only the second file's chunk.
-        for chunk in s.disk.list("chunks/") {
-            let id = parse_chunk_path(&chunk).unwrap();
-            if id.0 == content_hash(&[2u8; 4096][..]) {
-                assert!(s.disk.corrupt_byte(&chunk, 9, 0x80));
-            }
-        }
+        // Corrupt only the second file's data.
+        assert!(s.disk.corrupt_byte(&data_path(bad), 9, 0x80));
         let mut scrubbed = 0;
         for _ in 0..16 {
             scrubbed += s.scrub_step(1024);
@@ -1990,8 +1796,7 @@ mod tests {
             PersistentStore::open(Arc::clone(&disk), PersistConfig { verify: false, ..cfg });
         let fh = Fh3::from_fileid(1);
         s.insert_clean(fh, 0, vec![3; 4096]);
-        let chunk = &s.disk.list("chunks/")[0];
-        assert!(s.disk.corrupt_byte(chunk, 0, 0xff));
+        assert!(s.disk.corrupt_byte(&data_path(fh), 0, 0xff));
         assert_eq!(s.scrub_step(usize::MAX), 0, "scrub disabled with the knob");
         let got = s.read(fh, 0, 4096).expect("served anyway");
         assert_ne!(got, vec![3; 4096], "and the bytes are wrong");
@@ -2000,7 +1805,7 @@ mod tests {
         assert!(ev[0].served);
         assert_eq!(s.stats().quarantined_blocks, 0, "nothing quarantined");
         let mut verified = PersistentStore::open(disk, cfg);
-        assert!(verified.read(fh, 0, 4096).is_none(), "verifying store: quarantined");
+        assert!(verified.read(fh, 0, 4096).is_none(), "verifying store: never served");
     }
 
     /// Integrity counters and the scrub cursor survive a crash/reopen;
@@ -2050,7 +1855,7 @@ mod tests {
     fn content_hash_covers_every_tail_length() {
         let buf: Vec<u8> = (0..100u32).map(|i| (i * 31 + 7) as u8).collect();
         let hashes: Vec<u64> = (0..=buf.len()).map(|n| content_hash(&buf[..n])).collect();
-        let distinct: HashSet<u64> = hashes.iter().copied().collect();
+        let distinct: std::collections::HashSet<u64> = hashes.iter().copied().collect();
         assert_eq!(distinct.len(), hashes.len(), "every prefix hashes differently");
         let folded: Vec<u8> = hashes.iter().flat_map(|h| h.to_le_bytes()).collect();
         assert_eq!(content_hash(&folded), 0x2325_63d5_f16e_82d9);
@@ -2117,8 +1922,8 @@ mod tests {
         }
     }
 
-    /// A snapshot of an older format version is ignored, even with a
-    /// valid trailer; the WAL written after it still replays.
+    /// A snapshot of an older format version (2 or 3) is ignored, even
+    /// with a valid trailer; the WAL written after it still replays.
     #[test]
     fn version_2_snapshot_is_ignored_and_wal_still_replays() {
         let cfg = PersistConfig {
@@ -2139,20 +1944,22 @@ mod tests {
             disk
         };
         let mut current = PersistentStore::open(build(), cfg);
-        assert!(current.read(snapped, 0, 200).is_some(), "a version-3 snapshot loads");
+        assert!(current.read(snapped, 0, 200).is_some(), "a version-4 snapshot loads");
 
-        let disk = build();
-        let snap = disk.read(SNAP_PATH, 0, usize::MAX).unwrap();
-        let mut old = snap[..snap.len() - 8].to_vec();
-        old[4..8].copy_from_slice(&2u32.to_be_bytes());
-        let sum = content_hash(&old);
-        old.extend_from_slice(&sum.to_be_bytes());
-        disk.write(SNAP_PATH, 0, &old);
-        disk.sync();
-        let mut s = PersistentStore::open(disk, cfg);
-        assert!(s.read(snapped, 0, 200).is_none(), "the version-2 snapshot is ignored");
-        assert_eq!(s.read(logged, 0, 100).unwrap(), vec![3; 100], "the WAL replays");
-        assert_eq!(s.dirty_ranges(logged), vec![(0, 100)]);
+        for version in [2u32, 3] {
+            let disk = build();
+            let snap = disk.read(SNAP_PATH, 0, usize::MAX).unwrap();
+            let mut old = snap[..snap.len() - 8].to_vec();
+            old[4..8].copy_from_slice(&version.to_be_bytes());
+            let sum = content_hash(&old);
+            old.extend_from_slice(&sum.to_be_bytes());
+            disk.write(SNAP_PATH, 0, &old);
+            disk.sync();
+            let mut s = PersistentStore::open(disk, cfg);
+            assert!(s.read(snapped, 0, 200).is_none(), "the version-{version} snapshot is ignored");
+            assert_eq!(s.read(logged, 0, 100).unwrap(), vec![3; 100], "the WAL replays");
+            assert_eq!(s.dirty_ranges(logged), vec![(0, 100)]);
+        }
     }
 
     /// The write-back flush pattern: one `clean_range` (and so one disk

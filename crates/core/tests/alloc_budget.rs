@@ -1,10 +1,11 @@
 //! Allocation budget of the persistent store's block path: a counting
-//! global allocator pins the bytes one steady-state 32 KiB `write_dirty`,
-//! one 32 KiB `read` and one whole `sync_every` cycle of writes allocate
-//! on an instant-disk store (the least cycle, and the most over forty
-//! cycles), and that a disk sync allocates nothing. Each budget is the
-//! measured count rounded up to the next 32 KiB, so one more copy of
-//! the block anywhere on the path fails the test.
+//! global allocator pins the bytes one steady-state 32 KiB `write_dirty`
+//! or `insert_clean` (the most over 1,024 of each), one 32 KiB `read` and
+//! one whole `sync_every` cycle of writes allocate on an instant-disk
+//! store (the least cycle, and the most over forty cycles), and that a
+//! disk sync allocates nothing. Each budget is the measured count rounded
+//! up to the next 32 KiB, so one more copy of the block anywhere on the
+//! path fails the test.
 
 use gvfs_core::store::persist::{PersistConfig, PersistentStore};
 use gvfs_core::store::BlockStore;
@@ -15,16 +16,21 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 const BLOCK: usize = 32 * 1024;
-/// Measured 32,908 B: the WAL page the frame fills (the frame buffer is
-/// kept between appends).
+/// Measured 65,536 B at most: the two WAL pages a frame lands about once
+/// in a thousand writes (32,768 B, one page, on most). The frame buffer
+/// is kept between appends, and the index and the data-file path
+/// allocate nothing per write.
 const WRITE_BUDGET: u64 = 2 * BLOCK as u64;
+/// Measured 32,768 B at most: the WAL's last page growing to a whole
+/// page under the small `InsertClean` frames (0 B on most inserts). The
+/// data file keeps the inserted buffer as its page.
+const INSERT_BUDGET: u64 = BLOCK as u64;
 /// Measured 32,840 B: the bytes read off the disk, which the caller gets.
 const READ_BUDGET: u64 = 2 * BLOCK as u64;
-/// Measured 2,107,648 B: 64 WAL pages (the data file keeps each written
+/// Measured 2,098,688 B: 64 WAL pages (the data file keeps each written
 /// block as its page, and the page it replaces moves into the undo
-/// record), one chunk of the WAL's page table and about 140 B of index
-/// and path allocations per write; 2,140,416 B at most, on the cycles
-/// that land a 65th WAL page.
+/// record) and one chunk of the WAL's page table; 2,131,492 B at most,
+/// on the cycles that land a 65th WAL page.
 const CYCLE_BUDGET: u64 = 66 * BLOCK as u64;
 
 thread_local! {
@@ -67,29 +73,65 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATED.with(Cell::get) - before, out)
 }
 
+/// Writes 32 KiB blocks to `fh` at offset 0 until the store has synced
+/// once, so the data file, the WAL and their durable copies exist;
+/// returns the next round.
+fn warm_up(store: &mut PersistentStore, disk: &VirtualDisk, fh: Fh3) -> usize {
+    let mut round = 0;
+    while disk.stats().syncs == 0 {
+        store.write_dirty(fh, 0, block(round));
+        round += 1;
+    }
+    round
+}
+
+fn block(round: usize) -> Vec<u8> {
+    vec![round as u8; BLOCK]
+}
+
 #[test]
 fn a_block_write_and_read_allocate_within_budget() {
     let disk = VirtualDisk::new(DiskConfig::instant());
-    let mut store = PersistentStore::open(disk, PersistConfig::default());
+    let mut store = PersistentStore::open(Arc::clone(&disk), PersistConfig::default());
     let fh = Fh3::from_fileid(1);
-    let block = |round: usize| vec![round as u8; BLOCK];
-    // Warm up the data file, the WAL and their durable copies. Then take
-    // the least over several writes: the WAL's amortized growth and its
-    // periodic syncs land on some writes and not others.
-    for round in 0..8 {
-        store.write_dirty(fh, 0, block(round));
-    }
-    let write = (8..24)
+    let first = warm_up(&mut store, &disk, fh);
+    // The most over 1,024 writes: the periodic syncs, the WAL's page
+    // table chunks and the writes whose frame lands a second WAL page
+    // all fall among them.
+    let rounds = first..first + 1024;
+    let write = rounds
+        .clone()
         .map(|round| {
             let data = block(round);
             allocated_by(|| store.write_dirty(fh, 0, data)).0
         })
-        .min()
+        .max()
         .expect("measured writes");
     let (read, data) = allocated_by(|| store.read(fh, 0, BLOCK));
-    assert_eq!(data, Some(block(23)), "the read returns the last write");
+    assert_eq!(data, Some(block(rounds.end - 1)), "the read returns the last write");
     assert!(write <= WRITE_BUDGET, "write_dirty allocated {write} B, budget {WRITE_BUDGET} B");
     assert!(read <= READ_BUDGET, "read allocated {read} B, budget {READ_BUDGET} B");
+}
+
+#[test]
+fn a_block_clean_insert_allocates_within_budget() {
+    let disk = VirtualDisk::new(DiskConfig::instant());
+    let mut store = PersistentStore::open(Arc::clone(&disk), PersistConfig::default());
+    let fh = Fh3::from_fileid(1);
+    let first = warm_up(&mut store, &disk, fh);
+    store.clean_range(fh, 0, BLOCK as u64);
+    // The most over 1,024 refetches of the block, as after an
+    // invalidation, so every insert overwrites the one before.
+    let insert = (first..first + 1024)
+        .map(|round| {
+            store.drop_clean(fh);
+            let data = block(round);
+            allocated_by(|| store.insert_clean(fh, 0, data)).0
+        })
+        .max()
+        .expect("measured inserts");
+    assert_eq!(store.read(fh, 0, BLOCK), Some(block(first + 1023)));
+    assert!(insert <= INSERT_BUDGET, "insert_clean allocated {insert} B, budget {INSERT_BUDGET} B");
 }
 
 #[test]
@@ -99,7 +141,6 @@ fn a_sync_every_cycle_allocates_within_budget_and_sync_allocates_nothing() {
     let cycle = cfg.sync_every;
     let mut store = PersistentStore::open(Arc::clone(&disk), cfg);
     let fh = Fh3::from_fileid(1);
-    let block = |round: usize| vec![round as u8; BLOCK];
     // Warm up through two syncs, stopping on the write that synced.
     let mut round = 0;
     let warm = disk.stats().syncs + 2;
@@ -143,7 +184,6 @@ fn every_cycle_up_to_a_wal_of_80_mib_allocates_within_budget() {
     let cycle = cfg.sync_every;
     let mut store = PersistentStore::open(Arc::clone(&disk), cfg);
     let fh = Fh3::from_fileid(1);
-    let block = |round: usize| vec![round as u8; BLOCK];
     // Warm up through the first sync only, so the measured cycles start
     // below 4 MiB of WAL and cross every doubling of its length up to
     // 64 MiB.

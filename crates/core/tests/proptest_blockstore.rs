@@ -37,7 +37,7 @@ use proptest::prelude::*;
 
 const SPACE: u64 = 1024; // probed address space per file
 const NFILES: u64 = 3;
-const BLOCK: u64 = 64; // persistent-store chunking granularity
+const BLOCK: u64 = 64; // persistent-store checksum granularity
 
 fn fh(i: u64) -> Fh3 {
     Fh3::from_fileid(i + 1)
@@ -63,7 +63,6 @@ enum Op {
     Forget { file: u64 },
     Revalidate { file: u64, tag: u32 },
     Retag { file: u64, tag: u32 },
-    NoteSize { file: u64, size: u64 },
     Sync,
     Crash,
 }
@@ -100,9 +99,7 @@ fn op_strategy(with_crash: bool) -> impl Strategy<Value = Op> {
         file.clone().prop_map(|file| Op::DropClean { file }),
         file.clone().prop_map(|file| Op::Forget { file }),
         (file.clone(), 1u32..4).prop_map(|(file, tag)| Op::Revalidate { file, tag }),
-        (file.clone(), 1u32..4).prop_map(|(file, tag)| Op::Retag { file, tag }),
-        (file, prop_oneof![Just(64u64), Just(SPACE)])
-            .prop_map(|(file, size)| Op::NoteSize { file, size }),
+        (file, 1u32..4).prop_map(|(file, tag)| Op::Retag { file, tag }),
     ];
     if with_crash {
         prop_oneof![base, Just(Op::Sync), Just(Op::Crash)].boxed()
@@ -125,7 +122,6 @@ fn apply(store: &mut dyn BlockStore, op: &Op, counter: u32) {
         Op::Forget { file } => store.forget(fh(file)),
         Op::Revalidate { file, tag: t } => store.revalidate(fh(file), tag(t)),
         Op::Retag { file, tag: t } => store.retag(fh(file), tag(t)),
-        Op::NoteSize { file, size } => store.note_size(fh(file), size),
         Op::Sync | Op::Crash => unreachable!("handled by the driver"),
     }
 }
@@ -228,7 +224,6 @@ fn big_store(disk: std::sync::Arc<VirtualDisk>) -> PersistentStore {
         PersistConfig {
             capacity: 1 << 30, // no eviction: LRU recency is volatile across replay
             block_size: BLOCK,
-            file_threshold: 128,
             // No implicit durability: the only sync points are the ones
             // the op sequence performs (plus clean_range's barrier).
             checkpoint_every: usize::MAX,
@@ -343,7 +338,6 @@ proptest! {
             PersistConfig {
                 capacity: CAP,
                 block_size: BLOCK,
-                file_threshold: 128,
                 checkpoint_every: usize::MAX,
                 sync_every: usize::MAX,
                 verify: true,
@@ -447,16 +441,15 @@ proptest! {
 
         // Outside the simulator the disk clock is pinned at ZERO, so
         // one open-ended window keeps every fault armed for the whole
-        // op sequence. The plan covers only data/ and chunks/ — WAL
-        // corruption has its own replay-path tests.
+        // op sequence. The plan covers only data/ — WAL corruption has
+        // its own replay-path tests.
         let always = Window::new(SimTime::ZERO, SimTime::from_secs(1));
         disk.set_fault_plan(Some(
             DiskFaultPlan::new(seed)
                 .with_flips(always, 0.05)
                 .with_torn_writes(always, 0.05)
                 .with_transient_read_errors(0, SPACE / 2, 0.05)
-                .with_path_prefix("data/")
-                .with_path_prefix("chunks/"),
+                .with_path_prefix("data/"),
         ));
 
         let mut counter = 0u32;

@@ -559,15 +559,13 @@ pub fn run_peer_partition(seed: u64, broken_peer: bool) -> ChaosReport {
     report
 }
 
-/// The chunked file spans four blocks, comfortably past the store's
-/// small-file threshold, so its clean bytes land as content-addressed
-/// chunk files under `chunks/`; the two tag files stay under the
-/// threshold and land as per-handle segments under `data/`.
+/// The big file spans four blocks, each under its own checksum in the
+/// file's data file; the two tag files fit in one block each.
 const ROT_BLOCKS: u64 = 4;
-/// Fill byte of the chunked file (never overwritten).
+/// Fill byte of the big file (never overwritten).
 const ROT_FILL: u8 = 0x5a;
-/// History index of the chunked file's block `b` (`10 + b`); the tag
-/// files use indices 0 and 1.
+/// History index of the big file's block `b` (`10 + b`); the tag files
+/// use indices 0 and 1.
 const ROT_BIG_FILE: usize = 10;
 
 /// The tag seeded into `/rot-{i}` (out of band, never overwritten).
@@ -587,18 +585,17 @@ pub fn rot_tag(file: usize) -> u64 {
 /// Phase map (virtual seconds; every op carries ≤200 ms seeded jitter):
 ///
 /// - **0–6 warm-up**: client 0 reads `/rot-0` and `/rot-1` (512-byte
-///   tag files → `data/` segments) and all four blocks of `/rot-big`
-///   (128 KiB of one fill byte → a content-addressed chunk under
-///   `chunks/`); client 1 reads `/rot-1` into its own, never-corrupted
-///   store.
+///   tag files) and all four blocks of `/rot-big` (128 KiB of one fill
+///   byte), each into its own data file under `data/`; client 1 reads
+///   `/rot-1` into its own, never-corrupted store.
 /// - **7.5–9.5 WAN noise**: a seeded message-drop window on client 0's
 ///   WAN link, composing the wire fault plan with the disk fault plan
 ///   (both draw from dedicated seeded RNGs, so the composition replays
 ///   identically).
 /// - **10 rot**: the operator flips one seeded byte in every stored
-///   file under `data/` and `chunks/` on client 0's disk (durably —
-///   media decay, not a transport error), and arms a seeded
-///   [`gvfs_netsim::disk::DiskFaultPlan`] over the same prefixes: torn
+///   file under `data/` on client 0's disk (durably — media decay, not
+///   a transport error), and arms a seeded
+///   [`gvfs_netsim::disk::DiskFaultPlan`] over the same prefix: torn
 ///   repair writes until 16 s and read-time bit rot until 30 s. No
 ///   crash is scripted: replay skips the pre-write verification, so a
 ///   crash window would launder rot into fresh checksums — that corner
@@ -680,24 +677,22 @@ pub fn run_disk_corruption(seed: u64, break_scrub: bool) -> ChaosReport {
     });
 
     // The operator: at 10 s, rots one seeded byte of every stored file
-    // under data/ and chunks/ on client 0's disk, and arms the seeded
-    // disk fault plan over the same prefixes.
+    // under data/ on client 0's disk, and arms the seeded disk fault
+    // plan over the same prefix.
     run.actor("rot-operator", move |ctx| {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(11).wrapping_add(3));
         sleep_until(SimTime::from_millis(10_000));
         let disk = ctx.session.client_disk(0).expect("persistent store has a disk");
         let mut rotted = 0usize;
-        for prefix in ["data/", "chunks/"] {
-            for path in disk.list(prefix) {
-                let len = disk.len(&path).unwrap_or(0);
-                if len == 0 {
-                    continue;
-                }
-                let offset = rng.gen_range(0..len);
-                let xor = rng.gen_range(1u8..=255);
-                if disk.corrupt_byte(&path, offset, xor) {
-                    rotted += 1;
-                }
+        for path in disk.list("data/") {
+            let len = disk.len(&path).unwrap_or(0);
+            if len == 0 {
+                continue;
+            }
+            let offset = rng.gen_range(0..len);
+            let xor = rng.gen_range(1u8..=255);
+            if disk.corrupt_byte(&path, offset, xor) {
+                rotted += 1;
             }
         }
         ctx.extras().corrupted_paths = rotted;
@@ -708,8 +703,7 @@ pub fn run_disk_corruption(seed: u64, break_scrub: bool) -> ChaosReport {
             gvfs_netsim::disk::DiskFaultPlan::new(seed ^ 0xd15c_0000)
                 .with_torn_writes(window(10, 16), 0.25)
                 .with_flips(window(10, 30), 0.1)
-                .with_path_prefix("data/")
-                .with_path_prefix("chunks/"),
+                .with_path_prefix("data/"),
         ));
     });
 
@@ -741,7 +735,7 @@ pub fn run_disk_corruption(seed: u64, break_scrub: bool) -> ChaosReport {
         }
     }
     // Engagement checks (honest run only): the rot must have landed on
-    // both storage classes, verify-on-read must have caught it, and the
+    // at least two data files, verify-on-read must have caught it, and the
     // scrubber — not just demand traffic — must have repaired ahead of
     // the verify reads.
     if !break_scrub {
@@ -750,8 +744,8 @@ pub fn run_disk_corruption(seed: u64, break_scrub: bool) -> ChaosReport {
             v.push(violation(
                 ViolationKind::FinalState,
                 format!(
-                    "the operator rotted only {rotted} stored file(s); the scenario needs both \
-                     a data/ segment and a chunks/ chunk"
+                    "the operator rotted only {rotted} stored file(s); the scenario needs at \
+                     least two data/ files"
                 ),
             ));
         }

@@ -118,7 +118,7 @@ fn disk_corruption_self_heals_and_break_scrub_is_convicted() {
     );
     // The report's own checks already demand these, but assert the
     // interesting counters explicitly so a regression reads clearly.
-    assert!(report.extras.corrupted_paths >= 2, "rot must land on data/ and chunks/");
+    assert!(report.extras.corrupted_paths >= 2, "rot must land on two distinct data/ files");
     assert!(
         report.stats.integrity_failures >= report.extras.corrupted_paths as u64,
         "every rotted file must fail at least one verification, stats: {:?}",
