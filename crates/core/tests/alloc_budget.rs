@@ -25,7 +25,7 @@ const WRITE_BUDGET: u64 = 2 * BLOCK as u64;
 /// page under the small `InsertClean` frames (0 B on most inserts). The
 /// data file keeps the inserted buffer as its page.
 const INSERT_BUDGET: u64 = BLOCK as u64;
-/// Measured 32,840 B: the bytes read off the disk, which the caller gets.
+/// Measured 32,768 B: the bytes read off the disk, which the caller gets.
 const READ_BUDGET: u64 = 2 * BLOCK as u64;
 /// Measured 2,098,688 B: 64 WAL pages (the data file keeps each written
 /// block as its page, and the page it replaces moves into the undo
