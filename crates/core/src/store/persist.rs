@@ -15,34 +15,36 @@
 //! written bytes inline — the WAL is a *redo* log, so replay never
 //! depends on the data file having survived for dirty bytes.
 //! `InsertClean` records carry only the range (clean data is
-//! refetchable; dirty data is not). Every sync the store makes is
-//! preceded by a `Synced` record, so replay knows which records' data
-//! writes reached the disk.
+//! refetchable; dirty data is not). Both carry the sum of every block
+//! their range touches, as the write left it. Every sync the store makes
+//! is preceded by a `Synced` record, the *barrier*: the data writes of
+//! the records before it reached the disk.
 //!
 //! **Recovery.** On open (and after [`BlockStore::crash_reopen`]) the
 //! store loads `index.snap` if its trailing checksum verifies, then
 //! replays `wal.log` record by record. A frame extending past the end
 //! of the log is a *torn tail* — replay stops and truncates there, so
-//! no torn dirty record is ever applied. An in-bounds frame that fails
-//! verification — a flipped bit in its payload or checksum, or an
-//! undecodable record — is *interior corruption*: the frame is skipped
-//! and counted (`wal_quarantined_frames`) and replay continues, so one
-//! rotted bit can never silently truncate away the durable frames
-//! behind it. (A flip inside a frame's *length prefix* is
+//! no torn dirty record is ever applied. Up to the barrier, an in-bounds
+//! frame that fails verification — a flipped bit in its payload or
+//! checksum, or an undecodable record — is *interior corruption*: the
+//! frame is skipped and counted (`wal_quarantined_frames`) and replay
+//! continues, so one rotted bit costs only its own frame. A `Synced`
+//! record is the only one with a 4-byte payload, so a rotted one still
+//! marks the barrier. (A flip inside a frame's *length prefix* is
 //! indistinguishable from a torn tail and still truncates — the length
-//! is what frame navigation stands on.) The records after the last
-//! `Synced` one may have lost their data-file writes with the crash:
-//! their dirty writes are redone from the log, and the log ends at the
-//! first clean insert among them, whose bytes it does not hold — what
-//! replay recovers is always a prefix of the logged operations. (A
-//! rotted `Synced` record is the one interior flip that costs more than
-//! its frame: replay then counts the records since the one before it
-//! as unsynced, and may end the log at a clean insert among them.) The
-//! sums of the blocks the replayed records wrote are then taken afresh
-//! from the disk, which also covers the torn bytes an unlogged write
-//! may leave beside them (so rot that lands on such a block before a
-//! restart goes undetected: crash plus rot is outside what the sums
-//! guard).
+//! is what frame navigation stands on.) The records up to the barrier
+//! are applied with the sums they logged, so rot that lands while the
+//! store is down is caught by the first read after it. At the barrier,
+//! each data file is cut to the length its replayed writes reached and
+//! a data file no entry owns is removed, which drops the bytes a crash
+//! keeps of unsynced growth (a torn prefix, see [`VirtualDisk::crash`]).
+//! After the barrier, the data writes may have been lost with the
+//! crash: dirty writes are redone from the log, and the log ends at the
+//! first clean insert, whose bytes it does not hold, or at the first
+//! frame that fails verification — what replay recovers is always a
+//! prefix of the logged operations. The sums of the blocks that the
+//! records from there on wrote are taken afresh from the disk, as those
+//! writes may have reached it when no crash came between.
 //!
 //! **Integrity.** Every `block_size`-aligned span of a data file that
 //! holds cached bytes carries a [`content_hash`] of the span, zero-padded
@@ -78,7 +80,7 @@ use gvfs_nfs3::{Fh3, NfsTime3};
 use gvfs_xdr::{Decoder, Encoder, Xdr, XdrError};
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -306,6 +308,8 @@ struct Ext {
 struct Entry {
     /// The handle's data file.
     path: String,
+    /// The data file's length as written: the end of the furthest write.
+    len: u64,
     tag: Option<NfsTime3>,
     extents: BTreeMap<u64, Ext>,
     /// [`content_hash`] of each `block_size`-aligned span of the data
@@ -318,6 +322,7 @@ impl Entry {
     fn new(fh: Fh3) -> Self {
         Entry {
             path: data_path(fh),
+            len: 0,
             tag: None,
             extents: BTreeMap::new(),
             data_sums: BTreeMap::new(),
@@ -368,12 +373,14 @@ fn covers(extents: &BTreeMap<u64, Ext>, start: u64, end: u64) -> bool {
 
 /// One WAL record. `InsertClean` logs clean bytes written into the data
 /// file over `[offset, offset + len)`, around the dirty bytes there;
-/// `Synced`, that the disk was synced right after it was logged.
+/// `InsertClean` and `WriteDirty` carry the sum of each block their
+/// range touches, as it stood after the write; `Synced`, that the disk
+/// was synced right after it was logged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WalRecord {
     Retag { fh: Fh3, mtime: NfsTime3, drop: bool },
-    InsertClean { fh: Fh3, offset: u64, len: u64 },
-    WriteDirty { fh: Fh3, offset: u64, bytes: Vec<u8> },
+    InsertClean { fh: Fh3, offset: u64, len: u64, sums: Vec<u64> },
+    WriteDirty { fh: Fh3, offset: u64, bytes: Vec<u8>, sums: Vec<u64> },
     CleanRange { fh: Fh3, offset: u64, len: u64 },
     DropClean { fh: Fh3 },
     Evict { fh: Fh3 },
@@ -383,17 +390,67 @@ enum WalRecord {
 
 const SYNCED: u32 = 9;
 
+/// The starts of the `bs`-sized blocks that `[start, end)` touches.
+fn blocks(bs: u64, start: u64, end: u64) -> impl ExactSizeIterator<Item = u64> {
+    let first = start / bs * bs;
+    let n = usize::try_from(end.saturating_sub(first).div_ceil(bs)).expect("block count fits");
+    (0..n).map(move |i| first + i as u64 * bs)
+}
+
+/// The sums in `data_sums` of the blocks `[offset, end)` touches. Every
+/// block an extent touches has a sum, and a logged write leaves an
+/// extent or a written sum on each block of its range.
+fn range_sums(
+    data_sums: &BTreeMap<u64, u64>,
+    bs: u64,
+    offset: u64,
+    end: u64,
+) -> impl ExactSizeIterator<Item = u64> + '_ {
+    blocks(bs, offset, end).map(|b| data_sums.get(&b).copied().unwrap_or_default())
+}
+
+/// Encodes block sums: a count, then each sum.
+fn put_sums(enc: &mut Encoder, sums: impl ExactSizeIterator<Item = u64>) {
+    enc.put_u32(u32::try_from(sums.len()).expect("block count fits u32"));
+    for sum in sums {
+        enc.put_u64(sum);
+    }
+}
+
+/// Encodes a [`WalRecord::InsertClean`].
+fn encode_insert_clean(
+    enc: &mut Encoder,
+    fh: Fh3,
+    offset: u64,
+    len: u64,
+    sums: impl ExactSizeIterator<Item = u64>,
+) {
+    enc.put_u32(8);
+    enc.put_u64(fh.fileid());
+    enc.put_u64(offset);
+    enc.put_u64(len);
+    put_sums(enc, sums);
+}
+
 /// Encodes a [`WalRecord::WriteDirty`] from borrowed bytes.
 fn encode_write_dirty(
     enc: &mut Encoder,
     fh: Fh3,
     offset: u64,
     bytes: &[u8],
+    sums: impl ExactSizeIterator<Item = u64>,
 ) -> Result<(), XdrError> {
     enc.put_u32(3);
     enc.put_u64(fh.fileid());
     enc.put_u64(offset);
-    enc.put_opaque(bytes)
+    enc.put_opaque(bytes)?;
+    put_sums(enc, sums);
+    Ok(())
+}
+
+fn get_sums(dec: &mut Decoder<'_>) -> Result<Vec<u64>, XdrError> {
+    let count = dec.get_u32()?;
+    (0..count).map(|_| dec.get_u64()).collect()
 }
 
 impl Xdr for WalRecord {
@@ -405,14 +462,11 @@ impl Xdr for WalRecord {
                 mtime.encode(enc)?;
                 enc.put_bool(*drop);
             }
-            WalRecord::InsertClean { fh, offset, len } => {
-                enc.put_u32(8);
-                enc.put_u64(fh.fileid());
-                enc.put_u64(*offset);
-                enc.put_u64(*len);
+            WalRecord::InsertClean { fh, offset, len, sums } => {
+                encode_insert_clean(enc, *fh, *offset, *len, sums.iter().copied());
             }
-            WalRecord::WriteDirty { fh, offset, bytes } => {
-                encode_write_dirty(enc, *fh, *offset, bytes)?;
+            WalRecord::WriteDirty { fh, offset, bytes, sums } => {
+                encode_write_dirty(enc, *fh, *offset, bytes, sums.iter().copied())?;
             }
             WalRecord::CleanRange { fh, offset, len } => {
                 enc.put_u32(4);
@@ -445,8 +499,18 @@ impl Xdr for WalRecord {
         let fh = Fh3::from_fileid(dec.get_u64()?);
         Ok(match disc {
             1 => WalRecord::Retag { fh, mtime: NfsTime3::decode(dec)?, drop: dec.get_bool()? },
-            8 => WalRecord::InsertClean { fh, offset: dec.get_u64()?, len: dec.get_u64()? },
-            3 => WalRecord::WriteDirty { fh, offset: dec.get_u64()?, bytes: dec.get_opaque()? },
+            8 => WalRecord::InsertClean {
+                fh,
+                offset: dec.get_u64()?,
+                len: dec.get_u64()?,
+                sums: get_sums(dec)?,
+            },
+            3 => WalRecord::WriteDirty {
+                fh,
+                offset: dec.get_u64()?,
+                bytes: dec.get_opaque()?,
+                sums: get_sums(dec)?,
+            },
             4 => WalRecord::CleanRange { fh, offset: dec.get_u64()?, len: dec.get_u64()? },
             5 => WalRecord::DropClean { fh },
             6 => WalRecord::Evict { fh },
@@ -458,9 +522,9 @@ impl Xdr for WalRecord {
     }
 }
 
-/// The frames of a WAL image up to its torn tail: each frame's end, and
-/// its payload if the frame's checksum holds.
-fn frames(wal: &[u8]) -> impl Iterator<Item = (usize, Option<&[u8]>)> {
+/// The frames of a WAL image up to its torn tail: each frame's end, its
+/// payload, and whether the frame's checksum holds.
+fn frames(wal: &[u8]) -> impl Iterator<Item = (usize, &[u8], bool)> {
     let mut pos = 0usize;
     std::iter::from_fn(move || {
         let head = wal.get(pos..pos + 4)?;
@@ -469,8 +533,13 @@ fn frames(wal: &[u8]) -> impl Iterator<Item = (usize, Option<&[u8]>)> {
         let payload = &wal[pos + 4..pos + 4 + len];
         let stored = u64::from_be_bytes(wal[end - 8..end].try_into().expect("8 bytes"));
         pos = end;
-        Some((end, (content_hash(payload) == stored).then_some(payload)))
+        Some((end, payload, content_hash(payload) == stored))
     })
+}
+
+/// The record a frame holds, if its checksum holds and it decodes.
+fn record(payload: &[u8], sound: bool) -> Option<WalRecord> {
+    sound.then(|| gvfs_xdr::from_bytes::<WalRecord>(payload).ok()).flatten()
 }
 
 #[derive(Debug, Default)]
@@ -607,7 +676,15 @@ impl Idx {
         entry
     }
 
-    fn apply_record(&mut self, rec: &WalRecord) {
+    /// Takes the block sums and the file length a write of
+    /// `[offset, end)` logged.
+    fn adopt_sums(&mut self, fh: Fh3, offset: u64, end: u64, sums: &[u64], bs: u64) {
+        let entry = self.entry(fh);
+        entry.len = entry.len.max(end);
+        entry.data_sums.extend(blocks(bs, offset, end).zip(sums.iter().copied()));
+    }
+
+    fn apply_record(&mut self, rec: &WalRecord, bs: u64) {
         match rec {
             WalRecord::Retag { fh, mtime, drop } => {
                 if *drop {
@@ -615,12 +692,15 @@ impl Idx {
                 }
                 self.entry(*fh).tag = Some(*mtime);
             }
-            WalRecord::InsertClean { fh, offset, len } => {
+            WalRecord::InsertClean { fh, offset, len, sums } => {
                 self.apply_insert_clean(*fh, *offset, *len);
+                self.adopt_sums(*fh, *offset, offset + len, sums, bs);
                 self.touch(*fh);
             }
-            WalRecord::WriteDirty { fh, offset, bytes } => {
+            WalRecord::WriteDirty { fh, offset, bytes, sums } => {
+                let end = offset + bytes.len() as u64;
                 self.apply_write_dirty(*fh, *offset, bytes.len());
+                self.adopt_sums(*fh, *offset, end, sums, bs);
                 self.touch(*fh);
             }
             WalRecord::CleanRange { fh, offset, len } => self.apply_clean_range(*fh, *offset, *len),
@@ -751,15 +831,17 @@ impl PersistentStore {
         wal.since_checkpoint = 0;
     }
 
-    /// Loads the snapshot and replays the WAL: a torn tail stops replay
-    /// and is truncated; an in-bounds frame that fails verification is
-    /// interior corruption — skipped and counted, with every later
-    /// durable frame still applied. Records after the last `Synced` one
-    /// may have lost their data-file writes with the crash: dirty writes
-    /// are redone from the log, and the log ends at the first clean
-    /// insert, whose bytes it does not hold. Then the sums of every
-    /// block a replayed record wrote are taken afresh. Carries over
-    /// lifetime counters.
+    /// Loads the snapshot and replays the WAL up to its last `Synced`
+    /// record (the barrier), skipping and counting any frame that fails
+    /// verification; these records' data writes reached the disk, so
+    /// their logged sums are taken as they are. Each data file is then
+    /// cut to the length those records wrote (and a file no entry owns
+    /// is removed), which drops whatever bytes unsynced writes left.
+    /// After the barrier, dirty writes are redone from the log, and the
+    /// log ends at the first clean insert, whose bytes it does not hold,
+    /// or at the first frame that fails verification. The sums of the
+    /// blocks the records from there on wrote are taken afresh, and the
+    /// WAL is truncated there. Carries over lifetime counters.
     fn replay(&self, carry: Carry) {
         let mut idx = Idx {
             replaying: true,
@@ -773,54 +855,71 @@ impl PersistentStore {
             decode_snapshot(&snap, &mut idx);
         }
         let wal_bytes = self.disk.read(WAL_PATH, 0, usize::MAX).unwrap_or_default();
-        let synced = SYNCED.to_be_bytes();
+        // A `Synced` record is the only one whose payload is its 4-byte
+        // discriminant, so a rotted one still marks its barrier.
         let synced_end = frames(&wal_bytes)
-            .filter(|(_, payload)| *payload == Some(&synced[..]))
-            .map(|(end, _)| end)
+            .filter(|(_, payload, _)| payload.len() == 4)
+            .map(|(end, ..)| end)
             .last()
             .unwrap_or(0);
         let bs = self.cfg.block_size;
-        let mut written = BTreeSet::new();
-        let mut unsynced = 0;
-        let mut valid = 0usize;
-        for (end, payload) in frames(&wal_bytes) {
-            let after_sync = valid >= synced_end;
-            let Some(rec) = payload.and_then(|p| gvfs_xdr::from_bytes::<WalRecord>(p).ok()) else {
+        let mut frames = frames(&wal_bytes).peekable();
+        while let Some((_, payload, sound)) = frames.next_if(|(end, ..)| *end <= synced_end) {
+            if let Some(rec) = record(payload, sound) {
+                idx.apply_record(&rec, bs);
+            } else {
                 // Interior corruption (flipped payload bit or an
                 // undecodable record): quarantine the frame but keep
                 // the durable frames behind it.
                 idx.wal_quarantined += 1;
                 idx.integrity_failures += 1;
-                valid = end;
-                continue;
-            };
-            let range = match &rec {
-                WalRecord::InsertClean { .. } if after_sync => break,
-                WalRecord::InsertClean { fh, offset, len } => Some((*fh, *offset, *offset + len)),
-                WalRecord::WriteDirty { fh, offset, bytes } => {
-                    if after_sync {
-                        // Redo: the WAL carries the dirty bytes.
-                        self.disk.write(&idx.entry(*fh).path, *offset, bytes);
-                    }
-                    Some((*fh, *offset, *offset + bytes.len() as u64))
-                }
-                _ => None,
-            };
-            if let Some((fh, start, end)) = range {
-                written.extend((start / bs * bs..end).step_by(self.block_len()).map(|b| (fh, b)));
             }
-            idx.apply_record(&rec);
-            unsynced += usize::from(after_sync);
-            valid = end;
+        }
+        self.settle_data_files(&idx);
+        let mut valid = synced_end;
+        let mut unsynced = 0;
+        let mut cut = false;
+        for (end, payload, sound) in frames {
+            let rec = record(payload, sound);
+            match &rec {
+                Some(rec) if !cut && !matches!(rec, WalRecord::InsertClean { .. }) => {
+                    match rec {
+                        // Redo: the WAL carries the dirty bytes.
+                        WalRecord::WriteDirty { fh, offset, bytes, .. } => {
+                            self.disk.write(&idx.entry(*fh).path, *offset, bytes);
+                        }
+                        WalRecord::Forget { fh } => {
+                            if let Some(entry) = idx.files.get(fh) {
+                                self.disk.remove(&entry.path);
+                            }
+                        }
+                        _ => {}
+                    }
+                    idx.apply_record(rec, bs);
+                    unsynced += 1;
+                    valid = end;
+                    continue;
+                }
+                None if !cut => {
+                    idx.wal_quarantined += 1;
+                    idx.integrity_failures += 1;
+                }
+                _ => {}
+            }
+            // The log ends before this record, but with no crash between,
+            // its write reached the disk: re-take the sums it changed.
+            cut = true;
+            let written = match rec {
+                Some(WalRecord::InsertClean { fh, offset, len, .. }) => (fh, offset, offset + len),
+                Some(WalRecord::WriteDirty { fh, offset, bytes, .. }) => {
+                    (fh, offset, offset + bytes.len() as u64)
+                }
+                _ => continue,
+            };
+            self.retake_sums(&mut idx, written);
         }
         if valid < wal_bytes.len() {
             self.disk.truncate(WAL_PATH, valid as u64);
-        }
-        for (fh, block) in written {
-            if let Some(entry) = idx.files.get_mut(&fh) {
-                let sum = self.block_hash(entry, block);
-                entry.data_sums.insert(block, sum);
-            }
         }
         // Everything replayed clean is servable warm.
         idx.warm_blocks = count_clean_blocks(&idx, self.cfg.block_size);
@@ -832,6 +931,35 @@ impl PersistentStore {
         // unsynced: the next sync marks them.
         wal.since_sync = unsynced;
         wal.since_checkpoint = 0;
+    }
+
+    /// Takes afresh from the disk the sums that `fh` holds for the blocks
+    /// of `[start, end)`.
+    fn retake_sums(&self, idx: &mut Idx, (fh, start, end): (Fh3, u64, u64)) {
+        let Some(entry) = idx.files.get_mut(&fh) else { return };
+        for b in blocks(self.cfg.block_size, start, end) {
+            if entry.data_sums.contains_key(&b) {
+                let sum = self.block_hash(entry, b);
+                entry.data_sums.insert(b, sum);
+            }
+        }
+    }
+
+    /// Cuts each data file to the length its entry's writes reached and
+    /// removes the data files no entry owns: at the barrier, every byte
+    /// past those lengths is from a write the barrier does not cover.
+    fn settle_data_files(&self, idx: &Idx) {
+        let lens: HashMap<&str, u64> =
+            idx.files.values().map(|e| (e.path.as_str(), e.len)).collect();
+        for path in self.disk.list("data/") {
+            match lens.get(path.as_str()) {
+                None => self.disk.remove(&path),
+                Some(&len) if self.disk.len(&path).is_some_and(|l| l > len) => {
+                    self.disk.truncate(&path, len);
+                }
+                Some(_) => {}
+            }
+        }
     }
 
     /// Updates the sums of the blocks a write of `bytes` at `offset`
@@ -846,7 +974,7 @@ impl PersistentStore {
         let entry = idx.entry(fh);
         // Only the first and the last block can be partial.
         let mut rotted = [None; 2];
-        for b in (offset / bs * bs..end).step_by(block_len) {
+        for b in blocks(bs, offset, end) {
             let lo = b.max(offset);
             let hi = (b + bs).min(end);
             let new = &bytes[usize::try_from(lo - offset).expect("in write")
@@ -897,10 +1025,16 @@ impl PersistentStore {
     /// buffer as a page.
     fn write_data(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
         self.sum_blocks(idx, fh, offset, &bytes);
-        let path = &idx.entry(fh).path;
+        self.put_bytes(idx, fh, offset, bytes);
+    }
+
+    /// The disk write of [`PersistentStore::write_data`], after the sums.
+    fn put_bytes(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
+        let entry = idx.entry(fh);
+        entry.len = entry.len.max(offset + bytes.len() as u64);
         match bytes {
-            Cow::Borrowed(bytes) => self.disk.write(path, offset, bytes),
-            Cow::Owned(bytes) => self.disk.write_owned(path, offset, bytes),
+            Cow::Borrowed(bytes) => self.disk.write(&entry.path, offset, bytes),
+            Cow::Owned(bytes) => self.disk.write_owned(&entry.path, offset, bytes),
         }
     }
 
@@ -921,11 +1055,7 @@ impl PersistentStore {
 
     /// The blocks of `[start, end)` that fail their sums.
     fn unsound_blocks(&self, entry: &Entry, start: u64, end: u64) -> Vec<u64> {
-        let bs = self.cfg.block_size;
-        (start / bs * bs..end)
-            .step_by(self.block_len())
-            .filter(|&b| !self.block_sound(entry, b))
-            .collect()
+        blocks(self.cfg.block_size, start, end).filter(|&b| !self.block_sound(entry, b)).collect()
     }
 
     /// Quarantines `[start, end)` of `fh` after a failed verification:
@@ -1006,6 +1136,14 @@ impl PersistentStore {
     }
 }
 
+/// A data-file read of `len` bytes: what lies past the end of the file
+/// (or of an absent file) reads as zeros, as the block sums hash it.
+fn zero_padded(bytes: Option<Vec<u8>>, len: usize) -> Vec<u8> {
+    let mut bytes = bytes.unwrap_or_default();
+    bytes.resize(len, 0);
+    bytes
+}
+
 fn count_clean_blocks(idx: &Idx, block_size: u64) -> u64 {
     let clean = |entry: &Entry| {
         let ranges = entry.extents.iter().filter(|(_, e)| !e.dirty).map(|(o, e)| (*o, e.len));
@@ -1024,6 +1162,7 @@ fn encode_snapshot(idx: &Idx) -> Vec<u8> {
     for fh in fhs {
         let entry = &idx.files[&fh];
         enc.put_u64(fh.fileid());
+        enc.put_u64(entry.len);
         match entry.tag {
             Some(t) => {
                 enc.put_bool(true);
@@ -1071,6 +1210,7 @@ fn decode_snapshot(bytes: &[u8], idx: &mut Idx) {
         for _ in 0..nfiles {
             let fh = Fh3::from_fileid(dec.get_u64()?);
             let mut entry = Entry::new(fh);
+            entry.len = dec.get_u64()?;
             if dec.get_bool()? {
                 entry.tag = Some(NfsTime3 { seconds: dec.get_u32()?, nseconds: dec.get_u32()? });
             }
@@ -1118,7 +1258,7 @@ impl BlockStore for PersistentStore {
         // persists in the content, so the verification sees it and the
         // corrupt bytes are never served. Only the blocks served are
         // verified, and only the failing ones are quarantined.
-        let bytes = self.disk.read(&entry.path, offset, len).filter(|b| b.len() == len);
+        let bytes = self.disk.try_read(&entry.path, offset, len).ok().map(|b| zero_padded(b, len));
         let unsound = self.unsound_blocks(entry, offset, end);
         let bs = self.cfg.block_size;
         for &b in &unsound {
@@ -1193,7 +1333,12 @@ impl BlockStore for PersistentStore {
         }
         idx.coalesce(fh, offset, end);
         idx.touch(fh);
-        self.log(&mut idx, &WalRecord::InsertClean { fh, offset, len: end - offset });
+        let sums = range_sums(&idx.files[&fh].data_sums, self.cfg.block_size, offset, end);
+        encode_frame(&mut self.wal.lock(), |enc| {
+            encode_insert_clean(enc, fh, offset, end - offset, sums);
+            Ok(())
+        });
+        self.append_frame(&mut idx);
         self.evict_over_capacity(&mut idx);
     }
 
@@ -1202,10 +1347,13 @@ impl BlockStore for PersistentStore {
             return;
         }
         let mut idx = self.index.lock();
-        // The frame is encoded first, so the data file can keep `data`.
-        encode_frame(&mut self.wal.lock(), |enc| encode_write_dirty(enc, fh, offset, &data));
-        let len = data.len();
-        self.write_data(&mut idx, fh, offset, Cow::Owned(data));
+        let (len, end) = (data.len(), offset + data.len() as u64);
+        self.sum_blocks(&mut idx, fh, offset, &data);
+        // The frame is encoded before the disk write, so the data file
+        // can keep `data`.
+        let sums = range_sums(&idx.files[&fh].data_sums, self.cfg.block_size, offset, end);
+        encode_frame(&mut self.wal.lock(), |enc| encode_write_dirty(enc, fh, offset, &data, sums));
+        self.put_bytes(&mut idx, fh, offset, Cow::Owned(data));
         idx.apply_write_dirty(fh, offset, len);
         idx.touch(fh);
         self.append_frame(&mut idx);
@@ -1270,10 +1418,8 @@ impl BlockStore for PersistentStore {
             // corrupt block must surface as data loss, never be written
             // back to the origin as if it were the application's data.
             let want = (pos - lo) as usize;
-            let bytes = match self.disk.try_read(&entry.path, lo, want) {
-                Ok(Some(b)) if b.len() == want => Some(b),
-                _ => None,
-            };
+            let bytes =
+                self.disk.try_read(&entry.path, lo, want).ok().map(|b| zero_padded(b, want));
             let sound = self.unsound_blocks(entry, lo, pos).is_empty();
             match bytes {
                 Some(b) if sound => out.push((lo, b)),
@@ -1558,9 +1704,8 @@ mod tests {
         drop(s);
         disk.crash();
         let wal = disk.read(WAL_PATH, 0, usize::MAX).unwrap();
-        let recs: Vec<WalRecord> = frames(&wal)
-            .map(|(_, p)| gvfs_xdr::from_bytes::<WalRecord>(p.unwrap()).unwrap())
-            .collect();
+        let recs: Vec<WalRecord> =
+            frames(&wal).map(|(_, p, sound)| record(p, sound).unwrap()).collect();
         assert!(matches!(recs[2], WalRecord::InsertClean { .. }), "the record survived: {recs:?}");
         assert!(matches!(recs[3], WalRecord::WriteDirty { .. }), "{recs:?}");
         assert!(disk.len(&data_path(fh)).unwrap() < BS, "the data-file write was torn");
@@ -1804,8 +1949,104 @@ mod tests {
         assert_eq!(ev.len(), 1);
         assert!(ev[0].served);
         assert_eq!(s.stats().quarantined_blocks, 0, "nothing quarantined");
+        s.sync();
         let mut verified = PersistentStore::open(disk, cfg);
         assert!(verified.read(fh, 0, 4096).is_none(), "verifying store: never served");
+    }
+
+    /// Rot that lands while the store is down, or before a crash, is
+    /// caught after the restart: replay takes the logged sums, not sums
+    /// of what the disk now holds.
+    #[test]
+    fn rot_before_a_restart_is_caught_after_it() {
+        for crash in [false, true] {
+            let disk = VirtualDisk::new(DiskConfig::instant());
+            let cfg = PersistConfig { capacity: 1 << 20, ..PersistConfig::default() };
+            let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+            let (clean, dirty) = (Fh3::from_fileid(1), Fh3::from_fileid(2));
+            s.insert_clean(clean, 0, blocks(2));
+            s.write_dirty(dirty, 0, vec![5; 300]);
+            s.sync();
+            assert!(disk.corrupt_byte(&data_path(clean), BS + 17, 0x20));
+            assert!(disk.corrupt_byte(&data_path(dirty), 250, 0x02));
+            let mut s = if crash {
+                s.crash_reopen();
+                s
+            } else {
+                drop(s);
+                PersistentStore::open(disk, cfg)
+            };
+            assert_eq!(s.read(clean, 0, BS as usize).unwrap(), blocks(2)[..BS as usize]);
+            assert!(s.read(clean, 0, 2 * BS as usize).is_none(), "rotted clean block ({crash})");
+            assert!(s.read(dirty, 0, 300).is_none(), "rotted dirty block ({crash})");
+            let ev = s.take_integrity_events();
+            let want = [
+                IntegrityEvent { fh: clean, offset: BS, len: BS, dirty: false, served: false },
+                IntegrityEvent { fh: dirty, offset: 0, len: 300, dirty: true, served: false },
+            ];
+            assert_eq!(ev, want, "crash {crash}");
+        }
+    }
+
+    /// A flipped bit in the last `Synced` frame costs that frame only:
+    /// it still marks the barrier, so the clean insert logged before it
+    /// is not taken for an unsynced one and the synced dirty write after
+    /// that insert survives.
+    #[test]
+    fn a_rotted_synced_frame_costs_only_its_frame() {
+        let disk = VirtualDisk::new(DiskConfig::instant());
+        let cfg = PersistConfig { capacity: 1 << 20, ..PersistConfig::default() };
+        let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+        let (fh, other) = (Fh3::from_fileid(1), Fh3::from_fileid(2));
+        s.write_dirty(other, 0, vec![1; 10]);
+        s.sync();
+        s.insert_clean(fh, 0, blocks(1));
+        s.write_dirty(fh, BS, vec![2; 100]);
+        s.sync();
+        let wal = disk.read(WAL_PATH, 0, usize::MAX).unwrap();
+        let barriers: Vec<usize> =
+            frames(&wal).filter(|(_, p, _)| p.len() == 4).map(|(end, ..)| end).collect();
+        assert_eq!(barriers.len(), 2);
+        let last = barriers[1];
+        assert_eq!(last, wal.len(), "the last frame is the barrier");
+        assert!(disk.corrupt_byte(WAL_PATH, (last - 9) as u64, 0x01), "flip its discriminant");
+        s.crash_reopen();
+        let st = s.stats();
+        assert_eq!((st.wal_quarantined_frames, st.integrity_failures), (1, 1));
+        assert_eq!(s.read(fh, 0, BS as usize).unwrap(), blocks(1));
+        assert_eq!(s.read(fh, BS, 100).unwrap(), vec![2; 100]);
+        assert_eq!(s.dirty_ranges(fh), vec![(BS, 100)]);
+        assert_eq!(s.dirty_ranges(other), vec![(0, 10)]);
+        assert!(s.take_integrity_events().is_empty(), "no data lost");
+        assert_eq!(disk.len(WAL_PATH), Some(wal.len() as u64), "nothing truncated");
+    }
+
+    /// A refetch that fills the rest of a block holding synced dirty
+    /// bytes, lost with a crash, leaves those dirty bytes intact: replay
+    /// cuts the data file back to the length its logged writes reached,
+    /// so the bytes the crash kept of the unsynced growth are gone.
+    #[test]
+    fn a_crash_during_a_refetch_keeps_the_dirty_bytes_of_its_block() {
+        let disk = VirtualDisk::new(DiskConfig::instant());
+        let cfg = PersistConfig {
+            capacity: 1 << 20,
+            checkpoint_every: 2,
+            sync_every: usize::MAX,
+            ..PersistConfig::default()
+        };
+        let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+        let fh = Fh3::from_fileid(1);
+        s.write_dirty(fh, 0, vec![4; 100]);
+        s.retag(fh, t(1)); // the second record: a checkpoint
+        assert!(disk.exists(SNAP_PATH));
+        assert_eq!(disk.len(WAL_PATH), Some(0));
+        s.insert_clean(fh, 0, blocks(1));
+        s.crash_reopen();
+        assert_eq!(disk.len(&data_path(fh)), Some(100), "the torn growth is cut");
+        assert_eq!(s.read(fh, 0, 100).unwrap(), vec![4; 100]);
+        assert_eq!(s.dirty_ranges(fh), vec![(0, 100)]);
+        assert_eq!(s.stats().integrity_failures, 0);
+        assert!(s.take_integrity_events().is_empty());
     }
 
     /// Integrity counters and the scrub cursor survive a crash/reopen;

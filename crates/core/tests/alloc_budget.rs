@@ -1,9 +1,10 @@
 //! Allocation budget of the persistent store's block path: a counting
 //! global allocator pins the bytes one steady-state 32 KiB `write_dirty`
-//! or `insert_clean` (the most over 1,024 of each), one 32 KiB `read` and
-//! one whole `sync_every` cycle of writes allocate on an instant-disk
-//! store (the least cycle, and the most over forty cycles), and that a
-//! disk sync allocates nothing. Each budget is the measured count rounded
+//! or `insert_clean` (the most over 1,024 of each), one 32 KiB
+//! `insert_clean` 64 MiB into a new file, one 32 KiB `read` and one
+//! whole `sync_every` cycle of writes allocate on an instant-disk store
+//! (the least cycle, and the most over forty cycles), and that a disk
+//! sync allocates nothing. Each budget is the measured count rounded
 //! up to the next 32 KiB, so one more copy of the block anywhere on the
 //! path fails the test.
 
@@ -25,11 +26,18 @@ const WRITE_BUDGET: u64 = 2 * BLOCK as u64;
 /// page under the small `InsertClean` frames (0 B on most inserts). The
 /// data file keeps the inserted buffer as its page.
 const INSERT_BUDGET: u64 = BLOCK as u64;
+/// Where the far insert lands: 64 MiB into a new file.
+const FAR_OFFSET: u64 = 64 << 20;
+/// Measured 88,452 B: the block's own page (32,768 B) and the data
+/// file's page table across the hole (33 chunks of 64 entries, 50,688
+/// B), plus the new entry and the file's path. The 64 MiB hole before
+/// the block allocates nothing.
+const FAR_INSERT_BUDGET: u64 = 3 * BLOCK as u64;
 /// Measured 32,768 B: the bytes read off the disk, which the caller gets.
 const READ_BUDGET: u64 = 2 * BLOCK as u64;
 /// Measured 2,098,688 B: 64 WAL pages (the data file keeps each written
 /// block as its page, and the page it replaces moves into the undo
-/// record) and one chunk of the WAL's page table; 2,131,492 B at most,
+/// record) and one chunk of the WAL's page table; 2,132,992 B at most,
 /// on the cycles that land a 65th WAL page.
 const CYCLE_BUDGET: u64 = 66 * BLOCK as u64;
 
@@ -132,6 +140,22 @@ fn a_block_clean_insert_allocates_within_budget() {
         .expect("measured inserts");
     assert_eq!(store.read(fh, 0, BLOCK), Some(block(first + 1023)));
     assert!(insert <= INSERT_BUDGET, "insert_clean allocated {insert} B, budget {INSERT_BUDGET} B");
+}
+
+#[test]
+fn a_clean_insert_far_into_a_file_allocates_its_own_block_not_the_hole() {
+    let disk = VirtualDisk::new(DiskConfig::instant());
+    let mut store = PersistentStore::open(Arc::clone(&disk), PersistConfig::default());
+    warm_up(&mut store, &disk, Fh3::from_fileid(1));
+    let (fh, far) = (Fh3::from_fileid(2), FAR_OFFSET);
+    let data = block(7);
+    let (insert, ()) = allocated_by(|| store.insert_clean(fh, far, data));
+    assert_eq!(store.read(fh, far, BLOCK), Some(block(7)));
+    assert_eq!(store.read(fh, far - BLOCK as u64, BLOCK), None, "the hole is not cached");
+    assert!(
+        insert <= FAR_INSERT_BUDGET,
+        "insert_clean at {far} B allocated {insert} B, budget {FAR_INSERT_BUDGET} B"
+    );
 }
 
 #[test]

@@ -413,11 +413,12 @@ proptest! {
 
     /// Corruption arm: a seeded [`DiskFaultPlan`] rolls bit flips, torn
     /// sector writes and transient read errors under an arbitrary op
-    /// sequence. Crash ops are excluded on purpose: WAL replay skips
-    /// pre-write verification, so a crash inside the fault window could
-    /// launder rot into "recovered" state — that corner is carved out
-    /// here exactly as it is in the chaos scenario, and covered by the
-    /// WAL-frame quarantine regression test instead.
+    /// sequence. Crash ops are excluded on purpose: replay takes the
+    /// sums of the blocks that the unsynced records it cuts off wrote
+    /// afresh from the disk, so a crash inside the fault window could
+    /// absorb rot on those blocks into "recovered" state — that corner
+    /// is carved out here exactly as it is in the chaos scenario, and
+    /// the store's replay unit tests cover rot across a restart.
     ///
     /// The live property is one-sided: every read the store *answers*
     /// must be byte-identical to the oracle — a rotted or unreadable

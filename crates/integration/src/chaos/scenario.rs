@@ -597,9 +597,10 @@ pub fn rot_tag(file: usize) -> u64 {
 ///   a transport error), and arms a seeded
 ///   [`gvfs_netsim::disk::DiskFaultPlan`] over the same prefix: torn
 ///   repair writes until 16 s and read-time bit rot until 30 s. No
-///   crash is scripted: replay skips the pre-write verification, so a
-///   crash window would launder rot into fresh checksums — that corner
-///   is excluded here and documented in the store.
+///   crash is scripted: replay takes the sums of the blocks that the
+///   unsynced records it cuts off wrote afresh from the disk, so a crash
+///   inside the rot window could absorb rot on those blocks — that
+///   corner is excluded here and documented in the store.
 /// - **10–18 self-heal**: the background scrubber sweeps the store
 ///   (1 s period), quarantines every checksum mismatch, and refetches
 ///   the clean bytes from the origin; torn repair writes are caught by

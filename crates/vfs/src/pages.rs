@@ -23,7 +23,10 @@ const TABLE_CHUNK: usize = 64;
 /// kinds of bounded growth: an append that starts mid-page and runs past
 /// that page allocates its own last page whole (a streaming writer
 /// fills it next), and shorter appends grow it by doubling up to a
-/// page.
+/// page. A page of a hole that no write has touched since is a *hole
+/// page*: an empty vector that reads as zeros and allocates nothing, so
+/// a write far past the end costs its own pages, not the hole's. A
+/// write into a hole page allocates it.
 #[derive(Default)]
 pub struct Pages {
     /// The pages, in chunks of [`TABLE_CHUNK`]; every chunk but the last
@@ -49,8 +52,24 @@ impl Pages {
         self.len.div_ceil(PAGE_SIZE)
     }
 
-    fn page_mut(&mut self, i: usize) -> &mut Vec<u8> {
+    /// The vector of page `i`, empty for a hole page.
+    fn slot(&mut self, i: usize) -> &mut Vec<u8> {
         &mut self.table[i / TABLE_CHUNK][i % TABLE_CHUNK]
+    }
+
+    /// The length of page `i`: a whole page, or what the last one holds.
+    fn page_len(&self, i: usize) -> usize {
+        PAGE_SIZE.min(self.len - i * PAGE_SIZE)
+    }
+
+    /// Page `i`, allocated (as zeros) if it is a hole page.
+    fn page_mut(&mut self, i: usize) -> &mut Vec<u8> {
+        let len = self.page_len(i);
+        let page = self.slot(i);
+        if page.is_empty() {
+            *page = vec![0; len];
+        }
+        page
     }
 
     /// Adds a page after the last one. A file's first chunk grows with
@@ -120,17 +139,24 @@ impl Pages {
     }
 
     /// Truncates to `len` bytes, or zero-extends to it. Truncation frees
-    /// the pages past the end; a cut last page keeps its allocation.
+    /// the pages past the end; a cut last page keeps its allocation. An
+    /// allocated last page is zero-filled to its end, and the rest of the
+    /// extension is hole pages.
     pub fn resize(&mut self, len: usize) {
-        while self.len < len {
-            let n = (len - self.len).min(PAGE_SIZE - self.len % PAGE_SIZE);
-            self.append(&ZEROS[..n]);
+        let at = self.len % PAGE_SIZE;
+        if len > self.len && at > 0 && !self.slot(self.len / PAGE_SIZE).is_empty() {
+            self.append(&ZEROS[..(len - self.len).min(PAGE_SIZE - at)]);
+        }
+        if len > self.len {
+            for _ in self.page_count()..len.div_ceil(PAGE_SIZE) {
+                self.push(Vec::new());
+            }
+            self.len = len;
         }
         if len < self.len {
             self.truncate_pages(len.div_ceil(PAGE_SIZE));
             if len > 0 {
-                self.page_mut((len - 1) / PAGE_SIZE)
-                    .truncate(len - (len - 1) / PAGE_SIZE * PAGE_SIZE);
+                self.slot((len - 1) / PAGE_SIZE).truncate(len - (len - 1) / PAGE_SIZE * PAGE_SIZE);
             }
             self.len = len;
         }
@@ -138,19 +164,25 @@ impl Pages {
 
     /// Removes the bytes from `at` on and returns them as
     /// `(offset, bytes)` pieces, one per page: whole pages move out
-    /// uncopied, and only the part of a page cut at `at` is copied.
+    /// uncopied, and only the part of a page cut at `at` is copied. A
+    /// hole page comes out as zeros.
     pub fn split_off(&mut self, at: usize) -> Vec<(usize, Vec<u8>)> {
         if at >= self.len {
             return Vec::new();
         }
-        let first = at.div_ceil(PAGE_SIZE);
+        let (first, end) = (at.div_ceil(PAGE_SIZE), self.len);
         let mut out = Vec::with_capacity(self.page_count() - first + 1);
         if !at.is_multiple_of(PAGE_SIZE) {
-            out.push((at, self.page_mut(at / PAGE_SIZE).split_off(at % PAGE_SIZE)));
+            let page_end = end.min(at.next_multiple_of(PAGE_SIZE));
+            let cut = self.slot(at / PAGE_SIZE);
+            let tail =
+                if cut.is_empty() { vec![0; page_end - at] } else { cut.split_off(at % PAGE_SIZE) };
+            out.push((at, tail));
         }
         // The pages from `first` on in its chunk, then the later chunks.
         let mut offset = first * PAGE_SIZE;
         let mut take = |page: Vec<u8>| {
+            let page = if page.is_empty() { vec![0; PAGE_SIZE.min(end - offset)] } else { page };
             out.push((offset, page));
             offset += PAGE_SIZE;
         };
@@ -169,9 +201,10 @@ impl Pages {
     }
 
     /// Makes `page` the page that starts at `offset` and returns the page
-    /// it replaces, copying neither. `page` must fill that page's place:
-    /// be `PAGE_SIZE` long, or be the last page and reach at least the
-    /// end; and its allocation must be exactly its length.
+    /// it replaces, copying neither (a hole page comes back as zeros).
+    /// `page` must fill that page's place: be `PAGE_SIZE` long, or be the
+    /// last page and reach at least the end; and its allocation must be
+    /// exactly its length.
     ///
     /// # Errors
     ///
@@ -184,8 +217,9 @@ impl Pages {
         if !offset.is_multiple_of(PAGE_SIZE) || offset >= self.len || !fills || !exact {
             return Err(page);
         }
+        let old = std::mem::replace(self.page_mut(offset / PAGE_SIZE), page);
         self.len = self.len.max(end);
-        Ok(std::mem::replace(self.page_mut(offset / PAGE_SIZE), page))
+        Ok(old)
     }
 
     /// Appends `bytes` page by page. Every page but the last is
@@ -199,10 +233,9 @@ impl Pages {
         }
         let at = self.len % PAGE_SIZE;
         let streaming = at > 0 && at + bytes.len() > PAGE_SIZE;
-        self.len += bytes.len();
-        if let Some(last) =
-            self.table.last_mut().and_then(|c| c.last_mut()).filter(|p| p.len() < PAGE_SIZE)
-        {
+        let len = self.len + bytes.len();
+        if at > 0 {
+            let last = self.page_mut(self.len / PAGE_SIZE);
             let n = bytes.len().min(PAGE_SIZE - last.len());
             let need = last.len() + n;
             if need > last.capacity() {
@@ -217,6 +250,7 @@ impl Pages {
             page.extend_from_slice(piece);
             self.push(page);
         }
+        self.len = len;
     }
 }
 
@@ -257,8 +291,9 @@ impl<'a> Slices<'a> {
         let pages = if self.len == 0 { 0..0 } else { start / PAGE_SIZE..end.div_ceil(PAGE_SIZE) };
         pages.map(move |i| {
             let base = i * PAGE_SIZE;
-            &table[i / TABLE_CHUNK][i % TABLE_CHUNK]
-                [start.max(base) - base..end.min(base + PAGE_SIZE) - base]
+            let page = &table[i / TABLE_CHUNK][i % TABLE_CHUNK];
+            let page = if page.is_empty() { &ZEROS[..] } else { page };
+            &page[start.max(base) - base..end.min(base + PAGE_SIZE) - base]
         })
     }
 
@@ -340,6 +375,36 @@ mod tests {
         assert_eq!(&all[2 * PAGE_SIZE + 7..], b"xy");
         assert!(p.slice(10, 5).is_empty());
         assert!(p.slice(p.len() + 1, p.len() + 9).is_empty());
+    }
+
+    #[test]
+    fn a_hole_allocates_nothing_until_written() {
+        let mut p = Pages::new();
+        p.write(1000 * PAGE_SIZE + 3, b"far");
+        assert_eq!(p.len(), 1000 * PAGE_SIZE + 6);
+        assert_eq!(p.capacity(), 6, "only the written page");
+        assert!(p.slice(0, 1000 * PAGE_SIZE + 3).iter().all(|piece| piece.iter().all(|&b| b == 0)));
+        p.write(7 * PAGE_SIZE + 1, b"x");
+        p.xor(9 * PAGE_SIZE, 0x10);
+        assert_eq!(p.capacity(), 6 + 2 * PAGE_SIZE, "a touched hole page is allocated");
+        let mut want = vec![0; 1000 * PAGE_SIZE + 6];
+        want[7 * PAGE_SIZE + 1] = b'x';
+        want[9 * PAGE_SIZE] = 0x10;
+        want[1000 * PAGE_SIZE + 3..].copy_from_slice(b"far");
+        assert_eq!(p.slice(0, p.len()), want[..]);
+        let old = p.replace_page(10 * PAGE_SIZE, vec![1; PAGE_SIZE]).expect("a whole page");
+        assert_eq!(old, vec![0; PAGE_SIZE], "a replaced hole page comes back as zeros");
+        want[10 * PAGE_SIZE..11 * PAGE_SIZE].fill(1);
+        let tail: Vec<u8> =
+            p.split_off(8 * PAGE_SIZE + 5).into_iter().flat_map(|(_, b)| b).collect();
+        assert_eq!(tail, want[8 * PAGE_SIZE + 5..], "split-off hole pages come out as zeros");
+        p.resize(20 * PAGE_SIZE + 9);
+        assert_eq!(
+            p.capacity(),
+            PAGE_SIZE,
+            "only page 7 is left allocated; the regrown tail is holes"
+        );
+        assert_eq!(p.slice(8 * PAGE_SIZE, p.len()).to_vec(), vec![0; 12 * PAGE_SIZE + 9]);
     }
 
     #[test]
