@@ -3,8 +3,8 @@
 //! On-disk layout over one [`VirtualDisk`] (one per proxy machine):
 //!
 //! ```text
-//! wal.log              append-only redo log (framed XDR records)
-//! index.snap           checkpoint snapshot of the extent index
+//! wal.log              append-only redo log (framed XDR records); a
+//!                      checkpoint starts it afresh with the index
 //! data/<2hex>/<16hex>  per-handle sparse file: every cached byte of the
 //!                      handle, clean or dirty, at its file offset; keyed
 //!                      by the content hash of the Fh3
@@ -21,9 +21,8 @@
 //! the records before it reached the disk.
 //!
 //! **Recovery.** On open (and after [`BlockStore::crash_reopen`]) the
-//! store loads `index.snap` if its trailing checksum verifies, then
-//! replays `wal.log` record by record. A frame extending past the end
-//! of the log is a *torn tail* — replay stops and truncates there, so
+//! store replays `wal.log` record by record. A frame extending past the
+//! end of the log is a *torn tail* — replay stops and truncates there, so
 //! no torn dirty record is ever applied. Up to the barrier, an in-bounds
 //! frame that fails verification — a flipped bit in its payload or
 //! checksum, or an undecodable record — is *interior corruption*: the
@@ -62,12 +61,15 @@
 //! (modeled as piggybacked on the data transfer they guard); only the
 //! served bytes are charged.
 //!
-//! **Checkpoint.** Every `checkpoint_every` records the index is
-//! snapshotted (`index.snap.new` → sync → rename → sync) and the WAL is
-//! truncated.
+//! **Checkpoint.** Every `checkpoint_every` records the log starts
+//! afresh: the whole index goes into `wal.log.new` as one `Checkpoint`
+//! record per handle, in handle order, then a `Synced` record, and the
+//! file replaces the log (`wal.log.new` → sync → rename → sync). Replay
+//! applies these records like any other, so a rotted one costs only its
+//! handle.
 //!
 //! **Eviction.** Clean extents of least-recently-used files are dropped
-//! (with an `Evict` record) until within capacity; dirty bytes are
+//! (with a `DropClean` record) until within capacity; dirty bytes are
 //! never evicted. The LRU clock is volatile: after a restart, recency
 //! is WAL replay order.
 //!
@@ -85,13 +87,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const WAL_PATH: &str = "wal.log";
-const SNAP_PATH: &str = "index.snap";
-const SNAP_NEW_PATH: &str = "index.snap.new";
-const SNAP_MAGIC: u32 = 0x6776_7353; // "gvsS"
-/// Version 2 added per-block data-file checksums; version 3 moved every
-/// checksum from FNV-1a to [`content_hash`]; version 4 keeps clean
-/// bytes in the data files.
-const SNAP_VERSION: u32 = 4;
+const WAL_NEW_PATH: &str = "wal.log.new";
 
 /// Tuning for a [`PersistentStore`].
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +97,8 @@ pub struct PersistConfig {
     /// Checksum granularity of the data files, normally the transfer
     /// size.
     pub block_size: u64,
-    /// WAL records between checkpoints (snapshot + WAL truncate).
+    /// WAL records between checkpoints (a fresh WAL that starts with the
+    /// index).
     pub checkpoint_every: usize,
     /// WAL records between implicit durability barriers.
     pub sync_every: usize,
@@ -374,17 +371,18 @@ fn covers(extents: &BTreeMap<u64, Ext>, start: u64, end: u64) -> bool {
 /// One WAL record. `InsertClean` logs clean bytes written into the data
 /// file over `[offset, offset + len)`, around the dirty bytes there;
 /// `InsertClean` and `WriteDirty` carry the sum of each block their
-/// range touches, as it stood after the write; `Synced`, that the disk
-/// was synced right after it was logged.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// range touches, as it stood after the write; `Checkpoint`, a handle's
+/// whole entry, at the start of a log a checkpoint began; `Synced`, that
+/// the disk was synced right after it was logged.
+#[derive(Debug)]
 enum WalRecord {
     Retag { fh: Fh3, mtime: NfsTime3, drop: bool },
     InsertClean { fh: Fh3, offset: u64, len: u64, sums: Vec<u64> },
     WriteDirty { fh: Fh3, offset: u64, bytes: Vec<u8>, sums: Vec<u64> },
     CleanRange { fh: Fh3, offset: u64, len: u64 },
     DropClean { fh: Fh3 },
-    Evict { fh: Fh3 },
     Forget { fh: Fh3 },
+    Checkpoint { fh: Fh3, entry: Entry },
     Synced,
 }
 
@@ -448,9 +446,45 @@ fn encode_write_dirty(
     Ok(())
 }
 
+/// Encodes a [`WalRecord::Checkpoint`] of `entry`: its length, tag,
+/// extents and block sums.
+fn encode_checkpoint(enc: &mut Encoder, fh: Fh3, entry: &Entry) -> Result<(), XdrError> {
+    enc.put_u32(2);
+    enc.put_u64(fh.fileid());
+    enc.put_u64(entry.len);
+    entry.tag.encode(enc)?;
+    enc.put_u32(u32::try_from(entry.extents.len()).expect("extent count fits u32"));
+    for (offset, ext) in &entry.extents {
+        enc.put_u64(*offset);
+        enc.put_u64(ext.len as u64);
+        enc.put_bool(ext.dirty);
+    }
+    enc.put_u32(u32::try_from(entry.data_sums.len()).expect("sum count fits u32"));
+    for (block, sum) in &entry.data_sums {
+        enc.put_u64(*block);
+        enc.put_u64(*sum);
+    }
+    Ok(())
+}
+
 fn get_sums(dec: &mut Decoder<'_>) -> Result<Vec<u64>, XdrError> {
     let count = dec.get_u32()?;
     (0..count).map(|_| dec.get_u64()).collect()
+}
+
+fn get_entry(dec: &mut Decoder<'_>, fh: Fh3) -> Result<Entry, XdrError> {
+    let mut entry = Entry::new(fh);
+    entry.len = dec.get_u64()?;
+    entry.tag = Option::decode(dec)?;
+    for _ in 0..dec.get_u32()? {
+        let offset = dec.get_u64()?;
+        let len = usize::try_from(dec.get_u64()?).map_err(|_| XdrError::LengthOverflow)?;
+        entry.extents.insert(offset, Ext { len, dirty: dec.get_bool()? });
+    }
+    for _ in 0..dec.get_u32()? {
+        entry.data_sums.insert(dec.get_u64()?, dec.get_u64()?);
+    }
+    Ok(entry)
 }
 
 impl Xdr for WalRecord {
@@ -478,14 +512,11 @@ impl Xdr for WalRecord {
                 enc.put_u32(5);
                 enc.put_u64(fh.fileid());
             }
-            WalRecord::Evict { fh } => {
-                enc.put_u32(6);
-                enc.put_u64(fh.fileid());
-            }
             WalRecord::Forget { fh } => {
                 enc.put_u32(7);
                 enc.put_u64(fh.fileid());
             }
+            WalRecord::Checkpoint { fh, entry } => encode_checkpoint(enc, *fh, entry)?,
             WalRecord::Synced => enc.put_u32(SYNCED),
         }
         Ok(())
@@ -513,8 +544,8 @@ impl Xdr for WalRecord {
             },
             4 => WalRecord::CleanRange { fh, offset: dec.get_u64()?, len: dec.get_u64()? },
             5 => WalRecord::DropClean { fh },
-            6 => WalRecord::Evict { fh },
             7 => WalRecord::Forget { fh },
+            2 => WalRecord::Checkpoint { fh, entry: get_entry(dec, fh)? },
             other => {
                 return Err(XdrError::InvalidDiscriminant { type_name: "WalRecord", value: other })
             }
@@ -684,31 +715,38 @@ impl Idx {
         entry.data_sums.extend(blocks(bs, offset, end).zip(sums.iter().copied()));
     }
 
-    fn apply_record(&mut self, rec: &WalRecord, bs: u64) {
+    fn apply_record(&mut self, rec: WalRecord, bs: u64) {
         match rec {
             WalRecord::Retag { fh, mtime, drop } => {
-                if *drop {
-                    self.apply_drop_clean(*fh);
+                if drop {
+                    self.apply_drop_clean(fh);
                 }
-                self.entry(*fh).tag = Some(*mtime);
+                self.entry(fh).tag = Some(mtime);
             }
             WalRecord::InsertClean { fh, offset, len, sums } => {
-                self.apply_insert_clean(*fh, *offset, *len);
-                self.adopt_sums(*fh, *offset, offset + len, sums, bs);
-                self.touch(*fh);
+                self.apply_insert_clean(fh, offset, len);
+                self.adopt_sums(fh, offset, offset + len, &sums, bs);
+                self.touch(fh);
             }
             WalRecord::WriteDirty { fh, offset, bytes, sums } => {
                 let end = offset + bytes.len() as u64;
-                self.apply_write_dirty(*fh, *offset, bytes.len());
-                self.adopt_sums(*fh, *offset, end, sums, bs);
-                self.touch(*fh);
+                self.apply_write_dirty(fh, offset, bytes.len());
+                self.adopt_sums(fh, offset, end, &sums, bs);
+                self.touch(fh);
             }
-            WalRecord::CleanRange { fh, offset, len } => self.apply_clean_range(*fh, *offset, *len),
-            WalRecord::DropClean { fh } | WalRecord::Evict { fh } => {
-                self.apply_drop_clean(*fh);
+            WalRecord::CleanRange { fh, offset, len } => self.apply_clean_range(fh, offset, len),
+            WalRecord::DropClean { fh } => {
+                self.apply_drop_clean(fh);
             }
             WalRecord::Forget { fh } => {
-                self.apply_forget(*fh);
+                self.apply_forget(fh);
+            }
+            WalRecord::Checkpoint { fh, entry } => {
+                // Only the start of a fresh log holds these records, one
+                // per handle, so no entry is there to replace.
+                self.used += entry.bytes();
+                self.files.insert(fh, entry);
+                self.touch(fh);
             }
             WalRecord::Synced => {}
         }
@@ -756,9 +794,9 @@ pub struct PersistentStore {
 }
 
 impl PersistentStore {
-    /// Opens (or creates) the store on `disk`, replaying any index
-    /// snapshot and WAL left by a previous incarnation. Replay I/O is
-    /// treated as mount-time work: its simulated cost is discarded.
+    /// Opens (or creates) the store on `disk`, replaying the WAL left by
+    /// a previous incarnation. Replay I/O is treated as mount-time work:
+    /// its simulated cost is discarded.
     #[must_use]
     pub fn open(disk: Arc<VirtualDisk>, cfg: PersistConfig) -> Self {
         let store = PersistentStore {
@@ -817,31 +855,38 @@ impl PersistentStore {
         wal.since_sync = 0;
     }
 
-    /// Snapshot + sync + WAL truncate.
-    fn checkpoint(&self, idx: &mut Idx, wal: &mut WalState) {
-        let snap = encode_snapshot(idx);
-        self.disk.remove(SNAP_NEW_PATH);
-        self.disk.write(SNAP_NEW_PATH, 0, &snap);
+    /// Starts a fresh WAL whose first records are the index, one
+    /// `Checkpoint` record per handle in handle order, then a `Synced`
+    /// one; it replaces the log once it is synced.
+    fn checkpoint(&self, idx: &Idx, wal: &mut WalState) {
+        self.disk.remove(WAL_NEW_PATH);
+        let mut fhs: Vec<Fh3> = idx.files.keys().copied().collect();
+        fhs.sort_unstable();
+        for fh in fhs {
+            encode_frame(wal, |enc| encode_checkpoint(enc, fh, &idx.files[&fh]));
+            self.disk.append(WAL_NEW_PATH, &wal.frame);
+        }
+        encode_frame(wal, |enc| WalRecord::Synced.encode(enc));
+        self.disk.append(WAL_NEW_PATH, &wal.frame);
         self.disk.sync();
-        self.disk.rename(SNAP_NEW_PATH, SNAP_PATH);
-        self.disk.sync();
-        self.disk.truncate(WAL_PATH, 0);
+        self.disk.rename(WAL_NEW_PATH, WAL_PATH);
         self.disk.sync();
         wal.since_sync = 0;
         wal.since_checkpoint = 0;
     }
 
-    /// Loads the snapshot and replays the WAL up to its last `Synced`
-    /// record (the barrier), skipping and counting any frame that fails
-    /// verification; these records' data writes reached the disk, so
-    /// their logged sums are taken as they are. Each data file is then
-    /// cut to the length those records wrote (and a file no entry owns
-    /// is removed), which drops whatever bytes unsynced writes left.
-    /// After the barrier, dirty writes are redone from the log, and the
-    /// log ends at the first clean insert, whose bytes it does not hold,
-    /// or at the first frame that fails verification. The sums of the
-    /// blocks the records from there on wrote are taken afresh, and the
-    /// WAL is truncated there. Carries over lifetime counters.
+    /// Replays the WAL up to its last `Synced` record (the barrier),
+    /// skipping and counting any frame that fails verification, a
+    /// checkpoint's records among them; these records' data writes
+    /// reached the disk, so their logged sums are taken as they are.
+    /// Each data file is then cut to the length those records wrote
+    /// (and a file no entry owns is removed), which drops whatever bytes
+    /// unsynced writes left. After the barrier, dirty writes are redone
+    /// from the log, and the log ends at the first clean insert, whose
+    /// bytes it does not hold, or at the first frame that fails
+    /// verification. The sums of the blocks the records from there on
+    /// wrote are taken afresh, and the WAL is truncated there. Carries
+    /// over lifetime counters.
     fn replay(&self, carry: Carry) {
         let mut idx = Idx {
             replaying: true,
@@ -851,9 +896,6 @@ impl PersistentStore {
             wal_quarantined: carry.wal_quarantined,
             ..Idx::default()
         };
-        if let Some(snap) = self.disk.read(SNAP_PATH, 0, usize::MAX) {
-            decode_snapshot(&snap, &mut idx);
-        }
         let wal_bytes = self.disk.read(WAL_PATH, 0, usize::MAX).unwrap_or_default();
         // A `Synced` record is the only one whose payload is its 4-byte
         // discriminant, so a rotted one still marks its barrier.
@@ -866,7 +908,7 @@ impl PersistentStore {
         let mut frames = frames(&wal_bytes).peekable();
         while let Some((_, payload, sound)) = frames.next_if(|(end, ..)| *end <= synced_end) {
             if let Some(rec) = record(payload, sound) {
-                idx.apply_record(&rec, bs);
+                idx.apply_record(rec, bs);
             } else {
                 // Interior corruption (flipped payload bit or an
                 // undecodable record): quarantine the frame but keep
@@ -881,9 +923,9 @@ impl PersistentStore {
         let mut cut = false;
         for (end, payload, sound) in frames {
             let rec = record(payload, sound);
-            match &rec {
+            match rec {
                 Some(rec) if !cut && !matches!(rec, WalRecord::InsertClean { .. }) => {
-                    match rec {
+                    match &rec {
                         // Redo: the WAL carries the dirty bytes.
                         WalRecord::WriteDirty { fh, offset, bytes, .. } => {
                             self.disk.write(&idx.entry(*fh).path, *offset, bytes);
@@ -923,7 +965,6 @@ impl PersistentStore {
         }
         // Everything replayed clean is servable warm.
         idx.warm_blocks = count_clean_blocks(&idx, self.cfg.block_size);
-        idx.used = idx.files.values().map(Entry::bytes).sum();
         idx.replaying = false;
         *self.index.lock() = idx;
         let mut wal = self.wal.lock();
@@ -1122,7 +1163,7 @@ impl PersistentStore {
             let dropped = idx.apply_drop_clean(fh);
             if dropped > 0 {
                 idx.evictions += 1;
-                self.log(idx, &WalRecord::Evict { fh });
+                self.log(idx, &WalRecord::DropClean { fh });
             }
             if idx.files.get(&fh).is_some_and(|e| !e.extents.is_empty()) {
                 // Still dirty: keep hot so the loop can make progress.
@@ -1150,97 +1191,6 @@ fn count_clean_blocks(idx: &Idx, block_size: u64) -> u64 {
         blocks_touched(ranges, block_size).len() as u64
     };
     idx.files.values().map(clean).sum()
-}
-
-fn encode_snapshot(idx: &Idx) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u32(SNAP_MAGIC);
-    enc.put_u32(SNAP_VERSION);
-    let mut fhs: Vec<Fh3> = idx.files.keys().copied().collect();
-    fhs.sort_unstable();
-    enc.put_u32(u32::try_from(fhs.len()).expect("file count fits u32"));
-    for fh in fhs {
-        let entry = &idx.files[&fh];
-        enc.put_u64(fh.fileid());
-        enc.put_u64(entry.len);
-        match entry.tag {
-            Some(t) => {
-                enc.put_bool(true);
-                enc.put_u32(t.seconds);
-                enc.put_u32(t.nseconds);
-            }
-            None => enc.put_bool(false),
-        }
-        enc.put_u32(u32::try_from(entry.extents.len()).expect("extent count fits u32"));
-        for (off, ext) in &entry.extents {
-            enc.put_u64(*off);
-            enc.put_u32(u32::try_from(ext.len).expect("extent len fits u32"));
-            enc.put_bool(ext.dirty);
-        }
-        enc.put_u32(u32::try_from(entry.data_sums.len()).expect("sum count fits u32"));
-        for (block, sum) in &entry.data_sums {
-            enc.put_u64(*block);
-            enc.put_u64(*sum);
-        }
-    }
-    enc.put_u64(idx.next_seq);
-    let mut bytes = enc.into_bytes();
-    let sum = content_hash(&bytes);
-    bytes.extend_from_slice(&sum.to_be_bytes());
-    bytes
-}
-
-/// Populates `idx` from a snapshot if it verifies; a torn or corrupt
-/// snapshot is ignored (the WAL alone still recovers a valid prefix).
-fn decode_snapshot(bytes: &[u8], idx: &mut Idx) {
-    if bytes.len() < 8 {
-        return;
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_be_bytes(trailer.try_into().expect("8 bytes"));
-    if content_hash(payload) != stored {
-        return;
-    }
-    let mut dec = Decoder::new(payload);
-    let ok = (|| -> Result<(), XdrError> {
-        if dec.get_u32()? != SNAP_MAGIC || dec.get_u32()? != SNAP_VERSION {
-            return Err(XdrError::InvalidDiscriminant { type_name: "snapshot", value: 0 });
-        }
-        let nfiles = dec.get_u32()?;
-        for _ in 0..nfiles {
-            let fh = Fh3::from_fileid(dec.get_u64()?);
-            let mut entry = Entry::new(fh);
-            entry.len = dec.get_u64()?;
-            if dec.get_bool()? {
-                entry.tag = Some(NfsTime3 { seconds: dec.get_u32()?, nseconds: dec.get_u32()? });
-            }
-            let nexts = dec.get_u32()?;
-            for _ in 0..nexts {
-                let off = dec.get_u64()?;
-                let ext = Ext { len: dec.get_u32()? as usize, dirty: dec.get_bool()? };
-                entry.extents.insert(off, ext);
-            }
-            let nsums = dec.get_u32()?;
-            for _ in 0..nsums {
-                entry.data_sums.insert(dec.get_u64()?, dec.get_u64()?);
-            }
-            idx.files.insert(fh, entry);
-        }
-        idx.next_seq = dec.get_u64()?;
-        Ok(())
-    })();
-    if ok.is_err() {
-        idx.files.clear();
-        idx.next_seq = 0;
-        return;
-    }
-    // Rebuild the LRU (recency order is volatile; seed it with snapshot
-    // order).
-    let mut fhs: Vec<Fh3> = idx.files.keys().copied().collect();
-    fhs.sort_unstable();
-    for fh in fhs {
-        idx.touch(fh);
-    }
 }
 
 impl BlockStore for PersistentStore {
@@ -1772,8 +1722,22 @@ mod tests {
         });
     }
 
+    /// Asserts that the log on `disk` starts as a checkpoint left it,
+    /// one `Checkpoint` record per handle and then a `Synced` one, and
+    /// that the disk holds no file but the log and the data files.
+    fn assert_checkpointed_log(disk: &VirtualDisk, handles: usize) {
+        let wal = disk.read(WAL_PATH, 0, usize::MAX).unwrap();
+        let recs: Vec<WalRecord> =
+            frames(&wal).map(|(_, p, sound)| record(p, sound).unwrap()).collect();
+        let (index, rest) = recs.split_at(handles);
+        assert!(index.iter().all(|r| matches!(r, WalRecord::Checkpoint { .. })), "{recs:?}");
+        assert!(matches!(rest.first(), Some(WalRecord::Synced)), "{recs:?}");
+        let files = disk.list("");
+        assert!(files.iter().all(|p| p == WAL_PATH || p.starts_with("data/")), "{files:?}");
+    }
+
     #[test]
-    fn checkpoint_snapshots_and_truncates_wal() {
+    fn checkpoint_starts_a_fresh_wal_with_the_index() {
         let disk = VirtualDisk::new(DiskConfig::instant());
         let cfg = PersistConfig {
             capacity: 1 << 20,
@@ -1786,7 +1750,7 @@ mod tests {
         for i in 0..6u64 {
             s.write_dirty(fh, i * 10, vec![i as u8 + 1; 10]);
         }
-        assert!(disk.exists(SNAP_PATH), "checkpoint wrote a snapshot");
+        assert_checkpointed_log(&disk, 1);
         s.sync();
         drop(s);
         let mut s2 = PersistentStore::open(disk, cfg);
@@ -2038,8 +2002,7 @@ mod tests {
         let fh = Fh3::from_fileid(1);
         s.write_dirty(fh, 0, vec![4; 100]);
         s.retag(fh, t(1)); // the second record: a checkpoint
-        assert!(disk.exists(SNAP_PATH));
-        assert_eq!(disk.len(WAL_PATH), Some(0));
+        assert_checkpointed_log(&disk, 1);
         s.insert_clean(fh, 0, blocks(1));
         s.crash_reopen();
         assert_eq!(disk.len(&data_path(fh)), Some(100), "the torn growth is cut");
@@ -2050,7 +2013,7 @@ mod tests {
     }
 
     /// Integrity counters and the scrub cursor survive a crash/reopen;
-    /// per-block sums ride the snapshot across checkpoints.
+    /// per-block sums ride the checkpoint records across checkpoints.
     #[test]
     fn sums_survive_checkpoint_and_counters_survive_crash() {
         let disk = VirtualDisk::new(DiskConfig::instant());
@@ -2065,7 +2028,7 @@ mod tests {
         for i in 0..4u64 {
             s.write_dirty(fh, i * 100, vec![i as u8 + 1; 100]);
         }
-        assert!(disk.exists(SNAP_PATH));
+        assert_checkpointed_log(&disk, 1);
         s.sync();
         assert!(s.disk.corrupt_byte(&data_path(fh), 150, 0x04));
         assert!(s.read(fh, 0, 400).is_none());
@@ -2073,10 +2036,10 @@ mod tests {
         assert!(failures >= 1);
         s.crash_reopen();
         assert_eq!(s.stats().integrity_failures, failures, "counters carry over");
-        // The snapshot restored sums for the surviving blocks: corrupt
+        // The checkpoint restored sums for the surviving blocks: corrupt
         // the replayed data file and verification still catches it.
         assert!(s.disk.corrupt_byte(&data_path(fh), 350, 0x04));
-        assert!(s.read(fh, 300, 100).is_none(), "snapshot-era sums still verify");
+        assert!(s.read(fh, 300, 100).is_none(), "checkpointed sums still verify");
     }
 
     /// The published XXH64 (seed 0) test vectors.
@@ -2163,44 +2126,63 @@ mod tests {
         }
     }
 
-    /// A snapshot of an older format version (2 or 3) is ignored, even
-    /// with a valid trailer; the WAL written after it still replays.
+    /// One flipped byte in a checkpoint record costs only its handle:
+    /// the other handle's dirty bytes come back, and the loss is counted.
     #[test]
-    fn version_2_snapshot_is_ignored_and_wal_still_replays() {
+    fn a_rotted_checkpoint_frame_costs_only_its_handle() {
+        let disk = VirtualDisk::new(DiskConfig::instant());
         let cfg = PersistConfig {
+            capacity: 1 << 20,
             checkpoint_every: 2,
             sync_every: usize::MAX,
             ..PersistConfig::default()
         };
-        let snapped = Fh3::from_fileid(1);
-        let logged = Fh3::from_fileid(2);
-        let build = || {
-            let disk = VirtualDisk::new(DiskConfig::instant());
-            let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
-            s.write_dirty(snapped, 0, vec![1; 100]);
-            s.write_dirty(snapped, 100, vec![2; 100]); // checkpoint
-            assert!(disk.exists(SNAP_PATH));
-            s.write_dirty(logged, 0, vec![3; 100]);
-            s.sync();
-            disk
-        };
-        let mut current = PersistentStore::open(build(), cfg);
-        assert!(current.read(snapped, 0, 200).is_some(), "a version-4 snapshot loads");
+        let (a, b) = (Fh3::from_fileid(1), Fh3::from_fileid(2));
+        let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+        s.write_dirty(a, 0, vec![1; 100]);
+        s.write_dirty(b, 0, vec![2; 100]); // the second record: a checkpoint
+        s.sync();
+        assert_checkpointed_log(&disk, 2);
+        // The first frame holds `a`, the lower handle; flip a byte of
+        // its block sums.
+        let wal = disk.read(WAL_PATH, 0, usize::MAX).unwrap();
+        let end = frames(&wal).next().unwrap().0;
+        assert!(disk.corrupt_byte(WAL_PATH, (end - 20) as u64, 0x08));
+        drop(s);
+        let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+        assert_eq!(s.read(b, 0, 100).unwrap(), vec![2; 100]);
+        assert_eq!(s.dirty_ranges(b), vec![(0, 100)]);
+        assert!(s.read(a, 0, 100).is_none(), "the rotted handle is gone");
+        assert!(s.dirty_ranges(a).is_empty());
+        assert!(!disk.exists(&data_path(a)), "with its data file");
+        let st = s.stats();
+        assert_eq!((st.wal_quarantined_frames, st.integrity_failures), (1, 1));
+        assert_eq!(s.used_bytes(), 100);
+    }
 
-        for version in [2u32, 3] {
-            let disk = build();
-            let snap = disk.read(SNAP_PATH, 0, usize::MAX).unwrap();
-            let mut old = snap[..snap.len() - 8].to_vec();
-            old[4..8].copy_from_slice(&version.to_be_bytes());
-            let sum = content_hash(&old);
-            old.extend_from_slice(&sum.to_be_bytes());
-            disk.write(SNAP_PATH, 0, &old);
-            disk.sync();
-            let mut s = PersistentStore::open(disk, cfg);
-            assert!(s.read(snapped, 0, 200).is_none(), "the version-{version} snapshot is ignored");
-            assert_eq!(s.read(logged, 0, 100).unwrap(), vec![3; 100], "the WAL replays");
-            assert_eq!(s.dirty_ranges(logged), vec![(0, 100)]);
-        }
+    /// A dirty write over bytes a checkpoint recorded replaces them, and
+    /// replay keeps the byte count exact.
+    #[test]
+    fn an_overwrite_after_a_checkpoint_replays_exactly() {
+        let disk = VirtualDisk::new(DiskConfig::instant());
+        let cfg = PersistConfig {
+            capacity: 1 << 20,
+            checkpoint_every: 2,
+            sync_every: usize::MAX,
+            ..PersistConfig::default()
+        };
+        let fh = Fh3::from_fileid(1);
+        let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+        s.write_dirty(fh, 0, vec![1; 100]);
+        s.write_dirty(fh, 100, vec![2; 100]); // the second record: a checkpoint
+        s.write_dirty(fh, 0, vec![3; 50]);
+        s.sync();
+        drop(s);
+        let mut s = PersistentStore::open(disk, cfg);
+        assert_eq!(s.dirty_ranges(fh), vec![(0, 200)]);
+        assert_eq!(s.used_bytes(), 200);
+        let want = [vec![3; 50], vec![1; 50], vec![2; 100]].concat();
+        assert_eq!(s.read(fh, 0, 200).unwrap(), want);
     }
 
     /// The write-back flush pattern: one `clean_range` (and so one disk

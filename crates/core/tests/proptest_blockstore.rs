@@ -18,9 +18,11 @@
 //!   it recovers must be *some* historical state between the last
 //!   durability point and now — never a torn or reordered mixture. The
 //!   test keeps a snapshot of the mirror after every op and requires
-//!   the recovered fingerprint to equal one of the eligible snapshots,
-//!   then rolls the mirror back to the matching snapshot and resumes
-//!   lockstep comparison from there.
+//!   the recovered fingerprint to equal one of the eligible snapshots.
+//!   The fingerprint leaves out mtime tags, so more than one snapshot
+//!   may match: each becomes a candidate timeline, every later op is
+//!   applied to each, a candidate that diverges from the store is
+//!   dropped, and the test fails only when none is left.
 //!
 //! Each write's payload is drawn from a global counter so every
 //! operation's bytes are distinct — a recovered state can only
@@ -218,15 +220,16 @@ fn assert_match(
     Ok(())
 }
 
-fn big_store(disk: std::sync::Arc<VirtualDisk>) -> PersistentStore {
+/// A store that never evicts. With `checkpoint_every: usize::MAX` it
+/// has no implicit durability: the only sync points are the ones the op
+/// sequence performs (plus clean_range's barrier).
+fn big_store(disk: std::sync::Arc<VirtualDisk>, checkpoint_every: usize) -> PersistentStore {
     PersistentStore::open(
         disk,
         PersistConfig {
             capacity: 1 << 30, // no eviction: LRU recency is volatile across replay
             block_size: BLOCK,
-            // No implicit durability: the only sync points are the ones
-            // the op sequence performs (plus clean_range's barrier).
-            checkpoint_every: usize::MAX,
+            checkpoint_every,
             sync_every: usize::MAX,
             verify: true,
         },
@@ -243,84 +246,101 @@ proptest! {
         probes in proptest::collection::vec((0..NFILES, 0..SPACE - 1, 1usize..300), 6),
     ) {
         let disk = VirtualDisk::new(DiskConfig::instant());
-        let mut persist = big_store(disk);
-        let mut mirror = MemStore::new(1 << 30);
+        let mut persist = big_store(disk, usize::MAX);
 
-        // Mirror snapshots along the current timeline; the top is always
-        // the present state. `floor` is the last *durability barrier*
+        // Candidate timelines of mirror snapshots; the last of each is
+        // its present state and the first its last *durability barrier*
         // (sync or clean_range): any crash — including one right after a
         // recovery, whose replayed-but-unsynced WAL suffix may be lost
-        // again — must land on some state in `floor..=top`.
-        let mut snapshots: Vec<MemStore> = vec![mirror.clone()];
-        let mut floor = 0usize;
+        // again — must land on some state of a timeline.
+        let mut timelines: Vec<Vec<MemStore>> = vec![vec![MemStore::new(1 << 30)]];
         let mut counter = 0u32;
 
         for op in &ops {
             match op {
                 Op::Sync => {
                     persist.sync();
-                    floor = snapshots.len() - 1;
+                    for t in &mut timelines {
+                        t.drain(..t.len() - 1);
+                    }
                 }
                 Op::Crash => {
                     persist.crash_reopen();
                     let got = fingerprint(&mut persist);
-                    let eligible = floor..snapshots.len();
-                    let matched = eligible.clone().rev().find(|&k| {
-                        fingerprint(&mut snapshots[k].clone()) == got
-                    });
+                    // Resume lockstep from every state the store may have
+                    // recovered. The barrier does not move: replay does
+                    // not sync, so a later crash may regress further.
+                    let mut matched = Vec::new();
+                    for t in &timelines {
+                        for (k, state) in t.iter().enumerate() {
+                            if fingerprint(&mut state.clone()) == got {
+                                matched.push(t[..=k].to_vec());
+                            }
+                        }
+                    }
                     prop_assert!(
-                        matched.is_some(),
-                        "recovered state is not any historical state in {:?} (ops={:?})",
-                        eligible, ops
+                        !matched.is_empty(),
+                        "recovered state is not any historical state (ops={:?})",
+                        ops
                     );
-                    let k = matched.expect("checked");
-                    // Resume lockstep from the state the store recovered.
-                    // `floor` does not move: replay does not sync, so a
-                    // later crash may regress further (never below floor).
-                    mirror = snapshots[k].clone();
-                    snapshots.truncate(k + 1);
+                    timelines = matched;
                 }
                 other => {
                     counter += 1;
                     apply(&mut persist, other, counter);
-                    apply(&mut mirror, other, counter);
-                    snapshots.push(mirror.clone());
-                    // clean_range is an unconditional durability barrier
-                    // (write-back completion must survive restart).
-                    if let Op::CleanRange { .. } = other {
-                        floor = snapshots.len() - 1;
+                    let mut diverged = None;
+                    timelines.retain_mut(|t| {
+                        let mut mirror = t.last().expect("a timeline is never empty").clone();
+                        apply(&mut mirror, other, counter);
+                        let agrees = assert_match(&mut persist, &mut mirror, &probes, other);
+                        t.push(mirror);
+                        // clean_range is an unconditional durability
+                        // barrier (write-back completion must survive
+                        // restart).
+                        if let Op::CleanRange { .. } = other {
+                            t.drain(..t.len() - 1);
+                        }
+                        agrees.map_err(|e| diverged = Some(e)).is_ok()
+                    });
+                    if timelines.is_empty() {
+                        return Err(diverged.expect("a timeline diverged"));
                     }
-                    assert_match(&mut persist, &mut mirror, &probes, other)?;
                 }
             }
         }
     }
 
     /// A synced crash must recover the *current* state exactly — the
-    /// strong version of the property above.
+    /// strong version of the property above — with no checkpoint and
+    /// with one every three records, so replay also starts from a log a
+    /// checkpoint began.
     #[test]
     fn synced_crash_recovers_the_live_state(
         ops in proptest::collection::vec(op_strategy(false), 1..40),
         probes in proptest::collection::vec((0..NFILES, 0..SPACE - 1, 1usize..300), 6),
     ) {
-        let disk = VirtualDisk::new(DiskConfig::instant());
-        let mut persist = big_store(disk);
-        let mut mirror = MemStore::new(1 << 30);
-        let mut counter = 0u32;
-        for op in &ops {
-            counter += 1;
-            apply(&mut persist, op, counter);
-            apply(&mut mirror, op, counter);
+        for checkpoint_every in [usize::MAX, 3] {
+            let disk = VirtualDisk::new(DiskConfig::instant());
+            let mut persist = big_store(disk, checkpoint_every);
+            let mut mirror = MemStore::new(1 << 30);
+            let mut counter = 0u32;
+            for op in &ops {
+                counter += 1;
+                apply(&mut persist, op, counter);
+                apply(&mut mirror, op, counter);
+            }
+            persist.sync();
+            persist.crash_reopen();
+            let last = ops.last().expect("non-empty");
+            assert_match(&mut persist, &mut mirror, &probes, last)?;
+            prop_assert_eq!(
+                fingerprint(&mut persist),
+                fingerprint(&mut mirror),
+                "synced crash lost or invented state (checkpoint_every {})",
+                checkpoint_every
+            );
+            prop_assert_eq!(persist.used_bytes(), mirror.used_bytes());
         }
-        persist.sync();
-        persist.crash_reopen();
-        let last = ops.last().expect("non-empty");
-        assert_match(&mut persist, &mut mirror, &probes, last)?;
-        prop_assert_eq!(
-            fingerprint(&mut persist),
-            fingerprint(&mut mirror),
-            "synced crash lost or invented state"
-        );
     }
 
     /// Under eviction pressure (no crashes) the two stores still agree:
@@ -437,7 +457,7 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let disk = VirtualDisk::new(DiskConfig::instant());
-        let mut persist = big_store(disk.clone());
+        let mut persist = big_store(disk.clone(), usize::MAX);
         let mut mirror = MemStore::new(1 << 30);
 
         // Outside the simulator the disk clock is pinned at ZERO, so
