@@ -65,9 +65,9 @@ use std::path::{Path, PathBuf};
 /// index order), then the write-back/invalidation plumbing, then
 /// actor handles (flusher/poller/supervisor/scrubber), the server's per-client
 /// WAN-health registry (`health`, scoped to a breaker lookup, never
-/// held across the wire), and counters beside the recall fan-out
-/// window (`fanout`, a terminal lock: the semaphore guard is dropped
-/// before the acquiring actor parks and nothing is acquired under it).
+/// held across the wire), and counters beside the call windows
+/// (`fanout`, every `Window`'s lock, the server's and the client's; a
+/// terminal lock: nothing is acquired, sent or parked under it).
 /// The peer-sourcing registry (`peers`) and advert map (`peer_hints`)
 /// are likewise terminal: each guard scopes a single lookup / insert /
 /// removal — candidate peers are collected and the guard dropped
@@ -122,11 +122,12 @@ const SEND_MARKERS: &[&str] = &[
     "dispatch",
     "forward",
     "forward_wan",
-    "perform_recall",
+    "run",
+    "advance",
     "perform_recalls",
     "send_recall",
     "finish_recall",
-    "flush_block",
+    "retry_block",
     "flush_blocks",
     "flush_all",
     "drain_flush_queue",

@@ -42,10 +42,12 @@ use crate::spec::{self, GetinvSpec, RecallRound};
 use gvfs_core::delegation::{DelegationKind, DelegationTable};
 use gvfs_core::invalidation::ConcurrentInvalidationTracker;
 use gvfs_core::protocol::DelegationGrant;
+use gvfs_core::proxy::window::{Round, Step, Window, UNBOUNDED};
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::Fh3;
 use gvfs_rpc::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 use std::fmt::{Debug, Write as _};
 use std::time::Duration;
@@ -81,6 +83,8 @@ fn fmt_trace(trace: &[String]) -> String {
 /// fingerprint that identifies equivalent states.
 pub(crate) trait Machine: Clone {
     type Action: Debug;
+    /// Actions explored from the initial state.
+    const DEPTH: usize = DEPTH_CAP;
 
     fn enabled(&self) -> Vec<Self::Action>;
 
@@ -96,7 +100,7 @@ pub(crate) trait Machine: Clone {
 }
 
 /// Breadth-first exploration of one configuration from `initial`, up
-/// to `state_cap` distinct states and [`DEPTH_CAP`] actions deep,
+/// to `state_cap` distinct states and [`Machine::DEPTH`] actions deep,
 /// adding its states, transitions and violations to `report`.
 pub(crate) fn explore<M: Machine>(
     report: &mut ModelReport,
@@ -109,7 +113,7 @@ pub(crate) fn explore<M: Machine>(
     let mut queue: VecDeque<(M, Vec<String>, usize)> = VecDeque::from([(initial, Vec::new(), 0)]);
     let mut states = 1usize;
     while let Some((state, trace, depth)) = queue.pop_front() {
-        if depth >= DEPTH_CAP || states >= state_cap {
+        if depth >= M::DEPTH || states >= state_cap {
             continue;
         }
         for action in state.enabled() {
@@ -597,149 +601,134 @@ pub fn check_breaker() -> ModelReport {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded recall fan-out window
+// Fan-out window: the shipped loop, two rounds sharing one window
 // ---------------------------------------------------------------------------
 
-/// Per-recall status in the fan-out model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum RecallStatus {
-    /// Not yet issued; waiting for a window slot.
-    Queued,
-    /// Issued; holds a window slot until its reply is awaited.
-    InFlight,
-    /// Reply awaited; slot released.
-    Done,
-    /// Breaker-open target: completed without ever taking a slot.
-    ShortCircuited,
-    /// Fault injection only: slot released but the recall's completion
-    /// was lost. Must never be reachable with the knob off.
-    Dropped,
-}
-
 /// Fault knobs for the fan-out model, mirroring the product checker's
-/// pattern: each knob re-introduces a bug class the implementation must
-/// not have, and a unit test asserts the checker convicts it.
+/// pattern: each knob injects a bug class the shipped loop must not
+/// have, and a unit test asserts the checker convicts it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FanoutKnobs {
-    /// A completing recall releases its window slot but is dropped
-    /// before being recorded as done — the bug class the bounded
-    /// window must not introduce (issue-all-then-wait never lost a
-    /// completion because every `PendingCall` was held in one local
-    /// vector; the windowed loop must preserve that).
+    /// The driver's claim returns the call's slot but loses its
+    /// completion, which a windowed loop must never do.
     pub drop_completion: bool,
 }
 
-/// One state of the bounded fan-out window: a recall round of `n`
-/// targets (some breaker-open) driven through a window of `w` slots.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct FanoutState {
-    status: Vec<RecallStatus>,
+/// Items are `(index, breaker open)`; drawing one skips an open target
+/// before it takes a slot, as the recall fan-out's short-circuit does.
+type Items = std::iter::Filter<std::vec::IntoIter<(usize, bool)>, fn(&(usize, bool)) -> bool>;
+
+/// Two shipped [`Round`]s, whose calls are item indices, sharing one
+/// shipped [`Window`].
+#[derive(Debug, Clone)]
+struct FanoutMachine {
+    window: Window<usize>,
+    rounds: [Round<Items, usize>; 2],
+    /// Per round: the reachable items, the items whose completion was
+    /// recorded (claimed, or failed at send), and whether it is done.
+    live: [u64; 2],
+    completed: [u64; 2],
+    done: [bool; 2],
+    knobs: FanoutKnobs,
 }
 
-impl FanoutState {
-    fn in_flight(&self) -> usize {
-        self.status.iter().filter(|s| **s == RecallStatus::InFlight).count()
+impl FanoutMachine {
+    /// Unfinished rounds that are not queued for a slot.
+    fn runnable(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..2).filter(|&r| !self.done[r] && !self.window.queued(&r))
     }
 }
 
-/// Exhaustively explores every interleaving of issue/complete actions
-/// for recall rounds driven through the bounded fan-out window, over a
-/// grid of round sizes, window widths and breaker-open target sets.
-///
-/// Invariants checked at every reachable state:
-///
-/// 1. **window bound** — recalls in flight never exceed the window;
-/// 2. **breaker isolation** — a breaker-open target is never in
-///    flight (it must short-circuit without consuming a slot);
-/// 3. **completion** — every terminal state has every recall either
-///    done or short-circuited: no recall is stranded queued (window
-///    deadlock) or dropped (lost completion).
+impl Machine for FanoutMachine {
+    /// A round to step, and whether a send it makes fails.
+    type Action = (usize, bool);
+    const DEPTH: usize = usize::MAX;
+
+    fn enabled(&self) -> Vec<(usize, bool)> {
+        self.runnable().flat_map(|r| [(r, false), (r, true)]).collect()
+    }
+
+    fn apply(&mut self, &(r, fail): &(usize, bool)) -> Result<(), String> {
+        let completed = Cell::new(self.completed[r]);
+        let complete = |i: usize| completed.set(completed.get() | 1 << i);
+        let lose = self.knobs.drop_completion;
+        let send = |(i, _): (usize, bool)| {
+            if fail {
+                complete(i);
+            }
+            (!fail).then_some(i)
+        };
+        let claim = |i| {
+            if !lose {
+                complete(i);
+            }
+        };
+        let step = self.rounds[r].advance(&self.window, || r, send, claim, |_| {});
+        self.completed[r] = completed.get();
+        self.done[r] |= step == Step::Done;
+        Ok(())
+    }
+
+    fn fingerprint(&self) -> String {
+        format!("{self:?}")
+    }
+
+    fn check_new_state(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        let in_flight: usize = self.rounds.iter().map(|round| round.in_flight().count()).sum();
+        if in_flight > self.window.capacity() {
+            v.push(format!("{in_flight} calls in flight exceeds the window"));
+        }
+        for r in 0..2 {
+            if let Some(i) = self.rounds[r].in_flight().find(|&&i| self.live[r] & 1 << i == 0) {
+                v.push(format!("breaker-open target {i} of round {r} holds a slot"));
+            }
+            let lost = self.live[r] & !self.completed[r];
+            if self.done[r] && lost != 0 {
+                v.push(format!("round {r} item {} never completed", lost.trailing_zeros()));
+            }
+        }
+        if self.done.contains(&false) && self.runnable().next().is_none() {
+            v.push("stuck: every unfinished round is parked".to_string());
+        }
+        v
+    }
+}
+
+/// Explores two rounds sharing one window, each stepped through the
+/// shipped [`Round::advance`] and [`Window::step`], over every
+/// interleaving of their steps and every pattern of failed sends: round
+/// sizes 3+3 and 4+2, windows of 1, 2, n (both rounds' items) and
+/// unbounded, and breaker-open targets per round of none, the first,
+/// alternating and all. Checked in every reachable state: the **window
+/// bound**, **breaker isolation** (an open target never holds a slot),
+/// **completion** (a finished round recorded every completion) and **no
+/// stuck state** (not every unfinished round is parked).
 pub fn check_fanout_with(knobs: FanoutKnobs) -> ModelReport {
     let mut report = ModelReport { machine: "fanout", ..ModelReport::default() };
-    let mut visited: HashSet<String> = HashSet::new();
-
-    for &n in &[4usize, 6] {
-        for &window in &[1usize, 2, n] {
-            // Breaker-open sets: none, one, alternating, all.
-            let masks: [u64; 4] = [0, 1, 0b0101_0101 & ((1 << n) - 1), (1 << n) - 1];
-            for &mask in &masks {
-                let open = |i: usize| mask & (1 << i) != 0;
-                let init = FanoutState { status: vec![RecallStatus::Queued; n] };
-                let mut queue: VecDeque<(FanoutState, Vec<String>)> =
-                    VecDeque::from([(init, Vec::new())]);
-                let mut seen: HashSet<FanoutState> = HashSet::new();
-                while let Some((state, trace)) = queue.pop_front() {
-                    if !seen.insert(state.clone()) {
-                        continue;
-                    }
-                    if visited.insert(format!("{n}/{window}/{mask}:{:?}", state.status)) {
-                        report.states += 1;
-                    }
-                    let in_flight = state.in_flight();
-                    if in_flight > window {
-                        report.violations.push(format!(
-                            "{in_flight} recalls in flight exceeds window {window}\n  trace: {}",
-                            fmt_trace(&trace)
-                        ));
-                        continue;
-                    }
-                    if let Some(i) =
-                        (0..n).find(|&i| state.status[i] == RecallStatus::InFlight && open(i))
-                    {
-                        report.violations.push(format!(
-                            "breaker-open target {i} holds a window slot\n  trace: {}",
-                            fmt_trace(&trace)
-                        ));
-                        continue;
-                    }
-                    let mut any_action = false;
-                    for i in 0..n {
-                        let mut next = None;
-                        match state.status[i] {
-                            RecallStatus::Queued if open(i) => {
-                                // Short-circuit: completes without a slot.
-                                next = Some((RecallStatus::ShortCircuited, "short"));
-                            }
-                            RecallStatus::Queued if in_flight < window => {
-                                next = Some((RecallStatus::InFlight, "issue"));
-                            }
-                            RecallStatus::InFlight => {
-                                next = Some(if knobs.drop_completion {
-                                    (RecallStatus::Dropped, "drop")
-                                } else {
-                                    (RecallStatus::Done, "complete")
-                                });
-                            }
-                            _ => {}
-                        }
-                        if let Some((status, label)) = next {
-                            any_action = true;
-                            report.transitions += 1;
-                            let mut succ = state.clone();
-                            succ.status[i] = status;
-                            let mut succ_trace = trace.clone();
-                            succ_trace.push(format!("{label}({i})"));
-                            queue.push_back((succ, succ_trace));
-                        }
-                    }
-                    if !any_action {
-                        // Terminal state: every recall must have been
-                        // answered — a queued recall here is a window
-                        // deadlock, a dropped one a lost completion.
-                        if let Some(i) = (0..n).find(|&i| {
-                            !matches!(
-                                state.status[i],
-                                RecallStatus::Done | RecallStatus::ShortCircuited
-                            )
-                        }) {
-                            report.violations.push(format!(
-                                "recall {i} never completed ({:?})\n  trace: {}",
-                                state.status[i],
-                                fmt_trace(&trace)
-                            ));
-                        }
-                    }
-                }
+    let masks = |n: usize| [0, 1, 0b0101_0101 & ((1u64 << n) - 1), (1u64 << n) - 1];
+    for sizes in [[3usize, 3], [4, 2]] {
+        for window in [1, 2, sizes[0] + sizes[1], UNBOUNDED] {
+            for open in masks(sizes[0]).into_iter().flat_map(|a| masks(sizes[1]).map(|b| [a, b])) {
+                let round = |r: usize| {
+                    let items: Vec<_> = (0..sizes[r]).map(|i| (i, open[r] & 1 << i != 0)).collect();
+                    Round::new(items.into_iter().filter((|i| !i.1) as fn(&(usize, bool)) -> bool))
+                };
+                let live = |r: usize| ((1u64 << sizes[r]) - 1) & !open[r];
+                let initial = FanoutMachine {
+                    window: Window::new(window),
+                    rounds: [round(0), round(1)],
+                    live: [live(0), live(1)],
+                    completed: [0; 2],
+                    done: [false; 2],
+                    knobs,
+                };
+                explore(
+                    &mut report,
+                    &format!("fanout {sizes:?}/{window}/{open:?}"),
+                    initial,
+                    usize::MAX,
+                );
             }
         }
     }

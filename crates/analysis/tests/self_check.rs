@@ -389,7 +389,7 @@ fn breaker_model_explores_and_holds() {
 
 #[test]
 fn fanout_model_explores_and_holds() {
-    assert_explores(model::check_fanout(), 3_850, 11_644);
+    assert_explores(model::check_fanout(), 9_096, 29_788);
 }
 
 #[test]

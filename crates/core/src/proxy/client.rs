@@ -26,6 +26,7 @@ use crate::protocol::{
     GetinvRes, PeerAdvert, PeerReadArgs, PeerReadRes, RecoverRes, WrappedReply,
     GVFS_CALLBACK_PROGRAM, GVFS_PROXY_PROGRAM, GVFS_VERSION,
 };
+use crate::proxy::window::{Window, UNBOUNDED};
 use crate::proxy::{block_of, BLOCK_SIZE};
 use crate::session::SessionConfig;
 use crate::store::persist::content_hash;
@@ -44,6 +45,7 @@ use gvfs_rpc::dispatch::RpcService;
 use gvfs_rpc::RpcError;
 use gvfs_xdr::Xdr;
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -55,6 +57,12 @@ use std::time::Duration;
 /// degradation ladder engages and cached reads are served without
 /// revalidation (delegation model with a `max_staleness` only).
 pub(crate) const DEGRADE_AFTER: Duration = Duration::from_secs(2);
+
+/// Transparent retransmissions of one forwarded call before the proxy
+/// gives up and surfaces the transport error: hard-mount semantics
+/// bounded by a budget instead of the clock. Back-off between attempts
+/// is exponential with per-client jitter.
+pub const RETRY_BUDGET: u32 = 600;
 
 /// Number of consecutive sequential reads that arms the read-ahead
 /// window.
@@ -301,6 +309,9 @@ pub struct ProxyClient {
     state: Mutex<ClientState>,
     poll_ts: Mutex<Option<u64>>,
     flush_queue: Mutex<VecDeque<(Fh3, u64)>>,
+    /// Bounds the WRITEs of write-back in flight: unbounded when
+    /// `pipeline_writeback` is on, one at a time when it is off.
+    writeback: Window,
     flusher: Mutex<Option<gvfs_netsim::ActorHandle>>,
     poller: Mutex<Option<gvfs_netsim::ActorHandle>>,
     stopped: AtomicBool,
@@ -355,6 +366,13 @@ fn encode<T: Xdr>(value: &T) -> Result<Vec<u8>, RpcError> {
     Ok(gvfs_xdr::to_bytes(value)?)
 }
 
+/// A `FILE_SYNC` WRITE of one dirty segment, encoded for the wire.
+fn write_args(fh: Fh3, offset: u64, data: Vec<u8>) -> Option<Vec<u8>> {
+    let count = data.len() as u32;
+    gvfs_xdr::to_bytes(&WriteArgs { file: fh, offset, count, stable: StableHow::FileSync, data })
+        .ok()
+}
+
 /// Outcome of a forwarded WAN call that may escape to the degradation
 /// ladder instead of blocking through an outage.
 enum Forwarded {
@@ -390,6 +408,7 @@ impl ProxyClient {
             state: Mutex::new(ClientState::default()),
             poll_ts: Mutex::new(None),
             flush_queue: Mutex::new(VecDeque::new()),
+            writeback: Window::new(if config.pipeline_writeback { UNBOUNDED } else { 1 }),
             flusher: Mutex::new(None),
             poller: Mutex::new(None),
             stopped: AtomicBool::new(false),
@@ -620,10 +639,9 @@ impl ProxyClient {
     /// One wrapped WAN call; applies the piggybacked grant for `target`.
     ///
     /// Transport failures (partition, proxy server down) are retried
-    /// with jittered exponential backoff up to the configured retry
-    /// budget: a user-level proxy simply holds the kernel's request
-    /// until the upstream answers, exactly as a hard NFS mount over TCP
-    /// behaves.
+    /// with jittered exponential backoff up to [`RETRY_BUDGET`] times:
+    /// a user-level proxy simply holds the kernel's request until the
+    /// upstream answers, exactly as a hard NFS mount over TCP behaves.
     fn forward(
         &self,
         procedure: u32,
@@ -652,7 +670,6 @@ impl ProxyClient {
         degrade: bool,
     ) -> Result<Forwarded, RpcError> {
         const RETRY_CAP: Duration = Duration::from_secs(60);
-        let budget = self.config.retry_budget;
         let mut attempts = 0u32;
         let mut delay = Duration::from_secs(1);
         let bytes = loop {
@@ -666,7 +683,7 @@ impl ProxyClient {
                     self.breaker.on_success(now, now.saturating_sub(started));
                     break bytes;
                 }
-                Err(e) if e.is_transient() && attempts < budget => {
+                Err(e) if e.is_transient() && attempts < RETRY_BUDGET => {
                     // Exponential back-off, like the empty-poll path: a
                     // long partition costs O(log) attempts, not one per
                     // second. The jitter decorrelates parallel clients'
@@ -1949,113 +1966,73 @@ impl ProxyClient {
 
     // --- write-back flushing ------------------------------------------
 
-    /// Writes back the dirty segments of one block over the WAN and
-    /// marks them clean.
-    fn flush_block(&self, fh: Fh3, block_offset: u64) {
-        let segments: Vec<(u64, Vec<u8>)> =
-            self.disk.lock().store.dirty_in_block(fh, block_offset, BLOCK_SIZE);
-        if segments.is_empty() {
-            return;
+    /// Writes back the dirty segments of the given blocks of one file
+    /// through the client's write-back window: with pipelining every
+    /// WRITE is sent before the first reply is claimed, so N blocks cost
+    /// one WAN round trip instead of N; without it one WRITE is in
+    /// flight at a time. A block whose WRITE fails stays dirty and is
+    /// retried through the hard-mount `forward` ([`Self::retry_block`]).
+    fn flush_blocks(&self, fh: Fh3, blocks: &[u64]) {
+        let failed: RefCell<HashSet<u64>> = RefCell::new(HashSet::new());
+        let segments = blocks.iter().flat_map(|&block| {
+            let segments = self.disk.lock().store.dirty_in_block(fh, block, BLOCK_SIZE);
+            segments.into_iter().map(move |segment| (block, segment))
+        });
+        let fail = |block| failed.borrow_mut().insert(block);
+        self.writeback.run(
+            segments,
+            |(block, (offset, data))| {
+                let call = write_args(fh, offset, data).and_then(|args| {
+                    self.wan.send(GVFS_PROXY_PROGRAM, GVFS_VERSION, proc3::WRITE, args).ok()
+                });
+                if call.is_none() {
+                    fail(block);
+                }
+                Some((block, call?))
+            },
+            |(block, call)| {
+                // Claim the reply and apply its piggybacked grant.
+                let reply = self.wan.wait_pending(call);
+                if !reply.is_ok_and(|bytes| self.absorb_reply(Some(fh), &bytes).is_ok()) {
+                    fail(block);
+                }
+            },
+        );
+        let failed = failed.into_inner();
+        self.mark_clean(fh, blocks.iter().copied().filter(|b| !failed.contains(b)));
+        for &block in blocks.iter().filter(|b| failed.contains(b)) {
+            self.retry_block(fh, block);
         }
-        for (offset, data) in segments {
-            let count = data.len() as u32;
-            let Ok(args) = gvfs_xdr::to_bytes(&WriteArgs {
-                file: fh,
-                offset,
-                count,
-                stable: StableHow::FileSync,
-                data,
-            }) else {
-                // Leave the segment dirty; a later flush retries it.
-                return;
-            };
-            // Failures leave the segment dirty for a later retry.
-            if self.forward(proc3::WRITE, args, Some(fh)).is_err() {
-                return;
-            }
-        }
+    }
+
+    /// Marks the acknowledged `blocks` of `fh` clean, and forgets the
+    /// file's write-back base once nothing of it is dirty.
+    fn mark_clean(&self, fh: Fh3, blocks: impl IntoIterator<Item = u64>) {
         let mut disk = self.disk.lock();
-        disk.store.clean_range(fh, block_offset, BLOCK_SIZE);
+        for block in blocks {
+            disk.store.clean_range(fh, block, BLOCK_SIZE);
+        }
         if !disk.store.has_dirty(fh) {
             self.state.lock().wb_base.remove(&fh);
         }
     }
 
-    /// Writes back the dirty segments of the given blocks as one
-    /// pipelined batch: every WRITE goes on the wire before the first
-    /// reply is claimed, so a trickle of N blocks costs N serializations
-    /// plus one WAN round trip instead of N round trips. Blocks whose
-    /// WRITEs fail stay dirty and are retried through the serial
-    /// (hard-mount) path.
-    fn flush_blocks(&self, fh: Fh3, blocks: &[u64]) {
-        if blocks.is_empty() {
+    /// Writes a failed block's dirty segments back one at a time through
+    /// `forward`, which waits out an outage like a hard mount, and marks
+    /// the block clean once every segment is acknowledged.
+    fn retry_block(&self, fh: Fh3, block_offset: u64) {
+        let segments = self.disk.lock().store.dirty_in_block(fh, block_offset, BLOCK_SIZE);
+        if segments.is_empty() {
             return;
         }
-        if !self.config.pipeline_writeback {
-            for &block in blocks {
-                self.flush_block(fh, block);
-            }
-            return;
-        }
-        // Phase 1: every segment of every block on the wire.
-        let mut in_flight = Vec::new();
-        let mut failed: HashSet<u64> = HashSet::new();
-        for &block in blocks {
-            let segments: Vec<(u64, Vec<u8>)> =
-                self.disk.lock().store.dirty_in_block(fh, block, BLOCK_SIZE);
-            for (offset, data) in segments {
-                let count = data.len() as u32;
-                let Ok(args) = gvfs_xdr::to_bytes(&WriteArgs {
-                    file: fh,
-                    offset,
-                    count,
-                    stable: StableHow::FileSync,
-                    data,
-                }) else {
-                    failed.insert(block);
-                    continue;
-                };
-                match self.wan.send(GVFS_PROXY_PROGRAM, GVFS_VERSION, proc3::WRITE, args) {
-                    Ok(call) => in_flight.push((block, call)),
-                    Err(_) => {
-                        failed.insert(block);
-                    }
-                }
+        for (offset, data) in segments {
+            // Failures leave the block dirty for a later write-back.
+            let Some(args) = write_args(fh, offset, data) else { return };
+            if self.forward(proc3::WRITE, args, Some(fh)).is_err() {
+                return;
             }
         }
-        // Phase 2: claim replies (in send order) and apply piggybacked
-        // grants.
-        for (block, call) in in_flight {
-            match self.wan.wait_pending(call) {
-                Ok(bytes) => {
-                    if self.absorb_reply(Some(fh), &bytes).is_err() {
-                        failed.insert(block);
-                    }
-                }
-                Err(_) => {
-                    failed.insert(block);
-                }
-            }
-        }
-        // Mark the fully-acknowledged blocks clean.
-        {
-            let mut disk = self.disk.lock();
-            for &block in blocks {
-                if !failed.contains(&block) {
-                    disk.store.clean_range(fh, block, BLOCK_SIZE);
-                }
-            }
-            if !disk.store.has_dirty(fh) {
-                self.state.lock().wb_base.remove(&fh);
-            }
-        }
-        // Transport failures retry serially; the serial path waits out
-        // an outage like a hard mount.
-        for &block in blocks {
-            if failed.contains(&block) {
-                self.flush_block(fh, block);
-            }
-        }
+        self.mark_clean(fh, [block_offset]);
     }
 
     /// Flushes every dirty block of every file (unmount/shutdown path),
@@ -2072,27 +2049,29 @@ impl ProxyClient {
     /// batch per file.
     fn drain_flush_queue(&self) {
         loop {
-            let mut batch: Vec<(Fh3, u64)> = Vec::new();
-            {
-                let mut q = self.flush_queue.lock();
-                while let Some(item) = q.pop_front() {
-                    batch.push(item);
-                }
-            }
+            let mut batch: Vec<(Fh3, u64)> = self.flush_queue.lock().drain(..).collect();
             if batch.is_empty() {
                 return;
             }
-            let mut by_file: Vec<(Fh3, Vec<u64>)> = Vec::new();
-            for (fh, block) in batch {
-                match by_file.iter_mut().find(|(f, _)| *f == fh) {
-                    Some((_, blocks)) => blocks.push(block),
-                    None => by_file.push((fh, vec![block])),
-                }
-            }
-            for (fh, blocks) in by_file {
+            // Files in the order they were first queued.
+            while let Some(&(fh, _)) = batch.first() {
+                let blocks: Vec<u64> =
+                    batch.iter().filter(|(f, _)| *f == fh).map(|&(_, b)| b).collect();
+                batch.retain(|(f, _)| *f != fh);
                 self.flush_blocks(fh, &blocks);
             }
             self.settle_disk();
+        }
+    }
+
+    /// Queues `blocks` of `fh` for the background flusher and wakes it.
+    fn queue_flush(&self, fh: Fh3, blocks: &[u64]) {
+        if blocks.is_empty() {
+            return;
+        }
+        self.flush_queue.lock().extend(blocks.iter().map(|&block| (fh, block)));
+        if let Some(h) = self.flusher.lock().clone() {
+            h.unpark();
         }
     }
 
@@ -2232,21 +2211,11 @@ impl ProxyClient {
         // block so the server's file size becomes correct at once.
         let mut remaining = blocks;
         let wanted = a.requested_offset.map(block_of).or_else(|| remaining.last().copied());
-        if let Some(wanted) = wanted {
-            if let Some(pos) = remaining.iter().position(|b| *b == wanted) {
-                remaining.remove(pos);
-                self.flush_block(a.fh, wanted);
-            }
+        if let Some(pos) = wanted.and_then(|w| remaining.iter().position(|b| *b == w)) {
+            let block = remaining.remove(pos);
+            self.flush_blocks(a.fh, &[block]);
         }
-        {
-            let mut q = self.flush_queue.lock();
-            for block in &remaining {
-                q.push_back((a.fh, *block));
-            }
-        }
-        if let Some(h) = self.flusher.lock().clone() {
-            h.unpark();
-        }
+        self.queue_flush(a.fh, &remaining);
         encode(&CallbackRes { pending_blocks: remaining })
     }
 
@@ -2329,22 +2298,11 @@ impl ProxyClient {
             );
             if unchanged {
                 // Write back one block to reacquire the delegation.
-                let first = self.disk.lock().store.dirty_blocks(fh, BLOCK_SIZE).first().copied();
-                if let Some(block) = first {
-                    self.flush_block(fh, block);
-                }
+                let blocks = self.disk.lock().store.dirty_blocks(fh, BLOCK_SIZE);
+                self.flush_blocks(fh, &blocks[..blocks.len().min(1)]);
                 // Remaining blocks flush lazily (queue to flusher).
                 let rest = self.disk.lock().store.dirty_blocks(fh, BLOCK_SIZE);
-                if !rest.is_empty() {
-                    let mut q = self.flush_queue.lock();
-                    for block in rest {
-                        q.push_back((fh, block));
-                    }
-                    drop(q);
-                    if let Some(h) = self.flusher.lock().clone() {
-                        h.unpark();
-                    }
-                }
+                self.queue_flush(fh, &rest);
             } else {
                 let mut disk = self.disk.lock();
                 disk.forget_file(fh);

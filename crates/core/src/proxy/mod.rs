@@ -7,9 +7,12 @@
 //! * [`server::ProxyServer`] — runs beside the kernel NFS server,
 //!   forwarding NFS calls over loopback while tracking modifications
 //!   (invalidation buffers) or delegations, and issuing callbacks.
+//! * [`window::Window`] — the one loop behind every batch of concurrent
+//!   calls.
 
 pub mod client;
 pub mod server;
+pub mod window;
 
 use gvfs_nfs3::{proc3, Fh3};
 use gvfs_rpc::RpcError;

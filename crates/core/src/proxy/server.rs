@@ -23,15 +23,15 @@
 //! * one [`ConcurrentInvalidationTracker`] holding every client's
 //!   invalidation buffer behind its `buffers` lock (§4.2).
 //!
-//! Recall fan-out and the `RECOVER` multicast use the RPC channel's
-//! send/wait split ([`SimRpcClient::send`]) behind a **bounded fan-out
-//! window** (a semaphore over in-flight `PendingCall`s): up to the
-//! window's worth of callbacks overlap on the wire, so a round to N
-//! clients costs ~N/window WAN round trips instead of N serialized
-//! ones, while a 10k-holder round can no longer bury the callback
-//! network under 10k simultaneous calls. Breaker-open targets are
-//! short-circuited before a slot is taken, so unreachable peers never
-//! consume window capacity. No lock is ever held across the wire.
+//! Recall fan-out, each sweep recall and the `RECOVER` multicast use the
+//! RPC channel's send/wait split ([`SimRpcClient::send`]) through one
+//! **bounded fan-out window** ([`Window`]): up to the window's worth of
+//! callbacks overlap on the wire, so a round to N clients costs
+//! ~N/window WAN round trips instead of N serialized ones, while a
+//! 10k-holder round can no longer bury the callback network under 10k
+//! simultaneous calls. Breaker-open targets are short-circuited before a
+//! slot is taken, so unreachable peers never consume window capacity.
+//! No lock is ever held across the wire.
 
 use crate::delegation::{DelegationKind, DelegationTable, RecallAction};
 use crate::invalidation::{ConcurrentInvalidationTracker, InvalScaleCounters};
@@ -41,10 +41,11 @@ use crate::protocol::{
     GetinvRes, PeerAdvert, RecoverRes, WrappedReply, GVFS_CALLBACK_PROGRAM, GVFS_PROXY_PROGRAM,
     GVFS_VERSION, MAX_PEER_HOLDERS,
 };
+use crate::proxy::window::Window;
 use crate::proxy::{block_of, classify, OpClass};
 use crate::trace::{ProtocolEvent, TraceBuffer, TraceKind};
 use gvfs_netsim::transport::SimRpcClient;
-use gvfs_netsim::{ActorHandle, SimTime};
+use gvfs_netsim::SimTime;
 use gvfs_nfs3::{proc3, Fh3, LookupArgs, LookupRes, NFS_PROGRAM, NFS_V3};
 use gvfs_rpc::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use gvfs_rpc::channel::PendingCall;
@@ -52,7 +53,7 @@ use gvfs_rpc::dispatch::RpcService;
 use gvfs_rpc::message::OpaqueAuth;
 use gvfs_rpc::RpcError;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,95 +64,9 @@ fn now_dur() -> Duration {
     gvfs_netsim::now().saturating_since(SimTime::ZERO)
 }
 
-/// A recall callback that has been put on the wire but not yet
-/// acknowledged (phase one of a fan-out round).
-struct RecallInFlight {
-    action: RecallAction,
-    call: (SimRpcClient, PendingCall),
-}
-
 /// Whole sweep epochs a client may stay idle before [`ProxyServer::sweep`]
 /// evicts its per-client state.
 const SWEEP_IDLE_EPOCHS: u64 = 8;
-
-/// The mutable half of [`FanoutSemaphore`], behind its lock.
-struct FanoutState {
-    available: usize,
-    /// Handlers parked waiting for a slot, FIFO.
-    waiters: VecDeque<ActorHandle>,
-}
-
-/// A deterministic counting semaphore bounding how many recall or
-/// `RECOVER` callbacks may be in flight at once (the fan-out window).
-///
-/// The `fanout` lock is terminal: no other lock is acquired and no RPC
-/// is sent while it is held; waiters park strictly *after* dropping the
-/// guard (the unpark permit is banked if the release wins the race).
-struct FanoutSemaphore {
-    capacity: usize,
-    fanout: Mutex<FanoutState>,
-    /// High-water mark of slots in use, for the scale bench.
-    in_flight_hwm: AtomicU64,
-}
-
-impl FanoutSemaphore {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FanoutSemaphore {
-            capacity,
-            fanout: Mutex::new(FanoutState { available: capacity, waiters: VecDeque::new() }),
-            in_flight_hwm: AtomicU64::new(0),
-        }
-    }
-
-    /// Takes a slot if one is free.
-    fn try_acquire(&self) -> bool {
-        let in_flight = {
-            let mut st = self.fanout.lock();
-            if st.available == 0 {
-                return false;
-            }
-            st.available -= 1;
-            (self.capacity - st.available) as u64
-        };
-        self.in_flight_hwm.fetch_max(in_flight, Ordering::Relaxed);
-        true
-    }
-
-    /// Takes a slot, parking until one frees up.
-    fn acquire(&self) {
-        loop {
-            {
-                let mut st = self.fanout.lock();
-                if st.available > 0 {
-                    st.available -= 1;
-                    let in_flight = (self.capacity - st.available) as u64;
-                    drop(st);
-                    self.in_flight_hwm.fetch_max(in_flight, Ordering::Relaxed);
-                    return;
-                }
-                st.waiters.push_back(gvfs_netsim::current_actor());
-            }
-            gvfs_netsim::park();
-        }
-    }
-
-    /// Returns a slot and wakes the oldest waiter, if any.
-    fn release(&self) {
-        let waiter = {
-            let mut st = self.fanout.lock();
-            st.available = (st.available + 1).min(self.capacity);
-            st.waiters.pop_front()
-        };
-        if let Some(w) = waiter {
-            w.unpark();
-        }
-    }
-
-    fn hwm(&self) -> u64 {
-        self.in_flight_hwm.load(Ordering::Relaxed)
-    }
-}
 
 /// One client's WAN-health record: the breaker plus the sweep epoch of
 /// its last use, for idle eviction.
@@ -200,8 +115,8 @@ pub struct ServerConfig {
     pub model: ConsistencyModel,
     /// Per-client invalidation buffer capacity (entries).
     pub invalidation_capacity: usize,
-    /// Bound on concurrently in-flight recall and `RECOVER` callbacks;
-    /// a window of 1 reproduces fully serialized fan-out.
+    /// Slots of the window every recall, sweep recall and `RECOVER`
+    /// callback shares; a window of 1 reproduces serialized fan-out.
     pub fanout_window: usize,
     /// Replies to NFS calls piggyback the client's pending invalidation
     /// drain (see [`WrappedReply::inv`]). Off by default: the scale
@@ -265,7 +180,7 @@ pub struct ProxyServer {
     /// with the sweep epoch of their last use and evicted when idle.
     health: Mutex<HashMap<u32, HealthEntry>>,
     /// Bounded window over in-flight recall/`RECOVER` callbacks.
-    fanout: FanoutSemaphore,
+    fanout: Window,
     /// Idle-eviction epoch, advanced once per [`ProxyServer::maintain`].
     sweep_epoch: AtomicU64,
     /// Idle health entries dropped by epoch eviction.
@@ -304,7 +219,7 @@ impl ProxyServer {
             recalls_sent: AtomicU64::new(0),
             recalls_short_circuited: AtomicU64::new(0),
             health: Mutex::new(HashMap::new()),
-            fanout: FanoutSemaphore::new(config.fanout_window),
+            fanout: Window::new(config.fanout_window),
             sweep_epoch: AtomicU64::new(0),
             health_evicted: AtomicU64::new(0),
             trace: std::sync::OnceLock::new(),
@@ -339,57 +254,28 @@ impl ProxyServer {
     }
 
     /// Performs a batch of recalls concurrently through the bounded
-    /// fan-out window: up to a window's worth of callbacks overlap on
-    /// the wire (§4.3.2), completions are claimed oldest-first as the
-    /// window slides, and short-circuited recalls (suppressed targets,
-    /// open breakers, missing routes) complete immediately without
-    /// consuming a slot.
-    fn perform_recalls(&self, actions: Vec<RecallAction>) {
-        let mut in_flight: VecDeque<RecallInFlight> = VecDeque::new();
-        for action in actions {
-            if self.recall_short_circuits(&action) {
-                self.finish_recall(&action, None);
-                continue;
+    /// fan-out window (§4.3.2). Short-circuited recalls (suppressed
+    /// targets, open breakers) are decided as each action is drawn,
+    /// before it takes a slot, and complete at once without one.
+    fn perform_recalls(&self, actions: impl IntoIterator<Item = RecallAction>) {
+        let live = actions.into_iter().filter(|action| {
+            let short = self.recall_short_circuits(action);
+            if short {
+                self.finish_recall(action, None);
             }
-            self.acquire_fanout_slot(&mut in_flight, |f| {
-                self.finish_recall(&f.action, Some(f.call));
-            });
-            match self.send_recall(&action) {
-                Some(call) => in_flight.push_back(RecallInFlight { action, call }),
+            !short
+        });
+        self.fanout.run(
+            live,
+            |action| match self.send_recall(&action) {
+                Some(call) => Some((action, call)),
                 None => {
-                    // Send failed at the link: the slot was held only
-                    // for the (local, instantaneous) send attempt.
-                    self.fanout.release();
                     self.finish_recall(&action, None);
+                    None
                 }
-            }
-        }
-        while let Some(f) = in_flight.pop_front() {
-            self.finish_recall(&f.action, Some(f.call));
-            self.fanout.release();
-        }
-    }
-
-    /// Takes one fan-out window slot for a recall or `RECOVER` round.
-    /// While the window is full the round claims its *own* oldest
-    /// in-flight callback first with `retire` (a round larger than the
-    /// window can therefore never deadlock on slots it holds itself),
-    /// and parks only when another handler owns the missing slot.
-    fn acquire_fanout_slot<T>(&self, in_flight: &mut VecDeque<T>, mut retire: impl FnMut(T)) {
-        loop {
-            if self.fanout.try_acquire() {
-                return;
-            }
-            if let Some(f) = in_flight.pop_front() {
-                retire(f);
-                self.fanout.release();
-                // The freed slot may have gone to a parked waiter;
-                // retry rather than assume it is ours.
-                continue;
-            }
-            self.fanout.acquire();
-            return;
-        }
+            },
+            |(action, call)| self.finish_recall(&action, Some(call)),
+        );
     }
 
     /// Registers the callback transport for a proxy client (done by the
@@ -436,39 +322,35 @@ impl ProxyServer {
         // `RECOVER` callbacks overlap on the wire at once, so the grace
         // period is ~ceil(N/window) WAN round trips while a 10k-client
         // restart cannot flood the callback network.
-        let mut in_flight: VecDeque<(u32, SimRpcClient, PendingCall)> = VecDeque::new();
+        let routed = clients
+            .into_iter()
+            .filter_map(|client| Some((client, self.callbacks.read().get(&client).cloned()?)));
         let mut answered = 0;
-        for client in clients {
-            let Some(transport) = self.callbacks.read().get(&client).cloned() else { continue };
-            self.acquire_fanout_slot(&mut in_flight, |(c, t, call)| {
-                answered += usize::from(self.finish_recover(c, &t, call));
-            });
-            match transport.send(GVFS_CALLBACK_PROGRAM, GVFS_VERSION, proc_ext::RECOVER, Vec::new())
-            {
-                Ok(call) => in_flight.push_back((client, transport, call)),
-                Err(_) => self.fanout.release(),
-            }
-        }
-        while let Some((c, t, call)) = in_flight.pop_front() {
-            answered += usize::from(self.finish_recover(c, &t, call));
-            self.fanout.release();
-        }
+        self.fanout.run(
+            routed,
+            |(client, transport)| {
+                let call = transport
+                    .send(GVFS_CALLBACK_PROGRAM, GVFS_VERSION, proc_ext::RECOVER, Vec::new())
+                    .ok()?;
+                Some((client, transport, call))
+            },
+            |(client, transport, call): (u32, SimRpcClient, PendingCall)| {
+                // Re-enter the client's dirty files in the table.
+                let reply = transport.wait_pending(call).ok();
+                let Some(res) = reply.and_then(|b| gvfs_xdr::from_bytes::<RecoverRes>(&b).ok())
+                else {
+                    return;
+                };
+                answered += 1;
+                let mut table = self.deleg.lock();
+                table.recover_client(client, &res.dirty_files, gvfs_netsim::now());
+                for &fh in &res.dirty_files {
+                    self.emit_trace(ProtocolEvent::Regrant { client, fh: fh.fileid() });
+                }
+            },
+        );
         self.emit_trace(ProtocolEvent::ServerRecover { answered: answered as u32 });
         answered
-    }
-
-    /// Claims one `RECOVER` reply and re-enters the client's dirty
-    /// files in the delegation table. Returns whether the client
-    /// answered.
-    fn finish_recover(&self, client: u32, transport: &SimRpcClient, call: PendingCall) -> bool {
-        let Ok(bytes) = transport.wait_pending(call) else { return false };
-        let Ok(res) = gvfs_xdr::from_bytes::<RecoverRes>(&bytes) else { return false };
-        let mut table = self.deleg.lock();
-        table.recover_client(client, &res.dirty_files, gvfs_netsim::now());
-        for &fh in &res.dirty_files {
-            self.emit_trace(ProtocolEvent::Regrant { client, fh: fh.fileid() });
-        }
-        true
     }
 
     /// Runs one delegation sweep (speculated closes, LRU eviction); the
@@ -478,11 +360,13 @@ impl ProxyServer {
     pub fn sweep(&self) {
         let actions = self.deleg.lock().sweep(gvfs_netsim::now());
         for action in actions {
-            self.deleg.lock().begin_recall(action.fh);
-            self.perform_recall(&action);
+            let (fh, client) = (action.fh, action.client);
+            self.deleg.lock().begin_recall(fh);
+            // A round of one: it waits for a slot like any other round.
+            self.perform_recalls([action]);
             let mut table = self.deleg.lock();
-            table.end_recall(action.fh);
-            table.sweep_done(action.fh, action.client);
+            table.end_recall(fh);
+            table.sweep_done(fh, client);
         }
         self.maintain(SWEEP_IDLE_EPOCHS);
     }
@@ -535,7 +419,7 @@ impl ProxyServer {
         ServerScaleStats {
             recalls_sent: self.recalls_sent.load(Ordering::SeqCst),
             recalls_short_circuited: self.recalls_short_circuited.load(Ordering::SeqCst),
-            fanout_window: self.fanout.capacity,
+            fanout_window: self.fanout.capacity(),
             fanout_in_flight_hwm: self.fanout.hwm(),
             health_entries: self.health.lock().len(),
             health_evicted: self.health_evicted.load(Ordering::Relaxed),
@@ -591,52 +475,39 @@ impl ProxyServer {
     /// `None` when there is no route or the link rejects the send — the
     /// recall then completes immediately with nothing recovered.
     fn send_recall(&self, action: &RecallAction) -> Option<(SimRpcClient, PendingCall)> {
-        let transport = self.callbacks.read().get(&action.client).cloned();
-        let Some(transport) = transport else {
-            self.emit_trace(ProtocolEvent::RecallFail {
-                client: action.client,
-                fh: action.fh.fileid(),
-            });
-            return None;
+        let (client, fh) = (action.client, action.fh.fileid());
+        let (kind, trace_kind) = match action.kind {
+            DelegationKind::Read => (CallbackKind::RecallRead, TraceKind::Read),
+            DelegationKind::Write => (CallbackKind::RecallWrite, TraceKind::Write),
         };
-        let kind = match action.kind {
-            DelegationKind::Read => CallbackKind::RecallRead,
-            DelegationKind::Write => CallbackKind::RecallWrite,
-        };
-        let args = CallbackArgs { fh: action.fh, kind, requested_offset: action.requested_offset };
-        let encoded = gvfs_xdr::to_bytes(&args).unwrap_or_default();
-        let sent = match transport.send(
-            GVFS_CALLBACK_PROGRAM,
-            GVFS_VERSION,
-            proc_ext::CALLBACK,
-            encoded,
-        ) {
-            Ok(call) => Some((transport, call)),
-            Err(e) => {
+        let transport = self.callbacks.read().get(&client).cloned();
+        let sent = transport.map(|transport| {
+            let args =
+                CallbackArgs { fh: action.fh, kind, requested_offset: action.requested_offset };
+            let encoded = gvfs_xdr::to_bytes(&args).unwrap_or_default();
+            (
+                transport.send(GVFS_CALLBACK_PROGRAM, GVFS_VERSION, proc_ext::CALLBACK, encoded),
+                transport,
+            )
+        });
+        match sent {
+            Some((Ok(call), transport)) => {
+                self.recalls_sent.fetch_add(1, Ordering::SeqCst);
+                self.emit_trace(ProtocolEvent::RecallSent { client, fh, kind: trace_kind });
+                Some((transport, call))
+            }
+            failed => {
                 // A partitioned client fails at send time: feed the
                 // breaker here so later recalls short-circuit.
-                if e.trips_breaker() {
-                    self.client_breaker(action.client).on_failure(now_dur());
+                if let Some((Err(e), _)) = failed {
+                    if e.trips_breaker() {
+                        self.client_breaker(client).on_failure(now_dur());
+                    }
                 }
-                self.emit_trace(ProtocolEvent::RecallFail {
-                    client: action.client,
-                    fh: action.fh.fileid(),
-                });
+                self.emit_trace(ProtocolEvent::RecallFail { client, fh });
                 None
             }
-        };
-        if sent.is_some() {
-            self.recalls_sent.fetch_add(1, Ordering::SeqCst);
-            self.emit_trace(ProtocolEvent::RecallSent {
-                client: action.client,
-                fh: action.fh.fileid(),
-                kind: match action.kind {
-                    DelegationKind::Read => TraceKind::Read,
-                    DelegationKind::Write => TraceKind::Write,
-                },
-            });
         }
-        sent
     }
 
     /// Phase two of a recall: claim the reply and report the outcome to
@@ -644,28 +515,24 @@ impl ProxyServer {
     /// with nothing recovered (its writes are lost unless it reconciles
     /// after recovery, §4.3.4).
     fn finish_recall(&self, action: &RecallAction, call: Option<(SimRpcClient, PendingCall)>) {
-        let (pending_blocks, answered) = match call {
-            Some((transport, call)) => {
-                let breaker = self.client_breaker(action.client);
-                let started = now_dur();
-                match transport.wait_pending(call) {
-                    Ok(bytes) => {
-                        let now = now_dur();
-                        breaker.on_success(now, now.saturating_sub(started));
-                        let blocks = gvfs_xdr::from_bytes::<CallbackRes>(&bytes)
-                            .map(|r| r.pending_blocks)
-                            .unwrap_or_default();
-                        (blocks, true)
-                    }
-                    Err(e) => {
-                        if e.trips_breaker() {
-                            breaker.on_failure(now_dur());
-                        }
-                        (Vec::new(), false)
-                    }
-                }
+        let reply = call.map(|(transport, call)| {
+            let breaker = self.client_breaker(action.client);
+            let started = now_dur();
+            let reply = transport.wait_pending(call);
+            let now = now_dur();
+            match &reply {
+                Ok(_) => breaker.on_success(now, now.saturating_sub(started)),
+                Err(e) if e.trips_breaker() => breaker.on_failure(now),
+                Err(_) => {}
             }
-            None => (Vec::new(), false),
+            reply
+        });
+        let answered = matches!(reply, Some(Ok(_)));
+        let pending_blocks = match reply {
+            Some(Ok(bytes)) => gvfs_xdr::from_bytes::<CallbackRes>(&bytes)
+                .map(|r| r.pending_blocks)
+                .unwrap_or_default(),
+            _ => Vec::new(),
         };
         let pending = pending_blocks.len() as u32;
         let mut table = self.deleg.lock();
@@ -676,15 +543,6 @@ impl ProxyServer {
             ok: answered,
             pending,
         });
-    }
-
-    fn perform_recall(&self, action: &RecallAction) {
-        if self.recall_short_circuits(action) {
-            self.finish_recall(action, None);
-            return;
-        }
-        let call = self.send_recall(action);
-        self.finish_recall(action, call);
     }
 
     fn record_invalidations(&self, class: &OpClass, client: u32, removed_targets: &[Fh3]) {

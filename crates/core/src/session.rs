@@ -15,8 +15,8 @@
 //! model and the cache policy. What no caller varies is a constant at
 //! its point of use: the modelled per-RPC process costs, the session
 //! key, the proxy disk and peer LAN profiles here, and the read-ahead
-//! trigger, the degradation delay and the scrub batch in the proxy
-//! client.
+//! trigger, the degradation delay, the retry budget and the scrub batch
+//! in the proxy client.
 //!
 //! [`NativeMount`] builds the baseline the paper compares against:
 //! kernel NFS clients talking straight to the kernel NFS server across
@@ -93,9 +93,9 @@ pub struct SessionConfig {
     pub invalidation_buffer: usize,
     /// Delegation sweeper period (speculated closes); `None` disables.
     pub sweep_interval: Option<Duration>,
-    /// Pipeline write-back WRITE batches over the WAN (xid-multiplexed
-    /// sends sharing one round trip). Disabled, each flushed block pays
-    /// a full round trip; the `pipelining` ablation measures the gap.
+    /// Picks the proxy client's write-back window: unbounded, so a
+    /// batch's WRITEs share one WAN round trip, or one WRITE in flight,
+    /// so each pays a round trip; the `pipelining` ablation compares.
     pub pipeline_writeback: bool,
     /// Sequential read-ahead window, in `BLOCK_SIZE` blocks
     /// speculatively fetched past a detected sequential run. Zero
@@ -103,11 +103,6 @@ pub struct SessionConfig {
     /// miss still fetches just its uncached gaps as one concurrent
     /// burst); the `readahead` ablation measures the difference.
     pub readahead_window: usize,
-    /// Maximum transparent retransmissions of one forwarded call before
-    /// the proxy gives up and surfaces the transport error (hard-mount
-    /// semantics bounded by a budget instead of the clock). Back-off
-    /// between attempts is exponential with per-client jitter.
-    pub retry_budget: u32,
     /// Bounded-staleness limit for degraded serving: once the breaker
     /// has been open for 2 s (`DEGRADE_AFTER`), a cached read is
     /// answered locally only if the cache was validated against the
@@ -143,7 +138,6 @@ impl Default for SessionConfig {
             sweep_interval: Some(Duration::from_secs(60)),
             pipeline_writeback: true,
             readahead_window: 8,
-            retry_budget: 600,
             max_staleness: Some(Duration::from_secs(120)),
             persistent_store: false,
             peer_read: false,

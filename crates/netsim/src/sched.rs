@@ -452,6 +452,13 @@ pub struct ActorHandle {
     id: ActorId,
 }
 
+/// Two handles are equal when they name the same actor.
+impl PartialEq for ActorHandle {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && Arc::ptr_eq(&self.sched, &other.sched)
+    }
+}
+
 impl std::fmt::Debug for ActorHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActorHandle").field("id", &self.id).finish()

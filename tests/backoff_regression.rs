@@ -6,6 +6,7 @@
 
 use gvfs_client::{MountOptions, NfsClient};
 use gvfs_core::protocol::{proc_ext, GVFS_PROXY_PROGRAM};
+use gvfs_core::proxy::client::RETRY_BUDGET;
 use gvfs_core::session::{Session, SessionConfig};
 use gvfs_core::ConsistencyModel;
 use gvfs_netsim::Sim;
@@ -183,17 +184,16 @@ fn blocked_forward_backs_off_and_completes_after_heal() {
     );
 }
 
-/// `SessionConfig::retry_budget` bounds the hard-retry loop: with the
-/// WAN partitioned for good and a budget of three, a forwarded call
-/// gives up after exactly three retransmissions and surfaces the
-/// transport error instead of holding the request forever.
+/// `RETRY_BUDGET` bounds the hard-retry loop: with the WAN partitioned
+/// for good, a forwarded call gives up after exactly that many
+/// retransmissions and surfaces the transport error instead of holding
+/// the request forever.
 #[test]
 fn retry_budget_bounds_the_hard_retry_loop() {
     let sim = Sim::new();
     let session = Arc::new(
         Session::builder(SessionConfig {
             model: ConsistencyModel::Passthrough,
-            retry_budget: 3,
             ..SessionConfig::default()
         })
         .clients(1)
@@ -220,7 +220,11 @@ fn retry_budget_bounds_the_hard_retry_loop() {
 
     let (res, elapsed, retries) = outcome.lock().take().expect("caller ran");
     assert_eq!(res, Err(RpcError::Unreachable), "the call must fail, not hang");
-    assert_eq!(retries, 3, "exactly the budgeted retransmissions");
-    // Back-off of 1 + 2 + 4 s, plus under half of each in jitter.
-    assert!(elapsed < Duration::from_millis(10_500), "gave up after {elapsed:?}");
+    assert_eq!(retries, u64::from(RETRY_BUDGET), "exactly the budgeted retransmissions");
+    // Back-off doubling from 1 s to the 60 s cap: 1 + 2 + ... + 32 s,
+    // then 60 s for each later retransmission, plus under half of each
+    // in jitter.
+    let backoff = Duration::from_secs(63 + 60 * (u64::from(RETRY_BUDGET) - 6));
+    assert!(elapsed >= backoff, "gave up early, after {elapsed:?}");
+    assert!(elapsed < backoff * 3 / 2, "gave up after {elapsed:?}");
 }

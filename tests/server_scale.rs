@@ -1,5 +1,5 @@
 //! Server-scale regressions: per-client state on the proxy server must
-//! stay bounded after a churn of mostly-idle clients, recall and
+//! stay bounded after a churn of mostly-idle clients, recall, sweep and
 //! `RECOVER` rounds must stay within the fan-out window, a large
 //! invalidation backlog must drain through `poll_again` paging without
 //! degrading to a force-invalidation, and the open-file table's LRU
@@ -17,6 +17,7 @@ use gvfs_core::protocol::{
 };
 use gvfs_core::proxy::server::{ProxyServer, ServerConfig};
 use gvfs_core::session::{Session, SessionConfig};
+use gvfs_core::trace::{ProtocolEvent, TraceBuffer};
 use gvfs_core::{ConsistencyModel, DelegationConfig};
 use gvfs_netsim::link::{Link, LinkConfig};
 use gvfs_netsim::transport::{ServerNode, SimRpcClient};
@@ -99,11 +100,16 @@ fn proxy_stack(
     (server, SimRpcClient::new(link.forward(), node, wan_stats))
 }
 
-/// Seeds one 512-byte file in `vfs` and returns its handle.
-fn seed_shared(vfs: &Vfs) -> Fh3 {
-    let fid = vfs.create(vfs.root(), "shared", 0o644, Timestamp::from_nanos(0)).unwrap();
+/// Seeds one 512-byte file named `name` in `vfs` and returns its handle.
+fn seed_file(vfs: &Vfs, name: &str) -> Fh3 {
+    let fid = vfs.create(vfs.root(), name, 0o644, Timestamp::from_nanos(0)).unwrap();
     vfs.write(fid, 0, &[7u8; 512], Timestamp::from_nanos(0)).unwrap();
     Fh3::from_fileid(fid.as_u64())
+}
+
+/// Seeds the one shared file of a test.
+fn seed_shared(vfs: &Vfs) -> Fh3 {
+    seed_file(vfs, "shared")
 }
 
 /// One wrapped NFS call on the wire as client `id`.
@@ -203,13 +209,52 @@ fn idle_client_state_is_bounded_after_churn() {
     sim.run();
 }
 
+/// The most recall callbacks the protocol trace shows on the wire at
+/// once: a `RecallSent` opens one, and the `RecallDone` of the same
+/// client and file closes it.
+fn max_recalls_in_flight(trace: &TraceBuffer) -> usize {
+    let mut open: Vec<(u32, u64)> = Vec::new();
+    let mut max = 0;
+    for record in trace.records() {
+        match record.ev {
+            ProtocolEvent::RecallSent { client, fh, .. } => {
+                open.push((client, fh));
+                max = max.max(open.len());
+            }
+            ProtocolEvent::RecallDone { client, fh, .. } => {
+                if let Some(i) = open.iter().position(|&o| o == (client, fh)) {
+                    open.remove(i);
+                }
+            }
+            _ => {}
+        }
+    }
+    max
+}
+
+/// Whether the trace shows client `client`'s recall of `fh` answered.
+fn recall_done(trace: &TraceBuffer, client: u32, fh: Fh3) -> bool {
+    trace.records().iter().any(|r| {
+        matches!(r.ev, ProtocolEvent::RecallDone { client: c, fh: f, ok: true, .. }
+            if c == client && f == fh.fileid())
+    })
+}
+
 /// A conflicting WRITE recalls all 16 read-delegation holders through
-/// the fan-out window, and a crash followed by the `RECOVER` multicast
-/// to the same 16 clients stays within it too: the in-flight high-water
-/// mark reaches the window and never exceeds it.
+/// the fan-out window while a delegation sweep recalls an idle holder
+/// of another file, and a crash followed by the `RECOVER` multicast to
+/// the same clients stays within the window too. The sweep recall fires
+/// once the round holds the whole window, so it must wait for a slot:
+/// the protocol trace never shows more recalls on the wire than the
+/// window, and the in-flight high-water mark reaches the window and
+/// never exceeds it. With a window of 1, two concurrent rounds larger
+/// than the window both finish within it.
 #[test]
 fn recall_and_recover_rounds_stay_within_the_fanout_window() {
     const HOLDERS: usize = 16;
+    /// Holds a delegation on a second file and then idles past the
+    /// sweep's expiration.
+    const IDLER: u32 = HOLDERS as u32 + 1;
     for window in [1, 4] {
         let sim = Sim::new();
         sim.spawn("test", move || {
@@ -219,23 +264,48 @@ fn recall_and_recover_rounds_stay_within_the_fanout_window() {
                 fanout_window: window,
                 ..ServerConfig::default()
             };
-            let (server, t) = proxy_stack(&vfs, config, HOLDERS);
+            let (server, t) = proxy_stack(&vfs, config, HOLDERS + 1);
+            let trace = TraceBuffer::new();
+            server.install_trace(Arc::clone(&trace));
+            let idle = seed_file(&vfs, "idle");
+            nfs_call(&t, IDLER, proc3::READ, &read_args(idle));
+            gvfs_netsim::sleep(DelegationConfig::default().expiration);
             let fh = seed_shared(&vfs);
             for id in 1..=HOLDERS as u32 {
                 nfs_call(&t, id, proc3::READ, &read_args(fh));
             }
 
-            nfs_call(&t, HOLDERS as u32 + 1, proc3::WRITE, &write_args(fh));
+            // The sweep fires once the round has filled the window.
+            let sweeper = Arc::clone(&server);
+            gvfs_netsim::spawn_from_actor("sweeper", move || {
+                while sweeper.scale_stats().recalls_sent < window as u64 {
+                    gvfs_netsim::sleep(Duration::from_micros(10));
+                }
+                sweeper.sweep();
+            });
+            nfs_call(&t, HOLDERS as u32 + 2, proc3::WRITE, &write_args(fh));
+            while !recall_done(&trace, IDLER, idle) {
+                gvfs_netsim::sleep(Duration::from_millis(1));
+            }
             let stats = server.scale_stats();
-            assert_eq!(stats.recalls_sent, HOLDERS as u64, "every holder is recalled");
+            assert_eq!(
+                stats.recalls_sent,
+                HOLDERS as u64 + 1,
+                "every holder is recalled, and the idle one by the sweep"
+            );
             assert_eq!(stats.fanout_window, window);
+            assert_eq!(
+                max_recalls_in_flight(&trace),
+                window,
+                "the round fills the window of {window}, and the sweep recall waits for a slot"
+            );
             assert_eq!(
                 stats.fanout_in_flight_hwm, window as u64,
                 "the recall round fills the window of {window} and never exceeds it"
             );
 
             server.crash();
-            assert_eq!(server.recover(), HOLDERS, "every holder answers RECOVER");
+            assert_eq!(server.recover(), HOLDERS + 1, "every client answers RECOVER");
             assert_eq!(
                 server.scale_stats().fanout_in_flight_hwm,
                 window as u64,
@@ -244,6 +314,36 @@ fn recall_and_recover_rounds_stay_within_the_fanout_window() {
         });
         sim.run();
     }
+
+    // Two rounds of 8 recalls each share a window of 1.
+    let sim = Sim::new();
+    sim.spawn("test", || {
+        let vfs = Arc::new(Vfs::new());
+        let config = ServerConfig {
+            model: ConsistencyModel::DelegationCallback(DelegationConfig::default()),
+            fanout_window: 1,
+            ..ServerConfig::default()
+        };
+        let (server, t) = proxy_stack(&vfs, config, HOLDERS);
+        let trace = TraceBuffer::new();
+        server.install_trace(Arc::clone(&trace));
+        let files = [seed_file(&vfs, "a"), seed_file(&vfs, "b")];
+        for id in 1..=HOLDERS as u32 {
+            nfs_call(&t, id, proc3::READ, &read_args(files[id as usize % 2]));
+        }
+        for (i, fh) in files.into_iter().enumerate() {
+            let t = t.clone();
+            gvfs_netsim::spawn_from_actor(&format!("writer-{i}"), move || {
+                nfs_call(&t, HOLDERS as u32 + 1 + i as u32, proc3::WRITE, &write_args(fh));
+            });
+        }
+        while (1..=HOLDERS as u32).any(|id| !recall_done(&trace, id, files[id as usize % 2])) {
+            gvfs_netsim::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(server.scale_stats().recalls_sent, HOLDERS as u64, "both rounds finish");
+        assert_eq!(max_recalls_in_flight(&trace), 1, "both rounds share the window of 1");
+    });
+    sim.run();
 }
 
 /// A backlog several times the per-reply cap must drain through
