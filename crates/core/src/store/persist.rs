@@ -373,7 +373,8 @@ fn covers(extents: &BTreeMap<u64, Ext>, start: u64, end: u64) -> bool {
 /// `InsertClean` and `WriteDirty` carry the sum of each block their
 /// range touches, as it stood after the write; `Checkpoint`, a handle's
 /// whole entry, at the start of a log a checkpoint began; `Synced`, that
-/// the disk was synced right after it was logged.
+/// the disk was synced right after it was logged; `Quarantine`, that a
+/// failed verification dropped every extent overlapping its range.
 #[derive(Debug)]
 enum WalRecord {
     Retag { fh: Fh3, mtime: NfsTime3, drop: bool },
@@ -383,6 +384,7 @@ enum WalRecord {
     DropClean { fh: Fh3 },
     Forget { fh: Fh3 },
     Checkpoint { fh: Fh3, entry: Entry },
+    Quarantine { fh: Fh3, offset: u64, len: u64 },
     Synced,
 }
 
@@ -502,8 +504,9 @@ impl Xdr for WalRecord {
             WalRecord::WriteDirty { fh, offset, bytes, sums } => {
                 encode_write_dirty(enc, *fh, *offset, bytes, sums.iter().copied())?;
             }
-            WalRecord::CleanRange { fh, offset, len } => {
-                enc.put_u32(4);
+            WalRecord::CleanRange { fh, offset, len }
+            | WalRecord::Quarantine { fh, offset, len } => {
+                enc.put_u32(if matches!(self, WalRecord::CleanRange { .. }) { 4 } else { 10 });
                 enc.put_u64(fh.fileid());
                 enc.put_u64(*offset);
                 enc.put_u64(*len);
@@ -543,6 +546,7 @@ impl Xdr for WalRecord {
                 sums: get_sums(dec)?,
             },
             4 => WalRecord::CleanRange { fh, offset: dec.get_u64()?, len: dec.get_u64()? },
+            10 => WalRecord::Quarantine { fh, offset: dec.get_u64()?, len: dec.get_u64()? },
             5 => WalRecord::DropClean { fh },
             7 => WalRecord::Forget { fh },
             2 => WalRecord::Checkpoint { fh, entry: get_entry(dec, fh)? },
@@ -735,6 +739,9 @@ impl Idx {
                 self.touch(fh);
             }
             WalRecord::CleanRange { fh, offset, len } => self.apply_clean_range(fh, offset, len),
+            WalRecord::Quarantine { fh, offset, len } => {
+                self.remove_overlaps(fh, offset, offset + len)
+            }
             WalRecord::DropClean { fh } => {
                 self.apply_drop_clean(fh);
             }
@@ -1126,6 +1133,8 @@ impl PersistentStore {
         }
         idx.quarantined_blocks += (idx.events.len() - first) as u64;
         idx.remove_overlaps(fh, start, end);
+        // Logged, so a restart does not bring the dropped bytes back.
+        self.log(idx, &WalRecord::Quarantine { fh, offset: start, len: end - start });
     }
 
     /// Counts a verification failure in served-anyway mode (the
@@ -1847,6 +1856,25 @@ mod tests {
         assert!(ev[0].dirty, "lost bytes were dirty");
         assert!(!s.has_dirty(fh), "the unrecoverable extent is dropped");
         assert_eq!(s.stats().quarantined_blocks, 1);
+    }
+
+    /// A quarantine is logged: the dirty bytes a read dropped stay
+    /// dropped across a sync and a crash, so the loss is reported once.
+    #[test]
+    fn a_quarantine_survives_a_restart() {
+        let mut s = store();
+        let fh = Fh3::from_fileid(1);
+        s.write_dirty(fh, 0, vec![7; 100]);
+        assert!(s.disk.corrupt_byte(&data_path(fh), 50, 0x01));
+        assert!(s.read(fh, 0, 100).is_none());
+        assert_eq!(s.take_integrity_events().len(), 1);
+        s.sync();
+        s.crash_reopen();
+        assert_eq!(s.dirty_ranges(fh), vec![], "the quarantined extent stays dropped");
+        assert_eq!(s.dirty_files(), vec![]);
+        assert!(s.read(fh, 0, 100).is_none(), "a plain miss");
+        assert_eq!(s.take_integrity_events(), vec![], "no second loss event");
+        assert_eq!(s.stats().integrity_failures, 1);
     }
 
     /// A torn data-file write (sector-prefix only) fails its next
