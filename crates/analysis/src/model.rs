@@ -632,20 +632,15 @@ struct FanoutMachine {
     knobs: FanoutKnobs,
 }
 
-impl FanoutMachine {
-    /// Unfinished rounds that are not queued for a slot.
-    fn runnable(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..2).filter(|&r| !self.done[r] && !self.window.queued(&r))
-    }
-}
-
 impl Machine for FanoutMachine {
     /// A round to step, and whether a send it makes fails.
     type Action = (usize, bool);
     const DEPTH: usize = usize::MAX;
 
+    /// Unfinished rounds that are not queued for a slot may step.
     fn enabled(&self) -> Vec<(usize, bool)> {
-        self.runnable().flat_map(|r| [(r, false), (r, true)]).collect()
+        let runnable = (0..2).filter(|&r| !self.done[r] && !self.window.queued(&r));
+        runnable.flat_map(|r| [(r, false), (r, true)]).collect()
     }
 
     fn apply(&mut self, &(r, fail): &(usize, bool)) -> Result<(), String> {
@@ -688,7 +683,7 @@ impl Machine for FanoutMachine {
                 v.push(format!("round {r} item {} never completed", lost.trailing_zeros()));
             }
         }
-        if self.done.contains(&false) && self.runnable().next().is_none() {
+        if self.done.contains(&false) && self.enabled().is_empty() {
             v.push("stuck: every unfinished round is parked".to_string());
         }
         v

@@ -258,13 +258,7 @@ impl ProxyServer {
     /// targets, open breakers) are decided as each action is drawn,
     /// before it takes a slot, and complete at once without one.
     fn perform_recalls(&self, actions: impl IntoIterator<Item = RecallAction>) {
-        let live = actions.into_iter().filter(|action| {
-            let short = self.recall_short_circuits(action);
-            if short {
-                self.finish_recall(action, None);
-            }
-            !short
-        });
+        let live = actions.into_iter().filter(|action| !self.short_circuit(action));
         self.fanout.run(
             live,
             |action| match self.send_recall(&action) {
@@ -337,15 +331,13 @@ impl ProxyServer {
             |(client, transport, call): (u32, SimRpcClient, PendingCall)| {
                 // Re-enter the client's dirty files in the table.
                 let reply = transport.wait_pending(call).ok();
-                let Some(res) = reply.and_then(|b| gvfs_xdr::from_bytes::<RecoverRes>(&b).ok())
-                else {
-                    return;
-                };
-                answered += 1;
-                let mut table = self.deleg.lock();
-                table.recover_client(client, &res.dirty_files, gvfs_netsim::now());
-                for &fh in &res.dirty_files {
-                    self.emit_trace(ProtocolEvent::Regrant { client, fh: fh.fileid() });
+                if let Some(res) = reply.and_then(|b| gvfs_xdr::from_bytes::<RecoverRes>(&b).ok()) {
+                    answered += 1;
+                    let mut table = self.deleg.lock();
+                    table.recover_client(client, &res.dirty_files, gvfs_netsim::now());
+                    for &fh in &res.dirty_files {
+                        self.emit_trace(ProtocolEvent::Regrant { client, fh: fh.fileid() });
+                    }
                 }
             },
         );
@@ -447,28 +439,30 @@ impl ProxyServer {
         }
     }
 
-    /// Pre-wire short-circuit check, run *before* a fan-out window slot
+    /// Pre-wire short-circuit, decided *before* a fan-out window slot
     /// is taken so suppressed targets and breaker-open peers never
-    /// consume window capacity.
-    fn recall_short_circuits(&self, action: &RecallAction) -> bool {
-        if self.config.suppress_recalls {
-            // The holder is revoked without being told: exactly the bug
-            // class the chaos oracles exist to catch.
-            return true;
+    /// consume window capacity: such a recall completes at once with
+    /// nothing recovered. Returns whether it did.
+    fn short_circuit(&self, action: &RecallAction) -> bool {
+        // Suppressed, the holder is revoked without being told: exactly
+        // the bug class the chaos oracles exist to catch.
+        let short = self.config.suppress_recalls || {
+            // Health short-circuit: a recall to a client whose breaker
+            // is open would only burn a callback timeout before reaching
+            // the same "revoked as unreachable" outcome — take it now. A
+            // half-open breaker lets the recall through as the probe.
+            let (client, fh) = (action.client, action.fh.fileid());
+            let open = self.client_breaker(client).state(now_dur()) == BreakerState::Open;
+            if open {
+                self.recalls_short_circuited.fetch_add(1, Ordering::SeqCst);
+                self.emit_trace(ProtocolEvent::RecallShort { client, fh });
+            }
+            open
+        };
+        if short {
+            self.finish_recall(action, None);
         }
-        // Health short-circuit: a recall to a client whose breaker is
-        // open would only burn a callback timeout before reaching the
-        // same "revoked as unreachable" outcome — take it immediately.
-        // A half-open breaker lets the recall through as the probe.
-        if self.client_breaker(action.client).state(now_dur()) == BreakerState::Open {
-            self.recalls_short_circuited.fetch_add(1, Ordering::SeqCst);
-            self.emit_trace(ProtocolEvent::RecallShort {
-                client: action.client,
-                fh: action.fh.fileid(),
-            });
-            return true;
-        }
-        false
+        short
     }
 
     /// Phase one of a recall: put the callback on the wire. Returns

@@ -18,8 +18,7 @@ pub enum Step {
     Send,
     /// Claim the round's oldest call, then return its slot.
     Claim,
-    /// Other rounds hold every slot: the round is queued until a
-    /// [`Window::release`] takes it off.
+    /// Other rounds hold every slot: the round waits in the queue.
     Park,
     /// Nothing is left to send or claim.
     Done,
@@ -99,11 +98,12 @@ impl<W> Window<W> {
         slots.in_use -= 1;
         slots.waiters.pop_front()
     }
-}
 
-impl<W: PartialEq> Window<W> {
     /// Whether `me` is still queued for a slot.
-    pub fn queued(&self, me: &W) -> bool {
+    pub fn queued(&self, me: &W) -> bool
+    where
+        W: PartialEq,
+    {
         self.fanout.lock().waiters.contains(me)
     }
 }
@@ -181,8 +181,7 @@ impl Window {
                 // Another unpark may come early: only a release takes
                 // the round off the queue.
                 Step::Park => {
-                    let me = me();
-                    while self.queued(&me) {
+                    while self.queued(&me()) {
                         gvfs_netsim::park();
                     }
                 }
