@@ -691,7 +691,7 @@ impl Machine for FanoutMachine {
 }
 
 /// Explores two rounds sharing one window, each stepped through the
-/// shipped [`Round::advance`] and [`Window::step`], over every
+/// shipped [`Round::advance`] and the window's decision, over every
 /// interleaving of their steps and every pattern of failed sends: round
 /// sizes 3+3 and 4+2, windows of 1, 2, n (both rounds' items) and
 /// unbounded, and breaker-open targets per round of none, the first,

@@ -1,6 +1,6 @@
 //! The one loop behind every batch of concurrent calls (§4.3.2, §4.3.4):
 //! recall fan-out, sweep recalls, the `RECOVER` multicast and the
-//! client's write-back. [`Window::step`] decides, without parking or
+//! client's write-back. The window's `step` decides, without parking or
 //! holding its lock across a send; [`Round::advance`] acts on it, driven
 //! by [`Window::run`] on an actor and by the `fanout` model machine.
 
@@ -18,7 +18,8 @@ pub enum Step {
     Send,
     /// Claim the round's oldest call, then return its slot.
     Claim,
-    /// Other rounds hold every slot: the round waits in the queue.
+    /// Other rounds hold every slot: the round waits in the queue until
+    /// a returned slot takes it off.
     Park,
     /// Nothing is left to send or claim.
     Done,
@@ -61,14 +62,14 @@ impl<W> Window<W> {
     }
 
     /// The most slots ever in use at once (0 when unbounded).
-    pub fn hwm(&self) -> u64 {
+    pub(crate) fn hwm(&self) -> u64 {
         self.fanout.lock().hwm as u64
     }
 
     /// Decides a round's next move from whether it has an item `pending`
     /// and how many of its calls are in flight (`own`). [`Step::Send`]
     /// has taken the slot; [`Step::Park`] has queued the round as `me()`.
-    pub fn step(&self, pending: bool, own: usize, me: impl FnOnce() -> W) -> Step {
+    fn step(&self, pending: bool, own: usize, me: impl FnOnce() -> W) -> Step {
         if !pending {
             return if own > 0 { Step::Claim } else { Step::Done };
         }
@@ -90,7 +91,7 @@ impl<W> Window<W> {
 
     /// Returns a slot and takes the oldest parked round off the queue,
     /// for the caller to wake.
-    pub fn release(&self) -> Option<W> {
+    fn release(&self) -> Option<W> {
         if self.capacity == UNBOUNDED {
             return None;
         }
@@ -130,7 +131,7 @@ impl<I: Iterator, C> Round<I, C> {
         self.in_flight.iter()
     }
 
-    /// Takes one [`Window::step`] and acts on it: sends the next item
+    /// Takes one step of the window's decision and acts on it: sends the next item
     /// with `send` (whose `None`, a failed send, returns the slot) or
     /// hands the oldest call to `claim` and returns its slot. A round
     /// that a returned slot takes off the queue goes to `wake`.
