@@ -5,10 +5,12 @@
 //! Run: `cargo bench -p gvfs-bench`
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use gvfs_core::cache::{DiskCache, FileCache};
+use gvfs_core::cache::DiskCache;
 use gvfs_core::delegation::DelegationTable;
 use gvfs_core::invalidation::ConcurrentInvalidationTracker;
+use gvfs_core::store::persist::{PersistConfig, PersistentStore};
 use gvfs_core::DelegationConfig;
+use gvfs_netsim::disk::{DiskConfig, VirtualDisk};
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::{Fattr3, Fh3, Ftype3, LookupArgs, NfsTime3, ReadRes};
 use gvfs_rpc::message::{CallBody, MessageBody, OpaqueAuth, RpcMessage};
@@ -123,42 +125,16 @@ fn bench_vfs(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_file_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("proxy_file_cache");
-    group.bench_function("read_hit_32k", |b| {
-        let mut fc = FileCache::default();
-        fc.insert_clean(0, vec![1u8; 1 << 20]);
-        b.iter(|| fc.read(512 * 1024, 32 * 1024).unwrap());
-    });
-    group.bench_function("dirty_write_and_clean_range", |b| {
-        b.iter_batched(
-            || {
-                let mut fc = FileCache::default();
-                fc.insert_clean(0, vec![0u8; 256 * 1024]);
-                fc
-            },
-            |mut fc| {
-                fc.write_dirty(100_000, vec![7u8; 50_000]);
-                fc.clean_range(98_304, 32 * 1024);
-                fc
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("dirty_blocks_enumeration", |b| {
-        let mut fc = FileCache::default();
-        for i in 0..64 {
-            fc.write_dirty(i * 65_536, vec![1u8; 1000]);
-        }
-        b.iter(|| fc.dirty_blocks(32 * 1024));
-    });
-    group.finish();
+/// A disk cache over the persistent store on a free disk.
+fn disk_cache() -> DiskCache {
+    let cfg = PersistConfig { capacity: 1 << 30, ..PersistConfig::default() };
+    DiskCache::new(PersistentStore::open(VirtualDisk::new(DiskConfig::instant()), cfg))
 }
 
 fn bench_disk_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("proxy_disk_cache");
     group.bench_function("attr_hit", |b| {
-        let mut cache = DiskCache::new(1 << 30);
+        let mut cache = disk_cache();
         let attr = sample_attr();
         for i in 0..10_000 {
             cache.put_attr(Fh3::from_fileid(i), Fattr3 { fileid: i, ..attr });
@@ -166,7 +142,7 @@ fn bench_disk_cache(c: &mut Criterion) {
         b.iter(|| cache.attr(Fh3::from_fileid(5000)).unwrap());
     });
     group.bench_function("data_read_hit_32k", |b| {
-        let mut cache = DiskCache::new(1 << 30);
+        let mut cache = disk_cache();
         cache.store.insert_clean(Fh3::from_fileid(1), 0, vec![1u8; 1 << 20]);
         b.iter(|| cache.store.read(Fh3::from_fileid(1), 256 * 1024, 32 * 1024).unwrap());
     });
@@ -240,7 +216,6 @@ criterion_group!(
     bench_xdr,
     bench_record_marking,
     bench_vfs,
-    bench_file_cache,
     bench_disk_cache,
     bench_invalidation,
     bench_delegation,

@@ -29,8 +29,7 @@ use crate::protocol::{
 use crate::proxy::window::{Window, UNBOUNDED};
 use crate::proxy::{block_of, BLOCK_SIZE};
 use crate::session::SessionConfig;
-use crate::store::persist::content_hash;
-use crate::store::BlockStore;
+use crate::store::persist::{content_hash, PersistentStore};
 use crate::trace::{ProtocolEvent, TraceBuffer, TraceKind};
 use gvfs_netsim::transport::SimRpcClient;
 use gvfs_netsim::SimTime;
@@ -148,7 +147,7 @@ pub struct ProxyClientStats {
     /// it.
     pub dedup_hits: u64,
     /// Clean blocks served warm from the replayed on-disk index after
-    /// the last restart (persistent store only).
+    /// the last machine restart.
     pub restart_warm_blocks: u64,
     /// Block fetches satisfied by a peer's clean cache over the LAN
     /// (verified against the origin-attested change/length/hash).
@@ -384,9 +383,7 @@ enum Forwarded {
 
 impl ProxyClient {
     /// Creates a proxy client configured for `config`'s session, caching
-    /// into `store` (the in-memory store, or a
-    /// [`crate::store::persist::PersistentStore`] whose disk survives
-    /// restarts).
+    /// into `store`, whose disk survives restarts.
     ///
     /// `wan` must carry a GVFS credential identifying `id` (the session
     /// middleware arranges this). `break_peerread` builds in the chaos
@@ -396,7 +393,7 @@ impl ProxyClient {
         id: u32,
         config: &SessionConfig,
         wan: SimRpcClient,
-        store: Box<dyn BlockStore>,
+        store: PersistentStore,
         break_peerread: bool,
     ) -> Arc<Self> {
         let breaker = CircuitBreaker::new(BreakerConfig::default()).with_stats(wan.stats().clone());
@@ -404,7 +401,7 @@ impl ProxyClient {
             id,
             config: *config,
             wan,
-            disk: Mutex::new(DiskCache::with_store(store)),
+            disk: Mutex::new(DiskCache::new(store)),
             state: Mutex::new(ClientState::default()),
             poll_ts: Mutex::new(None),
             flush_queue: Mutex::new(VecDeque::new()),
@@ -506,8 +503,8 @@ impl ProxyClient {
         s
     }
 
-    /// Forces a durability barrier on the block store (no-op for the
-    /// in-memory store). Everything cached so far survives a crash.
+    /// Forces a durability barrier on the block store. Everything
+    /// cached so far survives a crash.
     pub fn sync_store(&self) {
         self.disk.lock().store.sync();
         self.settle_disk();
@@ -2246,10 +2243,9 @@ impl ProxyClient {
     }
 
     /// Reconciles after a whole-machine crash and restart: the block
-    /// store reopens from its backing disk first — a persistent store
-    /// replays its index and discards entries whose dirty WAL records
-    /// are torn; the in-memory store comes back empty — and then the
-    /// usual crash recovery of [`ProxyClient::crash_recover`] runs over
+    /// store reopens from its backing disk first — it replays its index
+    /// and discards entries whose dirty WAL records are torn — and then
+    /// the usual crash recovery of [`ProxyClient::crash_recover`] runs over
     /// whatever dirty data provably survived.
     pub fn crash_restart(&self) -> Vec<Fh3> {
         self.emit_trace(ProtocolEvent::ClientCrash { client: self.id });
@@ -2356,8 +2352,8 @@ impl RpcService for ProxyClient {
             }),
         };
         // Pay for any block-store I/O this call performed, with no
-        // locks held, so a persistent store's seek/throughput costs
-        // land on this actor's virtual clock deterministically.
+        // locks held, so the store's seek/throughput costs land on this
+        // actor's virtual clock deterministically.
         self.settle_disk();
         result
     }

@@ -25,9 +25,7 @@
 use crate::model::ConsistencyModel;
 use crate::proxy::client::{CallbackService, ProxyClient, DEGRADE_AFTER};
 use crate::proxy::server::{ProxyServer, ServerConfig};
-use crate::store::mem::MemStore;
 use crate::store::persist::{PersistConfig, PersistentStore};
-use crate::store::BlockStore;
 use gvfs_netsim::disk::{DiskConfig, VirtualDisk};
 use gvfs_netsim::link::{Link, LinkConfig};
 use gvfs_netsim::transport::{ServerNode, SimRpcClient};
@@ -110,10 +108,14 @@ pub struct SessionConfig {
     /// the degradation ladder entirely — forwarded calls hard-retry
     /// through the outage (the availability ablation's baseline arm).
     pub max_staleness: Option<Duration>,
-    /// Back each proxy client's cache with the persistent block store
-    /// instead of the in-memory one: the
-    /// cache survives a proxy-machine crash (torn writes discarded) and
-    /// a restarted session over the same disks serves clean blocks warm.
+    /// Every proxy client caches into the persistent block store; this
+    /// picks two things only. The disk's cost model: off, the store
+    /// runs on a free disk ([`DiskConfig::instant`]); on, on a modelled
+    /// SSD or the disks given to [`SessionBuilder::client_disks`]. And
+    /// the crash [`Session::restart_proxy_client`] models: off, a
+    /// process crash (the store keeps its content); on, a machine
+    /// crash (the store reopens from its disk, losing what no
+    /// durability barrier covered).
     pub persistent_store: bool,
     /// Enable peer-to-peer block sourcing (`PEERREAD`): the origin
     /// advertises live holders of clean blocks, and gap fetches try the
@@ -123,8 +125,7 @@ pub struct SessionConfig {
     pub peer_read: bool,
     /// Background scrub period per client: each tick verifies 4 MiB of
     /// stored checksums ahead of demand and re-fetches whatever the
-    /// sweep quarantines. `None` (the default) disables the scrub actor;
-    /// only meaningful with [`SessionConfig::persistent_store`].
+    /// sweep quarantines. `None` (the default) disables the scrub actor.
     pub scrub_period: Option<Duration>,
 }
 
@@ -206,12 +207,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Uses existing per-client virtual disks for the persistent store
+    /// Uses existing per-client virtual disks for the block stores
     /// instead of fresh ones — a session established over the disks of
     /// a previous session models a restart: the stores replay their
     /// on-disk indexes and serve surviving clean blocks warm. Implies
-    /// [`SessionConfig::persistent_store`]. Entries beyond the list get
-    /// fresh disks.
+    /// [`SessionConfig::persistent_store`], so these disks keep their
+    /// own cost model and a client restart is a machine crash. Entries
+    /// beyond the list get fresh SSDs.
     pub fn client_disks(mut self, disks: Vec<Arc<VirtualDisk>>) -> Self {
         self.config.persistent_store = true;
         self.client_disks = Some(disks);
@@ -286,24 +288,19 @@ impl SessionBuilder {
                 wan_stats.clone(),
             )
             .with_credential(OpaqueAuth::gvfs(&cred).expect("encode credential"));
-            let (store, disk): (Box<dyn BlockStore>, _) = if config.persistent_store {
-                let disk = self
-                    .client_disks
-                    .as_ref()
-                    .and_then(|disks| disks.get(i).cloned())
-                    .unwrap_or_else(|| VirtualDisk::new(DiskConfig::ssd()));
-                let store = PersistentStore::open(
-                    Arc::clone(&disk),
-                    PersistConfig {
-                        capacity: config.disk_cache_bytes,
-                        verify: self.faults.unverified_store != Some(i),
-                        ..PersistConfig::default()
-                    },
-                );
-                (Box::new(store), Some(disk))
-            } else {
-                (Box::new(MemStore::new(config.disk_cache_bytes)), None)
+            let disk = match self.client_disks.as_ref().and_then(|disks| disks.get(i)) {
+                Some(disk) => Arc::clone(disk),
+                None if config.persistent_store => VirtualDisk::new(DiskConfig::ssd()),
+                None => VirtualDisk::new(DiskConfig::instant()),
             };
+            let store = PersistentStore::open(
+                Arc::clone(&disk),
+                PersistConfig {
+                    capacity: config.disk_cache_bytes,
+                    verify: self.faults.unverified_store != Some(i),
+                    ..PersistConfig::default()
+                },
+            );
             let break_peerread = self.faults.stale_peer == Some(i);
             let proxy = ProxyClient::new(id, &config, wan, store, break_peerread);
 
@@ -358,9 +355,7 @@ impl SessionBuilder {
                 let p = Arc::clone(&proxy);
                 sim.spawn(&format!("supervisor-{id}"), move || p.run_supervisor());
             }
-            // The scrub actor only makes sense over a store with
-            // checksums; over the in-memory store every step is a no-op.
-            if let (true, Some(period)) = (config.persistent_store, config.scrub_period) {
+            if let Some(period) = config.scrub_period {
                 let p = Arc::clone(&proxy);
                 sim.spawn(&format!("scrubber-{id}"), move || p.run_scrubber(period));
             }
@@ -437,7 +432,7 @@ struct ClientEnd {
     loopback: Arc<Link>,
     wan_link: Arc<Link>,
     cb_node: Arc<ServerNode>,
-    disk: Option<Arc<VirtualDisk>>,
+    disk: Arc<VirtualDisk>,
 }
 
 /// An established GVFS session.
@@ -624,8 +619,11 @@ impl Session {
 
     /// Restarts proxy client `i` and runs client-side crash recovery
     /// (§4.3.4): volatile state is cleared, attributes invalidated, and
-    /// dirty files reconciled against the server. Must be called from a
-    /// simulation actor (recovery performs WAN RPCs). Returns the
+    /// dirty files reconciled against the server. With
+    /// [`SessionConfig::persistent_store`] the crash was the machine's,
+    /// and the store first reopens from its disk; without it only the
+    /// process crashed, and the store keeps its content. Must be called
+    /// from a simulation actor (recovery performs WAN RPCs). Returns the
     /// handles whose dirty data was discarded as corrupted.
     ///
     /// # Panics
@@ -641,19 +639,20 @@ impl Session {
             // barrier didn't cover, before the protocol reconciles.
             end.proxy.crash_restart()
         } else {
+            // Only the process crashed: the store keeps its content.
             end.proxy.crash_recover()
         }
     }
 
-    /// The virtual disk backing client `i`'s persistent store, if the
-    /// session runs one — hand it to a later session's
-    /// [`SessionBuilder::client_disks`] to model a restart.
+    /// The virtual disk backing client `i`'s block store — hand it to a
+    /// later session's [`SessionBuilder::client_disks`] to model a
+    /// restart. Every session runs a store, so this is always `Some`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn client_disk(&self, i: usize) -> Option<Arc<VirtualDisk>> {
-        self.clients[i].disk.clone()
+        Some(Arc::clone(&self.clients[i].disk))
     }
 
     /// A cloneable control handle usable from workload actors.

@@ -20,7 +20,7 @@
 //! is preceded by a `Synced` record, the *barrier*: the data writes of
 //! the records before it reached the disk.
 //!
-//! **Recovery.** On open (and after [`BlockStore::crash_reopen`]) the
+//! **Recovery.** On open (and after [`PersistentStore::crash_reopen`]) the
 //! store replays `wal.log` record by record. A frame extending past the
 //! end of the log is a *torn tail* — replay stops and truncates there, so
 //! no torn dirty record is ever applied. Up to the barrier, an in-bounds
@@ -53,10 +53,10 @@
 //! *intended* content (a torn write fails its next verification). A read
 //! verifies the blocks it serves; a mismatch **quarantines** that block
 //! — its extents are dropped instead of served, counted, and reported
-//! via [`BlockStore::take_integrity_events`]: clean bytes become cache
+//! via [`PersistentStore::take_integrity_events`]: clean bytes become cache
 //! misses the origin/peer read path repairs transparently; dirty bytes
 //! are explicit data loss the client must surface. A scrub sweep
-//! ([`BlockStore::scrub_step`]) verifies blocks ahead of demand behind a
+//! ([`PersistentStore::scrub_step`]) verifies blocks ahead of demand behind a
 //! persistent cursor. Verification reads are cost-free in the simulation
 //! (modeled as piggybacked on the data transfer they guard); only the
 //! served bytes are charged.
@@ -76,7 +76,7 @@
 //! Lock order: `index` before `wal`, both ranked in the analysis
 //! crate's `LOCK_ORDER` table; neither may be held across a WAN send.
 
-use super::{blocks_touched, BlockStore, IntegrityEvent, StoreStats};
+use super::{blocks_touched, IntegrityEvent, StoreStats};
 use gvfs_netsim::disk::{Slices, VirtualDisk};
 use gvfs_nfs3::{Fh3, NfsTime3};
 use gvfs_xdr::{Decoder, Encoder, Xdr, XdrError};
@@ -634,8 +634,8 @@ impl Idx {
     }
 
     /// Merges the extents from the one before `start` through the one
-    /// at `end` with adjacent extents of the same kind, mirroring
-    /// `FileCache::coalesce` so dirty-range tilings agree exactly. Every
+    /// at `end` with adjacent extents of the same kind, as the test
+    /// oracle's extent map does, so dirty-range tilings agree exactly. Every
     /// change coalesces its own range, so no seam is left elsewhere.
     fn coalesce(&mut self, fh: Fh3, start: u64, end: u64) {
         let Some(entry) = self.files.get_mut(&fh) else { return };
@@ -1202,8 +1202,11 @@ fn count_clean_blocks(idx: &Idx, block_size: u64) -> u64 {
     idx.files.values().map(clean).sum()
 }
 
-impl BlockStore for PersistentStore {
-    fn read(&mut self, fh: Fh3, offset: u64, len: usize) -> Option<Vec<u8>> {
+impl PersistentStore {
+    /// The bytes in `[offset, offset+len)` if fully covered, touching
+    /// the file in the LRU. Only the blocks served are verified; a block
+    /// that fails is quarantined and the read becomes a miss.
+    pub fn read(&mut self, fh: Fh3, offset: u64, len: usize) -> Option<Vec<u8>> {
         let mut idx = self.index.lock();
         let entry = idx.files.get(&fh)?;
         if len == 0 {
@@ -1235,7 +1238,11 @@ impl BlockStore for PersistentStore {
         Some(bytes)
     }
 
-    fn missing_ranges(&self, fh: Fh3, offset: u64, len: usize) -> Vec<(u64, usize)> {
+    /// The sub-ranges of `[offset, offset+len)` not covered by cached
+    /// extents, in order; an unknown file is one whole gap. Dirty
+    /// extents count as covered: locally written bytes are never
+    /// refetched.
+    pub fn missing_ranges(&self, fh: Fh3, offset: u64, len: usize) -> Vec<(u64, usize)> {
         let idx = self.index.lock();
         let Some(entry) = idx.files.get(&fh) else {
             return if len == 0 { Vec::new() } else { vec![(offset, len)] };
@@ -1265,7 +1272,9 @@ impl BlockStore for PersistentStore {
         gaps
     }
 
-    fn insert_clean(&mut self, fh: Fh3, offset: u64, data: Vec<u8>) {
+    /// Stores server-fetched bytes; cached dirty bytes beat the
+    /// incoming clean data.
+    pub fn insert_clean(&mut self, fh: Fh3, offset: u64, data: Vec<u8>) {
         if data.is_empty() {
             return;
         }
@@ -1301,7 +1310,8 @@ impl BlockStore for PersistentStore {
         self.evict_over_capacity(&mut idx);
     }
 
-    fn write_dirty(&mut self, fh: Fh3, offset: u64, data: Vec<u8>) {
+    /// Records locally written bytes as dirty (write-back mode).
+    pub fn write_dirty(&mut self, fh: Fh3, offset: u64, data: Vec<u8>) {
         if data.is_empty() {
             return;
         }
@@ -1319,7 +1329,10 @@ impl BlockStore for PersistentStore {
         self.evict_over_capacity(&mut idx);
     }
 
-    fn clean_range(&mut self, fh: Fh3, offset: u64, len: u64) {
+    /// Marks every byte of `[offset, offset+len)` clean after a
+    /// successful write-back, splitting extents at the boundaries. A
+    /// durability barrier.
+    pub fn clean_range(&mut self, fh: Fh3, offset: u64, len: u64) {
         let mut idx = self.index.lock();
         if idx.files.contains_key(&fh) {
             idx.apply_clean_range(fh, offset, len);
@@ -1332,7 +1345,8 @@ impl BlockStore for PersistentStore {
         self.sync_wal(&mut self.wal.lock());
     }
 
-    fn drop_clean(&mut self, fh: Fh3) {
+    /// Drops the file's clean extents, keeping dirty data.
+    pub fn drop_clean(&mut self, fh: Fh3) {
         let mut idx = self.index.lock();
         if !idx.files.contains_key(&fh) {
             return;
@@ -1341,7 +1355,9 @@ impl BlockStore for PersistentStore {
         self.log(&mut idx, &WalRecord::DropClean { fh });
     }
 
-    fn forget(&mut self, fh: Fh3) {
+    /// Drops everything known about the file (it was removed),
+    /// including its mtime tag.
+    pub fn forget(&mut self, fh: Fh3) {
         let mut idx = self.index.lock();
         if !idx.files.contains_key(&fh) && !idx.lru_seq.contains_key(&fh) {
             return;
@@ -1352,14 +1368,31 @@ impl BlockStore for PersistentStore {
         self.log(&mut idx, &WalRecord::Forget { fh });
     }
 
-    fn dirty_ranges(&self, fh: Fh3) -> Vec<(u64, usize)> {
+    /// Offsets and lengths of the file's dirty extents, in order.
+    pub fn dirty_ranges(&self, fh: Fh3) -> Vec<(u64, usize)> {
         let idx = self.index.lock();
         idx.files.get(&fh).map_or_else(Vec::new, |e| {
             e.extents.iter().filter(|(_, x)| x.dirty).map(|(o, x)| (*o, x.len)).collect()
         })
     }
 
-    fn dirty_in_block(&self, fh: Fh3, block_offset: u64, block_size: u64) -> Vec<(u64, Vec<u8>)> {
+    /// Aligned offsets of every `block_size` block holding dirty bytes
+    /// — the "list of blocks' offsets" a recalled write delegation
+    /// reports (§4.3.2).
+    pub fn dirty_blocks(&self, fh: Fh3, block_size: u64) -> Vec<u64> {
+        blocks_touched(self.dirty_ranges(fh), block_size)
+    }
+
+    /// The dirty byte segments inside one aligned block, as
+    /// `(absolute_offset, bytes)` pairs. A segment that fails
+    /// verification is quarantined (reported as dirty data loss), never
+    /// handed to the flusher.
+    pub fn dirty_in_block(
+        &self,
+        fh: Fh3,
+        block_offset: u64,
+        block_size: u64,
+    ) -> Vec<(u64, Vec<u8>)> {
         let mut idx = self.index.lock();
         let end = block_offset + block_size;
         let mut out = Vec::new();
@@ -1399,12 +1432,14 @@ impl BlockStore for PersistentStore {
         out
     }
 
-    fn has_dirty(&self, fh: Fh3) -> bool {
+    /// Whether the file holds any dirty extent.
+    pub fn has_dirty(&self, fh: Fh3) -> bool {
         let idx = self.index.lock();
         idx.files.get(&fh).is_some_and(|e| e.extents.values().any(|x| x.dirty))
     }
 
-    fn dirty_files(&self) -> Vec<Fh3> {
+    /// All files holding dirty data, sorted.
+    pub fn dirty_files(&self) -> Vec<Fh3> {
         let idx = self.index.lock();
         let mut v: Vec<Fh3> = idx
             .files
@@ -1416,7 +1451,10 @@ impl BlockStore for PersistentStore {
         v
     }
 
-    fn revalidate(&mut self, fh: Fh3, mtime: NfsTime3) {
+    /// Revalidates the file against a server mtime: if the recorded tag
+    /// differs, clean content is dropped (the protocol invalidated it).
+    /// Records `mtime` as the new tag either way.
+    pub fn revalidate(&mut self, fh: Fh3, mtime: NfsTime3) {
         let mut idx = self.index.lock();
         let changed = idx.files.get(&fh).and_then(|e| e.tag).is_some_and(|t| t != mtime);
         if changed {
@@ -1432,7 +1470,9 @@ impl BlockStore for PersistentStore {
         }
     }
 
-    fn retag(&mut self, fh: Fh3, mtime: NfsTime3) {
+    /// Records `mtime` as the file's tag without dropping content (the
+    /// mtime moved because of our own write).
+    pub fn retag(&mut self, fh: Fh3, mtime: NfsTime3) {
         let mut idx = self.index.lock();
         let prev = idx.files.get(&fh).and_then(|e| e.tag);
         idx.entry(fh).tag = Some(mtime);
@@ -1441,11 +1481,13 @@ impl BlockStore for PersistentStore {
         }
     }
 
-    fn used_bytes(&self) -> usize {
+    /// Bytes of file content cached.
+    pub fn used_bytes(&self) -> usize {
         self.index.lock().used
     }
 
-    fn stats(&self) -> StoreStats {
+    /// Current counters.
+    pub fn stats(&self) -> StoreStats {
         let idx = self.index.lock();
         StoreStats {
             bytes: idx.used as u64,
@@ -1457,14 +1499,18 @@ impl BlockStore for PersistentStore {
         }
     }
 
-    fn sync(&mut self) {
+    /// Durability barrier: everything stored so far survives a crash.
+    pub fn sync(&mut self) {
         // Every call that encodes a frame holds `index` until it has
         // appended it, so the `Synced` frame cannot overwrite one.
         let _idx = self.index.lock();
         self.sync_wal(&mut self.wal.lock());
     }
 
-    fn crash_reopen(&mut self) {
+    /// Simulates a machine crash followed by a reopen: volatile state is
+    /// lost, the index is replayed from disk, and entries whose dirty
+    /// WAL records are torn are discarded.
+    pub fn crash_reopen(&mut self) {
         let carry = {
             let idx = self.index.lock();
             Carry {
@@ -1478,15 +1524,25 @@ impl BlockStore for PersistentStore {
         self.replay(carry);
     }
 
-    fn take_cost(&mut self) -> Duration {
+    /// Drains accrued simulated I/O cost. The caller charges it to its
+    /// actor clock while holding no locks.
+    pub fn take_cost(&mut self) -> Duration {
         self.disk.take_pending_cost()
     }
 
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
+    /// Drains the extents quarantined since the last drain. The caller
+    /// attributes them: the demand read path counts clean ones as
+    /// refetch repairs, the scrub actor as scrub repairs, and dirty
+    /// ones as explicit data loss.
+    pub fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
         std::mem::take(&mut self.index.lock().events)
     }
 
-    fn scrub_step(&mut self, max_bytes: usize) -> usize {
+    /// Verifies up to `max_bytes` of stored content ahead of demand,
+    /// advancing a persistent sweep cursor; mismatches quarantine
+    /// exactly as verify-on-read does. Returns the bytes verified (0
+    /// when there is nothing to scrub, or with verification off).
+    pub fn scrub_step(&mut self, max_bytes: usize) -> usize {
         if !self.cfg.verify {
             return 0;
         }
@@ -1723,12 +1779,25 @@ mod tests {
         assert!(s.stats().evictions >= 1);
     }
 
+    /// Writes 80 dirty bytes to each of two files of a store with room
+    /// for 100 and checks that eviction gives up instead of spinning:
+    /// both files stay dirty and nothing is dropped. The writes run on a
+    /// thread behind a watchdog, so a spinning loop fails the test
+    /// instead of hanging it.
     #[test]
     fn eviction_stops_when_dirty_data_alone_exceeds_capacity() {
-        crate::store::assert_evict_stops_on_dirty_only(|capacity| {
-            let cfg = PersistConfig { capacity, ..PersistConfig::default() };
-            PersistentStore::open(VirtualDisk::new(DiskConfig::instant()), cfg)
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = PersistConfig { capacity: 100, ..PersistConfig::default() };
+            let mut s = PersistentStore::open(VirtualDisk::new(DiskConfig::instant()), cfg);
+            s.write_dirty(Fh3::from_fileid(1), 0, vec![1; 80]);
+            s.write_dirty(Fh3::from_fileid(2), 0, vec![2; 80]);
+            let _ = tx.send((s.dirty_files(), s.used_bytes()));
         });
+        let (dirty, used) =
+            rx.recv_timeout(Duration::from_secs(10)).expect("evict spun on dirty-only data");
+        assert_eq!(dirty, vec![Fh3::from_fileid(1), Fh3::from_fileid(2)]);
+        assert_eq!(used, 160, "dirty data is never evicted");
     }
 
     /// Asserts that the log on `disk` starts as a checkpoint left it,

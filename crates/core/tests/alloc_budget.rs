@@ -9,7 +9,6 @@
 //! path fails the test.
 
 use gvfs_core::store::persist::{PersistConfig, PersistentStore};
-use gvfs_core::store::BlockStore;
 use gvfs_netsim::disk::{DiskConfig, VirtualDisk};
 use gvfs_nfs3::Fh3;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -28,14 +28,16 @@
 //! operation's bytes are distinct — a recovered state can only
 //! fingerprint-match the snapshot it truly corresponds to.
 
-use gvfs_core::store::mem::MemStore;
+mod support;
+
 use gvfs_core::store::persist::{PersistConfig, PersistentStore};
-use gvfs_core::store::BlockStore;
 use gvfs_netsim::disk::{DiskConfig, DiskFaultPlan, VirtualDisk};
 use gvfs_netsim::fault::Window;
 use gvfs_netsim::SimTime;
 use gvfs_nfs3::{Fh3, NfsTime3};
 use proptest::prelude::*;
+use support::mem::MemStore;
+use support::BlockStore;
 
 const SPACE: u64 = 1024; // probed address space per file
 const NFILES: u64 = 3;
@@ -533,4 +535,23 @@ proptest! {
             "post-repair dirtiness must match the oracle"
         );
     }
+}
+
+/// The oracle's eviction gives up instead of spinning when dirty data
+/// alone exceeds its capacity: both files stay dirty and nothing is
+/// dropped. The writes run on a thread behind a watchdog, so a spinning
+/// loop fails the test instead of hanging it.
+#[test]
+fn mem_store_eviction_stops_when_dirty_data_alone_exceeds_capacity() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut s = MemStore::new(100);
+        s.write_dirty(fh(0), 0, vec![1; 80]);
+        s.write_dirty(fh(1), 0, vec![2; 80]);
+        let _ = tx.send((s.dirty_files(), s.used_bytes()));
+    });
+    let (dirty, used) =
+        rx.recv_timeout(std::time::Duration::from_secs(10)).expect("evict spun on dirty-only data");
+    assert_eq!(dirty, vec![fh(0), fh(1)]);
+    assert_eq!(used, 160, "dirty data is never evicted");
 }

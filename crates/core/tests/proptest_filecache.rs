@@ -1,14 +1,17 @@
 //! Model-based property test for the proxy's extent cache.
 //!
-//! [`FileCache`](gvfs_core::cache::FileCache) maintains non-overlapping
+//! `FileCache`, the extent map of the in-memory oracle store
+//! (`support/file_cache.rs`), maintains non-overlapping
 //! clean/dirty extents with splitting, coalescing, overlays (dirty beats
 //! incoming clean) and block-grained cleaning. This test drives it with
 //! random operation sequences against a flat reference model (one byte +
 //! one state flag per offset) and checks every observable after every
-//! step.
+//! step. Unit tests of single operations follow the properties.
 
-use gvfs_core::cache::FileCache;
+mod support;
+
 use proptest::prelude::*;
+use support::file_cache::FileCache;
 
 const SPACE: usize = 4096; // model address space
 const BLOCK: u64 = 256;
@@ -217,4 +220,128 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn file_cache_read_exact_and_partial() {
+    let mut fc = FileCache::default();
+    fc.insert_clean(0, vec![1, 2, 3, 4]);
+    assert_eq!(fc.read(0, 4).unwrap(), vec![1, 2, 3, 4]);
+    assert_eq!(fc.read(1, 2).unwrap(), vec![2, 3]);
+    assert!(fc.read(0, 5).is_none(), "uncovered tail");
+    assert!(fc.read(4, 1).is_none());
+    assert_eq!(fc.read(0, 0).unwrap(), Vec::<u8>::new());
+}
+
+#[test]
+fn file_cache_detects_gaps() {
+    let mut fc = FileCache::default();
+    fc.insert_clean(0, vec![1; 4]);
+    fc.insert_clean(8, vec![2; 4]);
+    assert!(fc.read(0, 12).is_none());
+    assert_eq!(fc.read(8, 4).unwrap(), vec![2; 4]);
+}
+
+#[test]
+fn file_cache_coalesces_adjacent() {
+    let mut fc = FileCache::default();
+    fc.insert_clean(0, vec![1; 4]);
+    fc.insert_clean(4, vec![2; 4]);
+    assert_eq!(fc.extent_count(), 1);
+    assert_eq!(fc.read(0, 8).unwrap(), [[1u8; 4], [2u8; 4]].concat());
+}
+
+#[test]
+fn overwrite_replaces_clean_data() {
+    let mut fc = FileCache::default();
+    fc.insert_clean(0, vec![1; 8]);
+    fc.insert_clean(2, vec![9; 4]);
+    assert_eq!(fc.read(0, 8).unwrap(), vec![1, 1, 9, 9, 9, 9, 1, 1]);
+}
+
+#[test]
+fn dirty_beats_incoming_clean() {
+    let mut fc = FileCache::default();
+    fc.write_dirty(2, vec![7; 4]);
+    fc.insert_clean(0, vec![0; 8]); // stale server data arrives
+    assert_eq!(fc.read(0, 8).unwrap(), vec![0, 0, 7, 7, 7, 7, 0, 0]);
+    assert_eq!(fc.dirty_ranges(), vec![(2, 4)]);
+}
+
+#[test]
+fn dirty_overwrites_clean_and_tracks_ranges() {
+    let mut fc = FileCache::default();
+    fc.insert_clean(0, vec![1; 10]);
+    fc.write_dirty(4, vec![9; 2]);
+    assert_eq!(fc.read(0, 10).unwrap(), vec![1, 1, 1, 1, 9, 9, 1, 1, 1, 1]);
+    assert_eq!(fc.dirty_ranges(), vec![(4, 2)]);
+    assert!(fc.has_dirty());
+}
+
+#[test]
+fn drop_clean_preserves_dirty() {
+    let mut fc = FileCache::default();
+    fc.insert_clean(0, vec![1; 4]);
+    fc.write_dirty(8, vec![2; 4]);
+    fc.drop_clean();
+    assert!(fc.read(0, 4).is_none());
+    assert_eq!(fc.read(8, 4).unwrap(), vec![2; 4]);
+}
+
+#[test]
+fn dirty_blocks_enumerates_aligned_blocks() {
+    let mut fc = FileCache::default();
+    fc.write_dirty(100, vec![1; 50]); // block 0
+    fc.write_dirty(32768 + 10, vec![2; 32768]); // blocks 1 and 2
+    assert_eq!(fc.dirty_blocks(32768), vec![0, 32768, 65536]);
+}
+
+#[test]
+fn dirty_in_block_returns_segments() {
+    let mut fc = FileCache::default();
+    fc.write_dirty(100, vec![1; 50]);
+    fc.write_dirty(200, vec![2; 10]);
+    fc.write_dirty(40000, vec![3; 10]); // next block
+    let segs = fc.dirty_in_block(0, 32768);
+    assert_eq!(segs.len(), 2);
+    assert_eq!(segs[0], (100, vec![1; 50]));
+    assert_eq!(segs[1], (200, vec![2; 10]));
+    assert_eq!(fc.dirty_in_block(32768, 32768), vec![(40000, vec![3; 10])]);
+}
+
+#[test]
+fn clean_range_splits_extents() {
+    let mut fc = FileCache::default();
+    fc.write_dirty(0, vec![1; 100]);
+    fc.clean_range(20, 30);
+    let ranges = fc.dirty_ranges();
+    assert_eq!(ranges, vec![(0, 20), (50, 50)]);
+    // Data is unchanged.
+    assert_eq!(fc.read(0, 100).unwrap(), vec![1; 100]);
+    fc.clean_range(0, 100);
+    assert!(!fc.has_dirty());
+}
+
+#[test]
+fn missing_ranges_reports_gaps_in_order() {
+    let mut fc = FileCache::default();
+    assert_eq!(fc.missing_ranges(0, 10), vec![(0, 10)], "empty cache is one gap");
+    assert_eq!(fc.missing_ranges(5, 0), Vec::<(u64, usize)>::new());
+    fc.insert_clean(4, vec![1; 4]); // [4, 8)
+    assert_eq!(fc.missing_ranges(0, 12), vec![(0, 4), (8, 4)]);
+    assert_eq!(fc.missing_ranges(4, 4), Vec::<(u64, usize)>::new());
+    assert_eq!(fc.missing_ranges(5, 2), Vec::<(u64, usize)>::new(), "inside one extent");
+    assert_eq!(fc.missing_ranges(6, 4), vec![(8, 2)], "tail gap only");
+    assert_eq!(fc.missing_ranges(0, 5), vec![(0, 4)], "head gap only");
+    fc.insert_clean(10, vec![2; 2]); // [10, 12)
+    assert_eq!(fc.missing_ranges(0, 14), vec![(0, 4), (8, 2), (12, 2)]);
+    assert_eq!(fc.missing_ranges(20, 3), vec![(20, 3)], "fully past cached data");
+}
+
+#[test]
+fn missing_ranges_counts_dirty_as_covered() {
+    let mut fc = FileCache::default();
+    fc.write_dirty(4, vec![9; 4]);
+    assert_eq!(fc.missing_ranges(0, 12), vec![(0, 4), (8, 4)]);
+    assert_eq!(fc.missing_ranges(4, 4), Vec::<(u64, usize)>::new());
 }

@@ -499,6 +499,48 @@ fn proxy_client_stats_reflect_absorption() {
     sim.run();
 }
 
+/// A session that leaves `persistent_store` at its default still caches
+/// into the block store, on a free disk, and a client restart there is
+/// a process crash: the store is not replayed, and once the attributes
+/// are revalidated the cached blocks are served warm.
+#[test]
+fn default_session_caches_into_the_store_and_restarts_as_a_process() {
+    let config = polling(30);
+    assert!(!config.persistent_store, "the default configuration");
+    let sim = Sim::new();
+    let session = Session::builder(config).clients(1).establish(&sim);
+    let transport = session.client_transport(0);
+    let root = session.root_fh();
+    let wan = session.wan_stats().clone();
+    let handle = session.handle();
+    let session = Arc::new(session);
+    let s2 = Arc::clone(&session);
+    sim.spawn("app", move || {
+        let data: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
+        let client = NfsClient::new(transport, root, MountOptions::noac());
+        client.write_file("/kept", &data).unwrap();
+        client.drop_caches();
+        assert_eq!(client.read_file("/kept").unwrap(), data);
+        let disk = s2.client_disk(0).expect("every session runs a store");
+        assert!(disk.stats().bytes_written > 0, "the store wrote: {:?}", disk.stats());
+
+        let before = disk.stats();
+        s2.crash_proxy_client(0);
+        assert!(s2.restart_proxy_client(0).is_empty(), "nothing was dirty");
+        assert_eq!(disk.stats().reads, before.reads, "a process crash replays no log");
+        assert_eq!(s2.proxy_client(0).stats().restart_warm_blocks, 0);
+
+        client.drop_caches();
+        let snap = wan.snapshot();
+        assert_eq!(client.read_file("/kept").unwrap(), data);
+        let delta = wan.snapshot().since(&snap);
+        assert!(delta.total_calls() > 0, "the re-read revalidated: {delta}");
+        assert_eq!(wan_calls(&delta, proc3::READ), 0, "the re-read was served warm: {delta}");
+        handle.shutdown();
+    });
+    sim.run();
+}
+
 #[test]
 fn reads_merge_local_dirty_data_over_stale_server_bytes() {
     // Write-back holds dirty bytes locally; a read of a range that is

@@ -1,12 +1,12 @@
-//! The original in-memory block store: per-file extent maps with LRU
-//! eviction, extracted verbatim from the pre-refactor `DiskCache`.
+//! The in-memory block store: per-file extent maps with LRU eviction.
+//! Volatile; the lockstep proptest's oracle.
 
-use super::{BlockStore, StoreStats};
-use crate::cache::FileCache;
+use super::file_cache::FileCache;
+use super::BlockStore;
 use gvfs_nfs3::{Fh3, NfsTime3};
 use std::collections::{BTreeMap, HashMap};
 
-/// Volatile extent storage; the default store.
+/// Volatile extent storage.
 #[derive(Debug, Clone)]
 pub struct MemStore {
     files: HashMap<Fh3, FileCache>,
@@ -16,7 +16,6 @@ pub struct MemStore {
     next_seq: u64,
     capacity: usize,
     used: usize,
-    evictions: u64,
 }
 
 impl MemStore {
@@ -31,7 +30,6 @@ impl MemStore {
             next_seq: 0,
             capacity,
             used: 0,
-            evictions: 0,
         }
     }
 
@@ -60,9 +58,6 @@ impl MemStore {
             fc.drop_clean();
             let dropped = before - fc.bytes();
             self.used -= dropped;
-            if dropped > 0 {
-                self.evictions += 1;
-            }
             if fc.bytes() == 0 {
                 self.files.remove(&fh);
             } else {
@@ -144,11 +139,8 @@ impl BlockStore for MemStore {
         self.files.get(&fh).map(FileCache::dirty_ranges).unwrap_or_default()
     }
 
-    fn dirty_in_block(&self, fh: Fh3, block_offset: u64, block_size: u64) -> Vec<(u64, Vec<u8>)> {
-        self.files
-            .get(&fh)
-            .map(|fc| fc.dirty_in_block(block_offset, block_size))
-            .unwrap_or_default()
+    fn dirty_blocks(&self, fh: Fh3, block_size: u64) -> Vec<u64> {
+        self.files.get(&fh).map(|fc| fc.dirty_blocks(block_size)).unwrap_or_default()
     }
 
     fn has_dirty(&self, fh: Fh3) -> bool {
@@ -175,26 +167,5 @@ impl BlockStore for MemStore {
 
     fn used_bytes(&self) -> usize {
         self.used
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats { bytes: self.used as u64, evictions: self.evictions, ..StoreStats::default() }
-    }
-
-    fn sync(&mut self) {}
-
-    fn crash_reopen(&mut self) {
-        let capacity = self.capacity;
-        let evictions = self.evictions;
-        *self = MemStore::new(capacity);
-        self.evictions = evictions;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn eviction_stops_when_dirty_data_alone_exceeds_capacity() {
-        crate::store::assert_evict_stops_on_dirty_only(super::MemStore::new);
     }
 }

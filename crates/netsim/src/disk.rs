@@ -71,7 +71,9 @@ impl DiskConfig {
         }
     }
 
-    /// A free disk for tests that only care about contents.
+    /// A free disk: no seek time and no throughput limit. Proxy block
+    /// stores run on it when a session does not model its disks, and
+    /// tests that only care about contents use it.
     #[must_use]
     pub fn instant() -> Self {
         DiskConfig { seek: Duration::ZERO, read_bps: u64::MAX, write_bps: u64::MAX }
