@@ -12,7 +12,7 @@ use gvfs_core::store::persist::{PersistConfig, PersistentStore};
 use gvfs_core::DelegationConfig;
 use gvfs_netsim::disk::{DiskConfig, VirtualDisk};
 use gvfs_netsim::SimTime;
-use gvfs_nfs3::{Fattr3, Fh3, Ftype3, LookupArgs, NfsTime3, ReadRes};
+use gvfs_nfs3::{Fattr3, Fh3, Ftype3, GetattrRes, LookupArgs, NfsTime3, ReadRes};
 use gvfs_rpc::message::{CallBody, MessageBody, OpaqueAuth, RpcMessage};
 use gvfs_rpc::record::{write_record, RecordReader, MAX_FRAGMENT};
 use gvfs_vfs::{Timestamp, Vfs};
@@ -59,6 +59,14 @@ fn bench_xdr(c: &mut Criterion) {
     };
     group.bench_function("encode_rpc_lookup_call", |b| {
         b.iter(|| gvfs_xdr::to_bytes(&msg).unwrap());
+    });
+    // The simulator charges every call's wire bytes from this sizing pass.
+    group.bench_function("encoded_len_rpc_call", |b| {
+        b.iter(|| gvfs_xdr::encoded_len(&msg).unwrap());
+    });
+    let getattr_res = GetattrRes::Ok(attr);
+    group.bench_function("to_bytes_getattr_reply", |b| {
+        b.iter(|| gvfs_xdr::to_bytes(&getattr_res).unwrap());
     });
 
     let read_res = ReadRes::Ok {

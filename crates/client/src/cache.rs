@@ -110,23 +110,26 @@ impl AttrCache {
 /// The lookup (dnlc) cache: `(dir, name) → Some(fh)` for positive
 /// entries, `None` for negative entries (the name is known absent —
 /// kernel dnlc caches these too, and the paper's lock benchmark
-/// behaviour depends on them).
+/// behaviour depends on them). Bindings are kept per directory, so a
+/// probe borrows its name and a directory purge is one removal.
 #[derive(Debug)]
 pub struct LookupCache {
-    entries: HashMap<(Fh3, String), Option<Fh3>>,
+    dirs: HashMap<Fh3, HashMap<String, Option<Fh3>>>,
+    /// Bindings across all directories.
+    len: usize,
     capacity: usize,
 }
 
 impl LookupCache {
     /// Creates a cache bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        LookupCache { entries: HashMap::new(), capacity }
+        LookupCache { dirs: HashMap::new(), len: 0, capacity }
     }
 
     /// Returns the cached binding: `Some(Some(fh))` positive,
     /// `Some(None)` negative, `None` unknown.
     pub fn get(&self, dir: Fh3, name: &str) -> Option<Option<Fh3>> {
-        self.entries.get(&(dir, name.to_string())).copied()
+        self.dirs.get(&dir)?.get(name).copied()
     }
 
     /// Inserts a positive binding; on overflow the cache is cleared (a
@@ -141,35 +144,47 @@ impl LookupCache {
     }
 
     fn insert_entry(&mut self, dir: Fh3, name: &str, child: Option<Fh3>) {
-        if self.entries.len() >= self.capacity {
-            self.entries.clear();
+        if self.len >= self.capacity {
+            self.clear();
         }
-        self.entries.insert((dir, name.to_string()), child);
+        let names = self.dirs.entry(dir).or_default();
+        match names.get_mut(name) {
+            Some(bound) => *bound = child,
+            None => {
+                names.insert(name.to_owned(), child);
+                self.len += 1;
+            }
+        }
     }
 
     /// Removes one binding.
     pub fn remove(&mut self, dir: Fh3, name: &str) {
-        self.entries.remove(&(dir, name.to_string()));
+        if self.dirs.get_mut(&dir).and_then(|names| names.remove(name)).is_some() {
+            self.len -= 1;
+        }
     }
 
     /// Removes every binding under `dir` (directory changed).
     pub fn purge_dir(&mut self, dir: Fh3) {
-        self.entries.retain(|(d, _), _| *d != dir);
+        if let Some(names) = self.dirs.remove(&dir) {
+            self.len -= names.len();
+        }
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.dirs.clear();
+        self.len = 0;
     }
 
     /// Number of cached bindings.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 

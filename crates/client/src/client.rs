@@ -168,12 +168,13 @@ impl NfsClient {
         }
     }
 
-    /// One RPC with hard-mount retry semantics.
+    /// One RPC with hard-mount retry semantics. Each attempt encodes its
+    /// own message, so the common single attempt costs one buffer.
     fn rpc<A: Xdr, R: Xdr>(&self, procedure: u32, a: &A) -> Result<R, ClientError> {
-        let args = gvfs_xdr::to_bytes(a).map_err(RpcError::from)?;
         let mut attempts = 0;
         loop {
-            match self.transport.call(NFS_PROGRAM, NFS_V3, procedure, args.clone()) {
+            let args = gvfs_xdr::to_bytes(a).map_err(RpcError::from)?;
+            match self.transport.call(NFS_PROGRAM, NFS_V3, procedure, args) {
                 Ok(bytes) => {
                     return Ok(gvfs_xdr::from_bytes(&bytes).map_err(RpcError::from)?);
                 }

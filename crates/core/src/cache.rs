@@ -22,7 +22,10 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct DiskCache {
     attrs: HashMap<Fh3, Fattr3>,
-    lookups: HashMap<(Fh3, String), Option<Fh3>>,
+    /// Name bindings per directory, so a probe borrows its name. No
+    /// directory's map is ever empty: a directory has bindings exactly
+    /// when it has an entry.
+    lookups: HashMap<Fh3, HashMap<String, Option<Fh3>>>,
     /// Directories whose name bindings need a bulk refresh because the
     /// directory was invalidated by the consistency protocol. Serving a
     /// stale binding is unsafe even with STALE-detection: a removed name
@@ -99,7 +102,7 @@ impl DiskCache {
     /// keeps the CH1D per-run cost flat.
     pub fn invalidate_attr(&mut self, fh: Fh3) {
         self.attrs.remove(&fh);
-        if self.lookups.keys().any(|(dir, _)| *dir == fh) {
+        if self.lookups.contains_key(&fh) {
             self.stale_dirs.insert(fh);
         }
     }
@@ -108,7 +111,7 @@ impl DiskCache {
     /// mark, returning `true` (the caller should bulk-refresh).
     pub fn take_stale_dir(&mut self, dir: Fh3) -> bool {
         if self.stale_dirs.remove(&dir) {
-            self.lookups.retain(|(d, _), _| *d != dir);
+            self.lookups.remove(&dir);
             true
         } else {
             false
@@ -118,7 +121,10 @@ impl DiskCache {
     /// Drops every name binding resolving to `fh` (called when the
     /// server reports the handle stale).
     pub fn purge_bindings_to(&mut self, fh: Fh3) {
-        self.lookups.retain(|_, v| *v != Some(fh));
+        self.lookups.retain(|_, names| {
+            names.retain(|_, v| *v != Some(fh));
+            !names.is_empty()
+        });
     }
 
     /// Invalidates the entire attribute cache (force-invalidation).
@@ -138,17 +144,27 @@ impl DiskCache {
     /// Cached lookup of `name` in `dir`: `Some(Some(fh))` positive,
     /// `Some(None)` negative (known absent), `None` unknown.
     pub fn lookup(&self, dir: Fh3, name: &str) -> Option<Option<Fh3>> {
-        self.lookups.get(&(dir, name.to_string())).copied()
+        self.lookups.get(&dir)?.get(name).copied()
     }
 
     /// Caches a positive name binding.
     pub fn put_lookup(&mut self, dir: Fh3, name: &str, child: Fh3) {
-        self.lookups.insert((dir, name.to_string()), Some(child));
+        self.put_binding(dir, name, Some(child));
     }
 
     /// Caches a negative name binding (known absent).
     pub fn put_negative_lookup(&mut self, dir: Fh3, name: &str) {
-        self.lookups.insert((dir, name.to_string()), None);
+        self.put_binding(dir, name, None);
+    }
+
+    fn put_binding(&mut self, dir: Fh3, name: &str, child: Option<Fh3>) {
+        let names = self.lookups.entry(dir).or_default();
+        match names.get_mut(name) {
+            Some(bound) => *bound = child,
+            None => {
+                names.insert(name.to_owned(), child);
+            }
+        }
     }
 
     /// Installs one `READDIRPLUS` reply: the directory's attributes and,

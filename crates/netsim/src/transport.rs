@@ -259,7 +259,7 @@ impl SimRpcClient {
     ) -> Result<Transmitted, RpcError> {
         let xid = self.xid.fetch_add(1, Ordering::Relaxed);
         let call = CallBody::new(program, version, procedure, credential, args);
-        let wire_out = call_wire_size(xid, &call)?;
+        let wire_out = call_wire_size(&call)?;
         ensure_sendable(wire_out - RECORD_MARK)?;
 
         let started = now();
@@ -361,18 +361,14 @@ fn payload_wire_size(len: usize) -> usize {
     len.next_multiple_of(4)
 }
 
-/// The wire size of a call: the record mark, the encoded header and the
-/// args. Spares encoding the args only to measure them.
-fn call_wire_size(xid: u32, call: &CallBody) -> Result<usize, XdrError> {
-    let header = CallBody::new(
-        call.program(),
-        call.version(),
-        call.procedure(),
-        call.credential().clone(),
-        Vec::new(),
-    );
-    let header = gvfs_xdr::encoded_len(&RpcMessage { xid, body: MessageBody::Call(header) })?;
-    Ok(RECORD_MARK + header + payload_wire_size(call.args().len()))
+/// Bytes of the xid and the message type that open every message.
+const MESSAGE_HEAD: usize = 8;
+
+/// The wire size of a call: the record mark, the message head and the
+/// call body, from a sizing pass that charges the args their length
+/// without copying them.
+fn call_wire_size(call: &CallBody) -> Result<usize, XdrError> {
+    Ok(RECORD_MARK + MESSAGE_HEAD + gvfs_xdr::encoded_len(call)?)
 }
 
 /// A reply's wire size and outcome. A success's results move out of the
@@ -674,7 +670,7 @@ mod tests {
                     xid: 42,
                     body: MessageBody::Call(call(padded(len, 0xa5))),
                 });
-                let size = call_wire_size(42, &call(vec![0xa5; len])).unwrap();
+                let size = call_wire_size(&call(vec![0xa5; len])).unwrap();
                 assert_eq!(size, want, "args of {len} bytes");
             }
         }

@@ -41,12 +41,12 @@ impl Xdr for Fh3 {
         enc.put_opaque(&self.fileid.to_be_bytes())
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
-        let data = dec.get_opaque_bounded("Fh3", FHSIZE3)?;
-        if data.len() != 8 {
-            return Err(XdrError::LengthBound { type_name: "Fh3", declared: data.len(), max: 8 });
-        }
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&data);
+        let data = dec.get_opaque_bounded_ref("Fh3", FHSIZE3)?;
+        let bytes = <[u8; 8]>::try_from(data).map_err(|_| XdrError::LengthBound {
+            type_name: "Fh3",
+            declared: data.len(),
+            max: 8,
+        })?;
         Ok(Fh3 { fileid: u64::from_be_bytes(bytes) })
     }
 }

@@ -222,7 +222,7 @@ impl Xdr for CallBody {
         self.credential.encode(enc)?;
         self.verifier.encode(enc)?;
         // Args are the raw remainder of the message; no length prefix.
-        enc.put_opaque_fixed_unpadded(&self.args);
+        enc.put_encoded(&self.args);
         Ok(())
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError> {
@@ -302,7 +302,7 @@ impl Xdr for AcceptStat {
         match self {
             AcceptStat::Success(results) => {
                 enc.put_u32(0);
-                enc.put_opaque_fixed_unpadded(results);
+                enc.put_encoded(results);
             }
             AcceptStat::ProgramUnavailable => enc.put_u32(1),
             AcceptStat::ProgramMismatch { low, high } => {
@@ -481,20 +481,6 @@ impl Xdr for RpcMessage {
             value => return Err(XdrError::InvalidDiscriminant { type_name: "RpcMessage", value }),
         };
         Ok(RpcMessage { xid, body })
-    }
-}
-
-/// Extension for appending raw pre-encoded payload bytes.
-trait EncoderExt {
-    fn put_opaque_fixed_unpadded(&mut self, data: &[u8]);
-}
-
-impl EncoderExt for Encoder {
-    fn put_opaque_fixed_unpadded(&mut self, data: &[u8]) {
-        // Payloads are themselves XDR streams, hence already word-aligned;
-        // put_opaque_fixed would not add padding, but spell it out.
-        debug_assert_eq!(data.len() % 4, 0, "rpc payload must be word-aligned");
-        self.put_opaque_fixed(data);
     }
 }
 

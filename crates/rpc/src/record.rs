@@ -68,30 +68,26 @@ pub fn write_record(payload: &[u8], max_fragment: usize) -> Vec<u8> {
     out
 }
 
-/// Encodes `msg` straight into one record-marked frame: a 4-byte
-/// header placeholder, the XDR encoding behind it, then the header
-/// patched in place. `size_hint` is the expected encoded size (the
-/// payload plus a few header words) so the buffer is allocated once.
-/// A message longer than [`MAX_FRAGMENT`] falls back to
-/// [`write_record`]; either way the bytes equal
+/// Encodes `msg` straight into one record-marked frame: the 4-byte
+/// header, then the XDR encoding behind it, in one buffer sized exactly
+/// by a sizing pass. A message longer than [`MAX_FRAGMENT`] falls back
+/// to [`write_record`]; either way the bytes equal
 /// `write_record(&to_bytes(msg)?, MAX_FRAGMENT)`.
 ///
 /// # Errors
 ///
 /// [`RpcError::SystemError`] for a message over [`MAX_RECORD`] (see
 /// [`ensure_sendable`]); encoding errors as [`RpcError::Xdr`].
-pub fn encode_record<T: Xdr>(msg: &T, size_hint: usize) -> Result<Vec<u8>, RpcError> {
-    let mut enc = Encoder::with_capacity(4 + size_hint);
-    enc.put_u32(0); // header placeholder
-    msg.encode(&mut enc)?;
-    let mut frame = enc.into_bytes();
-    let len = frame.len() - 4;
+pub fn encode_record<T: Xdr>(msg: &T) -> Result<Vec<u8>, RpcError> {
+    let len = gvfs_xdr::encoded_len(msg)?;
     ensure_sendable(len)?;
     if len > MAX_FRAGMENT {
-        return Ok(write_record(&frame[4..], MAX_FRAGMENT));
+        return Ok(write_record(&gvfs_xdr::to_bytes(msg)?, MAX_FRAGMENT));
     }
-    frame[..4].copy_from_slice(&(len as u32 | 0x8000_0000).to_be_bytes());
-    Ok(frame)
+    let mut enc = Encoder::with_capacity(4 + len);
+    enc.put_u32(len as u32 | 0x8000_0000);
+    msg.encode(&mut enc)?;
+    Ok(enc.into_bytes())
 }
 
 /// Incremental reassembler of record-marked streams.
@@ -279,8 +275,10 @@ mod tests {
         const REPLY_HEADER: usize = 24;
         let check = |msg: RpcMessage| {
             let want = write_record(&gvfs_xdr::to_bytes(&msg).unwrap(), MAX_FRAGMENT);
-            for hint in [0, want.len()] {
-                assert_eq!(encode_record(&msg, hint).unwrap(), want);
+            let frame = encode_record(&msg).unwrap();
+            assert_eq!(frame, want);
+            if frame.len() <= 4 + MAX_FRAGMENT {
+                assert_eq!(frame.capacity(), frame.len(), "one fragment, sized exactly");
             }
         };
         for (header, build) in [

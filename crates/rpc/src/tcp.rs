@@ -180,9 +180,8 @@ fn serve_connection(mut stream: TcpStream, dispatcher: &Dispatcher) -> std::io::
                 continue;
             }
             let reply = dispatcher.dispatch(msg.xid, &call);
-            let hint = reply.results().map_or(0, <[u8]>::len) + HEADER_ROOM;
             let reply_msg = RpcMessage { xid: msg.xid, body: MessageBody::Reply(reply) };
-            let Ok(frame) = encode_record(&reply_msg, hint) else {
+            let Ok(frame) = encode_record(&reply_msg) else {
                 // An unencodable reply is a local protocol bug; skip
                 // the record rather than kill the connection thread.
                 continue;
@@ -192,10 +191,6 @@ fn serve_connection(mut stream: TcpStream, dispatcher: &Dispatcher) -> std::io::
         }
     }
 }
-
-/// Room for the RPC header words and a credential in front of a
-/// payload, so a frame is allocated once.
-const HEADER_ROOM: usize = 128;
 
 /// Default per-call timeout before a retransmission is attempted.
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
@@ -530,12 +525,11 @@ impl RpcChannel for TcpRpcClient {
     ) -> Result<PendingCall, RpcError> {
         let inner = &self.inner;
         let xid = inner.next_xid.fetch_add(1, Ordering::SeqCst);
-        let hint = args.len() + HEADER_ROOM;
         let msg = RpcMessage {
             xid,
             body: MessageBody::Call(CallBody::new(program, version, procedure, credential, args)),
         };
-        let frame = encode_record(&msg, hint)?;
+        let frame = encode_record(&msg)?;
         let slot = Arc::new(TcpSlot {
             client: Arc::downgrade(inner),
             xid,

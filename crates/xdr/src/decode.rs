@@ -54,6 +54,7 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
         if self.remaining() < n {
             return Err(XdrError::UnexpectedEof { needed: n, available: self.remaining() });
@@ -68,6 +69,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`XdrError::UnexpectedEof`] on truncated input.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, XdrError> {
         let b = self.take(4)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
@@ -78,6 +80,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`XdrError::UnexpectedEof`] on truncated input.
+    #[inline]
     pub fn get_i32(&mut self) -> Result<i32, XdrError> {
         Ok(self.get_u32()? as i32)
     }
@@ -87,6 +90,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`XdrError::UnexpectedEof`] on truncated input.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, XdrError> {
         let b = self.take(8)?;
         let mut arr = [0u8; 8];
@@ -99,6 +103,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`XdrError::UnexpectedEof`] on truncated input.
+    #[inline]
     pub fn get_i64(&mut self) -> Result<i64, XdrError> {
         Ok(self.get_u64()? as i64)
     }
@@ -109,6 +114,7 @@ impl<'a> Decoder<'a> {
     ///
     /// Returns [`XdrError::InvalidDiscriminant`] if the word is neither
     /// 0 nor 1, or [`XdrError::UnexpectedEof`] on truncated input.
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool, XdrError> {
         match self.get_u32()? {
             0 => Ok(false),
@@ -127,6 +133,7 @@ impl<'a> Decoder<'a> {
         self.get_opaque_fixed_ref(len).map(<[u8]>::to_vec)
     }
 
+    #[inline]
     fn get_opaque_fixed_ref(&mut self, len: usize) -> Result<&'a [u8], XdrError> {
         let data = self.take(len)?;
         let pad = (4 - len % 4) % 4;
@@ -154,6 +161,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// As for [`Decoder::get_opaque`].
+    #[inline]
     pub fn get_opaque_ref(&mut self) -> Result<&'a [u8], XdrError> {
         let len = self.get_u32()? as usize;
         if len > self.remaining() {
@@ -173,6 +181,22 @@ impl<'a> Decoder<'a> {
         type_name: &'static str,
         max: usize,
     ) -> Result<Vec<u8>, XdrError> {
+        self.get_opaque_bounded_ref(type_name, max).map(<[u8]>::to_vec)
+    }
+
+    /// [`Decoder::get_opaque_bounded`] that borrows the bytes from the
+    /// input instead of copying them. The bound is checked before the
+    /// input's length, as there.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Decoder::get_opaque_bounded`].
+    #[inline]
+    pub fn get_opaque_bounded_ref(
+        &mut self,
+        type_name: &'static str,
+        max: usize,
+    ) -> Result<&'a [u8], XdrError> {
         let len = self.get_u32()? as usize;
         if len > max {
             return Err(XdrError::LengthBound { type_name, declared: len, max });
@@ -180,7 +204,7 @@ impl<'a> Decoder<'a> {
         if len > self.remaining() {
             return Err(XdrError::UnexpectedEof { needed: len, available: self.remaining() });
         }
-        self.get_opaque_fixed(len)
+        self.get_opaque_fixed_ref(len)
     }
 
     /// Reads a UTF-8 string (variable-length opaque).
@@ -230,6 +254,22 @@ mod tests {
         let mut dec = Decoder::new(&[0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8]);
         let err = dec.get_opaque_bounded("fh", 4).unwrap_err();
         assert_eq!(err, XdrError::LengthBound { type_name: "fh", declared: 8, max: 4 });
+    }
+
+    #[test]
+    fn bounded_opaque_checks_the_bound_before_the_input() {
+        // Declares 8 bytes, bound 4, only 4 present: the bound wins.
+        for input in [&[0, 0, 0, 8, 1, 2, 3, 4][..], &[0, 0, 0, 8]] {
+            let want = XdrError::LengthBound { type_name: "fh", declared: 8, max: 4 };
+            assert_eq!(Decoder::new(input).get_opaque_bounded("fh", 4).unwrap_err(), want);
+            assert_eq!(Decoder::new(input).get_opaque_bounded_ref("fh", 4).unwrap_err(), want);
+        }
+        let short = [0, 0, 0, 8, 1, 2, 3, 4];
+        let want = XdrError::UnexpectedEof { needed: 8, available: 4 };
+        assert_eq!(Decoder::new(&short).get_opaque_bounded_ref("fh", 64).unwrap_err(), want);
+        let mut dec = Decoder::new(&[0, 0, 0, 3, 9, 8, 7, 0]);
+        assert_eq!(dec.get_opaque_bounded_ref("fh", 4).unwrap(), &[9, 8, 7]);
+        dec.finish().unwrap();
     }
 
     #[test]

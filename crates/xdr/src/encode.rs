@@ -2,10 +2,20 @@
 
 use crate::XdrError;
 
-/// Serializes XDR primitives into a growable buffer.
+/// Serializes XDR primitives into a growable buffer, or counts the
+/// bytes they would take.
 ///
-/// All `put_*` methods maintain the RFC 4506 invariant that the buffer
-/// length is always a multiple of four.
+/// All `put_*` methods maintain the RFC 4506 invariant that the length
+/// is always a multiple of four.
+///
+/// [`to_bytes`](crate::to_bytes) encodes a value twice: a *sizing* pass,
+/// which counts bytes and stores none, then an encoding pass into a
+/// buffer of exactly that size, so a message costs one allocation.
+/// [`encoded_len`](crate::encoded_len) runs the sizing pass alone. Both
+/// passes must write the same words, so an [`Xdr::encode`](crate::Xdr)
+/// never reads back its own output: it calls no [`Encoder::len`],
+/// [`Encoder::as_bytes`] or nested [`to_bytes`](crate::to_bytes), whose
+/// answers differ between the passes.
 ///
 /// # Examples
 ///
@@ -23,6 +33,9 @@ use crate::XdrError;
 #[derive(Debug, Default, Clone)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// The byte count of a sizing pass, which leaves `buf` empty;
+    /// `None` when encoding.
+    sized: Option<usize>,
 }
 
 impl Encoder {
@@ -33,7 +46,7 @@ impl Encoder {
 
     /// Creates an encoder with pre-allocated capacity.
     pub fn with_capacity(capacity: usize) -> Self {
-        Encoder { buf: Vec::with_capacity(capacity) }
+        Encoder { buf: Vec::with_capacity(capacity), sized: None }
     }
 
     /// Creates an encoder that writes into `buf`, emptied first: a
@@ -41,17 +54,24 @@ impl Encoder {
     /// allocation instead of making a new one each time.
     pub fn reusing(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        Encoder { buf }
+        Encoder { buf, sized: None }
     }
 
-    /// Number of bytes written so far.
+    /// Creates an encoder for a sizing pass: it counts the bytes put
+    /// into it and stores none.
+    pub(crate) fn sizing() -> Self {
+        Encoder { buf: Vec::new(), sized: Some(0) }
+    }
+
+    /// Number of bytes written (or, in a sizing pass, counted) so far.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.sized.unwrap_or(self.buf.len())
     }
 
     /// Returns `true` if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Consumes the encoder, returning the encoded bytes.
@@ -64,27 +84,43 @@ impl Encoder {
         &self.buf
     }
 
+    /// The one write every `put_*` makes: append `bytes`, or count them.
+    /// It and the `put_*` methods are `#[inline]`, as `to_bytes` runs
+    /// each of them twice per field, from another crate's `encode`.
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.sized {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
+    }
+
     /// Appends an unsigned 32-bit integer.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Appends a signed 32-bit integer.
+    #[inline]
     pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Appends an unsigned 64-bit integer ("unsigned hyper").
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Appends a signed 64-bit integer ("hyper").
+    #[inline]
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Appends a boolean as a full word (0 or 1).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u32(u32::from(v));
     }
@@ -92,9 +128,24 @@ impl Encoder {
     /// Appends fixed-length opaque data, zero-padding to a word boundary.
     ///
     /// The length is *not* written; the receiver must know it.
+    #[inline]
     pub fn put_opaque_fixed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-        self.pad();
+        self.put(data);
+        self.put(&[0; 3][..(4 - data.len() % 4) % 4]);
+    }
+
+    /// Appends bytes that are themselves an XDR encoding, such as the
+    /// arguments or results trailing an RPC header: no length word, and
+    /// no padding, as an encoding is word-aligned. Debug builds assert
+    /// that when encoding; a sizing pass charges an unaligned `data` the
+    /// padded words an encoding pass would write.
+    #[inline]
+    pub fn put_encoded(&mut self, data: &[u8]) {
+        debug_assert!(
+            self.sized.is_some() || data.len().is_multiple_of(4),
+            "an XDR encoding must be word-aligned"
+        );
+        self.put_opaque_fixed(data);
     }
 
     /// Appends variable-length opaque data: a `u32` length followed by the
@@ -103,6 +154,7 @@ impl Encoder {
     /// # Errors
     ///
     /// Returns [`XdrError::LengthOverflow`] if `data.len() > u32::MAX`.
+    #[inline]
     pub fn put_opaque(&mut self, data: &[u8]) -> Result<(), XdrError> {
         let len = u32::try_from(data.len()).map_err(|_| XdrError::LengthOverflow)?;
         self.put_u32(len);
@@ -116,14 +168,9 @@ impl Encoder {
     ///
     /// Returns [`XdrError::LengthOverflow`] if the string is longer than
     /// `u32::MAX` bytes.
+    #[inline]
     pub fn put_string(&mut self, s: &str) -> Result<(), XdrError> {
         self.put_opaque(s.as_bytes())
-    }
-
-    fn pad(&mut self) {
-        while !self.buf.len().is_multiple_of(4) {
-            self.buf.push(0);
-        }
     }
 }
 

@@ -87,7 +87,9 @@ pub trait Xdr: Sized {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, XdrError>;
 }
 
-/// Encodes `value` into a fresh byte vector.
+/// Encodes `value` into a fresh byte vector. A sizing pass first finds
+/// the encoded length, so the vector is allocated once, at exactly that
+/// size.
 ///
 /// # Errors
 ///
@@ -103,7 +105,7 @@ pub trait Xdr: Sized {
 /// # }
 /// ```
 pub fn to_bytes<T: Xdr>(value: &T) -> Result<Vec<u8>, XdrError> {
-    let mut enc = Encoder::new();
+    let mut enc = Encoder::with_capacity(encoded_len(value)?);
     value.encode(&mut enc)?;
     Ok(enc.into_bytes())
 }
@@ -131,13 +133,16 @@ pub fn from_bytes<T: Xdr>(bytes: &[u8]) -> Result<T, XdrError> {
     Ok(value)
 }
 
-/// Returns the number of bytes `value` occupies on the wire.
+/// Returns the number of bytes `value` occupies on the wire, from a
+/// sizing pass that allocates nothing (see [`Encoder`]).
 ///
 /// # Errors
 ///
 /// Propagates any error from [`Xdr::encode`].
 pub fn encoded_len<T: Xdr>(value: &T) -> Result<usize, XdrError> {
-    Ok(to_bytes(value)?.len())
+    let mut enc = Encoder::sizing();
+    value.encode(&mut enc)?;
+    Ok(enc.len())
 }
 
 impl Xdr for u32 {
