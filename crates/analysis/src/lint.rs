@@ -52,18 +52,14 @@ use std::path::{Path, PathBuf};
 /// may only be acquired while holding locks of strictly lower rank.
 ///
 /// Rank 0 is the session layer (callback routes, persisted client
-/// list), then the client disk cache, then the proxy-client volatile
-/// state, the server's delegation table (`deleg`, one mutex over the
-/// whole open-file table) and the client readahead window,
-/// then the persistent block store's extent index (`index`, reached
-/// under the disk-cache guard — and, on the fill path, the readahead
-/// guard too — so it must rank below both; it shares a rank with the
-/// server's invalidation tracker `buffers`, one mutex over every
-/// client's buffer, because the client store and the server tracker
-/// never interleave), then the store's
-/// WAL appender (`wal`, taken under `index` to keep log order matching
-/// index order), then the write-back/invalidation plumbing, then
-/// actor handles (flusher/poller/supervisor/scrubber), the server's per-client
+/// list), then the client disk cache (`disk`, which owns the persistent
+/// block store: the store's index and WAL have no lock of their own),
+/// then the proxy-client volatile state, the server's delegation table
+/// (`deleg`, one mutex over the whole open-file table) and the client
+/// readahead window, then the server's invalidation tracker (`buffers`,
+/// one mutex over every client's buffer), then the
+/// write-back/invalidation plumbing, then actor handles
+/// (flusher/poller/supervisor/scrubber), the server's per-client
 /// WAN-health registry (`health`, scoped to a breaker lookup, never
 /// held across the wire), and counters beside the call windows
 /// (`fanout`, every `Window`'s lock, the server's and the client's; a
@@ -73,9 +69,9 @@ use std::path::{Path, PathBuf};
 /// removal — candidate peers are collected and the guard dropped
 /// before any `PEERREAD` goes on the wire — and `peer_hints` is taken
 /// under the disk-cache guard on the invalidation path, so it must
-/// rank below `disk`. Neither store lock may be held
-/// across a WAN send: the store does disk I/O only, and its deferred
-/// cost settlement happens after every guard is released.
+/// rank below `disk`. The `disk` guard, and the store under it, may
+/// not be held across a WAN send: the store does disk I/O only, and its
+/// deferred cost settlement happens after every guard is released.
 pub const LOCK_ORDER: &[(&str, u32)] = &[
     ("callbacks", 0),
     ("persisted_clients", 0),
@@ -83,9 +79,7 @@ pub const LOCK_ORDER: &[(&str, u32)] = &[
     ("state", 2),
     ("deleg", 2),
     ("readahead", 2),
-    ("index", 3),
     ("buffers", 3),
-    ("wal", 4),
     ("flush_queue", 5),
     ("flusher", 6),
     ("poller", 6),
@@ -147,12 +141,7 @@ const SEND_MARKERS: &[&str] = &[
 /// Callee names never followed through the call graph. Resolution is
 /// by bare name, so a workspace method that happens to share its name
 /// with a std container/combinator method would otherwise claim every
-/// `.get(…)` or `.insert(…)` in the tree as an edge to itself. `sync`
-/// is here for the same reason: it is the universal durability verb —
-/// the netsim virtual disk, the block-store trait, and `std::fs::File`
-/// all speak it — and following `disk.sync()` to the store's own
-/// `sync` would make every WAL append look like a recursive
-/// index-lock acquisition.
+/// `.get(…)` or `.insert(…)` in the tree as an edge to itself.
 const EXCLUDED_CALLEES: &[&str] = &[
     "all",
     "and_modify",
@@ -258,7 +247,6 @@ const EXCLUDED_CALLEES: &[&str] = &[
     "store",
     "sum",
     "swap",
-    "sync",
     "take",
     "to_owned",
     "to_string",

@@ -66,16 +66,22 @@ pub struct IntegrityEvent {
     pub served: bool,
 }
 
-/// The aligned offsets, sorted and distinct, of every `block_size`
-/// block that one of the `(offset, len)` ranges touches.
+/// The aligned offsets, ascending and distinct, of every `block_size`
+/// block that one of the `(offset, len)` ranges touches. The ranges
+/// ascend without overlapping, as an extent map's do, so the blocks
+/// they touch never descend and a repeat can only be of the last one.
 pub(crate) fn blocks_touched(
     ranges: impl IntoIterator<Item = (u64, usize)>,
     block_size: u64,
-) -> Vec<u64> {
+) -> impl Iterator<Item = u64> {
     let step = usize::try_from(block_size).expect("block size fits usize");
-    let mut blocks = std::collections::BTreeSet::new();
-    for (offset, len) in ranges {
-        blocks.extend((offset / block_size * block_size..offset + len as u64).step_by(step));
-    }
-    blocks.into_iter().collect()
+    let (mut prev_end, mut last) = (0, None);
+    ranges
+        .into_iter()
+        .flat_map(move |(offset, len)| {
+            debug_assert!(offset >= prev_end, "ranges ascend without overlapping");
+            prev_end = offset + len as u64;
+            (offset / block_size * block_size..prev_end).step_by(step)
+        })
+        .filter(move |&b| last.replace(b) != Some(b))
 }

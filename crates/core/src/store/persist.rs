@@ -73,14 +73,13 @@
 //! never evicted. The LRU clock is volatile: after a restart, recency
 //! is WAL replay order.
 //!
-//! Lock order: `index` before `wal`, both ranked in the analysis
-//! crate's `LOCK_ORDER` table; neither may be held across a WAN send.
+//! **Locking.** None of its own: the proxy client reaches the store only
+//! under its `disk` lock, which is never held across a WAN send.
 
 use super::{blocks_touched, IntegrityEvent, StoreStats};
 use gvfs_netsim::disk::{Slices, VirtualDisk};
 use gvfs_nfs3::{Fh3, NfsTime3};
 use gvfs_xdr::{Decoder, Encoder, Xdr, XdrError};
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -591,7 +590,6 @@ struct Idx {
     wal_quarantined: u64,
     events: Vec<IntegrityEvent>,
     scrub_cursor: (u64, u64),
-    replaying: bool,
 }
 
 impl Idx {
@@ -768,15 +766,6 @@ struct WalState {
     frame: Vec<u8>,
 }
 
-/// Lifetime counters that survive a crash/reopen replay.
-#[derive(Debug, Default, Clone, Copy)]
-struct Carry {
-    evictions: u64,
-    integrity_failures: u64,
-    quarantined_blocks: u64,
-    wal_quarantined: u64,
-}
-
 /// Encodes the frame of the record that `encode` writes into the WAL's
 /// kept frame buffer, which grows only to the largest frame so far.
 fn encode_frame(wal: &mut WalState, encode: impl FnOnce(&mut Encoder) -> Result<(), XdrError>) {
@@ -796,8 +785,8 @@ fn encode_frame(wal: &mut WalState, encode: impl FnOnce(&mut Encoder) -> Result<
 pub struct PersistentStore {
     cfg: PersistConfig,
     disk: Arc<VirtualDisk>,
-    index: Mutex<Idx>,
-    wal: Mutex<WalState>,
+    idx: Idx,
+    wal: WalState,
 }
 
 impl PersistentStore {
@@ -806,13 +795,9 @@ impl PersistentStore {
     /// its simulated cost is discarded.
     #[must_use]
     pub fn open(disk: Arc<VirtualDisk>, cfg: PersistConfig) -> Self {
-        let store = PersistentStore {
-            cfg,
-            disk,
-            index: Mutex::new(Idx::default()),
-            wal: Mutex::new(WalState::default()),
-        };
-        store.replay(Carry::default());
+        let mut store =
+            PersistentStore { cfg, disk, idx: Idx::default(), wal: WalState::default() };
+        store.replay();
         let _ = store.disk.take_pending_cost();
         store
     }
@@ -829,57 +814,53 @@ impl PersistentStore {
 
     // --- WAL ---
 
-    fn log(&self, idx: &mut Idx, rec: &WalRecord) {
-        if idx.replaying {
-            return;
-        }
-        encode_frame(&mut self.wal.lock(), |enc| rec.encode(enc));
-        self.append_frame(idx);
+    fn log(&mut self, rec: &WalRecord) {
+        encode_frame(&mut self.wal, |enc| rec.encode(enc));
+        self.append_frame();
     }
 
     /// Appends the encoded frame to the WAL, then syncs or checkpoints
     /// when one is due.
-    fn append_frame(&self, idx: &mut Idx) {
-        let mut wal = self.wal.lock();
-        self.disk.append(WAL_PATH, &wal.frame);
-        wal.since_sync += 1;
-        wal.since_checkpoint += 1;
-        if wal.since_checkpoint >= self.cfg.checkpoint_every {
-            self.checkpoint(idx, &mut wal);
-        } else if wal.since_sync >= self.cfg.sync_every {
-            self.sync_wal(&mut wal);
+    fn append_frame(&mut self) {
+        self.disk.append(WAL_PATH, &self.wal.frame);
+        self.wal.since_sync += 1;
+        self.wal.since_checkpoint += 1;
+        if self.wal.since_checkpoint >= self.cfg.checkpoint_every {
+            self.checkpoint();
+        } else if self.wal.since_sync >= self.cfg.sync_every {
+            self.sync_wal();
         }
     }
 
     /// Syncs the disk, first marking the end of the synced log with a
     /// `Synced` record if anything was logged since the last one.
-    fn sync_wal(&self, wal: &mut WalState) {
-        if wal.since_sync > 0 {
-            encode_frame(wal, |enc| WalRecord::Synced.encode(enc));
-            self.disk.append(WAL_PATH, &wal.frame);
+    fn sync_wal(&mut self) {
+        if self.wal.since_sync > 0 {
+            encode_frame(&mut self.wal, |enc| WalRecord::Synced.encode(enc));
+            self.disk.append(WAL_PATH, &self.wal.frame);
         }
         self.disk.sync();
-        wal.since_sync = 0;
+        self.wal.since_sync = 0;
     }
 
     /// Starts a fresh WAL whose first records are the index, one
     /// `Checkpoint` record per handle in handle order, then a `Synced`
     /// one; it replaces the log once it is synced.
-    fn checkpoint(&self, idx: &Idx, wal: &mut WalState) {
+    fn checkpoint(&mut self) {
         self.disk.remove(WAL_NEW_PATH);
-        let mut fhs: Vec<Fh3> = idx.files.keys().copied().collect();
+        let mut fhs: Vec<Fh3> = self.idx.files.keys().copied().collect();
         fhs.sort_unstable();
         for fh in fhs {
-            encode_frame(wal, |enc| encode_checkpoint(enc, fh, &idx.files[&fh]));
-            self.disk.append(WAL_NEW_PATH, &wal.frame);
+            encode_frame(&mut self.wal, |enc| encode_checkpoint(enc, fh, &self.idx.files[&fh]));
+            self.disk.append(WAL_NEW_PATH, &self.wal.frame);
         }
-        encode_frame(wal, |enc| WalRecord::Synced.encode(enc));
-        self.disk.append(WAL_NEW_PATH, &wal.frame);
+        encode_frame(&mut self.wal, |enc| WalRecord::Synced.encode(enc));
+        self.disk.append(WAL_NEW_PATH, &self.wal.frame);
         self.disk.sync();
         self.disk.rename(WAL_NEW_PATH, WAL_PATH);
         self.disk.sync();
-        wal.since_sync = 0;
-        wal.since_checkpoint = 0;
+        self.wal.since_sync = 0;
+        self.wal.since_checkpoint = 0;
     }
 
     /// Replays the WAL up to its last `Synced` record (the barrier),
@@ -892,17 +873,14 @@ impl PersistentStore {
     /// from the log, and the log ends at the first clean insert, whose
     /// bytes it does not hold, or at the first frame that fails
     /// verification. The sums of the blocks the records from there on
-    /// wrote are taken afresh, and the WAL is truncated there. Carries
-    /// over lifetime counters.
-    fn replay(&self, carry: Carry) {
-        let mut idx = Idx {
-            replaying: true,
-            evictions: carry.evictions,
-            integrity_failures: carry.integrity_failures,
-            quarantined_blocks: carry.quarantined_blocks,
-            wal_quarantined: carry.wal_quarantined,
-            ..Idx::default()
-        };
+    /// wrote are taken afresh, and the WAL is truncated there. The index
+    /// it replaces leaves only its lifetime counters behind.
+    fn replay(&mut self) {
+        let old = std::mem::take(&mut self.idx);
+        self.idx.evictions = old.evictions;
+        self.idx.integrity_failures = old.integrity_failures;
+        self.idx.quarantined_blocks = old.quarantined_blocks;
+        self.idx.wal_quarantined = old.wal_quarantined;
         let wal_bytes = self.disk.read(WAL_PATH, 0, usize::MAX).unwrap_or_default();
         // A `Synced` record is the only one whose payload is its 4-byte
         // discriminant, so a rotted one still marks its barrier.
@@ -915,16 +893,16 @@ impl PersistentStore {
         let mut frames = frames(&wal_bytes).peekable();
         while let Some((_, payload, sound)) = frames.next_if(|(end, ..)| *end <= synced_end) {
             if let Some(rec) = record(payload, sound) {
-                idx.apply_record(rec, bs);
+                self.idx.apply_record(rec, bs);
             } else {
                 // Interior corruption (flipped payload bit or an
                 // undecodable record): quarantine the frame but keep
                 // the durable frames behind it.
-                idx.wal_quarantined += 1;
-                idx.integrity_failures += 1;
+                self.idx.wal_quarantined += 1;
+                self.idx.integrity_failures += 1;
             }
         }
-        self.settle_data_files(&idx);
+        self.settle_data_files();
         let mut valid = synced_end;
         let mut unsynced = 0;
         let mut cut = false;
@@ -935,23 +913,23 @@ impl PersistentStore {
                     match &rec {
                         // Redo: the WAL carries the dirty bytes.
                         WalRecord::WriteDirty { fh, offset, bytes, .. } => {
-                            self.disk.write(&idx.entry(*fh).path, *offset, bytes);
+                            self.disk.write(&self.idx.entry(*fh).path, *offset, bytes);
                         }
                         WalRecord::Forget { fh } => {
-                            if let Some(entry) = idx.files.get(fh) {
+                            if let Some(entry) = self.idx.files.get(fh) {
                                 self.disk.remove(&entry.path);
                             }
                         }
                         _ => {}
                     }
-                    idx.apply_record(rec, bs);
+                    self.idx.apply_record(rec, bs);
                     unsynced += 1;
                     valid = end;
                     continue;
                 }
                 None if !cut => {
-                    idx.wal_quarantined += 1;
-                    idx.integrity_failures += 1;
+                    self.idx.wal_quarantined += 1;
+                    self.idx.integrity_failures += 1;
                 }
                 _ => {}
             }
@@ -965,40 +943,36 @@ impl PersistentStore {
                 }
                 _ => continue,
             };
-            self.retake_sums(&mut idx, written);
+            self.retake_sums(written);
         }
         if valid < wal_bytes.len() {
             self.disk.truncate(WAL_PATH, valid as u64);
         }
         // Everything replayed clean is servable warm.
-        idx.warm_blocks = count_clean_blocks(&idx, self.cfg.block_size);
-        idx.replaying = false;
-        *self.index.lock() = idx;
-        let mut wal = self.wal.lock();
+        self.idx.warm_blocks = count_clean_blocks(&self.idx, bs);
         // The replayed records after the last `Synced` one are still
         // unsynced: the next sync marks them.
-        wal.since_sync = unsynced;
-        wal.since_checkpoint = 0;
+        self.wal.since_sync = unsynced;
+        self.wal.since_checkpoint = 0;
     }
 
     /// Takes afresh from the disk the sums that `fh` holds for the blocks
     /// of `[start, end)`.
-    fn retake_sums(&self, idx: &mut Idx, (fh, start, end): (Fh3, u64, u64)) {
-        let Some(entry) = idx.files.get_mut(&fh) else { return };
-        for b in blocks(self.cfg.block_size, start, end) {
-            if entry.data_sums.contains_key(&b) {
-                let sum = self.block_hash(entry, b);
-                entry.data_sums.insert(b, sum);
-            }
-        }
+    fn retake_sums(&mut self, (fh, start, end): (Fh3, u64, u64)) {
+        let Some(entry) = self.idx.files.get(&fh) else { return };
+        let sums: Vec<(u64, u64)> = blocks(self.cfg.block_size, start, end)
+            .filter(|b| entry.data_sums.contains_key(b))
+            .map(|b| (b, self.block_hash(entry, b)))
+            .collect();
+        self.idx.entry(fh).data_sums.extend(sums);
     }
 
     /// Cuts each data file to the length its entry's writes reached and
     /// removes the data files no entry owns: at the barrier, every byte
     /// past those lengths is from a write the barrier does not cover.
-    fn settle_data_files(&self, idx: &Idx) {
+    fn settle_data_files(&self) {
         let lens: HashMap<&str, u64> =
-            idx.files.values().map(|e| (e.path.as_str(), e.len)).collect();
+            self.idx.files.values().map(|e| (e.path.as_str(), e.len)).collect();
         for path in self.disk.list("data/") {
             match lens.get(path.as_str()) {
                 None => self.disk.remove(&path),
@@ -1015,11 +989,11 @@ impl PersistentStore {
     /// on mismatch) so a corrupt byte is never laundered into a fresh
     /// sum, and the new sums hash the *intended* content, so a torn
     /// write fails its next verification.
-    fn sum_blocks(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: &[u8]) {
+    fn sum_blocks(&mut self, fh: Fh3, offset: u64, bytes: &[u8]) {
         let bs = self.cfg.block_size;
         let block_len = self.block_len();
         let end = offset + bytes.len() as u64;
-        let entry = idx.entry(fh);
+        let entry = self.idx.entry(fh);
         // Only the first and the last block can be partial.
         let mut rotted = [None; 2];
         for b in blocks(bs, offset, end) {
@@ -1063,7 +1037,7 @@ impl PersistentStore {
             entry.data_sums.insert(b, sum);
         }
         for b in rotted.into_iter().flatten() {
-            self.quarantine(idx, fh, b, b + bs);
+            self.quarantine(fh, b, b + bs);
         }
     }
 
@@ -1071,14 +1045,14 @@ impl PersistentStore {
     /// per-block sums ([`PersistentStore::sum_blocks`]). An owned
     /// `bytes` goes to [`VirtualDisk::write_owned`], which may keep the
     /// buffer as a page.
-    fn write_data(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
-        self.sum_blocks(idx, fh, offset, &bytes);
-        self.put_bytes(idx, fh, offset, bytes);
+    fn write_data(&mut self, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
+        self.sum_blocks(fh, offset, &bytes);
+        self.put_bytes(fh, offset, bytes);
     }
 
     /// The disk write of [`PersistentStore::write_data`], after the sums.
-    fn put_bytes(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
-        let entry = idx.entry(fh);
+    fn put_bytes(&mut self, fh: Fh3, offset: u64, bytes: Cow<'_, [u8]>) {
+        let entry = self.idx.entry(fh);
         entry.len = entry.len.max(offset + bytes.len() as u64);
         match bytes {
             Cow::Borrowed(bytes) => self.disk.write(&entry.path, offset, bytes),
@@ -1111,7 +1085,8 @@ impl PersistentStore {
     /// [`IntegrityEvent`] is queued for the client per dirty piece
     /// (data loss) and one for the span of the clean pieces (a
     /// repairable miss).
-    fn quarantine(&self, idx: &mut Idx, fh: Fh3, start: u64, end: u64) {
+    fn quarantine(&mut self, fh: Fh3, start: u64, end: u64) {
+        let idx = &mut self.idx;
         idx.integrity_failures += 1;
         let Some(entry) = idx.files.get(&fh) else { return };
         let first = idx.events.len();
@@ -1134,14 +1109,15 @@ impl PersistentStore {
         idx.quarantined_blocks += (idx.events.len() - first) as u64;
         idx.remove_overlaps(fh, start, end);
         // Logged, so a restart does not bring the dropped bytes back.
-        self.log(idx, &WalRecord::Quarantine { fh, offset: start, len: end - start });
+        self.log(&WalRecord::Quarantine { fh, offset: start, len: end - start });
     }
 
     /// Counts a verification failure in served-anyway mode (the
     /// `--break-scrub` knob): the corrupt block stays in the index and
     /// its bytes in `[start, end)` go to the reader, which the oracles
     /// must convict.
-    fn note_served_corrupt(&self, idx: &mut Idx, fh: Fh3, start: u64, end: u64) {
+    fn note_served_corrupt(&mut self, fh: Fh3, start: u64, end: u64) {
+        let idx = &mut self.idx;
         idx.integrity_failures += 1;
         let dirty = idx
             .files
@@ -1159,26 +1135,26 @@ impl PersistentStore {
     /// Drops clean extents of least-recently-used files until within
     /// capacity. Dirty data is never evicted, so the loop also stops
     /// once a full LRU pass has dropped nothing.
-    fn evict_over_capacity(&self, idx: &mut Idx) {
+    fn evict_over_capacity(&mut self) {
         // Consecutive dirty-only files re-touched without dropping a byte.
         let mut idle = 0;
-        while idx.used > self.cfg.capacity {
-            let Some((&seq, &fh)) = idx.lru.iter().next() else { break };
-            idx.lru.remove(&seq);
-            idx.lru_seq.remove(&fh);
-            if !idx.files.contains_key(&fh) {
+        while self.idx.used > self.cfg.capacity {
+            let Some((&seq, &fh)) = self.idx.lru.iter().next() else { break };
+            self.idx.lru.remove(&seq);
+            self.idx.lru_seq.remove(&fh);
+            if !self.idx.files.contains_key(&fh) {
                 continue;
             }
-            let dropped = idx.apply_drop_clean(fh);
+            let dropped = self.idx.apply_drop_clean(fh);
             if dropped > 0 {
-                idx.evictions += 1;
-                self.log(idx, &WalRecord::DropClean { fh });
+                self.idx.evictions += 1;
+                self.log(&WalRecord::DropClean { fh });
             }
-            if idx.files.get(&fh).is_some_and(|e| !e.extents.is_empty()) {
+            if self.idx.files.get(&fh).is_some_and(|e| !e.extents.is_empty()) {
                 // Still dirty: keep hot so the loop can make progress.
-                idx.touch(fh);
+                self.idx.touch(fh);
                 idle = if dropped > 0 { 0 } else { idle + 1 };
-                if idx.lru.len() <= 1 || idle >= idx.lru.len() {
+                if self.idx.lru.len() <= 1 || idle >= self.idx.lru.len() {
                     break;
                 }
             }
@@ -1197,7 +1173,7 @@ fn zero_padded(bytes: Option<Vec<u8>>, len: usize) -> Vec<u8> {
 fn count_clean_blocks(idx: &Idx, block_size: u64) -> u64 {
     let clean = |entry: &Entry| {
         let ranges = entry.extents.iter().filter(|(_, e)| !e.dirty).map(|(o, e)| (*o, e.len));
-        blocks_touched(ranges, block_size).len() as u64
+        blocks_touched(ranges, block_size).count() as u64
     };
     idx.files.values().map(clean).sum()
 }
@@ -1207,8 +1183,7 @@ impl PersistentStore {
     /// the file in the LRU. Only the blocks served are verified; a block
     /// that fails is quarantined and the read becomes a miss.
     pub fn read(&mut self, fh: Fh3, offset: u64, len: usize) -> Option<Vec<u8>> {
-        let mut idx = self.index.lock();
-        let entry = idx.files.get(&fh)?;
+        let entry = self.idx.files.get(&fh)?;
         if len == 0 {
             return Some(Vec::new());
         }
@@ -1225,16 +1200,16 @@ impl PersistentStore {
         let bs = self.cfg.block_size;
         for &b in &unsound {
             if self.cfg.verify {
-                self.quarantine(&mut idx, fh, b, b + bs);
+                self.quarantine(fh, b, b + bs);
             } else {
-                self.note_served_corrupt(&mut idx, fh, b.max(offset), (b + bs).min(end));
+                self.note_served_corrupt(fh, b.max(offset), (b + bs).min(end));
             }
         }
         if self.cfg.verify && !unsound.is_empty() {
             return None; // now a miss; the read path refetches
         }
         let bytes = bytes?;
-        idx.touch(fh);
+        self.idx.touch(fh);
         Some(bytes)
     }
 
@@ -1243,8 +1218,7 @@ impl PersistentStore {
     /// extents count as covered: locally written bytes are never
     /// refetched.
     pub fn missing_ranges(&self, fh: Fh3, offset: u64, len: usize) -> Vec<(u64, usize)> {
-        let idx = self.index.lock();
-        let Some(entry) = idx.files.get(&fh) else {
+        let Some(entry) = self.idx.files.get(&fh) else {
             return if len == 0 { Vec::new() } else { vec![(offset, len)] };
         };
         let mut gaps = Vec::new();
@@ -1278,15 +1252,14 @@ impl PersistentStore {
         if data.is_empty() {
             return;
         }
-        let mut idx = self.index.lock();
         let end = offset + data.len() as u64;
         // Cached dirty bytes beat the incoming clean ones: only the
         // pieces no dirty extent covers now are written (a write that
         // quarantines a dirty extent leaves its range a hole).
-        let extents = &idx.entry(fh).extents;
+        let extents = &self.idx.entry(fh).extents;
         if next_clean_piece(extents, offset, end) == Some((offset, end)) {
-            self.write_data(&mut idx, fh, offset, Cow::Owned(data));
-            idx.put_ext(fh, offset, end, false);
+            self.write_data(fh, offset, Cow::Owned(data));
+            self.idx.put_ext(fh, offset, end, false);
         } else {
             let pieces: Vec<(u64, u64)> =
                 std::iter::successors(next_clean_piece(extents, offset, end), |&(_, hi)| {
@@ -1295,19 +1268,19 @@ impl PersistentStore {
                 .collect();
             for (lo, hi) in pieces {
                 let piece = &data[(lo - offset) as usize..(hi - offset) as usize];
-                self.write_data(&mut idx, fh, lo, Cow::Borrowed(piece));
-                idx.put_ext(fh, lo, hi, false);
+                self.write_data(fh, lo, Cow::Borrowed(piece));
+                self.idx.put_ext(fh, lo, hi, false);
             }
         }
-        idx.coalesce(fh, offset, end);
-        idx.touch(fh);
-        let sums = range_sums(&idx.files[&fh].data_sums, self.cfg.block_size, offset, end);
-        encode_frame(&mut self.wal.lock(), |enc| {
+        self.idx.coalesce(fh, offset, end);
+        self.idx.touch(fh);
+        let sums = range_sums(&self.idx.files[&fh].data_sums, self.cfg.block_size, offset, end);
+        encode_frame(&mut self.wal, |enc| {
             encode_insert_clean(enc, fh, offset, end - offset, sums);
             Ok(())
         });
-        self.append_frame(&mut idx);
-        self.evict_over_capacity(&mut idx);
+        self.append_frame();
+        self.evict_over_capacity();
     }
 
     /// Records locally written bytes as dirty (write-back mode).
@@ -1315,63 +1288,58 @@ impl PersistentStore {
         if data.is_empty() {
             return;
         }
-        let mut idx = self.index.lock();
         let (len, end) = (data.len(), offset + data.len() as u64);
-        self.sum_blocks(&mut idx, fh, offset, &data);
+        self.sum_blocks(fh, offset, &data);
         // The frame is encoded before the disk write, so the data file
         // can keep `data`.
-        let sums = range_sums(&idx.files[&fh].data_sums, self.cfg.block_size, offset, end);
-        encode_frame(&mut self.wal.lock(), |enc| encode_write_dirty(enc, fh, offset, &data, sums));
-        self.put_bytes(&mut idx, fh, offset, Cow::Owned(data));
-        idx.apply_write_dirty(fh, offset, len);
-        idx.touch(fh);
-        self.append_frame(&mut idx);
-        self.evict_over_capacity(&mut idx);
+        let sums = range_sums(&self.idx.files[&fh].data_sums, self.cfg.block_size, offset, end);
+        encode_frame(&mut self.wal, |enc| encode_write_dirty(enc, fh, offset, &data, sums));
+        self.put_bytes(fh, offset, Cow::Owned(data));
+        self.idx.apply_write_dirty(fh, offset, len);
+        self.idx.touch(fh);
+        self.append_frame();
+        self.evict_over_capacity();
     }
 
     /// Marks every byte of `[offset, offset+len)` clean after a
     /// successful write-back, splitting extents at the boundaries. A
     /// durability barrier.
     pub fn clean_range(&mut self, fh: Fh3, offset: u64, len: u64) {
-        let mut idx = self.index.lock();
-        if idx.files.contains_key(&fh) {
-            idx.apply_clean_range(fh, offset, len);
-            self.log(&mut idx, &WalRecord::CleanRange { fh, offset, len });
+        if self.idx.files.contains_key(&fh) {
+            self.idx.apply_clean_range(fh, offset, len);
+            self.log(&WalRecord::CleanRange { fh, offset, len });
         }
         // The server holds the data now; make the clean marking (and the
         // write-back it records) durable so a restart serves it warm
         // instead of re-flushing. Unconditional: clean_range is always a
         // durability barrier, whether or not the handle was cached.
-        self.sync_wal(&mut self.wal.lock());
+        self.sync_wal();
     }
 
     /// Drops the file's clean extents, keeping dirty data.
     pub fn drop_clean(&mut self, fh: Fh3) {
-        let mut idx = self.index.lock();
-        if !idx.files.contains_key(&fh) {
+        if !self.idx.files.contains_key(&fh) {
             return;
         }
-        idx.apply_drop_clean(fh);
-        self.log(&mut idx, &WalRecord::DropClean { fh });
+        self.idx.apply_drop_clean(fh);
+        self.log(&WalRecord::DropClean { fh });
     }
 
     /// Drops everything known about the file (it was removed),
     /// including its mtime tag.
     pub fn forget(&mut self, fh: Fh3) {
-        let mut idx = self.index.lock();
-        if !idx.files.contains_key(&fh) && !idx.lru_seq.contains_key(&fh) {
+        if !self.idx.files.contains_key(&fh) && !self.idx.lru_seq.contains_key(&fh) {
             return;
         }
-        if let Some(entry) = idx.apply_forget(fh) {
+        if let Some(entry) = self.idx.apply_forget(fh) {
             self.disk.remove(&entry.path);
         }
-        self.log(&mut idx, &WalRecord::Forget { fh });
+        self.log(&WalRecord::Forget { fh });
     }
 
     /// Offsets and lengths of the file's dirty extents, in order.
     pub fn dirty_ranges(&self, fh: Fh3) -> Vec<(u64, usize)> {
-        let idx = self.index.lock();
-        idx.files.get(&fh).map_or_else(Vec::new, |e| {
+        self.idx.files.get(&fh).map_or_else(Vec::new, |e| {
             e.extents.iter().filter(|(_, x)| x.dirty).map(|(o, x)| (*o, x.len)).collect()
         })
     }
@@ -1380,7 +1348,7 @@ impl PersistentStore {
     /// — the "list of blocks' offsets" a recalled write delegation
     /// reports (§4.3.2).
     pub fn dirty_blocks(&self, fh: Fh3, block_size: u64) -> Vec<u64> {
-        blocks_touched(self.dirty_ranges(fh), block_size)
+        blocks_touched(self.dirty_ranges(fh), block_size).collect()
     }
 
     /// The dirty byte segments inside one aligned block, as
@@ -1388,17 +1356,16 @@ impl PersistentStore {
     /// verification is quarantined (reported as dirty data loss), never
     /// handed to the flusher.
     pub fn dirty_in_block(
-        &self,
+        &mut self,
         fh: Fh3,
         block_offset: u64,
         block_size: u64,
     ) -> Vec<(u64, Vec<u8>)> {
-        let mut idx = self.index.lock();
         let end = block_offset + block_size;
         let mut out = Vec::new();
         let mut served = Vec::new();
         let mut lost = Vec::new();
-        let Some(entry) = idx.files.get(&fh) else { return out };
+        let Some(entry) = self.idx.files.get(&fh) else { return out };
         let mut pos = block_offset;
         while let Some((key, ext)) = first_overlap(&entry.extents, pos, end) {
             let lo = key.max(block_offset);
@@ -1423,25 +1390,24 @@ impl PersistentStore {
             }
         }
         for (lo, hi) in served {
-            self.note_served_corrupt(&mut idx, fh, lo, hi);
+            self.note_served_corrupt(fh, lo, hi);
         }
         let bs = self.cfg.block_size;
         for (lo, hi) in lost {
-            self.quarantine(&mut idx, fh, lo / bs * bs, hi.div_ceil(bs) * bs);
+            self.quarantine(fh, lo / bs * bs, hi.div_ceil(bs) * bs);
         }
         out
     }
 
     /// Whether the file holds any dirty extent.
     pub fn has_dirty(&self, fh: Fh3) -> bool {
-        let idx = self.index.lock();
-        idx.files.get(&fh).is_some_and(|e| e.extents.values().any(|x| x.dirty))
+        self.idx.files.get(&fh).is_some_and(|e| e.extents.values().any(|x| x.dirty))
     }
 
     /// All files holding dirty data, sorted.
     pub fn dirty_files(&self) -> Vec<Fh3> {
-        let idx = self.index.lock();
-        let mut v: Vec<Fh3> = idx
+        let mut v: Vec<Fh3> = self
+            .idx
             .files
             .iter()
             .filter(|(_, e)| e.extents.values().any(|x| x.dirty))
@@ -1455,7 +1421,7 @@ impl PersistentStore {
     /// differs, clean content is dropped (the protocol invalidated it).
     /// Records `mtime` as the new tag either way.
     pub fn revalidate(&mut self, fh: Fh3, mtime: NfsTime3) {
-        let mut idx = self.index.lock();
+        let idx = &mut self.idx;
         let changed = idx.files.get(&fh).and_then(|e| e.tag).is_some_and(|t| t != mtime);
         if changed {
             idx.apply_drop_clean(fh);
@@ -1466,29 +1432,28 @@ impl PersistentStore {
         // Only log when something durable changed: first sight of the
         // handle, a tag move, or a clean drop.
         if changed || !had_entry || prev_tag != Some(mtime) {
-            self.log(&mut idx, &WalRecord::Retag { fh, mtime, drop: changed });
+            self.log(&WalRecord::Retag { fh, mtime, drop: changed });
         }
     }
 
     /// Records `mtime` as the file's tag without dropping content (the
     /// mtime moved because of our own write).
     pub fn retag(&mut self, fh: Fh3, mtime: NfsTime3) {
-        let mut idx = self.index.lock();
-        let prev = idx.files.get(&fh).and_then(|e| e.tag);
-        idx.entry(fh).tag = Some(mtime);
+        let prev = self.idx.files.get(&fh).and_then(|e| e.tag);
+        self.idx.entry(fh).tag = Some(mtime);
         if prev != Some(mtime) {
-            self.log(&mut idx, &WalRecord::Retag { fh, mtime, drop: false });
+            self.log(&WalRecord::Retag { fh, mtime, drop: false });
         }
     }
 
     /// Bytes of file content cached.
     pub fn used_bytes(&self) -> usize {
-        self.index.lock().used
+        self.idx.used
     }
 
     /// Current counters.
     pub fn stats(&self) -> StoreStats {
-        let idx = self.index.lock();
+        let idx = &self.idx;
         StoreStats {
             bytes: idx.used as u64,
             evictions: idx.evictions,
@@ -1501,27 +1466,15 @@ impl PersistentStore {
 
     /// Durability barrier: everything stored so far survives a crash.
     pub fn sync(&mut self) {
-        // Every call that encodes a frame holds `index` until it has
-        // appended it, so the `Synced` frame cannot overwrite one.
-        let _idx = self.index.lock();
-        self.sync_wal(&mut self.wal.lock());
+        self.sync_wal();
     }
 
     /// Simulates a machine crash followed by a reopen: volatile state is
     /// lost, the index is replayed from disk, and entries whose dirty
     /// WAL records are torn are discarded.
     pub fn crash_reopen(&mut self) {
-        let carry = {
-            let idx = self.index.lock();
-            Carry {
-                evictions: idx.evictions,
-                integrity_failures: idx.integrity_failures,
-                quarantined_blocks: idx.quarantined_blocks,
-                wal_quarantined: idx.wal_quarantined,
-            }
-        };
         self.disk.crash();
-        self.replay(carry);
+        self.replay();
     }
 
     /// Drains accrued simulated I/O cost. The caller charges it to its
@@ -1535,7 +1488,7 @@ impl PersistentStore {
     /// refetch repairs, the scrub actor as scrub repairs, and dirty
     /// ones as explicit data loss.
     pub fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
-        std::mem::take(&mut self.index.lock().events)
+        std::mem::take(&mut self.idx.events)
     }
 
     /// Verifies up to `max_bytes` of stored content ahead of demand,
@@ -1546,24 +1499,24 @@ impl PersistentStore {
         if !self.cfg.verify {
             return 0;
         }
-        let mut idx = self.index.lock();
         let bs = self.cfg.block_size;
         // A stable sweep order over every stored block; the persistent
         // cursor picks up where the previous step stopped so repeated
         // small steps cover the whole store.
-        let mut blocks: Vec<(u64, u64)> = idx
+        let mut blocks: Vec<(u64, u64)> = self
+            .idx
             .files
             .iter()
             .flat_map(|(fh, e)| {
                 let ranges = e.extents.iter().map(|(o, x)| (*o, x.len));
-                blocks_touched(ranges, bs).into_iter().map(|b| (fh.fileid(), b))
+                blocks_touched(ranges, bs).map(|b| (fh.fileid(), b))
             })
             .collect();
         if blocks.is_empty() {
             return 0;
         }
         blocks.sort_unstable();
-        let at = blocks.partition_point(|&key| key < idx.scrub_cursor);
+        let at = blocks.partition_point(|&key| key < self.idx.scrub_cursor);
         let n = blocks.len();
         blocks.rotate_left(at % n);
         let mut scrubbed = 0usize;
@@ -1574,15 +1527,15 @@ impl PersistentStore {
                 break;
             }
             let fh = Fh3::from_fileid(id);
-            if !self.block_sound(&idx.files[&fh], b) {
-                self.quarantine(&mut idx, fh, b, b + bs);
+            if !self.block_sound(&self.idx.files[&fh], b) {
+                self.quarantine(fh, b, b + bs);
             }
             scrubbed += self.block_len();
             if i + 1 == blocks.len() {
                 next = (0, 0); // wrapped: restart the sweep
             }
         }
-        idx.scrub_cursor = next;
+        self.idx.scrub_cursor = next;
         scrubbed
     }
 }
@@ -1679,7 +1632,7 @@ mod tests {
         s.write_dirty(fh, BS / 2, dirty.clone());
         s.sync();
         let path = data_path(fh);
-        let sum_1 = |s: &PersistentStore| s.index.lock().files[&fh].data_sums[&BS];
+        let sum_1 = |s: &PersistentStore| s.idx.files[&fh].data_sums[&BS];
         let before = sum_1(&s);
         let clean = blocks(3);
         s.insert_clean(fh, 0, clean.clone());
@@ -1744,7 +1697,7 @@ mod tests {
             let fh = Fh3::from_fileid(1);
             let data = blocks(16);
             s.insert_clean(fh, 0, data.clone());
-            assert_eq!(s.index.lock().files[&fh].extents.len(), 1, "one coalesced extent");
+            assert_eq!(s.idx.files[&fh].extents.len(), 1, "one coalesced extent");
             assert!(s.disk.corrupt_byte(&data_path(fh), 5 * BS + 9, 0x10));
             if scrub {
                 assert_eq!(s.scrub_step(usize::MAX), 16 * BS as usize);
@@ -2137,6 +2090,43 @@ mod tests {
         // the replayed data file and verification still catches it.
         assert!(s.disk.corrupt_byte(&data_path(fh), 350, 0x04));
         assert!(s.read(fh, 300, 100).is_none(), "checkpointed sums still verify");
+    }
+
+    /// Replay appends nothing to the log: after `open` and after
+    /// `crash_reopen` the WAL is the prefix of frames replay applied,
+    /// and a second reopen, which replays that prefix, leaves it byte
+    /// for byte as it was.
+    #[test]
+    fn replay_appends_no_wal_frame() {
+        for crash in [false, true] {
+            let disk = VirtualDisk::new(DiskConfig::instant());
+            let cfg = PersistConfig { capacity: 1 << 20, ..PersistConfig::default() };
+            let (fh, clean, big) = (Fh3::from_fileid(1), Fh3::from_fileid(2), Fh3::from_fileid(3));
+            let mut s = PersistentStore::open(Arc::clone(&disk), cfg);
+            s.write_dirty(fh, 0, vec![1; 100]);
+            s.retag(fh, t(1));
+            s.sync();
+            // The unsynced tail: a dirty write replay redoes, a clean
+            // insert the log ends at, and a larger write, so a crash
+            // keeps the first two frames whole.
+            s.write_dirty(fh, 100, vec![2; 100]);
+            s.insert_clean(clean, 0, vec![3; 100]);
+            s.write_dirty(big, 0, vec![4; 4 * BS as usize]);
+            let wal = disk.read(WAL_PATH, 0, usize::MAX).unwrap();
+            let replayed = frames(&wal).nth(3).unwrap().0;
+            let s = if crash {
+                s.crash_reopen();
+                s
+            } else {
+                drop(s);
+                PersistentStore::open(Arc::clone(&disk), cfg)
+            };
+            assert_eq!(disk.read(WAL_PATH, 0, usize::MAX).unwrap(), wal[..replayed], "{crash}");
+            assert_eq!(s.dirty_ranges(fh), vec![(0, 200)], "{crash}");
+            drop(s);
+            let _s = PersistentStore::open(Arc::clone(&disk), cfg);
+            assert_eq!(disk.read(WAL_PATH, 0, usize::MAX).unwrap(), wal[..replayed], "{crash}");
+        }
     }
 
     /// The published XXH64 (seed 0) test vectors.

@@ -6,7 +6,9 @@
 //! (the least cycle, and the most over forty cycles), and that a disk
 //! sync allocates nothing. Each budget is the measured count rounded
 //! up to the next 32 KiB, so one more copy of the block anywhere on the
-//! path fails the test.
+//! path fails the test. It also counts the allocations of one scrub
+//! step over a store of many files, which must not grow with the number
+//! of files.
 
 use gvfs_core::store::persist::{PersistConfig, PersistentStore};
 use gvfs_netsim::disk::{DiskConfig, VirtualDisk};
@@ -14,6 +16,7 @@ use gvfs_nfs3::Fh3;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 const BLOCK: usize = 32 * 1024;
 /// Measured 65,536 B at most: the two WAL pages a frame lands about once
@@ -45,6 +48,7 @@ thread_local! {
     /// total, so tests measuring at the same time do not add up.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -57,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.with(Cell::get) {
             ALLOCATED.with(|a| a.set(a.get() + layout.size() as u64));
+            ALLOCATIONS.with(|a| a.set(a.get() + 1));
         }
         // SAFETY: forwarded unchanged from the caller.
         unsafe { System.alloc(layout) }
@@ -73,11 +78,21 @@ static GLOBAL: Counting = Counting;
 
 /// Bytes allocated on this thread while `f` runs.
 fn allocated_by<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATED.with(Cell::get);
+    counted(&ALLOCATED, f)
+}
+
+/// Allocations made on this thread while `f` runs.
+fn allocations_by<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    counted(&ALLOCATIONS, f)
+}
+
+/// What `f` adds to this thread's `counter`.
+fn counted<R>(counter: &'static LocalKey<Cell<u64>>, f: impl FnOnce() -> R) -> (u64, R) {
+    let before = counter.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (ALLOCATED.with(Cell::get) - before, out)
+    (counter.with(Cell::get) - before, out)
 }
 
 /// Writes 32 KiB blocks to `fh` at offset 0 until the store has synced
@@ -236,4 +251,21 @@ fn every_cycle_up_to_a_wal_of_80_mib_allocates_within_budget() {
         most <= CYCLE_BUDGET,
         "a {cycle}-write cycle allocated up to {most} B, budget {CYCLE_BUDGET} B"
     );
+}
+
+/// One scrub step over every block of 64 files of four blocks each
+/// builds one sweep list for the whole store: fewer allocations than
+/// files (measured 7, the list's growth).
+#[test]
+fn a_scrub_step_allocates_less_than_once_per_file() {
+    const FILES: u64 = 64;
+    let disk = VirtualDisk::new(DiskConfig::instant());
+    let mut store = PersistentStore::open(Arc::clone(&disk), PersistConfig::default());
+    for id in 1..=FILES {
+        store.insert_clean(Fh3::from_fileid(id), 0, vec![id as u8; 4 * BLOCK]);
+    }
+    let (allocs, scrubbed) = allocations_by(|| store.scrub_step(usize::MAX));
+    assert_eq!(scrubbed, FILES as usize * 4 * BLOCK, "the step verified every block");
+    assert_eq!(store.stats().integrity_failures, 0);
+    assert!(allocs < FILES, "a scrub step over {FILES} files made {allocs} allocations");
 }
